@@ -1,11 +1,14 @@
 """Degeneracy instants and their certification as bifurcation instants.
 
 A degeneracy instant is a parameter t where some branch rho_(i,j)(t) meets
-the rescaled mean curvature Hhat.  Every branch is strictly increasing in
-t, so roots are found by bisection, each branch contributes at most one
-root, and the Morse index jump across an isolated instant equals the
-multiplicity that crossed -- which is the certification criterion: both
-endpoints nondegenerate and unequal indices.
+the rescaled mean curvature Hhat.  Branch (i, j) at t is rho_j(c) at the
+bulk coefficient c = t * rho_i, and each rho_j increases strictly in c, so
+it meets Hhat at exactly one critical coefficient c_j*.  Every instant is
+therefore some c_j* / rho_i: the model's table of c_j* is solved once and
+enumeration and isolation are arithmetic on it.  The Morse index jump across
+an isolated instant equals the multiplicity that crossed -- which is the
+certification criterion: both endpoints nondegenerate and unequal indices,
+counted by fresh eigensolves independent of the table.
 """
 
 from __future__ import annotations
@@ -16,22 +19,18 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import (
-    BracketError,
     CutoffExhaustedError,
     DegenerateInstantError,
     EpsilonExhaustedError,
-    HhatIsSteklovEigenvalueError,
     NoDegeneracyError,
     NumericalError,
     PreconditionError,
 )
-from .product import ProductModel, morse_index, nullity
+from .product import ROOT_RTOL, ProductModel, morse_index, nullity
 from .serialize import read_csv, write_csv
 from .spectral import robin_steklov_spectrum
 
-ROOT_RTOL = 1e-8
 MERGE_RTOL = 1e-6
-STEKLOV_MEMBERSHIP_RTOL = 1e-8
 EPSILON_CAP = 0.05
 
 
@@ -52,44 +51,9 @@ class DegeneracyRecord:
     certified: bool = False
 
 
-def _branch_value(model, rho_i, j, t, dense_limit):
-    s = robin_steklov_spectrum(
-        model.boundary_forms, t * rho_i, j + 1, dense_limit=dense_limit
-    )
-    return float(s.eigenvalues[j])
-
-
-def _bisect_branch(model, rho_i, j, t_lo, t_hi, rtol, dense_limit):
-    """Root of rho_(i,j)(t) = Hhat on a bracket with a sign change; the branch
-    is strictly increasing, so plain bisection converges."""
-    hhat = model.Hhat
-    for _ in range(300):
-        mid = 0.5 * (t_lo + t_hi)
-        val = _branch_value(model, rho_i, j, mid, dense_limit)
-        if abs(val - hhat) <= rtol * hhat:
-            return mid
-        if val < hhat:
-            t_lo = mid
-        else:
-            t_hi = mid
-    raise NumericalError(
-        f"bisection stalled on branch rho_i={rho_i:g}, j={j}: "
-        f"final interval [{t_lo:.17g}, {t_hi:.17g}]"
-    )
-
-
-def find_degeneracy_instant(
-    model: ProductModel,
-    i: int,
-    bracket: tuple[float, float] = (0.1, 10.0),
-    *,
-    rtol: float = ROOT_RTOL,
-    dense_limit: int = 2000,
-) -> float:
-    """The unique t_i with rho_(i,0)(t_i) = Hhat, for factor index i >= 1.
-
-    The bracket is auto-expanded (lowest branch runs from 0 to infinity in
-    t); positive Hhat is required -- otherwise no instants exist.
+def find_degeneracy_instant(model: ProductModel, i: int) -> float:
+    """The unique t_i with rho_(i,0)(t_i) = Hhat, for factor index i >= 1:
+    c_0* / rho_i.  Positive Hhat is required -- otherwise no instants exist.
     """
     if model.Hhat <= 0:
         raise NoDegeneracyError(
@@ -97,141 +61,77 @@ def find_degeneracy_instant(
         )
     if i < 1:
         raise PreconditionError("factor index must be >= 1 (constants never cross)")
-    rho_i = model.factor.value(i)
-    hhat = model.Hhat
-
-    t_lo, t_hi = bracket
-    if not (0 < t_lo < t_hi):
-        raise PreconditionError(f"invalid bracket {bracket}")
-    expansions = 0
-    while _branch_value(model, rho_i, 0, t_lo, dense_limit) >= hhat:
-        t_lo /= 2.0
-        expansions += 1
-        if expansions > 60:
-            raise BracketError("bracket expansion exhausted toward t = 0")
-    while _branch_value(model, rho_i, 0, t_hi, dense_limit) <= hhat:
-        t_hi *= 2.0
-        expansions += 1
-        if expansions > 120:
-            raise BracketError("bracket expansion exhausted toward t = infinity")
-    return _bisect_branch(model, rho_i, 0, t_lo, t_hi, rtol, dense_limit)
+    return model.critical_coefficients[0] / model.factor.value(i)
 
 
-def _check_hhat_not_steklov(model, dense_limit):
-    """Hhat must not be a (nonzero) Steklov eigenvalue of the boundary
-    factor: those branches are constant in t, so the operator would be
-    degenerate for every t and certification is refused."""
-    hhat = model.Hhat
-    tol = STEKLOV_MEMBERSHIP_RTOL * max(1.0, abs(hhat))
-    forms = model.boundary_forms
-    n_b = len(forms.boundary_dofs)
-    k = min(8, n_b)
-    while True:
-        vals = robin_steklov_spectrum(forms, 0.0, k, dense_limit=dense_limit).eigenvalues
-        if vals[-1] > hhat + tol or k == n_b:
-            break
-        k = min(2 * k, n_b)
-    for j, v in enumerate(vals):
-        if j >= 1 and abs(v - hhat) <= tol:
-            raise HhatIsSteklovEigenvalueError(
-                f"Hhat = {hhat:.12g} coincides with Steklov eigenvalue rho_{j} = "
-                f"{v:.12g}; the Jacobi operator is degenerate for all t and no "
-                "bifurcation conclusion is drawn"
-            )
+def _instants(model, t_min, t_max):
+    """(t_star, crossings) of the c_j* / rho_i in [t_min, t_max], descending,
+    coincident roots merged at their mean; no eigensolve beyond the model's
+    table, and none at all for Hhat <= 0, where no instants exist.
+
+    Truncation: the lowest branch of factor index i clears Hhat at t_min once
+    t_min * rho_i > c_0*, and every later index and branch lies higher, so
+    the factor spectrum must reach past c_0* / t_min.
+    """
+    if model.Hhat <= 0:
+        return []
+    c_stars = model.critical_coefficients
+    factor = model.factor
+    if factor.value(len(factor) - 1) * t_min <= c_stars[0]:
+        raise CutoffExhaustedError(
+            f"factor spectrum cutoff {factor.cutoff:g} exhausted before "
+            f"the lowest branch at t_min={t_min:g} cleared Hhat={model.Hhat:g}"
+        )
+    roots = [
+        (c / factor.value(i), i, j, factor.multiplicity(i))
+        for i in range(1, len(factor))
+        for j, c in enumerate(c_stars)
+    ]
+    roots = sorted((r for r in roots if t_min <= r[0] <= t_max), key=lambda r: -r[0])
+    groups = []
+    for t_root, i, j, mu in roots:
+        if groups and abs(groups[-1][0][-1] - t_root) <= MERGE_RTOL * max(
+            groups[-1][0][-1], t_root
+        ):
+            groups[-1][0].append(t_root)
+            groups[-1][1].append((i, j, mu))
+        else:
+            groups.append(([t_root], [(i, j, mu)]))
+    return [(float(np.mean(ts)), crossings) for ts, crossings in groups]
 
 
 def enumerate_instants(
-    model: ProductModel,
-    t_min: float,
-    t_max: float,
-    *,
-    rtol: float = ROOT_RTOL,
-    merge_rtol: float = MERGE_RTOL,
-    dense_limit: int = 2000,
+    model: ProductModel, t_min: float, t_max: float
 ) -> list[DegeneracyRecord]:
     """All degeneracy instants in [t_min, t_max], descending in t.
 
-    Finiteness: only factor indices with lowest branch below Hhat at t_min
-    can cross, and for each of those only finitely many sorted positions j;
-    every branch is strictly increasing so it carries at most one root.
-    Coincident roots merge into one record with summed multiplicity.
+    Instants are the c_j* / rho_i inside the window; coincident ones merge
+    into one record with summed multiplicity, and every crossing is verified
+    by one fresh eigensolve at the record's t_star.
     """
     if not (0 < t_min < t_max):
         raise PreconditionError(f"need 0 < t_min < t_max, got [{t_min}, {t_max}]")
     hhat = model.Hhat
-    if hhat <= 0:
-        return []
-    _check_hhat_not_steklov(model, dense_limit)
-
-    roots = []
-    i = 1
-    while True:
-        if i >= len(model.factor):
-            raise CutoffExhaustedError(
-                f"factor spectrum cutoff {model.factor.cutoff:g} exhausted before "
-                f"the lowest branch at t_min={t_min:g} cleared Hhat={hhat:g}"
-            )
-        rho_i = model.factor.value(i)
-        mu_i = model.factor.multiplicity(i)
-        forms = model.boundary_forms
-        n_b = len(forms.boundary_dofs)
-
-        # all positions j with rho_(i,j)(t_min) <= Hhat can have a root
-        k = min(8, n_b)
-        while True:
-            lo_vals = robin_steklov_spectrum(
-                forms, t_min * rho_i, k, dense_limit=dense_limit
-            ).eigenvalues
-            if lo_vals[-1] > hhat or k == n_b:
-                break
-            k = min(2 * k, n_b)
-        if lo_vals[-1] <= hhat:
-            raise CutoffExhaustedError(
-                "boundary spectrum exhausted while bounding the branch sweep"
-            )
-        if lo_vals[0] > hhat:
-            break  # larger factor indices only push branches higher
-
-        j_count = int(np.searchsorted(lo_vals, hhat, side="right"))
-        hi_vals = robin_steklov_spectrum(
-            forms, t_max * rho_i, j_count, dense_limit=dense_limit
-        ).eigenvalues
-        for j in range(j_count):
-            if hi_vals[j] < hhat:
-                continue  # branch stays below on the whole window
-            t_root = _bisect_branch(model, rho_i, j, t_min, t_max, rtol, dense_limit)
-            roots.append((t_root, i, j, mu_i))
-        i += 1
-
-    roots.sort(key=lambda r: -r[0])
-    records = []
-    for t_root, fi, j, mu in roots:
-        if records and abs(records[-1]["t"][-1] - t_root) <= merge_rtol * max(
-            records[-1]["t"][-1], t_root
-        ):
-            records[-1]["t"].append(t_root)
-            records[-1]["crossings"].append((fi, j, mu))
-        else:
-            records.append({"t": [t_root], "crossings": [(fi, j, mu)]})
-
     out = []
-    for rec in records:
-        t_star = float(np.mean(rec["t"]))
+    for t_star, crossings in _instants(model, t_min, t_max):
         # merged roots moved by up to the merge tolerance; branch slopes near a
         # crossing are O(Hhat / t), so allow that much drift in the re-check
-        verify_tol = (rtol if len(rec["t"]) == 1 else max(rtol, 10 * merge_rtol)) * hhat
-        for fi, j, mu in rec["crossings"]:
-            val = _branch_value(model, model.factor.value(fi), j, t_star, dense_limit)
+        verify_tol = (
+            ROOT_RTOL if len(crossings) == 1 else max(ROOT_RTOL, 10 * MERGE_RTOL)
+        ) * hhat
+        for i, j, _ in crossings:
+            c = t_star * model.factor.value(i)
+            val = float(robin_steklov_spectrum(model.boundary_forms, c, j + 1).eigenvalues[j])
             if abs(val - hhat) > verify_tol:
                 raise NumericalError(
                     f"post-hoc verification failed at t*={t_star:.12g}: branch "
-                    f"(i={fi}, j={j}) gives rho={val:.12g}, Hhat={hhat:.12g}"
+                    f"(i={i}, j={j}) gives rho={val:.12g}, Hhat={hhat:.12g}"
                 )
         out.append(
             DegeneracyRecord(
                 t_star=t_star,
-                crossings=tuple(rec["crossings"]),
-                nullity=sum(mu for _, _, mu in rec["crossings"]),
+                crossings=tuple(crossings),
+                nullity=sum(mu for _, _, mu in crossings),
             )
         )
     return out
@@ -244,14 +144,14 @@ def certify_bifurcation(
     *,
     neighbors=(),
     degeneracy_rtol: float | None = None,
-    dense_limit: int = 2000,
 ) -> DegeneracyRecord:
     """Check the index-jump criterion across record.t_star.
 
     Picks epsilon so the window isolates the instant (default: half the gap
-    to the nearest neighbor, capped at 0.05 * t_star), computes the Morse
-    index on both sides, and certifies when both endpoints are
-    nondegenerate and the indices differ.
+    to the nearest neighbor, capped at 0.05 * t_star) and halves it while
+    some other c_j* / rho_i, or a degenerate endpoint, lies in the window.
+    Then computes the Morse index on both sides by eigensolves and
+    certifies when both endpoints are nondegenerate and the indices differ.
     """
     t_star = record.t_star
     if epsilon is None:
@@ -264,24 +164,15 @@ def certify_bifurcation(
         raise PreconditionError(f"epsilon must lie in (0, t_star), got {epsilon}")
 
     for _ in range(12):
-        inside = enumerate_instants(
-            model, t_star - epsilon, t_star + epsilon, dense_limit=dense_limit
-        )
-        foreign = [
-            r.t_star
-            for r in inside
-            if abs(r.t_star - t_star) > MERGE_RTOL * max(r.t_star, t_star)
-        ]
-        if foreign:
+        if any(
+            abs(t - t_star) > MERGE_RTOL * max(t, t_star)
+            for t, _ in _instants(model, t_star - epsilon, t_star + epsilon)
+        ):
             epsilon *= 0.5
             continue
         try:
-            n_minus = morse_index(
-                model, t_star - epsilon, rtol=degeneracy_rtol, dense_limit=dense_limit
-            )
-            n_plus = morse_index(
-                model, t_star + epsilon, rtol=degeneracy_rtol, dense_limit=dense_limit
-            )
+            n_minus = morse_index(model, t_star - epsilon, rtol=degeneracy_rtol)
+            n_plus = morse_index(model, t_star + epsilon, rtol=degeneracy_rtol)
         except DegenerateInstantError:
             epsilon *= 0.5
             continue
@@ -298,9 +189,7 @@ def certify_bifurcation(
     )
 
 
-def classify(
-    model: ProductModel, t: float, *, tol: float | None = None, dense_limit: int = 2000
-) -> str:
+def classify(model: ProductModel, t: float, *, tol: float | None = None) -> str:
     """'degenerate' when the Jacobi operator has kernel at t, else 'rigid'.
 
     Nonpositive Hhat short-circuits to rigid (the whole family is)."""
@@ -309,7 +198,7 @@ def classify(
     if model.Hhat <= 0:
         return "rigid"
     tol = model.degeneracy_tol() if tol is None else tol
-    return "degenerate" if nullity(model, t, tol, dense_limit=dense_limit) > 0 else "rigid"
+    return "degenerate" if nullity(model, t, tol) > 0 else "rigid"
 
 
 # ---------------------------------------------------------------------------

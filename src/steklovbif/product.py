@@ -6,7 +6,9 @@ operator at parameter t into the family of boundary eigenvalues rho_j at
 bulk coefficients c = t * rho_i.  Morse index and nullity count branches
 below / at the rescaled mean curvature Hhat = (m2-1)/(m-1) * H2, and every
 count carries a truncation certificate: the monotonicity bound proving
-that no omitted branch could contribute.
+that no omitted branch could contribute.  The critical coefficients c_j*,
+where branch j meets Hhat, are solved once per model; degeneracy instants
+are read from them.
 """
 
 from __future__ import annotations
@@ -14,15 +16,19 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 import scipy.sparse.linalg as spla
 
 from .errors import (
+    BracketError,
     ConfigError,
     CutoffExhaustedError,
     DegenerateInstantError,
+    HhatIsSteklovEigenvalueError,
+    NumericalError,
     PreconditionError,
 )
 from .factors import ClosedFactorSpectrum, flat_torus_spectrum, load_spectrum, spectrum_from_dict
@@ -32,6 +38,8 @@ from .serialize import read_csv, write_csv
 from .spectral import robin_steklov_spectrum
 
 DEFAULT_DEGENERACY_RTOL = 1e-6
+ROOT_RTOL = 1e-8
+STEKLOV_MEMBERSHIP_RTOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,6 +76,35 @@ class ProductModel:
     def degeneracy_tol(self, rtol: float | None = None) -> float:
         rtol = DEFAULT_DEGENERACY_RTOL if rtol is None else rtol
         return rtol * max(1.0, abs(self.Hhat))
+
+    @cached_property
+    def critical_coefficients(self) -> tuple:
+        """Ascending c_j* with rho_j(c_j*) = Hhat, one per Steklov eigenvalue
+        sigma_j < Hhat (requires Hhat > 0).
+
+        Branch (i, j) at parameter t is rho_j(t * rho_i) and each rho_j
+        increases strictly in c, so every degeneracy instant is some
+        c_j* / rho_i.  Computed once per model, on first use.
+        """
+        hhat = self.Hhat
+        forms = self.boundary_forms
+        # Hhat must not be a (nonzero) Steklov eigenvalue: those branches are
+        # constant in t, so the operator would be degenerate for every t
+        tol = STEKLOV_MEMBERSHIP_RTOL * max(1.0, abs(hhat))
+        sigma = _eigenvalues_past(forms, 0.0, hhat + tol)
+        if sigma is None:
+            raise CutoffExhaustedError(
+                "boundary Steklov spectrum exhausted below Hhat; refine the mesh"
+            )
+        for j, v in enumerate(sigma):
+            if j >= 1 and abs(v - hhat) <= tol:
+                raise HhatIsSteklovEigenvalueError(
+                    f"Hhat = {hhat:.12g} coincides with Steklov eigenvalue rho_{j} = "
+                    f"{v:.12g}; the Jacobi operator is degenerate for all t and no "
+                    "bifurcation conclusion is drawn"
+                )
+        count = int(np.searchsorted(sigma, hhat))
+        return tuple(_critical_coefficient(forms, j, hhat) for j in range(count))
 
 
 @dataclass(frozen=True)
@@ -118,13 +155,13 @@ def mean_curvature_gt(model: ProductModel, t: float) -> float:
     return model.Hhat / math.sqrt(t)
 
 
-def _eigenvalues_past(forms, c, threshold, dense_limit):
+def _eigenvalues_past(forms, c, threshold):
     """Ascending eigenvalues at bulk coefficient c, guaranteed to reach one
     strictly above threshold; None if the whole boundary spectrum stays below."""
     n_b = len(forms.boundary_dofs)
     k = min(8, n_b)
     while True:
-        vals = robin_steklov_spectrum(forms, c, k, dense_limit=dense_limit).eigenvalues
+        vals = robin_steklov_spectrum(forms, c, k).eigenvalues
         if vals[-1] > threshold:
             return vals
         if k == n_b:
@@ -132,9 +169,35 @@ def _eigenvalues_past(forms, c, threshold, dense_limit):
         k = min(2 * k, n_b)
 
 
-def jacobi_slice(
-    model: ProductModel, t: float, margin: float, *, dense_limit: int = 2000
-) -> JacobiSlice:
+def _critical_coefficient(forms, j, hhat):
+    """The c with rho_j(c) = hhat, given rho_j(0) < hhat: the bracket [0, 1]
+    doubles its upper end until the branch clears hhat, then bisection."""
+
+    def rho(c):
+        return float(robin_steklov_spectrum(forms, c, j + 1).eigenvalues[j])
+
+    c_lo, c_hi = 0.0, 1.0
+    for _ in range(120):
+        if rho(c_hi) > hhat:
+            break
+        c_lo, c_hi = c_hi, 2.0 * c_hi
+    else:
+        raise BracketError(f"branch j={j} stays below Hhat={hhat:g} up to c={c_hi:g}")
+    for _ in range(300):
+        mid = 0.5 * (c_lo + c_hi)
+        val = rho(mid)
+        if abs(val - hhat) <= ROOT_RTOL * hhat:
+            return mid
+        if val < hhat:
+            c_lo = mid
+        else:
+            c_hi = mid
+    raise NumericalError(
+        f"bisection stalled on branch j={j}: final interval [{c_lo:.17g}, {c_hi:.17g}]"
+    )
+
+
+def jacobi_slice(model: ProductModel, t: float, margin: float) -> JacobiSlice:
     """All Jacobi branches with rho <= Hhat + margin at parameter t.
 
     Each entry is weighted by the factor multiplicity; eigenvalue
@@ -156,7 +219,7 @@ def jacobi_slice(
 
     # i = 0: Steklov branches; the zero eigenvalue at j = 0 is the excluded
     # constant (only i + j > 0 enters the Jacobi spectrum).
-    vals = _eigenvalues_past(forms, 0.0, threshold, dense_limit)
+    vals = _eigenvalues_past(forms, 0.0, threshold)
     if vals is None:
         raise CutoffExhaustedError(
             "boundary Steklov spectrum exhausted below the threshold; refine the mesh"
@@ -181,7 +244,7 @@ def jacobi_slice(
             )
         rho_i = model.factor.value(i)
         mu_i = model.factor.multiplicity(i)
-        vals = _eigenvalues_past(forms, t * rho_i, threshold, dense_limit)
+        vals = _eigenvalues_past(forms, t * rho_i, threshold)
         if vals is None:
             raise CutoffExhaustedError(
                 "boundary spectrum exhausted below the threshold; refine the mesh"
@@ -210,16 +273,14 @@ def jacobi_slice(
     return JacobiSlice(t=float(t), entries=tuple(entries), certificate=certificate)
 
 
-def morse_index(
-    model: ProductModel, t: float, *, rtol: float | None = None, dense_limit: int = 2000
-) -> int:
+def morse_index(model: ProductModel, t: float, *, rtol: float | None = None) -> int:
     """Multiplicity-weighted count of Jacobi branches strictly below Hhat.
 
     Ill-defined within the degeneracy tolerance of an instant; that raises
     rather than returning a coin flip.
     """
     tol = model.degeneracy_tol(rtol)
-    sl = jacobi_slice(model, t, margin=tol, dense_limit=dense_limit)
+    sl = jacobi_slice(model, t, margin=tol)
     hhat = model.Hhat
     for e in sl.entries:
         if abs(e.rho - hhat) <= tol:
@@ -230,13 +291,11 @@ def morse_index(
     return sum(e.multiplicity for e in sl.entries if e.rho < hhat)
 
 
-def nullity(
-    model: ProductModel, t: float, tol: float, *, dense_limit: int = 2000
-) -> int:
+def nullity(model: ProductModel, t: float, tol: float) -> int:
     """Multiplicity-weighted count of branches within tol of Hhat."""
     if tol <= 0:
         raise PreconditionError("nullity tolerance must be positive")
-    sl = jacobi_slice(model, t, margin=tol, dense_limit=dense_limit)
+    sl = jacobi_slice(model, t, margin=tol)
     return sum(e.multiplicity for e in sl.entries if abs(e.rho - model.Hhat) <= tol)
 
 

@@ -193,7 +193,6 @@ def trace_eigencurve(
     t_grid,
     *,
     factor_index: int | None = None,
-    dense_limit: int = DENSE_LIMIT,
 ) -> EigenCurve:
     """Sample the branch t -> rho_j at bulk coefficient c = t * rho_i.
 
@@ -208,7 +207,7 @@ def trace_eigencurve(
         raise PreconditionError("factor eigenvalue must be non-negative")
     samples = []
     for t in t_grid:
-        s = robin_steklov_spectrum(forms, t * rho_i, j + 1, dense_limit=dense_limit)
+        s = robin_steklov_spectrum(forms, t * rho_i, j + 1)
         samples.append((float(t), float(s.eigenvalues[j])))
     return EigenCurve(
         factor_index=factor_index,

@@ -19,6 +19,7 @@ from steklovbif.bifurcation import (
 )
 from steklovbif.errors import (
     CutoffExhaustedError,
+    EpsilonExhaustedError,
     HhatIsSteklovEigenvalueError,
     NoDegeneracyError,
     PreconditionError,
@@ -45,6 +46,29 @@ def instants(model):
     return enumerate_instants(model, 0.05, 10.0)
 
 
+def _jittered_disk(disk):
+    """Disk level 2 with every vertex moved (angle +-0.05, radius +-4%), so
+    no branch is double: sigma_1 = 0.9805, sigma_2 = 0.9863."""
+    from steklovbif import Mesh
+
+    base, _ = disk(2)
+    rng = np.random.default_rng(7)
+    x, y = base.vertices.T
+    n = base.n_vertices
+    theta = np.arctan2(y, x) + rng.uniform(-0.05, 0.05, n)
+    r = np.hypot(x, y) * (1 + rng.uniform(-0.04, 0.04, n))
+    return Mesh(dim=2, vertices=np.column_stack([r * np.cos(theta), r * np.sin(theta)]),
+                cells=base.cells)
+
+
+def _near_pair_model(disk, rho_2):
+    """Disk level 2 with factor eigenvalues 1 (double) and rho_2 just above:
+    two instants c_0* and c_0* / rho_2 close together."""
+    mesh, forms = disk(2)
+    factor = from_list([(0.0, 1), (1.0, 2), (rho_2, 1), (4.0, 1)], m1=2)
+    return ProductModel(factor, mesh, forms, m1=2, m2=2, H2=1.0)
+
+
 class TestFindDegeneracyInstant:
     def test_first_instant_matches_oracle(self, model, oracle_c_star):
         t1 = find_degeneracy_instant(model, 1)
@@ -63,11 +87,6 @@ class TestFindDegeneracyInstant:
     def test_constant_branch_rejected(self, model):
         with pytest.raises(PreconditionError):
             find_degeneracy_instant(model, 0)
-
-    def test_bracket_auto_expansion(self, model):
-        t1 = find_degeneracy_instant(model, 1, bracket=(3.0, 4.0))
-        t1_ref = find_degeneracy_instant(model, 1)
-        assert t1 == pytest.approx(t1_ref, rel=1e-7)
 
 
 class TestEnumerateInstants:
@@ -115,6 +134,46 @@ class TestEnumerateInstants:
         model = ProductModel(short, mesh, forms, m1=2, m2=2, H2=1.0)
         with pytest.raises(CutoffExhaustedError):
             enumerate_instants(model, 0.05, 10.0)
+
+    def test_boundary_spectrum_exhaustion(self, disk):
+        mesh, forms = disk(0)  # 8 boundary dofs, every Steklov eigenvalue below Hhat
+        factor = from_list([(0.0, 1), (1.0, 4), (1e4, 1)], m1=2)
+        model = ProductModel(factor, mesh, forms, m1=2, m2=2, H2=300.0)
+        with pytest.raises(CutoffExhaustedError):
+            enumerate_instants(model, 0.01, 1.0)
+
+    def test_matches_per_branch_roots_on_jittered_disk(self, disk, square_torus):
+        from scipy.optimize import brentq
+
+        from steklovbif import assemble, robin_steklov_spectrum
+
+        mesh = _jittered_disk(disk)
+        forms = assemble(mesh)
+        model = ProductModel(square_torus(20.0), mesh, forms, m1=2, m2=2, H2=4.5)
+        t_min, t_max = 0.5, 10.0
+
+        def branch(rho_i, j):
+            return lambda t: (
+                robin_steklov_spectrum(forms, t * rho_i, j + 1).eigenvalues[j] - model.Hhat
+            )
+
+        # every (i, j) branch that changes sign on the window, solved in t
+        expected = {}
+        for i in range(1, len(model.factor)):
+            for j in range(6):
+                f = branch(model.factor.value(i), j)
+                if f(t_min) < 0 < f(t_max):
+                    expected[(i, j)] = brentq(f, t_min, t_max, xtol=1e-14, rtol=1e-13)
+        assert len(expected) == 11
+
+        got = {
+            (i, j): r.t_star
+            for r in enumerate_instants(model, t_min, t_max)
+            for i, j, _ in r.crossings
+        }
+        assert sorted(got) == sorted(expected)
+        for key, t in expected.items():
+            assert got[key] == pytest.approx(t, rel=1e-7)
 
     def test_bad_window_rejected(self, model):
         with pytest.raises(PreconditionError):
@@ -187,6 +246,19 @@ class TestCertifyBifurcation:
         out = certify_bifurcation(model, fake)
         assert not out.certified
         assert out.n_minus == out.n_plus
+
+    def test_default_epsilon_halved_to_isolate(self, disk):
+        model = _near_pair_model(disk, 1.03)
+        recs = enumerate_instants(model, 0.5, 1.0)
+        out = certify_bifurcation(model, recs[0])  # no neighbors given
+        assert out.epsilon == pytest.approx(0.025 * out.t_star, rel=1e-12)
+        assert (out.n_minus, out.n_plus, out.certified) == (2, 0, True)
+
+    def test_unisolable_instant_exhausts_epsilon(self, disk):
+        model = _near_pair_model(disk, 1.0 + 3e-6)
+        recs = enumerate_instants(model, 0.5, 1.0)
+        with pytest.raises(EpsilonExhaustedError):
+            certify_bifurcation(model, recs[0])
 
     def test_bad_epsilon_rejected(self, model, instants):
         with pytest.raises(PreconditionError):
