@@ -8,7 +8,8 @@ therefore some c_j* / rho_i: the model's table of c_j* is solved once and
 enumeration and isolation are arithmetic on it.  The Morse index jump across
 an isolated instant equals the multiplicity that crossed -- which is the
 certification criterion: both endpoints nondegenerate and unequal indices,
-counted by fresh eigensolves independent of the table.
+counted by Sylvester inertia (``spectral.count_below``), independently of the
+table and of any eigensolve.
 """
 
 from __future__ import annotations
@@ -150,8 +151,10 @@ def certify_bifurcation(
     Picks epsilon so the window isolates the instant (default: half the gap
     to the nearest neighbor, capped at 0.05 * t_star) and halves it while
     some other c_j* / rho_i, or a degenerate endpoint, lies in the window.
-    Then computes the Morse index on both sides by eigensolves and
-    certifies when both endpoints are nondegenerate and the indices differ.
+    Then counts the Morse index on both sides by inertia -- per factor index,
+    the branches below Hhat -/+ the degeneracy tolerance, stopping at the
+    first index with none below -- and certifies when both endpoints are
+    nondegenerate and the indices differ.
     """
     t_star = record.t_star
     if epsilon is None:

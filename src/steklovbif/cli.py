@@ -86,10 +86,16 @@ def _mesh_from_spec(spec: str):
     return load_mesh(spec)
 
 
-def _load_model(cfg: RunConfig):
+def _load_model(cfg: RunConfig, *, needs_disk: bool = False):
+    """The model of --model, its description read once; with needs_disk the
+    boundary must be the builtin unit disk, checked before any computation."""
     if cfg.model_path is None:
         raise ConfigError(f"command {cfg.command!r} needs --model")
-    return product.load_model(cfg.model_path)
+    with open(cfg.model_path) as fh:
+        doc = json.load(fh)
+    if needs_disk and doc.get("boundary", {}).get("builtin") != "disk":
+        raise ConfigError("--oracle requires a builtin disk boundary factor")
+    return product.load_model(cfg.model_path, doc=doc)
 
 
 def _oracle_instants(model, records):
@@ -109,14 +115,6 @@ def _oracle_instants(model, records):
                 }
             )
     return deltas
-
-
-def _is_unit_disk_model(cfg: RunConfig) -> bool:
-    if cfg.model_path is None:
-        return False
-    with open(cfg.model_path) as fh:
-        doc = json.load(fh)
-    return doc.get("boundary", {}).get("builtin") == "disk"
 
 
 def cmd_steklov(cfg: RunConfig) -> list[str]:
@@ -148,9 +146,7 @@ def cmd_eigencurve(cfg: RunConfig) -> list[str]:
 
 
 def cmd_instants(cfg: RunConfig) -> list[str]:
-    if cfg.oracle_check and not _is_unit_disk_model(cfg):
-        raise ConfigError("--oracle requires a builtin disk boundary factor")
-    model = _load_model(cfg)
+    model = _load_model(cfg, needs_disk=cfg.oracle_check)
     records = bif.enumerate_instants(model, cfg.t_min, cfg.t_max)
     out_json = cfg.out_json or "instants.json"
     out_csv = cfg.out_csv or "instants.csv"
@@ -190,9 +186,7 @@ def cmd_certify(cfg: RunConfig) -> list[str]:
 
 
 def cmd_report(cfg: RunConfig) -> list[str]:
-    if cfg.oracle_check and not _is_unit_disk_model(cfg):
-        raise ConfigError("--oracle requires a builtin disk boundary factor")
-    model = _load_model(cfg)
+    model = _load_model(cfg, needs_disk=cfg.oracle_check)
     out_dir = Path(cfg.out or "report")
     out_dir.mkdir(parents=True, exist_ok=True)
 

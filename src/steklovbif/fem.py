@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -84,7 +85,12 @@ class SparseSymMatrix:
 
 @dataclass(frozen=True, eq=False)
 class AssembledForms:
-    """The three assembled bilinear forms of one mesh."""
+    """The three assembled bilinear forms of one mesh.
+
+    Their full CSR matrices and interior/boundary blocks are built on first
+    use and shared by every solve on these forms; callers must not modify
+    them in place.
+    """
 
     K: SparseSymMatrix
     M: SparseSymMatrix
@@ -95,11 +101,28 @@ class AssembledForms:
     def n(self) -> int:
         return self.K.n
 
-    @property
+    @cached_property
     def interior_dofs(self) -> np.ndarray:
         mask = np.ones(self.n, dtype=bool)
         mask[self.boundary_dofs] = False
         return np.nonzero(mask)[0]
+
+    @cached_property
+    def csr(self) -> tuple:
+        """(K, M, B) as full symmetric CSR."""
+        return self.K.to_csr(), self.M.to_csr(), self.B.to_csr()
+
+    @cached_property
+    def blocks(self) -> tuple:
+        """((K_ii, K_ib, K_bb), (M_ii, M_ib, M_bb), B_bb) in CSR, i interior
+        and b boundary dofs; the pencil K + c M splits blockwise."""
+        i, b = self.interior_dofs, self.boundary_dofs
+        K, M, B = self.csr
+
+        def split(X):
+            return X[np.ix_(i, i)], X[np.ix_(i, b)], X[np.ix_(b, b)]
+
+        return split(K), split(M), B[np.ix_(b, b)]
 
 
 def _barycentric_gradients(points: np.ndarray) -> tuple[np.ndarray, float]:

@@ -4,11 +4,15 @@ The closed factor enters through its Laplace spectrum, the boundary factor
 through assembled P1 forms; separation of variables turns the Jacobi
 operator at parameter t into the family of boundary eigenvalues rho_j at
 bulk coefficients c = t * rho_i.  Morse index and nullity count branches
-below / at the rescaled mean curvature Hhat = (m2-1)/(m-1) * H2, and every
-count carries a truncation certificate: the monotonicity bound proving
-that no omitted branch could contribute.  The critical coefficients c_j*,
-where branch j meets Hhat, are solved once per model; degeneracy instants
-are read from them.
+below / at the rescaled mean curvature Hhat = (m2-1)/(m-1) * H2.  They are
+counted by Sylvester inertia (``spectral.count_below``), not by eigensolves:
+factor index i contributes mu_i times the number of branches of
+c = t * rho_i below Hhat, and the enumeration stops at the first index with
+no branch below Hhat + tol -- every later factor eigenvalue is larger, and so
+are its branches.  The Steklov row i = 0 comes from one c = 0 spectrum per
+model.  The critical coefficients c_j*, where branch j meets Hhat, are
+bracketed by the same counts once per model; degeneracy instants are read
+from them.
 """
 
 from __future__ import annotations
@@ -35,10 +39,11 @@ from .factors import ClosedFactorSpectrum, flat_torus_spectrum, load_spectrum, s
 from .fem import AssembledForms, assemble
 from .mesh import Mesh, generate_disk, generate_interval, load_mesh
 from .serialize import read_csv, write_csv
-from .spectral import robin_steklov_spectrum
+from .spectral import count_below, robin_steklov_spectrum
 
 DEFAULT_DEGENERACY_RTOL = 1e-6
 ROOT_RTOL = 1e-8
+COUNT_RTOL = 1e-9
 STEKLOV_MEMBERSHIP_RTOL = 1e-8
 
 
@@ -91,11 +96,7 @@ class ProductModel:
         # Hhat must not be a (nonzero) Steklov eigenvalue: those branches are
         # constant in t, so the operator would be degenerate for every t
         tol = STEKLOV_MEMBERSHIP_RTOL * max(1.0, abs(hhat))
-        sigma = _eigenvalues_past(forms, 0.0, hhat + tol)
-        if sigma is None:
-            raise CutoffExhaustedError(
-                "boundary Steklov spectrum exhausted below Hhat; refine the mesh"
-            )
+        sigma = self.steklov_past(hhat + tol)
         for j, v in enumerate(sigma):
             if j >= 1 and abs(v - hhat) <= tol:
                 raise HhatIsSteklovEigenvalueError(
@@ -105,6 +106,26 @@ class ProductModel:
                 )
         count = int(np.searchsorted(sigma, hhat))
         return tuple(_critical_coefficient(forms, j, hhat) for j in range(count))
+
+    def steklov_past(self, threshold: float) -> np.ndarray:
+        """Ascending Steklov (c = 0) eigenvalues, reaching one strictly above
+        threshold.
+
+        Solved once per model and shared by the c_j* table, Morse indices,
+        nullities and Jacobi slices; solved again only when a higher
+        threshold needs more eigenvalues.
+        """
+        vals = self.__dict__.get("_steklov")
+        if vals is None or vals[-1] <= threshold:
+            vals = _eigenvalues_past(self.boundary_forms, 0.0, threshold)
+            if vals is None:
+                raise CutoffExhaustedError(
+                    f"boundary Steklov spectrum exhausted below {threshold:.12g}; "
+                    "refine the mesh"
+                )
+            # a frozen dataclass keeps a writable __dict__, as for cached_property
+            self.__dict__["_steklov"] = vals
+        return vals
 
 
 @dataclass(frozen=True)
@@ -170,22 +191,36 @@ def _eigenvalues_past(forms, c, threshold):
 
 
 def _critical_coefficient(forms, j, hhat):
-    """The c with rho_j(c) = hhat, given rho_j(0) < hhat: the bracket [0, 1]
-    doubles its upper end until the branch clears hhat, then bisection."""
+    """The c with rho_j(c) = hhat, given rho_j(0) < hhat.
 
-    def rho(c):
-        return float(robin_steklov_spectrum(forms, c, j + 1).eigenvalues[j])
+    rho_j(c) < hhat exactly when more than j eigenvalues lie below hhat, so
+    inertia counts bracket the root: [0, 1] doubles its upper end until the
+    branch clears hhat, and bisection narrows it to a relative width of
+    COUNT_RTOL.  A slice then accepts the midpoint once |rho_j - hhat| <=
+    ROOT_RTOL * hhat; bisection continues on slice values while it does not.
+    """
+
+    def below(c):
+        return count_below(forms, c, hhat) > j
 
     c_lo, c_hi = 0.0, 1.0
     for _ in range(120):
-        if rho(c_hi) > hhat:
+        if not below(c_hi):
             break
         c_lo, c_hi = c_hi, 2.0 * c_hi
     else:
         raise BracketError(f"branch j={j} stays below Hhat={hhat:g} up to c={c_hi:g}")
+    for _ in range(200):
+        if c_hi - c_lo <= COUNT_RTOL * c_hi:
+            break
+        mid = 0.5 * (c_lo + c_hi)
+        if below(mid):
+            c_lo = mid
+        else:
+            c_hi = mid
     for _ in range(300):
         mid = 0.5 * (c_lo + c_hi)
-        val = rho(mid)
+        val = float(robin_steklov_spectrum(forms, mid, j + 1).eigenvalues[j])
         if abs(val - hhat) <= ROOT_RTOL * hhat:
             return mid
         if val < hhat:
@@ -219,11 +254,7 @@ def jacobi_slice(model: ProductModel, t: float, margin: float) -> JacobiSlice:
 
     # i = 0: Steklov branches; the zero eigenvalue at j = 0 is the excluded
     # constant (only i + j > 0 enters the Jacobi spectrum).
-    vals = _eigenvalues_past(forms, 0.0, threshold)
-    if vals is None:
-        raise CutoffExhaustedError(
-            "boundary Steklov spectrum exhausted below the threshold; refine the mesh"
-        )
+    vals = model.steklov_past(threshold)
     j_stop = len(vals)
     for j, v in enumerate(vals):
         if v > threshold:
@@ -273,6 +304,30 @@ def jacobi_slice(model: ProductModel, t: float, margin: float) -> JacobiSlice:
     return JacobiSlice(t=float(t), entries=tuple(entries), certificate=certificate)
 
 
+def _factor_counts(model: ProductModel, t: float, tol: float):
+    """(i, mu_i, lo, hi) per factor index i >= 1, with lo / hi the number of
+    branches at c = t * rho_i below Hhat - tol / Hhat + tol, by inertia.
+
+    Stops before the first i with hi == 0: its lowest branch clears
+    Hhat + tol, and every later factor eigenvalue is larger, hence so are
+    its branches.  Raises when the factor spectrum ends first.
+    """
+    if t <= 0:
+        raise PreconditionError(f"metric parameter t must be positive, got {t}")
+    hhat = model.Hhat
+    forms = model.boundary_forms
+    for i in range(1, len(model.factor)):
+        c = t * model.factor.value(i)
+        hi = count_below(forms, c, hhat + tol)
+        if hi == 0:
+            return
+        yield i, model.factor.multiplicity(i), count_below(forms, c, hhat - tol), hi
+    raise CutoffExhaustedError(
+        f"factor spectrum cutoff {model.factor.cutoff:g} exhausted at t={t:g} "
+        f"before the lowest branch cleared {hhat + tol:g}"
+    )
+
+
 def morse_index(model: ProductModel, t: float, *, rtol: float | None = None) -> int:
     """Multiplicity-weighted count of Jacobi branches strictly below Hhat.
 
@@ -280,28 +335,38 @@ def morse_index(model: ProductModel, t: float, *, rtol: float | None = None) -> 
     rather than returning a coin flip.
     """
     tol = model.degeneracy_tol(rtol)
-    sl = jacobi_slice(model, t, margin=tol)
     hhat = model.Hhat
-    for e in sl.entries:
-        if abs(e.rho - hhat) <= tol:
+    sigma = model.steklov_past(hhat + tol)
+    for j, v in enumerate(sigma[1:], start=1):
+        if abs(v - hhat) <= tol:
             raise DegenerateInstantError(
-                f"degenerate at t={t:.12g}: branch (i={e.i}, j={e.j}) has "
-                f"rho={e.rho:.12g} within {tol:g} of Hhat={hhat:.12g}"
+                f"degenerate at t={t:.12g}: branch (i=0, j={j}) has "
+                f"rho={v:.12g} within {tol:g} of Hhat={hhat:.12g}"
             )
-    return sum(e.multiplicity for e in sl.entries if e.rho < hhat)
+    index = int(np.count_nonzero(sigma[1:] < hhat))
+    for i, mu, lo, hi in _factor_counts(model, t, tol):
+        if lo != hi:
+            raise DegenerateInstantError(
+                f"degenerate at t={t:.12g}: {hi - lo} branch(es) of factor index "
+                f"i={i} lie within {tol:g} of Hhat={hhat:.12g}"
+            )
+        index += mu * lo
+    return index
 
 
 def nullity(model: ProductModel, t: float, tol: float) -> int:
     """Multiplicity-weighted count of branches within tol of Hhat."""
     if tol <= 0:
         raise PreconditionError("nullity tolerance must be positive")
-    sl = jacobi_slice(model, t, margin=tol)
-    return sum(e.multiplicity for e in sl.entries if abs(e.rho - model.Hhat) <= tol)
+    hhat = model.Hhat
+    sigma = model.steklov_past(hhat + tol)
+    steklov = int(np.count_nonzero(np.abs(sigma[1:] - hhat) <= tol))
+    return steklov + sum(mu * (hi - lo) for _, mu, lo, hi in _factor_counts(model, t, tol))
 
 
 def boundary_weights(forms: AssembledForms) -> np.ndarray:
     """Lumped boundary measure: row sums of B at the boundary dofs."""
-    return np.asarray(forms.B.to_csr().sum(axis=1)).ravel()[forms.boundary_dofs]
+    return np.asarray(forms.csr[2].sum(axis=1)).ravel()[forms.boundary_dofs]
 
 
 def normalize_boundary_power(forms: AssembledForms, phi: np.ndarray, m: int) -> np.ndarray:
@@ -334,9 +399,7 @@ def conformal_mean_curvature(
     if m < 3:
         raise PreconditionError("requires product dimension m >= 3")
     phi = np.asarray(phi, dtype=float)
-    K = forms.K.to_csr()
-    M = forms.M.to_csr()
-    B = forms.B.to_csr()
+    K, M, B = forms.csr
 
     interior = forms.interior_dofs
     if len(interior):
@@ -376,8 +439,9 @@ def yamabe_residual(
     p = m / (m - 2)
     powered = np.sign(phi) * np.abs(phi) ** p  # odd extension of the power
     half = 0.5 * (m - 2)
-    r = forms.K.to_csr() @ phi + half * H_g * (forms.B.to_csr() @ phi)
-    r -= half * H_candidate * (forms.B.to_csr() @ powered)
+    K, _, B = forms.csr
+    r = K @ phi + half * H_g * (B @ phi)
+    r -= half * H_candidate * (B @ powered)
     return float(np.linalg.norm(r))
 
 
@@ -423,10 +487,13 @@ def model_from_dict(doc: dict, base_dir=None) -> ProductModel:
     )
 
 
-def load_model(path) -> ProductModel:
+def load_model(path, doc: dict | None = None) -> ProductModel:
+    """Build the model described by the JSON file at path; doc, when given,
+    is that file already parsed.  Relative paths resolve against its folder."""
     path = Path(path)
-    with open(path) as fh:
-        doc = json.load(fh)
+    if doc is None:
+        with open(path) as fh:
+            doc = json.load(fh)
     return model_from_dict(doc, base_dir=path.parent)
 
 

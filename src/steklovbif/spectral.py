@@ -8,6 +8,9 @@ traces of discrete (modified-)harmonic extensions.
 
 Below ``dense_limit`` boundary dofs the reduced pencil is solved densely;
 above it, by shift-invert iteration with the full matrix factorized once.
+Both paths check the residual of every returned pair.  How many eigenvalues
+lie below a level needs no eigensolve: ``count_below`` reads it off the
+inertia of one sparse symmetric factorization.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as la
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import EigensolverError, PreconditionError
@@ -25,6 +27,8 @@ from .serialize import read_csv, write_csv
 
 DENSE_LIMIT = 2000
 _SHIFT_INVERT_TOL = 1e-10
+RESIDUAL_RTOL = 1e-8
+PIVOT_RTOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,53 +92,77 @@ def robin_steklov_spectrum(
     """k smallest boundary eigenvalues of (K + c M) u = rho B u.
 
     For c = 0 this is the Steklov (Dirichlet-to-Neumann) spectrum; the zero
-    eigenvalue of the constant is kept at index 0.
+    eigenvalue of the constant is kept at index 0.  Every returned pair is
+    checked against the reduced pencil, on both solver paths.
     """
     if c < 0:
         raise PreconditionError(f"bulk coefficient must be non-negative, got {c}")
-    bnd = forms.boundary_dofs
-    n_b = len(bnd)
+    n_b = len(forms.boundary_dofs)
     if n_b == 0:
         raise PreconditionError("mesh has no boundary degrees of freedom")
     if k < 1 or k > n_b:
         raise PreconditionError(f"need 1 <= k <= {n_b} boundary dofs, got k={k}")
 
-    A = forms.K.to_csr() + c * forms.M.to_csr() if c != 0.0 else forms.K.to_csr()
-    B_bb = forms.B.to_csr()[np.ix_(bnd, bnd)]
-    interior = forms.interior_dofs
-
+    A_ii, A_ib, A_bb = _pencil_blocks(forms, c)
+    B_bb = forms.blocks[2]
     # ARPACK needs k strictly inside the subspace; near-full requests go dense
     if n_b <= dense_limit or k > n_b - 2:
-        S = _schur_complement(A, interior, bnd)
+        S = _schur_complement(A_ii, A_ib, A_bb)
         w, v = _dense_gevp(S, B_bb.toarray(), k)
+        _check_residuals(S @ v, B_bb, A_bb, w, v, "dense")
         return SpectrumSlice(c=c, eigenvalues=w, eigenvectors=v)
-    return _shift_invert_slice(A, forms.B.to_csr(), B_bb, interior, bnd, c, k)
+    return _shift_invert_slice(forms, c, A_ii, A_ib, A_bb, B_bb, k)
 
 
-def _schur_complement(A: sp.csr_matrix, interior: np.ndarray, bnd: np.ndarray) -> np.ndarray:
-    A_bb = A[np.ix_(bnd, bnd)].toarray()
-    if len(interior) == 0:
-        return A_bb
-    A_ii = A[np.ix_(interior, interior)].tocsc()
-    A_ib = A[np.ix_(interior, bnd)].toarray()
+def _pencil_blocks(forms: AssembledForms, c: float) -> tuple:
+    """(A_ii, A_ib, A_bb) of A = K + c M from the forms' cached blocks."""
+    (K_ii, K_ib, K_bb), (M_ii, M_ib, M_bb), _ = forms.blocks
+    if c == 0.0:
+        return K_ii, K_ib, K_bb
+    return K_ii + c * M_ii, K_ib + c * M_ib, K_bb + c * M_bb
+
+
+def _schur_complement(A_ii, A_ib, A_bb) -> np.ndarray:
+    """Dense S = A_bb - A_ib' A_ii^-1 A_ib, symmetrized."""
+    if A_ii.shape[0] == 0:
+        return A_bb.toarray()
+    A_ib = A_ib.toarray()
     try:
-        lu = spla.splu(A_ii)
+        lu = spla.splu(A_ii.tocsc())
     except RuntimeError as exc:  # singular interior block cannot occur for c >= 0
         raise EigensolverError(f"interior block factorization failed: {exc}") from exc
-    S = A_bb - A_ib.T @ lu.solve(A_ib)
+    S = A_bb.toarray() - A_ib.T @ lu.solve(A_ib)
     return 0.5 * (S + S.T)
 
 
-def _shift_invert_slice(A, B_full, B_bb, interior, bnd, c, k) -> SpectrumSlice:
+def _check_residuals(Sv, B_bb, A_bb, w, v, path) -> None:
+    """Raise unless ||S v - rho B_bb v|| <= RESIDUAL_RTOL * (||A_bb||_1 +
+    |rho| ||B_bb||_1) * ||v|| for every pair.  A = K + c M is positive
+    semidefinite with a definite interior block, so 0 <= S <= A_bb and the
+    cheap 1-norm of A_bb bounds ||S||."""
+    residuals = np.linalg.norm(Sv - (B_bb @ v) * w, axis=0)
+    scale = spla.norm(A_bb, 1) + np.abs(w) * spla.norm(B_bb, 1)
+    bound = RESIDUAL_RTOL * scale * np.linalg.norm(v, axis=0)
+    if np.any(residuals > bound):
+        worst = int(np.argmax(residuals / bound))
+        raise EigensolverError(
+            f"{path} eigenpair residual {residuals[worst]:.3e} for rho={w[worst]:.12g} "
+            f"exceeds {bound[worst]:.3e}"
+        )
+
+
+def _shift_invert_slice(forms, c, A_ii, A_ib, A_bb, B_bb, k) -> SpectrumSlice:
     """Shift-invert on the boundary-reduced pencil; (S - sigma*B_bb)^-1 is
-    applied through one factorization of the full shifted matrix."""
+    applied through one factorization of the full shifted matrix, and the
+    returned pairs are checked against S applied through the interior block."""
+    K, M, B = forms.csr
+    A = K + c * M if c != 0.0 else K
+    bnd = forms.boundary_dofs
     n = A.shape[0]
     scale = abs(A).sum() / max(A.nnz, 1)
     sigma = -1e-3 * max(scale, 1.0)
-    lu_full = spla.splu((A - sigma * B_full).tocsc())
-    lu_ii = spla.splu(A[np.ix_(interior, interior)].tocsc()) if len(interior) else None
-    A_ib = A[np.ix_(interior, bnd)].tocsr()
-    A_bb = A[np.ix_(bnd, bnd)].tocsr()
+    lu_full = spla.splu((A - sigma * B).tocsc())
+    lu_ii = spla.splu(A_ii.tocsc()) if A_ii.shape[0] else None
 
     def apply_schur(x):
         y = A_bb @ x
@@ -151,6 +179,7 @@ def _shift_invert_slice(A, B_full, B_bb, interior, bnd, c, k) -> SpectrumSlice:
     S_op = spla.LinearOperator((n_b, n_b), matvec=apply_schur)
     OPinv = spla.LinearOperator((n_b, n_b), matvec=apply_opinv)
     try:
+        # shift-invert mode applies only OPinv and M, never S_op itself
         w, v = spla.eigsh(
             S_op, k=k, M=B_bb, sigma=sigma, OPinv=OPinv, which="LM",
             tol=_SHIFT_INVERT_TOL,
@@ -158,7 +187,44 @@ def _shift_invert_slice(A, B_full, B_bb, interior, bnd, c, k) -> SpectrumSlice:
     except spla.ArpackNoConvergence as exc:
         raise EigensolverError(f"shift-invert iteration did not converge: {exc}") from exc
     order = np.argsort(w)
-    return SpectrumSlice(c=c, eigenvalues=w[order], eigenvectors=v[:, order])
+    w, v = w[order], v[:, order]
+    _check_residuals(apply_schur(v), B_bb, A_bb, w, v, "shift-invert")
+    return SpectrumSlice(c=c, eigenvalues=w, eigenvectors=v)
+
+
+def count_below(forms: AssembledForms, c: float, lam: float) -> int:
+    """Number of eigenvalues of (K + c M) u = rho B u strictly below lam,
+    counted by Sylvester inertia instead of an eigensolve.
+
+    For c >= 0 the interior block of A = K + c M is positive definite, so by
+    Haynsworth additivity the negative inertia of A - lam B equals that of
+    S(c) - lam B_bb, which by Sylvester's law (B_bb is positive definite) is
+    the count.  Symmetric-mode SuperLU with diagonal pivots gives
+    P (A - lam B) P' = L U with diag(U) the pivots of an L D L' factorization.
+    When SuperLU raises, leaves the diagonal, or meets a pivot tiny next to
+    the largest (lam at or near an eigenvalue), the count comes from a
+    Bunch-Kaufman factorization of the dense block S(c) - lam B_bb instead.
+    """
+    if c < 0:
+        raise PreconditionError(f"bulk coefficient must be non-negative, got {c}")
+    K, M, B = forms.csr
+    A = K + c * M - lam * B if c != 0.0 else K - lam * B
+    try:
+        lu = spla.splu(
+            A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
+            options={"SymmetricMode": True},
+        )
+    except RuntimeError:
+        lu = None
+    if lu is not None and np.array_equal(lu.perm_r, lu.perm_c):
+        d = lu.U.diagonal()
+        pivots = np.abs(d)
+        if pivots.min() > PIVOT_RTOL * pivots.max():
+            return int(np.count_nonzero(d < 0))
+    S = _schur_complement(*_pencil_blocks(forms, c)) - lam * forms.blocks[2].toarray()
+    _, d, _ = la.ldl(S)
+    # d is block diagonal with 1x1 and 2x2 blocks, hence tridiagonal
+    return int(np.count_nonzero(la.eigvalsh_tridiagonal(np.diag(d), np.diag(d, 1)) < 0))
 
 
 def steklov_spectrum(forms: AssembledForms, k: int, **kwargs) -> SpectrumSlice:
@@ -175,14 +241,11 @@ def harmonic_extension(forms: AssembledForms, trace: np.ndarray, c: float = 0.0)
         raise PreconditionError(
             f"trace must have one value per boundary dof ({len(bnd)}), got {trace.shape}"
         )
-    A = forms.K.to_csr() + c * forms.M.to_csr() if c != 0.0 else forms.K.to_csr()
+    A_ii, A_ib, _ = _pencil_blocks(forms, c)
     phi = np.zeros(forms.n)
     phi[bnd] = trace
-    interior = forms.interior_dofs
-    if len(interior):
-        A_ii = A[np.ix_(interior, interior)].tocsc()
-        rhs = -(A[np.ix_(interior, bnd)] @ trace)
-        phi[interior] = spla.splu(A_ii).solve(rhs)
+    if A_ii.shape[0]:
+        phi[forms.interior_dofs] = spla.splu(A_ii.tocsc()).solve(-(A_ib @ trace))
     return phi
 
 

@@ -70,3 +70,41 @@ def disk_torus_model():
 def torus_interval_model():
     """2pi-square-torus x interval model (Hhat = 0)."""
     return _torus_interval_model
+
+
+@functools.lru_cache(maxsize=None)
+def _fuzz_meshes():
+    """Two disk meshes without symmetry: disk level 2 with every vertex moved
+    by the seed-7 jitter, and a Delaunay triangulation of random points."""
+    from scipy.spatial import Delaunay
+
+    from steklovbif import Mesh
+
+    base = generate_disk(2)
+    rng = np.random.default_rng(7)
+    x, y = base.vertices.T
+    n = base.n_vertices
+    theta = np.arctan2(y, x) + rng.uniform(-0.05, 0.05, n)
+    r = np.hypot(x, y) * (1 + rng.uniform(-0.04, 0.04, n))
+    jittered = Mesh(dim=2, vertices=np.column_stack([r * np.cos(theta), r * np.sin(theta)]),
+                    cells=base.cells)
+
+    rng = np.random.default_rng(11)
+    angles = np.sort(rng.uniform(0.0, 2.0 * math.pi, 24))
+    rim = np.column_stack([np.cos(angles), np.sin(angles)])
+    radius = 0.85 * np.sqrt(rng.uniform(0.0, 1.0, 40))
+    phase = rng.uniform(0.0, 2.0 * math.pi, 40)
+    inner = np.column_stack([radius * np.cos(phase), radius * np.sin(phase)])
+    points = np.vstack([rim, inner])
+    cells = Delaunay(points).simplices
+    e1, e2 = points[cells[:, 1]] - points[cells[:, 0]], points[cells[:, 2]] - points[cells[:, 0]]
+    flip = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0] < 0
+    cells[flip] = cells[flip][:, [0, 2, 1]]
+    delaunay = Mesh(dim=2, vertices=points, cells=cells)
+    return {"jittered": (jittered, assemble(jittered)), "delaunay": (delaunay, assemble(delaunay))}
+
+
+@pytest.fixture(scope="session")
+def fuzz_meshes():
+    """(mesh, forms) of non-symmetric disk meshes, by name."""
+    return _fuzz_meshes()

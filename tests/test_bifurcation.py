@@ -307,3 +307,39 @@ class TestRecordsIO:
         records_to_csv(instants, path)
         header = path.read_text().splitlines()[0]
         assert header == "t_star,i,j,multiplicity,nullity,n_minus,n_plus,certified"
+
+
+class TestSliceBudget:
+    def test_report_pipeline_counts_instead_of_solving(self, disk, square_torus, monkeypatch):
+        # enumerate + certify + Morse indices between instants on disk L4 x
+        # torus: the c = 0 spectrum, the root's accepting slice and one
+        # verification per crossing are solves; everything else is counted
+        import math
+
+        from steklovbif import bifurcation, morse_index, product, spectral
+
+        mesh, forms = disk(4)
+        model = ProductModel(square_torus(20.0), mesh, forms, m1=2, m2=2, H2=1.0)
+        solves = []
+        original = spectral.robin_steklov_spectrum
+
+        def counted(*args, **kwargs):
+            solves.append(args[1:])
+            return original(*args, **kwargs)
+
+        for module in (spectral, product, bifurcation):
+            monkeypatch.setattr(module, "robin_steklov_spectrum", counted)
+
+        records = enumerate_instants(model, 0.05, 10.0)
+        t = [r.t_star for r in records]
+        certified = [
+            certify_bifurcation(model, r, neighbors=[x for x in t if x != r.t_star])
+            for r in records
+        ]
+        cuts = [10.0] + t + [0.05]
+        indices = [morse_index(model, math.sqrt(lo * hi)) for hi, lo in zip(cuts, cuts[1:])]
+
+        assert [r.n_minus - r.n_plus for r in certified] == [4, 4, 4, 8, 4, 4, 8, 8]
+        assert all(r.certified for r in certified)
+        assert indices == [0, 4, 8, 12, 20, 24, 28, 36, 44]
+        assert len(solves) <= 15

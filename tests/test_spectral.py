@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.linalg as la
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from steklovbif import (
     assemble,
@@ -10,12 +12,14 @@ from steklovbif import (
     robin_steklov_spectrum,
     scale_metric_forms,
     solve_dense_gevp,
+    spectral,
     steklov_spectrum,
     trace_eigencurve,
 )
-from steklovbif.errors import PreconditionError
+from steklovbif.errors import EigensolverError, PreconditionError
 from steklovbif.fem import SparseSymMatrix
 from steklovbif.spectral import (
+    count_below,
     curves_to_csv,
     harmonic_extension,
     load_curves_csv,
@@ -102,6 +106,117 @@ class TestRobinSteklovSpectrum:
         dense = robin_steklov_spectrum(forms, c, 5).eigenvalues
         iterative = robin_steklov_spectrum(forms, c, 5, dense_limit=0).eigenvalues
         assert np.abs(dense - iterative).max() < 1e-9
+
+
+class TestResidualChecks:
+    def test_dense_path_rejects_wrong_pairs(self, disk, monkeypatch):
+        _, forms = disk(2)
+        dense_gevp = spectral._dense_gevp
+
+        def shifted(a, b, k):
+            w, v = dense_gevp(a, b, k)
+            return w + 1e-6, v
+
+        monkeypatch.setattr(spectral, "_dense_gevp", shifted)
+        with pytest.raises(EigensolverError, match="dense eigenpair residual"):
+            robin_steklov_spectrum(forms, 1.0, 5)
+
+    def test_shift_invert_path_rejects_wrong_pairs(self, disk, monkeypatch):
+        _, forms = disk(2)
+        eigsh = spectral.spla.eigsh
+
+        def rotated(*args, **kwargs):
+            w, v = eigsh(*args, **kwargs)
+            return w, np.roll(v, 1, axis=1)
+
+        monkeypatch.setattr(spectral.spla, "eigsh", rotated)
+        with pytest.raises(EigensolverError, match="shift-invert eigenpair residual"):
+            robin_steklov_spectrum(forms, 1.0, 5, dense_limit=0)
+
+
+def _eigen_count(forms, c, lam):
+    """Eigenvalues below lam by a full dense solve; None when lam sits too
+    close to one for either count to be well defined."""
+    vals = robin_steklov_spectrum(forms, c, len(forms.boundary_dofs)).eigenvalues
+    if np.min(np.abs(vals - lam)) <= 1e-9 * max(1.0, abs(lam)):
+        return None
+    return int(np.sum(vals < lam))
+
+
+class TestCountBelow:
+    @pytest.mark.parametrize("name", ["jittered", "delaunay"])
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(c=st.floats(0.0, 50.0), lam=st.floats(-1.0, 20.0))
+    def test_equals_eigen_count(self, fuzz_meshes, name, c, lam):
+        _, forms = fuzz_meshes[name]
+        expected = _eigen_count(forms, c, lam)
+        assume(expected is not None)
+        assert count_below(forms, c, lam) == expected
+
+    def test_disk_counts(self, disk):
+        _, forms = disk(4)
+        # Steklov spectrum of the disk: 0, 1, 1, 2, 2, ... (within 2%)
+        assert [count_below(forms, 0.0, lam) for lam in (0.5, 1.5, 2.5)] == [1, 3, 5]
+        assert count_below(forms, 1.0, 0.3) == 0
+
+    @pytest.fixture
+    def ldl_calls(self, monkeypatch):
+        calls = []
+        ldl = spectral.la.ldl
+        monkeypatch.setattr(spectral.la, "ldl", lambda a: calls.append(a) or ldl(a))
+        return calls
+
+    def test_zero_pivot_falls_back_to_ldl(self, interval, ldl_calls):
+        # the endpoint is eliminated first, and lam = K_00 / B_00 makes its
+        # diagonal entry vanish: SuperLU must leave the diagonal
+        _, forms = interval(50, 1.0)
+        K, _, B = forms.csr
+        lam = K[0, 0] / B[0, 0]
+        assert count_below(forms, 0.0, lam) == _eigen_count(forms, 0.0, lam)
+        assert len(ldl_calls) == 1
+
+    def test_tiny_pivot_falls_back_to_ldl(self, fuzz_meshes, ldl_calls):
+        # lam on an eigenvalue: A - lam B is singular up to rounding
+        _, forms = fuzz_meshes["jittered"]
+        for j in (1, 3):
+            lam = robin_steklov_spectrum(forms, 2.0, j + 1).eigenvalues[j]
+            assert count_below(forms, 2.0, lam) in (j, j + 1)
+        assert len(ldl_calls) == 2
+
+    def test_row_pivoting_falls_back_to_ldl(self, fuzz_meshes, ldl_calls, monkeypatch):
+        # a factorization that left the diagonal says nothing about inertia
+        _, forms = fuzz_meshes["jittered"]
+        splu = spectral.spla.splu
+
+        class RowPivoted:
+            def __init__(self, lu):
+                self.U, self.perm_c, self.perm_r = lu.U, lu.perm_c, lu.perm_c[::-1]
+
+        def pivoting(a, **kwargs):
+            lu = splu(a, **kwargs)
+            return RowPivoted(lu) if kwargs.get("options", {}).get("SymmetricMode") else lu
+
+        monkeypatch.setattr(spectral.spla, "splu", pivoting)
+        assert count_below(forms, 3.0, 1.7) == _eigen_count(forms, 3.0, 1.7)
+        assert len(ldl_calls) == 1
+
+    def test_superlu_failure_falls_back_to_ldl(self, fuzz_meshes, monkeypatch):
+        _, forms = fuzz_meshes["jittered"]
+        splu = spectral.spla.splu
+
+        def failing(a, **kwargs):
+            if kwargs.get("options", {}).get("SymmetricMode"):
+                raise RuntimeError("Factor is exactly singular")
+            return splu(a, **kwargs)
+
+        monkeypatch.setattr(spectral.spla, "splu", failing)
+        for c, lam in [(0.0, 0.5), (0.0, 2.5), (3.0, 1.7), (20.0, 6.0)]:
+            assert count_below(forms, c, lam) == _eigen_count(forms, c, lam)
+
+    def test_negative_coefficient_rejected(self, disk):
+        _, forms = disk(0)
+        with pytest.raises(PreconditionError):
+            count_below(forms, -1.0, 1.0)
 
 
 class TestSchurEquivalence:
