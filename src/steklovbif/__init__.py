@@ -9,7 +9,7 @@ from .bifurcation import (
     find_degeneracy_instant,
 )
 from .factors import ClosedFactorSpectrum, flat_torus_spectrum, from_list
-from .fem import AssembledForms, SparseSymMatrix, assemble, scale_metric_forms
+from .fem import AssembledForms, assemble, scale_metric_forms
 from .mesh import Mesh, generate_disk, generate_interval, load_mesh, refine_uniform, validate
 from .product import (
     JacobiSlice,
@@ -39,7 +39,6 @@ __all__ = [
     "JacobiSlice",
     "Mesh",
     "ProductModel",
-    "SparseSymMatrix",
     "SpectrumSlice",
     "assemble",
     "certify_bifurcation",

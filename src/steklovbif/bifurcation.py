@@ -256,12 +256,9 @@ def records_to_csv(records, path) -> None:
 
 
 def records_from_csv(path) -> list[DegeneracyRecord]:
-    header, rows = read_csv(path)
-    expected = ["t_star", "i", "j", "multiplicity", "nullity", "n_minus", "n_plus", "certified"]
-    if header != expected:
-        raise PreconditionError(f"unexpected instants CSV header {header}")
+    header = ["t_star", "i", "j", "multiplicity", "nullity", "n_minus", "n_plus", "certified"]
     records = []
-    for row in rows:
+    for row in read_csv(path, header):
         t_star = float(row[0])
         crossing = (int(row[1]), int(row[2]), int(row[3]))
         fields = {

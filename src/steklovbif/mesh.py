@@ -16,6 +16,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from .errors import InvalidMeshError, PreconditionError
 
@@ -111,15 +113,11 @@ def simplex_measure(points: np.ndarray) -> float:
 
 def extract_boundary_facets(cells: np.ndarray, dim: int) -> np.ndarray:
     """Facets (dim-subsimplices) incident to exactly one cell, canonically sorted."""
-    counts = {}
-    for cell in cells:
-        for drop in range(dim + 1):
-            facet = tuple(sorted(np.delete(cell, drop)))
-            counts[facet] = counts.get(facet, 0) + 1
-    boundary = sorted(f for f, c in counts.items() if c == 1)
-    if not boundary:
-        return np.empty((0, dim), dtype=np.int64)
-    return np.array(boundary, dtype=np.int64)
+    facets = np.sort(
+        np.concatenate([np.delete(cells, drop, axis=1) for drop in range(dim + 1)]), axis=1
+    )
+    unique, counts = np.unique(facets.reshape(-1, dim), axis=0, return_counts=True)
+    return unique[counts == 1]
 
 
 def generate_interval(n: int, L: float) -> Mesh:
@@ -182,27 +180,24 @@ def refine_uniform(mesh: Mesh) -> Mesh:
     if mesh.dim != 2:
         raise PreconditionError("uniform refinement implemented for dim <= 2")
 
-    # Assign one new vertex per edge, then split each triangle in four.
-    edge_ids = {}
-    vertices = [mesh.vertices]
-    next_id = mesh.n_vertices
-
-    def midpoint(a, b):
-        nonlocal next_id
-        key = (min(a, b), max(a, b))
-        if key not in edge_ids:
-            edge_ids[key] = next_id
-            vertices.append(0.5 * (mesh.vertices[a] + mesh.vertices[b])[None, :])
-            next_id += 1
-        return edge_ids[key]
-
-    cells = []
-    for v0, v1, v2 in mesh.cells:
-        m01 = midpoint(v0, v1)
-        m12 = midpoint(v1, v2)
-        m02 = midpoint(v0, v2)
-        cells += [[v0, m01, m02], [m01, v1, m12], [m02, m12, v2], [m01, m12, m02]]
-    return Mesh(dim=2, vertices=np.vstack(vertices), cells=np.array(cells))
+    # One new vertex per edge, numbered in order of first occurrence over the
+    # cell-major (m01, m12, m02) edge sequence; then each triangle splits in four.
+    c = mesh.cells
+    edges = np.sort(np.stack([c[:, [0, 1]], c[:, [1, 2]], c[:, [0, 2]]], axis=1), axis=2)
+    unique, first, inverse = np.unique(
+        edges.reshape(-1, 2), axis=0, return_index=True, return_inverse=True
+    )
+    by_first = np.argsort(first)
+    rank = np.empty_like(by_first)
+    rank[by_first] = np.arange(len(by_first))
+    m01, m12, m02 = (mesh.n_vertices + rank[inverse.reshape(-1)]).reshape(-1, 3).T
+    a, b = unique[by_first].T
+    vertices = np.vstack([mesh.vertices, 0.5 * (mesh.vertices[a] + mesh.vertices[b])])
+    v0, v1, v2 = c.T
+    cells = np.stack(
+        [[v0, m01, m02], [m01, v1, m12], [m02, m12, v2], [m01, m12, m02]], axis=0
+    ).transpose(2, 0, 1).reshape(-1, 3)
+    return Mesh(dim=2, vertices=vertices, cells=cells)
 
 
 def validate(mesh: Mesh) -> list[str]:
@@ -243,22 +238,15 @@ def validate(mesh: Mesh) -> list[str]:
 
 
 def _is_connected(mesh: Mesh) -> bool:
-    """Connectivity of cells through shared vertices (what the stiffness kernel sees)."""
-    vertex_cells = [[] for _ in range(mesh.n_vertices)]
-    for ci, cell in enumerate(mesh.cells):
-        for v in cell:
-            vertex_cells[v].append(ci)
-    seen = np.zeros(mesh.n_cells, dtype=bool)
-    stack = [0]
-    seen[0] = True
-    while stack:
-        ci = stack.pop()
-        for v in mesh.cells[ci]:
-            for cj in vertex_cells[v]:
-                if not seen[cj]:
-                    seen[cj] = True
-                    stack.append(cj)
-    return bool(seen.all())
+    """Connectivity of cells through shared vertices (what the stiffness kernel
+    sees); vertices used by no cell do not count."""
+    m = mesh.n_cells
+    incidence = sp.csr_matrix(
+        (np.ones(mesh.cells.size), (np.repeat(np.arange(m), mesh.dim + 1), mesh.cells.ravel())),
+        shape=(m, mesh.n_vertices),
+    )
+    n_components, _ = connected_components(incidence @ incidence.T, directed=False)
+    return n_components == 1
 
 
 def save_mesh(mesh: Mesh, path) -> None:

@@ -366,18 +366,23 @@ def nullity(model: ProductModel, t: float, tol: float) -> int:
 
 def boundary_weights(forms: AssembledForms) -> np.ndarray:
     """Lumped boundary measure: row sums of B at the boundary dofs."""
-    return np.asarray(forms.csr[2].sum(axis=1)).ravel()[forms.boundary_dofs]
+    return np.asarray(forms.B.sum(axis=1)).ravel()[forms.boundary_dofs]
+
+
+def _boundary_power_integral(forms: AssembledForms, phi: np.ndarray, m: int) -> tuple:
+    """(p, lumped boundary integral of phi^p) with p = 2(m-1)/(m-2); phi must
+    be positive on the boundary."""
+    p = 2.0 * (m - 1) / (m - 2)
+    phi_b = phi[forms.boundary_dofs]
+    if np.any(phi_b <= 0):
+        raise PreconditionError("conformal factor must be positive on the boundary")
+    return p, float(boundary_weights(forms) @ phi_b**p)
 
 
 def normalize_boundary_power(forms: AssembledForms, phi: np.ndarray, m: int) -> np.ndarray:
     """Rescale phi so the lumped integral of phi^(2(m-1)/(m-2)) over the
     boundary equals 1."""
-    p = 2.0 * (m - 1) / (m - 2)
-    w = boundary_weights(forms)
-    phi_b = phi[forms.boundary_dofs]
-    if np.any(phi_b <= 0):
-        raise PreconditionError("conformal factor must be positive on the boundary")
-    integral = float(w @ phi_b**p)
+    p, integral = _boundary_power_integral(forms, phi, m)
     return phi / integral ** (1.0 / p)
 
 
@@ -399,7 +404,7 @@ def conformal_mean_curvature(
     if m < 3:
         raise PreconditionError("requires product dimension m >= 3")
     phi = np.asarray(phi, dtype=float)
-    K, M, B = forms.csr
+    K, M, B = forms.K, forms.M, forms.B
 
     interior = forms.interior_dofs
     if len(interior):
@@ -414,12 +419,7 @@ def conformal_mean_curvature(
                 f"exceeds {harmonic_tol:g} * {scale:.3g}"
             )
 
-    p = 2.0 * (m - 1) / (m - 2)
-    w = boundary_weights(forms)
-    phi_b = phi[forms.boundary_dofs]
-    if np.any(phi_b <= 0):
-        raise PreconditionError("conformal factor must be positive on the boundary")
-    integral = float(w @ phi_b**p)
+    p, integral = _boundary_power_integral(forms, phi, m)
     if abs(integral - 1.0) > norm_tol:
         raise PreconditionError(
             f"boundary normalization violated: integral of phi^{p:g} is "
@@ -439,7 +439,7 @@ def yamabe_residual(
     p = m / (m - 2)
     powered = np.sign(phi) * np.abs(phi) ** p  # odd extension of the power
     half = 0.5 * (m - 2)
-    K, _, B = forms.csr
+    K, B = forms.K, forms.B
     r = K @ phi + half * H_g * (B @ phi)
     r -= half * H_candidate * (B @ powered)
     return float(np.linalg.norm(r))
@@ -506,9 +506,7 @@ def slice_to_csv(sl: JacobiSlice, path) -> None:
 
 
 def load_slice_csv(path) -> list[JacobiEntry]:
-    header, rows = read_csv(path)
-    if header != ["i", "j", "rho", "jacobi_value", "multiplicity"]:
-        raise PreconditionError(f"unexpected Jacobi slice CSV header {header}")
+    rows = read_csv(path, ["i", "j", "rho", "jacobi_value", "multiplicity"])
     return [
         JacobiEntry(int(r[0]), int(r[1]), float(r[2]), float(r[3]), int(r[4]))
         for r in rows

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import csv
 
+from .errors import PreconditionError
+
 
 def format_float(x: float) -> str:
     return format(float(x), ".17g")
@@ -31,8 +33,11 @@ def write_csv(path, header: list[str], rows) -> None:
             writer.writerow([format_value(v) for v in row])
 
 
-def read_csv(path) -> tuple[list[str], list[list[str]]]:
+def read_csv(path, header: list[str]) -> list[list[str]]:
+    """Data rows of a CSV file whose first row must be header."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        return header, [row for row in reader if row]
+        found = next(reader, [])
+        if found != header:
+            raise PreconditionError(f"{path}: CSV header {found}, expected {header}")
+        return [row for row in reader if row]

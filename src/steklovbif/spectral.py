@@ -22,7 +22,7 @@ import scipy.linalg as la
 import scipy.sparse.linalg as spla
 
 from .errors import EigensolverError, PreconditionError
-from .fem import AssembledForms, SparseSymMatrix
+from .fem import AssembledForms
 from .serialize import read_csv, write_csv
 
 DENSE_LIMIT = 2000
@@ -67,17 +67,24 @@ def _dense_gevp(a: np.ndarray, b: np.ndarray, k: int) -> tuple[np.ndarray, np.nd
     return w, v
 
 
-def solve_dense_gevp(A: SparseSymMatrix, B: SparseSymMatrix, k: int):
-    """k smallest eigenpairs of A u = rho B u, B positive definite on its span.
+def solve_dense_gevp(a, b, k: int):
+    """k smallest eigenpairs of a u = rho b u for symmetric square arrays a, b,
+    b positive definite on its span.
 
-    Vectors are B-orthonormal.  Residuals ||A u - rho B u|| are verified
-    against 1e-9 * ||A||; failures raise with the offending norms.
+    Vectors are b-orthonormal.  Residuals ||a u - rho b u|| are verified
+    against 1e-9 * ||a||; failures raise with the offending norms.
     """
-    if k < 1 or k > A.n:
-        raise PreconditionError(f"need 1 <= k <= {A.n}, got {k}")
-    a, b = A.toarray(), B.toarray()
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    for x in (a, b):
+        if x.ndim != 2 or x.shape != a.shape or a.shape[0] != a.shape[1]:
+            raise PreconditionError("solve_dense_gevp needs two square matrices of one size")
+        if not np.allclose(x, x.T, rtol=1e-12, atol=1e-12):
+            raise PreconditionError("solve_dense_gevp needs symmetric matrices")
+    n = a.shape[0]
+    if k < 1 or k > n:
+        raise PreconditionError(f"need 1 <= k <= {n}, got {k}")
     w, v = _dense_gevp(a, b, k)
-    scale = np.linalg.norm(a, 2) if A.n else 1.0
+    scale = np.linalg.norm(a, 2) if n else 1.0
     residuals = np.linalg.norm(a @ v - b @ v * w, axis=0)
     if np.any(residuals > 1e-9 * max(scale, 1.0)):
         raise EigensolverError(
@@ -155,7 +162,7 @@ def _shift_invert_slice(forms, c, A_ii, A_ib, A_bb, B_bb, k) -> SpectrumSlice:
     """Shift-invert on the boundary-reduced pencil; (S - sigma*B_bb)^-1 is
     applied through one factorization of the full shifted matrix, and the
     returned pairs are checked against S applied through the interior block."""
-    K, M, B = forms.csr
+    K, M, B = forms.K, forms.M, forms.B
     A = K + c * M if c != 0.0 else K
     bnd = forms.boundary_dofs
     n = A.shape[0]
@@ -207,7 +214,7 @@ def count_below(forms: AssembledForms, c: float, lam: float) -> int:
     """
     if c < 0:
         raise PreconditionError(f"bulk coefficient must be non-negative, got {c}")
-    K, M, B = forms.csr
+    K, M, B = forms.K, forms.M, forms.B
     A = K + c * M - lam * B if c != 0.0 else K - lam * B
     try:
         lu = spla.splu(
@@ -285,10 +292,7 @@ def slice_to_csv(spectrum: SpectrumSlice, path) -> None:
 
 
 def load_slice_csv(path) -> list[tuple[int, float]]:
-    header, rows = read_csv(path)
-    if header != ["j", "rho"]:
-        raise PreconditionError(f"unexpected spectrum CSV header {header}")
-    return [(int(r[0]), float(r[1])) for r in rows]
+    return [(int(r[0]), float(r[1])) for r in read_csv(path, ["j", "rho"])]
 
 
 def curves_to_csv(curves, path) -> None:
@@ -302,7 +306,5 @@ def curves_to_csv(curves, path) -> None:
 
 
 def load_curves_csv(path) -> list[tuple[float, int, int, float]]:
-    header, rows = read_csv(path)
-    if header != ["t", "i", "j", "rho"]:
-        raise PreconditionError(f"unexpected curve CSV header {header}")
+    rows = read_csv(path, ["t", "i", "j", "rho"])
     return [(float(r[0]), int(r[1]), int(r[2]), float(r[3])) for r in rows]

@@ -191,7 +191,7 @@ def test_criterion_10_schur_equivalence():
             forms = assemble(mesh)
             n_b = len(forms.boundary_dofs)
             reduced = robin_steklov_spectrum(forms, c, n_b).eigenvalues
-            A = (forms.K.to_csr() + c * forms.M.to_csr()).toarray()
+            A = (forms.K + c * forms.M).toarray()
             eigs = la.eig(A, forms.B.toarray(), right=False)
             finite = np.sort(eigs[np.isfinite(eigs)].real)
             assert len(finite) == n_b

@@ -1,10 +1,31 @@
+import math
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from steklovbif import assemble, generate_disk, generate_interval, scale_metric_forms, steklov_spectrum
 from steklovbif.errors import AssemblyError, PreconditionError
-from steklovbif.fem import SparseSymMatrix, dump_matrix
-from steklovbif.mesh import Mesh
+from steklovbif.fem import dump_matrix
+from steklovbif.mesh import Mesh, simplex_measure
+
+
+def per_cell_forms(mesh):
+    """Dense K, M, B assembled one cell and one facet at a time: the
+    reference for the batched assembly."""
+    d, n = mesh.dim, mesh.n_vertices
+    K, M, B = np.zeros((n, n)), np.zeros((n, n)), np.zeros((n, n))
+    for cell in mesh.cells:
+        T = (mesh.vertices[cell[1:]] - mesh.vertices[cell[0]]).T
+        vol = np.linalg.det(T) / math.factorial(d)
+        grads = np.vstack([np.zeros(d), np.linalg.inv(T)])
+        grads[0] = -grads[1:].sum(axis=0)
+        K[np.ix_(cell, cell)] += vol * grads @ grads.T
+        M[np.ix_(cell, cell)] += vol * (np.ones((d + 1, d + 1)) + np.eye(d + 1)) / ((d + 1) * (d + 2))
+    for facet in mesh.boundary_facets:
+        measure = 1.0 if d == 1 else simplex_measure(mesh.vertices[facet])
+        B[np.ix_(facet, facet)] += measure * (np.ones((d, d)) + np.eye(d)) / (d * (d + 1))
+    return K, M, B
 
 
 class TestElementMatrices:
@@ -27,9 +48,9 @@ class TestElementMatrices:
         mesh = builder()
         forms = assemble(mesh)
         ones = np.ones(mesh.n_vertices)
-        assert ones @ forms.M.matvec(ones) == pytest.approx(mesh.interior_measure(), abs=1e-12)
-        assert ones @ forms.B.matvec(ones) == pytest.approx(mesh.boundary_measure(), abs=1e-12)
-        assert np.abs(forms.K.matvec(ones)).max() < 1e-12
+        assert ones @ (forms.M @ ones) == pytest.approx(mesh.interior_measure(), abs=1e-12)
+        assert ones @ (forms.B @ ones) == pytest.approx(mesh.boundary_measure(), abs=1e-12)
+        assert np.abs(forms.K @ ones).max() < 1e-12
 
     def test_degenerate_cell_aborts_naming_cell(self):
         mesh = Mesh(
@@ -62,19 +83,31 @@ class TestFormProperties:
         mesh = generate_interval(20, L)
         forms = assemble(mesh)
         phi = mesh.vertices[:, 0]
-        dirichlet = phi @ forms.K.matvec(phi)
-        mass = phi @ forms.M.matvec(phi)
-        boundary = phi @ forms.B.matvec(phi)
+        dirichlet = phi @ (forms.K @ phi)
+        mass = phi @ (forms.M @ phi)
+        boundary = phi @ (forms.B @ phi)
         assert dirichlet == pytest.approx(L, rel=1e-13)
         assert mass == pytest.approx(L**3 / 3, rel=1e-13)
         assert boundary == pytest.approx(L**2, rel=1e-13)
 
-    def test_entries_stored_once(self, disk):
-        _, forms = disk(1)
+    @staticmethod
+    def _case(case, disk, interval, fuzz_meshes):
+        builders = {"disk1": lambda: disk(1), "interval": lambda: interval(37, 2.5)}
+        return builders[case]() if case in builders else fuzz_meshes[case]
+
+    @pytest.mark.parametrize("case", ["disk1", "interval", "jittered", "delaunay"])
+    def test_canonical_and_exactly_symmetric(self, case, disk, interval, fuzz_meshes):
+        _, forms = self._case(case, disk, interval, fuzz_meshes)
         for mat in (forms.K, forms.M, forms.B):
-            assert np.all(mat.rows <= mat.cols)
-            pairs = set(zip(mat.rows.tolist(), mat.cols.tolist()))
-            assert len(pairs) == mat.nnz
+            assert mat.has_canonical_format
+            assert (mat != mat.T).nnz == 0
+
+    @pytest.mark.parametrize("case", ["disk1", "interval", "jittered", "delaunay"])
+    def test_matches_per_cell_reference(self, case, disk, interval, fuzz_meshes):
+        # the reference sums in another order, so agreement is to rounding
+        mesh, forms = self._case(case, disk, interval, fuzz_meshes)
+        for mat, ref in zip((forms.K, forms.M, forms.B), per_cell_forms(mesh)):
+            assert np.abs(mat.toarray() - ref).max() <= 16 * np.finfo(float).eps * np.abs(ref).max()
 
 
 class TestScaleMetricForms:
@@ -82,15 +115,15 @@ class TestScaleMetricForms:
         _, forms = disk(1)
         scaled = scale_metric_forms(forms, 1.0, 2)
         for a, b in [(scaled.K, forms.K), (scaled.M, forms.M), (scaled.B, forms.B)]:
-            assert np.array_equal(a.values, b.values)
+            assert np.array_equal(a.data, b.data)
 
     def test_surface_exponents(self, disk):
         # m = 2: Dirichlet form invariant, boundary measure doubles at t = 4
         _, forms = disk(1)
         scaled = scale_metric_forms(forms, 4.0, 2)
-        assert np.allclose(scaled.K.values, forms.K.values)
-        assert np.allclose(scaled.B.values, 2.0 * forms.B.values)
-        assert np.allclose(scaled.M.values, 4.0 * forms.M.values)
+        assert np.allclose(scaled.K.data, forms.K.data)
+        assert np.allclose(scaled.B.data, 2.0 * forms.B.data)
+        assert np.allclose(scaled.M.data, 4.0 * forms.M.data)
 
     @pytest.mark.parametrize("t", [0.25, 2.0, 9.0])
     def test_spectrum_scales_by_inverse_sqrt(self, disk, t):
@@ -105,18 +138,9 @@ class TestScaleMetricForms:
             scale_metric_forms(forms, 0.0, 2)
 
 
-class TestSparseSymMatrix:
-    def test_duplicates_summed(self):
-        mat = SparseSymMatrix.from_triplets(2, [0, 1, 0], [1, 0, 0], [1.0, 2.0, 5.0])
-        assert mat.nnz == 2
-        assert np.allclose(mat.toarray(), [[5, 3], [3, 0]])
-
-    def test_from_dense_requires_symmetry(self):
-        with pytest.raises(PreconditionError):
-            SparseSymMatrix.from_dense([[1, 2], [3, 4]])
-
+class TestDumpMatrix:
     def test_dump_format(self, tmp_path):
-        mat = SparseSymMatrix.from_dense([[2.0, -1.0], [-1.0, 2.0]])
+        mat = sp.csr_matrix([[2.0, -1.0], [-1.0, 2.0]])
         path = tmp_path / "mat.txt"
         dump_matrix(mat, path)
         lines = path.read_text().strip().splitlines()

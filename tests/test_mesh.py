@@ -1,7 +1,9 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
+from scipy.spatial import Delaunay
 
 from steklovbif import generate_disk, generate_interval, load_mesh, refine_uniform, validate
 from steklovbif.errors import InvalidMeshError, PreconditionError
@@ -79,6 +81,13 @@ class TestRefineUniform:
         assert validate(fine) == []
         assert fine.interior_measure() == pytest.approx(mesh.interior_measure(), rel=1e-14)
 
+    def test_midpoints_numbered_by_first_occurrence(self):
+        # new vertices follow the cell-major (m01, m12, m02) edge order
+        mesh = Mesh(dim=2, vertices=[[0, 0], [2, 0], [0, 2]], cells=[[0, 1, 2]])
+        fine = refine_uniform(mesh)
+        assert fine.vertices[3:].tolist() == [[1, 0], [1, 1], [0, 1]]
+        assert fine.cells.tolist() == [[0, 3, 5], [3, 1, 4], [5, 4, 2], [3, 4, 5]]
+
     def test_interval_doubles_cells(self):
         fine = refine_uniform(generate_interval(5, 1.0))
         assert fine.n_cells == 10
@@ -144,6 +153,26 @@ class TestValidate:
         assert np.array_equal(ids, np.sort(ids))
         again = generate_disk(2)
         assert np.array_equal(ids, again.boundary_vertex_ids)
+
+
+class TestFuzzTopology:
+    def test_delaunay_boundary_is_convex_hull(self, fuzz_meshes):
+        mesh, _ = fuzz_meshes["delaunay"]
+        hull = np.sort(Delaunay(mesh.vertices).convex_hull, axis=1)
+        assert mesh.boundary_facets.tolist() == sorted(hull.tolist())
+
+    @pytest.mark.parametrize("name", ["jittered", "delaunay"])
+    def test_refinement_adds_one_vertex_per_edge(self, fuzz_meshes, name):
+        mesh, _ = fuzz_meshes[name]
+        edges = {tuple(sorted(e)) for cell in mesh.cells.tolist() for e in combinations(cell, 2)}
+        fine = refine_uniform(mesh)
+        assert fine.n_vertices == mesh.n_vertices + len(edges)
+        assert validate(fine) == []
+        assert fine.interior_measure() == pytest.approx(mesh.interior_measure(), rel=1e-14)
+
+    def test_unused_vertex_does_not_disconnect(self):
+        mesh = Mesh(dim=2, vertices=[[0, 0], [1, 0], [0, 1], [5, 5]], cells=[[0, 1, 2]])
+        assert validate(mesh) == []
 
 
 class TestMeshIO:

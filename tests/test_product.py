@@ -215,7 +215,7 @@ class TestConformalMeanCurvature:
         mesh, forms = unit_boundary_disk_forms()
         trace = np.ones(len(forms.boundary_dofs))
         phi = harmonic_extension(forms, trace)
-        K = forms.K.to_csr()
+        K = forms.K
         target_energy = 0.3
 
         # build a harmonic phi with prescribed Dirichlet energy on top of the
@@ -226,7 +226,7 @@ class TestConformalMeanCurvature:
         phi = phi + math.sqrt(target_energy / energy) * bump
         phi = normalize_boundary_power(forms, phi, m=4)
         energy = float(phi @ (K @ phi))
-        bmass = float(phi @ (forms.B.to_csr() @ phi))
+        bmass = float(phi @ (forms.B @ phi))
         want = 2.0 / 2.0 * energy + (1.0 / 3.0) * bmass
         got = conformal_mean_curvature(forms, phi, 1.0 / 3.0, m=4)
         assert got == pytest.approx(want, rel=1e-12)
@@ -245,6 +245,17 @@ class TestConformalMeanCurvature:
             conformal_mean_curvature(forms, phi, 1.0 / 3.0, m=4)
 
 
+    def test_nonpositive_boundary_value_rejected(self):
+        _, forms = unit_boundary_disk_forms()
+        trace = np.ones(len(forms.boundary_dofs))
+        trace[0] = 0.0
+        phi = harmonic_extension(forms, trace)
+        with pytest.raises(PreconditionError, match="positive on the boundary"):
+            normalize_boundary_power(forms, phi, m=4)
+        with pytest.raises(PreconditionError, match="positive on the boundary"):
+            conformal_mean_curvature(forms, phi, 1.0 / 3.0, m=4)
+
+
 class TestYamabeResidual:
     def test_trivial_solution(self):
         mesh, forms = unit_boundary_disk_forms()
@@ -256,7 +267,7 @@ class TestYamabeResidual:
         phi = np.ones(mesh.n_vertices)
         H_g, H_c = 1.0 / 3.0, 0.5
         got = yamabe_residual(forms, phi, H_c, H_g, m=4)
-        want = 0.5 * (4 - 2) * abs(H_g - H_c) * np.linalg.norm(forms.B.to_csr() @ phi)
+        want = 0.5 * (4 - 2) * abs(H_g - H_c) * np.linalg.norm(forms.B @ phi)
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_random_phi_positive_residual(self):

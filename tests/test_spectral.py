@@ -17,7 +17,6 @@ from steklovbif import (
     trace_eigencurve,
 )
 from steklovbif.errors import EigensolverError, PreconditionError
-from steklovbif.fem import SparseSymMatrix
 from steklovbif.spectral import (
     count_below,
     curves_to_csv,
@@ -81,7 +80,7 @@ class TestRobinSteklovSpectrum:
         _, forms = disk(2)
         sl = robin_steklov_spectrum(forms, 1.0, 5)
         bnd = forms.boundary_dofs
-        B_bb = forms.B.to_csr()[np.ix_(bnd, bnd)].toarray()
+        B_bb = forms.B[np.ix_(bnd, bnd)].toarray()
         gram = sl.eigenvectors.T @ B_bb @ sl.eigenvectors
         assert np.abs(gram - np.eye(5)).max() < 1e-8
 
@@ -170,7 +169,7 @@ class TestCountBelow:
         # the endpoint is eliminated first, and lam = K_00 / B_00 makes its
         # diagonal entry vanish: SuperLU must leave the diagonal
         _, forms = interval(50, 1.0)
-        K, _, B = forms.csr
+        K, B = forms.K, forms.B
         lam = K[0, 0] / B[0, 0]
         assert count_below(forms, 0.0, lam) == _eigen_count(forms, 0.0, lam)
         assert len(ldl_calls) == 1
@@ -237,7 +236,7 @@ class TestSchurEquivalence:
         assert mesh.n_vertices <= 50
         n_b = len(forms.boundary_dofs)
         reduced = robin_steklov_spectrum(forms, c, n_b).eigenvalues
-        A = (forms.K.to_csr() + c * forms.M.to_csr()).toarray()
+        A = (forms.K + c * forms.M).toarray()
         ev = la.eig(A, forms.B.toarray(), right=False)
         finite = np.sort(ev[np.isfinite(ev)].real)
         assert len(finite) == n_b
@@ -246,15 +245,12 @@ class TestSchurEquivalence:
 
 class TestDenseGevp:
     def test_diagonal_pencil(self):
-        A = SparseSymMatrix.from_dense(np.diag([1.0, 2.0]))
-        B = SparseSymMatrix.from_dense(np.eye(2))
-        w, _ = solve_dense_gevp(A, B, 2)
+        w, _ = solve_dense_gevp(np.diag([1.0, 2.0]), np.eye(2), 2)
         assert np.allclose(w, [1.0, 2.0])
 
     def test_equal_matrices_give_ones(self):
         a = np.array([[2.0, 1.0], [1.0, 3.0]])
-        A = SparseSymMatrix.from_dense(a)
-        w, _ = solve_dense_gevp(A, A, 2)
+        w, _ = solve_dense_gevp(a, a, 2)
         assert np.allclose(w, 1.0)
 
     def test_random_pencil_residuals(self):
@@ -263,15 +259,18 @@ class TestDenseGevp:
         a = q + q.T
         p = rng.standard_normal((20, 20))
         b = p @ p.T + 20 * np.eye(20)
-        A, B = SparseSymMatrix.from_dense(a), SparseSymMatrix.from_dense(b)
-        w, v = solve_dense_gevp(A, B, 20)
+        w, v = solve_dense_gevp(a, b, 20)
         residuals = np.linalg.norm(a @ v - b @ v * w, axis=0)
         assert residuals.max() <= 1e-9 * np.linalg.norm(a, 2)
 
     def test_k_out_of_range(self):
-        A = SparseSymMatrix.from_dense(np.eye(3))
+        A = np.eye(3)
         with pytest.raises(PreconditionError):
             solve_dense_gevp(A, A, 4)
+
+    def test_requires_symmetry(self):
+        with pytest.raises(PreconditionError, match="symmetric"):
+            solve_dense_gevp(np.array([[1.0, 2.0], [3.0, 4.0]]), np.eye(2), 1)
 
 
 class TestEigenCurves:
@@ -311,7 +310,7 @@ class TestHarmonicExtension:
         _, forms = disk(2)
         trace = np.linspace(1.0, 2.0, len(forms.boundary_dofs))
         phi = harmonic_extension(forms, trace)
-        residual = (forms.K.to_csr() @ phi)[forms.interior_dofs]
+        residual = (forms.K @ phi)[forms.interior_dofs]
         assert np.abs(residual).max() < 1e-10
 
     def test_wrong_trace_length_rejected(self, disk):
@@ -343,3 +342,13 @@ class TestCsvRoundTrips:
         curve = trace_eigencurve(forms, 1.0, 0, [1.0])
         with pytest.raises(PreconditionError):
             curves_to_csv([curve], tmp_path / "c.csv")
+
+    def test_wrong_header_names_file_and_both_headers(self, disk, tmp_path):
+        _, forms = disk(0)
+        path = tmp_path / "slice.csv"
+        slice_to_csv(steklov_spectrum(forms, 2), path)
+        with pytest.raises(PreconditionError) as info:
+            load_curves_csv(path)
+        message = str(info.value)
+        assert "slice.csv" in message
+        assert "['j', 'rho']" in message and "['t', 'i', 'j', 'rho']" in message
