@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +45,6 @@ class RunConfig:
     out: str | None = None
     out_json: str | None = None
     out_csv: str | None = None
-    extras: dict = field(default_factory=dict)
 
     def validate(self):
         if self.command not in COMMANDS:
@@ -117,6 +116,19 @@ def _oracle_instants(model, records):
     return deltas
 
 
+def _certify_all(model, records, cfg: RunConfig) -> list:
+    """Certify each record, isolating it from the other records' instants."""
+    neighbors = [r.t_star for r in records]
+    return [
+        bif.certify_bifurcation(
+            model, r, cfg.epsilon,
+            neighbors=[t for t in neighbors if t != r.t_star],
+            degeneracy_rtol=cfg.degeneracy_rtol,
+        )
+        for r in records
+    ]
+
+
 def cmd_steklov(cfg: RunConfig) -> list[str]:
     if cfg.mesh_spec is None:
         raise ConfigError("steklov needs --mesh")
@@ -166,18 +178,7 @@ def cmd_certify(cfg: RunConfig) -> list[str]:
     model = _load_model(cfg)
     if cfg.instants_path is None:
         raise ConfigError("certify needs --instants <file>")
-    records = bif.records_from_json(cfg.instants_path)
-    neighbors = [r.t_star for r in records]
-    certified = [
-        bif.certify_bifurcation(
-            model,
-            r,
-            cfg.epsilon,
-            neighbors=[t for t in neighbors if t != r.t_star],
-            degeneracy_rtol=cfg.degeneracy_rtol,
-        )
-        for r in records
-    ]
+    certified = _certify_all(model, bif.records_from_json(cfg.instants_path), cfg)
     out_json = cfg.out_json or "certified.json"
     out_csv = cfg.out_csv or "certified.csv"
     bif.records_to_json(certified, out_json)
@@ -190,16 +191,7 @@ def cmd_report(cfg: RunConfig) -> list[str]:
     out_dir = Path(cfg.out or "report")
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    records = bif.enumerate_instants(model, cfg.t_min, cfg.t_max)
-    neighbors = [r.t_star for r in records]
-    certified = [
-        bif.certify_bifurcation(
-            model, r, cfg.epsilon,
-            neighbors=[t for t in neighbors if t != r.t_star],
-            degeneracy_rtol=cfg.degeneracy_rtol,
-        )
-        for r in records
-    ]
+    certified = _certify_all(model, bif.enumerate_instants(model, cfg.t_min, cfg.t_max), cfg)
     bif.records_to_json(certified, out_dir / "instants.json")
     bif.records_to_csv(certified, out_dir / "instants.csv")
 
@@ -332,10 +324,9 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         for key, value in doc.items():
             if key in ("i_list", "j_list"):
                 value = tuple(int(v) for v in value)
-            if hasattr(cfg, key):
-                setattr(cfg, key, value)
-            else:
-                cfg.extras[key] = value
+            if not hasattr(cfg, key):
+                raise ConfigError(f"unknown config key {key!r} in {path}")
+            setattr(cfg, key, value)
     for key, value in vars(args).items():
         if key in ("command", "config") or value is None:
             continue

@@ -214,17 +214,15 @@ def validate(mesh: Mesh) -> list[str]:
         report.append("cell vertex index out of range")
         return report
 
-    for idx, cell in enumerate(mesh.cells):
-        if len(set(cell.tolist())) != mesh.dim + 1:
-            report.append(f"degenerate cell {idx}: repeated vertex index")
+    ordered = np.sort(mesh.cells, axis=1)
+    for idx in np.nonzero((ordered[:, 1:] == ordered[:, :-1]).any(axis=1))[0]:
+        report.append(f"degenerate cell {int(idx)}: repeated vertex index")
     vols = mesh.cell_volumes()
     for idx in np.nonzero(vols <= 0)[0]:
         report.append(f"degenerate cell {int(idx)}: non-positive volume {vols[idx]:.3e}")
 
     computed = extract_boundary_facets(mesh.cells, mesh.dim)
-    stored = {tuple(sorted(f)) for f in mesh.boundary_facets}
-    expected = {tuple(f) for f in computed}
-    if stored != expected:
+    if not _same_facets(mesh.boundary_facets, computed):
         report.append(
             "boundary mismatch: stored facets differ from facets incident to one cell"
         )
@@ -235,6 +233,18 @@ def validate(mesh: Mesh) -> list[str]:
     if mesh.n_cells and not _is_connected(mesh):
         report.append("mesh is not connected")
     return report
+
+
+def _same_facets(facets, computed: np.ndarray) -> bool:
+    """Whether facets list the computed (canonically sorted) boundary facets,
+    in any vertex and row order."""
+    try:
+        facets = np.asarray(facets)
+    except ValueError:  # ragged rows
+        return False
+    return facets.ndim == 2 and np.array_equal(
+        np.unique(np.sort(facets, axis=1), axis=0), computed
+    )
 
 
 def _is_connected(mesh: Mesh) -> bool:
@@ -273,14 +283,11 @@ def load_mesh(path) -> Mesh:
         mesh = Mesh(dim=int(doc["dim"]), vertices=doc["vertices"], cells=doc["cells"])
     except KeyError as exc:
         raise InvalidMeshError([f"mesh document missing key {exc}"]) from exc
-    if "boundary_facets" in doc:
-        given = {tuple(sorted(f)) for f in doc["boundary_facets"]}
-        computed = {tuple(f) for f in mesh.boundary_facets}
-        if given != computed:
-            raise InvalidMeshError(
-                ["boundary mismatch: declared boundary_facets are not the facets "
-                 "incident to exactly one cell"]
-            )
+    if "boundary_facets" in doc and not _same_facets(doc["boundary_facets"], mesh.boundary_facets):
+        raise InvalidMeshError(
+            ["boundary mismatch: declared boundary_facets are not the facets "
+             "incident to exactly one cell"]
+        )
     report = validate(mesh)
     if report:
         raise InvalidMeshError(report)

@@ -4,11 +4,11 @@ The closed factor enters through its Laplace spectrum, the boundary factor
 through assembled P1 forms; separation of variables turns the Jacobi
 operator at parameter t into the family of boundary eigenvalues rho_j at
 bulk coefficients c = t * rho_i.  Morse index and nullity count branches
-below / at the rescaled mean curvature Hhat = (m2-1)/(m-1) * H2.  They are
-counted by Sylvester inertia (``spectral.count_below``), not by eigensolves:
-factor index i contributes mu_i times the number of branches of
-c = t * rho_i below Hhat, and the enumeration stops at the first index with
-no branch below Hhat + tol -- every later factor eigenvalue is larger, and so
+below / at the rescaled mean curvature Hhat = (m2-1)/(m-1) * H2.  One walk
+over the factor spectrum serves them and the Jacobi slices: factor index i
+lists the number of branches of c = t * rho_i below a level, counted by
+Sylvester inertia (``spectral.count_below``), and the walk stops at the
+first index with none -- every later factor eigenvalue is larger, and so
 are its branches.  The Steklov row i = 0 comes from one c = 0 spectrum per
 model.  The critical coefficients c_j*, where branch j meets Hhat, are
 bracketed by the same counts once per model; degeneracy instants are read
@@ -108,8 +108,8 @@ class ProductModel:
         return tuple(_critical_coefficient(forms, j, hhat) for j in range(count))
 
     def steklov_past(self, threshold: float) -> np.ndarray:
-        """Ascending Steklov (c = 0) eigenvalues, reaching one strictly above
-        threshold.
+        """Ascending Steklov (c = 0) eigenvalues: every one below threshold
+        and the first at or above it.
 
         Solved once per model and shared by the c_j* table, Morse indices,
         nullities and Jacobi slices; solved again only when a higher
@@ -117,12 +117,8 @@ class ProductModel:
         """
         vals = self.__dict__.get("_steklov")
         if vals is None or vals[-1] <= threshold:
-            vals = _eigenvalues_past(self.boundary_forms, 0.0, threshold)
-            if vals is None:
-                raise CutoffExhaustedError(
-                    f"boundary Steklov spectrum exhausted below {threshold:.12g}; "
-                    "refine the mesh"
-                )
+            forms = self.boundary_forms
+            vals = _lowest_past(forms, 0.0, count_below(forms, 0.0, threshold), threshold)
             # a frozen dataclass keeps a writable __dict__, as for cached_property
             self.__dict__["_steklov"] = vals
         return vals
@@ -142,9 +138,9 @@ class TruncationCertificate:
     """Monotonicity bounds proving the enumeration missed nothing.
 
     ``stop_index`` is the first factor index whose lowest branch already
-    exceeds the threshold (all later factor eigenvalues are larger, hence
+    reaches the threshold (all later factor eigenvalues are larger, hence
     so are their branches); ``branch_bounds`` records, per enumerated
-    factor index, the first sorted position whose value clears the
+    factor index, the first sorted position whose value reaches the
     threshold (all later positions are at least as large).
     """
 
@@ -176,18 +172,37 @@ def mean_curvature_gt(model: ProductModel, t: float) -> float:
     return model.Hhat / math.sqrt(t)
 
 
-def _eigenvalues_past(forms, c, threshold):
-    """Ascending eigenvalues at bulk coefficient c, guaranteed to reach one
-    strictly above threshold; None if the whole boundary spectrum stays below."""
-    n_b = len(forms.boundary_dofs)
-    k = min(8, n_b)
-    while True:
-        vals = robin_steklov_spectrum(forms, c, k).eigenvalues
-        if vals[-1] > threshold:
-            return vals
-        if k == n_b:
-            return None
-        k = min(2 * k, n_b)
+def _lowest_past(forms, c, n, level):
+    """The n + 1 lowest eigenvalues at bulk coefficient c, given that n of
+    them lie below level: the last is the first to reach it."""
+    if n >= len(forms.boundary_dofs):
+        raise CutoffExhaustedError(
+            f"boundary spectrum exhausted below {level:.12g} at c={c:g}; refine the mesh"
+        )
+    return robin_steklov_spectrum(forms, c, n + 1).eigenvalues
+
+
+def _factor_walk(model: ProductModel, t: float, level: float):
+    """(i, mu_i, c, n) per factor index i >= 1, with c = t * rho_i and n the
+    number of branches at c below level, counted by inertia.
+
+    Stops before the first i with n == 0: its lowest branch reaches level,
+    and every later factor eigenvalue is larger, hence so are its branches.
+    Raises when the factor spectrum ends first.
+    """
+    if t <= 0:
+        raise PreconditionError(f"metric parameter t must be positive, got {t}")
+    forms = model.boundary_forms
+    for i in range(1, len(model.factor)):
+        c = t * model.factor.value(i)
+        n = count_below(forms, c, level)
+        if n == 0:
+            return
+        yield i, model.factor.multiplicity(i), c, n
+    raise CutoffExhaustedError(
+        f"factor spectrum cutoff {model.factor.cutoff:g} exhausted at t={t:g} "
+        f"before the lowest branch cleared {level:g}"
+    )
 
 
 def _critical_coefficient(forms, j, hhat):
@@ -233,10 +248,12 @@ def _critical_coefficient(forms, j, hhat):
 
 
 def jacobi_slice(model: ProductModel, t: float, margin: float) -> JacobiSlice:
-    """All Jacobi branches with rho <= Hhat + margin at parameter t.
+    """All Jacobi branches with rho < Hhat + margin at parameter t.
 
     Each entry is weighted by the factor multiplicity; eigenvalue
     multiplicity inside a slice shows up as repeated sorted positions j.
+    The factor indices are those of the inertia-counted walk, each solved
+    for its counted branches plus the first one past the threshold.
     Raises when the factor spectrum ends before the enumeration provably
     closes.
     """
@@ -249,83 +266,44 @@ def jacobi_slice(model: ProductModel, t: float, margin: float) -> JacobiSlice:
     forms = model.boundary_forms
     sqrt_t = math.sqrt(t)
 
-    entries = []
-    branch_bounds = []
-
-    # i = 0: Steklov branches; the zero eigenvalue at j = 0 is the excluded
-    # constant (only i + j > 0 enters the Jacobi spectrum).
-    vals = model.steklov_past(threshold)
-    j_stop = len(vals)
-    for j, v in enumerate(vals):
-        if v > threshold:
-            j_stop = j
-            break
-        if j >= 1:
-            entries.append(
-                JacobiEntry(0, j, float(v), float((v - hhat) / sqrt_t), 1)
-            )
-    branch_bounds.append((0, int(j_stop), float(vals[min(j_stop, len(vals) - 1)])))
-
-    i = 1
-    while True:
-        if i >= len(model.factor):
-            raise CutoffExhaustedError(
-                f"factor spectrum cutoff {model.factor.cutoff:g} exhausted at t={t:g} "
-                f"before the lowest branch cleared {threshold:g}"
-            )
-        rho_i = model.factor.value(i)
-        mu_i = model.factor.multiplicity(i)
-        vals = _eigenvalues_past(forms, t * rho_i, threshold)
-        if vals is None:
-            raise CutoffExhaustedError(
-                "boundary spectrum exhausted below the threshold; refine the mesh"
-            )
-        if vals[0] > threshold:
-            certificate = TruncationCertificate(
-                threshold=threshold,
-                stop_index=i,
-                stop_rho=rho_i,
-                stop_bound=float(vals[0]),
-                branch_bounds=tuple(branch_bounds),
-            )
-            break
-        j_stop = len(vals)
-        for j, v in enumerate(vals):
-            if v > threshold:
-                j_stop = j
-                break
-            entries.append(
-                JacobiEntry(i, j, float(v), float((v - hhat) / sqrt_t), mu_i)
-            )
-        branch_bounds.append((i, int(j_stop), float(vals[min(j_stop, len(vals) - 1)])))
-        i += 1
-
+    # (i, mu_i, lowest eigenvalues, n below the threshold) per factor index;
+    # row i = 0 is the Steklov spectrum
+    sigma = model.steklov_past(threshold)
+    rows = [(0, 1, sigma, int(np.searchsorted(sigma, threshold)))]
+    rows += [
+        (i, mu, _lowest_past(forms, c, n, threshold), n)
+        for i, mu, c, n in _factor_walk(model, t, threshold)
+    ]
+    # only i + j > 0 enters the Jacobi spectrum: (0, 0) is the constant
+    entries = [
+        JacobiEntry(i, j, float(vals[j]), float((vals[j] - hhat) / sqrt_t), mu)
+        for i, mu, vals, n in rows
+        for j in range(n)
+        if i + j > 0
+    ]
+    stop_index = rows[-1][0] + 1
+    stop_rho = model.factor.value(stop_index)
+    certificate = TruncationCertificate(
+        threshold=threshold,
+        stop_index=stop_index,
+        stop_rho=stop_rho,
+        stop_bound=float(_lowest_past(forms, t * stop_rho, 0, threshold)[0]),
+        branch_bounds=tuple((i, n, float(vals[n])) for i, _, vals, n in rows),
+    )
     entries.sort(key=lambda e: (e.rho, e.i, e.j))
     return JacobiSlice(t=float(t), entries=tuple(entries), certificate=certificate)
 
 
-def _factor_counts(model: ProductModel, t: float, tol: float):
-    """(i, mu_i, lo, hi) per factor index i >= 1, with lo / hi the number of
-    branches at c = t * rho_i below Hhat - tol / Hhat + tol, by inertia.
-
-    Stops before the first i with hi == 0: its lowest branch clears
-    Hhat + tol, and every later factor eigenvalue is larger, hence so are
-    its branches.  Raises when the factor spectrum ends first.
-    """
-    if t <= 0:
-        raise PreconditionError(f"metric parameter t must be positive, got {t}")
+def _branch_counts(model: ProductModel, t: float, tol: float):
+    """(i, mu_i, lo, hi) per factor index i, with lo / hi the number of
+    branches below Hhat - tol / Hhat + tol: the Steklov row i = 0 (without
+    the constant) from the c = 0 spectrum, then the factor walk at
+    Hhat + tol with one more count at Hhat - tol per listed index."""
     hhat = model.Hhat
-    forms = model.boundary_forms
-    for i in range(1, len(model.factor)):
-        c = t * model.factor.value(i)
-        hi = count_below(forms, c, hhat + tol)
-        if hi == 0:
-            return
-        yield i, model.factor.multiplicity(i), count_below(forms, c, hhat - tol), hi
-    raise CutoffExhaustedError(
-        f"factor spectrum cutoff {model.factor.cutoff:g} exhausted at t={t:g} "
-        f"before the lowest branch cleared {hhat + tol:g}"
-    )
+    lo, hi = np.searchsorted(model.steklov_past(hhat + tol)[1:], [hhat - tol, hhat + tol])
+    yield 0, 1, int(lo), int(hi)
+    for i, mu, c, hi in _factor_walk(model, t, hhat + tol):
+        yield i, mu, count_below(model.boundary_forms, c, hhat - tol), hi
 
 
 def morse_index(model: ProductModel, t: float, *, rtol: float | None = None) -> int:
@@ -335,20 +313,12 @@ def morse_index(model: ProductModel, t: float, *, rtol: float | None = None) -> 
     rather than returning a coin flip.
     """
     tol = model.degeneracy_tol(rtol)
-    hhat = model.Hhat
-    sigma = model.steklov_past(hhat + tol)
-    for j, v in enumerate(sigma[1:], start=1):
-        if abs(v - hhat) <= tol:
-            raise DegenerateInstantError(
-                f"degenerate at t={t:.12g}: branch (i=0, j={j}) has "
-                f"rho={v:.12g} within {tol:g} of Hhat={hhat:.12g}"
-            )
-    index = int(np.count_nonzero(sigma[1:] < hhat))
-    for i, mu, lo, hi in _factor_counts(model, t, tol):
+    index = 0
+    for i, mu, lo, hi in _branch_counts(model, t, tol):
         if lo != hi:
             raise DegenerateInstantError(
                 f"degenerate at t={t:.12g}: {hi - lo} branch(es) of factor index "
-                f"i={i} lie within {tol:g} of Hhat={hhat:.12g}"
+                f"i={i} lie within {tol:g} of Hhat={model.Hhat:.12g}"
             )
         index += mu * lo
     return index
@@ -358,10 +328,7 @@ def nullity(model: ProductModel, t: float, tol: float) -> int:
     """Multiplicity-weighted count of branches within tol of Hhat."""
     if tol <= 0:
         raise PreconditionError("nullity tolerance must be positive")
-    hhat = model.Hhat
-    sigma = model.steklov_past(hhat + tol)
-    steklov = int(np.count_nonzero(np.abs(sigma[1:] - hhat) <= tol))
-    return steklov + sum(mu * (hi - lo) for _, mu, lo, hi in _factor_counts(model, t, tol))
+    return sum(mu * (hi - lo) for _, mu, lo, hi in _branch_counts(model, t, tol))
 
 
 def boundary_weights(forms: AssembledForms) -> np.ndarray:

@@ -6,7 +6,7 @@ the problem is reduced to boundary degrees of freedom with the Schur
 complement S(c) = A_bb - A_bi A_ii^-1 A_ib, A = K + c M: eigenvectors are
 traces of discrete (modified-)harmonic extensions.
 
-Below ``dense_limit`` boundary dofs the reduced pencil is solved densely;
+Up to ``DENSE_LIMIT`` boundary dofs the reduced pencil is solved densely;
 above it, by shift-invert iteration with the full matrix factorized once.
 Both paths check the residual of every returned pair.  How many eigenvalues
 lie below a level needs no eigensolve: ``count_below`` reads it off the
@@ -93,9 +93,7 @@ def solve_dense_gevp(a, b, k: int):
     return w, v
 
 
-def robin_steklov_spectrum(
-    forms: AssembledForms, c: float, k: int, *, dense_limit: int = DENSE_LIMIT
-) -> SpectrumSlice:
+def robin_steklov_spectrum(forms: AssembledForms, c: float, k: int) -> SpectrumSlice:
     """k smallest boundary eigenvalues of (K + c M) u = rho B u.
 
     For c = 0 this is the Steklov (Dirichlet-to-Neumann) spectrum; the zero
@@ -113,7 +111,7 @@ def robin_steklov_spectrum(
     A_ii, A_ib, A_bb = _pencil_blocks(forms, c)
     B_bb = forms.blocks[2]
     # ARPACK needs k strictly inside the subspace; near-full requests go dense
-    if n_b <= dense_limit or k > n_b - 2:
+    if n_b <= DENSE_LIMIT or k > n_b - 2:
         S = _schur_complement(A_ii, A_ib, A_bb)
         w, v = _dense_gevp(S, B_bb.toarray(), k)
         _check_residuals(S @ v, B_bb, A_bb, w, v, "dense")
@@ -234,9 +232,9 @@ def count_below(forms: AssembledForms, c: float, lam: float) -> int:
     return int(np.count_nonzero(la.eigvalsh_tridiagonal(np.diag(d), np.diag(d, 1)) < 0))
 
 
-def steklov_spectrum(forms: AssembledForms, k: int, **kwargs) -> SpectrumSlice:
+def steklov_spectrum(forms: AssembledForms, k: int) -> SpectrumSlice:
     """Discrete Dirichlet-to-Neumann spectrum (bulk coefficient zero)."""
-    return robin_steklov_spectrum(forms, 0.0, k, **kwargs)
+    return robin_steklov_spectrum(forms, 0.0, k)
 
 
 def harmonic_extension(forms: AssembledForms, trace: np.ndarray, c: float = 0.0) -> np.ndarray:

@@ -329,6 +329,15 @@ class TestSliceBudget:
 
         for module in (spectral, product, bifurcation):
             monkeypatch.setattr(module, "robin_steklov_spectrum", counted)
+        counts = []
+        count_below = spectral.count_below
+
+        def counted_inertia(*args):
+            counts.append(args[1:])
+            return count_below(*args)
+
+        for module in (spectral, product):
+            monkeypatch.setattr(module, "count_below", counted_inertia)
 
         records = enumerate_instants(model, 0.05, 10.0)
         t = [r.t_star for r in records]
@@ -343,3 +352,4 @@ class TestSliceBudget:
         assert all(r.certified for r in certified)
         assert indices == [0, 4, 8, 12, 20, 24, 28, 36, 44]
         assert len(solves) <= 15
+        assert len(counts) <= 258

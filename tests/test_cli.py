@@ -221,6 +221,22 @@ class TestConfigHandling:
         assert len(records) == 1
         assert 0.5 <= records[0].t_star <= 0.9
 
+    def test_unknown_config_key_rejected(self, disk_model_path, tmp_path, capsys):
+        # a misspelt t_min must not fall back to the default window
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({
+            "model_path": disk_model_path,
+            "t_mn": 0.5,
+            "t_max": 0.9,
+            "out_json": str(tmp_path / "instants.json"),
+            "out_csv": str(tmp_path / "instants.csv"),
+        }))
+        assert cli.main(["instants", "--config", str(cfg)]) == 1
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "bad_config"
+        assert "'t_mn'" in payload["detail"]
+        assert not (tmp_path / "instants.json").exists()
+
     def test_bad_range_rejected(self, disk_model_path, capsys):
         status = cli.main(
             ["instants", "--model", disk_model_path, "--t-min", "2.0", "--t-max", "1.0"]

@@ -125,6 +125,8 @@ class TestValidate:
         mesh = Mesh(dim=2, vertices=[[0, 0], [1, 0], [0, 1]], cells=[[0, 1, 1]])
         report = validate(mesh)
         assert any("degenerate cell" in line for line in report)
+        mesh = Mesh(dim=2, vertices=[[0, 0], [1, 0], [0, 1]], cells=[[0, 1, 2], [2, 0, 2]])
+        assert "degenerate cell 1: repeated vertex index" in validate(mesh)
 
     def test_interior_facet_as_boundary_reported(self):
         base = generate_disk(0)
@@ -185,6 +187,21 @@ class TestMeshIO:
         assert np.allclose(loaded.vertices, mesh.vertices)
         assert np.array_equal(loaded.cells, mesh.cells)
         assert np.array_equal(loaded.boundary_vertex_ids, mesh.boundary_vertex_ids)
+
+    def test_reversed_and_shuffled_facets_load(self, tmp_path):
+        import json
+
+        mesh = generate_disk(1)
+        declared = mesh.boundary_facets[:, ::-1][np.random.default_rng(3).permutation(16)]
+        doc = {
+            "dim": 2,
+            "vertices": mesh.vertices.tolist(),
+            "cells": mesh.cells.tolist(),
+            "boundary_facets": declared.tolist(),
+        }
+        path = tmp_path / "shuffled.json"
+        path.write_text(json.dumps(doc))
+        assert np.array_equal(load_mesh(path).boundary_facets, mesh.boundary_facets)
 
     def test_boundary_cross_check(self, tmp_path):
         import json

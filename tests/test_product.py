@@ -135,6 +135,61 @@ class TestJacobiSlice:
         with pytest.raises(CutoffExhaustedError, match="boundary"):
             jacobi_slice(model, 1.0, margin=10.0)
 
+    @pytest.mark.parametrize("name", ["jittered", "delaunay"])
+    @pytest.mark.parametrize("t, margin", [(0.3, 0.0), (0.12, 0.6)])
+    def test_matches_brute_force_rectangle(self, fuzz_meshes, square_torus, name, t, margin):
+        from steklovbif import robin_steklov_spectrum
+
+        mesh, forms = fuzz_meshes[name]
+        model = ProductModel(square_torus(40.0), mesh, forms, m1=2, m2=2, H2=1.0)
+        threshold = model.Hhat + margin
+        # full spectra per factor index until the lowest branch clears the threshold
+        expected, bounds = [], []
+        for i in range(len(model.factor)):
+            vals = robin_steklov_spectrum(
+                forms, t * model.factor.value(i), len(forms.boundary_dofs)
+            ).eigenvalues
+            if i >= 1 and vals[0] >= threshold:
+                break
+            n = int(np.sum(vals < threshold))
+            mu = model.factor.multiplicity(i)
+            expected += [(i, j, mu, vals[j]) for j in range(n) if i + j > 0]
+            bounds.append((i, n, vals[n]))
+
+        sl = jacobi_slice(model, t, margin)
+        got = sorted((e.i, e.j, e.multiplicity, e.rho) for e in sl.entries)
+        expected.sort()
+        assert [g[:3] for g in got] == [e[:3] for e in expected]
+        assert np.allclose([g[3] for g in got], [e[3] for e in expected], rtol=1e-10, atol=0)
+        cert = sl.certificate
+        assert cert.stop_index == i
+        assert cert.stop_bound == pytest.approx(vals[0], rel=1e-10)
+        assert [b[:2] for b in cert.branch_bounds] == [b[:2] for b in bounds]
+        got_bounds = [b[2] for b in cert.branch_bounds]
+        assert np.allclose(got_bounds, [b[2] for b in bounds], rtol=1e-10, atol=0)
+
+    def test_one_slice_per_listed_index_and_one_for_the_stop(
+        self, disk_torus_model, monkeypatch
+    ):
+        from steklovbif import product
+
+        model = disk_torus_model(2, 20.0)
+        slices = []
+        original = product.robin_steklov_spectrum
+
+        def counted(forms, c, k):
+            slices.append((c, k))
+            return original(forms, c, k)
+
+        monkeypatch.setattr(product, "robin_steklov_spectrum", counted)
+        sl = jacobi_slice(model, 0.1, margin=0.3)
+        listed = sl.certificate.branch_bounds[1:]  # the i = 0 row is the Steklov spectrum
+        assert len(listed) >= 3
+        rho = model.factor.value
+        assert [(c, k) for c, k in slices if c > 0] == [
+            (0.1 * rho(i), n + 1) for i, n, _ in listed
+        ] + [(0.1 * rho(sl.certificate.stop_index), 1)]
+
 
 class TestMorseIndex:
     def test_flat_boundary_index_zero(self, torus_interval_model):
@@ -199,6 +254,18 @@ class TestNullity:
         model = torus_interval_model(100)
         for t in [0.05, 1.0, 20.0]:
             assert nullity(model, t, 1e-6) == 0
+
+    def test_steklov_branch_at_hhat_is_degenerate_for_every_t(self, disk, square_torus):
+        # Hhat sits 1e-7 relative above the twice-degenerate sigma_1 of the
+        # symmetric disk: inside the degeneracy tolerance at every t
+        mesh, forms = disk(2)
+        sigma_1 = steklov_spectrum(forms, 2).eigenvalues[1]
+        model = ProductModel(
+            square_torus(20.0), mesh, forms, m1=2, m2=2, H2=3.0 * sigma_1 * (1 + 1e-7)
+        )
+        assert nullity(model, 5.0, model.degeneracy_tol()) == 2
+        with pytest.raises(DegenerateInstantError, match="i=0"):
+            morse_index(model, 5.0)
 
 
 class TestConformalMeanCurvature:

@@ -100,10 +100,11 @@ class TestRobinSteklovSpectrum:
             robin_steklov_spectrum(forms, 0.0, 9)  # only 8 boundary dofs
 
     @pytest.mark.parametrize("c", [0.0, 1.0])
-    def test_shift_invert_path_matches_dense(self, disk, c):
+    def test_shift_invert_path_matches_dense(self, disk, c, monkeypatch):
         _, forms = disk(2)
         dense = robin_steklov_spectrum(forms, c, 5).eigenvalues
-        iterative = robin_steklov_spectrum(forms, c, 5, dense_limit=0).eigenvalues
+        monkeypatch.setattr(spectral, "DENSE_LIMIT", 0)
+        iterative = robin_steklov_spectrum(forms, c, 5).eigenvalues
         assert np.abs(dense - iterative).max() < 1e-9
 
 
@@ -129,8 +130,9 @@ class TestResidualChecks:
             return w, np.roll(v, 1, axis=1)
 
         monkeypatch.setattr(spectral.spla, "eigsh", rotated)
+        monkeypatch.setattr(spectral, "DENSE_LIMIT", 0)
         with pytest.raises(EigensolverError, match="shift-invert eigenpair residual"):
-            robin_steklov_spectrum(forms, 1.0, 5, dense_limit=0)
+            robin_steklov_spectrum(forms, 1.0, 5)
 
 
 def _eigen_count(forms, c, lam):
