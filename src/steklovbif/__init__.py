@@ -28,7 +28,7 @@ from .spectral import (
     robin_steklov_spectrum,
     solve_dense_gevp,
     steklov_spectrum,
-    trace_eigencurve,
+    trace_eigencurves,
 )
 
 __all__ = [
@@ -61,7 +61,7 @@ __all__ = [
     "scale_metric_forms",
     "solve_dense_gevp",
     "steklov_spectrum",
-    "trace_eigencurve",
+    "trace_eigencurves",
     "validate",
     "yamabe_residual",
 ]

@@ -56,6 +56,11 @@ class RunConfig:
             raise ConfigError("t_steps must be >= 1")
         if self.k < 1:
             raise ConfigError("k must be >= 1")
+        for name in ("i_list", "j_list"):
+            values = getattr(self, name)
+            if not values or min(values) < 0:
+                raise ConfigError(f"{name} must be a nonempty list of non-negative "
+                                  f"indices, got {list(values)}")
         if self.epsilon is not None and self.epsilon <= 0:
             raise ConfigError("epsilon must be positive")
         if self.degeneracy_rtol is not None and self.degeneracy_rtol <= 0:
@@ -145,13 +150,9 @@ def cmd_eigencurve(cfg: RunConfig) -> list[str]:
     t_grid = np.linspace(cfg.t_min, cfg.t_max, cfg.t_steps)
     curves = []
     for i in cfg.i_list:
-        rho_i = model.factor.value(i)
-        for j in cfg.j_list:
-            curves.append(
-                spectral.trace_eigencurve(
-                    model.boundary_forms, rho_i, j, t_grid, factor_index=i
-                )
-            )
+        curves += spectral.trace_eigencurves(
+            model.boundary_forms, model.factor.value(i), cfg.j_list, t_grid, factor_index=i
+        )
     out = cfg.out or "eigencurves.csv"
     spectral.curves_to_csv(curves, out)
     return [out]

@@ -40,15 +40,20 @@ class ClosedFactorSpectrum:
         _validate_entries(self.entries)
 
     def value(self, i: int) -> float:
+        return self._entry(i)[0]
+
+    def multiplicity(self, i: int) -> int:
+        return self._entry(i)[1]
+
+    def _entry(self, i: int) -> tuple:
+        if i < 0:
+            raise PreconditionError(f"factor index must be non-negative, got {i}")
         if i >= len(self.entries):
             raise CutoffExhaustedError(
                 f"factor index {i} beyond spectrum cutoff {self.cutoff:g} "
                 f"({len(self.entries)} entries)"
             )
-        return self.entries[i][0]
-
-    def multiplicity(self, i: int) -> int:
-        return self.entries[i][1]
+        return self.entries[i]
 
     def __len__(self) -> int:
         return len(self.entries)

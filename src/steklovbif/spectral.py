@@ -6,11 +6,27 @@ the problem is reduced to boundary degrees of freedom with the Schur
 complement S(c) = A_bb - A_bi A_ii^-1 A_ib, A = K + c M: eigenvectors are
 traces of discrete (modified-)harmonic extensions.
 
-Up to ``DENSE_LIMIT`` boundary dofs the reduced pencil is solved densely;
-above it, by shift-invert iteration with the full matrix factorized once.
-Both paths check the residual of every returned pair.  How many eigenvalues
-lie below a level needs no eigensolve: ``count_below`` reads it off the
-inertia of one sparse symmetric factorization.
+Up to ``DENSE_LIMIT`` boundary dofs, and for k > n_b - 2 at any size, the
+reduced pencil is solved densely.  Above it, shift-invert Lanczos (ARPACK)
+applies (S - sigma B_bb)^-1 through one factorization of the full shifted
+matrix, from a fixed start vector, so that repeated calls agree bit for bit.
+Both paths check the residual of every returned pair.  Shift-invert also
+proves by one inertia count that its values are the k lowest: Lanczos can
+skip one copy of a double eigenvalue, and no residual shows that.  How many
+eigenvalues lie below a level needs no eigensolve: ``count_below`` reads it
+off the inertia of one sparse symmetric factorization.
+
+``DENSE_LIMIT`` is the measured crossover.  Median time of one slice at
+c = 3 on the builtin disk, dense / shift-invert with its count, in ms (one
+BLAS thread, 2-vCPU x86 machine, 9 interleaved repeats, 5 at L6):
+
+    level  n_b   k = 1       k = 4       k = 16
+    L4     128   17 / 23     14 / 22     16 / 34
+    L5     256   143 / 90    147 / 111   153 / 151
+    L6     512   1616 / 700  1601 / 789  1280 / 692
+
+Delaunay disks of 160, 192 and 224 boundary dofs put the tie at about 192.
+The dense path also holds two dense n_i x n_b blocks, about 66 MB each at L6.
 """
 
 from __future__ import annotations
@@ -25,10 +41,12 @@ from .errors import EigensolverError, PreconditionError
 from .fem import AssembledForms
 from .serialize import read_csv, write_csv
 
-DENSE_LIMIT = 2000
+# largest boundary-dof count solved densely: the crossover tabled above
+DENSE_LIMIT = 200
 _SHIFT_INVERT_TOL = 1e-10
 RESIDUAL_RTOL = 1e-8
 PIVOT_RTOL = 1e-10
+LOWEST_RTOL = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,8 +89,8 @@ def solve_dense_gevp(a, b, k: int):
     """k smallest eigenpairs of a u = rho b u for symmetric square arrays a, b,
     b positive definite on its span.
 
-    Vectors are b-orthonormal.  Residuals ||a u - rho b u|| are verified
-    against 1e-9 * ||a||; failures raise with the offending norms.
+    Vectors are b-orthonormal.  Residuals are verified by the rule of the
+    pencil slices (``_check_residuals``); failures raise with the norms.
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     for x in (a, b):
@@ -84,12 +102,7 @@ def solve_dense_gevp(a, b, k: int):
     if k < 1 or k > n:
         raise PreconditionError(f"need 1 <= k <= {n}, got {k}")
     w, v = _dense_gevp(a, b, k)
-    scale = np.linalg.norm(a, 2) if n else 1.0
-    residuals = np.linalg.norm(a @ v - b @ v * w, axis=0)
-    if np.any(residuals > 1e-9 * max(scale, 1.0)):
-        raise EigensolverError(
-            f"eigenpair residuals {residuals.tolist()} exceed 1e-9 * ||A|| = {1e-9 * scale:.3e}"
-        )
+    _check_residuals(a @ v, b, a, w, v, "dense")
     return w, v
 
 
@@ -142,11 +155,12 @@ def _schur_complement(A_ii, A_ib, A_bb) -> np.ndarray:
 
 def _check_residuals(Sv, B_bb, A_bb, w, v, path) -> None:
     """Raise unless ||S v - rho B_bb v|| <= RESIDUAL_RTOL * (||A_bb||_1 +
-    |rho| ||B_bb||_1) * ||v|| for every pair.  A = K + c M is positive
-    semidefinite with a definite interior block, so 0 <= S <= A_bb and the
-    cheap 1-norm of A_bb bounds ||S||."""
+    |rho| ||B_bb||_1) * ||v|| for every pair; the matrices may be sparse or
+    dense.  A = K + c M is positive semidefinite with a definite interior
+    block, so 0 <= S <= A_bb and the cheap 1-norm of A_bb bounds ||S||; a
+    plain symmetric pencil passes S itself as A_bb."""
     residuals = np.linalg.norm(Sv - (B_bb @ v) * w, axis=0)
-    scale = spla.norm(A_bb, 1) + np.abs(w) * spla.norm(B_bb, 1)
+    scale = _norm1(A_bb) + np.abs(w) * _norm1(B_bb)
     bound = RESIDUAL_RTOL * scale * np.linalg.norm(v, axis=0)
     if np.any(residuals > bound):
         worst = int(np.argmax(residuals / bound))
@@ -154,6 +168,11 @@ def _check_residuals(Sv, B_bb, A_bb, w, v, path) -> None:
             f"{path} eigenpair residual {residuals[worst]:.3e} for rho={w[worst]:.12g} "
             f"exceeds {bound[worst]:.3e}"
         )
+
+
+def _norm1(x) -> float:
+    """Largest absolute column sum, of a sparse or a dense matrix."""
+    return float(abs(x).sum(axis=0).max())
 
 
 def _shift_invert_slice(forms, c, A_ii, A_ib, A_bb, B_bb, k) -> SpectrumSlice:
@@ -183,18 +202,42 @@ def _shift_invert_slice(forms, c, A_ii, A_ib, A_bb, B_bb, k) -> SpectrumSlice:
     n_b = len(bnd)
     S_op = spla.LinearOperator((n_b, n_b), matvec=apply_schur)
     OPinv = spla.LinearOperator((n_b, n_b), matvec=apply_opinv)
+    # a fixed start makes the result reproducible; a generic one has a
+    # component along every eigenvector (a constant misses the disk's cos
+    # modes, for one)
+    v0 = np.random.default_rng(0).standard_normal(n_b)
     try:
         # shift-invert mode applies only OPinv and M, never S_op itself
         w, v = spla.eigsh(
             S_op, k=k, M=B_bb, sigma=sigma, OPinv=OPinv, which="LM",
-            tol=_SHIFT_INVERT_TOL,
+            tol=_SHIFT_INVERT_TOL, v0=v0,
         )
     except spla.ArpackNoConvergence as exc:
         raise EigensolverError(f"shift-invert iteration did not converge: {exc}") from exc
     order = np.argsort(w)
     w, v = w[order], v[:, order]
     _check_residuals(apply_schur(v), B_bb, A_bb, w, v, "shift-invert")
+    _check_lowest(forms, c, w)
     return SpectrumSlice(c=c, eigenvalues=w, eigenvectors=v)
+
+
+def _check_lowest(forms, c, w) -> None:
+    """Raise unless the ascending values w are the len(w) lowest eigenvalues.
+
+    Lanczos may skip one copy of a multiple eigenvalue (the disk has exact
+    double ones), and the skipped pair leaves no residual.  The pairs are
+    checked and B-orthonormal, so they are distinct eigenpairs; one inertia
+    count just under the top value then shows that none below it is
+    missing.  A value within LOWEST_RTOL of the top one is not resolved.
+    """
+    level = w[-1] - LOWEST_RTOL * max(1.0, abs(w[-1]))
+    returned = int(np.count_nonzero(w < level))
+    counted = count_below(forms, c, level)
+    if counted != returned:
+        raise EigensolverError(
+            f"shift-invert at c={c:.12g} missed eigenvalues: {counted} lie below "
+            f"{level:.12g}, {returned} of them returned"
+        )
 
 
 def count_below(forms: AssembledForms, c: float, lam: float) -> int:
@@ -254,18 +297,23 @@ def harmonic_extension(forms: AssembledForms, trace: np.ndarray, c: float = 0.0)
     return phi
 
 
-def trace_eigencurve(
+def trace_eigencurves(
     forms: AssembledForms,
     rho_i: float,
-    j: int,
+    j_list,
     t_grid,
     *,
     factor_index: int | None = None,
-) -> EigenCurve:
-    """Sample the branch t -> rho_j at bulk coefficient c = t * rho_i.
+) -> list[EigenCurve]:
+    """Sample the branches t -> rho_j, j in j_list, at bulk coefficient
+    c = t * rho_i; one curve per entry of j_list, in its order.
 
-    The branch is identified by sorted position j at each t.
+    Each t costs one slice of the max(j_list) + 1 lowest eigenvalues, and
+    every branch reads its sorted position j from it.
     """
+    j_list = tuple(j_list)
+    if not j_list or min(j_list) < 0:
+        raise PreconditionError(f"branch positions must be non-negative and nonempty, got {j_list}")
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size == 0:
         raise PreconditionError("t_grid must be nonempty")
@@ -273,16 +321,17 @@ def trace_eigencurve(
         raise PreconditionError("t_grid must be ascending and positive")
     if rho_i < 0:
         raise PreconditionError("factor eigenvalue must be non-negative")
-    samples = []
-    for t in t_grid:
-        s = robin_steklov_spectrum(forms, t * rho_i, j + 1)
-        samples.append((float(t), float(s.eigenvalues[j])))
-    return EigenCurve(
-        factor_index=factor_index,
-        branch_index=j,
-        rho_factor=rho_i,
-        samples=tuple(samples),
-    )
+    k = max(j_list) + 1
+    values = [robin_steklov_spectrum(forms, t * rho_i, k).eigenvalues for t in t_grid]
+    return [
+        EigenCurve(
+            factor_index=factor_index,
+            branch_index=j,
+            rho_factor=rho_i,
+            samples=tuple((float(t), float(w[j])) for t, w in zip(t_grid, values)),
+        )
+        for j in j_list
+    ]
 
 
 def slice_to_csv(spectrum: SpectrumSlice, path) -> None:

@@ -102,6 +102,21 @@ class TestEigencurveCommand:
             vals = [rho for _, fi, _, rho in rows if fi == i]
             assert all(b > a for a, b in zip(vals, vals[1:]))
 
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--j", ","), ("--j", "-1"), ("--i", ","), ("--i", "-1")],
+        ids=["empty-j", "negative-j", "empty-i", "negative-i"],
+    )
+    def test_bad_branch_lists_rejected(self, disk_model_path, tmp_path, capsys, flag, value):
+        out = tmp_path / "curves.csv"
+        status = cli.main(["eigencurve", "--model", disk_model_path, flag, value,
+                           "--t-steps", "2", "--out", str(out)])
+        assert status == 1
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "bad_config"
+        assert flag[2:] + "_list" in payload["detail"]
+        assert not out.exists()
+
 
 class TestInstantsCommand:
     def test_descending_instants_and_round_trip(self, disk_model_path, tmp_path):

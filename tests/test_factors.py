@@ -93,6 +93,14 @@ class TestFromList:
         with pytest.raises(CutoffExhaustedError):
             spec.value(2)
 
+    def test_negative_index_rejected(self):
+        # not Python's count from the end: index -1 is no eigenvalue
+        spec = from_list([(0.0, 1), (1.0, 4)], m1=2)
+        with pytest.raises(PreconditionError, match="non-negative"):
+            spec.value(-1)
+        with pytest.raises(PreconditionError, match="non-negative"):
+            spec.multiplicity(-1)
+
 
 class TestSpectrumIO:
     def test_json_round_trip(self, tmp_path):

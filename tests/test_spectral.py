@@ -14,7 +14,7 @@ from steklovbif import (
     solve_dense_gevp,
     spectral,
     steklov_spectrum,
-    trace_eigencurve,
+    trace_eigencurves,
 )
 from steklovbif.errors import EigensolverError, PreconditionError
 from steklovbif.spectral import (
@@ -106,6 +106,50 @@ class TestRobinSteklovSpectrum:
         monkeypatch.setattr(spectral, "DENSE_LIMIT", 0)
         iterative = robin_steklov_spectrum(forms, c, 5).eigenvalues
         assert np.abs(dense - iterative).max() < 1e-9
+
+
+class TestShiftInvert:
+    @pytest.fixture(params=["disk5", "jittered", "delaunay"])
+    def forms(self, request, disk, fuzz_meshes):
+        if request.param == "disk5":
+            return disk(5)[1]
+        return fuzz_meshes[request.param][1]
+
+    @pytest.mark.parametrize("c", [0.3, 3.0])
+    def test_matches_dense(self, forms, c, monkeypatch):
+        # the disk's values come in exact pairs (1, 2), (3, 4), ...: k = 2, 4
+        # and 8 end inside a pair, k = 1 and 3 after one
+        monkeypatch.setattr(spectral, "DENSE_LIMIT", 10**9)
+        dense = robin_steklov_spectrum(forms, c, 8).eigenvalues
+        monkeypatch.setattr(spectral, "DENSE_LIMIT", 0)
+        for k in (1, 2, 3, 4, 8):
+            got = robin_steklov_spectrum(forms, c, k).eigenvalues
+            assert np.all(np.abs(got - dense[:k]) <= 1e-10 * np.abs(dense[:k]))
+
+    def test_repeat_calls_are_bit_identical(self, disk):
+        _, forms = disk(5)
+        assert len(forms.boundary_dofs) > spectral.DENSE_LIMIT
+        first = robin_steklov_spectrum(forms, 3.0, 4).eigenvalues
+        second = robin_steklov_spectrum(forms, 3.0, 4).eigenvalues
+        assert first.tobytes() == second.tobytes()
+
+    def test_missing_copy_of_double_eigenvalue_raises(self, disk, monkeypatch):
+        # valid pairs, so the residual check passes; only the count sees that
+        # one copy of rho_1 = rho_2 is gone and rho_3 took its place
+        _, forms = disk(3)
+        eigsh = spectral.spla.eigsh
+
+        def dropping(*args, k, **kwargs):
+            w, v = eigsh(*args, k=k + 1, **kwargs)
+            keep = np.delete(np.argsort(w), 1)
+            return w[keep], v[:, keep]
+
+        monkeypatch.setattr(spectral, "DENSE_LIMIT", 0)
+        full = robin_steklov_spectrum(forms, 0.3, 4).eigenvalues
+        assert full[2] - full[1] < 1e-10 * full[1] and full[3] - full[2] > 0.1
+        monkeypatch.setattr(spectral.spla, "eigsh", dropping)
+        with pytest.raises(EigensolverError, match="missed eigenvalues"):
+            robin_steklov_spectrum(forms, 0.3, 3)
 
 
 class TestResidualChecks:
@@ -278,7 +322,7 @@ class TestDenseGevp:
 class TestEigenCurves:
     def test_zero_factor_gives_constant_curve(self, disk):
         _, forms = disk(2)
-        curve = trace_eigencurve(forms, 0.0, 1, [0.5, 1.0, 2.0])
+        curve = trace_eigencurves(forms, 0.0, [1], [0.5, 1.0, 2.0])[0]
         vals = curve.values
         assert np.abs(vals - vals[0]).max() < 1e-12
         assert vals[0] == pytest.approx(steklov_spectrum(forms, 2).eigenvalues[1])
@@ -286,7 +330,7 @@ class TestEigenCurves:
     def test_disk_branch_matches_bessel_quotient(self, disk):
         _, forms = disk(4)
         t_grid = np.linspace(0.2, 3.0, 6)
-        curve = trace_eigencurve(forms, 1.0, 0, t_grid)
+        curve = trace_eigencurves(forms, 1.0, [0], t_grid)[0]
         for t, got in curve.samples:
             want = oracle.disk_robin_steklov(0, t)
             assert abs(got - want) / want < 0.02
@@ -294,17 +338,39 @@ class TestEigenCurves:
     def test_strictly_increasing_for_positive_factor(self, disk):
         _, forms = disk(2)
         for rho_i in [1.0, 2.0]:
-            curve = trace_eigencurve(forms, rho_i, 0, np.linspace(0.1, 4.0, 12))
+            curve = trace_eigencurves(forms, rho_i, [0], np.linspace(0.1, 4.0, 12))[0]
             assert np.all(np.diff(curve.values) > 0)
 
     def test_grid_validation(self, disk):
         _, forms = disk(0)
         with pytest.raises(PreconditionError):
-            trace_eigencurve(forms, 1.0, 0, [])
+            trace_eigencurves(forms, 1.0, [0], [])
         with pytest.raises(PreconditionError):
-            trace_eigencurve(forms, 1.0, 0, [1.0, 0.5])
+            trace_eigencurves(forms, 1.0, [0], [1.0, 0.5])
         with pytest.raises(PreconditionError):
-            trace_eigencurve(forms, 1.0, 0, [-1.0, 1.0])
+            trace_eigencurves(forms, 1.0, [0], [-1.0, 1.0])
+
+    @pytest.mark.parametrize("j_list", [[], [0, -1]])
+    def test_branch_list_validation(self, disk, j_list):
+        _, forms = disk(0)
+        with pytest.raises(PreconditionError, match="branch positions"):
+            trace_eigencurves(forms, 1.0, j_list, [1.0])
+
+    @pytest.mark.parametrize("dense_limit", [10**9, 0], ids=["dense", "shift-invert"])
+    def test_grouped_branches_equal_single_slices(self, disk, dense_limit, monkeypatch):
+        # one slice per t serves every branch; each must agree with the slice
+        # sized for that branch alone
+        _, forms = disk(3)
+        monkeypatch.setattr(spectral, "DENSE_LIMIT", dense_limit)
+        t_grid = [0.2, 1.0, 4.5]
+        j_list = [3, 0, 1, 3]
+        curves = trace_eigencurves(forms, 2.0, j_list, t_grid, factor_index=1)
+        assert [c.branch_index for c in curves] == j_list
+        for curve in curves:
+            j = curve.branch_index
+            for t, got in curve.samples:
+                want = robin_steklov_spectrum(forms, t * 2.0, j + 1).eigenvalues[j]
+                assert abs(got - want) <= 1e-12 * abs(want)
 
 
 class TestHarmonicExtension:
@@ -333,7 +399,7 @@ class TestCsvRoundTrips:
 
     def test_curve_round_trip(self, disk, tmp_path):
         _, forms = disk(1)
-        curve = trace_eigencurve(forms, 1.0, 0, [0.5, 1.0], factor_index=1)
+        curve = trace_eigencurves(forms, 1.0, [0], [0.5, 1.0], factor_index=1)[0]
         path = tmp_path / "curves.csv"
         curves_to_csv([curve], path)
         rows = load_curves_csv(path)
@@ -341,7 +407,7 @@ class TestCsvRoundTrips:
 
     def test_unlabeled_curve_export_rejected(self, disk, tmp_path):
         _, forms = disk(0)
-        curve = trace_eigencurve(forms, 1.0, 0, [1.0])
+        curve = trace_eigencurves(forms, 1.0, [0], [1.0])[0]
         with pytest.raises(PreconditionError):
             curves_to_csv([curve], tmp_path / "c.csv")
 
