@@ -4,12 +4,12 @@ A degeneracy instant is a parameter t where some branch rho_(i,j)(t) meets
 the rescaled mean curvature Hhat.  Branch (i, j) at t is rho_j(c) at the
 bulk coefficient c = t * rho_i, and each rho_j increases strictly in c, so
 it meets Hhat at exactly one critical coefficient c_j*.  Every instant is
-therefore some c_j* / rho_i: the model's table of c_j* is solved once and
-enumeration and isolation are arithmetic on it.  The Morse index jump across
-an isolated instant equals the multiplicity that crossed -- which is the
-certification criterion: both endpoints nondegenerate and unequal indices,
-counted by Sylvester inertia (``spectral.count_below``), independently of the
-table and of any eigensolve.
+therefore some c_j* / rho_i: the model's table of c_j*, each accepted by
+one eigensolve, is solved once and enumeration and isolation are arithmetic
+on it.  The Morse index jump across an isolated instant equals the
+multiplicity that crossed -- which is the certification criterion: both
+endpoints nondegenerate and unequal indices, counted by Sylvester inertia
+(``spectral.count_below``), independently of the table and of any eigensolve.
 """
 
 from __future__ import annotations
@@ -24,15 +24,14 @@ from .errors import (
     DegenerateInstantError,
     EpsilonExhaustedError,
     NoDegeneracyError,
-    NumericalError,
     PreconditionError,
 )
-from .product import ROOT_RTOL, ProductModel, morse_index, nullity
+from .product import ProductModel, morse_index, nullity
 from .serialize import read_csv, write_csv
-from .spectral import robin_steklov_spectrum
 
 MERGE_RTOL = 1e-6
 EPSILON_CAP = 0.05
+CSV_HEADER = ["t_star", "i", "j", "multiplicity", "nullity", "n_minus", "n_plus", "certified"]
 
 
 @dataclass(frozen=True)
@@ -68,7 +67,9 @@ def find_degeneracy_instant(model: ProductModel, i: int) -> float:
 def _instants(model, t_min, t_max):
     """(t_star, crossings) of the c_j* / rho_i in [t_min, t_max], descending,
     coincident roots merged at their mean; no eigensolve beyond the model's
-    table, and none at all for Hhat <= 0, where no instants exist.
+    table, and none at all for Hhat <= 0, where no instants exist.  A group is
+    anchored on its first root, so no chain of close roots drifts past
+    MERGE_RTOL from it.
 
     Truncation: the lowest branch of factor index i clears Hhat at t_min once
     t_min * rho_i > c_0*, and every later index and branch lies higher, so
@@ -91,9 +92,7 @@ def _instants(model, t_min, t_max):
     roots = sorted((r for r in roots if t_min <= r[0] <= t_max), key=lambda r: -r[0])
     groups = []
     for t_root, i, j, mu in roots:
-        if groups and abs(groups[-1][0][-1] - t_root) <= MERGE_RTOL * max(
-            groups[-1][0][-1], t_root
-        ):
+        if groups and abs(groups[-1][0][0] - t_root) <= MERGE_RTOL * groups[-1][0][0]:
             groups[-1][0].append(t_root)
             groups[-1][1].append((i, j, mu))
         else:
@@ -107,35 +106,20 @@ def enumerate_instants(
     """All degeneracy instants in [t_min, t_max], descending in t.
 
     Instants are the c_j* / rho_i inside the window; coincident ones merge
-    into one record with summed multiplicity, and every crossing is verified
-    by one fresh eigensolve at the record's t_star.
+    into one record with summed multiplicity.  Nothing is solved: at
+    c = t_star * rho_i each crossing sits on its accepted c_j*, up to
+    rounding alone, or up to MERGE_RTOL (relative) when merged.
     """
     if not (0 < t_min < t_max):
         raise PreconditionError(f"need 0 < t_min < t_max, got [{t_min}, {t_max}]")
-    hhat = model.Hhat
-    out = []
-    for t_star, crossings in _instants(model, t_min, t_max):
-        # merged roots moved by up to the merge tolerance; branch slopes near a
-        # crossing are O(Hhat / t), so allow that much drift in the re-check
-        verify_tol = (
-            ROOT_RTOL if len(crossings) == 1 else max(ROOT_RTOL, 10 * MERGE_RTOL)
-        ) * hhat
-        for i, j, _ in crossings:
-            c = t_star * model.factor.value(i)
-            val = float(robin_steklov_spectrum(model.boundary_forms, c, j + 1).eigenvalues[j])
-            if abs(val - hhat) > verify_tol:
-                raise NumericalError(
-                    f"post-hoc verification failed at t*={t_star:.12g}: branch "
-                    f"(i={i}, j={j}) gives rho={val:.12g}, Hhat={hhat:.12g}"
-                )
-        out.append(
-            DegeneracyRecord(
-                t_star=t_star,
-                crossings=tuple(crossings),
-                nullity=sum(mu for _, _, mu in crossings),
-            )
+    return [
+        DegeneracyRecord(
+            t_star=t_star,
+            crossings=tuple(crossings),
+            nullity=sum(mu for _, _, mu in crossings),
         )
-    return out
+        for t_star, crossings in _instants(model, t_min, t_max)
+    ]
 
 
 def certify_bifurcation(
@@ -143,26 +127,19 @@ def certify_bifurcation(
     record: DegeneracyRecord,
     epsilon: float | None = None,
     *,
-    neighbors=(),
     degeneracy_rtol: float | None = None,
 ) -> DegeneracyRecord:
     """Check the index-jump criterion across record.t_star.
 
-    Picks epsilon so the window isolates the instant (default: half the gap
-    to the nearest neighbor, capped at 0.05 * t_star) and halves it while
-    some other c_j* / rho_i, or a degenerate endpoint, lies in the window.
-    Then counts the Morse index on both sides by inertia -- per factor index,
-    the branches below Hhat -/+ the degeneracy tolerance, stopping at the
-    first index with none below -- and certifies when both endpoints are
-    nondegenerate and the indices differ.
+    Starts from epsilon (default EPSILON_CAP * t_star) and halves it while
+    some other c_j* / rho_i, read from the model's table, or a degenerate
+    endpoint lies in the window.  Then counts the Morse index on both sides
+    by inertia -- per factor index, the branches below Hhat -/+ the
+    degeneracy tolerance, stopping at the first index with none below -- and
+    certifies when both endpoints are nondegenerate and the indices differ.
     """
     t_star = record.t_star
-    if epsilon is None:
-        epsilon = EPSILON_CAP * t_star
-        for nb in neighbors:
-            gap = abs(nb - t_star)
-            if gap > MERGE_RTOL * t_star:
-                epsilon = min(epsilon, 0.5 * gap)
+    epsilon = EPSILON_CAP * t_star if epsilon is None else epsilon
     if not (0 < epsilon < t_star):
         raise PreconditionError(f"epsilon must lie in (0, t_star), got {epsilon}")
 
@@ -248,17 +225,12 @@ def records_to_csv(records, path) -> None:
             rows.append(
                 (r.t_star, i, j, mu, r.nullity, r.n_minus, r.n_plus, r.certified)
             )
-    write_csv(
-        path,
-        ["t_star", "i", "j", "multiplicity", "nullity", "n_minus", "n_plus", "certified"],
-        rows,
-    )
+    write_csv(path, CSV_HEADER, rows)
 
 
 def records_from_csv(path) -> list[DegeneracyRecord]:
-    header = ["t_star", "i", "j", "multiplicity", "nullity", "n_minus", "n_plus", "certified"]
     records = []
-    for row in read_csv(path, header):
+    for row in read_csv(path, CSV_HEADER):
         t_star = float(row[0])
         crossing = (int(row[1]), int(row[2]), int(row[3]))
         fields = {

@@ -11,14 +11,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import bifurcation as bif
 from . import oracle, product, spectral
-from .errors import ConfigError, SteklovBifError
+from .errors import ConfigError, NumericalError, SteklovBifError
 from .fem import assemble
 from .mesh import generate_disk, generate_interval, load_mesh
 
@@ -71,6 +71,40 @@ class RunConfig:
         return self
 
 
+_FIELD_TYPES = {f.name: f.type.split(" | ") for f in fields(RunConfig)}
+_JSON_TYPES = {"str": str, "int": int, "float": (int, float), "bool": bool, "tuple": list,
+               "None": type(None)}
+
+
+def _is(value, kind):
+    # bool, an int to isinstance, passes only as bool
+    return isinstance(value, _JSON_TYPES[kind]) and (kind == "bool") == isinstance(value, bool)
+
+
+def _config_value(key, value, path):
+    """The value of config key, checked against the annotation of its field."""
+    if key not in _FIELD_TYPES:
+        raise ConfigError(f"unknown config key {key!r} in {path}")
+    if not any(_is(value, kind) for kind in _FIELD_TYPES[key]) or (
+        isinstance(value, list) and not all(_is(v, "int") for v in value)
+    ):
+        raise ConfigError(f"config key {key!r} in {path} must be "
+                          f"{' | '.join(_FIELD_TYPES[key])}, got {value!r}")
+    return tuple(value) if isinstance(value, list) else value
+
+
+def _read_object(path, what):
+    """The JSON object held by the file at path; anything else is a bad config."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except ValueError as exc:  # malformed JSON or text
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{what} {path} must hold a JSON object, got {type(doc).__name__}")
+    return doc
+
+
 def _mesh_from_spec(spec: str):
     if spec.startswith("builtin:"):
         parts = spec.split(":")
@@ -95,8 +129,7 @@ def _load_model(cfg: RunConfig, *, needs_disk: bool = False):
     boundary must be the builtin unit disk, checked before any computation."""
     if cfg.model_path is None:
         raise ConfigError(f"command {cfg.command!r} needs --model")
-    with open(cfg.model_path) as fh:
-        doc = json.load(fh)
+    doc = _read_object(cfg.model_path, "model description")
     if needs_disk and doc.get("boundary", {}).get("builtin") != "disk":
         raise ConfigError("--oracle requires a builtin disk boundary factor")
     return product.load_model(cfg.model_path, doc=doc)
@@ -122,14 +155,8 @@ def _oracle_instants(model, records):
 
 
 def _certify_all(model, records, cfg: RunConfig) -> list:
-    """Certify each record, isolating it from the other records' instants."""
-    neighbors = [r.t_star for r in records]
     return [
-        bif.certify_bifurcation(
-            model, r, cfg.epsilon,
-            neighbors=[t for t in neighbors if t != r.t_star],
-            degeneracy_rtol=cfg.degeneracy_rtol,
-        )
+        bif.certify_bifurcation(model, r, cfg.epsilon, degeneracy_rtol=cfg.degeneracy_rtol)
         for r in records
     ]
 
@@ -167,10 +194,9 @@ def cmd_instants(cfg: RunConfig) -> list[str]:
     bif.records_to_csv(records, out_csv)
     emitted = [out_json, out_csv]
     if cfg.oracle_check:
-        deltas = _oracle_instants(model, records)
-        out_oracle = (cfg.out_json or "instants.json").replace(".json", "") + "_oracle.json"
+        out_oracle = out_json.removesuffix(".json") + "_oracle.json"
         with open(out_oracle, "w") as fh:
-            json.dump(deltas, fh, indent=2)
+            json.dump(_oracle_instants(model, records), fh, indent=2)
         emitted.append(out_oracle)
     return emitted
 
@@ -196,19 +222,24 @@ def cmd_report(cfg: RunConfig) -> list[str]:
     bif.records_to_json(certified, out_dir / "instants.json")
     bif.records_to_csv(certified, out_dir / "instants.csv")
 
-    # Morse index between consecutive instants (geometric midpoints).
+    # Morse index between consecutive instants (geometric midpoints), as
+    # certification counted it: n_plus above an instant, n_minus below, and
+    # both agree between two instants.  Only an empty window walks.
+    for above, below in zip(certified, certified[1:]):
+        if above.n_minus != below.n_plus:
+            raise NumericalError(f"Morse index between t*={below.t_star:.12g} and "
+                                 f"{above.t_star:.12g} counted {below.n_plus} and {above.n_minus}")
+    if certified:
+        counted = [certified[0].n_plus] + [r.n_minus for r in certified]
+    else:
+        t_mid = float(np.sqrt(cfg.t_min * cfg.t_max))
+        counted = [product.morse_index(model, t_mid, rtol=cfg.degeneracy_rtol)]
     cuts = [cfg.t_max] + [r.t_star for r in certified] + [cfg.t_min]
-    indices = []
-    for hi, lo in zip(cuts, cuts[1:]):
-        if hi / lo < 1.0 + 10 * bif.MERGE_RTOL:
-            continue
-        t_mid = float(np.sqrt(lo * hi))
-        indices.append(
-            {
-                "t": t_mid,
-                "morse_index": product.morse_index(model, t_mid, rtol=cfg.degeneracy_rtol),
-            }
-        )
+    indices = [
+        {"t": float(np.sqrt(lo * hi)), "morse_index": n}
+        for hi, lo, n in zip(cuts, cuts[1:], counted)
+        if hi / lo >= 1.0 + 10 * bif.MERGE_RTOL
+    ]
 
     summary = {
         "model": {
@@ -233,6 +264,13 @@ def cmd_report(cfg: RunConfig) -> list[str]:
     return [str(report_path)]
 
 
+def _fail(exc: SteklovBifError) -> int:
+    """Print the machine-readable reason to stderr; returns the exit status."""
+    json.dump(exc.payload(), sys.stderr)
+    sys.stderr.write("\n")
+    return exc.exit_code
+
+
 def run(command: str, config: RunConfig) -> int:
     """Execute one command; returns the process exit status."""
     handlers = {
@@ -246,9 +284,7 @@ def run(command: str, config: RunConfig) -> int:
         config.validate()
         emitted = handlers[command](config)
     except SteklovBifError as exc:
-        json.dump(exc.payload(), sys.stderr)
-        sys.stderr.write("\n")
-        return exc.exit_code
+        return _fail(exc)
     for path in emitted:
         print(path)
     return 0
@@ -320,14 +356,8 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         path = Path(args.config)
         if not path.exists():
             raise ConfigError(f"config file does not exist: {path}")
-        with open(path) as fh:
-            doc = json.load(fh)
-        for key, value in doc.items():
-            if key in ("i_list", "j_list"):
-                value = tuple(int(v) for v in value)
-            if not hasattr(cfg, key):
-                raise ConfigError(f"unknown config key {key!r} in {path}")
-            setattr(cfg, key, value)
+        for key, value in _read_object(path, "config file").items():
+            setattr(cfg, key, _config_value(key, value, path))
     for key, value in vars(args).items():
         if key in ("command", "config") or value is None:
             continue
@@ -340,9 +370,7 @@ def main(argv=None) -> int:
     try:
         cfg = config_from_args(args)
     except SteklovBifError as exc:
-        json.dump(exc.payload(), sys.stderr)
-        sys.stderr.write("\n")
-        return exc.exit_code
+        return _fail(exc)
     return run(args.command, cfg)
 
 

@@ -211,8 +211,11 @@ def _critical_coefficient(forms, j, hhat):
     rho_j(c) < hhat exactly when more than j eigenvalues lie below hhat, so
     inertia counts bracket the root: [0, 1] doubles its upper end until the
     branch clears hhat, and bisection narrows it to a relative width of
-    COUNT_RTOL.  A slice then accepts the midpoint once |rho_j - hhat| <=
-    ROOT_RTOL * hhat; bisection continues on slice values while it does not.
+    COUNT_RTOL.  One slice accepts the midpoint when |rho_j - hhat| <=
+    ROOT_RTOL * hhat, and raises otherwise.  By Hellmann-Feynman the
+    midpoint misses by at most 0.5 * COUNT_RTOL * c * rho_j'(c); for j = 0,
+    rho_0 is concave with rho_0(0) = 0, so c * rho_0'(c) <= hhat and the
+    test cannot fail.
     """
 
     def below(c):
@@ -233,18 +236,14 @@ def _critical_coefficient(forms, j, hhat):
             c_lo = mid
         else:
             c_hi = mid
-    for _ in range(300):
-        mid = 0.5 * (c_lo + c_hi)
-        val = float(robin_steklov_spectrum(forms, mid, j + 1).eigenvalues[j])
-        if abs(val - hhat) <= ROOT_RTOL * hhat:
-            return mid
-        if val < hhat:
-            c_lo = mid
-        else:
-            c_hi = mid
-    raise NumericalError(
-        f"bisection stalled on branch j={j}: final interval [{c_lo:.17g}, {c_hi:.17g}]"
-    )
+    mid = 0.5 * (c_lo + c_hi)
+    val = float(robin_steklov_spectrum(forms, mid, j + 1).eigenvalues[j])
+    if abs(val - hhat) > ROOT_RTOL * hhat:
+        raise NumericalError(
+            f"branch j={j} gives rho_j={val:.17g} at the midpoint of its count "
+            f"bracket [{c_lo:.17g}, {c_hi:.17g}], not Hhat={hhat:.17g}"
+        )
+    return mid
 
 
 def jacobi_slice(model: ProductModel, t: float, margin: float) -> JacobiSlice:

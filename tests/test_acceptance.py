@@ -113,12 +113,9 @@ def test_criterion_4_degeneracy_instants(disk_torus_instants):
 def test_criterion_5_certification(disk_torus_instants):
     with criterion(5, "bifurcation certification"):
         model, records = disk_torus_instants
-        neighbors = [r.t_star for r in records]
         first = True
         for record in records:
-            out = certify_bifurcation(
-                model, record, neighbors=[t for t in neighbors if t != record.t_star]
-            )
+            out = certify_bifurcation(model, record)
             assert out.certified
             jump = out.n_minus - out.n_plus
             assert jump == sum(mu for _, _, mu in record.crossings)

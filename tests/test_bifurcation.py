@@ -46,21 +46,6 @@ def instants(model):
     return enumerate_instants(model, 0.05, 10.0)
 
 
-def _jittered_disk(disk):
-    """Disk level 2 with every vertex moved (angle +-0.05, radius +-4%), so
-    no branch is double: sigma_1 = 0.9805, sigma_2 = 0.9863."""
-    from steklovbif import Mesh
-
-    base, _ = disk(2)
-    rng = np.random.default_rng(7)
-    x, y = base.vertices.T
-    n = base.n_vertices
-    theta = np.arctan2(y, x) + rng.uniform(-0.05, 0.05, n)
-    r = np.hypot(x, y) * (1 + rng.uniform(-0.04, 0.04, n))
-    return Mesh(dim=2, vertices=np.column_stack([r * np.cos(theta), r * np.sin(theta)]),
-                cells=base.cells)
-
-
 def _near_pair_model(disk, rho_2):
     """Disk level 2 with factor eigenvalues 1 (double) and rho_2 just above:
     two instants c_0* and c_0* / rho_2 close together."""
@@ -142,13 +127,13 @@ class TestEnumerateInstants:
         with pytest.raises(CutoffExhaustedError):
             enumerate_instants(model, 0.01, 1.0)
 
-    def test_matches_per_branch_roots_on_jittered_disk(self, disk, square_torus):
+    def test_matches_per_branch_roots_on_jittered_disk(self, fuzz_meshes, square_torus):
         from scipy.optimize import brentq
 
-        from steklovbif import assemble, robin_steklov_spectrum
+        from steklovbif import robin_steklov_spectrum
 
-        mesh = _jittered_disk(disk)
-        forms = assemble(mesh)
+        # every vertex moved, so no branch is double: sigma_1 = 0.9805, sigma_2 = 0.9863
+        mesh, forms = fuzz_meshes["jittered"]
         model = ProductModel(square_torus(20.0), mesh, forms, m1=2, m2=2, H2=4.5)
         t_min, t_max = 0.5, 10.0
 
@@ -174,6 +159,25 @@ class TestEnumerateInstants:
         assert sorted(got) == sorted(expected)
         for key, t in expected.items():
             assert got[key] == pytest.approx(t, rel=1e-7)
+
+    def test_merge_anchors_on_first_root(self, disk):
+        # roots 0.9e-6 apart (relative): the second merges with the first, the
+        # third lies 1.8e-6 from the group's first root and opens its own record
+        from steklovbif.bifurcation import MERGE_RTOL
+
+        mesh, forms = disk(2)
+        factor = from_list(
+            [(0.0, 1), (1.0, 1), (1.0 + 0.9e-6, 1), (1.0 + 1.8e-6, 1), (4.0, 1)], m1=2
+        )
+        model = ProductModel(factor, mesh, forms, m1=2, m2=2, H2=1.0)
+        records = enumerate_instants(model, 0.5, 1.0)
+        assert [r.crossings for r in records] == [((1, 0, 1), (2, 0, 1)), ((3, 0, 1),)]
+        # merging moves no crossing's coefficient t_star * rho_i off c_0* by more
+        # than MERGE_RTOL
+        c0 = model.critical_coefficients[0]
+        for r in records:
+            for i, _, _ in r.crossings:
+                assert abs(r.t_star * factor.value(i) - c0) <= MERGE_RTOL * c0
 
     def test_bad_window_rejected(self, model):
         with pytest.raises(PreconditionError):
@@ -225,19 +229,15 @@ class TestEnumerateInstants:
 
 class TestCertifyBifurcation:
     def test_first_instant(self, model, instants):
-        neighbors = [r.t_star for r in instants[1:]]
-        rec = certify_bifurcation(model, instants[0], neighbors=neighbors)
+        rec = certify_bifurcation(model, instants[0])
         assert rec.certified
         assert rec.n_minus == 4
         assert rec.n_plus == 0
         assert rec.epsilon <= 0.05 * rec.t_star
 
     def test_index_jump_equals_multiplicity(self, model, instants):
-        neighbors = [r.t_star for r in instants]
         for rec in instants[:4]:
-            out = certify_bifurcation(
-                model, rec, neighbors=[t for t in neighbors if t != rec.t_star]
-            )
+            out = certify_bifurcation(model, rec)
             assert out.certified
             assert out.n_minus - out.n_plus == sum(mu for _, _, mu in rec.crossings)
 
@@ -250,7 +250,7 @@ class TestCertifyBifurcation:
     def test_default_epsilon_halved_to_isolate(self, disk):
         model = _near_pair_model(disk, 1.03)
         recs = enumerate_instants(model, 0.5, 1.0)
-        out = certify_bifurcation(model, recs[0])  # no neighbors given
+        out = certify_bifurcation(model, recs[0])
         assert out.epsilon == pytest.approx(0.025 * out.t_star, rel=1e-12)
         assert (out.n_minus, out.n_plus, out.certified) == (2, 0, True)
 
@@ -287,13 +287,7 @@ class TestRecordsIO:
         assert loaded == instants
 
     def test_csv_round_trip(self, model, instants, tmp_path):
-        neighbors = [r.t_star for r in instants]
-        certified = [
-            certify_bifurcation(
-                model, r, neighbors=[t for t in neighbors if t != r.t_star]
-            )
-            for r in instants[:2]
-        ]
+        certified = [certify_bifurcation(model, r) for r in instants[:2]]
         path = tmp_path / "records.csv"
         records_to_csv(certified, path)
         loaded = records_from_csv(path)
@@ -312,11 +306,11 @@ class TestRecordsIO:
 class TestSliceBudget:
     def test_report_pipeline_counts_instead_of_solving(self, disk, square_torus, monkeypatch):
         # enumerate + certify + Morse indices between instants on disk L4 x
-        # torus: the c = 0 spectrum, the root's accepting slice and one
-        # verification per crossing are solves; everything else is counted
+        # torus: the c = 0 spectrum and the root's accepting slice are the
+        # only solves; everything else is counted
         import math
 
-        from steklovbif import bifurcation, morse_index, product, spectral
+        from steklovbif import morse_index, product, spectral
 
         mesh, forms = disk(4)
         model = ProductModel(square_torus(20.0), mesh, forms, m1=2, m2=2, H2=1.0)
@@ -327,7 +321,7 @@ class TestSliceBudget:
             solves.append(args[1:])
             return original(*args, **kwargs)
 
-        for module in (spectral, product, bifurcation):
+        for module in (spectral, product):
             monkeypatch.setattr(module, "robin_steklov_spectrum", counted)
         counts = []
         count_below = spectral.count_below
@@ -341,15 +335,12 @@ class TestSliceBudget:
 
         records = enumerate_instants(model, 0.05, 10.0)
         t = [r.t_star for r in records]
-        certified = [
-            certify_bifurcation(model, r, neighbors=[x for x in t if x != r.t_star])
-            for r in records
-        ]
+        certified = [certify_bifurcation(model, r) for r in records]
         cuts = [10.0] + t + [0.05]
         indices = [morse_index(model, math.sqrt(lo * hi)) for hi, lo in zip(cuts, cuts[1:])]
 
         assert [r.n_minus - r.n_plus for r in certified] == [4, 4, 4, 8, 4, 4, 8, 8]
         assert all(r.certified for r in certified)
         assert indices == [0, 4, 8, 12, 20, 24, 28, 36, 44]
-        assert len(solves) <= 15
+        assert len(solves) <= 2
         assert len(counts) <= 258

@@ -1,5 +1,7 @@
 import json
 import math
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -169,6 +171,18 @@ class TestInstantsCommand:
         assert not (tmp_path / "instants.json").exists()
         assert not (tmp_path / "instants.csv").exists()
 
+    def test_oracle_file_beside_dotted_out_json(self, disk_model_path, tmp_path):
+        # only a trailing .json is replaced: the folder name keeps its own
+        out_dir = tmp_path / "a.json.d"
+        out_dir.mkdir()
+        status = cli.main(
+            ["instants", "--model", disk_model_path, "--t-min", "0.5", "--t-max", "1.0",
+             "--oracle", "--out-json", str(out_dir / "inst.json"),
+             "--out-csv", str(out_dir / "inst.csv")]
+        )
+        assert status == 0
+        assert len(json.loads((out_dir / "inst_oracle.json").read_text())) == 1
+
     def test_flat_model_empty(self, interval_model_path, tmp_path):
         out_json = tmp_path / "instants.json"
         out_csv = tmp_path / "instants.csv"
@@ -217,6 +231,59 @@ class TestReportCommand:
         assert summary["oracle_deltas"][0]["rel_delta"] < 0.02
         assert (out_dir / "instants.csv").exists()
 
+    def test_report_budget(self, tmp_path, monkeypatch):
+        # disk L4 x torus on [0.05, 10]: the c = 0 spectrum and the accepting
+        # slice of c_0* are the only eigensolves, and the Morse indices come
+        # from certification's counts, not from a walk per interval
+        from steklovbif import spectral
+
+        calls = {"robin_steklov_spectrum": 0, "count_below": 0}
+        for name in calls:
+            original = getattr(spectral, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            for module_name, module in list(sys.modules.items()):
+                if module_name.startswith("steklovbif") and getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counted)
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(dict(DISK_TORUS_DOC, boundary={"builtin": "disk", "level": 4})))
+        status = cli.main(["report", "--model", str(model_path), "--t-min", "0.05",
+                           "--t-max", "10", "--out", str(tmp_path / "report")])
+        assert status == 0
+        summary = json.loads((tmp_path / "report" / "report.json").read_text())
+        assert [row["morse_index"] for row in summary["morse_indices"]] == [
+            0, 4, 8, 12, 20, 24, 28, 36, 44
+        ]
+        assert calls["robin_steklov_spectrum"] == 2
+        assert calls["count_below"] <= 178
+
+    def test_inconsistent_certified_indices_exit_two(self, disk_model_path, tmp_path, capsys,
+                                                     monkeypatch):
+        # the interval between two instants is counted by both of their
+        # certifications; a mismatch is a numerical failure, not a report
+        from steklovbif import bifurcation
+
+        original = bifurcation.certify_bifurcation
+        certified = []
+
+        def shifted(*args, **kwargs):
+            out = original(*args, **kwargs)
+            certified.append(out)
+            return replace(out, n_plus=out.n_plus + 1) if len(certified) == 2 else out
+
+        monkeypatch.setattr(bifurcation, "certify_bifurcation", shifted)
+        status = cli.main(["report", "--model", disk_model_path, "--t-min", "0.3",
+                           "--t-max", "2.0", "--out", str(tmp_path / "report")])
+        assert status == 2
+        assert len(certified) == 2
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "numerical"
+        assert "Morse index between" in payload["detail"]
+        assert not (tmp_path / "report" / "report.json").exists()
+
 
 class TestConfigHandling:
     def test_config_file_with_flag_override(self, disk_model_path, tmp_path):
@@ -251,6 +318,43 @@ class TestConfigHandling:
         assert payload["error"] == "bad_config"
         assert "'t_mn'" in payload["detail"]
         assert not (tmp_path / "instants.json").exists()
+
+    @pytest.mark.parametrize(
+        "config,detail",
+        [
+            ('{"t_min": 0.5,', "not valid JSON"),
+            ("[1]", "must hold a JSON object"),
+            ('{"t_min": "0.1"}', "'t_min'"),
+            ('{"t_steps": 2.5}', "'t_steps'"),
+            ('{"oracle_check": "no"}', "'oracle_check'"),
+            ('{"j_list": [0, "1"]}', "'j_list'"),
+        ],
+        ids=["malformed-json", "not-an-object", "string-float", "float-int", "string-bool",
+             "string-index"],
+    )
+    def test_malformed_config_rejected(self, disk_model_path, tmp_path, capsys, config,
+                                       detail):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(config)
+        out_json = tmp_path / "instants.json"
+        status = cli.main(["instants", "--config", str(cfg), "--model", disk_model_path,
+                           "--out-json", str(out_json), "--out-csv", str(tmp_path / "i.csv")])
+        assert status == 1
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "bad_config"
+        assert detail in payload["detail"]
+        assert not out_json.exists()
+
+    def test_malformed_model_rejected(self, tmp_path, capsys):
+        model_path = tmp_path / "model.json"
+        model_path.write_text('{"m1": 2,')
+        status = cli.main(["instants", "--model", str(model_path),
+                           "--out-json", str(tmp_path / "i.json"),
+                           "--out-csv", str(tmp_path / "i.csv")])
+        assert status == 1
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "bad_config"
+        assert "not valid JSON" in payload["detail"]
 
     def test_bad_range_rejected(self, disk_model_path, capsys):
         status = cli.main(

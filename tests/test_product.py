@@ -63,6 +63,31 @@ class TestProductModel:
         with pytest.raises(PreconditionError, match=">= 3"):
             ProductModel(one_dim, mesh, forms, m1=1, m2=1, H2=0.0)
 
+    def test_missed_root_raises_with_its_bracket(self, disk, square_torus, monkeypatch):
+        # every slice offset by twice the acceptance tolerance: the count
+        # bracket still holds the root, its one acceptance slice fails, and
+        # nothing is solved again
+        from dataclasses import replace
+
+        from steklovbif import product
+        from steklovbif.errors import NumericalError
+
+        mesh, forms = disk(2)
+        model = ProductModel(square_torus(20.0), mesh, forms, m1=2, m2=2, H2=1.0)
+        shift = 2 * product.ROOT_RTOL * model.Hhat
+        original = product.robin_steklov_spectrum
+        slices = []
+
+        def offset(forms, c, k):
+            slices.append(c)
+            sl = original(forms, c, k)
+            return replace(sl, eigenvalues=sl.eigenvalues + shift)
+
+        monkeypatch.setattr(product, "robin_steklov_spectrum", offset)
+        with pytest.raises(NumericalError, match=r"j=0 .* count bracket \[0\.72\d*, 0\.72\d*\]"):
+            model.critical_coefficients
+        assert len(slices) == 2  # the c = 0 spectrum and the acceptance slice
+
 
 class TestMeanCurvature:
     def test_values_from_formula(self, disk_torus_model):
