@@ -5,11 +5,12 @@ the rescaled mean curvature Hhat.  Branch (i, j) at t is rho_j(c) at the
 bulk coefficient c = t * rho_i, and each rho_j increases strictly in c, so
 it meets Hhat at exactly one critical coefficient c_j*.  Every instant is
 therefore some c_j* / rho_i: the model's table of c_j*, each accepted by
-one eigensolve, is solved once and enumeration and isolation are arithmetic
-on it.  The Morse index jump across an isolated instant equals the
-multiplicity that crossed -- which is the certification criterion: both
-endpoints nondegenerate and unequal indices, counted by Sylvester inertia
-(``spectral.count_below``), independently of the table and of any eigensolve.
+one eigensolve, is solved once and enumeration, isolation and Morse indices
+are arithmetic on it.  The Morse index jump across an isolated instant
+equals the multiplicity that crossed -- which is the certification
+criterion: both endpoints nondegenerate and unequal indices.  Sylvester
+inertia (``spectral.count_below``) checks the table where it certifies: on
+both sides of the instant, for every factor index that crosses there.
 """
 
 from __future__ import annotations
@@ -20,14 +21,17 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import (
+    ConfigError,
     CutoffExhaustedError,
     DegenerateInstantError,
     EpsilonExhaustedError,
     NoDegeneracyError,
+    NumericalError,
     PreconditionError,
 )
 from .product import ProductModel, morse_index, nullity
 from .serialize import read_csv, write_csv
+from .spectral import count_below
 
 MERGE_RTOL = 1e-6
 EPSILON_CAP = 0.05
@@ -133,10 +137,11 @@ def certify_bifurcation(
 
     Starts from epsilon (default EPSILON_CAP * t_star) and halves it while
     some other c_j* / rho_i, read from the model's table, or a degenerate
-    endpoint lies in the window.  Then counts the Morse index on both sides
-    by inertia -- per factor index, the branches below Hhat -/+ the
-    degeneracy tolerance, stopping at the first index with none below -- and
-    certifies when both endpoints are nondegenerate and the indices differ.
+    endpoint lies in the window.  Reads the Morse index on both sides off
+    the table and certifies when both endpoints are nondegenerate and the
+    indices differ.  For each factor index i crossing at t_star, one inertia
+    count below Hhat at c = (t_star -/+ epsilon) * rho_i must equal the
+    table's #{j : c_j* > c}; otherwise it raises NumericalError.
     """
     t_star = record.t_star
     epsilon = EPSILON_CAP * t_star if epsilon is None else epsilon
@@ -156,6 +161,13 @@ def certify_bifurcation(
         except DegenerateInstantError:
             epsilon *= 0.5
             continue
+        c_stars, rho = np.array(model.critical_coefficients), model.factor.value
+        for i in sorted({i for i, _, _ in record.crossings}):
+            for c in ((t_star - epsilon) * rho(i), (t_star + epsilon) * rho(i)):
+                tabled = int(np.sum(c_stars > c))
+                if count_below(model.boundary_forms, c, model.Hhat) != tabled:
+                    raise NumericalError(f"an inertia count below Hhat at c={c:.12g} (factor index "
+                                         f"i={i}) disagrees with the c_j* table's {tabled}")
         return replace(
             record,
             n_minus=n_minus,
@@ -202,29 +214,30 @@ def records_to_json(records, path) -> None:
 
 
 def records_from_json(path) -> list[DegeneracyRecord]:
-    with open(path) as fh:
-        doc = json.load(fh)
-    return [
-        DegeneracyRecord(
-            t_star=float(r["t_star"]),
-            crossings=tuple((int(i), int(j), int(m)) for i, j, m in r["crossings"]),
-            nullity=int(r["nullity"]),
-            n_minus=None if r.get("n_minus") is None else int(r["n_minus"]),
-            n_plus=None if r.get("n_plus") is None else int(r["n_plus"]),
-            epsilon=None if r.get("epsilon") is None else float(r["epsilon"]),
-            certified=bool(r.get("certified", False)),
-        )
-        for r in doc
-    ]
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+        if not isinstance(doc, list):
+            raise TypeError(f"a list of records expected, got {type(doc).__name__}")
+        return [
+            DegeneracyRecord(
+                t_star=float(r["t_star"]),
+                crossings=tuple((int(i), int(j), int(m)) for i, j, m in r["crossings"]),
+                nullity=int(r["nullity"]),
+                n_minus=None if r.get("n_minus") is None else int(r["n_minus"]),
+                n_plus=None if r.get("n_plus") is None else int(r["n_plus"]),
+                epsilon=None if r.get("epsilon") is None else float(r["epsilon"]),
+                certified=bool(r.get("certified", False)),
+            )
+            for r in doc
+        ]
+    except (OSError, ValueError, TypeError, KeyError) as exc:
+        raise ConfigError(f"instants file {path} holds no valid records: {exc!r}") from exc
 
 
 def records_to_csv(records, path) -> None:
-    rows = []
-    for r in records:
-        for i, j, mu in r.crossings:
-            rows.append(
-                (r.t_star, i, j, mu, r.nullity, r.n_minus, r.n_plus, r.certified)
-            )
+    rows = [(r.t_star, i, j, mu, r.nullity, r.n_minus, r.n_plus, r.certified)
+            for r in records for i, j, mu in r.crossings]
     write_csv(path, CSV_HEADER, rows)
 
 

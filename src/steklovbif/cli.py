@@ -98,8 +98,8 @@ def _read_object(path, what):
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except ValueError as exc:  # malformed JSON or text
-        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
+    except (OSError, ValueError) as exc:  # a directory, unreadable, malformed JSON or text
+        raise ConfigError(f"{what} {path} is unreadable or not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{what} {path} must hold a JSON object, got {type(doc).__name__}")
     return doc
@@ -130,7 +130,8 @@ def _load_model(cfg: RunConfig, *, needs_disk: bool = False):
     if cfg.model_path is None:
         raise ConfigError(f"command {cfg.command!r} needs --model")
     doc = _read_object(cfg.model_path, "model description")
-    if needs_disk and doc.get("boundary", {}).get("builtin") != "disk":
+    boundary = doc.get("boundary")
+    if needs_disk and not (isinstance(boundary, dict) and boundary.get("builtin") == "disk"):
         raise ConfigError("--oracle requires a builtin disk boundary factor")
     return product.load_model(cfg.model_path, doc=doc)
 
@@ -139,19 +140,9 @@ def _oracle_instants(model, records):
     """Closed-form instants for a unit-disk boundary factor: the lowest
     branch depends only on c = t * rho_i, so one root serves every i."""
     c_star = oracle.solve_branch_root(oracle.disk_branch(0), model.Hhat)
-    deltas = []
-    for r in records:
-        if len(r.crossings) == 1 and r.crossings[0][1] == 0:
-            i = r.crossings[0][0]
-            t_oracle = c_star / model.factor.value(i)
-            deltas.append(
-                {
-                    "t_star": r.t_star,
-                    "t_oracle": t_oracle,
-                    "rel_delta": abs(r.t_star - t_oracle) / t_oracle,
-                }
-            )
-    return deltas
+    pairs = [(r.t_star, c_star / model.factor.value(r.crossings[0][0])) for r in records
+             if len(r.crossings) == 1 and r.crossings[0][1] == 0]
+    return [{"t_star": t, "t_oracle": o, "rel_delta": abs(t - o) / o} for t, o in pairs]
 
 
 def _certify_all(model, records, cfg: RunConfig) -> list:
@@ -222,24 +213,21 @@ def cmd_report(cfg: RunConfig) -> list[str]:
     bif.records_to_json(certified, out_dir / "instants.json")
     bif.records_to_csv(certified, out_dir / "instants.csv")
 
-    # Morse index between consecutive instants (geometric midpoints), as
-    # certification counted it: n_plus above an instant, n_minus below, and
-    # both agree between two instants.  Only an empty window walks.
-    for above, below in zip(certified, certified[1:]):
-        if above.n_minus != below.n_plus:
-            raise NumericalError(f"Morse index between t*={below.t_star:.12g} and "
-                                 f"{above.t_star:.12g} counted {below.n_plus} and {above.n_minus}")
-    if certified:
-        counted = [certified[0].n_plus] + [r.n_minus for r in certified]
-    else:
-        t_mid = float(np.sqrt(cfg.t_min * cfg.t_max))
-        counted = [product.morse_index(model, t_mid, rtol=cfg.degeneracy_rtol)]
+    # Morse index between consecutive instants (geometric midpoints), read
+    # off the c_j* table; at the first, one inertia walk must count the same
     cuts = [cfg.t_max] + [r.t_star for r in certified] + [cfg.t_min]
-    indices = [
-        {"t": float(np.sqrt(lo * hi)), "morse_index": n}
-        for hi, lo, n in zip(cuts, cuts[1:], counted)
-        if hi / lo >= 1.0 + 10 * bif.MERGE_RTOL
-    ]
+    mids = [float(np.sqrt(lo * hi)) for hi, lo in zip(cuts, cuts[1:])
+            if hi / lo >= 1.0 + 10 * bif.MERGE_RTOL]
+    indices = [{"t": t, "morse_index": product.morse_index(model, t, rtol=cfg.degeneracy_rtol)}
+               for t in mids]
+    if mids:
+        hhat, forms = model.Hhat, model.boundary_forms
+        walked = int(np.searchsorted(model.steklov_past(hhat)[1:], hhat)) + sum(
+            mu * n for _, mu, _, n in
+            product._factor_walk(model, mids[0], lambda c: spectral.count_below(forms, c, hhat)))
+        if walked != indices[0]["morse_index"]:
+            raise NumericalError(f"anchor at t={mids[0]:.12g}: an inertia walk counts Morse "
+                                 f"index {walked}, the c_j* table {indices[0]['morse_index']}")
 
     summary = {
         "model": {

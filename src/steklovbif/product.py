@@ -4,15 +4,15 @@ The closed factor enters through its Laplace spectrum, the boundary factor
 through assembled P1 forms; separation of variables turns the Jacobi
 operator at parameter t into the family of boundary eigenvalues rho_j at
 bulk coefficients c = t * rho_i.  Morse index and nullity count branches
-below / at the rescaled mean curvature Hhat = (m2-1)/(m-1) * H2.  One walk
-over the factor spectrum serves them and the Jacobi slices: factor index i
-lists the number of branches of c = t * rho_i below a level, counted by
-Sylvester inertia (``spectral.count_below``), and the walk stops at the
-first index with none -- every later factor eigenvalue is larger, and so
-are its branches.  The Steklov row i = 0 comes from one c = 0 spectrum per
-model.  The critical coefficients c_j*, where branch j meets Hhat, are
-bracketed by the same counts once per model; degeneracy instants are read
-from them.
+below / at the rescaled mean curvature Hhat = (m2-1)/(m-1) * H2.  Branch
+(i, j) lies below Hhat at t exactly when t * rho_i < c_j*, where branch j
+meets Hhat, so Morse indices and nullities are arithmetic on the table of
+c_j*, solved once per model.  One walk over the factor spectrum serves them
+and the Jacobi slices: factor index i lists the number of branches of
+c = t * rho_i below a level, read off the table or counted by Sylvester
+inertia (``spectral.count_below``), and stops at the first index with none
+-- every later factor eigenvalue is larger, and so are its branches.  The
+Steklov row i = 0 comes from one c = 0 spectrum per model.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .factors import ClosedFactorSpectrum, flat_torus_spectrum, load_spectrum, s
 from .fem import AssembledForms, assemble
 from .mesh import Mesh, generate_disk, generate_interval, load_mesh
 from .serialize import read_csv, write_csv
-from .spectral import count_below, robin_steklov_spectrum
+from .spectral import count_below, harmonic_extension, robin_steklov_spectrum
 
 DEFAULT_DEGENERACY_RTOL = 1e-6
 ROOT_RTOL = 1e-8
@@ -84,13 +84,17 @@ class ProductModel:
 
     @cached_property
     def critical_coefficients(self) -> tuple:
-        """Ascending c_j* with rho_j(c_j*) = Hhat, one per Steklov eigenvalue
-        sigma_j < Hhat (requires Hhat > 0).
+        """The c_j* with rho_j(c_j*) = Hhat, one per Steklov eigenvalue
+        sigma_j < Hhat, descending in j; empty for Hhat <= 0.
 
         Branch (i, j) at parameter t is rho_j(t * rho_i) and each rho_j
         increases strictly in c, so every degeneracy instant is some
         c_j* / rho_i.  Computed once per model, on first use.
         """
+        return tuple(c for c, _ in self._critical_table)
+
+    @cached_property
+    def _critical_table(self) -> tuple:  # (c_j*, rho_j'(c_j*)) per j
         hhat = self.Hhat
         forms = self.boundary_forms
         # Hhat must not be a (nonzero) Steklov eigenvalue: those branches are
@@ -104,7 +108,7 @@ class ProductModel:
                     f"{v:.12g}; the Jacobi operator is degenerate for all t and no "
                     "bifurcation conclusion is drawn"
                 )
-        count = int(np.searchsorted(sigma, hhat))
+        count = int(np.searchsorted(sigma, hhat)) if hhat > 0 else 0
         return tuple(_critical_coefficient(forms, j, hhat) for j in range(count))
 
     def steklov_past(self, threshold: float) -> np.ndarray:
@@ -182,31 +186,31 @@ def _lowest_past(forms, c, n, level):
     return robin_steklov_spectrum(forms, c, n + 1).eigenvalues
 
 
-def _factor_walk(model: ProductModel, t: float, level: float):
-    """(i, mu_i, c, n) per factor index i >= 1, with c = t * rho_i and n the
-    number of branches at c below level, counted by inertia.
+def _factor_walk(model: ProductModel, t: float, count):
+    """(i, mu_i, c, n) per factor index i >= 1, with c = t * rho_i and
+    n = count(c) the number of branches at c below some level.
 
-    Stops before the first i with n == 0: its lowest branch reaches level,
-    and every later factor eigenvalue is larger, hence so are its branches.
-    Raises when the factor spectrum ends first.
+    Stops before the first i with n == 0: its lowest branch reaches the
+    level, and every later factor eigenvalue is larger, hence so are its
+    branches.  Raises when the factor spectrum ends first.
     """
     if t <= 0:
         raise PreconditionError(f"metric parameter t must be positive, got {t}")
-    forms = model.boundary_forms
     for i in range(1, len(model.factor)):
         c = t * model.factor.value(i)
-        n = count_below(forms, c, level)
+        n = count(c)
         if n == 0:
             return
         yield i, model.factor.multiplicity(i), c, n
     raise CutoffExhaustedError(
         f"factor spectrum cutoff {model.factor.cutoff:g} exhausted at t={t:g} "
-        f"before the lowest branch cleared {level:g}"
+        "before the lowest branch cleared its level"
     )
 
 
 def _critical_coefficient(forms, j, hhat):
-    """The c with rho_j(c) = hhat, given rho_j(0) < hhat.
+    """(c, rho_j'(c)) with rho_j(c) = hhat, given rho_j(0) < hhat; the slope
+    is phi' M phi / phi' B phi (Hellmann-Feynman), phi the eigenvector's extension.
 
     rho_j(c) < hhat exactly when more than j eigenvalues lie below hhat, so
     inertia counts bracket the root: [0, 1] doubles its upper end until the
@@ -237,13 +241,15 @@ def _critical_coefficient(forms, j, hhat):
         else:
             c_hi = mid
     mid = 0.5 * (c_lo + c_hi)
-    val = float(robin_steklov_spectrum(forms, mid, j + 1).eigenvalues[j])
+    sl = robin_steklov_spectrum(forms, mid, j + 1)
+    val = float(sl.eigenvalues[j])
     if abs(val - hhat) > ROOT_RTOL * hhat:
         raise NumericalError(
             f"branch j={j} gives rho_j={val:.17g} at the midpoint of its count "
             f"bracket [{c_lo:.17g}, {c_hi:.17g}], not Hhat={hhat:.17g}"
         )
-    return mid
+    phi = harmonic_extension(forms, sl.eigenvectors[:, j], mid)
+    return mid, float(phi @ (forms.M @ phi)) / float(phi @ (forms.B @ phi))
 
 
 def jacobi_slice(model: ProductModel, t: float, margin: float) -> JacobiSlice:
@@ -271,7 +277,7 @@ def jacobi_slice(model: ProductModel, t: float, margin: float) -> JacobiSlice:
     rows = [(0, 1, sigma, int(np.searchsorted(sigma, threshold)))]
     rows += [
         (i, mu, _lowest_past(forms, c, n, threshold), n)
-        for i, mu, c, n in _factor_walk(model, t, threshold)
+        for i, mu, c, n in _factor_walk(model, t, lambda c: count_below(forms, c, threshold))
     ]
     # only i + j > 0 enters the Jacobi spectrum: (0, 0) is the constant
     entries = [
@@ -296,13 +302,16 @@ def jacobi_slice(model: ProductModel, t: float, margin: float) -> JacobiSlice:
 def _branch_counts(model: ProductModel, t: float, tol: float):
     """(i, mu_i, lo, hi) per factor index i, with lo / hi the number of
     branches below Hhat - tol / Hhat + tol: the Steklov row i = 0 (without
-    the constant) from the c = 0 spectrum, then the factor walk at
-    Hhat + tol with one more count at Hhat - tol per listed index."""
+    the constant) from the c = 0 spectrum, then the factor walk over the
+    table.  rho_j(c) - Hhat = s_j (c - c_j*) to first order, so branch j lies
+    below Hhat -/+ tol when s_j (c_j* - c) > +/-tol: tol on rho is tol / s_j
+    on c.  Nothing is counted or solved once the table is built."""
     hhat = model.Hhat
     lo, hi = np.searchsorted(model.steklov_past(hhat + tol)[1:], [hhat - tol, hhat + tol])
     yield 0, 1, int(lo), int(hi)
-    for i, mu, c, hi in _factor_walk(model, t, hhat + tol):
-        yield i, mu, count_below(model.boundary_forms, c, hhat - tol), hi
+    c_star, slope = np.reshape(model._critical_table, (-1, 2)).T
+    for i, mu, c, hi in _factor_walk(model, t, lambda c: int(np.sum(slope * (c_star - c) > -tol))):
+        yield i, mu, int(np.sum(slope * (c_star - c) > tol)), hi
 
 
 def morse_index(model: ProductModel, t: float, *, rtol: float | None = None) -> int:
@@ -419,10 +428,13 @@ def model_from_dict(doc: dict, base_dir=None) -> ProductModel:
     base = Path(base_dir) if base_dir is not None else Path(".")
     try:
         m1, m2, H2 = int(doc["m1"]), int(doc["m2"]), float(doc["H2"])
-        factor_doc = doc["factor"]
-        boundary_doc = doc["boundary"]
+        factor_doc, boundary_doc = doc["factor"], doc["boundary"]
     except KeyError as exc:
         raise ConfigError(f"model description missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"model description has a mistyped m1, m2 or H2: {exc}") from exc
+    if not (isinstance(factor_doc, dict) and isinstance(boundary_doc, dict)):
+        raise ConfigError("model description keys 'factor' and 'boundary' must hold objects")
 
     if "path" in factor_doc:
         factor = load_spectrum(base / factor_doc["path"])

@@ -108,3 +108,16 @@ def _fuzz_meshes():
 def fuzz_meshes():
     """(mesh, forms) of non-symmetric disk meshes, by name."""
     return _fuzz_meshes()
+
+
+@functools.lru_cache(maxsize=None)
+def _fuzz_torus_model(name, H2):
+    mesh, forms = _fuzz_meshes()[name]
+    return ProductModel(factor=_torus(20.0), boundary_mesh=mesh, boundary_forms=forms,
+                        m1=2, m2=2, H2=H2)
+
+
+@pytest.fixture(scope="session")
+def fuzz_torus_model():
+    """Fuzz mesh x 2pi-square-torus model (m1 = m2 = 2), by mesh name and H2."""
+    return _fuzz_torus_model

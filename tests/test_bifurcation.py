@@ -307,10 +307,11 @@ class TestSliceBudget:
     def test_report_pipeline_counts_instead_of_solving(self, disk, square_torus, monkeypatch):
         # enumerate + certify + Morse indices between instants on disk L4 x
         # torus: the c = 0 spectrum and the root's accepting slice are the
-        # only solves; everything else is counted
+        # only solves; the c_0* bracket and two counts per crossing factor
+        # index are the only counts, and the Morse indices read the table
         import math
 
-        from steklovbif import morse_index, product, spectral
+        from steklovbif import bifurcation, morse_index, product, spectral
 
         mesh, forms = disk(4)
         model = ProductModel(square_torus(20.0), mesh, forms, m1=2, m2=2, H2=1.0)
@@ -330,7 +331,7 @@ class TestSliceBudget:
             counts.append(args[1:])
             return count_below(*args)
 
-        for module in (spectral, product):
+        for module in (spectral, product, bifurcation):
             monkeypatch.setattr(module, "count_below", counted_inertia)
 
         records = enumerate_instants(model, 0.05, 10.0)
@@ -343,4 +344,4 @@ class TestSliceBudget:
         assert all(r.certified for r in certified)
         assert indices == [0, 4, 8, 12, 20, 24, 28, 36, 44]
         assert len(solves) <= 2
-        assert len(counts) <= 258
+        assert len(counts) <= 49

@@ -214,6 +214,24 @@ class TestCertifyCommand:
         assert certified[0].n_minus - certified[0].n_plus == certified[0].nullity
 
 
+    @pytest.mark.parametrize(
+        "content",
+        ["{", '{"t_star": 0.7, "crossings": [[1, 0, 4]], "nullity": 4}', '[{"t_star": "x"}]'],
+        ids=["malformed-json", "object", "string-t-star"],
+    )
+    def test_malformed_instants_rejected(self, disk_model_path, tmp_path, capsys, content):
+        instants = tmp_path / "instants.json"
+        instants.write_text(content)
+        out_json = tmp_path / "c.json"
+        status = cli.main(["certify", "--model", disk_model_path, "--instants", str(instants),
+                           "--out-json", str(out_json), "--out-csv", str(tmp_path / "c.csv")])
+        assert status == 1
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "bad_config"
+        assert str(instants) in payload["detail"]
+        assert not out_json.exists()
+
+
 class TestReportCommand:
     def test_report_summary(self, disk_model_path, tmp_path):
         out_dir = tmp_path / "report"
@@ -233,8 +251,8 @@ class TestReportCommand:
 
     def test_report_budget(self, tmp_path, monkeypatch):
         # disk L4 x torus on [0.05, 10]: the c = 0 spectrum and the accepting
-        # slice of c_0* are the only eigensolves, and the Morse indices come
-        # from certification's counts, not from a walk per interval
+        # slice of c_0* are the only eigensolves; the Morse indices read the
+        # c_j* table, and one walk at the first midpoint anchors them
         from steklovbif import spectral
 
         calls = {"robin_steklov_spectrum": 0, "count_below": 0}
@@ -258,30 +276,37 @@ class TestReportCommand:
             0, 4, 8, 12, 20, 24, 28, 36, 44
         ]
         assert calls["robin_steklov_spectrum"] == 2
-        assert calls["count_below"] <= 178
+        assert calls["count_below"] <= 50
 
-    def test_inconsistent_certified_indices_exit_two(self, disk_model_path, tmp_path, capsys,
-                                                     monkeypatch):
-        # the interval between two instants is counted by both of their
-        # certifications; a mismatch is a numerical failure, not a report
+    def test_crossing_count_mismatch_exits_two(self, disk_model_path, tmp_path, capsys,
+                                               monkeypatch):
+        # certification's inertia counts beside each crossing must equal the
+        # c_j* table's; a mismatch is a numerical failure, not a report
         from steklovbif import bifurcation
 
-        original = bifurcation.certify_bifurcation
-        certified = []
-
-        def shifted(*args, **kwargs):
-            out = original(*args, **kwargs)
-            certified.append(out)
-            return replace(out, n_plus=out.n_plus + 1) if len(certified) == 2 else out
-
-        monkeypatch.setattr(bifurcation, "certify_bifurcation", shifted)
+        count_below = bifurcation.count_below
+        monkeypatch.setattr(bifurcation, "count_below", lambda *args: count_below(*args) + 1)
         status = cli.main(["report", "--model", disk_model_path, "--t-min", "0.3",
                            "--t-max", "2.0", "--out", str(tmp_path / "report")])
         assert status == 2
-        assert len(certified) == 2
         payload = json.loads(capsys.readouterr().err)
         assert payload["error"] == "numerical"
-        assert "Morse index between" in payload["detail"]
+        assert "disagrees with the c_j* table" in payload["detail"]
+        assert not (tmp_path / "report" / "report.json").exists()
+
+    def test_anchor_mismatch_exits_two(self, disk_model_path, tmp_path, capsys, monkeypatch):
+        # a table index off by one at every midpoint: the inertia walk at the
+        # first midpoint disagrees, and no report is written
+        from steklovbif import product
+
+        morse_index = product.morse_index
+        monkeypatch.setattr(product, "morse_index", lambda *a, **kw: morse_index(*a, **kw) + 1)
+        status = cli.main(["report", "--model", disk_model_path, "--t-min", "0.3",
+                           "--t-max", "2.0", "--out", str(tmp_path / "report")])
+        assert status == 2
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "numerical"
+        assert "anchor at t=" in payload["detail"]
         assert not (tmp_path / "report" / "report.json").exists()
 
 
@@ -355,6 +380,33 @@ class TestConfigHandling:
         payload = json.loads(capsys.readouterr().err)
         assert payload["error"] == "bad_config"
         assert "not valid JSON" in payload["detail"]
+
+    @pytest.mark.parametrize(
+        "change,oracle",
+        [({"m1": "x"}, False), ({"factor": [1, 2]}, False), ({"boundary": "disk"}, True),
+         ({"boundary": "disk"}, False)],
+        ids=["string-dimension", "list-factor", "string-boundary-oracle", "string-boundary"],
+    )
+    def test_mistyped_model_rejected(self, tmp_path, capsys, change, oracle):
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(dict(DISK_TORUS_DOC, **change)))
+        out_json = tmp_path / "i.json"
+        status = cli.main(["instants", "--model", str(model_path), "--out-json", str(out_json),
+                           "--out-csv", str(tmp_path / "i.csv")] + ["--oracle"] * oracle)
+        assert status == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "bad_config"
+        assert not out_json.exists()
+
+    @pytest.mark.parametrize("flag", ["--config", "--model"])
+    def test_directory_rejected(self, disk_model_path, tmp_path, capsys, flag):
+        # a later --model overrides the first
+        status = cli.main(["instants", "--model", disk_model_path, flag, str(tmp_path),
+                           "--out-json", str(tmp_path / "i.json"),
+                           "--out-csv", str(tmp_path / "i.csv")])
+        assert status == 1
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "bad_config"
+        assert "unreadable" in payload["detail"]
 
     def test_bad_range_rejected(self, disk_model_path, capsys):
         status = cli.main(

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from steklovbif import (
     ProductModel,
@@ -31,10 +33,23 @@ from steklovbif.product import (
     normalize_boundary_power,
     slice_to_csv,
 )
-from steklovbif.spectral import harmonic_extension
+from steklovbif.spectral import count_below, harmonic_extension
 
 # oracle root of the lowest disk branch at target 1/3 (Hhat of the disk x torus model)
 C_STAR = 0.7253659025
+
+
+def _inertia_count(model, t, level):
+    """Multiplicity-weighted number of Jacobi branches below level at t, by
+    one inertia count per factor index: the reference for the c_j* table."""
+    forms = model.boundary_forms
+    total = count_below(forms, 0.0, level) - 1  # the Steklov row, without the constant
+    for i in range(1, len(model.factor)):
+        n = count_below(forms, t * model.factor.value(i), level)
+        if n == 0:
+            return total
+        total += model.factor.multiplicity(i) * n
+    raise AssertionError(f"factor spectrum exhausted at t={t}")
 
 
 def unit_boundary_disk_forms(level=3):
@@ -262,6 +277,37 @@ class TestMorseIndex:
         expected += int(np.sum(steklov[1:] < model.Hhat))
         assert morse_index(model, t) == expected
 
+    @pytest.mark.parametrize("name", ["jittered", "delaunay"])
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(t=st.floats(0.25, 5.0))
+    def test_table_index_equals_inertia_walk(self, fuzz_torus_model, name, t):
+        # Hhat = 4/3 lies above sigma_1 and sigma_2, which the missing
+        # symmetry splits: three distinct c_j*
+        model = fuzz_torus_model(name, 4.0)
+        c_stars = np.array(model.critical_coefficients)
+        rho = np.array([v for v, _ in model.factor.entries[1:]])
+        # away from every instant c_j* / rho_i
+        assume(np.min(np.abs(np.outer(rho, 1.0 / c_stars) * t - 1.0)) > 1e-3)
+        assert len(c_stars) == 3
+        assert morse_index(model, t) == _inertia_count(model, t, model.Hhat)
+
+    def test_table_built_then_nothing_counted_or_solved(self, disk_torus_model, monkeypatch):
+        from steklovbif import classify, product, spectral
+
+        model = disk_torus_model(3, 20.0)
+        model.critical_coefficients
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("counted or solved after the table was built")
+
+        for module in (product, spectral):
+            monkeypatch.setattr(module, "count_below", forbidden)
+            monkeypatch.setattr(module, "robin_steklov_spectrum", forbidden)
+        t1 = model.critical_coefficients[0]
+        assert [morse_index(model, t) for t in (0.1, 0.5, 2.0)] == [20, 4, 0]
+        assert nullity(model, t1, model.degeneracy_tol()) == 4
+        assert [classify(model, t) for t in (0.5, t1)] == ["rigid", "degenerate"]
+
 
 class TestNullity:
     def test_generic_t_zero(self, disk_torus_model):
@@ -291,6 +337,20 @@ class TestNullity:
         assert nullity(model, 5.0, model.degeneracy_tol()) == 2
         with pytest.raises(DegenerateInstantError, match="i=0"):
             morse_index(model, 5.0)
+
+    @pytest.mark.parametrize("k", [0.9, 1.1])
+    @pytest.mark.parametrize("side", [-1.0, 1.0])
+    def test_tolerance_on_rho_is_tolerance_over_slope_on_c(self, fuzz_torus_model, k, side):
+        # branch (1, j) at c = c_j* +/- k * tol / s_j lies within tol of Hhat
+        # for k < 1 and outside for k > 1, as inertia counts at Hhat +/- tol say
+        model = fuzz_torus_model("jittered", 4.0)
+        tol = 1e-4
+        mu = model.factor.multiplicity(1)
+        for c_star, slope in model._critical_table:
+            t = (c_star + side * k * tol / slope) / model.factor.value(1)
+            counted = (_inertia_count(model, t, model.Hhat + tol)
+                       - _inertia_count(model, t, model.Hhat - tol))
+            assert nullity(model, t, tol) == counted == (mu if k < 1 else 0)
 
 
 class TestConformalMeanCurvature:
