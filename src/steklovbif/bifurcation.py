@@ -213,24 +213,46 @@ def records_to_json(records, path) -> None:
         json.dump(doc, fh, indent=2)
 
 
+def _typed(value, kind, key):
+    """value when its JSON type is kind: an integer passes as float, a
+    boolean only as bool; anything else raises instead of being coerced."""
+    allowed = (int, float) if kind is float else kind
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, allowed):
+        raise TypeError(f"{key} must be a JSON {kind.__name__}, got {value!r}")
+    return kind(value)
+
+
+def _record_from_json(r) -> DegeneracyRecord:
+    if not isinstance(r, dict):
+        raise TypeError(f"a record must be an object, got {r!r}")
+
+    def optional(key, kind, default=None):
+        return default if r.get(key) is None else _typed(r[key], kind, key)
+
+    crossings = r["crossings"]
+    if not (isinstance(crossings, list)
+            and all(isinstance(c, list) and len(c) == 3 for c in crossings)):
+        raise TypeError(f"crossings must be a list of [i, j, multiplicity], got {crossings!r}")
+    return DegeneracyRecord(
+        t_star=_typed(r["t_star"], float, "t_star"),
+        crossings=tuple(tuple(_typed(x, int, "a crossing entry") for x in c) for c in crossings),
+        nullity=_typed(r["nullity"], int, "nullity"),
+        n_minus=optional("n_minus", int),
+        n_plus=optional("n_plus", int),
+        epsilon=optional("epsilon", float),
+        certified=optional("certified", bool, False),
+    )
+
+
 def records_from_json(path) -> list[DegeneracyRecord]:
+    """The records of a file written by ``records_to_json``; an unreadable
+    file, malformed JSON or a value of the wrong JSON type is a ConfigError."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
         if not isinstance(doc, list):
             raise TypeError(f"a list of records expected, got {type(doc).__name__}")
-        return [
-            DegeneracyRecord(
-                t_star=float(r["t_star"]),
-                crossings=tuple((int(i), int(j), int(m)) for i, j, m in r["crossings"]),
-                nullity=int(r["nullity"]),
-                n_minus=None if r.get("n_minus") is None else int(r["n_minus"]),
-                n_plus=None if r.get("n_plus") is None else int(r["n_plus"]),
-                epsilon=None if r.get("epsilon") is None else float(r["epsilon"]),
-                certified=bool(r.get("certified", False)),
-            )
-            for r in doc
-        ]
+        return [_record_from_json(r) for r in doc]
     except (OSError, ValueError, TypeError, KeyError) as exc:
         raise ConfigError(f"instants file {path} holds no valid records: {exc!r}") from exc
 

@@ -8,7 +8,10 @@ and exact element integration,
 * ``B``  -- boundary mass, supported on boundary vertices.
 
 All three are full symmetric scipy CSR matrices (both triangles stored,
-indices canonical), built straight from batched element matrices.
+indices canonical), built straight from batched element matrices.  Every
+factorization of the pencil K + c M - lam B starts from one c-independent
+``FactorInput`` per forms: the dofs renumbered once by a fill-reducing order,
+so that no factorization orders its matrix again.
 """
 
 from __future__ import annotations
@@ -19,17 +22,75 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .errors import AssemblyError, PreconditionError
 from .mesh import Mesh
 
 
 @dataclass(frozen=True, eq=False)
+class SharedPattern:
+    """K and M (and B) values on one CSC sparsity pattern: a pencil matrix
+    built from them is one pass over the value arrays."""
+
+    shape: tuple
+    indices: np.ndarray
+    indptr: np.ndarray
+    K: np.ndarray
+    M: np.ndarray
+    B: np.ndarray | None = None
+
+    def pencil(self, c: float, lam: float = 0.0) -> sp.csc_matrix:
+        """K + c M - lam B, in CSC."""
+        data = self.K + c * self.M
+        if lam:
+            data -= lam * self.B
+        return sp.csc_matrix((data, self.indices, self.indptr), shape=self.shape)
+
+
+@dataclass(frozen=True, eq=False)
+class FactorInput:
+    """The c-independent input of every factorization of K + c M - lam B.
+
+    The dofs are renumbered by the COLAMD order (Davis, Gilbert, Larimore &
+    Ng, ACM TOMS 30, 2004) of the common sparsity pattern of K, M and B.
+    ``full`` is the renumbered pencil, with each boundary dof at its entry
+    of ``boundary_positions``.  ``interior`` (A_ii) and ``coupling`` (A_ib)
+    have as rows the interior dofs in that order, listed by
+    ``interior_order``; their boundary columns, and the dense boundary
+    blocks, follow ``boundary_dofs``.
+    """
+
+    boundary_positions: np.ndarray
+    interior_order: np.ndarray
+    full: SharedPattern
+    interior: SharedPattern
+    coupling: SharedPattern
+    K_bb: np.ndarray
+    M_bb: np.ndarray
+    B_bb: np.ndarray
+    B_bb_norm1: float
+
+    def boundary(self, c: float) -> np.ndarray:
+        """Dense A_bb = K_bb + c M_bb."""
+        return self.K_bb + c * self.M_bb
+
+
+def _shared_csc(rows, cols, shape, values) -> tuple:
+    """(shape, indices, indptr, *values) of the CSC pattern of the distinct
+    entries (rows, cols), each value array reordered to match."""
+    at = np.lexsort((rows, cols))
+    indptr = np.zeros(shape[1] + 1, dtype=np.int32)
+    np.cumsum(np.bincount(cols, minlength=shape[1]), out=indptr[1:])
+    return (shape, rows[at].astype(np.int32), indptr, *(v[at] for v in values))
+
+
+@dataclass(frozen=True, eq=False)
 class AssembledForms:
     """The three assembled bilinear forms of one mesh, as full symmetric CSR.
 
-    The interior/boundary blocks are built on first use and shared by every
-    solve on these forms; callers must not modify any matrix in place.
+    The factorization input is built on first use and shared by every solve
+    on these forms; callers must not modify any matrix in place.
     """
 
     K: sp.csr_matrix
@@ -48,15 +109,48 @@ class AssembledForms:
         return np.nonzero(mask)[0]
 
     @cached_property
-    def blocks(self) -> tuple:
-        """((K_ii, K_ib, K_bb), (M_ii, M_ib, M_bb), B_bb) in CSR, i interior
-        and b boundary dofs; the pencil K + c M splits blockwise."""
-        i, b = self.interior_dofs, self.boundary_dofs
+    def factor_input(self) -> FactorInput:
+        """One fill-reducing order and the pencil's blocks in it; the order
+        costs one sparse factorization of K + M + B, once per forms."""
+        n, bnd = self.n, self.boundary_dofs
+        pattern = (abs(self.K) + abs(self.M) + abs(self.B)).tocoo()
+        rows, cols = pattern.row, pattern.col
+        K, M, B = (np.asarray(X[rows, cols]).ravel() for X in (self.K, self.M, self.B))
+        total = sp.csc_matrix((K + M + B, (rows, cols)), shape=(n, n))
+        order = np.argsort(spla.splu(total).perm_c)
+        position = np.empty(n, dtype=np.int64)
+        position[order] = np.arange(n)
+        full = SharedPattern(*_shared_csc(position[rows], position[cols], (n, n), (K, M, B)))
 
-        def split(X):
-            return X[np.ix_(i, i)], X[np.ix_(i, b)], X[np.ix_(b, b)]
+        is_b = np.zeros(n, dtype=bool)
+        is_b[bnd] = True
+        interior_order = order[~is_b[order]]
+        local = np.empty(n, dtype=np.int64)
+        local[interior_order] = np.arange(len(interior_order))
+        local[bnd] = np.arange(len(bnd))
+        n_i, n_b = len(interior_order), len(bnd)
 
-        return split(self.K), split(self.M), self.B[np.ix_(b, b)]
+        def block(mask, shape):
+            return SharedPattern(*_shared_csc(local[rows[mask]], local[cols[mask]], shape,
+                                              (K[mask], M[mask])))
+
+        bb = is_b[rows] & is_b[cols]
+        dense = []
+        for values in (K, M, B):
+            X = np.zeros((n_b, n_b))
+            X[local[rows[bb]], local[cols[bb]]] = values[bb]
+            dense.append(X)
+        return FactorInput(
+            boundary_positions=position[bnd],
+            interior_order=interior_order,
+            full=full,
+            interior=block(~is_b[rows] & ~is_b[cols], (n_i, n_i)),
+            coupling=block(~is_b[rows] & is_b[cols], (n_i, n_b)),
+            K_bb=dense[0],
+            M_bb=dense[1],
+            B_bb=dense[2],
+            B_bb_norm1=float(np.abs(dense[2]).sum(axis=0).max()),
+        )
 
 
 def _symmetric_csr(n: int, simplices: np.ndarray, elements: np.ndarray) -> sp.csr_matrix:

@@ -9,24 +9,30 @@ traces of discrete (modified-)harmonic extensions.
 Up to ``DENSE_LIMIT`` boundary dofs, and for k > n_b - 2 at any size, the
 reduced pencil is solved densely.  Above it, shift-invert Lanczos (ARPACK)
 applies (S - sigma B_bb)^-1 through one factorization of the full shifted
-matrix, from a fixed start vector, so that repeated calls agree bit for bit.
-Both paths check the residual of every returned pair.  Shift-invert also
-proves by one inertia count that its values are the k lowest: Lanczos can
-skip one copy of a double eigenvalue, and no residual shows that.  How many
-eigenvalues lie below a level needs no eigensolve: ``count_below`` reads it
-off the inertia of one sparse symmetric factorization.
+matrix, from a fixed start vector, so that repeated calls agree bit for bit;
+one more solve with that factorization and a k x k Rayleigh-Ritz give the
+returned pairs.  Both paths check the residual of every returned pair.
+Shift-invert also proves by one inertia count that its values are the k
+lowest: Lanczos can skip one copy of a double eigenvalue, and no residual
+shows that.  So a shift-invert slice costs two sparse factorizations and a
+dense slice one.  How many eigenvalues lie below a level needs no
+eigensolve: ``count_below`` reads it off the inertia of one sparse symmetric
+factorization.  Every factorization takes its matrix from the forms' cached
+``FactorInput``, already in one fill-reducing order, and orders nothing.
 
-``DENSE_LIMIT`` is the measured crossover.  Median time of one slice at
-c = 3 on the builtin disk, dense / shift-invert with its count, in ms (one
-BLAS thread, 2-vCPU x86 machine, 9 interleaved repeats, 5 at L6):
+``DENSE_LIMIT`` is the crossover measured with three factorizations per
+shift-invert slice.  Median time of one slice at c = 3 on the builtin disk,
+dense / shift-invert with its count, in ms, now with two (one BLAS thread,
+2-vCPU x86 machine, 9 interleaved repeats, 5 at L6):
 
     level  n_b   k = 1       k = 4       k = 16
-    L4     128   17 / 23     14 / 22     16 / 34
-    L5     256   143 / 90    147 / 111   153 / 151
-    L6     512   1616 / 700  1601 / 789  1280 / 692
+    L4     128   17 / 17     17 / 19     17 / 25
+    L5     256   145 / 61    150 / 94    154 / 129
+    L6     512   1688 / 368  1680 / 531  1559 / 606
 
-Delaunay disks of 160, 192 and 224 boundary dofs put the tie at about 192.
-The dense path also holds two dense n_i x n_b blocks, about 66 MB each at L6.
+On Delaunay disks of 128 to 224 boundary dofs the tie now sits at about 144
+for k <= 4 and 192 for k = 16 (it was about 192 for every k).  The dense
+path also holds two dense n_i x n_b blocks, about 66 MB each at L6.
 """
 
 from __future__ import annotations
@@ -41,7 +47,8 @@ from .errors import EigensolverError, PreconditionError
 from .fem import AssembledForms
 from .serialize import read_csv, write_csv
 
-# largest boundary-dof count solved densely: the crossover tabled above
+# largest boundary-dof count solved densely: the crossover of three
+# factorizations per shift-invert slice, kept while the tie moves (see above)
 DENSE_LIMIT = 200
 _SHIFT_INVERT_TOL = 1e-10
 RESIDUAL_RTOL = 1e-8
@@ -102,7 +109,7 @@ def solve_dense_gevp(a, b, k: int):
     if k < 1 or k > n:
         raise PreconditionError(f"need 1 <= k <= {n}, got {k}")
     w, v = _dense_gevp(a, b, k)
-    _check_residuals(a @ v, b, a, w, v, "dense")
+    _check_residuals(a @ v, b @ v, w, v, _norm1(a), _norm1(b), "dense")
     return w, v
 
 
@@ -121,47 +128,47 @@ def robin_steklov_spectrum(forms: AssembledForms, c: float, k: int) -> SpectrumS
     if k < 1 or k > n_b:
         raise PreconditionError(f"need 1 <= k <= {n_b} boundary dofs, got k={k}")
 
-    A_ii, A_ib, A_bb = _pencil_blocks(forms, c)
-    B_bb = forms.blocks[2]
+    fi = forms.factor_input
+    A_bb = fi.boundary(c)
     # ARPACK needs k strictly inside the subspace; near-full requests go dense
     if n_b <= DENSE_LIMIT or k > n_b - 2:
-        S = _schur_complement(A_ii, A_ib, A_bb)
-        w, v = _dense_gevp(S, B_bb.toarray(), k)
-        _check_residuals(S @ v, B_bb, A_bb, w, v, "dense")
+        S = _schur_complement(fi, c, A_bb)
+        w, v = _dense_gevp(S, fi.B_bb, k)
+        _check_residuals(S @ v, fi.B_bb @ v, w, v, _norm1(A_bb), fi.B_bb_norm1, "dense")
         return SpectrumSlice(c=c, eigenvalues=w, eigenvectors=v)
-    return _shift_invert_slice(forms, c, A_ii, A_ib, A_bb, B_bb, k)
+    return _shift_invert_slice(forms, c, A_bb, k)
 
 
-def _pencil_blocks(forms: AssembledForms, c: float) -> tuple:
-    """(A_ii, A_ib, A_bb) of A = K + c M from the forms' cached blocks."""
-    (K_ii, K_ib, K_bb), (M_ii, M_ib, M_bb), _ = forms.blocks
-    if c == 0.0:
-        return K_ii, K_ib, K_bb
-    return K_ii + c * M_ii, K_ib + c * M_ib, K_bb + c * M_bb
+def _factor(A):
+    """SuperLU of a symmetric matrix whose rows and columns are already in
+    the forms' cached order: no reordering and diagonal pivots only, so
+    P A P' = L U with P = I unless a pivot vanished, and diag(U) holds the
+    pivots of an L D L' factorization."""
+    return spla.splu(A, permc_spec="NATURAL", diag_pivot_thresh=0,
+                     options={"SymmetricMode": True})
 
 
-def _schur_complement(A_ii, A_ib, A_bb) -> np.ndarray:
+def _schur_complement(fi, c, A_bb) -> np.ndarray:
     """Dense S = A_bb - A_ib' A_ii^-1 A_ib, symmetrized."""
-    if A_ii.shape[0] == 0:
-        return A_bb.toarray()
-    A_ib = A_ib.toarray()
+    if fi.interior.shape[0] == 0:
+        return A_bb
+    A_ib = fi.coupling.pencil(c).toarray()
     try:
-        lu = spla.splu(A_ii.tocsc())
+        lu = _factor(fi.interior.pencil(c))
     except RuntimeError as exc:  # singular interior block cannot occur for c >= 0
         raise EigensolverError(f"interior block factorization failed: {exc}") from exc
-    S = A_bb.toarray() - A_ib.T @ lu.solve(A_ib)
-    return 0.5 * (S + S.T)
+    return _symmetrized(A_bb - A_ib.T @ lu.solve(A_ib))
 
 
-def _check_residuals(Sv, B_bb, A_bb, w, v, path) -> None:
-    """Raise unless ||S v - rho B_bb v|| <= RESIDUAL_RTOL * (||A_bb||_1 +
-    |rho| ||B_bb||_1) * ||v|| for every pair; the matrices may be sparse or
-    dense.  A = K + c M is positive semidefinite with a definite interior
-    block, so 0 <= S <= A_bb and the cheap 1-norm of A_bb bounds ||S||; a
-    plain symmetric pencil passes S itself as A_bb."""
-    residuals = np.linalg.norm(Sv - (B_bb @ v) * w, axis=0)
-    scale = _norm1(A_bb) + np.abs(w) * _norm1(B_bb)
-    bound = RESIDUAL_RTOL * scale * np.linalg.norm(v, axis=0)
+def _check_residuals(Av, Bv, w, v, a_norm, b_norm, path) -> None:
+    """Raise unless ||A v - rho B v|| <= RESIDUAL_RTOL * (a_norm + |rho| b_norm)
+    * ||v|| for every pair.  The columns of Av and Bv hold A and B applied
+    to v, or to its extension (then every row counts); a_norm is ||A_bb||_1
+    and b_norm ||B_bb||_1.  A = K + c M is positive semidefinite with a
+    definite interior block, so 0 <= S <= A_bb and the cheap 1-norm of A_bb
+    bounds ||S||; a plain symmetric pencil passes its own norms."""
+    residuals = np.linalg.norm(Av - Bv * w, axis=0)
+    bound = RESIDUAL_RTOL * (a_norm + np.abs(w) * b_norm) * np.linalg.norm(v, axis=0)
     if np.any(residuals > bound):
         worst = int(np.argmax(residuals / bound))
         raise EigensolverError(
@@ -171,54 +178,65 @@ def _check_residuals(Sv, B_bb, A_bb, w, v, path) -> None:
 
 
 def _norm1(x) -> float:
-    """Largest absolute column sum, of a sparse or a dense matrix."""
-    return float(abs(x).sum(axis=0).max())
+    """Largest absolute column sum of a dense matrix."""
+    return float(np.abs(x).sum(axis=0).max())
 
 
-def _shift_invert_slice(forms, c, A_ii, A_ib, A_bb, B_bb, k) -> SpectrumSlice:
-    """Shift-invert on the boundary-reduced pencil; (S - sigma*B_bb)^-1 is
-    applied through one factorization of the full shifted matrix, and the
-    returned pairs are checked against S applied through the interior block."""
-    K, M, B = forms.K, forms.M, forms.B
-    A = K + c * M if c != 0.0 else K
-    bnd = forms.boundary_dofs
-    n = A.shape[0]
-    scale = abs(A).sum() / max(A.nnz, 1)
+def _shift_invert_slice(forms, c, A_bb, k) -> SpectrumSlice:
+    """Shift-invert on the boundary-reduced pencil, then one step of inverse
+    iteration and Rayleigh-Ritz on the full pencil.
+
+    (S - sigma B_bb)^-1 is applied through one factorization of the full
+    shifted matrix: B has no interior rows, so the interior of each full
+    solve is the discrete harmonic extension of its boundary part, and the
+    boundary rows of A times it are S applied to that part.  ARPACK's k
+    vectors, solved once more, span the extensions X; Rayleigh-Ritz of
+    (A, B) on X gives B-orthonormal pairs, and their residual is read off
+    A X and B X with no second factorization.  The residual takes every row,
+    so it also shows an interior that is not harmonic.
+    """
+    fi = forms.factor_input
+    full, bnd = fi.full, fi.boundary_positions
+    A = full.pencil(c)
+    n, n_b = full.shape[0], len(bnd)
+    scale = np.abs(A.data).sum() / max(A.nnz, 1)
     sigma = -1e-3 * max(scale, 1.0)
-    lu_full = spla.splu((A - sigma * B).tocsc())
-    lu_ii = spla.splu(A_ii.tocsc()) if A_ii.shape[0] else None
+    lu = _factor(full.pencil(c, sigma))
 
-    def apply_schur(x):
-        y = A_bb @ x
-        if lu_ii is not None:
-            y -= A_ib.T @ lu_ii.solve(A_ib @ x)
-        return y
-
-    def apply_opinv(x):
-        rhs = np.zeros(n)
+    def extend(x):
+        rhs = np.zeros((n,) + x.shape[1:])
         rhs[bnd] = x
-        return lu_full.solve(rhs)[bnd]
+        return lu.solve(rhs)
 
-    n_b = len(bnd)
-    S_op = spla.LinearOperator((n_b, n_b), matvec=apply_schur)
-    OPinv = spla.LinearOperator((n_b, n_b), matvec=apply_opinv)
+    # shift-invert mode applies only OPinv and M; A only gives the shape
+    shape_only = spla.LinearOperator((n_b, n_b), matvec=None, dtype=float)
+    OPinv = spla.LinearOperator((n_b, n_b), matvec=lambda x: extend(x)[bnd], dtype=float)
     # a fixed start makes the result reproducible; a generic one has a
     # component along every eigenvector (a constant misses the disk's cos
     # modes, for one)
     v0 = np.random.default_rng(0).standard_normal(n_b)
     try:
-        # shift-invert mode applies only OPinv and M, never S_op itself
-        w, v = spla.eigsh(
-            S_op, k=k, M=B_bb, sigma=sigma, OPinv=OPinv, which="LM",
+        _, v = spla.eigsh(
+            shape_only, k=k, M=fi.B_bb, sigma=sigma, OPinv=OPinv, which="LM",
             tol=_SHIFT_INVERT_TOL, v0=v0,
         )
     except spla.ArpackNoConvergence as exc:
         raise EigensolverError(f"shift-invert iteration did not converge: {exc}") from exc
-    order = np.argsort(w)
-    w, v = w[order], v[:, order]
-    _check_residuals(apply_schur(v), B_bb, A_bb, w, v, "shift-invert")
+    X = extend(fi.B_bb @ v)
+    BX = np.zeros_like(X)
+    BX[bnd] = fi.B_bb @ X[bnd]
+    unit = np.sqrt(np.einsum("ij,ij->j", X, BX))
+    X, BX = X / unit, BX / unit
+    AX = A @ X
+    w, y = _dense_gevp(_symmetrized(X.T @ AX), _symmetrized(X.T @ BX), k)
+    v = X[bnd] @ y
+    _check_residuals(AX @ y, BX @ y, w, v, _norm1(A_bb), fi.B_bb_norm1, "shift-invert")
     _check_lowest(forms, c, w)
     return SpectrumSlice(c=c, eigenvalues=w, eigenvectors=v)
+
+
+def _symmetrized(x: np.ndarray) -> np.ndarray:
+    return 0.5 * (x + x.T)
 
 
 def _check_lowest(forms, c, w) -> None:
@@ -247,21 +265,17 @@ def count_below(forms: AssembledForms, c: float, lam: float) -> int:
     For c >= 0 the interior block of A = K + c M is positive definite, so by
     Haynsworth additivity the negative inertia of A - lam B equals that of
     S(c) - lam B_bb, which by Sylvester's law (B_bb is positive definite) is
-    the count.  Symmetric-mode SuperLU with diagonal pivots gives
-    P (A - lam B) P' = L U with diag(U) the pivots of an L D L' factorization.
-    When SuperLU raises, leaves the diagonal, or meets a pivot tiny next to
-    the largest (lam at or near an eigenvalue), the count comes from a
-    Bunch-Kaufman factorization of the dense block S(c) - lam B_bb instead.
+    the count.  A - lam B is factored in the forms' cached order, a
+    symmetric permutation, which keeps its inertia.  When SuperLU raises,
+    leaves the diagonal, or meets a pivot tiny next to the largest (lam at or
+    near an eigenvalue), the count comes from a Bunch-Kaufman factorization
+    of the dense block S(c) - lam B_bb instead.
     """
     if c < 0:
         raise PreconditionError(f"bulk coefficient must be non-negative, got {c}")
-    K, M, B = forms.K, forms.M, forms.B
-    A = K + c * M - lam * B if c != 0.0 else K - lam * B
+    fi = forms.factor_input
     try:
-        lu = spla.splu(
-            A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
-            options={"SymmetricMode": True},
-        )
+        lu = _factor(fi.full.pencil(c, lam))
     except RuntimeError:
         lu = None
     if lu is not None and np.array_equal(lu.perm_r, lu.perm_c):
@@ -269,7 +283,7 @@ def count_below(forms: AssembledForms, c: float, lam: float) -> int:
         pivots = np.abs(d)
         if pivots.min() > PIVOT_RTOL * pivots.max():
             return int(np.count_nonzero(d < 0))
-    S = _schur_complement(*_pencil_blocks(forms, c)) - lam * forms.blocks[2].toarray()
+    S = _schur_complement(fi, c, fi.boundary(c)) - lam * fi.B_bb
     _, d, _ = la.ldl(S)
     # d is block diagonal with 1x1 and 2x2 blocks, hence tridiagonal
     return int(np.count_nonzero(la.eigvalsh_tridiagonal(np.diag(d), np.diag(d, 1)) < 0))
@@ -289,11 +303,12 @@ def harmonic_extension(forms: AssembledForms, trace: np.ndarray, c: float = 0.0)
         raise PreconditionError(
             f"trace must have one value per boundary dof ({len(bnd)}), got {trace.shape}"
         )
-    A_ii, A_ib, _ = _pencil_blocks(forms, c)
+    fi = forms.factor_input
     phi = np.zeros(forms.n)
     phi[bnd] = trace
-    if A_ii.shape[0]:
-        phi[forms.interior_dofs] = spla.splu(A_ii.tocsc()).solve(-(A_ib @ trace))
+    if len(fi.interior_order):
+        lu = _factor(fi.interior.pencil(c))
+        phi[fi.interior_order] = lu.solve(-(fi.coupling.pencil(c) @ trace))
     return phi
 
 

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from steklovbif.bifurcation import (
     records_to_json,
 )
 from steklovbif.errors import (
+    ConfigError,
     CutoffExhaustedError,
     EpsilonExhaustedError,
     HhatIsSteklovEigenvalueError,
@@ -295,6 +298,32 @@ class TestRecordsIO:
         from dataclasses import replace
 
         assert loaded == [replace(r, epsilon=None) for r in certified]
+
+    _VALID = {"t_star": 0.7, "crossings": [[1, 0, 4]], "nullity": 4, "n_minus": 4,
+              "n_plus": 0, "epsilon": 0.01, "certified": True}
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("certified", "false"), ("t_star", "0.7"), ("crossings", [[1, 0.5, 4]]),
+         ("crossings", [[1, 0]]), ("nullity", True), ("n_minus", 4.0), ("epsilon", "0.01")],
+        ids=["string-certified", "string-t-star", "non-integer-crossing", "short-crossing",
+             "bool-nullity", "float-n-minus", "string-epsilon"],
+    )
+    def test_wrong_json_types_rejected(self, tmp_path, field, value):
+        path = tmp_path / "records.json"
+        path.write_text(json.dumps([{**self._VALID, field: value}]))
+        with pytest.raises(ConfigError, match=field if field != "crossings" else "crossing"):
+            records_from_json(path)
+
+    def test_json_types_read_exactly(self, tmp_path):
+        # an integer t* is a number; absent optional fields take their defaults
+        path = tmp_path / "records.json"
+        path.write_text(json.dumps([{**self._VALID, "certified": False, "t_star": 1},
+                                    {"t_star": 0.5, "crossings": [], "nullity": 0}]))
+        first, second = records_from_json(path)
+        assert first == DegeneracyRecord(1.0, ((1, 0, 4),), 4, 4, 0, 0.01, False)
+        assert isinstance(first.t_star, float) and first.certified is False
+        assert second == DegeneracyRecord(0.5, (), 0)
 
     def test_csv_header(self, instants, tmp_path):
         path = tmp_path / "records.csv"

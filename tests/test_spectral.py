@@ -84,6 +84,14 @@ class TestRobinSteklovSpectrum:
         gram = sl.eigenvectors.T @ B_bb @ sl.eigenvectors
         assert np.abs(gram - np.eye(5)).max() < 1e-8
 
+    def test_b_orthonormality_on_shift_invert_path(self, disk, monkeypatch):
+        _, forms = disk(3)
+        monkeypatch.setattr(spectral, "DENSE_LIMIT", 0)
+        for c, k in [(0.0, 1), (1.0, 5), (4.0, 8)]:
+            v = robin_steklov_spectrum(forms, c, k).eigenvectors
+            gram = v.T @ forms.factor_input.B_bb @ v
+            assert np.abs(gram - np.eye(k)).max() < 1e-10
+
     def test_monotone_in_bulk_coefficient(self, disk):
         _, forms = disk(2)
         cs = [0.0, 0.5, 1.0, 2.0, 4.0]
@@ -165,18 +173,73 @@ class TestResidualChecks:
         with pytest.raises(EigensolverError, match="dense eigenpair residual"):
             robin_steklov_spectrum(forms, 1.0, 5)
 
+    @staticmethod
+    def _fault_after_rayleigh_ritz(monkeypatch, fault):
+        # Rayleigh-Ritz is the shift-invert slice's only dense solve
+        dense_gevp = spectral._dense_gevp
+        monkeypatch.setattr(spectral, "_dense_gevp", lambda a, b, k: fault(*dense_gevp(a, b, k)))
+        monkeypatch.setattr(spectral, "DENSE_LIMIT", 0)
+
     def test_shift_invert_path_rejects_wrong_pairs(self, disk, monkeypatch):
         _, forms = disk(2)
+        self._fault_after_rayleigh_ritz(monkeypatch, lambda w, v: (w, np.roll(v, 1, axis=1)))
+        with pytest.raises(EigensolverError, match="shift-invert eigenpair residual"):
+            robin_steklov_spectrum(forms, 1.0, 5)
+
+    def test_shift_invert_path_rejects_shifted_values(self, disk, monkeypatch):
+        _, forms = disk(2)
+        self._fault_after_rayleigh_ritz(monkeypatch, lambda w, v: (w + 1e-6, v))
+        with pytest.raises(EigensolverError, match="shift-invert eigenpair residual"):
+            robin_steklov_spectrum(forms, 1.0, 5)
+
+    def test_shift_invert_path_rejects_non_harmonic_interior(self, disk, monkeypatch):
+        # solves off by 1e-6 on the dofs with no boundary neighbour: the
+        # boundary rows of A X and the returned traces are untouched, only
+        # the residual over every row sees that X is not harmonic
+        _, forms = disk(2)
+        fi = forms.factor_input
+        boundary = np.zeros(forms.n)
+        boundary[fi.boundary_positions] = 1.0
+        interior = abs(fi.full.pencil(1.0)) @ boundary == 0
+        factor = spectral._factor
+
+        class OffInterior:
+            def __init__(self, lu):
+                self.lu = lu
+
+            def __getattr__(self, name):
+                return getattr(self.lu, name)
+
+            def solve(self, b):
+                x = self.lu.solve(b)
+                x[interior] *= 1 + 1e-6
+                return x
+
+        monkeypatch.setattr(spectral, "_factor", lambda a: OffInterior(factor(a)))
+        monkeypatch.setattr(spectral, "DENSE_LIMIT", 0)
+        with pytest.raises(EigensolverError, match="shift-invert eigenpair residual"):
+            robin_steklov_spectrum(forms, 1.0, 5)
+
+    def test_rotated_arpack_vectors_come_back_as_ordered_pairs(self, disk, monkeypatch):
+        # Rayleigh-Ritz needs only the span of ARPACK's vectors, not their
+        # order or its values
+        _, forms = disk(2)
+        dense = robin_steklov_spectrum(forms, 1.0, 5).eigenvalues
         eigsh = spectral.spla.eigsh
 
         def rotated(*args, **kwargs):
             w, v = eigsh(*args, **kwargs)
-            return w, np.roll(v, 1, axis=1)
+            return w[::-1], np.roll(v, 1, axis=1)
 
         monkeypatch.setattr(spectral.spla, "eigsh", rotated)
         monkeypatch.setattr(spectral, "DENSE_LIMIT", 0)
-        with pytest.raises(EigensolverError, match="shift-invert eigenpair residual"):
-            robin_steklov_spectrum(forms, 1.0, 5)
+        sl = robin_steklov_spectrum(forms, 1.0, 5)
+        assert np.all(np.diff(sl.eigenvalues) >= 0)
+        assert np.all(np.abs(sl.eigenvalues - dense) <= 1e-10 * np.abs(dense))
+        fi = forms.factor_input
+        residual = spectral._schur_complement(fi, 1.0, fi.boundary(1.0)) @ sl.eigenvectors
+        residual -= fi.B_bb @ sl.eigenvectors * sl.eigenvalues
+        assert np.abs(residual).max() < 1e-9
 
 
 def _eigen_count(forms, c, lam):
@@ -231,6 +294,7 @@ class TestCountBelow:
     def test_row_pivoting_falls_back_to_ldl(self, fuzz_meshes, ldl_calls, monkeypatch):
         # a factorization that left the diagonal says nothing about inertia
         _, forms = fuzz_meshes["jittered"]
+        forms.factor_input  # the cached order's own factorization stays intact
         splu = spectral.spla.splu
 
         class RowPivoted:
@@ -238,8 +302,10 @@ class TestCountBelow:
                 self.U, self.perm_c, self.perm_r = lu.U, lu.perm_c, lu.perm_c[::-1]
 
         def pivoting(a, **kwargs):
+            # only the count factors a full-size matrix; the dense fallback
+            # and the eigen count factor the interior block
             lu = splu(a, **kwargs)
-            return RowPivoted(lu) if kwargs.get("options", {}).get("SymmetricMode") else lu
+            return RowPivoted(lu) if a.shape[0] == forms.n else lu
 
         monkeypatch.setattr(spectral.spla, "splu", pivoting)
         assert count_below(forms, 3.0, 1.7) == _eigen_count(forms, 3.0, 1.7)
@@ -247,10 +313,11 @@ class TestCountBelow:
 
     def test_superlu_failure_falls_back_to_ldl(self, fuzz_meshes, monkeypatch):
         _, forms = fuzz_meshes["jittered"]
+        forms.factor_input  # the cached order's own factorization stays intact
         splu = spectral.spla.splu
 
         def failing(a, **kwargs):
-            if kwargs.get("options", {}).get("SymmetricMode"):
+            if a.shape[0] == forms.n:  # the count's factorization, as above
                 raise RuntimeError("Factor is exactly singular")
             return splu(a, **kwargs)
 
@@ -262,6 +329,71 @@ class TestCountBelow:
         _, forms = disk(0)
         with pytest.raises(PreconditionError):
             count_below(forms, -1.0, 1.0)
+
+
+class TestFactorizationBudget:
+    @pytest.fixture
+    def splu_calls(self, monkeypatch):
+        calls = []
+        splu = spectral.spla.splu
+
+        def counted(a, **kwargs):
+            lu = splu(a, **kwargs)
+            calls.append((a.shape[0], lu))
+            return lu
+
+        monkeypatch.setattr(spectral.spla, "splu", counted)
+        return calls
+
+    def test_shift_invert_slice_factors_twice(self, disk, splu_calls, monkeypatch):
+        # the shifted full matrix for ARPACK and Rayleigh-Ritz, and the count
+        _, forms = disk(3)
+        forms.factor_input
+        splu_calls.clear()  # the order, when these forms had none yet
+        monkeypatch.setattr(spectral, "DENSE_LIMIT", 0)
+        robin_steklov_spectrum(forms, 1.0, 4)
+        assert [n for n, _ in splu_calls] == [forms.n, forms.n]
+
+    def test_dense_slice_factors_once(self, disk, splu_calls):
+        _, forms = disk(3)
+        forms.factor_input
+        splu_calls.clear()  # the order, when these forms had none yet
+        robin_steklov_spectrum(forms, 1.0, 4)
+        assert [n for n, _ in splu_calls] == [len(forms.interior_dofs)]
+
+    def test_count_factors_once(self, disk, splu_calls):
+        _, forms = disk(3)
+        forms.factor_input
+        splu_calls.clear()  # the order, when these forms had none yet
+        count_below(forms, 1.0, 2.5)
+        assert [n for n, _ in splu_calls] == [forms.n]
+
+    def test_order_built_once_per_forms(self, splu_calls, monkeypatch):
+        forms = assemble(generate_disk(2))
+        for c, lam in [(0.0, 0.5), (1.0, 2.5), (3.0, 1.7)]:
+            count_below(forms, c, lam)
+        for limit in (10**9, 0):
+            monkeypatch.setattr(spectral, "DENSE_LIMIT", limit)
+            for c in (0.5, 2.0):
+                robin_steklov_spectrum(forms, c, 3)
+        harmonic_extension(forms, np.ones(len(forms.boundary_dofs)), 1.0)
+        # 3 counts, 2 dense and 2 shift-invert slices, 1 extension, 1 order
+        assert len(splu_calls) == 3 + 2 * 1 + 2 * 2 + 1 + 1
+
+    @pytest.mark.parametrize("name", ["disk2", "disk3", "disk4", "disk5", "jittered", "delaunay"])
+    def test_cached_order_counts_equal_eigen_counts(self, disk, fuzz_meshes, splu_calls, name):
+        # every count factors on the diagonal in the cached order (perm_r ==
+        # perm_c) and matches a full dense eigensolve, between and near pairs
+        forms = disk(int(name[-1]))[1] if name.startswith("disk") else fuzz_meshes[name][1]
+        n_b = len(forms.boundary_dofs)
+        for c in (0.0, 2.0):
+            vals = robin_steklov_spectrum(forms, c, n_b).eigenvalues
+            splu_calls.clear()
+            levels = [0.5 * (a + b) for a, b in zip(vals, vals[1:]) if b - a > 1e-6 * abs(b)]
+            for lam in levels[:: max(1, len(levels) // 8)] + [vals[0] - 1.0, vals[-1] + 1.0]:
+                assert count_below(forms, c, lam) == np.count_nonzero(vals < lam)
+            assert all(np.array_equal(lu.perm_r, lu.perm_c) for _, lu in splu_calls)
+            assert [n for n, _ in splu_calls] == [forms.n] * len(splu_calls)
 
 
 class TestSchurEquivalence:
