@@ -4,13 +4,14 @@ A degeneracy instant is a parameter t where some branch rho_(i,j)(t) meets
 the rescaled mean curvature Hhat.  Branch (i, j) at t is rho_j(c) at the
 bulk coefficient c = t * rho_i, and each rho_j increases strictly in c, so
 it meets Hhat at exactly one critical coefficient c_j*.  Every instant is
-therefore some c_j* / rho_i: the model's table of c_j*, each accepted by
-one eigensolve, is solved once and enumeration, isolation and Morse indices
-are arithmetic on it.  The Morse index jump across an isolated instant
+therefore some c_j* / rho_i: the model's table of c_j*, the positive
+eigenvalues of one linear pencil, is solved once and enumeration, isolation
+and Morse indices are arithmetic on it.  The Morse index jump across an isolated instant
 equals the multiplicity that crossed -- which is the certification
 criterion: both endpoints nondegenerate and unequal indices.  Sylvester
-inertia (``spectral.count_below``) checks the table where it certifies: on
-both sides of the instant, for every factor index that crosses there.
+inertia (``spectral.count_below``), a route independent of that eigensolve,
+checks the table where it certifies: on both sides of the instant, for
+every factor index that crosses there.
 """
 
 from __future__ import annotations
@@ -111,7 +112,7 @@ def enumerate_instants(
 
     Instants are the c_j* / rho_i inside the window; coincident ones merge
     into one record with summed multiplicity.  Nothing is solved: at
-    c = t_star * rho_i each crossing sits on its accepted c_j*, up to
+    c = t_star * rho_i each crossing sits on its tabled c_j*, up to
     rounding alone, or up to MERGE_RTOL (relative) when merged.
     """
     if not (0 < t_min < t_max):

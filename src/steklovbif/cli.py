@@ -21,6 +21,7 @@ from . import oracle, product, spectral
 from .errors import ConfigError, NumericalError, SteklovBifError
 from .fem import assemble
 from .mesh import generate_disk, generate_interval, load_mesh
+from .serialize import read_json_object
 
 COMMANDS = ("steklov", "eigencurve", "instants", "certify", "report")
 
@@ -93,18 +94,6 @@ def _config_value(key, value, path):
     return tuple(value) if isinstance(value, list) else value
 
 
-def _read_object(path, what):
-    """The JSON object held by the file at path; anything else is a bad config."""
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, ValueError) as exc:  # a directory, unreadable, malformed JSON or text
-        raise ConfigError(f"{what} {path} is unreadable or not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{what} {path} must hold a JSON object, got {type(doc).__name__}")
-    return doc
-
-
 def _mesh_from_spec(spec: str):
     if spec.startswith("builtin:"):
         parts = spec.split(":")
@@ -119,8 +108,6 @@ def _mesh_from_spec(spec: str):
             f"unrecognized builtin mesh {spec!r}; expected builtin:disk:<level> "
             "or builtin:interval:<n>:<L>"
         )
-    if not Path(spec).exists():
-        raise ConfigError(f"mesh file does not exist: {spec}")
     return load_mesh(spec)
 
 
@@ -129,7 +116,7 @@ def _load_model(cfg: RunConfig, *, needs_disk: bool = False):
     boundary must be the builtin unit disk, checked before any computation."""
     if cfg.model_path is None:
         raise ConfigError(f"command {cfg.command!r} needs --model")
-    doc = _read_object(cfg.model_path, "model description")
+    doc = read_json_object(cfg.model_path, "model description")
     boundary = doc.get("boundary")
     if needs_disk and not (isinstance(boundary, dict) and boundary.get("builtin") == "disk"):
         raise ConfigError("--oracle requires a builtin disk boundary factor")
@@ -342,9 +329,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(command=args.command)
     if getattr(args, "config", None):
         path = Path(args.config)
-        if not path.exists():
-            raise ConfigError(f"config file does not exist: {path}")
-        for key, value in _read_object(path, "config file").items():
+        for key, value in read_json_object(path, "config file").items():
             setattr(cfg, key, _config_value(key, value, path))
     for key, value in vars(args).items():
         if key in ("command", "config") or value is None:

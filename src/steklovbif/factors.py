@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CutoffExhaustedError, PreconditionError
+from .errors import ConfigError, CutoffExhaustedError, PreconditionError
+from .serialize import read_json_object
 
 _GROUP_RTOL = 1e-9
 
@@ -135,9 +136,7 @@ def save_spectrum(spectrum: ClosedFactorSpectrum, path) -> None:
 
 
 def load_spectrum(path) -> ClosedFactorSpectrum:
-    with open(path) as fh:
-        doc = json.load(fh)
-    return spectrum_from_dict(doc)
+    return spectrum_from_dict(read_json_object(path, "factor spectrum"))
 
 
 def spectrum_from_dict(doc: dict) -> ClosedFactorSpectrum:
@@ -148,4 +147,6 @@ def spectrum_from_dict(doc: dict) -> ClosedFactorSpectrum:
             cutoff=float(doc["cutoff"]),
         )
     except KeyError as exc:
-        raise PreconditionError(f"spectrum document missing key {exc}") from exc
+        raise ConfigError(f"spectrum document missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:  # a value that is no number, an entry no pair
+        raise ConfigError(f"spectrum document has a mistyped value: {exc}") from exc

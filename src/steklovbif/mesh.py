@@ -20,6 +20,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from .errors import InvalidMeshError, PreconditionError
+from .serialize import read_json_object
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,14 +276,20 @@ def load_mesh(path) -> Mesh:
 
     The boundary is recomputed from the cells; if the document carries
     ``boundary_facets`` they are cross-checked against the recomputed set.
-    Any violated invariant raises :class:`InvalidMeshError`.
+    A file that holds no JSON object is a bad config; a document that is
+    not a mesh, or any violated invariant, raises :class:`InvalidMeshError`.
     """
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = read_json_object(path, "mesh file")
     try:
-        mesh = Mesh(dim=int(doc["dim"]), vertices=doc["vertices"], cells=doc["cells"])
+        dim, cells = int(doc["dim"]), np.asarray(doc["cells"])
+        if cells.ndim != 2 or cells.shape[1] != dim + 1 or cells.dtype.kind not in "iu":
+            raise ValueError(f"cells must be lists of {dim + 1} integer vertex ids, "
+                             f"got {doc['cells']!r:.80}")
+        mesh = Mesh(dim=dim, vertices=doc["vertices"], cells=cells)
     except KeyError as exc:
         raise InvalidMeshError([f"mesh document missing key {exc}"]) from exc
+    except (TypeError, ValueError) as exc:
+        raise InvalidMeshError([f"mesh document is not a mesh: {exc}"]) from exc
     if "boundary_facets" in doc and not _same_facets(doc["boundary_facets"], mesh.boundary_facets):
         raise InvalidMeshError(
             ["boundary mismatch: declared boundary_facets are not the facets "

@@ -7,17 +7,16 @@ bulk coefficients c = t * rho_i.  Morse index and nullity count branches
 below / at the rescaled mean curvature Hhat = (m2-1)/(m-1) * H2.  Branch
 (i, j) lies below Hhat at t exactly when t * rho_i < c_j*, where branch j
 meets Hhat, so Morse indices and nullities are arithmetic on the table of
-c_j*, solved once per model.  One walk over the factor spectrum serves them
-and the Jacobi slices: factor index i lists the number of branches of
-c = t * rho_i below a level, read off the table or counted by Sylvester
-inertia (``spectral.count_below``), and stops at the first index with none
--- every later factor eigenvalue is larger, and so are its branches.  The
-Steklov row i = 0 comes from one c = 0 spectrum per model.
+c_j*, one linear eigensolve per model.  One walk over the factor spectrum
+serves them and the Jacobi slices: factor index i lists the number of
+branches of c = t * rho_i below a level, read off the table or counted by
+Sylvester inertia (``spectral.count_below``), and stops at the first index
+with none -- every later factor eigenvalue is larger, and so are its
+branches.  The Steklov row i = 0 comes from one c = 0 spectrum per model.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -27,24 +26,23 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from .errors import (
-    BracketError,
     ConfigError,
     CutoffExhaustedError,
     DegenerateInstantError,
     HhatIsSteklovEigenvalueError,
-    NumericalError,
     PreconditionError,
 )
 from .factors import ClosedFactorSpectrum, flat_torus_spectrum, load_spectrum, spectrum_from_dict
 from .fem import AssembledForms, assemble
 from .mesh import Mesh, generate_disk, generate_interval, load_mesh
-from .serialize import read_csv, write_csv
-from .spectral import count_below, harmonic_extension, robin_steklov_spectrum
+from .serialize import read_csv, read_json_object, write_csv
+from .spectral import count_below, level_crossings, robin_steklov_spectrum
 
 DEFAULT_DEGENERACY_RTOL = 1e-6
-ROOT_RTOL = 1e-8
-COUNT_RTOL = 1e-9
 STEKLOV_MEMBERSHIP_RTOL = 1e-8
+# conformal_mean_curvature's checks of harmonicity and of the boundary normalization
+HARMONIC_TOL = 1e-8
+NORM_TOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,7 +107,8 @@ class ProductModel:
                     "bifurcation conclusion is drawn"
                 )
         count = int(np.searchsorted(sigma, hhat)) if hhat > 0 else 0
-        return tuple(_critical_coefficient(forms, j, hhat) for j in range(count))
+        c_stars, slopes = level_crossings(forms, hhat, count)
+        return tuple(zip(c_stars.tolist(), slopes.tolist()))
 
     def steklov_past(self, threshold: float) -> np.ndarray:
         """Ascending Steklov (c = 0) eigenvalues: every one below threshold
@@ -206,50 +205,6 @@ def _factor_walk(model: ProductModel, t: float, count):
         f"factor spectrum cutoff {model.factor.cutoff:g} exhausted at t={t:g} "
         "before the lowest branch cleared its level"
     )
-
-
-def _critical_coefficient(forms, j, hhat):
-    """(c, rho_j'(c)) with rho_j(c) = hhat, given rho_j(0) < hhat; the slope
-    is phi' M phi / phi' B phi (Hellmann-Feynman), phi the eigenvector's extension.
-
-    rho_j(c) < hhat exactly when more than j eigenvalues lie below hhat, so
-    inertia counts bracket the root: [0, 1] doubles its upper end until the
-    branch clears hhat, and bisection narrows it to a relative width of
-    COUNT_RTOL.  One slice accepts the midpoint when |rho_j - hhat| <=
-    ROOT_RTOL * hhat, and raises otherwise.  By Hellmann-Feynman the
-    midpoint misses by at most 0.5 * COUNT_RTOL * c * rho_j'(c); for j = 0,
-    rho_0 is concave with rho_0(0) = 0, so c * rho_0'(c) <= hhat and the
-    test cannot fail.
-    """
-
-    def below(c):
-        return count_below(forms, c, hhat) > j
-
-    c_lo, c_hi = 0.0, 1.0
-    for _ in range(120):
-        if not below(c_hi):
-            break
-        c_lo, c_hi = c_hi, 2.0 * c_hi
-    else:
-        raise BracketError(f"branch j={j} stays below Hhat={hhat:g} up to c={c_hi:g}")
-    for _ in range(200):
-        if c_hi - c_lo <= COUNT_RTOL * c_hi:
-            break
-        mid = 0.5 * (c_lo + c_hi)
-        if below(mid):
-            c_lo = mid
-        else:
-            c_hi = mid
-    mid = 0.5 * (c_lo + c_hi)
-    sl = robin_steklov_spectrum(forms, mid, j + 1)
-    val = float(sl.eigenvalues[j])
-    if abs(val - hhat) > ROOT_RTOL * hhat:
-        raise NumericalError(
-            f"branch j={j} gives rho_j={val:.17g} at the midpoint of its count "
-            f"bracket [{c_lo:.17g}, {c_hi:.17g}], not Hhat={hhat:.17g}"
-        )
-    phi = harmonic_extension(forms, sl.eigenvectors[:, j], mid)
-    return mid, float(phi @ (forms.M @ phi)) / float(phi @ (forms.B @ phi))
 
 
 def jacobi_slice(model: ProductModel, t: float, margin: float) -> JacobiSlice:
@@ -361,15 +316,7 @@ def normalize_boundary_power(forms: AssembledForms, phi: np.ndarray, m: int) -> 
     return phi / integral ** (1.0 / p)
 
 
-def conformal_mean_curvature(
-    forms: AssembledForms,
-    phi: np.ndarray,
-    H_g: float,
-    m: int,
-    *,
-    harmonic_tol: float = 1e-8,
-    norm_tol: float = 1e-8,
-) -> float:
+def conformal_mean_curvature(forms: AssembledForms, phi: np.ndarray, H_g: float, m: int) -> float:
     """Mean curvature of the normalized conformal metric phi^(4/(m-2)) g.
 
     phi must be discretely harmonic and satisfy the boundary-volume
@@ -388,14 +335,14 @@ def conformal_mean_curvature(
         M_ii = M[np.ix_(interior, interior)].tocsc()
         dual = math.sqrt(max(float(r @ spla.spsolve(M_ii, r)), 0.0))
         scale = max(1.0, math.sqrt(float(phi @ (M @ phi))))
-        if dual > harmonic_tol * scale:
+        if dual > HARMONIC_TOL * scale:
             raise PreconditionError(
                 f"phi is not discretely harmonic: interior residual {dual:.3e} "
-                f"exceeds {harmonic_tol:g} * {scale:.3g}"
+                f"exceeds {HARMONIC_TOL:g} * {scale:.3g}"
             )
 
     p, integral = _boundary_power_integral(forms, phi, m)
-    if abs(integral - 1.0) > norm_tol:
+    if abs(integral - 1.0) > NORM_TOL:
         raise PreconditionError(
             f"boundary normalization violated: integral of phi^{p:g} is "
             f"{integral:.12g}, not 1"
@@ -436,24 +383,30 @@ def model_from_dict(doc: dict, base_dir=None) -> ProductModel:
     if not (isinstance(factor_doc, dict) and isinstance(boundary_doc, dict)):
         raise ConfigError("model description keys 'factor' and 'boundary' must hold objects")
 
-    if "path" in factor_doc:
-        factor = load_spectrum(base / factor_doc["path"])
-    elif "flat_torus" in factor_doc:
-        ft = factor_doc["flat_torus"]
-        factor = flat_torus_spectrum(ft["basis"], float(ft["cutoff"]))
-    else:
-        factor = spectrum_from_dict(factor_doc)
+    try:
+        if "path" in factor_doc:
+            factor = load_spectrum(base / factor_doc["path"])
+        elif "flat_torus" in factor_doc:
+            ft = factor_doc["flat_torus"]
+            factor = flat_torus_spectrum(ft["basis"], float(ft["cutoff"]))
+        else:
+            factor = spectrum_from_dict(factor_doc)
 
-    if "path" in boundary_doc:
-        mesh = load_mesh(base / boundary_doc["path"])
-    elif boundary_doc.get("builtin") == "disk":
-        mesh = generate_disk(int(boundary_doc.get("level", 4)))
-    elif boundary_doc.get("builtin") == "interval":
-        mesh = generate_interval(
-            int(boundary_doc.get("n", 100)), float(boundary_doc.get("L", 1.0))
-        )
-    else:
-        raise ConfigError(f"unrecognized boundary description {boundary_doc}")
+        if "path" in boundary_doc:
+            mesh = load_mesh(base / boundary_doc["path"])
+        elif boundary_doc.get("builtin") == "disk":
+            mesh = generate_disk(int(boundary_doc.get("level", 4)))
+        elif boundary_doc.get("builtin") == "interval":
+            mesh = generate_interval(
+                int(boundary_doc.get("n", 100)), float(boundary_doc.get("L", 1.0))
+            )
+        else:
+            raise ConfigError(f"unrecognized boundary description {boundary_doc}")
+    except KeyError as exc:
+        raise ConfigError(f"model description's factor or boundary misses key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"model description's factor or boundary has a mistyped value: "
+                          f"{exc}") from exc
 
     return ProductModel(
         factor=factor,
@@ -469,9 +422,7 @@ def load_model(path, doc: dict | None = None) -> ProductModel:
     """Build the model described by the JSON file at path; doc, when given,
     is that file already parsed.  Relative paths resolve against its folder."""
     path = Path(path)
-    if doc is None:
-        with open(path) as fh:
-            doc = json.load(fh)
+    doc = read_json_object(path, "model description") if doc is None else doc
     return model_from_dict(doc, base_dir=path.parent)
 
 

@@ -1,4 +1,5 @@
-"""CSV and float formatting shared by the export paths.
+"""CSV and float formatting shared by the export paths, and the one reader
+of JSON input files.
 
 All emitted numbers use 17 significant digits so identical runs produce
 byte-identical files.
@@ -7,8 +8,21 @@ byte-identical files.
 from __future__ import annotations
 
 import csv
+import json
 
-from .errors import PreconditionError
+from .errors import ConfigError, PreconditionError
+
+
+def read_json_object(path, what: str) -> dict:
+    """The JSON object held by the file at path; anything else is a bad config."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:  # missing, a directory, unreadable, malformed JSON or text
+        raise ConfigError(f"{what} {path} is unreadable or not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{what} {path} must hold a JSON object, got {type(doc).__name__}")
+    return doc
 
 
 def format_float(x: float) -> str:

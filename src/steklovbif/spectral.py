@@ -17,8 +17,11 @@ lowest: Lanczos can skip one copy of a double eigenvalue, and no residual
 shows that.  So a shift-invert slice costs two sparse factorizations and a
 dense slice one.  How many eigenvalues lie below a level needs no
 eigensolve: ``count_below`` reads it off the inertia of one sparse symmetric
-factorization.  Every factorization takes its matrix from the forms' cached
-``FactorInput``, already in one fill-reducing order, and orders nothing.
+factorization.  Nor does finding where the branches meet a level lam:
+(K + c M - lam B) u = 0 is linear in c, so ``level_crossings`` takes them all
+from one shift-invert solve of (lam B - K) u = c M u on the full space.
+Every factorization takes its matrix from the forms' cached ``FactorInput``,
+already in one fill-reducing order, and orders nothing.
 
 ``DENSE_LIMIT`` is the crossover measured with three factorizations per
 shift-invert slice.  Median time of one slice at c = 3 on the builtin disk,
@@ -41,9 +44,10 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as la
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import EigensolverError, PreconditionError
+from .errors import BracketError, EigensolverError, PreconditionError
 from .fem import AssembledForms
 from .serialize import read_csv, write_csv
 
@@ -178,7 +182,7 @@ def _check_residuals(Av, Bv, w, v, a_norm, b_norm, path) -> None:
 
 
 def _norm1(x) -> float:
-    """Largest absolute column sum of a dense matrix."""
+    """Largest absolute column sum of a dense or sparse matrix."""
     return float(np.abs(x).sum(axis=0).max())
 
 
@@ -198,7 +202,7 @@ def _shift_invert_slice(forms, c, A_bb, k) -> SpectrumSlice:
     fi = forms.factor_input
     full, bnd = fi.full, fi.boundary_positions
     A = full.pencil(c)
-    n, n_b = full.shape[0], len(bnd)
+    n = full.shape[0]
     scale = np.abs(A.data).sum() / max(A.nnz, 1)
     sigma = -1e-3 * max(scale, 1.0)
     lu = _factor(full.pencil(c, sigma))
@@ -208,20 +212,7 @@ def _shift_invert_slice(forms, c, A_bb, k) -> SpectrumSlice:
         rhs[bnd] = x
         return lu.solve(rhs)
 
-    # shift-invert mode applies only OPinv and M; A only gives the shape
-    shape_only = spla.LinearOperator((n_b, n_b), matvec=None, dtype=float)
-    OPinv = spla.LinearOperator((n_b, n_b), matvec=lambda x: extend(x)[bnd], dtype=float)
-    # a fixed start makes the result reproducible; a generic one has a
-    # component along every eigenvector (a constant misses the disk's cos
-    # modes, for one)
-    v0 = np.random.default_rng(0).standard_normal(n_b)
-    try:
-        _, v = spla.eigsh(
-            shape_only, k=k, M=fi.B_bb, sigma=sigma, OPinv=OPinv, which="LM",
-            tol=_SHIFT_INVERT_TOL, v0=v0,
-        )
-    except spla.ArpackNoConvergence as exc:
-        raise EigensolverError(f"shift-invert iteration did not converge: {exc}") from exc
+    v = _lanczos(lambda x: extend(x)[bnd], fi.B_bb, k, sigma, "shift-invert")
     X = extend(fi.B_bb @ v)
     BX = np.zeros_like(X)
     BX[bnd] = fi.B_bb @ X[bnd]
@@ -233,6 +224,24 @@ def _shift_invert_slice(forms, c, A_bb, k) -> SpectrumSlice:
     _check_residuals(AX @ y, BX @ y, w, v, _norm1(A_bb), fi.B_bb_norm1, "shift-invert")
     _check_lowest(forms, c, w)
     return SpectrumSlice(c=c, eigenvalues=w, eigenvectors=v)
+
+
+def _lanczos(solve, M, k, sigma, path) -> np.ndarray:
+    """ARPACK's k eigenvectors nearest sigma of a pencil (A, M), solve
+    applying (A - sigma M)^-1: shift-invert mode needs only that and M, so A
+    only gives the shape."""
+    size = M.shape[0]
+    shape_only = spla.LinearOperator((size, size), matvec=None, dtype=float)
+    OPinv = spla.LinearOperator((size, size), matvec=solve, dtype=float)
+    # a fixed start makes the result reproducible; a generic one has a
+    # component along every eigenvector (a constant misses the disk's cos
+    # modes, for one)
+    v0 = np.random.default_rng(0).standard_normal(size)
+    try:
+        return spla.eigsh(shape_only, k=k, M=M, sigma=sigma, OPinv=OPinv, which="LM",
+                          tol=_SHIFT_INVERT_TOL, v0=v0)[1]
+    except spla.ArpackNoConvergence as exc:
+        raise EigensolverError(f"{path} iteration did not converge: {exc}") from exc
 
 
 def _symmetrized(x: np.ndarray) -> np.ndarray:
@@ -287,6 +296,39 @@ def count_below(forms: AssembledForms, c: float, lam: float) -> int:
     _, d, _ = la.ldl(S)
     # d is block diagonal with 1x1 and 2x2 blocks, hence tridiagonal
     return int(np.count_nonzero(la.eigvalsh_tridiagonal(np.diag(d), np.diag(d, 1)) < 0))
+
+
+def level_crossings(forms: AssembledForms, lam: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n coefficients c_j* > 0 at which a branch rho_j(c) meets lam,
+    descending, with n = count_below(forms, 0, lam), and the slopes
+    rho_j'(c_j*) = u'Mu / u'Bu (Hellmann-Feynman).
+
+    They are the positive eigenvalues of (lam B - K) u = c M u, and
+    count_below(forms, c, lam) of them exceed c.  The shift sigma doubles
+    from 1 until none does; the n pairs nearest it, refined and checked as a
+    shift-invert slice's are, must then all lie in (0, sigma), so no skipped
+    copy of a double root passes.
+    """
+    if n == 0:
+        return np.empty(0), np.empty(0)
+    sigma = next((2.0**e for e in range(120) if count_below(forms, 2.0**e, lam) == 0), None)
+    if sigma is None:
+        raise BracketError(f"a branch stays below {lam:g} up to c={2.0**119:g}")
+    fi = forms.factor_input
+    full, bnd = fi.full, fi.boundary_positions
+    M = sp.csc_matrix((full.M, full.indices, full.indptr), shape=full.shape)
+    A = -full.pencil(0.0, lam)
+    lu = _factor(full.pencil(sigma, lam))
+    X = lu.solve(M @ _lanczos(lambda x: -lu.solve(x), M, n, sigma, "level-crossing"))
+    AX, MX = A @ X, M @ X
+    w, y = _dense_gevp(_symmetrized(X.T @ AX), _symmetrized(X.T @ MX), n)
+    u, Mu = X @ y, MX @ y
+    _check_residuals(AX @ y, Mu, w, u, _norm1(A), _norm1(M), "level-crossing")
+    if not (w[0] > 0 and w[-1] < sigma):
+        raise EigensolverError(f"level crossings at {lam:.12g}: {n} lie in (0, {sigma:g}), "
+                               f"the solve returned {', '.join(f'{x:.12g}' for x in w)}")
+    slopes = np.einsum("ij,ij->j", u, Mu) / np.einsum("ij,ij->j", u[bnd], fi.B_bb @ u[bnd])
+    return w[::-1], slopes[::-1]
 
 
 def steklov_spectrum(forms: AssembledForms, k: int) -> SpectrumSlice:

@@ -148,6 +148,23 @@ class TestInstantsCommand:
             outs.append((out_json.read_bytes(), out_csv.read_bytes()))
         assert outs[0] == outs[1]
 
+    def test_mesh_file_boundary_matches_builtin(self, disk_model_path, tmp_path):
+        # the boundary {"path": ...} branch of a model, on the builtin disk saved
+        from steklovbif import generate_disk
+        from steklovbif.mesh import save_mesh
+
+        save_mesh(generate_disk(DISK_TORUS_DOC["boundary"]["level"]), tmp_path / "mesh.json")
+        mesh_model = tmp_path / "mesh_model.json"
+        mesh_model.write_text(json.dumps(dict(DISK_TORUS_DOC, boundary={"path": "mesh.json"})))
+        outs = []
+        for tag, model in (("builtin", disk_model_path), ("file", str(mesh_model))):
+            out_json, out_csv = tmp_path / f"{tag}.json", tmp_path / f"{tag}.csv"
+            assert cli.main(["instants", "--model", model, "--t-min", "0.3", "--t-max", "2.0",
+                             "--out-json", str(out_json), "--out-csv", str(out_csv)]) == 0
+            outs.append((out_json.read_bytes(), out_csv.read_bytes()))
+        assert len(json.loads(outs[0][0])) == 2
+        assert outs[0] == outs[1]
+
     def test_oracle_cross_check(self, disk_model_path, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         status = cli.main(
@@ -250,9 +267,10 @@ class TestReportCommand:
         assert (out_dir / "instants.csv").exists()
 
     def test_report_budget(self, tmp_path, monkeypatch):
-        # disk L4 x torus on [0.05, 10]: the c = 0 spectrum and the accepting
-        # slice of c_0* are the only eigensolves; the Morse indices read the
-        # c_j* table, and one walk at the first midpoint anchors them
+        # disk L4 x torus on [0.05, 10]: the c = 0 spectrum is the only slice
+        # (the c_j* table is one level-crossing solve after two counts); the
+        # Morse indices read the table, and one walk at the first midpoint
+        # anchors them
         from steklovbif import spectral
 
         calls = {"robin_steklov_spectrum": 0, "count_below": 0}
@@ -275,8 +293,8 @@ class TestReportCommand:
         assert [row["morse_index"] for row in summary["morse_indices"]] == [
             0, 4, 8, 12, 20, 24, 28, 36, 44
         ]
-        assert calls["robin_steklov_spectrum"] == 2
-        assert calls["count_below"] <= 50
+        assert calls["robin_steklov_spectrum"] == 1
+        assert calls["count_below"] <= 19
 
     def test_crossing_count_mismatch_exits_two(self, disk_model_path, tmp_path, capsys,
                                                monkeypatch):
@@ -396,6 +414,43 @@ class TestConfigHandling:
         assert status == 1
         assert json.loads(capsys.readouterr().err)["error"] == "bad_config"
         assert not out_json.exists()
+
+    _TORUS = DISK_TORUS_DOC["factor"]["flat_torus"]
+    _TRIANGLE = {"dim": 2, "vertices": [[0, 0], [1, 0], [0, 1]]}
+
+    @pytest.mark.parametrize(
+        "model,mesh,reason",
+        [
+            ({"factor": {"flat_torus": {"basis": _TORUS["basis"]}}}, None, "bad_config"),
+            ({"factor": {"dim": "x", "entries": [[0, 1], [1, 4]], "cutoff": 1}}, None,
+             "bad_config"),
+            ({"factor": {"dim": 2, "entries": [[0, 1], [1]], "cutoff": 1}}, None, "bad_config"),
+            ({"boundary": {"builtin": "disk", "level": "x"}}, None, "bad_config"),
+            ({"factor": {"path": "missing.json"}}, None, "bad_config"),
+            ({"boundary": {"path": "missing.json"}}, None, "bad_config"),
+            (None, "{", "bad_config"),
+            (None, json.dumps(dict(_TRIANGLE, cells=[[0, 1, "x"]])), "invalid_mesh"),
+            (None, json.dumps(dict(_TRIANGLE, cells=[[0, 1, 2.5]])), "invalid_mesh"),
+            (None, json.dumps(dict(_TRIANGLE, cells=[[0, 1]])), "invalid_mesh"),
+        ],
+        ids=["torus-without-cutoff", "string-factor-dim", "one-number-entry",
+             "string-disk-level", "missing-factor-path", "missing-boundary-path",
+             "malformed-mesh-json", "string-cell", "fractional-cell", "two-vertex-cell"],
+    )
+    def test_bad_input_file_fails_structured(self, tmp_path, capsys, model, mesh, reason):
+        # a model through instants --model, a mesh through steklov --mesh
+        if model is not None:
+            path = tmp_path / "model.json"
+            path.write_text(json.dumps(dict(DISK_TORUS_DOC, **model)))
+            argv = ["instants", "--model", str(path), "--out-json", str(tmp_path / "i.json"),
+                    "--out-csv", str(tmp_path / "i.csv")]
+        else:
+            path = tmp_path / "mesh.json"
+            path.write_text(mesh)
+            argv = ["steklov", "--mesh", str(path), "-k", "1", "--out", str(tmp_path / "s.csv")]
+        assert cli.main(argv) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == reason
+        assert not any(tmp_path.glob("[is].*"))
 
     @pytest.mark.parametrize("flag", ["--config", "--model"])
     def test_directory_rejected(self, disk_model_path, tmp_path, capsys, flag):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from steklovbif import assemble, generate_disk, generate_interval, scale_metric_forms, steklov_spectrum
 from steklovbif.errors import AssemblyError, PreconditionError
@@ -108,6 +109,26 @@ class TestFormProperties:
         mesh, forms = self._case(case, disk, interval, fuzz_meshes)
         for mat, ref in zip((forms.K, forms.M, forms.B), per_cell_forms(mesh)):
             assert np.abs(mat.toarray() - ref).max() <= 16 * np.finfo(float).eps * np.abs(ref).max()
+
+
+class TestFactorInput:
+    @pytest.mark.parametrize("case", [f"disk{level}" for level in range(6)]
+                             + ["interval50", "interval1000", "jittered", "delaunay"])
+    def test_order_is_that_of_a_full_factorization(self, case, disk, interval, fuzz_meshes):
+        # the cached order is read off an incomplete factorization of K + M + B
+        if case.startswith("disk"):
+            _, forms = disk(int(case[4:]))
+        elif case.startswith("interval"):
+            _, forms = interval(int(case[8:]), 1.0)
+        else:
+            _, forms = fuzz_meshes[case]
+        total = (abs(forms.K) + abs(forms.M) + abs(forms.B)).tocsc()
+        order = np.argsort(spla.splu(total).perm_c)
+        is_b = np.zeros(forms.n, dtype=bool)
+        is_b[forms.boundary_dofs] = True
+        fi = forms.factor_input
+        assert np.array_equal(fi.boundary_positions, np.argsort(order)[forms.boundary_dofs])
+        assert np.array_equal(fi.interior_order, order[~is_b[order]])
 
 
 class TestScaleMetricForms:

@@ -33,7 +33,7 @@ from steklovbif.product import (
     normalize_boundary_power,
     slice_to_csv,
 )
-from steklovbif.spectral import count_below, harmonic_extension
+from steklovbif.spectral import count_below, harmonic_extension, robin_steklov_spectrum
 
 # oracle root of the lowest disk branch at target 1/3 (Hhat of the disk x torus model)
 C_STAR = 0.7253659025
@@ -50,6 +50,27 @@ def _inertia_count(model, t, level):
             return total
         total += model.factor.multiplicity(i) * n
     raise AssertionError(f"factor spectrum exhausted at t={t}")
+
+
+def _bisected_table(forms, hhat):
+    """(c_j*, s_j) per j, descending in c, by the count bisection the table
+    once used: rho_j(c) < hhat exactly when more than j eigenvalues lie below
+    hhat, so doubling and bisection on counts bracket c_j* to a relative
+    width of 1e-9; the slope is phi' M phi / phi' B phi of the branch's
+    eigenvector at the bracket's midpoint, extended harmonically."""
+    table = []
+    for j in range(count_below(forms, 0.0, hhat)):
+        lo, hi = 0.0, 1.0
+        while count_below(forms, hi, hhat) > j:
+            lo, hi = hi, 2.0 * hi
+        while hi - lo > 1e-9 * hi:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if count_below(forms, mid, hhat) > j else (lo, mid)
+        mid = 0.5 * (lo + hi)
+        trace = robin_steklov_spectrum(forms, mid, j + 1).eigenvectors[:, j]
+        phi = harmonic_extension(forms, trace, mid)
+        table.append((mid, float(phi @ (forms.M @ phi)) / float(phi @ (forms.B @ phi))))
+    return table
 
 
 def unit_boundary_disk_forms(level=3):
@@ -78,30 +99,58 @@ class TestProductModel:
         with pytest.raises(PreconditionError, match=">= 3"):
             ProductModel(one_dim, mesh, forms, m1=1, m2=1, H2=0.0)
 
-    def test_missed_root_raises_with_its_bracket(self, disk, square_torus, monkeypatch):
-        # every slice offset by twice the acceptance tolerance: the count
-        # bracket still holds the root, its one acceptance slice fails, and
-        # nothing is solved again
-        from dataclasses import replace
+    def test_dropped_copy_of_a_double_root_raises(self, disk, square_torus, monkeypatch):
+        # Lanczos returning one copy of the disk's double root c_1* = c_2* at
+        # Hhat = 4/3, and the next pair nearest the shift in its place: the
+        # refined values leave (0, sigma), where two counts put all three
+        from steklovbif import spectral
+        from steklovbif.errors import EigensolverError
 
-        from steklovbif import product
-        from steklovbif.errors import NumericalError
+        mesh, forms = disk(3)
+        model = ProductModel(square_torus(20.0), mesh, forms, m1=2, m2=2, H2=4.0)
+        eigsh = spectral.spla.eigsh
 
-        mesh, forms = disk(2)
-        model = ProductModel(square_torus(20.0), mesh, forms, m1=2, m2=2, H2=1.0)
-        shift = 2 * product.ROOT_RTOL * model.Hhat
-        original = product.robin_steklov_spectrum
-        slices = []
+        def dropping(*args, k, **kwargs):
+            w, v = eigsh(*args, k=k + 1, **kwargs)
+            copy = 1 + int(np.argmin(np.diff(w)))  # the second copy of the double root
+            return np.delete(w, copy), np.delete(v, copy, axis=1)
 
-        def offset(forms, c, k):
-            slices.append(c)
-            sl = original(forms, c, k)
-            return replace(sl, eigenvalues=sl.eigenvalues + shift)
-
-        monkeypatch.setattr(product, "robin_steklov_spectrum", offset)
-        with pytest.raises(NumericalError, match=r"j=0 .* count bracket \[0\.72\d*, 0\.72\d*\]"):
+        monkeypatch.setattr(spectral.spla, "eigsh", dropping)
+        with pytest.raises(EigensolverError,
+                           match=r"at 1\.33333333333: 3 lie in \(0, 4\), .* returned -3\.72"):
             model.critical_coefficients
-        assert len(slices) == 2  # the c = 0 spectrum and the acceptance slice
+
+    def test_values_shifted_after_rayleigh_ritz_raise(self, disk, monkeypatch):
+        # every refined c_j* moved by 1e-5 relative: the pairs' residuals show it
+        from steklovbif import spectral
+        from steklovbif.errors import EigensolverError
+
+        dense_gevp = spectral._dense_gevp
+
+        def shifted(a, b, k):
+            w, y = dense_gevp(a, b, k)
+            return w * (1 + 1e-5), y
+
+        monkeypatch.setattr(spectral, "_dense_gevp", shifted)
+        with pytest.raises(EigensolverError, match="level-crossing eigenpair residual"):
+            spectral.level_crossings(disk(3)[1], 4.0 / 3.0, 3)
+
+    @pytest.mark.parametrize("H2", [1.0, 4.0])
+    @pytest.mark.parametrize("mesh_name", ["disk3", "disk4", "jittered", "delaunay"])
+    def test_table_matches_count_bisection(self, disk, fuzz_meshes, square_torus, mesh_name, H2):
+        # Hhat = 1/3 and 4/3; the symmetric disks have c_1* = c_2* at 4/3
+        mesh = disk(int(mesh_name[-1]))[0] if mesh_name.startswith("disk") else (
+            fuzz_meshes[mesh_name][0])
+        first, second = (
+            ProductModel(square_torus(20.0), mesh, assemble(mesh), m1=2, m2=2, H2=H2)
+            for _ in range(2)
+        )
+        table = np.array(first._critical_table)
+        assert first._critical_table == second._critical_table  # bit for bit
+        reference = np.array(_bisected_table(first.boundary_forms, first.Hhat))
+        assert table.shape == reference.shape == ((1 if H2 == 1.0 else 3), 2)
+        np.testing.assert_allclose(table[:, 0], reference[:, 0], rtol=1e-9, atol=0)
+        np.testing.assert_allclose(table[:, 1], reference[:, 1], rtol=1e-8, atol=0)
 
 
 class TestMeanCurvature:
