@@ -12,10 +12,8 @@ from .factors import ClosedFactorSpectrum, flat_torus_spectrum, from_list
 from .fem import AssembledForms, assemble, scale_metric_forms
 from .mesh import Mesh, generate_disk, generate_interval, load_mesh, refine_uniform, validate
 from .product import (
-    JacobiSlice,
     ProductModel,
     conformal_mean_curvature,
-    jacobi_slice,
     load_model,
     mean_curvature_gt,
     morse_index,
@@ -36,7 +34,6 @@ __all__ = [
     "ClosedFactorSpectrum",
     "DegeneracyRecord",
     "EigenCurve",
-    "JacobiSlice",
     "Mesh",
     "ProductModel",
     "SpectrumSlice",
@@ -50,7 +47,6 @@ __all__ = [
     "from_list",
     "generate_disk",
     "generate_interval",
-    "jacobi_slice",
     "load_mesh",
     "load_model",
     "mean_curvature_gt",

@@ -113,12 +113,23 @@ def simplex_measure(points: np.ndarray) -> float:
 
 
 def extract_boundary_facets(cells: np.ndarray, dim: int) -> np.ndarray:
-    """Facets (dim-subsimplices) incident to exactly one cell, canonically sorted."""
+    """Facets (dim-subsimplices) incident to exactly one cell, canonically sorted.
+
+    Each sorted facet is one int64 key, its vertex ids as digits in a base
+    above every id, so key order is lexicographic row order.
+    """
     facets = np.sort(
         np.concatenate([np.delete(cells, drop, axis=1) for drop in range(dim + 1)]), axis=1
-    )
-    unique, counts = np.unique(facets.reshape(-1, dim), axis=0, return_counts=True)
-    return unique[counts == 1]
+    ).reshape(-1, dim)
+    base = int(cells.max()) + 1 if cells.size else 1
+    if base**dim > np.iinfo(np.int64).max:
+        raise PreconditionError(f"vertex ids up to {base - 1} overflow int64 facet keys "
+                                f"in dimension {dim}")
+    keys = np.zeros(len(facets), dtype=np.int64)
+    for column in facets.T:
+        keys = keys * base + column
+    _, first, counts = np.unique(keys, return_index=True, return_counts=True)
+    return facets[first[counts == 1]]
 
 
 def generate_interval(n: int, L: float) -> Mesh:
@@ -156,12 +167,14 @@ def generate_disk(refinement_level: int) -> Mesh:
 
 
 def project_boundary_to_unit_circle(mesh: Mesh) -> Mesh:
-    """Radially project boundary vertices of a planar mesh onto the unit circle."""
+    """Radially project boundary vertices of a planar mesh onto the unit
+    circle; the topology, boundary included, is kept."""
     vertices = mesh.vertices.copy()
     ids = mesh.boundary_vertex_ids
     norms = np.linalg.norm(vertices[ids], axis=1)
     vertices[ids] = vertices[ids] / norms[:, None]
-    return Mesh(dim=mesh.dim, vertices=vertices, cells=mesh.cells)
+    return Mesh(dim=mesh.dim, vertices=vertices, cells=mesh.cells,
+                boundary_facets=mesh.boundary_facets, boundary_vertex_ids=ids)
 
 
 def refine_uniform(mesh: Mesh) -> Mesh:

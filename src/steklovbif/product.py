@@ -7,12 +7,12 @@ bulk coefficients c = t * rho_i.  Morse index and nullity count branches
 below / at the rescaled mean curvature Hhat = (m2-1)/(m-1) * H2.  Branch
 (i, j) lies below Hhat at t exactly when t * rho_i < c_j*, where branch j
 meets Hhat, so Morse indices and nullities are arithmetic on the table of
-c_j*, one linear eigensolve per model.  One walk over the factor spectrum
-serves them and the Jacobi slices: factor index i lists the number of
-branches of c = t * rho_i below a level, read off the table or counted by
-Sylvester inertia (``spectral.count_below``), and stops at the first index
-with none -- every later factor eigenvalue is larger, and so are its
-branches.  The Steklov row i = 0 comes from one c = 0 spectrum per model.
+c_j*: one linear eigensolve per model, proved by inertia counts to relative
+BRACKET_RTOL (``spectral.level_crossings``).  A walk over the factor
+spectrum lists, per factor index i, the number of branches of
+c = t * rho_i below a level, and stops at the first index with none --
+every later factor eigenvalue is larger, and so are its branches.  The
+Steklov row i = 0 comes from one c = 0 spectrum per model.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ from .errors import (
 from .factors import ClosedFactorSpectrum, flat_torus_spectrum, load_spectrum, spectrum_from_dict
 from .fem import AssembledForms, assemble
 from .mesh import Mesh, generate_disk, generate_interval, load_mesh
-from .serialize import read_csv, read_json_object, write_csv
-from .spectral import count_below, level_crossings, robin_steklov_spectrum
+from .serialize import read_json_object
+from .spectral import BRACKET_RTOL, count_below, level_crossings, robin_steklov_spectrum
 
 DEFAULT_DEGENERACY_RTOL = 1e-6
 STEKLOV_MEMBERSHIP_RTOL = 1e-8
@@ -87,7 +87,9 @@ class ProductModel:
 
         Branch (i, j) at parameter t is rho_j(t * rho_i) and each rho_j
         increases strictly in c, so every degeneracy instant is some
-        c_j* / rho_i.  Computed once per model, on first use.
+        c_j* / rho_i.  Computed once per model, on first use, and proved:
+        the number of c_j* above c is certain at every c farther than
+        BRACKET_RTOL (relative) from each of them.
         """
         return tuple(c for c, _ in self._critical_table)
 
@@ -114,58 +116,22 @@ class ProductModel:
         """Ascending Steklov (c = 0) eigenvalues: every one below threshold
         and the first at or above it.
 
-        Solved once per model and shared by the c_j* table, Morse indices,
-        nullities and Jacobi slices; solved again only when a higher
-        threshold needs more eigenvalues.
+        Solved once per model and shared by the c_j* table, Morse indices
+        and nullities; solved again only when a higher threshold needs more
+        eigenvalues.
         """
         vals = self.__dict__.get("_steklov")
         if vals is None or vals[-1] <= threshold:
             forms = self.boundary_forms
-            vals = _lowest_past(forms, 0.0, count_below(forms, 0.0, threshold), threshold)
+            n = count_below(forms, 0.0, threshold)
+            if n >= len(forms.boundary_dofs):
+                raise CutoffExhaustedError(
+                    f"boundary spectrum exhausted below {threshold:.12g}; refine the mesh"
+                )
+            vals = robin_steklov_spectrum(forms, 0.0, n + 1).eigenvalues
             # a frozen dataclass keeps a writable __dict__, as for cached_property
             self.__dict__["_steklov"] = vals
         return vals
-
-
-@dataclass(frozen=True)
-class JacobiEntry:
-    i: int
-    j: int
-    rho: float
-    jacobi_value: float
-    multiplicity: int
-
-
-@dataclass(frozen=True)
-class TruncationCertificate:
-    """Monotonicity bounds proving the enumeration missed nothing.
-
-    ``stop_index`` is the first factor index whose lowest branch already
-    reaches the threshold (all later factor eigenvalues are larger, hence
-    so are their branches); ``branch_bounds`` records, per enumerated
-    factor index, the first sorted position whose value reaches the
-    threshold (all later positions are at least as large).
-    """
-
-    threshold: float
-    stop_index: int
-    stop_rho: float
-    stop_bound: float
-    branch_bounds: tuple
-
-    def summary(self) -> str:
-        return (
-            f"no omitted branch below {self.threshold:.12g}: factor index "
-            f"{self.stop_index} (eigenvalue {self.stop_rho:g}) opens at "
-            f"{self.stop_bound:.12g}"
-        )
-
-
-@dataclass(frozen=True, eq=False)
-class JacobiSlice:
-    t: float
-    entries: tuple
-    certificate: TruncationCertificate
 
 
 def mean_curvature_gt(model: ProductModel, t: float) -> float:
@@ -173,16 +139,6 @@ def mean_curvature_gt(model: ProductModel, t: float) -> float:
     if t <= 0:
         raise PreconditionError(f"metric parameter t must be positive, got {t}")
     return model.Hhat / math.sqrt(t)
-
-
-def _lowest_past(forms, c, n, level):
-    """The n + 1 lowest eigenvalues at bulk coefficient c, given that n of
-    them lie below level: the last is the first to reach it."""
-    if n >= len(forms.boundary_dofs):
-        raise CutoffExhaustedError(
-            f"boundary spectrum exhausted below {level:.12g} at c={c:g}; refine the mesh"
-        )
-    return robin_steklov_spectrum(forms, c, n + 1).eigenvalues
 
 
 def _factor_walk(model: ProductModel, t: float, count):
@@ -205,53 +161,6 @@ def _factor_walk(model: ProductModel, t: float, count):
         f"factor spectrum cutoff {model.factor.cutoff:g} exhausted at t={t:g} "
         "before the lowest branch cleared its level"
     )
-
-
-def jacobi_slice(model: ProductModel, t: float, margin: float) -> JacobiSlice:
-    """All Jacobi branches with rho < Hhat + margin at parameter t.
-
-    Each entry is weighted by the factor multiplicity; eigenvalue
-    multiplicity inside a slice shows up as repeated sorted positions j.
-    The factor indices are those of the inertia-counted walk, each solved
-    for its counted branches plus the first one past the threshold.
-    Raises when the factor spectrum ends before the enumeration provably
-    closes.
-    """
-    if t <= 0:
-        raise PreconditionError(f"metric parameter t must be positive, got {t}")
-    if margin < 0:
-        raise PreconditionError("margin must be non-negative")
-    hhat = model.Hhat
-    threshold = hhat + margin
-    forms = model.boundary_forms
-    sqrt_t = math.sqrt(t)
-
-    # (i, mu_i, lowest eigenvalues, n below the threshold) per factor index;
-    # row i = 0 is the Steklov spectrum
-    sigma = model.steklov_past(threshold)
-    rows = [(0, 1, sigma, int(np.searchsorted(sigma, threshold)))]
-    rows += [
-        (i, mu, _lowest_past(forms, c, n, threshold), n)
-        for i, mu, c, n in _factor_walk(model, t, lambda c: count_below(forms, c, threshold))
-    ]
-    # only i + j > 0 enters the Jacobi spectrum: (0, 0) is the constant
-    entries = [
-        JacobiEntry(i, j, float(vals[j]), float((vals[j] - hhat) / sqrt_t), mu)
-        for i, mu, vals, n in rows
-        for j in range(n)
-        if i + j > 0
-    ]
-    stop_index = rows[-1][0] + 1
-    stop_rho = model.factor.value(stop_index)
-    certificate = TruncationCertificate(
-        threshold=threshold,
-        stop_index=stop_index,
-        stop_rho=stop_rho,
-        stop_bound=float(_lowest_past(forms, t * stop_rho, 0, threshold)[0]),
-        branch_bounds=tuple((i, n, float(vals[n])) for i, _, vals, n in rows),
-    )
-    entries.sort(key=lambda e: (e.rho, e.i, e.j))
-    return JacobiSlice(t=float(t), entries=tuple(entries), certificate=certificate)
 
 
 def _branch_counts(model: ProductModel, t: float, tol: float):
@@ -425,18 +334,3 @@ def load_model(path, doc: dict | None = None) -> ProductModel:
     doc = read_json_object(path, "model description") if doc is None else doc
     return model_from_dict(doc, base_dir=path.parent)
 
-
-def slice_to_csv(sl: JacobiSlice, path) -> None:
-    write_csv(
-        path,
-        ["i", "j", "rho", "jacobi_value", "multiplicity"],
-        [(e.i, e.j, e.rho, e.jacobi_value, e.multiplicity) for e in sl.entries],
-    )
-
-
-def load_slice_csv(path) -> list[JacobiEntry]:
-    rows = read_csv(path, ["i", "j", "rho", "jacobi_value", "multiplicity"])
-    return [
-        JacobiEntry(int(r[0]), int(r[1]), float(r[2]), float(r[3]), int(r[4]))
-        for r in rows
-    ]

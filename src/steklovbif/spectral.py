@@ -19,7 +19,9 @@ dense slice one.  How many eigenvalues lie below a level needs no
 eigensolve: ``count_below`` reads it off the inertia of one sparse symmetric
 factorization.  Nor does finding where the branches meet a level lam:
 (K + c M - lam B) u = 0 is linear in c, so ``level_crossings`` takes them all
-from one shift-invert solve of (lam B - K) u = c M u on the full space.
+from one shift-invert solve of (lam B - K) u = c M u on the full space, and
+proves them to relative BRACKET_RTOL by two inertia counts per root (or
+group of roots closer than that).
 Every factorization takes its matrix from the forms' cached ``FactorInput``,
 already in one fill-reducing order, and orders nothing.
 
@@ -58,6 +60,8 @@ _SHIFT_INVERT_TOL = 1e-10
 RESIDUAL_RTOL = 1e-8
 PIVOT_RTOL = 1e-10
 LOWEST_RTOL = 1e-6
+# relative half-width of the window in which level_crossings proves each c_j*
+BRACKET_RTOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -304,10 +308,14 @@ def level_crossings(forms: AssembledForms, lam: float, n: int) -> tuple[np.ndarr
     rho_j'(c_j*) = u'Mu / u'Bu (Hellmann-Feynman).
 
     They are the positive eigenvalues of (lam B - K) u = c M u, and
-    count_below(forms, c, lam) of them exceed c.  The shift sigma doubles
-    from 1 until none does; the n pairs nearest it, refined and checked as a
-    shift-invert slice's are, must then all lie in (0, sigma), so no skipped
-    copy of a double root passes.
+    count_below(forms, c, lam) of them exceed c, a count that never increases
+    in c (M is positive semidefinite).  The shift sigma doubles from 1 until
+    none does; the n pairs nearest it, refined and checked as a shift-invert
+    slice's are, must all lie in (0, sigma).  Roots whose windows
+    c_j* (1 -/+ BRACKET_RTOL) overlap form a group, and a count just below
+    and just above each group must equal the table's.  That proves the
+    table at every c outside the windows, and each c_j* to relative
+    BRACKET_RTOL; a skipped copy of a double root raises EigensolverError.
     """
     if n == 0:
         return np.empty(0), np.empty(0)
@@ -327,6 +335,14 @@ def level_crossings(forms: AssembledForms, lam: float, n: int) -> tuple[np.ndarr
     if not (w[0] > 0 and w[-1] < sigma):
         raise EigensolverError(f"level crossings at {lam:.12g}: {n} lie in (0, {sigma:g}), "
                                f"the solve returned {', '.join(f'{x:.12g}' for x in w)}")
+    lo, hi = w * (1 - BRACKET_RTOL), w * (1 + BRACKET_RTOL)
+    starts = np.flatnonzero(np.r_[True, lo[1:] > hi[:-1]])
+    for first, end in zip(starts, np.r_[starts[1:], n]):
+        for c, above in ((lo[first], n - first), (hi[end - 1], n - end)):
+            counted = count_below(forms, c, lam)
+            if counted != above:
+                raise EigensolverError(f"level crossings at {lam:.12g}: an inertia count puts "
+                                       f"{counted} above c={c:.12g}, the solve {above}")
     slopes = np.einsum("ij,ij->j", u, Mu) / np.einsum("ij,ij->j", u[bnd], fi.B_bb @ u[bnd])
     return w[::-1], slopes[::-1]
 

@@ -263,6 +263,46 @@ class TestCertifyBifurcation:
         with pytest.raises(EpsilonExhaustedError):
             certify_bifurcation(model, recs[0])
 
+    def test_isolation_clears_the_bracket_windows(self, disk, monkeypatch):
+        # the instant c_0* / 1 sits at (t* + epsilon)(1 + BRACKET_RTOL / 2) for
+        # t* = c_0* / rho_2 and the default epsilon = 0.05 t*: outside the
+        # window, but t* + epsilon reads branch (1, 0) inside the bracket
+        # window of c_0*, where the table is not proved
+        from steklovbif import bifurcation
+        from steklovbif.spectral import BRACKET_RTOL
+
+        model = _near_pair_model(disk, 1.05 * (1 + BRACKET_RTOL / 2))
+        c_stars = np.array(model.critical_coefficients)
+        rho = np.array([model.factor.value(i) for i in range(1, len(model.factor))])
+        read = []
+        morse_index = bifurcation.morse_index
+
+        def recorded(model, t, **kwargs):
+            read.append(t)
+            return morse_index(model, t, **kwargs)
+
+        monkeypatch.setattr(bifurcation, "morse_index", recorded)
+        record = enumerate_instants(model, 0.5, 1.0)[1]
+        out = certify_bifurcation(model, record)
+        assert out.epsilon == pytest.approx(0.025 * out.t_star, rel=1e-12)
+        assert (out.n_minus, out.n_plus, out.certified) == (3, 2, True)
+        assert read
+        c = np.outer(read, rho)
+        assert np.all(np.abs(c[:, :, None] / c_stars - 1.0) > BRACKET_RTOL)
+
+    def test_epsilon_inside_own_windows_exhausts(self, model, instants, monkeypatch):
+        # t* -/+ epsilon within BRACKET_RTOL of the instant's own root: no
+        # halving leaves the window, so nothing is read and isolation fails
+        from steklovbif import bifurcation
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("read the table inside a bracket window")
+
+        monkeypatch.setattr(bifurcation, "morse_index", forbidden)
+        rec = instants[0]
+        with pytest.raises(EpsilonExhaustedError):
+            certify_bifurcation(model, rec, epsilon=5e-9 * rec.t_star, degeneracy_rtol=1e-12)
+
     def test_bad_epsilon_rejected(self, model, instants):
         with pytest.raises(PreconditionError):
             certify_bifurcation(model, instants[0], epsilon=instants[0].t_star * 2)
@@ -345,11 +385,11 @@ class TestSliceBudget:
     def test_report_pipeline_counts_instead_of_solving(self, disk, square_torus, monkeypatch):
         # enumerate + certify + Morse indices between instants on disk L4 x
         # torus: the c = 0 spectrum is the only slice; one count sizes it, one
-        # clears the c_j* table's shift, two check each crossing factor index,
-        # and the Morse indices read the table
+        # clears the c_j* table's shift, two bracket its one root, and
+        # certification and the Morse indices read the table
         import math
 
-        from steklovbif import bifurcation, morse_index, product, spectral
+        from steklovbif import morse_index, product, spectral
 
         mesh, forms = disk(4)
         model = ProductModel(square_torus(20.0), mesh, forms, m1=2, m2=2, H2=1.0)
@@ -369,7 +409,7 @@ class TestSliceBudget:
             counts.append(args[1:])
             return count_below(*args)
 
-        for module in (spectral, product, bifurcation):
+        for module in (spectral, product):
             monkeypatch.setattr(module, "count_below", counted_inertia)
 
         records = enumerate_instants(model, 0.05, 10.0)
@@ -382,4 +422,42 @@ class TestSliceBudget:
         assert all(r.certified for r in certified)
         assert indices == [0, 4, 8, 12, 20, 24, 28, 36, 44]
         assert len(solves) == 1
-        assert len(counts) <= 18
+        assert len(counts) <= 4
+
+    def test_double_roots_certify_without_counting(self, disk, square_torus, monkeypatch):
+        # disk L4 at Hhat = 7/3: five c_j* in three groups (two double roots).
+        # The table makes one count at c = 0, one per doubling of its shift
+        # and at most two per group; certifying its 17 instants makes none
+        import math
+        import sys
+
+        from steklovbif import spectral
+
+        mesh, forms = disk(4)
+        model = ProductModel(square_torus(20.0), mesh, forms, m1=2, m2=2, H2=7.0)
+        counts = []
+        count_below = spectral.count_below
+        binding = [module for name, module in list(sys.modules.items())
+                   if name.startswith("steklovbif") and vars(module).get("count_below") is count_below]
+
+        def counted_inertia(forms, c, lam):
+            counts.append(c)
+            return count_below(forms, c, lam)
+
+        for module in binding:
+            monkeypatch.setattr(module, "count_below", counted_inertia)
+        c_stars = np.sort(model.critical_coefficients)
+        groups = 1 + int(np.count_nonzero(np.diff(c_stars) > 1e-6 * c_stars[1:]))
+        doublings = [c for c in counts if c > 0 and math.frexp(c)[0] == 0.5]
+        assert (len(c_stars), groups) == (5, 3)
+        assert counts[0] == 0.0
+        assert len(counts) - 1 - len(doublings) <= 2 * groups
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("counted after the table was built")
+
+        for module in binding:
+            monkeypatch.setattr(module, "count_below", forbidden)
+        certified = [certify_bifurcation(model, r) for r in enumerate_instants(model, 0.6, 10.0)]
+        assert len(certified) == 17
+        assert all(r.certified for r in certified)

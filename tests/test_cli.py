@@ -268,9 +268,9 @@ class TestReportCommand:
 
     def test_report_budget(self, tmp_path, monkeypatch):
         # disk L4 x torus on [0.05, 10]: the c = 0 spectrum is the only slice
-        # (the c_j* table is one level-crossing solve after two counts); the
-        # Morse indices read the table, and one walk at the first midpoint
-        # anchors them
+        # (the c_j* table is one level-crossing solve after two counts, proved
+        # by two bracket counts); certification and the Morse indices read the
+        # table, and one walk at the first midpoint anchors them
         from steklovbif import spectral
 
         calls = {"robin_steklov_spectrum": 0, "count_below": 0}
@@ -294,22 +294,30 @@ class TestReportCommand:
             0, 4, 8, 12, 20, 24, 28, 36, 44
         ]
         assert calls["robin_steklov_spectrum"] == 1
-        assert calls["count_below"] <= 19
+        assert calls["count_below"] <= 5
 
     def test_crossing_count_mismatch_exits_two(self, disk_model_path, tmp_path, capsys,
                                                monkeypatch):
-        # certification's inertia counts beside each crossing must equal the
-        # c_j* table's; a mismatch is a numerical failure, not a report
-        from steklovbif import bifurcation
+        # the inertia counts bracketing each c_j* must equal the table's; one
+        # off by one is a numerical failure, not a report.  The counts at
+        # c = 0 and at the doubling shift (a power of two) stay true, so the
+        # brackets are the first counts the fault reaches
+        import math
 
-        count_below = bifurcation.count_below
-        monkeypatch.setattr(bifurcation, "count_below", lambda *args: count_below(*args) + 1)
+        from steklovbif import spectral
+
+        count_below = spectral.count_below
+
+        def off_by_one(forms, c, lam):
+            return count_below(forms, c, lam) + (c > 0 and math.frexp(c)[0] != 0.5)
+
+        monkeypatch.setattr(spectral, "count_below", off_by_one)
         status = cli.main(["report", "--model", disk_model_path, "--t-min", "0.3",
                            "--t-max", "2.0", "--out", str(tmp_path / "report")])
         assert status == 2
         payload = json.loads(capsys.readouterr().err)
-        assert payload["error"] == "numerical"
-        assert "disagrees with the c_j* table" in payload["detail"]
+        assert payload["error"] in ("eigensolver_failure", "numerical")
+        assert "an inertia count puts" in payload["detail"]
         assert not (tmp_path / "report" / "report.json").exists()
 
     def test_anchor_mismatch_exits_two(self, disk_model_path, tmp_path, capsys, monkeypatch):

@@ -7,7 +7,12 @@ from scipy.spatial import Delaunay
 
 from steklovbif import generate_disk, generate_interval, load_mesh, refine_uniform, validate
 from steklovbif.errors import InvalidMeshError, PreconditionError
-from steklovbif.mesh import Mesh, project_boundary_to_unit_circle, save_mesh
+from steklovbif.mesh import (
+    Mesh,
+    extract_boundary_facets,
+    project_boundary_to_unit_circle,
+    save_mesh,
+)
 
 
 def inscribed_polygon_perimeter(n):
@@ -43,6 +48,39 @@ class TestGenerateDisk:
     def test_negative_level_rejected(self):
         with pytest.raises(PreconditionError):
             generate_disk(-1)
+
+
+def _row_sorted_boundary(cells, dim):
+    """Boundary facets by a row-wise unique over all sorted facets: the
+    reference for the keyed extraction."""
+    facets = np.sort(np.concatenate([np.delete(cells, d, axis=1) for d in range(dim + 1)]), axis=1)
+    unique, counts = np.unique(facets.reshape(-1, dim), axis=0, return_counts=True)
+    return unique[counts == 1]
+
+
+class TestBoundaryFacets:
+    @pytest.mark.parametrize("level", range(7))
+    def test_disk_boundary_equals_row_sorted_reference(self, level):
+        # projection passes the refined mesh's boundary through; both must be
+        # the row-sorted extraction of the final cells, bit for bit
+        mesh = generate_disk(level)
+        reference = _row_sorted_boundary(mesh.cells, 2)
+        assert mesh.boundary_facets.dtype == reference.dtype
+        assert np.array_equal(mesh.boundary_facets, reference)
+        assert np.array_equal(mesh.boundary_vertex_ids, np.unique(reference))
+
+    def test_unordered_and_higher_dimensional_cells(self):
+        rng = np.random.default_rng(3)
+        points = rng.uniform(size=(40, 2))
+        cells = rng.permutation(Delaunay(points).simplices, axis=1)
+        tets = np.array([[0, 1, 2, 3], [1, 2, 3, 4]])
+        for c, dim in ((cells, 2), (tets, 3), (np.array([[0, 1], [1, 2]]), 1)):
+            got = extract_boundary_facets(c, dim)
+            assert np.array_equal(got, _row_sorted_boundary(c, dim))
+
+    def test_key_overflow_rejected(self):
+        with pytest.raises(PreconditionError, match="overflow"):
+            extract_boundary_facets(np.array([[0, 1, 2, 3_000_000]]), 3)
 
 
 class TestGenerateInterval:

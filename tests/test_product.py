@@ -12,7 +12,6 @@ from steklovbif import (
     conformal_mean_curvature,
     from_list,
     generate_disk,
-    jacobi_slice,
     load_model,
     mean_curvature_gt,
     morse_index,
@@ -27,12 +26,7 @@ from steklovbif.errors import (
     DegenerateInstantError,
     PreconditionError,
 )
-from steklovbif.product import (
-    load_slice_csv,
-    model_from_dict,
-    normalize_boundary_power,
-    slice_to_csv,
-)
+from steklovbif.product import model_from_dict, normalize_boundary_power
 from steklovbif.spectral import count_below, harmonic_extension, robin_steklov_spectrum
 
 # oracle root of the lowest disk branch at target 1/3 (Hhat of the disk x torus model)
@@ -99,6 +93,13 @@ class TestProductModel:
         with pytest.raises(PreconditionError, match=">= 3"):
             ProductModel(one_dim, mesh, forms, m1=1, m2=1, H2=0.0)
 
+    def test_boundary_spectrum_exhaustion_is_loud(self, torus_interval_model):
+        # two boundary dofs mean two Steklov eigenvalues; a threshold above
+        # both has no first eigenvalue past it
+        model = torus_interval_model(50)
+        with pytest.raises(CutoffExhaustedError, match="boundary"):
+            model.steklov_past(10.0)
+
     def test_dropped_copy_of_a_double_root_raises(self, disk, square_torus, monkeypatch):
         # Lanczos returning one copy of the disk's double root c_1* = c_2* at
         # Hhat = 4/3, and the next pair nearest the shift in its place: the
@@ -135,10 +136,33 @@ class TestProductModel:
         with pytest.raises(EigensolverError, match="level-crossing eigenpair residual"):
             spectral.level_crossings(disk(3)[1], 4.0 / 3.0, 3)
 
-    @pytest.mark.parametrize("H2", [1.0, 4.0])
+    @pytest.mark.parametrize("scale", [1 + 1e-6, 1 - 1e-6])
+    @pytest.mark.parametrize("level, lam", [(3, 4.0 / 3.0), (4, 1.0 / 3.0), (4, 7.0 / 3.0)])
+    def test_values_scaled_within_the_residual_check_raise(self, disk, monkeypatch, level,
+                                                            lam, scale):
+        # 1e-6 relative passes the residual check; the inertia count beside
+        # the lowest (or highest) bracket window finds one group fewer (or
+        # more) above it than the table
+        from steklovbif import spectral
+        from steklovbif.errors import EigensolverError
+
+        forms = disk(level)[1]
+        n = count_below(forms, 0.0, lam)
+        dense_gevp = spectral._dense_gevp
+
+        def scaled(a, b, k):
+            w, y = dense_gevp(a, b, k)
+            return w * scale, y
+
+        monkeypatch.setattr(spectral, "_dense_gevp", scaled)
+        with pytest.raises(EigensolverError, match="an inertia count puts"):
+            spectral.level_crossings(forms, lam, n)
+
+    @pytest.mark.parametrize("H2", [1.0, 4.0, 7.0])
     @pytest.mark.parametrize("mesh_name", ["disk3", "disk4", "jittered", "delaunay"])
     def test_table_matches_count_bisection(self, disk, fuzz_meshes, square_torus, mesh_name, H2):
-        # Hhat = 1/3 and 4/3; the symmetric disks have c_1* = c_2* at 4/3
+        # Hhat = 1/3, 4/3 and 7/3; the symmetric disks have c_1* = c_2* at 4/3
+        # and two double roots at 7/3
         mesh = disk(int(mesh_name[-1]))[0] if mesh_name.startswith("disk") else (
             fuzz_meshes[mesh_name][0])
         first, second = (
@@ -148,7 +172,7 @@ class TestProductModel:
         table = np.array(first._critical_table)
         assert first._critical_table == second._critical_table  # bit for bit
         reference = np.array(_bisected_table(first.boundary_forms, first.Hhat))
-        assert table.shape == reference.shape == ((1 if H2 == 1.0 else 3), 2)
+        assert table.shape == reference.shape == ({1.0: 1, 4.0: 3, 7.0: 5}[H2], 2)
         np.testing.assert_allclose(table[:, 0], reference[:, 0], rtol=1e-9, atol=0)
         np.testing.assert_allclose(table[:, 1], reference[:, 1], rtol=1e-8, atol=0)
 
@@ -169,117 +193,6 @@ class TestMeanCurvature:
             mean_curvature_gt(disk_torus_model(1, 20.0), 0.0)
 
 
-class TestJacobiSlice:
-    def test_steklov_branch_values(self, disk_torus_model):
-        model = disk_torus_model(3, 20.0)
-        t = 2.0
-        sl = jacobi_slice(model, t, margin=1.0)
-        steklov = steklov_spectrum(model.boundary_forms, 4).eigenvalues
-        for e in sl.entries:
-            if e.i == 0:
-                assert e.rho == pytest.approx(steklov[e.j], abs=1e-12)
-                assert e.jacobi_value == pytest.approx(
-                    (steklov[e.j] - model.Hhat) / math.sqrt(t), abs=1e-12
-                )
-
-    def test_no_negative_entries_past_first_instant(self, disk_torus_model):
-        model = disk_torus_model(3, 20.0)
-        sl = jacobi_slice(model, 1.05 * C_STAR, margin=0.0)
-        assert all(e.rho >= model.Hhat or e.i == 0 for e in sl.entries)
-        assert all(e.jacobi_value >= 0 for e in sl.entries if e.i >= 1)
-
-    def test_flat_boundary_all_positive(self, torus_interval_model):
-        model = torus_interval_model(100)
-        sl = jacobi_slice(model, 1.0, margin=1.5)
-        assert sl.entries  # margin pulls some branches in
-        assert all(e.rho > 0 and e.jacobi_value > 0 for e in sl.entries)
-
-    def test_sign_identity(self, disk_torus_model):
-        model = disk_torus_model(2, 20.0)
-        for t in [0.3, 0.9]:
-            for e in jacobi_slice(model, t, margin=0.2).entries:
-                assert np.sign(e.jacobi_value) == np.sign(e.rho - model.Hhat)
-
-    def test_truncation_certificate(self, disk_torus_model):
-        model = disk_torus_model(2, 20.0)
-        sl = jacobi_slice(model, 0.5, margin=0.0)
-        cert = sl.certificate
-        assert cert.stop_bound > cert.threshold
-        assert cert.stop_index >= 1
-        assert "no omitted branch" in cert.summary()
-        for _, _, bound in cert.branch_bounds:
-            assert bound > cert.threshold
-
-    def test_cutoff_exhaustion_is_loud(self, disk):
-        mesh, forms = disk(1)
-        short = from_list([(0.0, 1), (1.0, 4)], m1=2)
-        model = ProductModel(short, mesh, forms, m1=2, m2=2, H2=1.0)
-        with pytest.raises(CutoffExhaustedError):
-            jacobi_slice(model, 0.05, margin=0.0)
-
-    def test_boundary_spectrum_exhaustion_is_loud(self, torus_interval_model):
-        # two boundary dofs mean two Steklov eigenvalues; a threshold above
-        # both cannot be closed by the j sweep
-        model = torus_interval_model(50)
-        with pytest.raises(CutoffExhaustedError, match="boundary"):
-            jacobi_slice(model, 1.0, margin=10.0)
-
-    @pytest.mark.parametrize("name", ["jittered", "delaunay"])
-    @pytest.mark.parametrize("t, margin", [(0.3, 0.0), (0.12, 0.6)])
-    def test_matches_brute_force_rectangle(self, fuzz_meshes, square_torus, name, t, margin):
-        from steklovbif import robin_steklov_spectrum
-
-        mesh, forms = fuzz_meshes[name]
-        model = ProductModel(square_torus(40.0), mesh, forms, m1=2, m2=2, H2=1.0)
-        threshold = model.Hhat + margin
-        # full spectra per factor index until the lowest branch clears the threshold
-        expected, bounds = [], []
-        for i in range(len(model.factor)):
-            vals = robin_steklov_spectrum(
-                forms, t * model.factor.value(i), len(forms.boundary_dofs)
-            ).eigenvalues
-            if i >= 1 and vals[0] >= threshold:
-                break
-            n = int(np.sum(vals < threshold))
-            mu = model.factor.multiplicity(i)
-            expected += [(i, j, mu, vals[j]) for j in range(n) if i + j > 0]
-            bounds.append((i, n, vals[n]))
-
-        sl = jacobi_slice(model, t, margin)
-        got = sorted((e.i, e.j, e.multiplicity, e.rho) for e in sl.entries)
-        expected.sort()
-        assert [g[:3] for g in got] == [e[:3] for e in expected]
-        assert np.allclose([g[3] for g in got], [e[3] for e in expected], rtol=1e-10, atol=0)
-        cert = sl.certificate
-        assert cert.stop_index == i
-        assert cert.stop_bound == pytest.approx(vals[0], rel=1e-10)
-        assert [b[:2] for b in cert.branch_bounds] == [b[:2] for b in bounds]
-        got_bounds = [b[2] for b in cert.branch_bounds]
-        assert np.allclose(got_bounds, [b[2] for b in bounds], rtol=1e-10, atol=0)
-
-    def test_one_slice_per_listed_index_and_one_for_the_stop(
-        self, disk_torus_model, monkeypatch
-    ):
-        from steklovbif import product
-
-        model = disk_torus_model(2, 20.0)
-        slices = []
-        original = product.robin_steklov_spectrum
-
-        def counted(forms, c, k):
-            slices.append((c, k))
-            return original(forms, c, k)
-
-        monkeypatch.setattr(product, "robin_steklov_spectrum", counted)
-        sl = jacobi_slice(model, 0.1, margin=0.3)
-        listed = sl.certificate.branch_bounds[1:]  # the i = 0 row is the Steklov spectrum
-        assert len(listed) >= 3
-        rho = model.factor.value
-        assert [(c, k) for c, k in slices if c > 0] == [
-            (0.1 * rho(i), n + 1) for i, n, _ in listed
-        ] + [(0.1 * rho(sl.certificate.stop_index), 1)]
-
-
 class TestMorseIndex:
     def test_flat_boundary_index_zero(self, torus_interval_model):
         model = torus_interval_model(100)
@@ -293,6 +206,15 @@ class TestMorseIndex:
     def test_first_crossing_multiplicity_below(self, disk_torus_model):
         model = disk_torus_model(4, 20.0)
         assert morse_index(model, 0.9 * C_STAR) == 4
+
+    def test_cutoff_exhaustion_is_loud(self, disk):
+        # at t = 0.05 the lowest branch of the last factor index is still
+        # below Hhat: the walk cannot close
+        mesh, forms = disk(1)
+        short = from_list([(0.0, 1), (1.0, 4)], m1=2)
+        model = ProductModel(short, mesh, forms, m1=2, m2=2, H2=1.0)
+        with pytest.raises(CutoffExhaustedError, match="factor spectrum cutoff"):
+            morse_index(model, 0.05)
 
     def test_degenerate_instant_raises(self, disk_torus_model):
         model = disk_torus_model(3, 20.0)
@@ -529,12 +451,3 @@ class TestModelIO:
         with pytest.raises(ConfigError, match="boundary"):
             model_from_dict(doc)
 
-    def test_slice_csv_round_trip(self, disk_torus_model, tmp_path):
-        model = disk_torus_model(2, 20.0)
-        sl = jacobi_slice(model, 0.5, margin=0.3)
-        path = tmp_path / "slice.csv"
-        slice_to_csv(sl, path)
-        loaded = load_slice_csv(path)
-        assert len(loaded) == len(sl.entries)
-        for got, want in zip(loaded, sl.entries):
-            assert got == want
