@@ -438,7 +438,8 @@ class TestSliceBudget:
         counts = []
         count_below = spectral.count_below
         binding = [module for name, module in list(sys.modules.items())
-                   if name.startswith("steklovbif") and vars(module).get("count_below") is count_below]
+                   if name.startswith("steklovbif")
+                   and vars(module).get("count_below") is count_below]
 
         def counted_inertia(forms, c, lam):
             counts.append(c)
