@@ -7,37 +7,47 @@ complement S(c) = A_bb - A_bi A_ii^-1 A_ib, A = K + c M: eigenvectors are
 traces of discrete (modified-)harmonic extensions.
 
 Up to ``DENSE_LIMIT`` boundary dofs, and for k > n_b - 2 at any size, the
-reduced pencil is solved densely.  Above it, shift-invert Lanczos (ARPACK)
-applies (S - sigma B_bb)^-1 through one factorization of the full shifted
+reduced pencil is solved densely: A_ii, positive definite for c >= 0, is
+factored by banded Cholesky (LAPACK's dpbtrf) in the reverse Cuthill-McKee
+order of the interior pattern, and one triangular solve W = U^-T A_ib gives
+S = A_bb - W'W.  Above it, shift-invert Lanczos (ARPACK) applies
+(S - sigma B_bb)^-1 through one SuperLU factorization of the full shifted
 matrix, from a fixed start vector, so that repeated calls agree bit for bit;
 one more solve with that factorization and a k x k Rayleigh-Ritz give the
 returned pairs.  Both paths check the residual of every returned pair.
-Shift-invert also proves by one inertia count that its values are the k
-lowest: Lanczos can skip one copy of a double eigenvalue, and no residual
-shows that.  So a shift-invert slice costs two sparse factorizations and a
-dense slice one.  How many eigenvalues lie below a level needs no
-eigensolve: ``count_below`` reads it off the inertia of one sparse symmetric
-factorization.  Nor does finding where the branches meet a level lam:
-(K + c M - lam B) u = 0 is linear in c, so ``level_crossings`` takes them all
-from one shift-invert solve of (lam B - K) u = c M u on the full space, and
-proves them to relative BRACKET_RTOL by two inertia counts per root (or
-group of roots closer than that).
-Every factorization takes its matrix from the forms' cached ``FactorInput``,
-already in one fill-reducing order, and orders nothing.
+Shift-invert also counts by inertia whether its values are the k lowest:
+Lanczos can skip one copy of a double eigenvalue, and no residual shows
+that; such a slice is solved again on the dense path.  So a shift-invert
+slice costs two sparse factorizations and a dense slice one banded one.
+How many eigenvalues lie below a level needs no eigensolve: ``count_below``
+reads it off the inertia of one sparse symmetric factorization.  Nor does
+finding where the branches meet a level lam: (K + c M - lam B) u = 0 is
+linear in c, so ``level_crossings`` takes them all from one shift-invert
+solve of (lam B - K) u = c M u on the full space, and proves them to
+relative BRACKET_RTOL by two inertia counts per root (or group of roots
+closer than that).  SuperLU factors only these full-size, shifted or
+indefinite matrices, the banded Cholesky only A_ii.  Every factorization
+takes its matrix from the forms' cached ``FactorInput``, already in its
+order, and orders nothing.
 
 ``DENSE_LIMIT`` is the crossover measured with three factorizations per
-shift-invert slice.  Median time of one slice at c = 3 on the builtin disk,
-dense / shift-invert with its count, in ms, now with two (one BLAS thread,
-2-vCPU x86 machine, 9 interleaved repeats, 5 at L6):
+shift-invert slice and SuperLU on A_ii.  Median time of one slice at c = 3
+on the builtin disk, dense / shift-invert with its count, in ms, now with
+two and banded Cholesky (one BLAS thread, 2-vCPU x86 machine, 9
+interleaved repeats, 5 at L6):
 
     level  n_b   k = 1       k = 4       k = 16
-    L4     128   17 / 17     17 / 19     17 / 25
-    L5     256   145 / 61    150 / 94    154 / 129
-    L6     512   1688 / 368  1680 / 531  1559 / 606
+    L4     128   9 / 13      9 / 16      10 / 24
+    L5     256   88 / 57     84 / 78     99 / 100
+    L6     512   1105 / 361  1142 / 487  1158 / 684
 
-On Delaunay disks of 128 to 224 boundary dofs the tie now sits at about 144
-for k <= 4 and 192 for k = 16 (it was about 192 for every k).  The dense
-path also holds two dense n_i x n_b blocks, about 66 MB each at L6.
+In the same run with SuperLU on A_ii it read 14-16, 139-169 and 1598-1639.
+On Delaunay disks of 128 to 272 boundary dofs it now ties with
+shift-invert at about 224 to 256 for k = 1 and at about 272 for k = 4, and
+is still faster at 272 for k = 16; the builtin L5 ties for k >= 4.  So the
+tie sits at about 224 to 272, above DENSE_LIMIT, which is kept.
+The dense path also holds one dense n_i x n_b block and the band factor of
+A_ii: about 63 MB and 31 MB at L6 (bandwidth 253).
 """
 
 from __future__ import annotations
@@ -48,13 +58,15 @@ import numpy as np
 import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from .errors import BracketError, EigensolverError, PreconditionError
 from .fem import AssembledForms
 from .serialize import read_csv, write_csv
 
 # largest boundary-dof count solved densely: the crossover of three
-# factorizations per shift-invert slice, kept while the tie moves (see above)
+# factorizations per shift-invert slice and SuperLU on A_ii, kept while the
+# tie moves (see above)
 DENSE_LIMIT = 200
 _SHIFT_INVERT_TOL = 1e-10
 RESIDUAL_RTOL = 1e-8
@@ -139,33 +151,47 @@ def robin_steklov_spectrum(forms: AssembledForms, c: float, k: int) -> SpectrumS
     fi = forms.factor_input
     A_bb = fi.boundary(c)
     # ARPACK needs k strictly inside the subspace; near-full requests go dense
-    if n_b <= DENSE_LIMIT or k > n_b - 2:
-        S = _schur_complement(fi, c, A_bb)
-        w, v = _dense_gevp(S, fi.B_bb, k)
-        _check_residuals(S @ v, fi.B_bb @ v, w, v, _norm1(A_bb), fi.B_bb_norm1, "dense")
-        return SpectrumSlice(c=c, eigenvalues=w, eigenvectors=v)
-    return _shift_invert_slice(forms, c, A_bb, k)
+    if n_b > DENSE_LIMIT and k <= n_b - 2:
+        found = _shift_invert_slice(forms, c, A_bb, k)
+        if found is not None:
+            return found
+    # the dense path, also for a shift-invert slice that skipped an eigenvalue
+    S = _schur_complement(fi, c, A_bb)
+    w, v = _dense_gevp(S, fi.B_bb, k)
+    _check_residuals(S @ v, fi.B_bb @ v, w, v, _norm1(A_bb), fi.B_bb_norm1, "dense")
+    return SpectrumSlice(c=c, eigenvalues=w, eigenvectors=v)
 
 
 def _factor(A):
-    """SuperLU of a symmetric matrix whose rows and columns are already in
-    the forms' cached order: no reordering and diagonal pivots only, so
-    P A P' = L U with P = I unless a pivot vanished, and diag(U) holds the
-    pivots of an L D L' factorization."""
+    """SuperLU of a full-size symmetric matrix whose rows and columns are
+    already in the forms' cached order: no reordering and diagonal pivots
+    only, so P A P' = L U with P = I unless a pivot vanished, and diag(U)
+    holds the pivots of an L D L' factorization."""
     return spla.splu(A, permc_spec="NATURAL", diag_pivot_thresh=0,
                      options={"SymmetricMode": True})
 
 
+def _interior_cholesky(fi, c) -> np.ndarray:
+    """Upper band factor U of A_ii = U'U, in the band storage of
+    ``fi.interior_band``.  A_ii is positive definite for c >= 0."""
+    try:
+        return la.cholesky_banded(fi.interior_band.pencil(c), overwrite_ab=True,
+                                  check_finite=False)
+    except la.LinAlgError as exc:
+        raise EigensolverError(f"interior block factorization failed: {exc}") from exc
+
+
 def _schur_complement(fi, c, A_bb) -> np.ndarray:
-    """Dense S = A_bb - A_ib' A_ii^-1 A_ib, symmetrized."""
+    """Dense S = A_bb - A_ib' A_ii^-1 A_ib = A_bb - W'W, W = U^-T A_ib,
+    symmetrized."""
     if fi.interior.shape[0] == 0:
         return A_bb
-    A_ib = fi.coupling.pencil(c).toarray()
-    try:
-        lu = _factor(fi.interior.pencil(c))
-    except RuntimeError as exc:  # singular interior block cannot occur for c >= 0
-        raise EigensolverError(f"interior block factorization failed: {exc}") from exc
-    return _symmetrized(A_bb - A_ib.T @ lu.solve(A_ib))
+    U = _interior_cholesky(fi, c)
+    A_ib = fi.coupling.pencil(c).toarray(order="F")
+    W, info = lapack.dtbtrs(U, A_ib, uplo="U", trans="T", overwrite_b=True)
+    if info != 0:  # a zero diagonal of U, which a successful Cholesky never leaves
+        raise EigensolverError(f"interior triangular solve failed: LAPACK info {info}")
+    return _symmetrized(A_bb - W.T @ W)
 
 
 def _check_residuals(Av, Bv, w, v, a_norm, b_norm, path) -> None:
@@ -190,9 +216,11 @@ def _norm1(x) -> float:
     return float(np.abs(x).sum(axis=0).max())
 
 
-def _shift_invert_slice(forms, c, A_bb, k) -> SpectrumSlice:
+def _shift_invert_slice(forms, c, A_bb, k) -> SpectrumSlice | None:
     """Shift-invert on the boundary-reduced pencil, then one step of inverse
-    iteration and Rayleigh-Ritz on the full pencil.
+    iteration and Rayleigh-Ritz on the full pencil; None when the pairs are
+    checked but an inertia count shows that Lanczos skipped an eigenvalue
+    below the top one.
 
     (S - sigma B_bb)^-1 is applied through one factorization of the full
     shifted matrix: B has no interior rows, so the interior of each full
@@ -226,7 +254,8 @@ def _shift_invert_slice(forms, c, A_bb, k) -> SpectrumSlice:
     w, y = _dense_gevp(_symmetrized(X.T @ AX), _symmetrized(X.T @ BX), k)
     v = X[bnd] @ y
     _check_residuals(AX @ y, BX @ y, w, v, _norm1(A_bb), fi.B_bb_norm1, "shift-invert")
-    _check_lowest(forms, c, w)
+    if _skipped_below(forms, c, w):
+        return None
     return SpectrumSlice(c=c, eigenvalues=w, eigenvectors=v)
 
 
@@ -252,23 +281,26 @@ def _symmetrized(x: np.ndarray) -> np.ndarray:
     return 0.5 * (x + x.T)
 
 
-def _check_lowest(forms, c, w) -> None:
-    """Raise unless the ascending values w are the len(w) lowest eigenvalues.
+def _skipped_below(forms, c, w) -> bool:
+    """Whether an eigenvalue below the top of the ascending values w is
+    missing from them.
 
     Lanczos may skip one copy of a multiple eigenvalue (the disk has exact
     double ones), and the skipped pair leaves no residual.  The pairs are
     checked and B-orthonormal, so they are distinct eigenpairs; one inertia
-    count just under the top value then shows that none below it is
+    count just under the top value then shows whether any below it is
     missing.  A value within LOWEST_RTOL of the top one is not resolved.
+    Fewer counted than returned contradicts the checks, and raises.
     """
     level = w[-1] - LOWEST_RTOL * max(1.0, abs(w[-1]))
     returned = int(np.count_nonzero(w < level))
     counted = count_below(forms, c, level)
-    if counted != returned:
+    if counted < returned:
         raise EigensolverError(
-            f"shift-invert at c={c:.12g} missed eigenvalues: {counted} lie below "
-            f"{level:.12g}, {returned} of them returned"
+            f"shift-invert at c={c:.12g} returned {returned} eigenvalues below "
+            f"{level:.12g}, an inertia count {counted}"
         )
+    return counted > returned
 
 
 def count_below(forms: AssembledForms, c: float, lam: float) -> int:
@@ -365,8 +397,9 @@ def harmonic_extension(forms: AssembledForms, trace: np.ndarray, c: float = 0.0)
     phi = np.zeros(forms.n)
     phi[bnd] = trace
     if len(fi.interior_order):
-        lu = _factor(fi.interior.pencil(c))
-        phi[fi.interior_order] = lu.solve(-(fi.coupling.pencil(c) @ trace))
+        U = _interior_cholesky(fi, c)
+        phi[fi.interior_order] = la.cho_solve_banded(
+            (U, False), -(fi.coupling.pencil(c) @ trace), check_finite=False)
     return phi
 
 

@@ -141,23 +141,51 @@ class TestShiftInvert:
         second = robin_steklov_spectrum(forms, 3.0, 4).eigenvalues
         assert first.tobytes() == second.tobytes()
 
-    def test_missing_copy_of_double_eigenvalue_raises(self, disk, monkeypatch):
+    def test_missing_copy_of_double_eigenvalue_is_solved_densely(self, disk, monkeypatch):
         # valid pairs, so the residual check passes; only the count sees that
-        # one copy of rho_1 = rho_2 is gone and rho_3 took its place
+        # one copy of rho_1 = rho_2 is gone and rho_3 took its place, and the
+        # slice is solved again on the dense path
         _, forms = disk(3)
         eigsh = spectral.spla.eigsh
+        schur = spectral._schur_complement
+        dense_calls = []
 
         def dropping(*args, k, **kwargs):
             w, v = eigsh(*args, k=k + 1, **kwargs)
             keep = np.delete(np.argsort(w), 1)
             return w[keep], v[:, keep]
 
+        def counted(*args):
+            dense_calls.append(args[1])
+            return schur(*args)
+
         monkeypatch.setattr(spectral, "DENSE_LIMIT", 0)
         full = robin_steklov_spectrum(forms, 0.3, 4).eigenvalues
         assert full[2] - full[1] < 1e-10 * full[1] and full[3] - full[2] > 0.1
         monkeypatch.setattr(spectral.spla, "eigsh", dropping)
-        with pytest.raises(EigensolverError, match="missed eigenvalues"):
-            robin_steklov_spectrum(forms, 0.3, 3)
+        monkeypatch.setattr(spectral, "_schur_complement", counted)
+        got = robin_steklov_spectrum(forms, 0.3, 3).eigenvalues
+        assert dense_calls == [0.3]
+        assert np.all(np.abs(got - full[:3]) <= 1e-10 * np.abs(full[:3]))
+
+    @pytest.mark.parametrize("t", np.linspace(0.1, 3.0, 7)[4:])
+    def test_skipped_double_eigenvalue_is_solved_densely(self, disk, t, monkeypatch):
+        # eigencurve on disk L5 x 2pi-torus, i = 2 (rho_i = 2), j = 0, 1, 2:
+        # Lanczos returns one copy of rho_1 = rho_2 at these three t
+        _, forms = disk(5)
+        c = t * 2.0
+        assert len(forms.boundary_dofs) > spectral.DENSE_LIMIT
+        got = robin_steklov_spectrum(forms, c, 3).eigenvalues
+        monkeypatch.setattr(spectral, "DENSE_LIMIT", 10**9)
+        dense = robin_steklov_spectrum(forms, c, 3).eigenvalues
+        assert np.all(np.abs(got - dense) <= 1e-10 * np.abs(dense))
+
+    def test_fewer_counted_than_returned_raises(self, disk, monkeypatch):
+        _, forms = disk(3)
+        monkeypatch.setattr(spectral, "DENSE_LIMIT", 0)
+        monkeypatch.setattr(spectral, "count_below", lambda forms, c, lam: 0)
+        with pytest.raises(EigensolverError, match="an inertia count 0"):
+            robin_steklov_spectrum(forms, 0.3, 4)
 
 
 class TestResidualChecks:
@@ -334,17 +362,19 @@ class TestCountBelow:
 class TestFactorizationBudget:
     @pytest.fixture
     def splu_calls(self, monkeypatch):
-        # complete and incomplete (the order's) factorizations alike
+        # complete and incomplete (the order's) sparse factorizations, and
+        # banded Cholesky (its size is the band's column count), alike
         calls = []
-        for name in ("splu", "spilu"):
-            factor = getattr(spectral.spla, name)
+        for module, name in ((spectral.spla, "splu"), (spectral.spla, "spilu"),
+                             (spectral.la, "cholesky_banded")):
+            factor = getattr(module, name)
 
             def counted(a, _factor=factor, **kwargs):
                 lu = _factor(a, **kwargs)
-                calls.append((a.shape[0], lu))
+                calls.append((a.shape[-1], lu))
                 return lu
 
-            monkeypatch.setattr(spectral.spla, name, counted)
+            monkeypatch.setattr(module, name, counted)
         return calls
 
     def test_shift_invert_slice_factors_twice(self, disk, splu_calls, monkeypatch):
@@ -357,11 +387,22 @@ class TestFactorizationBudget:
         assert [n for n, _ in splu_calls] == [forms.n, forms.n]
 
     def test_dense_slice_factors_once(self, disk, splu_calls):
+        # one banded Cholesky of A_ii, and no SuperLU
         _, forms = disk(3)
         forms.factor_input
         splu_calls.clear()  # the order, when these forms had none yet
         robin_steklov_spectrum(forms, 1.0, 4)
         assert [n for n, _ in splu_calls] == [len(forms.interior_dofs)]
+        assert isinstance(splu_calls[0][1], np.ndarray)
+
+    def test_shift_invert_slice_builds_no_band(self, splu_calls, monkeypatch):
+        # the band of A_ii is built only on the dense path: at disk L6 it
+        # would take tens of MB that shift-invert slices never use
+        forms = assemble(generate_disk(3))
+        monkeypatch.setattr(spectral, "DENSE_LIMIT", 0)
+        robin_steklov_spectrum(forms, 1.0, 4)
+        assert not any(isinstance(lu, np.ndarray) for _, lu in splu_calls)
+        assert "interior_band" not in vars(forms.factor_input)
 
     def test_count_factors_once(self, disk, splu_calls):
         _, forms = disk(3)
@@ -505,6 +546,65 @@ class TestEigenCurves:
             for t, got in curve.samples:
                 want = robin_steklov_spectrum(forms, t * 2.0, j + 1).eigenvalues[j]
                 assert abs(got - want) <= 1e-12 * abs(want)
+
+
+def _dense_interior_solve(forms, c):
+    """A_bb - A_ib' A_ii^-1 A_ib and A_ii^-1 A_ib of A = K + c M, by a dense
+    solve in the assembled numbering: the reference for the banded Cholesky."""
+    A = (forms.K + c * forms.M).toarray()
+    bnd, inner = forms.boundary_dofs, forms.interior_dofs
+    A_ib = A[np.ix_(inner, bnd)]
+    X = np.linalg.solve(A[np.ix_(inner, inner)], A_ib)
+    return A[np.ix_(bnd, bnd)] - A_ib.T @ X, X
+
+
+class TestInteriorCholesky:
+    @pytest.fixture(params=["disk2", "disk3", "disk4", "interval50", "interval1000",
+                            "jittered", "delaunay"])
+    def forms(self, request, disk, interval, fuzz_meshes):
+        name = request.param
+        if name.startswith("disk"):
+            return disk(int(name[4:]))[1]
+        if name.startswith("interval"):
+            return interval(int(name[8:]), 1.0)[1]
+        return fuzz_meshes[name][1]
+
+    @pytest.mark.parametrize("c", [0.0, 3.0, 100.0])
+    def test_schur_complement_equals_dense_solve(self, forms, c):
+        # relative to A_bb, from which S is a difference: on the interval
+        # n = 1000, S is about 500 times smaller than A_bb, and both the
+        # reference and W'W lose digits to that cancellation (5e-13 and
+        # 1.5e-12 of S at c = 3, against the exact Schur complement)
+        want, _ = _dense_interior_solve(forms, c)
+        fi = forms.factor_input
+        A_bb = fi.boundary(c)
+        got = spectral._schur_complement(fi, c, A_bb)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(A_bb).max()
+
+    @pytest.mark.parametrize("c", [0.0, 3.0, 100.0])
+    def test_harmonic_extension_equals_dense_solve(self, forms, c):
+        _, X = _dense_interior_solve(forms, c)
+        trace = np.cos(np.arange(len(forms.boundary_dofs)))
+        phi = harmonic_extension(forms, trace, c)
+        want = -X @ trace
+        assert np.array_equal(phi[forms.boundary_dofs], trace)
+        assert np.abs(phi[forms.interior_dofs] - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_interior_order_is_a_permutation_of_interior_dofs(self, forms):
+        assert np.array_equal(np.sort(forms.factor_input.interior_order), forms.interior_dofs)
+
+    def test_interval_interior_block_is_tridiagonal(self, interval):
+        _, forms = interval(1000, 1.0)
+        band = forms.factor_input.interior_band
+        assert band.shape == (2, len(forms.interior_dofs))
+
+    def test_non_positive_pivot_raises(self, disk):
+        # A_ii = K_ii + c M_ii is indefinite once c is below minus its
+        # lowest Dirichlet eigenvalue (about 5.8 on the unit disk)
+        _, forms = disk(2)
+        fi = forms.factor_input
+        with pytest.raises(EigensolverError, match="interior block factorization failed"):
+            spectral._schur_complement(fi, -100.0, fi.boundary(-100.0))
 
 
 class TestHarmonicExtension:
