@@ -23,14 +23,13 @@ import numpy as np
 
 from .errors import (
     ConfigError,
-    CutoffExhaustedError,
     DegenerateInstantError,
     EpsilonExhaustedError,
     NoDegeneracyError,
     PreconditionError,
 )
-from .product import BRACKET_RTOL, ProductModel, morse_index, nullity
-from .serialize import read_csv, write_csv
+from .product import BRACKET_RTOL, ProductModel, branch_rows, morse_index, nullity
+from .serialize import read_csv, typed, write_csv
 
 MERGE_RTOL = 1e-6
 EPSILON_CAP = 0.05
@@ -74,19 +73,14 @@ def _instants(model, t_min, t_max):
     anchored on its first root, so no chain of close roots drifts past
     MERGE_RTOL from it.
 
-    Truncation: the lowest branch of factor index i clears Hhat at t_min once
-    t_min * rho_i > c_0*, and every later index and branch lies higher, so
-    the factor spectrum must reach past c_0* / t_min.
+    Truncation: every root at or above t_min is listed once the last factor
+    index has no branch below Hhat at t_min, which ``branch_rows`` checks.
     """
     if model.Hhat <= 0:
         return []
+    branch_rows(model, t_min, 0.0)
     c_stars = model.critical_coefficients
     factor = model.factor
-    if factor.value(len(factor) - 1) * t_min <= c_stars[0]:
-        raise CutoffExhaustedError(
-            f"factor spectrum cutoff {factor.cutoff:g} exhausted before "
-            f"the lowest branch at t_min={t_min:g} cleared Hhat={model.Hhat:g}"
-        )
     roots = [
         (c / factor.value(i), i, j, factor.multiplicity(i))
         for i in range(1, len(factor))
@@ -194,8 +188,9 @@ def classify(model: ProductModel, t: float, *, tol: float | None = None) -> str:
 # ---------------------------------------------------------------------------
 # export / import
 
-def records_to_json(records, path) -> None:
-    doc = [
+def records_document(records) -> list:
+    """The JSON document of records: one object per record."""
+    return [
         {
             "t_star": r.t_star,
             "crossings": [list(c) for c in r.crossings],
@@ -207,17 +202,11 @@ def records_to_json(records, path) -> None:
         }
         for r in records
     ]
+
+
+def records_to_json(records, path) -> None:
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-
-
-def _typed(value, kind, key):
-    """value when its JSON type is kind: an integer passes as float, a
-    boolean only as bool; anything else raises instead of being coerced."""
-    allowed = (int, float) if kind is float else kind
-    if isinstance(value, bool) != (kind is bool) or not isinstance(value, allowed):
-        raise TypeError(f"{key} must be a JSON {kind.__name__}, got {value!r}")
-    return kind(value)
+        json.dump(records_document(records), fh, indent=2)
 
 
 def _record_from_json(r) -> DegeneracyRecord:
@@ -225,16 +214,16 @@ def _record_from_json(r) -> DegeneracyRecord:
         raise TypeError(f"a record must be an object, got {r!r}")
 
     def optional(key, kind, default=None):
-        return default if r.get(key) is None else _typed(r[key], kind, key)
+        return default if r.get(key) is None else typed(r[key], kind, key)
 
     crossings = r["crossings"]
     if not (isinstance(crossings, list)
             and all(isinstance(c, list) and len(c) == 3 for c in crossings)):
         raise TypeError(f"crossings must be a list of [i, j, multiplicity], got {crossings!r}")
     return DegeneracyRecord(
-        t_star=_typed(r["t_star"], float, "t_star"),
-        crossings=tuple(tuple(_typed(x, int, "a crossing entry") for x in c) for c in crossings),
-        nullity=_typed(r["nullity"], int, "nullity"),
+        t_star=typed(r["t_star"], float, "t_star"),
+        crossings=tuple(tuple(typed(x, int, "a crossing entry") for x in c) for c in crossings),
+        nullity=typed(r["nullity"], int, "nullity"),
         n_minus=optional("n_minus", int),
         n_plus=optional("n_plus", int),
         epsilon=optional("epsilon", float),

@@ -125,10 +125,14 @@ def _load_model(cfg: RunConfig, *, needs_disk: bool = False):
 
 def _oracle_instants(model, records):
     """Closed-form instants for a unit-disk boundary factor: the lowest
-    branch depends only on c = t * rho_i, so one root serves every i."""
+    branch depends only on c = t * rho_i, so one root serves every i, and it
+    is solved only when some record is a single crossing of that branch."""
+    lowest = [(r.t_star, model.factor.value(r.crossings[0][0])) for r in records
+              if len(r.crossings) == 1 and r.crossings[0][1] == 0]
+    if not lowest:
+        return []
     c_star = oracle.solve_branch_root(oracle.disk_branch(0), model.Hhat)
-    pairs = [(r.t_star, c_star / model.factor.value(r.crossings[0][0])) for r in records
-             if len(r.crossings) == 1 and r.crossings[0][1] == 0]
+    pairs = [(t, c_star / rho) for t, rho in lowest]
     return [{"t_star": t, "t_oracle": o, "rel_delta": abs(t - o) / o} for t, o in pairs]
 
 
@@ -137,6 +141,21 @@ def _certify_all(model, records, cfg: RunConfig) -> list:
         bif.certify_bifurcation(model, r, cfg.epsilon, degeneracy_rtol=cfg.degeneracy_rtol)
         for r in records
     ]
+
+
+def _anchor(model, t, index):
+    """Count by inertia the branches below Hhat of each factor index from 1
+    through the first whose table row is empty; raise unless every count
+    equals its row and, with the Steklov row, they sum to index."""
+    mu, rows, _ = product.branch_rows(model, t, 0.0)
+    last = next((i for i in range(1, len(rows)) if rows[i] == 0), 0)  # 0: no index i >= 1
+    counts = [spectral.count_below(model.boundary_forms, t * model.factor.value(i), model.Hhat)
+              for i in range(1, last + 1)]
+    summed = int(rows[0] + mu[1:last + 1] @ counts)
+    if counts != rows[1:last + 1].tolist() or summed != index:
+        raise NumericalError(f"anchor at t={t:.12g}: inertia counts {counts} and Morse index "
+                             f"{summed} for factor indices 1..{last}, the c_j* table "
+                             f"{rows[1:last + 1].tolist()} and {index}")
 
 
 def cmd_steklov(cfg: RunConfig) -> list[str]:
@@ -201,20 +220,14 @@ def cmd_report(cfg: RunConfig) -> list[str]:
     bif.records_to_csv(certified, out_dir / "instants.csv")
 
     # Morse index between consecutive instants (geometric midpoints), read
-    # off the c_j* table; at the first, one inertia walk must count the same
+    # off the c_j* table; at the first, inertia counts anchor it row by row
     cuts = [cfg.t_max] + [r.t_star for r in certified] + [cfg.t_min]
     mids = [float(np.sqrt(lo * hi)) for hi, lo in zip(cuts, cuts[1:])
             if hi / lo >= 1.0 + 10 * bif.MERGE_RTOL]
     indices = [{"t": t, "morse_index": product.morse_index(model, t, rtol=cfg.degeneracy_rtol)}
                for t in mids]
     if mids:
-        hhat, forms = model.Hhat, model.boundary_forms
-        walked = int(np.searchsorted(model.steklov_past(hhat)[1:], hhat)) + sum(
-            mu * n for _, mu, _, n in
-            product._factor_walk(model, mids[0], lambda c: spectral.count_below(forms, c, hhat)))
-        if walked != indices[0]["morse_index"]:
-            raise NumericalError(f"anchor at t={mids[0]:.12g}: an inertia walk counts Morse "
-                                 f"index {walked}, the c_j* table {indices[0]['morse_index']}")
+        _anchor(model, mids[0], indices[0]["morse_index"])
 
     summary = {
         "model": {
@@ -228,7 +241,7 @@ def cmd_report(cfg: RunConfig) -> list[str]:
             "boundary_dofs": len(model.boundary_forms.boundary_dofs),
         },
         "t_range": [cfg.t_min, cfg.t_max],
-        "instants": json.loads(Path(out_dir / "instants.json").read_text()),
+        "instants": bif.records_document(certified),
         "morse_indices": indices,
     }
     if cfg.oracle_check:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, CutoffExhaustedError, PreconditionError
-from .serialize import read_json_object
+from .serialize import read_json_object, typed
 
 _GROUP_RTOL = 1e-9
 
@@ -142,9 +142,10 @@ def load_spectrum(path) -> ClosedFactorSpectrum:
 def spectrum_from_dict(doc: dict) -> ClosedFactorSpectrum:
     try:
         return ClosedFactorSpectrum(
-            dim=int(doc["dim"]),
-            entries=tuple((float(v), int(m)) for v, m in doc["entries"]),
-            cutoff=float(doc["cutoff"]),
+            dim=typed(doc["dim"], int, "dim"),
+            entries=tuple((typed(v, float, "an entry's value"), typed(m, int, "a multiplicity"))
+                          for v, m in doc["entries"]),
+            cutoff=typed(doc["cutoff"], float, "cutoff"),
         )
     except KeyError as exc:
         raise ConfigError(f"spectrum document missing key {exc}") from exc

@@ -11,8 +11,9 @@ All three are full symmetric scipy CSR matrices (both triangles stored,
 indices canonical), built straight from batched element matrices.  Every
 factorization of the pencil K + c M - lam B starts from one c-independent
 ``FactorInput`` per forms: the dofs renumbered once by a fill-reducing order
-for the full pencil, and the interior dofs by a bandwidth-reducing one for
-the interior block, so that no factorization orders its matrix again.
+for the full pencil, and the interior dofs by a bandwidth-reducing one in
+which the interior block is kept in LAPACK band storage, so that no
+factorization orders its matrix again.
 """
 
 from __future__ import annotations
@@ -76,17 +77,18 @@ class FactorInput:
     The dofs are renumbered by the COLAMD order (Davis, Gilbert, Larimore &
     Ng, ACM TOMS 30, 2004) of the common sparsity pattern of K, M and B.
     ``full`` is the renumbered pencil, with each boundary dof at its entry
-    of ``boundary_positions``.  ``interior`` (A_ii) and ``coupling`` (A_ib)
-    have as rows the interior dofs in the reverse Cuthill-McKee order of the
-    interior pattern (George & Liu, 1981), listed by ``interior_order``,
-    which keeps A_ii in a narrow band; their boundary columns, and the dense
-    boundary blocks, follow ``boundary_dofs``.
+    of ``boundary_positions``.  ``interior`` (A_ii, in upper band storage)
+    and ``coupling`` (A_ib, in CSC) have as rows the interior dofs in the
+    reverse Cuthill-McKee order of the interior pattern (George & Liu,
+    1981), listed by ``interior_order``, which keeps A_ii in a narrow band;
+    the boundary columns of A_ib, and the dense boundary blocks, follow
+    ``boundary_dofs``.
     """
 
     boundary_positions: np.ndarray
     interior_order: np.ndarray
     full: SharedPattern
-    interior: SharedPattern
+    interior: BandedPattern
     coupling: SharedPattern
     K_bb: np.ndarray
     M_bb: np.ndarray
@@ -96,19 +98,6 @@ class FactorInput:
     def boundary(self, c: float) -> np.ndarray:
         """Dense A_bb = K_bb + c M_bb."""
         return self.K_bb + c * self.M_bb
-
-    @cached_property
-    def interior_band(self) -> BandedPattern:
-        """A_ii in upper band storage, built on first use: only the dense
-        path factors A_ii, and at large sizes the band takes tens of MB."""
-        p = self.interior
-        cols = np.repeat(np.arange(p.shape[1]), np.diff(p.indptr))
-        upper = p.indices <= cols
-        rows, cols = p.indices[upper], cols[upper]
-        bw = int((cols - rows).max(initial=0))
-        shape = (bw + 1, p.shape[1])
-        return BandedPattern(shape, np.ravel_multi_index((bw + rows - cols, cols), shape),
-                             p.K[upper], p.M[upper])
 
 
 def _shared_csc(rows, cols, shape, values) -> tuple:
@@ -171,12 +160,10 @@ class AssembledForms:
         local[interior_order] = np.arange(len(interior_order))
         local[bnd] = np.arange(len(bnd))
         n_i, n_b = len(interior_order), len(bnd)
-
-        def block(mask, shape):
-            return SharedPattern(*_shared_csc(local[rows[mask]], local[cols[mask]], shape,
-                                              (K[mask], M[mask])))
-
-        bb = is_b[rows] & is_b[cols]
+        ii = ~is_b[rows] & ~is_b[cols] & (local[rows] <= local[cols])  # A_ii's upper triangle
+        r, c = local[rows[ii]], local[cols[ii]]
+        bw = int((c - r).max(initial=0))  # its bandwidth
+        ib, bb = ~is_b[rows] & is_b[cols], is_b[rows] & is_b[cols]
         dense = []
         for values in (K, M, B):
             X = np.zeros((n_b, n_b))
@@ -186,8 +173,10 @@ class AssembledForms:
             boundary_positions=position[bnd],
             interior_order=interior_order,
             full=full,
-            interior=block(~is_b[rows] & ~is_b[cols], (n_i, n_i)),
-            coupling=block(~is_b[rows] & is_b[cols], (n_i, n_b)),
+            interior=BandedPattern((bw + 1, n_i), np.ravel_multi_index(
+                (bw + r - c, c), (bw + 1, n_i)), K[ii], M[ii]),
+            coupling=SharedPattern(*_shared_csc(local[rows[ib]], local[cols[ib]], (n_i, n_b),
+                                                (K[ib], M[ib]))),
             K_bb=dense[0],
             M_bb=dense[1],
             B_bb=dense[2],

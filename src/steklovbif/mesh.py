@@ -20,7 +20,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from .errors import InvalidMeshError, PreconditionError
-from .serialize import read_json_object
+from .serialize import read_json_object, typed
 
 
 @dataclass(frozen=True, eq=False)
@@ -294,7 +294,7 @@ def load_mesh(path) -> Mesh:
     """
     doc = read_json_object(path, "mesh file")
     try:
-        dim, cells = int(doc["dim"]), np.asarray(doc["cells"])
+        dim, cells = typed(doc["dim"], int, "dim"), np.asarray(doc["cells"])
         if cells.ndim != 2 or cells.shape[1] != dim + 1 or cells.dtype.kind not in "iu":
             raise ValueError(f"cells must be lists of {dim + 1} integer vertex ids, "
                              f"got {doc['cells']!r:.80}")

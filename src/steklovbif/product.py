@@ -8,11 +8,11 @@ below / at the rescaled mean curvature Hhat = (m2-1)/(m-1) * H2.  Branch
 (i, j) lies below Hhat at t exactly when t * rho_i < c_j*, where branch j
 meets Hhat, so Morse indices and nullities are arithmetic on the table of
 c_j*: one linear eigensolve per model, proved by inertia counts to relative
-BRACKET_RTOL (``spectral.level_crossings``).  A walk over the factor
-spectrum lists, per factor index i, the number of branches of
-c = t * rho_i below a level, and stops at the first index with none --
-every later factor eigenvalue is larger, and so are its branches.  The
-Steklov row i = 0 comes from one c = 0 spectrum per model.
+BRACKET_RTOL (``spectral.level_crossings``).  ``branch_rows`` lists, per
+factor index i, the number of branches of c = t * rho_i below a level; the
+last listed index must have none -- every later factor eigenvalue is
+larger, and so are its branches.  The Steklov row i = 0 comes from one
+c = 0 spectrum per model.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .errors import (
 from .factors import ClosedFactorSpectrum, flat_torus_spectrum, load_spectrum, spectrum_from_dict
 from .fem import AssembledForms, assemble
 from .mesh import Mesh, generate_disk, generate_interval, load_mesh
-from .serialize import read_json_object
+from .serialize import read_json_object, typed
 from .spectral import BRACKET_RTOL, count_below, level_crossings, robin_steklov_spectrum
 
 DEFAULT_DEGENERACY_RTOL = 1e-6
@@ -141,41 +141,33 @@ def mean_curvature_gt(model: ProductModel, t: float) -> float:
     return model.Hhat / math.sqrt(t)
 
 
-def _factor_walk(model: ProductModel, t: float, count):
-    """(i, mu_i, c, n) per factor index i >= 1, with c = t * rho_i and
-    n = count(c) the number of branches at c below some level.
+def branch_rows(model: ProductModel, t: float, tol: float) -> tuple:
+    """(mu, lo, hi): per factor index i, its multiplicity and the numbers of
+    branches of c = t * rho_i below Hhat - tol and below Hhat + tol.
 
-    Stops before the first i with n == 0: its lowest branch reaches the
-    level, and every later factor eigenvalue is larger, hence so are its
-    branches.  Raises when the factor spectrum ends first.
+    Row 0 is the Steklov row (without the constant), from the c = 0
+    spectrum.  Every other row is arithmetic on the c_j* table:
+    rho_j(c) - Hhat = s_j (c - c_j*) to first order, so branch j lies below
+    Hhat -/+ tol when s_j (c_j* - c) > +/-tol, and tol on rho is tol / s_j on
+    c.  The rows shrink as i grows, since the factor spectrum ascends; the
+    last listed one must be empty, else every later index may hold a branch
+    below the level and the counts would be truncated.  Nothing is counted or
+    solved once the table is built.
     """
     if t <= 0:
         raise PreconditionError(f"metric parameter t must be positive, got {t}")
-    for i in range(1, len(model.factor)):
-        c = t * model.factor.value(i)
-        n = count(c)
-        if n == 0:
-            return
-        yield i, model.factor.multiplicity(i), c, n
-    raise CutoffExhaustedError(
-        f"factor spectrum cutoff {model.factor.cutoff:g} exhausted at t={t:g} "
-        "before the lowest branch cleared its level"
-    )
-
-
-def _branch_counts(model: ProductModel, t: float, tol: float):
-    """(i, mu_i, lo, hi) per factor index i, with lo / hi the number of
-    branches below Hhat - tol / Hhat + tol: the Steklov row i = 0 (without
-    the constant) from the c = 0 spectrum, then the factor walk over the
-    table.  rho_j(c) - Hhat = s_j (c - c_j*) to first order, so branch j lies
-    below Hhat -/+ tol when s_j (c_j* - c) > +/-tol: tol on rho is tol / s_j
-    on c.  Nothing is counted or solved once the table is built."""
     hhat = model.Hhat
-    lo, hi = np.searchsorted(model.steklov_past(hhat + tol)[1:], [hhat - tol, hhat + tol])
-    yield 0, 1, int(lo), int(hi)
     c_star, slope = np.reshape(model._critical_table, (-1, 2)).T
-    for i, mu, c, hi in _factor_walk(model, t, lambda c: int(np.sum(slope * (c_star - c) > -tol))):
-        yield i, mu, int(np.sum(slope * (c_star - c) > tol)), hi
+    rho, mu = map(np.array, zip(*model.factor.entries))
+    gap = slope * (c_star - t * rho[:, None])
+    lo, hi = np.count_nonzero(gap > tol, axis=1), np.count_nonzero(gap > -tol, axis=1)
+    if hi[-1]:
+        raise CutoffExhaustedError(
+            f"factor spectrum cutoff {model.factor.cutoff:g} exhausted at t={t:g} "
+            f"before the lowest branch cleared Hhat={hhat:g}"
+        )
+    lo[0], hi[0] = np.searchsorted(model.steklov_past(hhat + tol)[1:], [hhat - tol, hhat + tol])
+    return mu, lo, hi
 
 
 def morse_index(model: ProductModel, t: float, *, rtol: float | None = None) -> int:
@@ -185,22 +177,23 @@ def morse_index(model: ProductModel, t: float, *, rtol: float | None = None) -> 
     rather than returning a coin flip.
     """
     tol = model.degeneracy_tol(rtol)
-    index = 0
-    for i, mu, lo, hi in _branch_counts(model, t, tol):
-        if lo != hi:
-            raise DegenerateInstantError(
-                f"degenerate at t={t:.12g}: {hi - lo} branch(es) of factor index "
-                f"i={i} lie within {tol:g} of Hhat={model.Hhat:.12g}"
-            )
-        index += mu * lo
-    return index
+    mu, lo, hi = branch_rows(model, t, tol)
+    split = np.flatnonzero(lo != hi)
+    if len(split):
+        i = split[0]
+        raise DegenerateInstantError(
+            f"degenerate at t={t:.12g}: {hi[i] - lo[i]} branch(es) of factor index "
+            f"i={i} lie within {tol:g} of Hhat={model.Hhat:.12g}"
+        )
+    return int(mu @ lo)
 
 
 def nullity(model: ProductModel, t: float, tol: float) -> int:
     """Multiplicity-weighted count of branches within tol of Hhat."""
     if tol <= 0:
         raise PreconditionError("nullity tolerance must be positive")
-    return sum(mu * (hi - lo) for _, mu, lo, hi in _branch_counts(model, t, tol))
+    mu, lo, hi = branch_rows(model, t, tol)
+    return int(mu @ (hi - lo))
 
 
 def boundary_weights(forms: AssembledForms) -> np.ndarray:
@@ -283,7 +276,8 @@ def model_from_dict(doc: dict, base_dir=None) -> ProductModel:
     """Build a model from its JSON description (factor + boundary + dimensions)."""
     base = Path(base_dir) if base_dir is not None else Path(".")
     try:
-        m1, m2, H2 = int(doc["m1"]), int(doc["m2"]), float(doc["H2"])
+        m1, m2 = typed(doc["m1"], int, "m1"), typed(doc["m2"], int, "m2")
+        H2 = typed(doc["H2"], float, "H2")
         factor_doc, boundary_doc = doc["factor"], doc["boundary"]
     except KeyError as exc:
         raise ConfigError(f"model description missing key {exc}") from exc
@@ -297,18 +291,17 @@ def model_from_dict(doc: dict, base_dir=None) -> ProductModel:
             factor = load_spectrum(base / factor_doc["path"])
         elif "flat_torus" in factor_doc:
             ft = factor_doc["flat_torus"]
-            factor = flat_torus_spectrum(ft["basis"], float(ft["cutoff"]))
+            factor = flat_torus_spectrum(ft["basis"], typed(ft["cutoff"], float, "cutoff"))
         else:
             factor = spectrum_from_dict(factor_doc)
 
         if "path" in boundary_doc:
             mesh = load_mesh(base / boundary_doc["path"])
         elif boundary_doc.get("builtin") == "disk":
-            mesh = generate_disk(int(boundary_doc.get("level", 4)))
+            mesh = generate_disk(typed(boundary_doc.get("level", 4), int, "level"))
         elif boundary_doc.get("builtin") == "interval":
-            mesh = generate_interval(
-                int(boundary_doc.get("n", 100)), float(boundary_doc.get("L", 1.0))
-            )
+            mesh = generate_interval(typed(boundary_doc.get("n", 100), int, "n"),
+                                     typed(boundary_doc.get("L", 1.0), float, "L"))
         else:
             raise ConfigError(f"unrecognized boundary description {boundary_doc}")
     except KeyError as exc:

@@ -1,5 +1,5 @@
 """CSV and float formatting shared by the export paths, and the one reader
-of JSON input files.
+of JSON input files with the one type rule for their values.
 
 All emitted numbers use 17 significant digits so identical runs produce
 byte-identical files.
@@ -23,6 +23,16 @@ def read_json_object(path, what: str) -> dict:
     if not isinstance(doc, dict):
         raise ConfigError(f"{what} {path} must hold a JSON object, got {type(doc).__name__}")
     return doc
+
+
+def typed(value, kind, key):
+    """value when its JSON type is kind: an integer passes as float, a
+    boolean only as bool; anything else raises TypeError instead of being
+    coerced."""
+    allowed = (int, float) if kind is float else kind
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, allowed):
+        raise TypeError(f"{key} must be a JSON {kind.__name__}, got {value!r}")
+    return kind(value)
 
 
 def format_float(x: float) -> str:

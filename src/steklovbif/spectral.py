@@ -173,9 +173,9 @@ def _factor(A):
 
 def _interior_cholesky(fi, c) -> np.ndarray:
     """Upper band factor U of A_ii = U'U, in the band storage of
-    ``fi.interior_band``.  A_ii is positive definite for c >= 0."""
+    ``fi.interior``.  A_ii is positive definite for c >= 0."""
     try:
-        return la.cholesky_banded(fi.interior_band.pencil(c), overwrite_ab=True,
+        return la.cholesky_banded(fi.interior.pencil(c), overwrite_ab=True,
                                   check_finite=False)
     except la.LinAlgError as exc:
         raise EigensolverError(f"interior block factorization failed: {exc}") from exc
@@ -184,7 +184,7 @@ def _interior_cholesky(fi, c) -> np.ndarray:
 def _schur_complement(fi, c, A_bb) -> np.ndarray:
     """Dense S = A_bb - A_ib' A_ii^-1 A_ib = A_bb - W'W, W = U^-T A_ib,
     symmetrized."""
-    if fi.interior.shape[0] == 0:
+    if fi.interior.shape[1] == 0:  # the band has bw + 1 rows, one per diagonal
         return A_bb
     U = _interior_cholesky(fi, c)
     A_ib = fi.coupling.pencil(c).toarray(order="F")

@@ -9,6 +9,7 @@ import pytest
 from steklovbif import cli
 from steklovbif.bifurcation import records_from_csv, records_from_json
 from steklovbif.errors import EigensolverError
+from steklovbif.product import load_model
 from steklovbif.spectral import load_curves_csv, load_slice_csv
 
 DISK_TORUS_DOC = {
@@ -200,6 +201,19 @@ class TestInstantsCommand:
         assert status == 0
         assert len(json.loads((out_dir / "inst_oracle.json").read_text())) == 1
 
+    @pytest.mark.parametrize("H2", [0.0, -1.0])
+    @pytest.mark.parametrize("command", ["instants", "report"])
+    def test_oracle_without_instants(self, tmp_path, monkeypatch, command, H2):
+        # Hhat <= 0 has no instants, so the oracle has no root to solve
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "model.json").write_text(json.dumps(dict(DISK_TORUS_DOC, H2=H2)))
+        assert cli.main([command, "--model", "model.json", "--oracle"]) == 0
+        if command == "instants":
+            assert json.loads((tmp_path / "instants_oracle.json").read_text()) == []
+        else:
+            assert json.loads((tmp_path / "report" / "report.json").read_text())[
+                "oracle_deltas"] == []
+
     def test_flat_model_empty(self, interval_model_path, tmp_path):
         out_json = tmp_path / "instants.json"
         out_csv = tmp_path / "instants.csv"
@@ -270,7 +284,8 @@ class TestReportCommand:
         # disk L4 x torus on [0.05, 10]: the c = 0 spectrum is the only slice
         # (the c_j* table is one level-crossing solve after two counts, proved
         # by two bracket counts); certification and the Morse indices read the
-        # table, and one walk at the first midpoint anchors them
+        # table, and one count per factor index at the first midpoint, through
+        # the first empty row, anchors them
         from steklovbif import spectral
 
         calls = {"robin_steklov_spectrum": 0, "count_below": 0}
@@ -320,9 +335,59 @@ class TestReportCommand:
         assert "an inertia count puts" in payload["detail"]
         assert not (tmp_path / "report" / "report.json").exists()
 
+    def test_anchor_counts_rows_through_first_empty(self, tmp_path, monkeypatch):
+        # disk L3 x torus on [0.05, 0.16]: the first midpoint, near 0.152, has
+        # branches below Hhat at factor indices 1-3, so the anchor counts
+        # indices 1 through 4, one count each, at c = t * rho_i
+        from steklovbif import spectral
+
+        count_below, seen = spectral.count_below, []
+
+        def recorded(forms, c, lam):
+            seen.append(c)
+            return count_below(forms, c, lam)
+
+        monkeypatch.setattr(spectral, "count_below", recorded)
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(DISK_TORUS_DOC))
+        status = cli.main(["report", "--model", str(model_path), "--t-min", "0.05",
+                           "--t-max", "0.16", "--out", str(tmp_path / "report")])
+        assert status == 0
+        t = json.loads((tmp_path / "report" / "report.json").read_text())[
+            "morse_indices"][0]["t"]
+        assert t == pytest.approx(0.152, abs=1e-3)
+        rows = [t * rho for rho, _ in load_model(model_path).factor.entries]
+        assert [c for c in seen if c in rows[1:]] == rows[1:5]
+
+    def test_anchor_checks_each_row(self, disk_model_path, tmp_path, capsys, monkeypatch):
+        # counts off by +1 at factor index 1 and -1 at index 2 (both of
+        # multiplicity 4) keep the Morse index; the row check still fails
+        from steklovbif import product, spectral
+
+        count_below, shift = spectral.count_below, {}
+
+        def shifted(forms, c, lam):
+            return count_below(forms, c, lam) + shift.get(c, 0)
+
+        branch_rows = product.branch_rows
+
+        def rows_then_shift(model, t, tol):
+            shift.update({t * model.factor.value(1): 1, t * model.factor.value(2): -1})
+            return branch_rows(model, t, tol)
+
+        monkeypatch.setattr(spectral, "count_below", shifted)
+        monkeypatch.setattr(product, "branch_rows", rows_then_shift)
+        status = cli.main(["report", "--model", disk_model_path, "--t-min", "0.05",
+                           "--t-max", "0.16", "--out", str(tmp_path / "report")])
+        assert status == 2
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "numerical"
+        assert "anchor at t=" in payload["detail"]
+        assert not (tmp_path / "report" / "report.json").exists()
+
     def test_anchor_mismatch_exits_two(self, disk_model_path, tmp_path, capsys, monkeypatch):
-        # a table index off by one at every midpoint: the inertia walk at the
-        # first midpoint disagrees, and no report is written
+        # a table index off by one at every midpoint: the inertia counts at
+        # the first midpoint disagree, and no report is written
         from steklovbif import product
 
         morse_index = product.morse_index
@@ -410,8 +475,16 @@ class TestConfigHandling:
     @pytest.mark.parametrize(
         "change,oracle",
         [({"m1": "x"}, False), ({"factor": [1, 2]}, False), ({"boundary": "disk"}, True),
-         ({"boundary": "disk"}, False)],
-        ids=["string-dimension", "list-factor", "string-boundary-oracle", "string-boundary"],
+         ({"boundary": "disk"}, False), ({"m1": 2.7}, False), ({"m1": "2"}, False),
+         ({"H2": "1"}, False), ({"H2": True}, False),
+         ({"boundary": {"builtin": "disk", "level": "1"}}, False),
+         ({"boundary": {"builtin": "disk", "level": 1.9}}, False),
+         ({"boundary": {"builtin": "disk", "level": True}}, False),
+         ({"factor": {"flat_torus": dict(DISK_TORUS_DOC["factor"]["flat_torus"],
+                                         cutoff="20")}}, False)],
+        ids=["string-dimension", "list-factor", "string-boundary-oracle", "string-boundary",
+             "fractional-dimension", "numeric-string-dimension", "string-H2", "boolean-H2",
+             "string-level", "fractional-level", "boolean-level", "string-cutoff"],
     )
     def test_mistyped_model_rejected(self, tmp_path, capsys, change, oracle):
         model_path = tmp_path / "model.json"
@@ -433,6 +506,8 @@ class TestConfigHandling:
             ({"factor": {"dim": "x", "entries": [[0, 1], [1, 4]], "cutoff": 1}}, None,
              "bad_config"),
             ({"factor": {"dim": 2, "entries": [[0, 1], [1]], "cutoff": 1}}, None, "bad_config"),
+            ({"factor": {"dim": 2, "entries": [[0, 1], [1, 4.0]], "cutoff": 1}}, None,
+             "bad_config"),
             ({"boundary": {"builtin": "disk", "level": "x"}}, None, "bad_config"),
             ({"factor": {"path": "missing.json"}}, None, "bad_config"),
             ({"boundary": {"path": "missing.json"}}, None, "bad_config"),
@@ -440,10 +515,12 @@ class TestConfigHandling:
             (None, json.dumps(dict(_TRIANGLE, cells=[[0, 1, "x"]])), "invalid_mesh"),
             (None, json.dumps(dict(_TRIANGLE, cells=[[0, 1, 2.5]])), "invalid_mesh"),
             (None, json.dumps(dict(_TRIANGLE, cells=[[0, 1]])), "invalid_mesh"),
+            (None, json.dumps(dict(_TRIANGLE, dim="2", cells=[[0, 1, 2]])), "invalid_mesh"),
         ],
         ids=["torus-without-cutoff", "string-factor-dim", "one-number-entry",
-             "string-disk-level", "missing-factor-path", "missing-boundary-path",
-             "malformed-mesh-json", "string-cell", "fractional-cell", "two-vertex-cell"],
+             "fractional-multiplicity", "string-disk-level", "missing-factor-path",
+             "missing-boundary-path", "malformed-mesh-json", "string-cell", "fractional-cell",
+             "two-vertex-cell", "string-mesh-dim"],
     )
     def test_bad_input_file_fails_structured(self, tmp_path, capsys, model, mesh, reason):
         # a model through instants --model, a mesh through steklov --mesh

@@ -209,12 +209,44 @@ class TestMorseIndex:
 
     def test_cutoff_exhaustion_is_loud(self, disk):
         # at t = 0.05 the lowest branch of the last factor index is still
-        # below Hhat: the walk cannot close
+        # below Hhat: the last listed row is not empty
         mesh, forms = disk(1)
         short = from_list([(0.0, 1), (1.0, 4)], m1=2)
         model = ProductModel(short, mesh, forms, m1=2, m2=2, H2=1.0)
         with pytest.raises(CutoffExhaustedError, match="factor spectrum cutoff"):
             morse_index(model, 0.05)
+
+    def test_one_cutoff_rule(self, disk_torus_model):
+        # enumeration and Morse indices close the factor spectrum at the same
+        # t: where the lowest branch of the last factor index meets Hhat
+        from steklovbif import enumerate_instants
+
+        model = disk_torus_model(3, 20.0)
+        edge = model.critical_coefficients[0] / model.factor.value(len(model.factor) - 1)
+        short = edge * (1 - 1e-3)
+        with pytest.raises(CutoffExhaustedError, match="factor spectrum cutoff"):
+            enumerate_instants(model, short, 10.0)
+        with pytest.raises(CutoffExhaustedError, match="factor spectrum cutoff"):
+            morse_index(model, short)
+        enumerate_instants(model, edge * (1 + 1e-3), 10.0)
+        morse_index(model, edge * (1 + 1e-3))
+
+    def test_truncation_wins_over_degeneracy(self, disk):
+        # at the instant of the only positive factor index, its row is both
+        # degenerate and the last listed one
+        mesh, forms = disk(1)
+        short = from_list([(0.0, 1), (1.0, 4)], m1=2)
+        model = ProductModel(short, mesh, forms, m1=2, m2=2, H2=1.0)
+        with pytest.raises(CutoffExhaustedError, match="factor spectrum cutoff"):
+            morse_index(model, model.critical_coefficients[0])
+
+    @pytest.mark.parametrize("H2", [0.0, -1.0])
+    def test_zero_only_factor_gives_steklov_row(self, disk, H2):
+        # Hhat <= 0 empties the table, so no factor index i >= 1 is needed
+        mesh, forms = disk(1)
+        model = ProductModel(from_list([(0.0, 1)], m1=2), mesh, forms, m1=2, m2=2, H2=H2)
+        assert morse_index(model, 1.0) == 0
+        assert nullity(model, 1.0, 1e-6) == 0
 
     def test_degenerate_instant_raises(self, disk_torus_model):
         model = disk_torus_model(3, 20.0)

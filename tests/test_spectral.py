@@ -41,6 +41,17 @@ class TestSteklovSpectrum:
         vals = steklov_spectrum(forms, 2).eigenvalues
         assert np.allclose(vals, [0.0, 1.0], atol=1e-14)
 
+    def test_single_cell_interval_dense_slice_and_count(self, interval):
+        # the empty interior band still has one row, so only its column count
+        # shows that there is nothing to factor: S(c) is A_bb itself
+        _, forms = interval(1, 2.0)
+        fi = forms.factor_input
+        assert fi.interior.shape == (1, 0)
+        A_bb = fi.boundary(3.0)
+        assert spectral._schur_complement(fi, 3.0, A_bb) is A_bb
+        vals = robin_steklov_spectrum(forms, 3.0, 2).eigenvalues
+        assert [count_below(forms, 3.0, v + 1e-9) for v in vals] == [1, 2]
+
     def test_disk_spectrum(self, disk):
         _, forms = disk(4)
         vals = steklov_spectrum(forms, 7).eigenvalues
@@ -396,13 +407,11 @@ class TestFactorizationBudget:
         assert isinstance(splu_calls[0][1], np.ndarray)
 
     def test_shift_invert_slice_builds_no_band(self, splu_calls, monkeypatch):
-        # the band of A_ii is built only on the dense path: at disk L6 it
-        # would take tens of MB that shift-invert slices never use
+        # only the dense path factors the band of A_ii
         forms = assemble(generate_disk(3))
         monkeypatch.setattr(spectral, "DENSE_LIMIT", 0)
         robin_steklov_spectrum(forms, 1.0, 4)
         assert not any(isinstance(lu, np.ndarray) for _, lu in splu_calls)
-        assert "interior_band" not in vars(forms.factor_input)
 
     def test_count_factors_once(self, disk, splu_calls):
         _, forms = disk(3)
@@ -595,7 +604,7 @@ class TestInteriorCholesky:
 
     def test_interval_interior_block_is_tridiagonal(self, interval):
         _, forms = interval(1000, 1.0)
-        band = forms.factor_input.interior_band
+        band = forms.factor_input.interior
         assert band.shape == (2, len(forms.interior_dofs))
 
     def test_non_positive_pivot_raises(self, disk):
