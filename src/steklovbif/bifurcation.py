@@ -8,10 +8,11 @@ therefore some c_j* / rho_i: the model's table of c_j*, the positive
 eigenvalues of one linear pencil, is solved and proved once, and
 enumeration, isolation and Morse indices are arithmetic on it.  The Morse
 index jump across an isolated instant equals the multiplicity that crossed
--- which is the certification criterion: both endpoints nondegenerate and
-unequal indices.  Inertia counts prove the table at every c farther than
-BRACKET_RTOL (relative) from each c_j* (``ProductModel.critical_coefficients``),
-and isolation keeps every c that certification reads that far away.
+-- which is the certification criterion: unequal indices at both ends.
+Inertia counts prove the table at every c farther than BRACKET_RTOL
+(relative) from each c_j* (``ProductModel.critical_coefficients``), and
+isolation keeps every c that certification reads that far away, so both
+ends are nondegenerate by construction.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import numpy as np
 
 from .errors import (
     ConfigError,
-    DegenerateInstantError,
     EpsilonExhaustedError,
     NoDegeneracyError,
     PreconditionError,
@@ -78,7 +78,7 @@ def _instants(model, t_min, t_max):
     """
     if model.Hhat <= 0:
         return []
-    branch_rows(model, t_min, 0.0)
+    branch_rows(model, t_min)
     c_stars = model.critical_coefficients
     factor = model.factor
     roots = [
@@ -123,19 +123,17 @@ def certify_bifurcation(
     model: ProductModel,
     record: DegeneracyRecord,
     epsilon: float | None = None,
-    *,
-    degeneracy_rtol: float | None = None,
 ) -> DegeneracyRecord:
     """Check the index-jump criterion across record.t_star.
 
     Starts from epsilon (default EPSILON_CAP * t_star) and halves it while
     some other c_j* / rho_i, read from the model's table, lies in the window
-    widened by BRACKET_RTOL (relative) on each side, or an endpoint is
-    degenerate.  Reads the Morse index on both sides off the table, which is
-    proved there, and certifies when both endpoints are nondegenerate and
-    the indices differ.  Gives up after 12 halvings, or once epsilon no
-    longer clears the windows of the record's own crossings.  Counts and
-    solves nothing once the table is built.
+    widened by BRACKET_RTOL (relative) on each side.  Then neither endpoint
+    lies in the window of any c_j*, so both are nondegenerate; reads the
+    Morse index on both sides off the table, which is proved there, and
+    certifies when the indices differ.  Gives up after 12 halvings, or once
+    epsilon no longer clears the windows of the record's own crossings.
+    Counts and solves nothing once the table is built.
     """
     t_star = record.t_star
     epsilon = EPSILON_CAP * t_star if epsilon is None else epsilon
@@ -154,12 +152,8 @@ def certify_bifurcation(
         if any(abs(t - t_star) > MERGE_RTOL * max(t, t_star) for t, _ in _instants(model, lo, hi)):
             epsilon *= 0.5
             continue
-        try:
-            n_minus = morse_index(model, t_star - epsilon, rtol=degeneracy_rtol)
-            n_plus = morse_index(model, t_star + epsilon, rtol=degeneracy_rtol)
-        except DegenerateInstantError:
-            epsilon *= 0.5
-            continue
+        n_minus = morse_index(model, t_star - epsilon)
+        n_plus = morse_index(model, t_star + epsilon)
         return replace(
             record,
             n_minus=n_minus,
@@ -173,16 +167,16 @@ def certify_bifurcation(
     )
 
 
-def classify(model: ProductModel, t: float, *, tol: float | None = None) -> str:
-    """'degenerate' when the Jacobi operator has kernel at t, else 'rigid'.
+def classify(model: ProductModel, t: float) -> str:
+    """'degenerate' when the Jacobi operator may have kernel at t -- some
+    t * rho_i within relative BRACKET_RTOL of a c_j* -- else 'rigid'.
 
     Nonpositive Hhat short-circuits to rigid (the whole family is)."""
     if t <= 0:
         raise PreconditionError(f"metric parameter t must be positive, got {t}")
     if model.Hhat <= 0:
         return "rigid"
-    tol = model.degeneracy_tol() if tol is None else tol
-    return "degenerate" if nullity(model, t, tol) > 0 else "rigid"
+    return "degenerate" if nullity(model, t) > 0 else "rigid"
 
 
 # ---------------------------------------------------------------------------

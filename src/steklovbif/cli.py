@@ -40,7 +40,6 @@ class RunConfig:
     t_max: float = 10.0
     t_steps: int = 30
     epsilon: float | None = None
-    degeneracy_rtol: float | None = None
     instants_path: str | None = None
     oracle_check: bool = False
     out: str | None = None
@@ -64,8 +63,6 @@ class RunConfig:
                                   f"indices, got {list(values)}")
         if self.epsilon is not None and self.epsilon <= 0:
             raise ConfigError("epsilon must be positive")
-        if self.degeneracy_rtol is not None and self.degeneracy_rtol <= 0:
-            raise ConfigError("degeneracy_rtol must be positive")
         for path in (self.model_path, self.instants_path):
             if path is not None and not Path(path).exists():
                 raise ConfigError(f"referenced file does not exist: {path}")
@@ -137,17 +134,14 @@ def _oracle_instants(model, records):
 
 
 def _certify_all(model, records, cfg: RunConfig) -> list:
-    return [
-        bif.certify_bifurcation(model, r, cfg.epsilon, degeneracy_rtol=cfg.degeneracy_rtol)
-        for r in records
-    ]
+    return [bif.certify_bifurcation(model, r, cfg.epsilon) for r in records]
 
 
 def _anchor(model, t, index):
     """Count by inertia the branches below Hhat of each factor index from 1
     through the first whose table row is empty; raise unless every count
     equals its row and, with the Steklov row, they sum to index."""
-    mu, rows, _ = product.branch_rows(model, t, 0.0)
+    mu, rows, _ = product.branch_rows(model, t)
     last = next((i for i in range(1, len(rows)) if rows[i] == 0), 0)  # 0: no index i >= 1
     counts = [spectral.count_below(model.boundary_forms, t * model.factor.value(i), model.Hhat)
               for i in range(1, last + 1)]
@@ -224,8 +218,7 @@ def cmd_report(cfg: RunConfig) -> list[str]:
     cuts = [cfg.t_max] + [r.t_star for r in certified] + [cfg.t_min]
     mids = [float(np.sqrt(lo * hi)) for hi, lo in zip(cuts, cuts[1:])
             if hi / lo >= 1.0 + 10 * bif.MERGE_RTOL]
-    indices = [{"t": t, "morse_index": product.morse_index(model, t, rtol=cfg.degeneracy_rtol)}
-               for t in mids]
+    indices = [{"t": t, "morse_index": product.morse_index(model, t)} for t in mids]
     if mids:
         _anchor(model, mids[0], indices[0]["morse_index"])
 
@@ -322,7 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--instants", dest="instants_path")
     p.add_argument("--epsilon", dest="epsilon", type=float)
-    p.add_argument("--degeneracy-rtol", dest="degeneracy_rtol", type=float)
     p.add_argument("--out-json", dest="out_json")
     p.add_argument("--out-csv", dest="out_csv")
 
@@ -331,7 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-min", dest="t_min", type=float)
     p.add_argument("--t-max", dest="t_max", type=float)
     p.add_argument("--epsilon", dest="epsilon", type=float)
-    p.add_argument("--degeneracy-rtol", dest="degeneracy_rtol", type=float)
     p.add_argument("--oracle", dest="oracle_check", action="store_true", default=None)
     p.add_argument("--out")
 

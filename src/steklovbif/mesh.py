@@ -20,7 +20,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from .errors import InvalidMeshError, PreconditionError
-from .serialize import read_json_object, typed
+from .serialize import read_json_object, typed, typed_rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -294,11 +294,13 @@ def load_mesh(path) -> Mesh:
     """
     doc = read_json_object(path, "mesh file")
     try:
-        dim, cells = typed(doc["dim"], int, "dim"), np.asarray(doc["cells"])
-        if cells.ndim != 2 or cells.shape[1] != dim + 1 or cells.dtype.kind not in "iu":
+        dim = typed(doc["dim"], int, "dim")
+        vertices = typed_rows(doc["vertices"], float, "vertices")
+        cells = np.asarray(typed_rows(doc["cells"], int, "cells"))
+        if cells.ndim != 2 or cells.shape[1] != dim + 1:
             raise ValueError(f"cells must be lists of {dim + 1} integer vertex ids, "
                              f"got {doc['cells']!r:.80}")
-        mesh = Mesh(dim=dim, vertices=doc["vertices"], cells=cells)
+        mesh = Mesh(dim=dim, vertices=vertices, cells=cells)
     except KeyError as exc:
         raise InvalidMeshError([f"mesh document missing key {exc}"]) from exc
     except (TypeError, ValueError) as exc:

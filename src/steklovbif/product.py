@@ -8,11 +8,11 @@ below / at the rescaled mean curvature Hhat = (m2-1)/(m-1) * H2.  Branch
 (i, j) lies below Hhat at t exactly when t * rho_i < c_j*, where branch j
 meets Hhat, so Morse indices and nullities are arithmetic on the table of
 c_j*: one linear eigensolve per model, proved by inertia counts to relative
-BRACKET_RTOL (``spectral.level_crossings``).  ``branch_rows`` lists, per
-factor index i, the number of branches of c = t * rho_i below a level; the
-last listed index must have none -- every later factor eigenvalue is
-larger, and so are its branches.  The Steklov row i = 0 comes from one
-c = 0 spectrum per model.
+BRACKET_RTOL (``spectral.level_crossings``), the one tolerance of this
+layer.  ``branch_rows`` lists, per factor index i, the number of branches of
+c = t * rho_i certainly and possibly below Hhat; the last listed index must
+have none -- every later factor eigenvalue is larger, and so are its
+branches.  The Steklov row i = 0 is the table's length less the constant.
 """
 
 from __future__ import annotations
@@ -35,11 +35,9 @@ from .errors import (
 from .factors import ClosedFactorSpectrum, flat_torus_spectrum, load_spectrum, spectrum_from_dict
 from .fem import AssembledForms, assemble
 from .mesh import Mesh, generate_disk, generate_interval, load_mesh
-from .serialize import read_json_object, typed
-from .spectral import BRACKET_RTOL, count_below, level_crossings, robin_steklov_spectrum
+from .serialize import read_json_object, typed, typed_rows
+from .spectral import BRACKET_RTOL, count_below, level_crossings
 
-DEFAULT_DEGENERACY_RTOL = 1e-6
-STEKLOV_MEMBERSHIP_RTOL = 1e-8
 # conformal_mean_curvature's checks of harmonicity and of the boundary normalization
 HARMONIC_TOL = 1e-8
 NORM_TOL = 1e-8
@@ -76,10 +74,6 @@ class ProductModel:
     def Hhat(self) -> float:
         return (self.m2 - 1) / (self.m - 1) * self.H2
 
-    def degeneracy_tol(self, rtol: float | None = None) -> float:
-        rtol = DEFAULT_DEGENERACY_RTOL if rtol is None else rtol
-        return rtol * max(1.0, abs(self.Hhat))
-
     @cached_property
     def critical_coefficients(self) -> tuple:
         """The c_j* with rho_j(c_j*) = Hhat, one per Steklov eigenvalue
@@ -89,49 +83,28 @@ class ProductModel:
         increases strictly in c, so every degeneracy instant is some
         c_j* / rho_i.  Computed once per model, on first use, and proved:
         the number of c_j* above c is certain at every c farther than
-        BRACKET_RTOL (relative) from each of them.
+        BRACKET_RTOL (relative) from each of them.  Two inertia counts at
+        c = 0, just below and just above Hhat, size the table; when they
+        differ, Hhat is a Steklov eigenvalue, whose branches are constant in
+        t, and the operator is degenerate for every t.
         """
-        return tuple(c for c, _ in self._critical_table)
-
-    @cached_property
-    def _critical_table(self) -> tuple:  # (c_j*, rho_j'(c_j*)) per j
         hhat = self.Hhat
+        if hhat <= 0:
+            return ()
         forms = self.boundary_forms
-        # Hhat must not be a (nonzero) Steklov eigenvalue: those branches are
-        # constant in t, so the operator would be degenerate for every t
-        tol = STEKLOV_MEMBERSHIP_RTOL * max(1.0, abs(hhat))
-        sigma = self.steklov_past(hhat + tol)
-        for j, v in enumerate(sigma):
-            if j >= 1 and abs(v - hhat) <= tol:
-                raise HhatIsSteklovEigenvalueError(
-                    f"Hhat = {hhat:.12g} coincides with Steklov eigenvalue rho_{j} = "
-                    f"{v:.12g}; the Jacobi operator is degenerate for all t and no "
-                    "bifurcation conclusion is drawn"
-                )
-        count = int(np.searchsorted(sigma, hhat)) if hhat > 0 else 0
-        c_stars, slopes = level_crossings(forms, hhat, count)
-        return tuple(zip(c_stars.tolist(), slopes.tolist()))
-
-    def steklov_past(self, threshold: float) -> np.ndarray:
-        """Ascending Steklov (c = 0) eigenvalues: every one below threshold
-        and the first at or above it.
-
-        Solved once per model and shared by the c_j* table, Morse indices
-        and nullities; solved again only when a higher threshold needs more
-        eigenvalues.
-        """
-        vals = self.__dict__.get("_steklov")
-        if vals is None or vals[-1] <= threshold:
-            forms = self.boundary_forms
-            n = count_below(forms, 0.0, threshold)
-            if n >= len(forms.boundary_dofs):
-                raise CutoffExhaustedError(
-                    f"boundary spectrum exhausted below {threshold:.12g}; refine the mesh"
-                )
-            vals = robin_steklov_spectrum(forms, 0.0, n + 1).eigenvalues
-            # a frozen dataclass keeps a writable __dict__, as for cached_property
-            self.__dict__["_steklov"] = vals
-        return vals
+        below, above = (count_below(forms, 0.0, hhat * (1 + side * BRACKET_RTOL))
+                        for side in (-1, 1))
+        if below != above:
+            raise HhatIsSteklovEigenvalueError(
+                f"Hhat = {hhat:.12g} lies within relative {BRACKET_RTOL:g} of "
+                f"{above - below} Steklov eigenvalue(s); the Jacobi operator is degenerate "
+                "for all t and no bifurcation conclusion is drawn"
+            )
+        if below >= len(forms.boundary_dofs):
+            raise CutoffExhaustedError(
+                f"boundary spectrum exhausted below {hhat:.12g}; refine the mesh"
+            )
+        return tuple(level_crossings(forms, hhat, below).tolist())
 
 
 def mean_curvature_gt(model: ProductModel, t: float) -> float:
@@ -141,58 +114,56 @@ def mean_curvature_gt(model: ProductModel, t: float) -> float:
     return model.Hhat / math.sqrt(t)
 
 
-def branch_rows(model: ProductModel, t: float, tol: float) -> tuple:
+def branch_rows(model: ProductModel, t: float) -> tuple:
     """(mu, lo, hi): per factor index i, its multiplicity and the numbers of
-    branches of c = t * rho_i below Hhat - tol and below Hhat + tol.
+    branches of c = t * rho_i certainly and possibly below Hhat.
 
-    Row 0 is the Steklov row (without the constant), from the c = 0
-    spectrum.  Every other row is arithmetic on the c_j* table:
-    rho_j(c) - Hhat = s_j (c - c_j*) to first order, so branch j lies below
-    Hhat -/+ tol when s_j (c_j* - c) > +/-tol, and tol on rho is tol / s_j on
-    c.  The rows shrink as i grows, since the factor spectrum ascends; the
-    last listed one must be empty, else every later index may hold a branch
-    below the level and the counts would be truncated.  Nothing is counted or
-    solved once the table is built.
+    Arithmetic on the c_j* table, which is proved to relative BRACKET_RTOL:
+    branch (i, j) is certainly below when t * rho_i < c_j* (1 - BRACKET_RTOL)
+    and possibly below when t * rho_i <= c_j* (1 + BRACKET_RTOL).  Row 0, at
+    c = 0, counts every c_j* > 0, less the constant's.  The rows shrink as i
+    grows, since the factor spectrum ascends; the last listed one must be
+    empty, else every later index may hold a branch below Hhat and the
+    counts would be truncated.  Nothing is counted or solved once the table
+    is built.
     """
     if t <= 0:
         raise PreconditionError(f"metric parameter t must be positive, got {t}")
-    hhat = model.Hhat
-    c_star, slope = np.reshape(model._critical_table, (-1, 2)).T
+    c_star = np.array(model.critical_coefficients)
     rho, mu = map(np.array, zip(*model.factor.entries))
-    gap = slope * (c_star - t * rho[:, None])
-    lo, hi = np.count_nonzero(gap > tol, axis=1), np.count_nonzero(gap > -tol, axis=1)
+    c = t * rho[:, None]
+    lo = np.count_nonzero(c < c_star * (1 - BRACKET_RTOL), axis=1)
+    hi = np.count_nonzero(c <= c_star * (1 + BRACKET_RTOL), axis=1)
     if hi[-1]:
         raise CutoffExhaustedError(
             f"factor spectrum cutoff {model.factor.cutoff:g} exhausted at t={t:g} "
-            f"before the lowest branch cleared Hhat={hhat:g}"
+            f"before the lowest branch cleared Hhat={model.Hhat:g}"
         )
-    lo[0], hi[0] = np.searchsorted(model.steklov_past(hhat + tol)[1:], [hhat - tol, hhat + tol])
+    lo[0] = hi[0] = max(len(c_star) - 1, 0)
     return mu, lo, hi
 
 
-def morse_index(model: ProductModel, t: float, *, rtol: float | None = None) -> int:
+def morse_index(model: ProductModel, t: float) -> int:
     """Multiplicity-weighted count of Jacobi branches strictly below Hhat.
 
-    Ill-defined within the degeneracy tolerance of an instant; that raises
-    rather than returning a coin flip.
+    Ill-defined within relative BRACKET_RTOL of an instant, where the table
+    cannot tell; that raises rather than returning a coin flip.
     """
-    tol = model.degeneracy_tol(rtol)
-    mu, lo, hi = branch_rows(model, t, tol)
+    mu, lo, hi = branch_rows(model, t)
     split = np.flatnonzero(lo != hi)
     if len(split):
         i = split[0]
         raise DegenerateInstantError(
             f"degenerate at t={t:.12g}: {hi[i] - lo[i]} branch(es) of factor index "
-            f"i={i} lie within {tol:g} of Hhat={model.Hhat:.12g}"
+            f"i={i} meet Hhat={model.Hhat:.12g} within relative {BRACKET_RTOL:g} of c"
         )
     return int(mu @ lo)
 
 
-def nullity(model: ProductModel, t: float, tol: float) -> int:
-    """Multiplicity-weighted count of branches within tol of Hhat."""
-    if tol <= 0:
-        raise PreconditionError("nullity tolerance must be positive")
-    mu, lo, hi = branch_rows(model, t, tol)
+def nullity(model: ProductModel, t: float) -> int:
+    """Multiplicity-weighted count of branches that may meet Hhat at t: those
+    whose c_j* lies within relative BRACKET_RTOL of t * rho_i."""
+    mu, lo, hi = branch_rows(model, t)
     return int(mu @ (hi - lo))
 
 
@@ -291,7 +262,8 @@ def model_from_dict(doc: dict, base_dir=None) -> ProductModel:
             factor = load_spectrum(base / factor_doc["path"])
         elif "flat_torus" in factor_doc:
             ft = factor_doc["flat_torus"]
-            factor = flat_torus_spectrum(ft["basis"], typed(ft["cutoff"], float, "cutoff"))
+            factor = flat_torus_spectrum(typed_rows(ft["basis"], float, "basis"),
+                                         typed(ft["cutoff"], float, "cutoff"))
         else:
             factor = spectrum_from_dict(factor_doc)
 

@@ -35,6 +35,13 @@ def typed(value, kind, key):
     return kind(value)
 
 
+def typed_rows(value, kind, key) -> list:
+    """value, a JSON list of lists, with every entry checked by ``typed``."""
+    if not (isinstance(value, list) and all(isinstance(row, list) for row in value)):
+        raise TypeError(f"{key} must be a JSON list of lists, got {value!r:.80}")
+    return [[typed(x, kind, f"an entry of {key}") for x in row] for row in value]
+
+
 def format_float(x: float) -> str:
     return format(float(x), ".17g")
 

@@ -334,10 +334,9 @@ def count_below(forms: AssembledForms, c: float, lam: float) -> int:
     return int(np.count_nonzero(la.eigvalsh_tridiagonal(np.diag(d), np.diag(d, 1)) < 0))
 
 
-def level_crossings(forms: AssembledForms, lam: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+def level_crossings(forms: AssembledForms, lam: float, n: int) -> np.ndarray:
     """The n coefficients c_j* > 0 at which a branch rho_j(c) meets lam,
-    descending, with n = count_below(forms, 0, lam), and the slopes
-    rho_j'(c_j*) = u'Mu / u'Bu (Hellmann-Feynman).
+    descending, with n = count_below(forms, 0, lam).
 
     They are the positive eigenvalues of (lam B - K) u = c M u, and
     count_below(forms, c, lam) of them exceed c, a count that never increases
@@ -350,20 +349,18 @@ def level_crossings(forms: AssembledForms, lam: float, n: int) -> tuple[np.ndarr
     BRACKET_RTOL; a skipped copy of a double root raises EigensolverError.
     """
     if n == 0:
-        return np.empty(0), np.empty(0)
+        return np.empty(0)
     sigma = next((2.0**e for e in range(120) if count_below(forms, 2.0**e, lam) == 0), None)
     if sigma is None:
         raise BracketError(f"a branch stays below {lam:g} up to c={2.0**119:g}")
-    fi = forms.factor_input
-    full, bnd = fi.full, fi.boundary_positions
+    full = forms.factor_input.full
     M = sp.csc_matrix((full.M, full.indices, full.indptr), shape=full.shape)
     A = -full.pencil(0.0, lam)
     lu = _factor(full.pencil(sigma, lam))
     X = lu.solve(M @ _lanczos(lambda x: -lu.solve(x), M, n, sigma, "level-crossing"))
     AX, MX = A @ X, M @ X
     w, y = _dense_gevp(_symmetrized(X.T @ AX), _symmetrized(X.T @ MX), n)
-    u, Mu = X @ y, MX @ y
-    _check_residuals(AX @ y, Mu, w, u, _norm1(A), _norm1(M), "level-crossing")
+    _check_residuals(AX @ y, MX @ y, w, X @ y, _norm1(A), _norm1(M), "level-crossing")
     if not (w[0] > 0 and w[-1] < sigma):
         raise EigensolverError(f"level crossings at {lam:.12g}: {n} lie in (0, {sigma:g}), "
                                f"the solve returned {', '.join(f'{x:.12g}' for x in w)}")
@@ -375,8 +372,7 @@ def level_crossings(forms: AssembledForms, lam: float, n: int) -> tuple[np.ndarr
             if counted != above:
                 raise EigensolverError(f"level crossings at {lam:.12g}: an inertia count puts "
                                        f"{counted} above c={c:.12g}, the solve {above}")
-    slopes = np.einsum("ij,ij->j", u, Mu) / np.einsum("ij,ij->j", u[bnd], fi.B_bb @ u[bnd])
-    return w[::-1], slopes[::-1]
+    return w[::-1]
 
 
 def steklov_spectrum(forms: AssembledForms, k: int) -> SpectrumSlice:

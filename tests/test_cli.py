@@ -280,12 +280,10 @@ class TestReportCommand:
         assert summary["oracle_deltas"][0]["rel_delta"] < 0.02
         assert (out_dir / "instants.csv").exists()
 
-    def test_report_budget(self, tmp_path, monkeypatch):
-        # disk L4 x torus on [0.05, 10]: the c = 0 spectrum is the only slice
-        # (the c_j* table is one level-crossing solve after two counts, proved
-        # by two bracket counts); certification and the Morse indices read the
-        # table, and one count per factor index at the first midpoint, through
-        # the first empty row, anchors them
+    @staticmethod
+    def _report_calls(tmp_path, monkeypatch, level):
+        """Slices and inertia counts of report on disk L<level> x torus over
+        [0.05, 10], after checking its Morse indices."""
         from steklovbif import spectral
 
         calls = {"robin_steklov_spectrum": 0, "count_below": 0}
@@ -300,7 +298,8 @@ class TestReportCommand:
                 if module_name.startswith("steklovbif") and getattr(module, name, None) is original:
                     monkeypatch.setattr(module, name, counted)
         model_path = tmp_path / "model.json"
-        model_path.write_text(json.dumps(dict(DISK_TORUS_DOC, boundary={"builtin": "disk", "level": 4})))
+        model_path.write_text(json.dumps(dict(DISK_TORUS_DOC,
+                                              boundary={"builtin": "disk", "level": level})))
         status = cli.main(["report", "--model", str(model_path), "--t-min", "0.05",
                            "--t-max", "10", "--out", str(tmp_path / "report")])
         assert status == 0
@@ -308,8 +307,22 @@ class TestReportCommand:
         assert [row["morse_index"] for row in summary["morse_indices"]] == [
             0, 4, 8, 12, 20, 24, 28, 36, 44
         ]
-        assert calls["robin_steklov_spectrum"] == 1
-        assert calls["count_below"] <= 5
+        return calls
+
+    def test_report_budget(self, tmp_path, monkeypatch):
+        # disk L4 x torus on [0.05, 10]: no slice is solved.  The c_j* table
+        # is one level-crossing solve after three counts (two at c = 0, one
+        # at its shift), proved by two bracket counts; certification and the
+        # Morse indices read the table, and one count per factor index at the
+        # first midpoint, through the first empty row, anchors them
+        calls = self._report_calls(tmp_path, monkeypatch, 4)
+        assert calls == {"robin_steklov_spectrum": 0, "count_below": 6}
+
+    def test_report_budget_on_the_shift_invert_path(self, tmp_path, monkeypatch):
+        # disk L5 has 256 boundary dofs, above DENSE_LIMIT, yet the report
+        # still solves no slice and makes the same six counts
+        calls = self._report_calls(tmp_path, monkeypatch, 5)
+        assert calls == {"robin_steklov_spectrum": 0, "count_below": 6}
 
     def test_crossing_count_mismatch_exits_two(self, disk_model_path, tmp_path, capsys,
                                                monkeypatch):
@@ -371,9 +384,9 @@ class TestReportCommand:
 
         branch_rows = product.branch_rows
 
-        def rows_then_shift(model, t, tol):
+        def rows_then_shift(model, t):
             shift.update({t * model.factor.value(1): 1, t * model.factor.value(2): -1})
-            return branch_rows(model, t, tol)
+            return branch_rows(model, t)
 
         monkeypatch.setattr(spectral, "count_below", shifted)
         monkeypatch.setattr(product, "branch_rows", rows_then_shift)
@@ -516,11 +529,20 @@ class TestConfigHandling:
             (None, json.dumps(dict(_TRIANGLE, cells=[[0, 1, 2.5]])), "invalid_mesh"),
             (None, json.dumps(dict(_TRIANGLE, cells=[[0, 1]])), "invalid_mesh"),
             (None, json.dumps(dict(_TRIANGLE, dim="2", cells=[[0, 1, 2]])), "invalid_mesh"),
+            ({"factor": {"flat_torus": {"basis": [["6.283185307179586", 0],
+                                                  [0, "6.283185307179586"]], "cutoff": 20}}},
+             None, "bad_config"),
+            (None, json.dumps({"dim": 2, "vertices": [["0", 0], [1, 0], [0, 1]],
+                               "cells": [[0, 1, 2]]}), "invalid_mesh"),
+            (None, json.dumps({"dim": 2, "vertices": [[0, 0], [True, 0], [0, 1]],
+                               "cells": [[0, 1, 2]]}), "invalid_mesh"),
+            (None, json.dumps(dict(_TRIANGLE, cells=[[0, True, 2]])), "invalid_mesh"),
         ],
         ids=["torus-without-cutoff", "string-factor-dim", "one-number-entry",
              "fractional-multiplicity", "string-disk-level", "missing-factor-path",
              "missing-boundary-path", "malformed-mesh-json", "string-cell", "fractional-cell",
-             "two-vertex-cell", "string-mesh-dim"],
+             "two-vertex-cell", "string-mesh-dim", "string-basis-entry", "string-vertex",
+             "boolean-vertex", "boolean-cell"],
     )
     def test_bad_input_file_fails_structured(self, tmp_path, capsys, model, mesh, reason):
         # a model through instants --model, a mesh through steklov --mesh
@@ -566,20 +588,20 @@ class TestConfigHandling:
         assert status == 2
         assert json.loads(capsys.readouterr().err)["error"] == "eigensolver_failure"
 
-    def test_degeneracy_rtol_override(self, tmp_path, capsys):
-        # an absurd tolerance makes every endpoint look degenerate: the
-        # epsilon shrink loop exhausts and the failure surfaces as exit 2
-        model_path = tmp_path / "model.json"
-        model_path.write_text(json.dumps(dict(DISK_TORUS_DOC, boundary={"builtin": "disk", "level": 2})))
-        out_json = tmp_path / "instants.json"
-        assert cli.main(
-            ["instants", "--model", str(model_path), "--t-min", "0.5", "--t-max", "1.0",
-             "--out-json", str(out_json), "--out-csv", str(tmp_path / "i.csv")]
-        ) == 0
-        status = cli.main(
-            ["certify", "--model", str(model_path), "--instants", str(out_json),
-             "--degeneracy-rtol", "0.5",
-             "--out-json", str(tmp_path / "c.json"), "--out-csv", str(tmp_path / "c.csv")]
-        )
-        assert status == 2
-        assert json.loads(capsys.readouterr().err)["error"] == "epsilon_exhausted"
+    @pytest.mark.parametrize("command", ["certify", "report"])
+    def test_degeneracy_rtol_is_gone(self, disk_model_path, tmp_path, capsys, monkeypatch,
+                                     command):
+        # degeneracy is decided by the proved c_j* windows alone: a config
+        # that still sets the old tolerance is an unknown key, and the flag
+        # is no longer parsed
+        monkeypatch.chdir(tmp_path)  # a run that is not refused writes here
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"degeneracy_rtol": 1e-6}))
+        assert cli.main([command, "--config", str(cfg), "--model", disk_model_path]) == 1
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "bad_config"
+        assert "unknown config key 'degeneracy_rtol'" in payload["detail"]
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--model", disk_model_path, "--degeneracy-rtol", "1e-6"])
+        assert exc.value.code == 2
+        assert "--degeneracy-rtol" in capsys.readouterr().err

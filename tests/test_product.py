@@ -24,10 +24,11 @@ from steklovbif.errors import (
     ConfigError,
     CutoffExhaustedError,
     DegenerateInstantError,
+    HhatIsSteklovEigenvalueError,
     PreconditionError,
 )
 from steklovbif.product import model_from_dict, normalize_boundary_power
-from steklovbif.spectral import count_below, harmonic_extension, robin_steklov_spectrum
+from steklovbif.spectral import count_below, harmonic_extension
 
 # oracle root of the lowest disk branch at target 1/3 (Hhat of the disk x torus model)
 C_STAR = 0.7253659025
@@ -47,11 +48,10 @@ def _inertia_count(model, t, level):
 
 
 def _bisected_table(forms, hhat):
-    """(c_j*, s_j) per j, descending in c, by the count bisection the table
-    once used: rho_j(c) < hhat exactly when more than j eigenvalues lie below
-    hhat, so doubling and bisection on counts bracket c_j* to a relative
-    width of 1e-9; the slope is phi' M phi / phi' B phi of the branch's
-    eigenvector at the bracket's midpoint, extended harmonically."""
+    """c_j* per j, descending, by the count bisection the table once used:
+    rho_j(c) < hhat exactly when more than j eigenvalues lie below hhat, so
+    doubling and bisection on counts bracket c_j* to a relative width of
+    1e-9."""
     table = []
     for j in range(count_below(forms, 0.0, hhat)):
         lo, hi = 0.0, 1.0
@@ -60,10 +60,7 @@ def _bisected_table(forms, hhat):
         while hi - lo > 1e-9 * hi:
             mid = 0.5 * (lo + hi)
             lo, hi = (mid, hi) if count_below(forms, mid, hhat) > j else (lo, mid)
-        mid = 0.5 * (lo + hi)
-        trace = robin_steklov_spectrum(forms, mid, j + 1).eigenvectors[:, j]
-        phi = harmonic_extension(forms, trace, mid)
-        table.append((mid, float(phi @ (forms.M @ phi)) / float(phi @ (forms.B @ phi))))
+        table.append(0.5 * (lo + hi))
     return table
 
 
@@ -93,12 +90,18 @@ class TestProductModel:
         with pytest.raises(PreconditionError, match=">= 3"):
             ProductModel(one_dim, mesh, forms, m1=1, m2=1, H2=0.0)
 
-    def test_boundary_spectrum_exhaustion_is_loud(self, torus_interval_model):
-        # two boundary dofs mean two Steklov eigenvalues; a threshold above
-        # both has no first eigenvalue past it
-        model = torus_interval_model(50)
-        with pytest.raises(CutoffExhaustedError, match="boundary"):
-            model.steklov_past(10.0)
+    def test_boundary_spectrum_exhaustion_is_loud(self, disk, square_torus):
+        # disk L0 has 4 boundary dofs, so 4 discrete Steklov eigenvalues; an
+        # Hhat above all of them is above the whole discrete spectrum, which
+        # the mesh must be refined to resolve
+        mesh, forms = disk(0)
+        n_b = len(forms.boundary_dofs)
+        sigma_max = steklov_spectrum(forms, n_b).eigenvalues[-1]
+        model = ProductModel(square_torus(20.0), mesh, forms, m1=2, m2=2,
+                             H2=3.0 * 2.0 * sigma_max)
+        assert count_below(forms, 0.0, model.Hhat) == n_b
+        with pytest.raises(CutoffExhaustedError, match="boundary spectrum exhausted"):
+            model.critical_coefficients
 
     def test_dropped_copy_of_a_double_root_raises(self, disk, square_torus, monkeypatch):
         # Lanczos returning one copy of the disk's double root c_1* = c_2* at
@@ -169,12 +172,11 @@ class TestProductModel:
             ProductModel(square_torus(20.0), mesh, assemble(mesh), m1=2, m2=2, H2=H2)
             for _ in range(2)
         )
-        table = np.array(first._critical_table)
-        assert first._critical_table == second._critical_table  # bit for bit
+        table = np.array(first.critical_coefficients)
+        assert first.critical_coefficients == second.critical_coefficients  # bit for bit
         reference = np.array(_bisected_table(first.boundary_forms, first.Hhat))
-        assert table.shape == reference.shape == ({1.0: 1, 4.0: 3, 7.0: 5}[H2], 2)
-        np.testing.assert_allclose(table[:, 0], reference[:, 0], rtol=1e-9, atol=0)
-        np.testing.assert_allclose(table[:, 1], reference[:, 1], rtol=1e-8, atol=0)
+        assert table.shape == reference.shape == ({1.0: 1, 4.0: 3, 7.0: 5}[H2],)
+        np.testing.assert_allclose(table, reference, rtol=1e-9, atol=0)
 
 
 class TestMeanCurvature:
@@ -246,7 +248,7 @@ class TestMorseIndex:
         mesh, forms = disk(1)
         model = ProductModel(from_list([(0.0, 1)], m1=2), mesh, forms, m1=2, m2=2, H2=H2)
         assert morse_index(model, 1.0) == 0
-        assert nullity(model, 1.0, 1e-6) == 0
+        assert nullity(model, 1.0) == 0
 
     def test_degenerate_instant_raises(self, disk_torus_model):
         model = disk_torus_model(3, 20.0)
@@ -305,55 +307,71 @@ class TestMorseIndex:
 
         for module in (product, spectral):
             monkeypatch.setattr(module, "count_below", forbidden)
-            monkeypatch.setattr(module, "robin_steklov_spectrum", forbidden)
+        monkeypatch.setattr(spectral, "robin_steklov_spectrum", forbidden)
         t1 = model.critical_coefficients[0]
         assert [morse_index(model, t) for t in (0.1, 0.5, 2.0)] == [20, 4, 0]
-        assert nullity(model, t1, model.degeneracy_tol()) == 4
+        assert nullity(model, t1) == 4
         assert [classify(model, t) for t in (0.5, t1)] == ["rigid", "degenerate"]
 
 
 class TestNullity:
     def test_generic_t_zero(self, disk_torus_model):
         model = disk_torus_model(3, 20.0)
-        assert nullity(model, 0.5, model.degeneracy_tol()) == 0
+        assert nullity(model, 0.5) == 0
 
     def test_at_first_instant(self, disk_torus_model):
         from steklovbif import find_degeneracy_instant
 
         model = disk_torus_model(3, 20.0)
         t1 = find_degeneracy_instant(model, 1)
-        assert nullity(model, t1, model.degeneracy_tol()) == 4
+        assert nullity(model, t1) == 4
 
     def test_flat_boundary_zero(self, torus_interval_model):
         model = torus_interval_model(100)
         for t in [0.05, 1.0, 20.0]:
-            assert nullity(model, t, 1e-6) == 0
+            assert nullity(model, t) == 0
 
-    def test_steklov_branch_at_hhat_is_degenerate_for_every_t(self, disk, square_torus):
-        # Hhat sits 1e-7 relative above the twice-degenerate sigma_1 of the
-        # symmetric disk: inside the degeneracy tolerance at every t
+    def test_steklov_membership_is_the_bracket_window(self, disk, square_torus):
+        # Hhat 1e-9 relative above the double sigma_1 of the symmetric disk
+        # lies inside the BRACKET_RTOL window of a Steklov eigenvalue, whose
+        # branches are constant in t; 1e-7 above lies outside it, and the
+        # table's Morse index is the inertia walk's
         mesh, forms = disk(2)
-        sigma_1 = steklov_spectrum(forms, 2).eigenvalues[1]
-        model = ProductModel(
-            square_torus(20.0), mesh, forms, m1=2, m2=2, H2=3.0 * sigma_1 * (1 + 1e-7)
-        )
-        assert nullity(model, 5.0, model.degeneracy_tol()) == 2
-        with pytest.raises(DegenerateInstantError, match="i=0"):
-            morse_index(model, 5.0)
+        sigma = steklov_spectrum(forms, 3).eigenvalues
+        assert sigma[2] - sigma[1] < 1e-12 * sigma[1]
 
-    @pytest.mark.parametrize("k", [0.9, 1.1])
+        def model(offset):
+            return ProductModel(square_torus(20.0), mesh, forms, m1=2, m2=2,
+                                H2=3.0 * sigma[1] * (1 + offset))
+
+        with pytest.raises(HhatIsSteklovEigenvalueError, match="Hhat"):
+            morse_index(model(1e-9), 5.0)
+        outside = model(1e-7)
+        for t in (0.5, 2.0, 5.0):
+            assert morse_index(outside, t) == _inertia_count(outside, t, outside.Hhat)
+        assert morse_index(outside, 5.0) == 2  # the Steklov row: both copies of sigma_1
+
     @pytest.mark.parametrize("side", [-1.0, 1.0])
-    def test_tolerance_on_rho_is_tolerance_over_slope_on_c(self, fuzz_torus_model, k, side):
-        # branch (1, j) at c = c_j* +/- k * tol / s_j lies within tol of Hhat
-        # for k < 1 and outside for k > 1, as inertia counts at Hhat +/- tol say
-        model = fuzz_torus_model("jittered", 4.0)
-        tol = 1e-4
-        mu = model.factor.multiplicity(1)
-        for c_star, slope in model._critical_table:
-            t = (c_star + side * k * tol / slope) / model.factor.value(1)
-            counted = (_inertia_count(model, t, model.Hhat + tol)
-                       - _inertia_count(model, t, model.Hhat - tol))
-            assert nullity(model, t, tol) == counted == (mu if k < 1 else 0)
+    @pytest.mark.parametrize("name", ["jittered", "delaunay"])
+    def test_window_edges_match_inertia_walk(self, fuzz_torus_model, name, side):
+        # branch (1, j) at c = c_j* (1 -/+ 2 BRACKET_RTOL) lies outside the
+        # window, where the table's Morse index must be the inertia walk's;
+        # at c = c_j* it lies inside, and the nullity is mu_1 times the
+        # multiplicity of c_j*
+        from steklovbif.spectral import BRACKET_RTOL
+
+        model = fuzz_torus_model(name, 4.0)
+        rho_1, mu_1 = model.factor.value(1), model.factor.multiplicity(1)
+        c_stars = model.critical_coefficients
+        assert len(c_stars) == 3
+        for c_star in c_stars:
+            t = c_star * (1 + side * 2 * BRACKET_RTOL) / rho_1
+            assert morse_index(model, t) == _inertia_count(model, t, model.Hhat)
+            assert nullity(model, t) == 0
+            with pytest.raises(DegenerateInstantError, match="i=1"):
+                morse_index(model, c_star / rho_1)
+            multiplicity = sum(abs(c / c_star - 1) <= BRACKET_RTOL for c in c_stars)
+            assert nullity(model, c_star / rho_1) == mu_1 * multiplicity
 
 
 class TestConformalMeanCurvature:
