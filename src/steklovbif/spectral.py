@@ -6,48 +6,42 @@ the problem is reduced to boundary degrees of freedom with the Schur
 complement S(c) = A_bb - A_bi A_ii^-1 A_ib, A = K + c M: eigenvectors are
 traces of discrete (modified-)harmonic extensions.
 
-Up to ``DENSE_LIMIT`` boundary dofs, and for k > n_b - 2 at any size, the
-reduced pencil is solved densely: A_ii, positive definite for c >= 0, is
-factored by banded Cholesky (LAPACK's dpbtrf) in the reverse Cuthill-McKee
-order of the interior pattern, and one triangular solve W = U^-T A_ib gives
-S = A_bb - W'W.  Above it, shift-invert Lanczos (ARPACK) applies
-(S - sigma B_bb)^-1 through one SuperLU factorization of the full shifted
-matrix, from a fixed start vector, so that repeated calls agree bit for bit;
-one more solve with that factorization and a k x k Rayleigh-Ritz give the
-returned pairs.  Both paths check the residual of every returned pair.
-Shift-invert also counts by inertia whether its values are the k lowest:
-Lanczos can skip one copy of a double eigenvalue, and no residual shows
-that; such a slice is solved again on the dense path.  So a shift-invert
-slice costs two sparse factorizations and a dense slice one banded one.
-How many eigenvalues lie below a level needs no eigensolve: ``count_below``
-reads it off the inertia of one sparse symmetric factorization.  Nor does
-finding where the branches meet a level lam: (K + c M - lam B) u = 0 is
-linear in c, so ``level_crossings`` takes them all from one shift-invert
-solve of (lam B - K) u = c M u on the full space, and proves them to
+A slice takes the k lowest pairs of S v = rho B_bb v from LAPACK's subset
+eigensolver, which selects by index and so returns both copies of a double
+eigenvalue, and checks every pair's residual.  Only how S is formed
+depends on the size.  Up to ``DENSE_LIMIT`` boundary dofs, the banded
+Cholesky A_ii = U'U (dpbtrf, in the reverse Cuthill-McKee order of the
+interior) and W = U^-T A_ib give S = A_bb - W'W.  Above it, SuperLU factors
+K + c M - sigma B (sigma < 0) once, the interior dofs in a nested-dissection
+order and the boundary dofs last, and the trailing block L_bb U_bb is
+S(c) - sigma B_bb (George 1973; Parlett, The Symmetric Eigenvalue Problem,
+ch. 3).  ``count_below`` reads eigenvalue counts off the inertia of one
+sparse factorization.  (K + c M - lam B) u = 0 is linear in c, so
+``level_crossings`` takes every c at which a branch meets lam from one
+shift-invert Lanczos solve of (lam B - K) u = c M u, and proves them to
 relative BRACKET_RTOL by two inertia counts per root (or group of roots
-closer than that).  SuperLU factors only these full-size, shifted or
-indefinite matrices, the banded Cholesky only A_ii.  Every factorization
-takes its matrix from the forms' cached ``FactorInput``, already in its
-order, and orders nothing.
+closer than that).  Every factorization takes its matrix from the forms'
+cached ``FactorInput``, already in its order.
 
-``DENSE_LIMIT`` is the crossover measured with three factorizations per
-shift-invert slice and SuperLU on A_ii.  Median time of one slice at c = 3
-on the builtin disk, dense / shift-invert with its count, in ms, now with
-two and banded Cholesky (one BLAS thread, 2-vCPU x86 machine, 9
-interleaved repeats, 5 at L6):
+Median ms of one slice at c = 3, band / trailing block, on the builtin disk
+(L) and on Delaunay disks of random points (D); one BLAS thread, 2-vCPU
+x86, 9 interleaved repeats (5 at L6), the orders built beforehand:
 
-    level  n_b   k = 1       k = 4       k = 16
-    L4     128   9 / 13      9 / 16      10 / 24
-    L5     256   88 / 57     84 / 78     99 / 100
-    L6     512   1105 / 361  1142 / 487  1158 / 684
+    mesh  n_b   k = 1       k = 4       k = 16
+    L3     64   1.0 / 2.1   1.2 / 2.3   1.4 / 2.4
+    L4    128   8.1 / 8.2   7.9 / 9.4   8.6 / 10
+    D144  144   8.7 / 13    9.3 / 14    9.2 / 14
+    D160  160   16 / 16     15 / 16     16 / 15
+    D176  176   20 / 23     22 / 21     23 / 21
+    D192  192   38 / 29     37 / 26     37 / 26
+    D224  224   44 / 22     44 / 24     47 / 26
+    L5    256   86 / 40     88 / 41     84 / 43
+    D272  272   118 / 54    93 / 46     99 / 46
+    L6    512   971 / 202   954 / 187   947 / 202
 
-In the same run with SuperLU on A_ii it read 14-16, 139-169 and 1598-1639.
-On Delaunay disks of 128 to 272 boundary dofs it now ties with
-shift-invert at about 224 to 256 for k = 1 and at about 272 for k = 4, and
-is still faster at 272 for k = 16; the builtin L5 ties for k >= 4.  So the
-tie sits at about 224 to 272, above DENSE_LIMIT, which is kept.
-The dense path also holds one dense n_i x n_b block and the band factor of
-A_ii: about 63 MB and 31 MB at L6 (bandwidth 253).
+So the tie sits at 160 to 176 boundary dofs, and DENSE_LIMIT with it.  At
+L6 the band path holds a dense n_i x n_b block (63 MB) and the band of A_ii
+(31 MB); nested dissection of the interior, once per forms, takes 0.08 s.
 """
 
 from __future__ import annotations
@@ -64,14 +58,12 @@ from .errors import BracketError, EigensolverError, PreconditionError
 from .fem import AssembledForms
 from .serialize import read_csv, write_csv
 
-# largest boundary-dof count solved densely: the crossover of three
-# factorizations per shift-invert slice and SuperLU on A_ii, kept while the
-# tie moves (see above)
-DENSE_LIMIT = 200
+# largest boundary-dof count whose S comes from the banded Cholesky: the
+# measured tie with the trailing block (see above)
+DENSE_LIMIT = 176
 _SHIFT_INVERT_TOL = 1e-10
 RESIDUAL_RTOL = 1e-8
 PIVOT_RTOL = 1e-10
-LOWEST_RTOL = 1e-6
 # relative half-width of the window in which level_crossings proves each c_j*
 BRACKET_RTOL = 1e-8
 
@@ -138,7 +130,7 @@ def robin_steklov_spectrum(forms: AssembledForms, c: float, k: int) -> SpectrumS
 
     For c = 0 this is the Steklov (Dirichlet-to-Neumann) spectrum; the zero
     eigenvalue of the constant is kept at index 0.  Every returned pair is
-    checked against the reduced pencil, on both solver paths.
+    checked against the reduced pencil, however S(c) was formed.
     """
     if c < 0:
         raise PreconditionError(f"bulk coefficient must be non-negative, got {c}")
@@ -149,24 +141,17 @@ def robin_steklov_spectrum(forms: AssembledForms, c: float, k: int) -> SpectrumS
         raise PreconditionError(f"need 1 <= k <= {n_b} boundary dofs, got k={k}")
 
     fi = forms.factor_input
-    A_bb = fi.boundary(c)
-    # ARPACK needs k strictly inside the subspace; near-full requests go dense
-    if n_b > DENSE_LIMIT and k <= n_b - 2:
-        found = _shift_invert_slice(forms, c, A_bb, k)
-        if found is not None:
-            return found
-    # the dense path, also for a shift-invert slice that skipped an eigenvalue
-    S = _schur_complement(fi, c, A_bb)
+    S = _schur(fi, c)
     w, v = _dense_gevp(S, fi.B_bb, k)
-    _check_residuals(S @ v, fi.B_bb @ v, w, v, _norm1(A_bb), fi.B_bb_norm1, "dense")
+    _check_residuals(S @ v, fi.B_bb @ v, w, v, _norm1(fi.boundary(c)), fi.B_bb_norm1, "dense")
     return SpectrumSlice(c=c, eigenvalues=w, eigenvectors=v)
 
 
 def _factor(A):
     """SuperLU of a full-size symmetric matrix whose rows and columns are
-    already in the forms' cached order: no reordering and diagonal pivots
-    only, so P A P' = L U with P = I unless a pivot vanished, and diag(U)
-    holds the pivots of an L D L' factorization."""
+    already in a cached order of the forms: no reordering and diagonal
+    pivots only, so P A P' = L U with P = I unless a pivot vanished, and
+    diag(U) holds the pivots of an L D L' factorization."""
     return spla.splu(A, permc_spec="NATURAL", diag_pivot_thresh=0,
                      options={"SymmetricMode": True})
 
@@ -194,13 +179,38 @@ def _schur_complement(fi, c, A_bb) -> np.ndarray:
     return _symmetrized(A_bb - W.T @ W)
 
 
+def _schur(fi, c) -> np.ndarray:
+    """Dense S(c): by banded Cholesky of A_ii up to DENSE_LIMIT boundary
+    dofs, off the trailing block of one sparse factorization above."""
+    if len(fi.boundary_dofs) > DENSE_LIMIT:
+        return _trailing_schur(fi, c)
+    return _schur_complement(fi, c, fi.boundary(c))
+
+
+def _trailing_schur(fi, c) -> np.ndarray:
+    """S(c) = L_bb U_bb + sigma B_bb, symmetrized: in the boundary-last
+    order, the trailing block of L U = K + c M - sigma B is the Schur
+    complement of its interior block.  sigma < 0 keeps the matrix definite
+    at c = 0 too, so every pivot stays on the diagonal; a factorization that
+    left the order anyway has no such block, and raises."""
+    pattern = fi.boundary_last
+    n_i = pattern.shape[0] - len(fi.boundary_dofs)
+    sigma = -1e-3 * max(np.abs(pattern.K + c * pattern.M).mean(), 1.0)
+    lu = _factor(pattern.pencil(c, sigma))
+    natural = np.arange(pattern.shape[0])
+    if not (np.array_equal(lu.perm_c, natural) and np.array_equal(lu.perm_r, natural)):
+        raise EigensolverError(f"the factorization at c={c:.12g} left the boundary-last order, "
+                               "so its trailing block is not the Schur complement")
+    return _symmetrized(lu.L[n_i:, n_i:].toarray() @ lu.U[n_i:, n_i:].toarray()
+                        + sigma * fi.B_bb)
+
+
 def _check_residuals(Av, Bv, w, v, a_norm, b_norm, path) -> None:
     """Raise unless ||A v - rho B v|| <= RESIDUAL_RTOL * (a_norm + |rho| b_norm)
-    * ||v|| for every pair.  The columns of Av and Bv hold A and B applied
-    to v, or to its extension (then every row counts); a_norm is ||A_bb||_1
-    and b_norm ||B_bb||_1.  A = K + c M is positive semidefinite with a
-    definite interior block, so 0 <= S <= A_bb and the cheap 1-norm of A_bb
-    bounds ||S||; a plain symmetric pencil passes its own norms."""
+    * ||v|| for every pair, the columns of Av and Bv holding A and B applied
+    to v.  A slice passes ||A_bb||_1 and ||B_bb||_1: A = K + c M is positive
+    semidefinite with a definite interior block, so 0 <= S <= A_bb and the
+    cheap 1-norm of A_bb bounds ||S||; any other pencil passes its own."""
     residuals = np.linalg.norm(Av - Bv * w, axis=0)
     bound = RESIDUAL_RTOL * (a_norm + np.abs(w) * b_norm) * np.linalg.norm(v, axis=0)
     if np.any(residuals > bound):
@@ -216,91 +226,8 @@ def _norm1(x) -> float:
     return float(np.abs(x).sum(axis=0).max())
 
 
-def _shift_invert_slice(forms, c, A_bb, k) -> SpectrumSlice | None:
-    """Shift-invert on the boundary-reduced pencil, then one step of inverse
-    iteration and Rayleigh-Ritz on the full pencil; None when the pairs are
-    checked but an inertia count shows that Lanczos skipped an eigenvalue
-    below the top one.
-
-    (S - sigma B_bb)^-1 is applied through one factorization of the full
-    shifted matrix: B has no interior rows, so the interior of each full
-    solve is the discrete harmonic extension of its boundary part, and the
-    boundary rows of A times it are S applied to that part.  ARPACK's k
-    vectors, solved once more, span the extensions X; Rayleigh-Ritz of
-    (A, B) on X gives B-orthonormal pairs, and their residual is read off
-    A X and B X with no second factorization.  The residual takes every row,
-    so it also shows an interior that is not harmonic.
-    """
-    fi = forms.factor_input
-    full, bnd = fi.full, fi.boundary_positions
-    A = full.pencil(c)
-    n = full.shape[0]
-    scale = np.abs(A.data).sum() / max(A.nnz, 1)
-    sigma = -1e-3 * max(scale, 1.0)
-    lu = _factor(full.pencil(c, sigma))
-
-    def extend(x):
-        rhs = np.zeros((n,) + x.shape[1:])
-        rhs[bnd] = x
-        return lu.solve(rhs)
-
-    v = _lanczos(lambda x: extend(x)[bnd], fi.B_bb, k, sigma, "shift-invert")
-    X = extend(fi.B_bb @ v)
-    BX = np.zeros_like(X)
-    BX[bnd] = fi.B_bb @ X[bnd]
-    unit = np.sqrt(np.einsum("ij,ij->j", X, BX))
-    X, BX = X / unit, BX / unit
-    AX = A @ X
-    w, y = _dense_gevp(_symmetrized(X.T @ AX), _symmetrized(X.T @ BX), k)
-    v = X[bnd] @ y
-    _check_residuals(AX @ y, BX @ y, w, v, _norm1(A_bb), fi.B_bb_norm1, "shift-invert")
-    if _skipped_below(forms, c, w):
-        return None
-    return SpectrumSlice(c=c, eigenvalues=w, eigenvectors=v)
-
-
-def _lanczos(solve, M, k, sigma, path) -> np.ndarray:
-    """ARPACK's k eigenvectors nearest sigma of a pencil (A, M), solve
-    applying (A - sigma M)^-1: shift-invert mode needs only that and M, so A
-    only gives the shape."""
-    size = M.shape[0]
-    shape_only = spla.LinearOperator((size, size), matvec=None, dtype=float)
-    OPinv = spla.LinearOperator((size, size), matvec=solve, dtype=float)
-    # a fixed start makes the result reproducible; a generic one has a
-    # component along every eigenvector (a constant misses the disk's cos
-    # modes, for one)
-    v0 = np.random.default_rng(0).standard_normal(size)
-    try:
-        return spla.eigsh(shape_only, k=k, M=M, sigma=sigma, OPinv=OPinv, which="LM",
-                          tol=_SHIFT_INVERT_TOL, v0=v0)[1]
-    except spla.ArpackNoConvergence as exc:
-        raise EigensolverError(f"{path} iteration did not converge: {exc}") from exc
-
-
 def _symmetrized(x: np.ndarray) -> np.ndarray:
     return 0.5 * (x + x.T)
-
-
-def _skipped_below(forms, c, w) -> bool:
-    """Whether an eigenvalue below the top of the ascending values w is
-    missing from them.
-
-    Lanczos may skip one copy of a multiple eigenvalue (the disk has exact
-    double ones), and the skipped pair leaves no residual.  The pairs are
-    checked and B-orthonormal, so they are distinct eigenpairs; one inertia
-    count just under the top value then shows whether any below it is
-    missing.  A value within LOWEST_RTOL of the top one is not resolved.
-    Fewer counted than returned contradicts the checks, and raises.
-    """
-    level = w[-1] - LOWEST_RTOL * max(1.0, abs(w[-1]))
-    returned = int(np.count_nonzero(w < level))
-    counted = count_below(forms, c, level)
-    if counted < returned:
-        raise EigensolverError(
-            f"shift-invert at c={c:.12g} returned {returned} eigenvalues below "
-            f"{level:.12g}, an inertia count {counted}"
-        )
-    return counted > returned
 
 
 def count_below(forms: AssembledForms, c: float, lam: float) -> int:
@@ -310,7 +237,7 @@ def count_below(forms: AssembledForms, c: float, lam: float) -> int:
     For c >= 0 the interior block of A = K + c M is positive definite, so by
     Haynsworth additivity the negative inertia of A - lam B equals that of
     S(c) - lam B_bb, which by Sylvester's law (B_bb is positive definite) is
-    the count.  A - lam B is factored in the forms' cached order, a
+    the count.  A - lam B is factored in the forms' COLAMD order, a
     symmetric permutation, which keeps its inertia.  When SuperLU raises,
     leaves the diagonal, or meets a pivot tiny next to the largest (lam at or
     near an eigenvalue), the count comes from a Bunch-Kaufman factorization
@@ -328,7 +255,7 @@ def count_below(forms: AssembledForms, c: float, lam: float) -> int:
         pivots = np.abs(d)
         if pivots.min() > PIVOT_RTOL * pivots.max():
             return int(np.count_nonzero(d < 0))
-    S = _schur_complement(fi, c, fi.boundary(c)) - lam * fi.B_bb
+    S = _schur(fi, c) - lam * fi.B_bb
     _, d, _ = la.ldl(S)
     # d is block diagonal with 1x1 and 2x2 blocks, hence tridiagonal
     return int(np.count_nonzero(la.eigvalsh_tridiagonal(np.diag(d), np.diag(d, 1)) < 0))
@@ -341,8 +268,8 @@ def level_crossings(forms: AssembledForms, lam: float, n: int) -> np.ndarray:
     They are the positive eigenvalues of (lam B - K) u = c M u, and
     count_below(forms, c, lam) of them exceed c, a count that never increases
     in c (M is positive semidefinite).  The shift sigma doubles from 1 until
-    none does; the n pairs nearest it, refined and checked as a shift-invert
-    slice's are, must all lie in (0, sigma).  Roots whose windows
+    none does; the n pairs nearest it, refined by Rayleigh-Ritz and checked
+    by their residuals, must all lie in (0, sigma).  Roots whose windows
     c_j* (1 -/+ BRACKET_RTOL) overlap form a group, and a count just below
     and just above each group must equal the table's.  That proves the
     table at every c outside the windows, and each c_j* to relative
@@ -357,7 +284,18 @@ def level_crossings(forms: AssembledForms, lam: float, n: int) -> np.ndarray:
     M = sp.csc_matrix((full.M, full.indices, full.indptr), shape=full.shape)
     A = -full.pencil(0.0, lam)
     lu = _factor(full.pencil(sigma, lam))
-    X = lu.solve(M @ _lanczos(lambda x: -lu.solve(x), M, n, sigma, "level-crossing"))
+    # shift-invert mode needs only (A - sigma M)^-1 and M, so A gives only
+    # the shape; a fixed, generic start (a component along every
+    # eigenvector) makes the result reproducible
+    shape = full.shape
+    OPinv = spla.LinearOperator(shape, matvec=lambda x: -lu.solve(x), dtype=float)
+    v0 = np.random.default_rng(0).standard_normal(shape[0])
+    try:
+        v = spla.eigsh(spla.LinearOperator(shape, matvec=None, dtype=float), k=n, M=M,
+                       sigma=sigma, OPinv=OPinv, which="LM", tol=_SHIFT_INVERT_TOL, v0=v0)[1]
+    except spla.ArpackNoConvergence as exc:
+        raise EigensolverError(f"level-crossing iteration did not converge: {exc}") from exc
+    X = lu.solve(M @ v)
     AX, MX = A @ X, M @ X
     w, y = _dense_gevp(_symmetrized(X.T @ AX), _symmetrized(X.T @ MX), n)
     _check_residuals(AX @ y, MX @ y, w, X @ y, _norm1(A), _norm1(M), "level-crossing")

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,9 +7,10 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-from steklovbif import assemble, generate_disk, generate_interval, scale_metric_forms, steklov_spectrum
+from steklovbif import (assemble, fem, generate_disk, generate_interval, scale_metric_forms,
+                        steklov_spectrum)
 from steklovbif.errors import AssemblyError, PreconditionError
-from steklovbif.fem import dump_matrix
+from steklovbif.fem import FactorInput, dump_matrix
 from steklovbif.mesh import Mesh, simplex_measure
 
 
@@ -113,24 +115,50 @@ class TestFormProperties:
 
 
 class TestFactorInput:
+    @staticmethod
+    def _forms(case, disk, interval, fuzz_meshes):
+        if case.startswith("disk"):
+            return disk(int(case[4:]))[1]
+        if case.startswith("interval"):
+            return interval(int(case[8:]), 1.0)[1]
+        return fuzz_meshes[case][1]
+
     @pytest.mark.parametrize("case", [f"disk{level}" for level in range(6)]
                              + ["interval50", "interval1000", "jittered", "delaunay"])
     def test_order_is_that_of_a_full_factorization(self, case, disk, interval, fuzz_meshes):
         # the cached order is read off an incomplete factorization of K + M + B;
         # the interior dofs take the reverse Cuthill-McKee order of their block
-        if case.startswith("disk"):
-            _, forms = disk(int(case[4:]))
-        elif case.startswith("interval"):
-            _, forms = interval(int(case[8:]), 1.0)
-        else:
-            _, forms = fuzz_meshes[case]
+        forms = self._forms(case, disk, interval, fuzz_meshes)
         total = (abs(forms.K) + abs(forms.M) + abs(forms.B)).tocsc()
         order = np.argsort(spla.splu(total).perm_c)
         fi = forms.factor_input
-        assert np.array_equal(fi.boundary_positions, np.argsort(order)[forms.boundary_dofs])
+        renumbered = (forms.K + forms.M + forms.B).tocsr()[order][:, order]
+        assert abs(fi.full.pencil(1.0, -1.0) - renumbered).max() == 0
         inner = forms.interior_dofs
         rcm = reverse_cuthill_mckee(total[inner][:, inner].tocsr(), symmetric_mode=True)
         assert np.array_equal(fi.interior_order, inner[rcm])
+
+    @pytest.mark.parametrize("case", ["disk3", "interval50", "jittered", "delaunay"])
+    def test_orders_build_without_warnings(self, case, disk, interval, fuzz_meshes):
+        forms = self._forms(case, disk, interval, fuzz_meshes)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fi = FactorInput(forms.K, forms.M, forms.B, forms.boundary_dofs)
+            fi.full, fi.interior, fi.boundary_last
+
+    def test_dissection_splits_components_and_keeps_leaves(self):
+        # two paths of 3 * DISSECTION_LEAF vertices, interleaved in the
+        # numbering: the order lists every vertex once, each component apart
+        size = 3 * fem.DISSECTION_LEAF
+        first, second = np.arange(0, 2 * size, 2), np.arange(1, 2 * size, 2)
+        rows = np.concatenate([first[:-1], second[:-1]])
+        cols = np.concatenate([first[1:], second[1:]])
+        graph = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(2 * size, 2 * size))
+        order = fem.nested_dissection(graph + graph.T)
+        assert np.array_equal(np.sort(order), np.arange(2 * size))
+        assert np.all(order[:size] % 2 == order[0] % 2)
+        leaf = sp.csr_matrix((np.ones(3), ([0, 1, 2], [1, 2, 0])), shape=(3, 3))
+        assert np.array_equal(fem.nested_dissection(leaf + leaf.T), [0, 1, 2])
 
 
 class TestScaleMetricForms:

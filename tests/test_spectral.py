@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from steklovbif import (
     assemble,
+    fem,
     generate_disk,
     generate_interval,
     oracle,
@@ -128,6 +129,9 @@ class TestRobinSteklovSpectrum:
 
 
 class TestShiftInvert:
+    """Slices above DENSE_LIMIT, which read S(c) off the trailing block of one
+    factorization in the boundary-last order."""
+
     @pytest.fixture(params=["disk5", "jittered", "delaunay"])
     def forms(self, request, disk, fuzz_meshes):
         if request.param == "disk5":
@@ -145,6 +149,18 @@ class TestShiftInvert:
             got = robin_steklov_spectrum(forms, c, k).eigenvalues
             assert np.all(np.abs(got - dense[:k]) <= 1e-10 * np.abs(dense[:k]))
 
+    @pytest.mark.parametrize("name", ["disk2", "disk3", "disk4", "disk5", "jittered", "delaunay"])
+    @pytest.mark.parametrize("c", [0.0, 3.0, 100.0])
+    def test_trailing_block_equals_banded_schur_complement(self, disk, fuzz_meshes, name, c,
+                                                           monkeypatch):
+        forms = disk(int(name[-1]))[1] if name.startswith("disk") else fuzz_meshes[name][1]
+        fi = forms.factor_input
+        monkeypatch.setattr(spectral, "DENSE_LIMIT", 10**9)
+        band = spectral._schur(fi, c)
+        monkeypatch.setattr(spectral, "DENSE_LIMIT", 0)
+        trailing = spectral._schur(fi, c)
+        assert np.abs(trailing - band).max() <= 1e-12 * np.abs(band).max()
+
     def test_repeat_calls_are_bit_identical(self, disk):
         _, forms = disk(5)
         assert len(forms.boundary_dofs) > spectral.DENSE_LIMIT
@@ -152,37 +168,11 @@ class TestShiftInvert:
         second = robin_steklov_spectrum(forms, 3.0, 4).eigenvalues
         assert first.tobytes() == second.tobytes()
 
-    def test_missing_copy_of_double_eigenvalue_is_solved_densely(self, disk, monkeypatch):
-        # valid pairs, so the residual check passes; only the count sees that
-        # one copy of rho_1 = rho_2 is gone and rho_3 took its place, and the
-        # slice is solved again on the dense path
-        _, forms = disk(3)
-        eigsh = spectral.spla.eigsh
-        schur = spectral._schur_complement
-        dense_calls = []
-
-        def dropping(*args, k, **kwargs):
-            w, v = eigsh(*args, k=k + 1, **kwargs)
-            keep = np.delete(np.argsort(w), 1)
-            return w[keep], v[:, keep]
-
-        def counted(*args):
-            dense_calls.append(args[1])
-            return schur(*args)
-
-        monkeypatch.setattr(spectral, "DENSE_LIMIT", 0)
-        full = robin_steklov_spectrum(forms, 0.3, 4).eigenvalues
-        assert full[2] - full[1] < 1e-10 * full[1] and full[3] - full[2] > 0.1
-        monkeypatch.setattr(spectral.spla, "eigsh", dropping)
-        monkeypatch.setattr(spectral, "_schur_complement", counted)
-        got = robin_steklov_spectrum(forms, 0.3, 3).eigenvalues
-        assert dense_calls == [0.3]
-        assert np.all(np.abs(got - full[:3]) <= 1e-10 * np.abs(full[:3]))
-
     @pytest.mark.parametrize("t", np.linspace(0.1, 3.0, 7)[4:])
     def test_skipped_double_eigenvalue_is_solved_densely(self, disk, t, monkeypatch):
         # eigencurve on disk L5 x 2pi-torus, i = 2 (rho_i = 2), j = 0, 1, 2:
-        # Lanczos returns one copy of rho_1 = rho_2 at these three t
+        # at these three t an iterative solver can return one copy of
+        # rho_1 = rho_2; a dense subset solve returns both
         _, forms = disk(5)
         c = t * 2.0
         assert len(forms.boundary_dofs) > spectral.DENSE_LIMIT
@@ -191,12 +181,44 @@ class TestShiftInvert:
         dense = robin_steklov_spectrum(forms, c, 3).eigenvalues
         assert np.all(np.abs(got - dense) <= 1e-10 * np.abs(dense))
 
-    def test_fewer_counted_than_returned_raises(self, disk, monkeypatch):
+    def test_double_eigenvalue_eigencurves_return_every_row(self, disk, square_torus,
+                                                            monkeypatch):
+        # eigencurve on disk L5 x 2pi-torus (H2 = 1), i = 1, 2, j = 0, 1, 2,
+        # 7 values of t in [0.1, 3]: three slices of i = 2 hold the double
+        # rho_1 = rho_2 (see above)
+        _, forms = disk(5)
+        torus = square_torus(20.0)
+        t_grid = np.linspace(0.1, 3.0, 7)
+
+        def rows():
+            return np.array([curve.values for i in (1, 2) for curve in trace_eigencurves(
+                forms, torus.value(i), [0, 1, 2], t_grid, factor_index=i)])
+
+        trailing = rows()
+        monkeypatch.setattr(spectral, "DENSE_LIMIT", 10**9)
+        band = rows()
+        assert trailing.shape == band.shape == (6, 7)
+        assert np.all(np.abs(trailing - band) <= 1e-10 * np.abs(band))
+
+    @pytest.mark.parametrize("moved", ["perm_c", "perm_r"])
+    def test_factorization_off_the_order_raises(self, disk, moved, monkeypatch):
+        # with a pivot or column moved, the trailing block of L U is not the
+        # Schur complement of the interior
         _, forms = disk(3)
+        factor = spectral._factor
+
+        class Moved:
+            def __init__(self, lu):
+                self.lu = lu
+                setattr(self, moved, np.roll(getattr(lu, moved), 1))
+
+            def __getattr__(self, name):
+                return getattr(self.lu, name)
+
+        monkeypatch.setattr(spectral, "_factor", lambda a: Moved(factor(a)))
         monkeypatch.setattr(spectral, "DENSE_LIMIT", 0)
-        monkeypatch.setattr(spectral, "count_below", lambda forms, c, lam: 0)
-        with pytest.raises(EigensolverError, match="an inertia count 0"):
-            robin_steklov_spectrum(forms, 0.3, 4)
+        with pytest.raises(EigensolverError, match="left the boundary-last order"):
+            robin_steklov_spectrum(forms, 1.0, 4)
 
 
 class TestResidualChecks:
@@ -213,72 +235,34 @@ class TestResidualChecks:
             robin_steklov_spectrum(forms, 1.0, 5)
 
     @staticmethod
-    def _fault_after_rayleigh_ritz(monkeypatch, fault):
-        # Rayleigh-Ritz is the shift-invert slice's only dense solve
+    def _fault_after_eigh(monkeypatch, fault):
         dense_gevp = spectral._dense_gevp
         monkeypatch.setattr(spectral, "_dense_gevp", lambda a, b, k: fault(*dense_gevp(a, b, k)))
         monkeypatch.setattr(spectral, "DENSE_LIMIT", 0)
 
     def test_shift_invert_path_rejects_wrong_pairs(self, disk, monkeypatch):
+        # DENSE_LIMIT 0: the slice takes the trailing block
         _, forms = disk(2)
-        self._fault_after_rayleigh_ritz(monkeypatch, lambda w, v: (w, np.roll(v, 1, axis=1)))
-        with pytest.raises(EigensolverError, match="shift-invert eigenpair residual"):
+        self._fault_after_eigh(monkeypatch, lambda w, v: (w, np.roll(v, 1, axis=1)))
+        with pytest.raises(EigensolverError, match="dense eigenpair residual"):
             robin_steklov_spectrum(forms, 1.0, 5)
 
     def test_shift_invert_path_rejects_shifted_values(self, disk, monkeypatch):
         _, forms = disk(2)
-        self._fault_after_rayleigh_ritz(monkeypatch, lambda w, v: (w + 1e-6, v))
-        with pytest.raises(EigensolverError, match="shift-invert eigenpair residual"):
+        self._fault_after_eigh(monkeypatch, lambda w, v: (w + 1e-6, v))
+        with pytest.raises(EigensolverError, match="dense eigenpair residual"):
             robin_steklov_spectrum(forms, 1.0, 5)
 
-    def test_shift_invert_path_rejects_non_harmonic_interior(self, disk, monkeypatch):
-        # solves off by 1e-6 on the dofs with no boundary neighbour: the
-        # boundary rows of A X and the returned traces are untouched, only
-        # the residual over every row sees that X is not harmonic
+    def test_trailing_path_rejects_pairs_of_a_wrong_schur_complement(self, disk, monkeypatch):
+        # pairs of S(c) one part in 10^4 off in c, checked against S(c)
         _, forms = disk(2)
         fi = forms.factor_input
-        boundary = np.zeros(forms.n)
-        boundary[fi.boundary_positions] = 1.0
-        interior = abs(fi.full.pencil(1.0)) @ boundary == 0
-        factor = spectral._factor
-
-        class OffInterior:
-            def __init__(self, lu):
-                self.lu = lu
-
-            def __getattr__(self, name):
-                return getattr(self.lu, name)
-
-            def solve(self, b):
-                x = self.lu.solve(b)
-                x[interior] *= 1 + 1e-6
-                return x
-
-        monkeypatch.setattr(spectral, "_factor", lambda a: OffInterior(factor(a)))
+        dense_gevp = spectral._dense_gevp
         monkeypatch.setattr(spectral, "DENSE_LIMIT", 0)
-        with pytest.raises(EigensolverError, match="shift-invert eigenpair residual"):
+        monkeypatch.setattr(spectral, "_dense_gevp",
+                            lambda a, b, k: dense_gevp(spectral._schur(fi, 1.0 + 1e-4), b, k))
+        with pytest.raises(EigensolverError, match="dense eigenpair residual"):
             robin_steklov_spectrum(forms, 1.0, 5)
-
-    def test_rotated_arpack_vectors_come_back_as_ordered_pairs(self, disk, monkeypatch):
-        # Rayleigh-Ritz needs only the span of ARPACK's vectors, not their
-        # order or its values
-        _, forms = disk(2)
-        dense = robin_steklov_spectrum(forms, 1.0, 5).eigenvalues
-        eigsh = spectral.spla.eigsh
-
-        def rotated(*args, **kwargs):
-            w, v = eigsh(*args, **kwargs)
-            return w[::-1], np.roll(v, 1, axis=1)
-
-        monkeypatch.setattr(spectral.spla, "eigsh", rotated)
-        monkeypatch.setattr(spectral, "DENSE_LIMIT", 0)
-        sl = robin_steklov_spectrum(forms, 1.0, 5)
-        assert np.all(np.diff(sl.eigenvalues) >= 0)
-        assert np.all(np.abs(sl.eigenvalues - dense) <= 1e-10 * np.abs(dense))
-        fi = forms.factor_input
-        residual = spectral._schur_complement(fi, 1.0, fi.boundary(1.0)) @ sl.eigenvectors
-        residual -= fi.B_bb @ sl.eigenvectors * sl.eigenvalues
-        assert np.abs(residual).max() < 1e-9
 
 
 def _eigen_count(forms, c, lam):
@@ -364,6 +348,32 @@ class TestCountBelow:
         for c, lam in [(0.0, 0.5), (0.0, 2.5), (3.0, 1.7), (20.0, 6.0)]:
             assert count_below(forms, c, lam) == _eigen_count(forms, c, lam)
 
+    def test_superlu_failure_above_dense_limit_reads_the_trailing_block(self, disk,
+                                                                        monkeypatch):
+        # disk L5, n_b = 256: the fallback's S comes from the boundary-last
+        # factorization, not from the band of A_ii
+        _, forms = disk(5)
+        assert len(forms.boundary_dofs) > spectral.DENSE_LIMIT
+        forms.factor_input.full  # the cached order's own factorization stays intact
+        splu, cholesky_banded = spectral.spla.splu, spectral.la.cholesky_banded
+        calls = {"splu": 0, "cholesky_banded": 0}
+
+        def failing_first(a, **kwargs):
+            calls["splu"] += 1
+            if calls["splu"] == 1:  # the count's own factorization
+                raise RuntimeError("Factor is exactly singular")
+            return splu(a, **kwargs)
+
+        def banded(*args, **kwargs):
+            calls["cholesky_banded"] += 1
+            return cholesky_banded(*args, **kwargs)
+
+        monkeypatch.setattr(spectral.spla, "splu", failing_first)
+        monkeypatch.setattr(spectral.la, "cholesky_banded", banded)
+        counted = count_below(forms, 3.0, 2.0)
+        assert calls == {"splu": 2, "cholesky_banded": 0}
+        assert counted == _eigen_count(forms, 3.0, 2.0)
+
     def test_negative_coefficient_rejected(self, disk):
         _, forms = disk(0)
         with pytest.raises(PreconditionError):
@@ -388,14 +398,18 @@ class TestFactorizationBudget:
             monkeypatch.setattr(module, name, counted)
         return calls
 
-    def test_shift_invert_slice_factors_twice(self, disk, splu_calls, monkeypatch):
-        # the shifted full matrix for ARPACK and Rayleigh-Ritz, and the count
+    def test_trailing_slice_factors_once(self, disk, splu_calls, monkeypatch):
+        # one SuperLU factorization of the full matrix, no band and no ARPACK
         _, forms = disk(3)
-        forms.factor_input
+        forms.factor_input.boundary_last
         splu_calls.clear()  # the order, when these forms had none yet
+        eigsh_calls = []
+        monkeypatch.setattr(spectral.spla, "eigsh", lambda *a, **kw: eigsh_calls.append(a))
         monkeypatch.setattr(spectral, "DENSE_LIMIT", 0)
         robin_steklov_spectrum(forms, 1.0, 4)
-        assert [n for n, _ in splu_calls] == [forms.n, forms.n]
+        assert [n for n, _ in splu_calls] == [forms.n]
+        assert not isinstance(splu_calls[0][1], np.ndarray)
+        assert eigsh_calls == []
 
     def test_dense_slice_factors_once(self, disk, splu_calls):
         # one banded Cholesky of A_ii, and no SuperLU
@@ -422,6 +436,9 @@ class TestFactorizationBudget:
 
     def test_order_built_once_per_forms(self, splu_calls, monkeypatch):
         forms = assemble(generate_disk(2))
+        dissections = []
+        dissect = fem.nested_dissection
+        monkeypatch.setattr(fem, "nested_dissection", lambda g: dissections.append(g) or dissect(g))
         for c, lam in [(0.0, 0.5), (1.0, 2.5), (3.0, 1.7)]:
             count_below(forms, c, lam)
         for limit in (10**9, 0):
@@ -429,8 +446,34 @@ class TestFactorizationBudget:
             for c in (0.5, 2.0):
                 robin_steklov_spectrum(forms, c, 3)
         harmonic_extension(forms, np.ones(len(forms.boundary_dofs)), 1.0)
-        # 3 counts, 2 dense and 2 shift-invert slices, 1 extension, 1 order
-        assert len(splu_calls) == 3 + 2 * 1 + 2 * 2 + 1 + 1
+        # 3 counts, 2 banded and 2 trailing slices, 1 extension, 1 COLAMD order
+        assert len(splu_calls) == 3 + 2 * 1 + 2 * 1 + 1 + 1
+        assert len(dissections) == 1
+
+    @pytest.mark.parametrize("name", ["disk3", "jittered", "delaunay", "interval50"])
+    def test_boundary_last_order(self, disk, interval, fuzz_meshes, name):
+        if name.startswith("disk"):
+            forms = disk(int(name[4:]))[1]
+        elif name.startswith("interval"):
+            forms = interval(int(name[8:]), 1.0)[1]
+        else:
+            forms = fuzz_meshes[name][1]
+        order = forms.factor_input.boundary_last_order
+        n_b = len(forms.boundary_dofs)
+        assert np.array_equal(np.sort(order), np.arange(forms.n))
+        assert np.array_equal(order[forms.n - n_b:], forms.boundary_dofs)
+
+    def test_no_boundary_last_order_at_or_below_dense_limit(self, monkeypatch):
+        # slices, counts and extensions on disk L3 (n_b = 64) never order for
+        # the trailing block
+        monkeypatch.setattr(fem, "nested_dissection", lambda g: pytest.fail("ordered"))
+        forms = assemble(generate_disk(3))
+        assert len(forms.boundary_dofs) <= spectral.DENSE_LIMIT
+        trace_eigencurves(forms, 1.0, [0, 3], [0.1, 1.0, 5.0])
+        count_below(forms, 1.0, 2.5)
+        # on an eigenvalue: the count falls back to the banded S
+        count_below(forms, 1.0, robin_steklov_spectrum(forms, 1.0, 2).eigenvalues[1])
+        harmonic_extension(forms, np.ones(len(forms.boundary_dofs)), 1.0)
 
     @pytest.mark.parametrize("name", ["disk2", "disk3", "disk4", "disk5", "jittered", "delaunay"])
     def test_cached_order_counts_equal_eigen_counts(self, disk, fuzz_meshes, splu_calls, name):
