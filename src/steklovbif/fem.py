@@ -10,12 +10,13 @@ and exact element integration,
 All three are full symmetric scipy CSR matrices (both triangles stored,
 indices canonical), built straight from batched element matrices.  Every
 factorization of the pencil K + c M - lam B starts from one c-independent
-``FactorInput`` per forms, which builds each of three orders the first time
-a solve asks for it: a fill-reducing one for the full pencil, a
-bandwidth-reducing one of the interior dofs in which the interior block is
-kept in LAPACK band storage, and a nested-dissection one with the boundary
-dofs last.  A run pays only for the orders its solves use, and no
-factorization orders its matrix again.
+``FactorInput`` per forms, which builds each of two orders and one tree the
+first time a solve asks for it: a fill-reducing order for the full pencil,
+a bandwidth-reducing one of the interior dofs in which the interior block
+is kept in LAPACK band storage, and the nested-dissection tree of the
+interior dofs, whose fronts a multifrontal Cholesky fills and factors.  A
+run pays only for what its solves use, and no factorization orders its
+matrix again.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -76,10 +78,30 @@ class BandedPattern:
         return band
 
 
+class Front(NamedTuple):
+    """A node of the nested-dissection tree of A_ii.  Its update set is the
+    later dofs adjacent to its subtree, n_inner interior ones, then boundary
+    ones.  Its front keeps the first len(pivots) + n_inner columns of A's
+    lower triangle on pivots + update, in Fortran order.  By flat positions,
+    int32 to halve their memory, ``gather`` puts the pivot columns' K and M
+    there, ``extend_add[i]`` child i's (len(update), n_inner) contribution,
+    and ``boundary`` its boundary block into S."""
+
+    pivots: np.ndarray
+    update: np.ndarray
+    n_inner: int
+    children: tuple
+    K: np.ndarray
+    M: np.ndarray
+    gather: np.ndarray
+    extend_add: tuple
+    boundary: np.ndarray
+
+
 class FactorInput:
     """The c-independent input of every factorization of K + c M - lam B:
     the dense blocks K_bb, M_bb and B_bb, in the order of ``boundary_dofs``,
-    and three orders, each with the pencil in it, built on first use:
+    and two orders and a tree, each with the pencil in it, built on first use:
 
     * ``full``: all dofs in the COLAMD order (Davis, Gilbert, Larimore & Ng,
       ACM TOMS 30, 2004) of the common pattern of K, M and B;
@@ -87,8 +109,8 @@ class FactorInput:
       CSC): rows are the interior dofs in the reverse Cuthill-McKee order of
       their pattern (George & Liu, 1981), ``interior_order``, which keeps
       A_ii in a narrow band; the columns of A_ib follow ``boundary_dofs``;
-    * ``boundary_last``: the interior dofs in a nested-dissection order,
-      then the boundary dofs, as listed by ``boundary_last_order``.
+    * ``fronts``: the nested-dissection tree of the interior dofs, one
+      ``Front`` per node, in postorder.
     """
 
     def __init__(self, K: sp.csr_matrix, M: sp.csr_matrix, B: sp.csr_matrix,
@@ -133,19 +155,41 @@ class FactorInput:
                                                       fill_factor=1).perm_c))
 
     @cached_property
-    def boundary_last_order(self) -> np.ndarray:
-        """Eliminated in this order, the trailing block of the factor is the
-        boundary Schur complement.  The breadth-first searches of the
-        dissection take the interior pattern with unit weights, not the
-        pencil's signed values."""
+    def fronts(self) -> tuple:
+        """The ``Front`` of each node of the nested-dissection tree of the
+        interior pattern, with unit weights, in postorder."""
         inner = np.flatnonzero(~self._is_b)
+        if not len(inner):
+            return ()
         graph = self._total[inner][:, inner].tocsr()
         graph.data[:] = 1.0
-        return np.concatenate([inner[nested_dissection(graph)], self.boundary_dofs])
+        order, start, children = nested_dissection(graph)
+        n_i, n_b = len(inner), len(self.boundary_dofs)
+        # renumbered by elimination, node k pivots on columns start[k]:start[k + 1]
+        dofs = np.concatenate([inner[order], self.boundary_dofs])
+        pattern = self._renumbered(dofs)
+        rows, ptr = pattern.indices, pattern.indptr
+        cols = np.repeat(np.arange(self.n), np.diff(ptr))
+        update, fronts = [], []
+        for lo, hi, kids in zip(start[:-1], start[1:], children):
+            at = slice(ptr[lo], ptr[hi])
+            r, col = rows[at], cols[at]
+            upd = np.concatenate([r] + [update[j] for j in kids])
+            upd = np.unique(upd[upd >= hi])
+            front, n_inner, low = np.r_[lo:hi, upd], int(np.searchsorted(upd, n_i)), r >= col
 
-    @cached_property
-    def boundary_last(self) -> SharedPattern:
-        return self._renumbered(self.boundary_last_order)
+            def flat(i, j):  # positions of the entries (i, j) in the front
+                at_i, at_j = np.searchsorted(front, i), np.searchsorted(front, j)
+                return (at_i + len(front) * at_j).ravel().astype(np.int32)
+
+            b = upd[n_inner:] - n_i
+            update.append(upd)
+            fronts.append(Front(
+                dofs[lo:hi], dofs[upd], n_inner, kids, pattern.K[at][low], pattern.M[at][low],
+                flat(r[low], col[low]),
+                tuple(flat(update[j], update[j][:fronts[j].n_inner, None]) for j in kids),
+                (b + n_b * b[:, None]).ravel().astype(np.int32)))
+        return tuple(fronts)
 
     @cached_property
     def _band(self) -> tuple:
@@ -175,36 +219,42 @@ class FactorInput:
     coupling = property(lambda self: self._band[2])
 
 
-def nested_dissection(graph: sp.csr_matrix) -> np.ndarray:
+def nested_dissection(graph: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray, list]:
     """A nested-dissection order (George, SIAM J. Numer. Anal. 10, 1973) of
-    the symmetric graph with adjacency pattern ``graph``: a connected part
-    of more than DISSECTION_LEAF vertices is split by the breadth-first
-    level, from a pseudo-peripheral vertex, that holds its middle vertex,
-    and ordered after the levels below and then those above it.  Neither
-    holds more than half the part, so the recursion depth grows like
-    log2(n).  Smaller parts keep their numbering."""
-    parts = []
+    the symmetric graph with adjacency pattern ``graph``, with its separator
+    tree: a connected part of more than DISSECTION_LEAF vertices is split by
+    the breadth-first level, from a pseudo-peripheral vertex, that holds its
+    middle vertex, and ordered after the levels below and then those above
+    it.  Neither holds more than half the part, so the recursion depth grows
+    like log2(n).  Smaller parts keep their numbering and are leaves; the
+    parts of a disconnected graph are sibling subtrees.  Returns (order,
+    start, children): node k of the tree, in postorder, holds the vertices
+    order[start[k]:start[k + 1]], and children[k] is the tuple of its
+    children.  No edge joins two sibling subtrees."""
+    parts, children = [], []
+
+    def node(verts, kids):
+        parts.append(verts)
+        children.append(tuple(kids))
+        return [len(parts) - 1]
 
     def dissect(verts):
         if len(verts) <= DISSECTION_LEAF:
-            parts.append(verts)
-            return
+            return node(verts, []) if len(verts) else []
         sub = graph[verts][:, verts]
         reach = dijkstra(sub, indices=0, unweighted=True)
         if np.isinf(reach).any():
             _, label = connected_components(sub, directed=False)
             by_label = verts[np.argsort(label, kind="stable")]
-            for part in np.split(by_label, np.cumsum(np.bincount(label))[:-1]):
-                dissect(part)
-            return
+            return [root for part in np.split(by_label, np.cumsum(np.bincount(label))[:-1])
+                    for root in dissect(part)]
         level = dijkstra(sub, indices=int(np.argmax(reach)), unweighted=True)
         middle = np.searchsorted(np.cumsum(np.bincount(level.astype(np.int64))), len(verts) / 2)
-        dissect(verts[level < middle])
-        dissect(verts[level > middle])
-        parts.append(verts[level == middle])
+        return node(verts[level == middle],
+                    dissect(verts[level < middle]) + dissect(verts[level > middle]))
 
     dissect(np.arange(graph.shape[0]))
-    return np.concatenate(parts)
+    return np.concatenate(parts), np.cumsum([0] + [len(part) for part in parts]), children
 
 
 def _shared_csc(rows, cols, shape, values) -> tuple:

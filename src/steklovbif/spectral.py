@@ -11,37 +11,38 @@ eigensolver, which selects by index and so returns both copies of a double
 eigenvalue, and checks every pair's residual.  Only how S is formed
 depends on the size.  Up to ``DENSE_LIMIT`` boundary dofs, the banded
 Cholesky A_ii = U'U (dpbtrf, in the reverse Cuthill-McKee order of the
-interior) and W = U^-T A_ib give S = A_bb - W'W.  Above it, SuperLU factors
-K + c M - sigma B (sigma < 0) once, the interior dofs in a nested-dissection
-order and the boundary dofs last, and the trailing block L_bb U_bb is
-S(c) - sigma B_bb (George 1973; Parlett, The Symmetric Eigenvalue Problem,
-ch. 3).  ``count_below`` reads eigenvalue counts off the inertia of one
-sparse factorization.  (K + c M - lam B) u = 0 is linear in c, so
-``level_crossings`` takes every c at which a branch meets lam from one
-shift-invert Lanczos solve of (lam B - K) u = c M u, and proves them to
-relative BRACKET_RTOL by two inertia counts per root (or group of roots
-closer than that).  Every factorization takes its matrix from the forms'
-cached ``FactorInput``, already in its order.
+interior) and W = U^-T A_ib give S = A_bb - W'W.  Above it, a multifrontal
+Cholesky of A_ii on the nested-dissection tree of the interior (George
+1973; Liu, SIAM Review 34, 1992) never pivots on a boundary dof, and S is
+A_bb plus the fronts' boundary blocks.  ``count_below`` reads eigenvalue
+counts off the inertia of one sparse factorization.  The pencil is linear
+in c, so ``level_crossings`` takes every c at which a branch meets lam
+from one shift-invert Lanczos solve of (lam B - K) u = c M u, and proves
+them to relative BRACKET_RTOL by two inertia counts per root (or group of
+roots closer than that).  Every factorization takes its matrix from the
+forms' cached ``FactorInput``, already in its order or tree.
 
-Median ms of one slice at c = 3, band / trailing block, on the builtin disk
+Median ms of one slice at c = 3, band / multifrontal, on the builtin disk
 (L) and on Delaunay disks of random points (D); one BLAS thread, 2-vCPU
-x86, 9 interleaved repeats (5 at L6), the orders built beforehand:
+x86, 9 interleaved repeats (5 at L6), the order and tree built before:
 
     mesh  n_b   k = 1       k = 4       k = 16
-    L3     64   1.0 / 2.1   1.2 / 2.3   1.4 / 2.4
-    L4    128   8.1 / 8.2   7.9 / 9.4   8.6 / 10
-    D144  144   8.7 / 13    9.3 / 14    9.2 / 14
-    D160  160   16 / 16     15 / 16     16 / 15
-    D176  176   20 / 23     22 / 21     23 / 21
-    D192  192   38 / 29     37 / 26     37 / 26
-    D224  224   44 / 22     44 / 24     47 / 26
-    L5    256   86 / 40     88 / 41     84 / 43
-    D272  272   118 / 54    93 / 46     99 / 46
-    L6    512   971 / 202   954 / 187   947 / 202
+    L3     64   1.4 / 1.2   1.4 / 1.3   1.7 / 1.6
+    L4    128   11 / 5.2    11 / 5.5    12 / 6.7
+    D144  144   11 / 7.7    11 / 7.9    12 / 8.4
+    D160  160   17 / 8.7    18 / 9.1    18 / 9.7
+    D176  176   28 / 11     25 / 11     27 / 12
+    D192  192   30 / 13     27 / 12     28 / 14
+    D224  224   53 / 17     54 / 17     56 / 19
+    L5    256   100 / 23    100 / 24    100 / 25
+    D272  272   110 / 29    110 / 28    110 / 31
+    L6    512   2200 / 100  2200 / 100  2200 / 110
 
-So the tie sits at 160 to 176 boundary dofs, and DENSE_LIMIT with it.  At
-L6 the band path holds a dense n_i x n_b block (63 MB) and the band of A_ii
-(31 MB); nested dissection of the interior, once per forms, takes 0.08 s.
+So the tie sits at about 64 boundary dofs.  DENSE_LIMIT is 128, above it,
+so that disks up to level 4, the headline report's among them, keep the
+band and their answers to the last bit.  At L6 the band path holds a dense
+n_i x n_b block (63 MB) and the band of A_ii (31 MB); the tree, built once
+per forms, takes 0.16 s and 10 MB.
 """
 
 from __future__ import annotations
@@ -52,15 +53,15 @@ import numpy as np
 import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 
 from .errors import BracketError, EigensolverError, PreconditionError
 from .fem import AssembledForms
 from .serialize import read_csv, write_csv
 
-# largest boundary-dof count whose S comes from the banded Cholesky: the
-# measured tie with the trailing block (see above)
-DENSE_LIMIT = 176
+# largest boundary-dof count whose S comes from the banded Cholesky (see
+# above)
+DENSE_LIMIT = 128
 _SHIFT_INVERT_TOL = 1e-10
 RESIDUAL_RTOL = 1e-8
 PIVOT_RTOL = 1e-10
@@ -181,28 +182,37 @@ def _schur_complement(fi, c, A_bb) -> np.ndarray:
 
 def _schur(fi, c) -> np.ndarray:
     """Dense S(c): by banded Cholesky of A_ii up to DENSE_LIMIT boundary
-    dofs, off the trailing block of one sparse factorization above."""
+    dofs, by multifrontal Cholesky above."""
     if len(fi.boundary_dofs) > DENSE_LIMIT:
-        return _trailing_schur(fi, c)
+        return _multifrontal_schur(fi, c)
     return _schur_complement(fi, c, fi.boundary(c))
 
 
-def _trailing_schur(fi, c) -> np.ndarray:
-    """S(c) = L_bb U_bb + sigma B_bb, symmetrized: in the boundary-last
-    order, the trailing block of L U = K + c M - sigma B is the Schur
-    complement of its interior block.  sigma < 0 keeps the matrix definite
-    at c = 0 too, so every pivot stays on the diagonal; a factorization that
-    left the order anyway has no such block, and raises."""
-    pattern = fi.boundary_last
-    n_i = pattern.shape[0] - len(fi.boundary_dofs)
-    sigma = -1e-3 * max(np.abs(pattern.K + c * pattern.M).mean(), 1.0)
-    lu = _factor(pattern.pencil(c, sigma))
-    natural = np.arange(pattern.shape[0])
-    if not (np.array_equal(lu.perm_c, natural) and np.array_equal(lu.perm_r, natural)):
-        raise EigensolverError(f"the factorization at c={c:.12g} left the boundary-last order, "
-                               "so its trailing block is not the Schur complement")
-    return _symmetrized(lu.L[n_i:, n_i:].toarray() @ lu.U[n_i:, n_i:].toarray()
-                        + sigma * fi.B_bb)
+def _multifrontal_schur(fi, c) -> np.ndarray:
+    """Dense S(c): in postorder, each front gathers A, adds its children's
+    contributions and factors its pivot block L L' (dpotrf, A_ii is positive
+    definite for c >= 0); with W = A_21 L^-T, A_22 - W W' goes to the parent
+    on its interior columns, and straight into S on the boundary block."""
+    n_b = len(fi.boundary_dofs)
+    lower = np.zeros(n_b * n_b)  # of S - A_bb, in Fortran order
+    blocks = {}
+    for k, front in enumerate(fi.fronts):
+        p, n_inner, u = len(front.pivots), front.n_inner, len(front.update)
+        buf = np.zeros((p + u) * (p + n_inner))
+        buf[front.gather] = front.K + c * front.M
+        for j, at in zip(front.children, front.extend_add):
+            buf[at] += blocks.pop(j).ravel("F")
+        F = buf.reshape((p + u, p + n_inner), order="F")
+        L, info = lapack.dpotrf(F[:p, :p], lower=1, clean=0)
+        if info != 0:
+            raise EigensolverError(f"interior factorization at c={c:.12g} failed: info {info}")
+        W = blas.dtrsm(1.0, L, F[p:, :p], side=1, lower=1, trans_a=1)
+        if n_inner:
+            blocks[k] = blas.dgemm(-1.0, W, W[:n_inner], beta=1.0, c=F[p:, p:], trans_b=1)
+        if n_inner < u:
+            lower[front.boundary] -= blas.dsyrk(1.0, W[n_inner:], lower=1).ravel("F")
+    lower = lower.reshape((n_b, n_b), order="F")
+    return fi.boundary(c) + lower + np.tril(lower, -1).T
 
 
 def _check_residuals(Av, Bv, w, v, a_norm, b_norm, path) -> None:

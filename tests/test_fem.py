@@ -144,21 +144,24 @@ class TestFactorInput:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             fi = FactorInput(forms.K, forms.M, forms.B, forms.boundary_dofs)
-            fi.full, fi.interior, fi.boundary_last
+            fi.full, fi.interior, fi.fronts
 
     def test_dissection_splits_components_and_keeps_leaves(self):
         # two paths of 3 * DISSECTION_LEAF vertices, interleaved in the
-        # numbering: the order lists every vertex once, each component apart
+        # numbering: the order lists every vertex once, each component apart,
+        # in two sibling trees
         size = 3 * fem.DISSECTION_LEAF
         first, second = np.arange(0, 2 * size, 2), np.arange(1, 2 * size, 2)
         rows = np.concatenate([first[:-1], second[:-1]])
         cols = np.concatenate([first[1:], second[1:]])
         graph = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(2 * size, 2 * size))
-        order = fem.nested_dissection(graph + graph.T)
+        order, start, children = fem.nested_dissection(graph + graph.T)
         assert np.array_equal(np.sort(order), np.arange(2 * size))
         assert np.all(order[:size] % 2 == order[0] % 2)
+        roots = set(range(len(children))) - {j for kids in children for j in kids}
+        assert len(roots) == 2 and start[-1] == 2 * size
         leaf = sp.csr_matrix((np.ones(3), ([0, 1, 2], [1, 2, 0])), shape=(3, 3))
-        assert np.array_equal(fem.nested_dissection(leaf + leaf.T), [0, 1, 2])
+        assert np.array_equal(fem.nested_dissection(leaf + leaf.T)[0], [0, 1, 2])
 
 
 class TestScaleMetricForms:

@@ -129,8 +129,9 @@ class TestRobinSteklovSpectrum:
 
 
 class TestShiftInvert:
-    """Slices above DENSE_LIMIT, which read S(c) off the trailing block of one
-    factorization in the boundary-last order."""
+    """Slices above DENSE_LIMIT, which form S(c) by a multifrontal Cholesky of
+    the interior block on its nested-dissection tree: S(c) is the trailing
+    block, on the boundary dofs, of that partial factorization."""
 
     @pytest.fixture(params=["disk5", "jittered", "delaunay"])
     def forms(self, request, disk, fuzz_meshes):
@@ -158,8 +159,29 @@ class TestShiftInvert:
         monkeypatch.setattr(spectral, "DENSE_LIMIT", 10**9)
         band = spectral._schur(fi, c)
         monkeypatch.setattr(spectral, "DENSE_LIMIT", 0)
-        trailing = spectral._schur(fi, c)
-        assert np.abs(trailing - band).max() <= 1e-12 * np.abs(band).max()
+        multifrontal = spectral._schur(fi, c)
+        assert np.abs(multifrontal - band).max() <= 1e-12 * np.abs(band).max()
+
+    @pytest.mark.parametrize("name", ["disk2", "disk3", "disk4", "disk5", "jittered", "delaunay"])
+    @pytest.mark.parametrize("c", [0.0, 3.0, 100.0])
+    def test_deep_trees_equal_banded_schur_complement(self, disk, fuzz_meshes, name, c,
+                                                      monkeypatch):
+        # leaves of 4 dofs: deep trees, and on the Delaunay disk a separator
+        # whose parts fall apart into three sibling subtrees
+        forms = disk(int(name[-1]))[1] if name.startswith("disk") else fuzz_meshes[name][1]
+        monkeypatch.setattr(fem, "DISSECTION_LEAF", 4)
+        fi = fem.FactorInput(forms.K, forms.M, forms.B, forms.boundary_dofs)
+        band = spectral._schur_complement(fi, c, fi.boundary(c))
+        multifrontal = spectral._multifrontal_schur(fi, c)
+        assert np.abs(multifrontal - band).max() <= 1e-12 * np.abs(band).max()
+        if name == "delaunay":
+            assert max(len(front.children) for front in fi.fronts) == 3
+
+    def test_no_interior_dof_leaves_the_boundary_block(self, interval):
+        _, forms = interval(1, 1.0)
+        fi = forms.factor_input
+        assert fi.fronts == ()
+        assert np.array_equal(spectral._multifrontal_schur(fi, 2.0), fi.boundary(2.0))
 
     def test_repeat_calls_are_bit_identical(self, disk):
         _, forms = disk(5)
@@ -200,25 +222,13 @@ class TestShiftInvert:
         assert trailing.shape == band.shape == (6, 7)
         assert np.all(np.abs(trailing - band) <= 1e-10 * np.abs(band))
 
-    @pytest.mark.parametrize("moved", ["perm_c", "perm_r"])
-    def test_factorization_off_the_order_raises(self, disk, moved, monkeypatch):
-        # with a pivot or column moved, the trailing block of L U is not the
-        # Schur complement of the interior
+    def test_indefinite_interior_block_raises(self, disk, monkeypatch):
+        # K negated: A_ii = -K_ii + c M_ii is not positive definite
         _, forms = disk(3)
-        factor = spectral._factor
-
-        class Moved:
-            def __init__(self, lu):
-                self.lu = lu
-                setattr(self, moved, np.roll(getattr(lu, moved), 1))
-
-            def __getattr__(self, name):
-                return getattr(self.lu, name)
-
-        monkeypatch.setattr(spectral, "_factor", lambda a: Moved(factor(a)))
+        negated = fem.AssembledForms(-forms.K, forms.M, forms.B, forms.boundary_dofs)
         monkeypatch.setattr(spectral, "DENSE_LIMIT", 0)
-        with pytest.raises(EigensolverError, match="left the boundary-last order"):
-            robin_steklov_spectrum(forms, 1.0, 4)
+        with pytest.raises(EigensolverError, match=r"factorization at c=1\.5 failed"):
+            robin_steklov_spectrum(negated, 1.5, 4)
 
 
 class TestResidualChecks:
@@ -350,8 +360,8 @@ class TestCountBelow:
 
     def test_superlu_failure_above_dense_limit_reads_the_trailing_block(self, disk,
                                                                         monkeypatch):
-        # disk L5, n_b = 256: the fallback's S comes from the boundary-last
-        # factorization, not from the band of A_ii
+        # disk L5, n_b = 256: the fallback's S comes from the multifrontal
+        # Cholesky, neither from the band of A_ii nor from a second SuperLU
         _, forms = disk(5)
         assert len(forms.boundary_dofs) > spectral.DENSE_LIMIT
         forms.factor_input.full  # the cached order's own factorization stays intact
@@ -371,7 +381,7 @@ class TestCountBelow:
         monkeypatch.setattr(spectral.spla, "splu", failing_first)
         monkeypatch.setattr(spectral.la, "cholesky_banded", banded)
         counted = count_below(forms, 3.0, 2.0)
-        assert calls == {"splu": 2, "cholesky_banded": 0}
+        assert calls == {"splu": 1, "cholesky_banded": 0}
         assert counted == _eigen_count(forms, 3.0, 2.0)
 
     def test_negative_coefficient_rejected(self, disk):
@@ -398,18 +408,20 @@ class TestFactorizationBudget:
             monkeypatch.setattr(module, name, counted)
         return calls
 
-    def test_trailing_slice_factors_once(self, disk, splu_calls, monkeypatch):
-        # one SuperLU factorization of the full matrix, no band and no ARPACK
-        _, forms = disk(3)
-        forms.factor_input.boundary_last
-        splu_calls.clear()  # the order, when these forms had none yet
-        eigsh_calls = []
+    def test_trailing_slice_factors_once(self, splu_calls, monkeypatch):
+        # one dpotrf per front, each interior dof a pivot once: no SuperLU,
+        # no incomplete factorization, no band and no ARPACK, the tree too
+        forms = assemble(generate_disk(3))
+        eigsh_calls, potrf_calls = [], []
+        potrf = spectral.lapack.dpotrf
         monkeypatch.setattr(spectral.spla, "eigsh", lambda *a, **kw: eigsh_calls.append(a))
+        monkeypatch.setattr(spectral.lapack, "dpotrf",
+                            lambda a, **kw: potrf_calls.append(a.shape[0]) or potrf(a, **kw))
         monkeypatch.setattr(spectral, "DENSE_LIMIT", 0)
         robin_steklov_spectrum(forms, 1.0, 4)
-        assert [n for n, _ in splu_calls] == [forms.n]
-        assert not isinstance(splu_calls[0][1], np.ndarray)
-        assert eigsh_calls == []
+        assert splu_calls == [] and eigsh_calls == []
+        assert len(potrf_calls) == len(forms.factor_input.fronts)
+        assert sum(potrf_calls) == len(forms.interior_dofs)
 
     def test_dense_slice_factors_once(self, disk, splu_calls):
         # one banded Cholesky of A_ii, and no SuperLU
@@ -429,7 +441,7 @@ class TestFactorizationBudget:
 
     def test_count_factors_once(self, disk, splu_calls):
         _, forms = disk(3)
-        forms.factor_input
+        forms.factor_input.full
         splu_calls.clear()  # the order, when these forms had none yet
         count_below(forms, 1.0, 2.5)
         assert [n for n, _ in splu_calls] == [forms.n]
@@ -446,26 +458,55 @@ class TestFactorizationBudget:
             for c in (0.5, 2.0):
                 robin_steklov_spectrum(forms, c, 3)
         harmonic_extension(forms, np.ones(len(forms.boundary_dofs)), 1.0)
-        # 3 counts, 2 banded and 2 trailing slices, 1 extension, 1 COLAMD order
-        assert len(splu_calls) == 3 + 2 * 1 + 2 * 1 + 1 + 1
+        # 3 counts, 2 banded slices, 1 extension, 1 COLAMD order; the two
+        # multifrontal slices factor nothing sparse and build the tree once
+        assert len(splu_calls) == 3 + 2 * 1 + 1 + 1
         assert len(dissections) == 1
 
     @pytest.mark.parametrize("name", ["disk3", "jittered", "delaunay", "interval50"])
-    def test_boundary_last_order(self, disk, interval, fuzz_meshes, name):
+    def test_boundary_last_order(self, disk, interval, fuzz_meshes, name, monkeypatch):
+        # the tree pivots on every interior dof once, in postorder, and on no
+        # boundary dof; a node's update set holds the later dofs next to its
+        # subtree, boundary ones last; no edge joins two sibling subtrees
         if name.startswith("disk"):
             forms = disk(int(name[4:]))[1]
         elif name.startswith("interval"):
             forms = interval(int(name[8:]), 1.0)[1]
         else:
             forms = fuzz_meshes[name][1]
-        order = forms.factor_input.boundary_last_order
-        n_b = len(forms.boundary_dofs)
-        assert np.array_equal(np.sort(order), np.arange(forms.n))
-        assert np.array_equal(order[forms.n - n_b:], forms.boundary_dofs)
+        graph = (abs(forms.K) + abs(forms.M) + abs(forms.B)).tocsr()
+        edges = graph.tocoo()
+
+        def apart(parts):
+            owner = np.full(forms.n, -1)
+            for i, part in enumerate(parts):
+                owner[part] = i
+            a, b = owner[edges.row], owner[edges.col]
+            assert not np.any((a >= 0) & (b >= 0) & (a != b))
+
+        for leaf in (fem.DISSECTION_LEAF, 4):
+            monkeypatch.setattr(fem, "DISSECTION_LEAF", leaf)
+            fronts = fem.FactorInput(forms.K, forms.M, forms.B, forms.boundary_dofs).fronts
+            order = np.concatenate([front.pivots for front in fronts])
+            assert np.array_equal(np.sort(order), forms.interior_dofs)
+            position = np.empty(forms.n, dtype=np.int64)
+            position[np.concatenate([order, forms.boundary_dofs])] = np.arange(forms.n)
+            subtree = []  # the pivots of each node's subtree
+            for front in fronts:
+                subtree.append(np.concatenate([front.pivots]
+                                              + [subtree[j] for j in front.children]))
+                near = np.unique(graph[subtree[-1]].indices)
+                later = near[position[near] > position[front.pivots].max()]
+                assert np.array_equal(front.update, later[np.argsort(position[later])])
+                assert np.all(np.isin(front.update[front.n_inner:], forms.boundary_dofs))
+                assert not np.isin(front.update[:front.n_inner], forms.boundary_dofs).any()
+                apart([subtree[j] for j in front.children])
+            children = {j for front in fronts for j in front.children}
+            apart([subtree[k] for k in range(len(fronts)) if k not in children])
 
     def test_no_boundary_last_order_at_or_below_dense_limit(self, monkeypatch):
-        # slices, counts and extensions on disk L3 (n_b = 64) never order for
-        # the trailing block
+        # slices, counts and extensions on disk L3 (n_b = 64) never build the
+        # nested-dissection tree
         monkeypatch.setattr(fem, "nested_dissection", lambda g: pytest.fail("ordered"))
         forms = assemble(generate_disk(3))
         assert len(forms.boundary_dofs) <= spectral.DENSE_LIMIT
