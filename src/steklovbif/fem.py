@@ -12,11 +12,11 @@ indices canonical), built straight from batched element matrices.  Every
 factorization of the pencil K + c M - lam B starts from one c-independent
 ``FactorInput`` per forms, which builds each of two orders and one tree the
 first time a solve asks for it: a fill-reducing order for the full pencil,
-a bandwidth-reducing one of the interior dofs in which the interior block
-is kept in LAPACK band storage, and the nested-dissection tree of the
-interior dofs, whose fronts a multifrontal Cholesky fills and factors.  A
-run pays only for what its solves use, and no factorization orders its
-matrix again.
+a bandwidth-reducing one of the interior dofs, in which A_ii is kept in
+LAPACK band storage and A_ib as a dense Fortran-order array, both scattered
+from cached positions, and the nested-dissection tree of the interior
+dofs, whose fronts a multifrontal Cholesky fills and factors.  A run pays
+only for what its solves use, and no factorization orders its matrix again.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ class SharedPattern:
     indptr: np.ndarray
     K: np.ndarray
     M: np.ndarray
-    B: np.ndarray | None = None
+    B: np.ndarray
 
     def pencil(self, c: float, lam: float = 0.0) -> sp.csc_matrix:
         """K + c M - lam B, in CSC."""
@@ -60,10 +60,9 @@ class SharedPattern:
 
 
 @dataclass(frozen=True, eq=False)
-class BandedPattern:
-    """K and M values of a symmetric matrix in LAPACK's upper band storage:
-    entry (i, j), i <= j, sits at row bw + i - j, column j of a
-    (bw + 1, n) array, bw the bandwidth."""
+class DensePattern:
+    """K and M values at the Fortran-order flat ``positions`` of a dense
+    array of ``shape``, zero elsewhere."""
 
     shape: tuple
     positions: np.ndarray
@@ -71,11 +70,15 @@ class BandedPattern:
     M: np.ndarray
 
     def pencil(self, c: float) -> np.ndarray:
-        """K + c M in band storage, zero outside the pattern; in Fortran
-        order, so that LAPACK can factor it in place."""
-        band = np.zeros(self.shape, order="F")
-        band.flat[self.positions] = self.K + c * self.M
-        return band
+        """K + c M, in Fortran order, so that LAPACK works on it in place."""
+        out = np.zeros(self.shape, order="F")
+        out.reshape(-1, order="F")[self.positions] = self.K + c * self.M
+        return out
+
+    def matvec(self, c: float, x: np.ndarray) -> np.ndarray:
+        """(K + c M) x, without the dense array."""
+        col, row = np.divmod(self.positions, self.shape[0])
+        return np.bincount(row, (self.K + c * self.M) * x[col], self.shape[0])
 
 
 class Front(NamedTuple):
@@ -105,10 +108,11 @@ class FactorInput:
 
     * ``full``: all dofs in the COLAMD order (Davis, Gilbert, Larimore & Ng,
       ACM TOMS 30, 2004) of the common pattern of K, M and B;
-    * ``interior`` (A_ii, in upper band storage) and ``coupling`` (A_ib, in
-      CSC): rows are the interior dofs in the reverse Cuthill-McKee order of
-      their pattern (George & Liu, 1981), ``interior_order``, which keeps
-      A_ii in a narrow band; the columns of A_ib follow ``boundary_dofs``;
+    * ``interior`` (A_ii, in upper band storage) and ``coupling`` (A_ib,
+      dense), each a ``DensePattern`` scattered from cached positions: rows
+      are the interior dofs in the reverse Cuthill-McKee order of their
+      pattern (George & Liu, 1981), ``interior_order``, which keeps A_ii in
+      a narrow band; the columns of A_ib follow ``boundary_dofs``;
     * ``fronts``: the nested-dissection tree of the interior dofs, one
       ``Front`` per node, in postorder.
     """
@@ -139,11 +143,15 @@ class FactorInput:
         return sp.csc_matrix((sum(self._values), (self._rows, self._cols)), shape=(self.n,) * 2)
 
     def _renumbered(self, order) -> SharedPattern:
-        """The pencil with dof order[k] at row and column k."""
+        """The pencil with dof order[k] at row and column k, in CSC."""
         position = np.empty(self.n, dtype=np.int64)
         position[order] = np.arange(self.n)
-        return SharedPattern(*_shared_csc(position[self._rows], position[self._cols],
-                                          (self.n, self.n), self._values))
+        rows, cols = position[self._rows], position[self._cols]
+        at = np.lexsort((rows, cols))
+        indptr = np.zeros(self.n + 1, dtype=np.int32)
+        np.cumsum(np.bincount(cols, minlength=self.n), out=indptr[1:])
+        return SharedPattern((self.n, self.n), rows[at].astype(np.int32), indptr,
+                             *(v[at] for v in self._values))
 
     @cached_property
     def full(self) -> SharedPattern:
@@ -193,7 +201,8 @@ class FactorInput:
 
     @cached_property
     def _band(self) -> tuple:
-        """(interior_order, interior, coupling)."""
+        """(interior_order, interior, coupling); A_ii's entry (i, j), i <= j,
+        sits at row bw + i - j, column j of its band, bw the bandwidth."""
         rows, cols, is_b, bnd = self._rows, self._cols, self._is_b, self.boundary_dofs
         interior_order = np.flatnonzero(~is_b)
         if len(interior_order):  # RCM rejects an empty graph
@@ -209,10 +218,8 @@ class FactorInput:
         ib = ~is_b[rows] & is_b[cols]
         K, M, _ = self._values
         return (interior_order,
-                BandedPattern((bw + 1, n_i), np.ravel_multi_index((bw + r - c, c), (bw + 1, n_i)),
-                              K[ii], M[ii]),
-                SharedPattern(*_shared_csc(local[rows[ib]], local[cols[ib]], (n_i, n_b),
-                                           (K[ib], M[ib]))))
+                DensePattern((bw + 1, n_i), bw + r - c + (bw + 1) * c, K[ii], M[ii]),
+                DensePattern((n_i, n_b), local[rows[ib]] + n_i * local[cols[ib]], K[ib], M[ib]))
 
     interior_order = property(lambda self: self._band[0])
     interior = property(lambda self: self._band[1])
@@ -255,15 +262,6 @@ def nested_dissection(graph: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray, lis
 
     dissect(np.arange(graph.shape[0]))
     return np.concatenate(parts), np.cumsum([0] + [len(part) for part in parts]), children
-
-
-def _shared_csc(rows, cols, shape, values) -> tuple:
-    """(shape, indices, indptr, *values) of the CSC pattern of the distinct
-    entries (rows, cols), each value array reordered to match."""
-    at = np.lexsort((rows, cols))
-    indptr = np.zeros(shape[1] + 1, dtype=np.int32)
-    np.cumsum(np.bincount(cols, minlength=shape[1]), out=indptr[1:])
-    return (shape, rows[at].astype(np.int32), indptr, *(v[at] for v in values))
 
 
 @dataclass(frozen=True, eq=False)

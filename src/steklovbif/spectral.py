@@ -24,25 +24,28 @@ forms' cached ``FactorInput``, already in its order or tree.
 
 Median ms of one slice at c = 3, band / multifrontal, on the builtin disk
 (L) and on Delaunay disks of random points (D); one BLAS thread, 2-vCPU
-x86, 9 interleaved repeats (5 at L6), the order and tree built before:
+x86, the median of three runs of 9 interleaved repeats (5 at L6), the
+order and tree built before, LAPACK called directly:
 
-    mesh  n_b   k = 1       k = 4       k = 16
-    L3     64   1.4 / 1.2   1.4 / 1.3   1.7 / 1.6
-    L4    128   11 / 5.2    11 / 5.5    12 / 6.7
-    D144  144   11 / 7.7    11 / 7.9    12 / 8.4
-    D160  160   17 / 8.7    18 / 9.1    18 / 9.7
-    D176  176   28 / 11     25 / 11     27 / 12
-    D192  192   30 / 13     27 / 12     28 / 14
-    D224  224   53 / 17     54 / 17     56 / 19
-    L5    256   100 / 23    100 / 24    100 / 25
-    D272  272   110 / 29    110 / 28    110 / 31
-    L6    512   2200 / 100  2200 / 100  2200 / 110
+    mesh  n_b   k = 1        k = 4        k = 16
+    L3     64   0.71 / 0.84  0.79 / 0.85  1.0 / 1.1
+    D96    96   2.3 / 2.0    2.2 / 2.2    2.6 / 2.6
+    L4    128   7.9 / 4.0    7.7 / 4.3    6.3 / 4.2
+    D144  144   7.7 / 5.7    7.7 / 5.4    9.4 / 6.4
+    D160  160   10 / 5.7     13 / 6.8     14 / 7.8
+    D176  176   17 / 7.8     17 / 8.1     19 / 10
+    D192  192   24 / 10      23 / 10      19 / 9.8
+    D224  224   42 / 14      34 / 12      43 / 16
+    L5    256   68 / 16      67 / 16      65 / 17
+    D272  272   81 / 18      79 / 19      87 / 25
+    L6    512   1400 / 76    1800 / 82    1500 / 81
 
-So the tie sits at about 64 boundary dofs.  DENSE_LIMIT is 128, above it,
-so that disks up to level 4, the headline report's among them, keep the
-band and their answers to the last bit.  At L6 the band path holds a dense
-n_i x n_b block (63 MB) and the band of A_ii (31 MB); the tree, built once
-per forms, takes 0.16 s and 10 MB.
+So the tie sits at about 96 boundary dofs (64 while scipy's wrappers
+formed each band slice).  DENSE_LIMIT is 128, above it, so that disks up
+to level 4, the headline report's among them, keep the band and their
+answers to the last bit.  At L6 the band path holds a dense n_i x n_b
+block (63 MB) and the band of A_ii (31 MB); the tree, built once per
+forms, takes 0.16 s and 10 MB.
 """
 
 from __future__ import annotations
@@ -98,11 +101,14 @@ class EigenCurve:
 
 
 def _dense_gevp(a: np.ndarray, b: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    try:
-        w, v = la.eigh(a, b, subset_by_index=[0, k - 1])
-    except la.LinAlgError as exc:
-        raise EigensolverError(f"dense generalized eigensolver failed: {exc}") from exc
-    return w, v
+    """The k lowest pairs of a v = rho b v by dsygvx on the lower triangles and
+    its own workspace query, as la.eigh(a, b, subset_by_index=[0, k - 1])."""
+    lwork = int(lapack.dsygvx_lwork(len(a), uplo="L")[0])
+    w, v, m, _, info = lapack.dsygvx(a, b, uplo="L", jobz="V", range="I", il=1, iu=k, lwork=lwork)
+    if info != 0 or m != k:
+        raise EigensolverError(f"dense generalized eigensolver failed: LAPACK info {info}, "
+                               f"{m} of {k} pairs")
+    return w[:k], v
 
 
 def solve_dense_gevp(a, b, k: int):
@@ -133,8 +139,8 @@ def robin_steklov_spectrum(forms: AssembledForms, c: float, k: int) -> SpectrumS
     eigenvalue of the constant is kept at index 0.  Every returned pair is
     checked against the reduced pencil, however S(c) was formed.
     """
-    if c < 0:
-        raise PreconditionError(f"bulk coefficient must be non-negative, got {c}")
+    if not 0 <= c < np.inf:  # LAPACK is called without a finiteness check
+        raise PreconditionError(f"bulk coefficient must be finite and non-negative, got {c}")
     n_b = len(forms.boundary_dofs)
     if n_b == 0:
         raise PreconditionError("mesh has no boundary degrees of freedom")
@@ -142,9 +148,9 @@ def robin_steklov_spectrum(forms: AssembledForms, c: float, k: int) -> SpectrumS
         raise PreconditionError(f"need 1 <= k <= {n_b} boundary dofs, got k={k}")
 
     fi = forms.factor_input
-    S = _schur(fi, c)
+    S, a_norm = _schur(fi, c, with_norm=True)
     w, v = _dense_gevp(S, fi.B_bb, k)
-    _check_residuals(S @ v, fi.B_bb @ v, w, v, _norm1(fi.boundary(c)), fi.B_bb_norm1, "dense")
+    _check_residuals(S @ v, fi.B_bb @ v, w, v, a_norm, fi.B_bb_norm1, "dense")
     return SpectrumSlice(c=c, eigenvalues=w, eigenvectors=v)
 
 
@@ -158,13 +164,13 @@ def _factor(A):
 
 
 def _interior_cholesky(fi, c) -> np.ndarray:
-    """Upper band factor U of A_ii = U'U, in the band storage of
+    """Upper band factor U of A_ii = U'U (dpbtrf), in the band storage of
     ``fi.interior``.  A_ii is positive definite for c >= 0."""
-    try:
-        return la.cholesky_banded(fi.interior.pencil(c), overwrite_ab=True,
-                                  check_finite=False)
-    except la.LinAlgError as exc:
-        raise EigensolverError(f"interior block factorization failed: {exc}") from exc
+    U, info = lapack.dpbtrf(fi.interior.pencil(c), overwrite_ab=1)
+    if info != 0:
+        raise EigensolverError(f"interior block factorization failed: leading minor {info} "
+                               "is not positive definite")
+    return U
 
 
 def _schur_complement(fi, c, A_bb) -> np.ndarray:
@@ -173,26 +179,28 @@ def _schur_complement(fi, c, A_bb) -> np.ndarray:
     if fi.interior.shape[1] == 0:  # the band has bw + 1 rows, one per diagonal
         return A_bb
     U = _interior_cholesky(fi, c)
-    A_ib = fi.coupling.pencil(c).toarray(order="F")
-    W, info = lapack.dtbtrs(U, A_ib, uplo="U", trans="T", overwrite_b=True)
+    W, info = lapack.dtbtrs(U, fi.coupling.pencil(c), uplo="U", trans="T", overwrite_b=1)
     if info != 0:  # a zero diagonal of U, which a successful Cholesky never leaves
         raise EigensolverError(f"interior triangular solve failed: LAPACK info {info}")
     return _symmetrized(A_bb - W.T @ W)
 
 
-def _schur(fi, c) -> np.ndarray:
+def _schur(fi, c, with_norm=False):
     """Dense S(c): by banded Cholesky of A_ii up to DENSE_LIMIT boundary
-    dofs, by multifrontal Cholesky above."""
+    dofs, by multifrontal Cholesky above; with_norm adds ||A_bb||_1."""
     if len(fi.boundary_dofs) > DENSE_LIMIT:
-        return _multifrontal_schur(fi, c)
-    return _schur_complement(fi, c, fi.boundary(c))
+        return _multifrontal_schur(fi, c, with_norm)
+    A_bb = fi.boundary(c)
+    S = _schur_complement(fi, c, A_bb)
+    return (S, _norm1(A_bb)) if with_norm else S
 
 
-def _multifrontal_schur(fi, c) -> np.ndarray:
-    """Dense S(c): in postorder, each front gathers A, adds its children's
-    contributions and factors its pivot block L L' (dpotrf, A_ii is positive
-    definite for c >= 0); with W = A_21 L^-T, A_22 - W W' goes to the parent
-    on its interior columns, and straight into S on the boundary block."""
+def _multifrontal_schur(fi, c, with_norm=False):
+    """Dense S(c), and ||A_bb||_1 if with_norm: in postorder, each front
+    gathers A, adds its children's contributions and factors its pivot
+    block L L' (dpotrf, A_ii is positive definite for c >= 0); with W =
+    A_21 L^-T, A_22 - W W' goes to the parent on its interior columns, and
+    straight into S on the boundary block, built last in A_bb's buffer."""
     n_b = len(fi.boundary_dofs)
     lower = np.zeros(n_b * n_b)  # of S - A_bb, in Fortran order
     blocks = {}
@@ -212,7 +220,11 @@ def _multifrontal_schur(fi, c) -> np.ndarray:
         if n_inner < u:
             lower[front.boundary] -= blas.dsyrk(1.0, W[n_inner:], lower=1).ravel("F")
     lower = lower.reshape((n_b, n_b), order="F")
-    return fi.boundary(c) + lower + np.tril(lower, -1).T
+    S = fi.boundary(c)
+    a_norm = _norm1(S) if with_norm else None
+    S += lower
+    S += np.tril(lower, -1).T
+    return (S, a_norm) if with_norm else S
 
 
 def _check_residuals(Av, Bv, w, v, a_norm, b_norm, path) -> None:
@@ -221,9 +233,10 @@ def _check_residuals(Av, Bv, w, v, a_norm, b_norm, path) -> None:
     to v.  A slice passes ||A_bb||_1 and ||B_bb||_1: A = K + c M is positive
     semidefinite with a definite interior block, so 0 <= S <= A_bb and the
     cheap 1-norm of A_bb bounds ||S||; any other pencil passes its own."""
-    residuals = np.linalg.norm(Av - Bv * w, axis=0)
-    bound = RESIDUAL_RTOL * (a_norm + np.abs(w) * b_norm) * np.linalg.norm(v, axis=0)
-    if np.any(residuals > bound):
+    R = Av - Bv * w
+    residuals = np.sqrt(np.einsum("ij,ij->j", R, R))
+    bound = RESIDUAL_RTOL * (a_norm + np.abs(w) * b_norm) * np.sqrt(np.einsum("ij,ij->j", v, v))
+    if not (residuals <= bound).all():  # a NaN residual fails too
         worst = int(np.argmax(residuals / bound))
         raise EigensolverError(
             f"{path} eigenpair residual {residuals[worst]:.3e} for rho={w[worst]:.12g} "
@@ -341,9 +354,8 @@ def harmonic_extension(forms: AssembledForms, trace: np.ndarray, c: float = 0.0)
     phi = np.zeros(forms.n)
     phi[bnd] = trace
     if len(fi.interior_order):
-        U = _interior_cholesky(fi, c)
-        phi[fi.interior_order] = la.cho_solve_banded(
-            (U, False), -(fi.coupling.pencil(c) @ trace), check_finite=False)
+        rhs = -fi.coupling.matvec(c, trace)
+        phi[fi.interior_order] = lapack.dpbtrs(_interior_cholesky(fi, c), rhs)[0]
     return phi
 
 

@@ -139,6 +139,24 @@ class TestFactorInput:
         assert np.array_equal(fi.interior_order, inner[rcm])
 
     @pytest.mark.parametrize("case", ["disk3", "interval50", "jittered", "delaunay"])
+    def test_dense_blocks_hold_the_assembled_pencil(self, case, disk, interval, fuzz_meshes):
+        # A_ib and the upper band of A_ii, in Fortran order, scattered from
+        # the cached positions; matvec applies A_ib without forming it
+        forms = self._forms(case, disk, interval, fuzz_meshes)
+        fi, c = forms.factor_input, 2.5
+        A = (forms.K + c * forms.M).tocsr()
+        inner, bnd = fi.interior_order, forms.boundary_dofs
+        A_ib, band = fi.coupling.pencil(c), fi.interior.pencil(c)
+        assert A_ib.flags.f_contiguous and band.flags.f_contiguous
+        assert np.array_equal(A_ib, A[inner][:, bnd].toarray())
+        A_ii, bw = A[inner][:, inner].toarray(), band.shape[0] - 1
+        assert np.array_equal(A_ii, np.triu(A_ii, -bw)) and np.array_equal(A_ii, np.tril(A_ii, bw))
+        for d in range(bw + 1):
+            assert np.array_equal(band[bw - d, d:], np.diagonal(A_ii, d))
+        x = np.cos(np.arange(len(bnd)))
+        assert np.allclose(fi.coupling.matvec(c, x), A_ib @ x, rtol=1e-14, atol=1e-14)
+
+    @pytest.mark.parametrize("case", ["disk3", "interval50", "jittered", "delaunay"])
     def test_orders_build_without_warnings(self, case, disk, interval, fuzz_meshes):
         forms = self._forms(case, disk, interval, fuzz_meshes)
         with warnings.catch_warnings():

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 import scipy.linalg as la
+import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import lapack
 
 from steklovbif import (
     assemble,
@@ -118,6 +120,13 @@ class TestRobinSteklovSpectrum:
             robin_steklov_spectrum(forms, -1.0, 2)
         with pytest.raises(PreconditionError):
             robin_steklov_spectrum(forms, 0.0, 9)  # only 8 boundary dofs
+
+    @pytest.mark.parametrize("c", [np.nan, np.inf])
+    def test_non_finite_coefficient_rejected(self, disk, c):
+        # the slice calls LAPACK without scipy's finiteness check
+        _, forms = disk(2)
+        with pytest.raises(PreconditionError, match="finite"):
+            robin_steklov_spectrum(forms, c, 2)
 
     @pytest.mark.parametrize("c", [0.0, 1.0])
     def test_shift_invert_path_matches_dense(self, disk, c, monkeypatch):
@@ -365,8 +374,8 @@ class TestCountBelow:
         _, forms = disk(5)
         assert len(forms.boundary_dofs) > spectral.DENSE_LIMIT
         forms.factor_input.full  # the cached order's own factorization stays intact
-        splu, cholesky_banded = spectral.spla.splu, spectral.la.cholesky_banded
-        calls = {"splu": 0, "cholesky_banded": 0}
+        splu, dpbtrf = spectral.spla.splu, spectral.lapack.dpbtrf
+        calls = {"splu": 0, "dpbtrf": 0}
 
         def failing_first(a, **kwargs):
             calls["splu"] += 1
@@ -375,13 +384,13 @@ class TestCountBelow:
             return splu(a, **kwargs)
 
         def banded(*args, **kwargs):
-            calls["cholesky_banded"] += 1
-            return cholesky_banded(*args, **kwargs)
+            calls["dpbtrf"] += 1
+            return dpbtrf(*args, **kwargs)
 
         monkeypatch.setattr(spectral.spla, "splu", failing_first)
-        monkeypatch.setattr(spectral.la, "cholesky_banded", banded)
+        monkeypatch.setattr(spectral.lapack, "dpbtrf", banded)
         counted = count_below(forms, 3.0, 2.0)
-        assert calls == {"splu": 1, "cholesky_banded": 0}
+        assert calls == {"splu": 1, "dpbtrf": 0}
         assert counted == _eigen_count(forms, 3.0, 2.0)
 
     def test_negative_coefficient_rejected(self, disk):
@@ -394,15 +403,16 @@ class TestFactorizationBudget:
     @pytest.fixture
     def splu_calls(self, monkeypatch):
         # complete and incomplete (the order's) sparse factorizations, and
-        # banded Cholesky (its size is the band's column count), alike
+        # banded Cholesky (its size is the band's column count, and dpbtrf's
+        # factor is recorded without its info), alike
         calls = []
         for module, name in ((spectral.spla, "splu"), (spectral.spla, "spilu"),
-                             (spectral.la, "cholesky_banded")):
+                             (spectral.lapack, "dpbtrf")):
             factor = getattr(module, name)
 
             def counted(a, _factor=factor, **kwargs):
                 lu = _factor(a, **kwargs)
-                calls.append((a.shape[-1], lu))
+                calls.append((a.shape[-1], lu[0] if isinstance(lu, tuple) else lu))
                 return lu
 
             monkeypatch.setattr(module, name, counted)
@@ -698,6 +708,108 @@ class TestInteriorCholesky:
         fi = forms.factor_input
         with pytest.raises(EigensolverError, match="interior block factorization failed"):
             spectral._schur_complement(fi, -100.0, fi.boundary(-100.0))
+
+
+def _wrapper_slice(forms, c, k):
+    """A band-route slice by scipy's wrappers, the way the slice was formed
+    before it called LAPACK directly: la.cholesky_banded of the band of A_ii,
+    a CSC A_ib densified, dtbtrs and la.eigh with an index subset.  Every
+    block is read off the assembled K + c M, in the cached interior order."""
+    fi = forms.factor_input
+    order, bnd = fi.interior_order, forms.boundary_dofs
+    A = (forms.K + c * forms.M).tocsr()
+    S = A[bnd][:, bnd].toarray()
+    if len(order):
+        A_ii = A[order][:, order].toarray()
+        bw = fi.interior.shape[0] - 1
+        band = np.zeros((bw + 1, len(order)), order="F")
+        for d in range(bw + 1):
+            band[bw - d, d:] = np.diagonal(A_ii, d)
+        U = la.cholesky_banded(band, overwrite_ab=True, check_finite=False)
+        A_ib = sp.csc_matrix(A[order][:, bnd]).toarray(order="F")
+        W, info = lapack.dtbtrs(U, A_ib, uplo="U", trans="T", overwrite_b=True)
+        assert info == 0
+        S = S - W.T @ W
+        S = 0.5 * (S + S.T)
+    return la.eigh(S, forms.B[bnd][:, bnd].toarray(), subset_by_index=[0, k - 1])
+
+
+class TestDirectLapackSlice:
+    """Band-route slices call dpbtrf, dtbtrs and dsygvx themselves, on
+    Fortran-order arrays scattered from cached positions."""
+
+    @pytest.fixture(params=["interval1000", "interval1", "disk2", "disk3", "disk4",
+                            "jittered", "delaunay"])
+    def forms(self, request, disk, interval, fuzz_meshes):
+        name = request.param
+        if name.startswith("disk"):
+            return disk(int(name[4:]))[1]
+        if name.startswith("interval"):
+            return interval(int(name[8:]), 1.0)[1]
+        return fuzz_meshes[name][1]
+
+    @pytest.mark.parametrize("c", [0.0, 3.0, 100.0])
+    def test_band_slice_equals_the_scipy_wrappers_bit_for_bit(self, forms, c):
+        n_b = len(forms.boundary_dofs)
+        assert n_b <= spectral.DENSE_LIMIT
+        for k in sorted({1, min(4, n_b), n_b}):
+            got = robin_steklov_spectrum(forms, c, k)
+            w, v = _wrapper_slice(forms, c, k)
+            assert np.array_equal(got.eigenvalues, w)
+            assert np.array_equal(got.eigenvectors, v)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 64])
+    def test_dense_gevp_equals_eigh_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        p, q = rng.standard_normal((2, n, n))
+        a, b = p @ p.T + np.eye(n), q @ q.T + n * np.eye(n)
+        for k in sorted({1, (n + 1) // 2, n}):
+            w, v = spectral._dense_gevp(a, b, k)
+            want_w, want_v = la.eigh(a, b, subset_by_index=[0, k - 1])
+            assert np.array_equal(w, want_w) and np.array_equal(v, want_v)
+
+    @pytest.mark.parametrize("name", ["interval", "disk3"])
+    def test_band_slice_budget(self, disk, interval, name, monkeypatch):
+        # built forms: a slice constructs no sparse matrix, calls neither
+        # scipy wrapper and makes one call of each LAPACK routine
+        forms = interval(1000, 1.0)[1] if name == "interval" else disk(3)[1]
+        fi = forms.factor_input
+        fi.interior, fi.coupling
+        base = next(cls for cls in sp.csc_matrix.__mro__ if cls.__name__ == "_spbase")
+        monkeypatch.setattr(base, "__init__", lambda *a, **kw: pytest.fail("sparse matrix"))
+        for wrapper in ("eigh", "cholesky_banded"):
+            monkeypatch.setattr(spectral.la, wrapper,
+                                lambda *a, _w=wrapper, **kw: pytest.fail(f"la.{_w}"))
+        calls = []
+        for routine in ("dpbtrf", "dtbtrs", "dsygvx"):
+            original = getattr(spectral.lapack, routine)
+            monkeypatch.setattr(spectral.lapack, routine,
+                                lambda *a, _f=original, _r=routine, **kw:
+                                calls.append(_r) or _f(*a, **kw))
+        robin_steklov_spectrum(forms, 2.0, 2)
+        assert calls == ["dpbtrf", "dtbtrs", "dsygvx"]
+        with pytest.raises(pytest.fail.Exception, match="sparse matrix"):
+            sp.csc_matrix(np.eye(1))  # the guard sees every construction
+
+    def test_indefinite_b_raises(self):
+        with pytest.raises(EigensolverError, match="dense generalized eigensolver failed"):
+            solve_dense_gevp(np.eye(2), np.diag([1.0, -1.0]), 1)
+
+    @pytest.mark.parametrize("fault", ["info", "short"])
+    def test_failed_or_short_subset_raises(self, disk, fault, monkeypatch):
+        # LAPACK's info, or fewer pairs than asked: never a short subset
+        _, forms = disk(2)
+        dsygvx = spectral.lapack.dsygvx
+
+        def faulty(*args, **kwargs):
+            w, v, m, ifail, info = dsygvx(*args, **kwargs)
+            return (w, v, m, ifail, 1) if fault == "info" else (w, v[:, :-1], m - 1, ifail, 0)
+
+        monkeypatch.setattr(spectral.lapack, "dsygvx", faulty)
+        with pytest.raises(EigensolverError, match="dense generalized eigensolver failed"):
+            robin_steklov_spectrum(forms, 1.0, 4)
+        with pytest.raises(EigensolverError, match="dense generalized eigensolver failed"):
+            solve_dense_gevp(np.eye(3), np.eye(3), 2)
 
 
 class TestHarmonicExtension:
