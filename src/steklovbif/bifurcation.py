@@ -9,10 +9,11 @@ eigenvalues of one linear pencil, is solved and proved once, and
 enumeration, isolation and Morse indices are arithmetic on it.  The Morse
 index jump across an isolated instant equals the multiplicity that crossed
 -- which is the certification criterion: unequal indices at both ends.
-Inertia counts prove the table at every c farther than BRACKET_RTOL
-(relative) from each c_j* (``ProductModel.critical_coefficients``), and
-isolation keeps every c that certification reads that far away, so both
-ends are nondegenerate by construction.
+A residual bound on the solve, and inertia counts where the bound cannot
+tell, prove the table at every c farther than BRACKET_RTOL (relative) from
+each c_j* (``ProductModel.critical_coefficients``), and isolation keeps
+every c that certification reads that far away, so both ends are
+nondegenerate by construction.
 """
 
 from __future__ import annotations

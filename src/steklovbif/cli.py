@@ -49,8 +49,8 @@ class RunConfig:
     def validate(self):
         if self.command not in COMMANDS:
             raise ConfigError(f"unknown command {self.command!r}")
-        if self.t_min <= 0 or self.t_max <= self.t_min:
-            raise ConfigError(f"t range must be ascending and positive, got "
+        if not 0 < self.t_min < self.t_max < np.inf:  # a NaN fails every comparison
+            raise ConfigError(f"t range must be finite, ascending and positive, got "
                               f"[{self.t_min}, {self.t_max}]")
         if self.t_steps < 1:
             raise ConfigError("t_steps must be >= 1")

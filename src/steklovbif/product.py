@@ -7,10 +7,11 @@ bulk coefficients c = t * rho_i.  Morse index and nullity count branches
 below / at the rescaled mean curvature Hhat = (m2-1)/(m-1) * H2.  Branch
 (i, j) lies below Hhat at t exactly when t * rho_i < c_j*, where branch j
 meets Hhat, so Morse indices and nullities are arithmetic on the table of
-c_j*: one linear eigensolve per model, proved by inertia counts to relative
-BRACKET_RTOL (``spectral.level_crossings``), the one tolerance of this
-layer.  ``branch_rows`` lists, per factor index i, the number of branches of
-c = t * rho_i certainly and possibly below Hhat; the last listed index must
+c_j*: one linear eigensolve per model, proved to relative BRACKET_RTOL by
+a residual bound, or by inertia counts where the bound cannot tell
+(``spectral.level_crossings``), the one tolerance of this layer.
+``branch_rows`` lists, per factor index i, the number of branches of c =
+t * rho_i certainly and possibly below Hhat; the last listed index must
 have none -- every later factor eigenvalue is larger, and so are its
 branches.  The Steklov row i = 0 is the table's length less the constant.
 """
@@ -86,7 +87,10 @@ class ProductModel:
         BRACKET_RTOL (relative) from each of them.  Two inertia counts at
         c = 0, just below and just above Hhat, size the table; when they
         differ, Hhat is a Steklov eigenvalue, whose branches are constant in
-        t, and the operator is degenerate for every t.
+        t, and the operator is degenerate for every t.  The solve's residual
+        bound proves each c_j*, and inertia counts beside it any group of
+        roots the bound cannot, such as a c_j* at rounding level when Hhat
+        lies just outside the window of a Steklov eigenvalue.
         """
         hhat = self.Hhat
         if hhat <= 0:

@@ -17,10 +17,12 @@ Cholesky of A_ii on the nested-dissection tree of the interior (George
 A_bb plus the fronts' boundary blocks.  ``count_below`` reads eigenvalue
 counts off the inertia of one sparse factorization.  The pencil is linear
 in c, so ``level_crossings`` takes every c at which a branch meets lam
-from one shift-invert Lanczos solve of (lam B - K) u = c M u, and proves
-them to relative BRACKET_RTOL by two inertia counts per root (or group of
-roots closer than that).  Every factorization takes its matrix from the
-forms' cached ``FactorInput``, already in its order or tree.
+from one shift-invert Lanczos solve of (lam B - K) u = c M u, whose
+operator is the factorization that counted none above the shift.  It
+proves each to relative BRACKET_RTOL by Kahan's residual bound, and a
+group of roots that the bound cannot prove (one at rounding level) by two
+inertia counts beside the group.  Every factorization takes its matrix
+from the forms' cached ``FactorInput``, already in its order or tree.
 
 Median ms of one slice at c = 3, band / multifrontal, on the builtin disk
 (L) and on Delaunay disks of random points (D); one BLAS thread, 2-vCPU
@@ -139,8 +141,7 @@ def robin_steklov_spectrum(forms: AssembledForms, c: float, k: int) -> SpectrumS
     eigenvalue of the constant is kept at index 0.  Every returned pair is
     checked against the reduced pencil, however S(c) was formed.
     """
-    if not 0 <= c < np.inf:  # LAPACK is called without a finiteness check
-        raise PreconditionError(f"bulk coefficient must be finite and non-negative, got {c}")
+    _check_coefficients(c)
     n_b = len(forms.boundary_dofs)
     if n_b == 0:
         raise PreconditionError("mesh has no boundary degrees of freedom")
@@ -253,6 +254,38 @@ def _symmetrized(x: np.ndarray) -> np.ndarray:
     return 0.5 * (x + x.T)
 
 
+def _check_coefficients(c, lam=0.0) -> None:
+    """Raise unless the bulk coefficient c is finite and non-negative and the
+    level lam finite: LAPACK and SuperLU are called without a finiteness
+    check, and A_ii is positive definite only for c >= 0."""
+    if not 0 <= c < np.inf:
+        raise PreconditionError(f"bulk coefficient must be finite and non-negative, got {c}")
+    if not -np.inf < lam < np.inf:
+        raise PreconditionError(f"level must be finite, got {lam}")
+
+
+def _inertia(fi, c, lam):
+    """(count, lu): the negative inertia of A - lam B, A = K + c M, and
+    SuperLU's factorization of it in the order of ``fi.full``, None when
+    SuperLU finds it singular.  The count is read off that factorization's
+    pivots while they stay on the diagonal and none is tiny next to the
+    largest; otherwise it comes from a Bunch-Kaufman factorization of the
+    dense block S(c) - lam B_bb."""
+    try:
+        lu = _factor(fi.full.pencil(c, lam))
+    except RuntimeError:
+        lu = None
+    if lu is not None and np.array_equal(lu.perm_r, lu.perm_c):
+        d = lu.U.diagonal()
+        pivots = np.abs(d)
+        if pivots.min() > PIVOT_RTOL * pivots.max():
+            return int(np.count_nonzero(d < 0)), lu
+    S = _schur(fi, c) - lam * fi.B_bb
+    _, d, _ = la.ldl(S)
+    # d is block diagonal with 1x1 and 2x2 blocks, hence tridiagonal
+    return int(np.count_nonzero(la.eigvalsh_tridiagonal(np.diag(d), np.diag(d, 1)) < 0)), lu
+
+
 def count_below(forms: AssembledForms, c: float, lam: float) -> int:
     """Number of eigenvalues of (K + c M) u = rho B u strictly below lam,
     counted by Sylvester inertia instead of an eigensolve.
@@ -266,22 +299,8 @@ def count_below(forms: AssembledForms, c: float, lam: float) -> int:
     near an eigenvalue), the count comes from a Bunch-Kaufman factorization
     of the dense block S(c) - lam B_bb instead.
     """
-    if c < 0:
-        raise PreconditionError(f"bulk coefficient must be non-negative, got {c}")
-    fi = forms.factor_input
-    try:
-        lu = _factor(fi.full.pencil(c, lam))
-    except RuntimeError:
-        lu = None
-    if lu is not None and np.array_equal(lu.perm_r, lu.perm_c):
-        d = lu.U.diagonal()
-        pivots = np.abs(d)
-        if pivots.min() > PIVOT_RTOL * pivots.max():
-            return int(np.count_nonzero(d < 0))
-    S = _schur(fi, c) - lam * fi.B_bb
-    _, d, _ = la.ldl(S)
-    # d is block diagonal with 1x1 and 2x2 blocks, hence tridiagonal
-    return int(np.count_nonzero(la.eigvalsh_tridiagonal(np.diag(d), np.diag(d, 1)) < 0))
+    _check_coefficients(c, lam)
+    return _inertia(forms.factor_input, c, lam)[0]
 
 
 def level_crossings(forms: AssembledForms, lam: float, n: int) -> np.ndarray:
@@ -291,22 +310,38 @@ def level_crossings(forms: AssembledForms, lam: float, n: int) -> np.ndarray:
     They are the positive eigenvalues of (lam B - K) u = c M u, and
     count_below(forms, c, lam) of them exceed c, a count that never increases
     in c (M is positive semidefinite).  The shift sigma doubles from 1 until
-    none does; the n pairs nearest it, refined by Rayleigh-Ritz and checked
-    by their residuals, must all lie in (0, sigma).  Roots whose windows
-    c_j* (1 -/+ BRACKET_RTOL) overlap form a group, and a count just below
-    and just above each group must equal the table's.  That proves the
-    table at every c outside the windows, and each c_j* to relative
-    BRACKET_RTOL; a skipped copy of a double root raises EigensolverError.
+    none does, and the factorization that counted none there (doubled again
+    if SuperLU finds it singular) is the shift-invert operator; the n pairs
+    nearest sigma, refined by Rayleigh-Ritz to M-orthonormal vectors Z and
+    values theta and checked by their residuals, must all lie in (0, sigma).
+
+    By Kahan's theorem (1967; Parlett, The Symmetric Eigenvalue Problem,
+    Thm 11.5.2), distinct eigenvalues lie within eta = ||M^-1/2 R||_2 /
+    sigma_min(M^1/2 Z) of the theta_j, R = A Z - M Z diag(theta), and
+    ``_kahan_bound`` bounds eta without a solve.  Roots whose windows
+    c_j* (1 -/+ BRACKET_RTOL) overlap form a group.  A group is proved when
+    eta <= BRACKET_RTOL c_j* for each member, and any other (a root at
+    rounding level, or a wrong value) when the counts just below and just
+    above it equal the table's.  As exactly n eigenvalues exceed 0 and none
+    exceeds sigma, the windows then hold all of them, each group's as many as
+    it has members.  That proves the table at every c outside the windows,
+    and each c_j* to relative BRACKET_RTOL; a skipped copy of a double root
+    raises EigensolverError.
     """
     if n == 0:
         return np.empty(0)
-    sigma = next((2.0**e for e in range(120) if count_below(forms, 2.0**e, lam) == 0), None)
-    if sigma is None:
+    _check_coefficients(0.0, lam)
+    fi = forms.factor_input
+    for e in range(120):
+        above, lu = _inertia(fi, 2.0**e, lam)
+        if above == 0 and lu is not None:  # a singular shift sits on a root: double again
+            break
+    else:
         raise BracketError(f"a branch stays below {lam:g} up to c={2.0**119:g}")
-    full = forms.factor_input.full
+    sigma = 2.0**e
+    full = fi.full
     M = sp.csc_matrix((full.M, full.indices, full.indptr), shape=full.shape)
     A = -full.pencil(0.0, lam)
-    lu = _factor(full.pencil(sigma, lam))
     # shift-invert mode needs only (A - sigma M)^-1 and M, so A gives only
     # the shape; a fixed, generic start (a component along every
     # eigenvector) makes the result reproducible
@@ -321,19 +356,40 @@ def level_crossings(forms: AssembledForms, lam: float, n: int) -> np.ndarray:
     X = lu.solve(M @ v)
     AX, MX = A @ X, M @ X
     w, y = _dense_gevp(_symmetrized(X.T @ AX), _symmetrized(X.T @ MX), n)
-    _check_residuals(AX @ y, MX @ y, w, X @ y, _norm1(A), _norm1(M), "level-crossing")
+    Z = X @ y
+    AZ, MZ = A @ Z, M @ Z
+    _check_residuals(AZ, MZ, w, Z, _norm1(A), _norm1(M), "level-crossing")
     if not (w[0] > 0 and w[-1] < sigma):
         raise EigensolverError(f"level crossings at {lam:.12g}: {n} lie in (0, {sigma:g}), "
                                f"the solve returned {', '.join(f'{x:.12g}' for x in w)}")
     lo, hi = w * (1 - BRACKET_RTOL), w * (1 + BRACKET_RTOL)
     starts = np.flatnonzero(np.r_[True, lo[1:] > hi[:-1]])
+    eta = _kahan_bound(A, M, w, Z, AZ, MZ)
     for first, end in zip(starts, np.r_[starts[1:], n]):
+        if eta <= BRACKET_RTOL * w[first]:  # w ascends: the group's least member
+            continue
         for c, above in ((lo[first], n - first), (hi[end - 1], n - end)):
             counted = count_below(forms, c, lam)
             if counted != above:
                 raise EigensolverError(f"level crossings at {lam:.12g}: an inertia count puts "
                                        f"{counted} above c={c:.12g}, the solve {above}")
     return w[::-1]
+
+
+def _kahan_bound(A, M, w, Z, AZ, MZ) -> float:
+    """A bound, which needs no solve, on eta = ||M^-1/2 R||_2 / sigma_min(M^1/2
+    Z), R = A Z - M Z diag(w), from AZ and MZ as computed.  Every P1 element
+    mass is vol/((d+1)(d+2)) (11' + I), so M >= diag(M)/2, and eta <= sqrt(2)
+    ||diag(M)^-1/2 (|R| + E)||_F / sqrt(1 - ||Z' M Z - I||_2), where E bounds
+    the rounding of R entrywise (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2002, sec. 3.5); inf when Z is too far from M-orthonormal."""
+    loss = np.linalg.norm(_symmetrized(Z.T @ MZ) - np.eye(len(w)), 2)
+    if not loss < 1:
+        return np.inf
+    terms = np.diff(A.indptr).max() + 2  # the most products in one entry, and w and the minus
+    error = terms * np.finfo(float).eps * (abs(A) @ abs(Z) + (abs(M) @ abs(Z)) * w)
+    scaled = (abs(AZ - MZ * w) + error) / np.sqrt(M.diagonal())[:, None]
+    return float(np.sqrt(2 * np.einsum("ij,ij->", scaled, scaled) / (1 - loss)))
 
 
 def steklov_spectrum(forms: AssembledForms, k: int) -> SpectrumSlice:
@@ -344,6 +400,7 @@ def steklov_spectrum(forms: AssembledForms, k: int) -> SpectrumSlice:
 def harmonic_extension(forms: AssembledForms, trace: np.ndarray, c: float = 0.0) -> np.ndarray:
     """Discrete (modified-)harmonic extension of boundary values: the interior
     components minimize the quadratic form of K + c M for the given trace."""
+    _check_coefficients(c)
     trace = np.asarray(trace, dtype=float)
     bnd = forms.boundary_dofs
     if trace.shape != (len(bnd),):

@@ -385,8 +385,9 @@ class TestSliceBudget:
     def test_report_pipeline_counts_instead_of_solving(self, disk, square_torus, monkeypatch):
         # enumerate + certify + Morse indices between instants on disk L4 x
         # torus: no slice is solved; two counts at c = 0 size the c_j* table,
-        # one clears its shift, two bracket its one root, and certification
-        # and the Morse indices read the table
+        # one factorization clears its shift and is the solve's operator, the
+        # residual bound proves its one root, and certification and the Morse
+        # indices read the table
         import math
 
         from steklovbif import morse_index, product, spectral
@@ -410,6 +411,9 @@ class TestSliceBudget:
 
         for module in (spectral, product):
             monkeypatch.setattr(module, "count_below", counted_inertia)
+        factorizations = []
+        factor = spectral._factor
+        monkeypatch.setattr(spectral, "_factor", lambda a: factorizations.append(a) or factor(a))
 
         records = enumerate_instants(model, 0.05, 10.0)
         t = [r.t_star for r in records]
@@ -421,13 +425,14 @@ class TestSliceBudget:
         assert all(r.certified for r in certified)
         assert indices == [0, 4, 8, 12, 20, 24, 28, 36, 44]
         assert solves == []
-        assert len(counts) == 5
+        assert counts == [(0.0, model.Hhat * (1 + side * 1e-8)) for side in (-1, 1)]
+        assert len(factorizations) == 3
 
     def test_double_roots_certify_without_counting(self, disk, square_torus, monkeypatch):
         # disk L4 at Hhat = 7/3: five c_j* in three groups (two double roots).
-        # The table makes two counts at c = 0, one per doubling of its shift
-        # and at most two per group; certifying its 17 instants makes none
-        import math
+        # The table makes two counts at c = 0 and, as the residual bound
+        # proves every group, none beside a root; certifying its 17 instants
+        # makes none
         import sys
 
         from steklovbif import spectral
@@ -448,10 +453,8 @@ class TestSliceBudget:
             monkeypatch.setattr(module, "count_below", counted_inertia)
         c_stars = np.sort(model.critical_coefficients)
         groups = 1 + int(np.count_nonzero(np.diff(c_stars) > 1e-6 * c_stars[1:]))
-        doublings = [c for c in counts if c > 0 and math.frexp(c)[0] == 0.5]
         assert (len(c_stars), groups) == (5, 3)
-        assert counts[:2] == [0.0, 0.0]
-        assert len(counts) - 2 - len(doublings) <= 2 * groups
+        assert counts == [0.0, 0.0]
 
         def forbidden(*args, **kwargs):
             raise AssertionError("counted after the table was built")

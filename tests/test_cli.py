@@ -281,12 +281,12 @@ class TestReportCommand:
         assert (out_dir / "instants.csv").exists()
 
     @staticmethod
-    def _report_calls(tmp_path, monkeypatch, level):
-        """Slices and inertia counts of report on disk L<level> x torus over
-        [0.05, 10], after checking its Morse indices."""
+    def _report_calls(tmp_path, monkeypatch, level, H2=1.0, t_min=0.05):
+        """Slices, inertia counts and SuperLU factorizations of report on
+        disk L<level> x torus over [t_min, 10], and its summary."""
         from steklovbif import spectral
 
-        calls = {"robin_steklov_spectrum": 0, "count_below": 0}
+        calls = {"robin_steklov_spectrum": 0, "count_below": 0, "_factor": 0}
         for name in calls:
             original = getattr(spectral, name)
 
@@ -298,53 +298,71 @@ class TestReportCommand:
                 if module_name.startswith("steklovbif") and getattr(module, name, None) is original:
                     monkeypatch.setattr(module, name, counted)
         model_path = tmp_path / "model.json"
-        model_path.write_text(json.dumps(dict(DISK_TORUS_DOC,
+        model_path.write_text(json.dumps(dict(DISK_TORUS_DOC, H2=H2,
                                               boundary={"builtin": "disk", "level": level})))
-        status = cli.main(["report", "--model", str(model_path), "--t-min", "0.05",
+        status = cli.main(["report", "--model", str(model_path), "--t-min", str(t_min),
                            "--t-max", "10", "--out", str(tmp_path / "report")])
         assert status == 0
-        summary = json.loads((tmp_path / "report" / "report.json").read_text())
-        assert [row["morse_index"] for row in summary["morse_indices"]] == [
-            0, 4, 8, 12, 20, 24, 28, 36, 44
-        ]
-        return calls
+        return calls, json.loads((tmp_path / "report" / "report.json").read_text())
 
     def test_report_budget(self, tmp_path, monkeypatch):
         # disk L4 x torus on [0.05, 10]: no slice is solved.  The c_j* table
-        # is one level-crossing solve after three counts (two at c = 0, one
-        # at its shift), proved by two bracket counts; certification and the
-        # Morse indices read the table, and one count per factor index at the
-        # first midpoint, through the first empty row, anchors them
-        calls = self._report_calls(tmp_path, monkeypatch, 4)
-        assert calls == {"robin_steklov_spectrum": 0, "count_below": 6}
+        # is one level-crossing solve after two counts at c = 0 and one at
+        # its shift, whose factorization is the solve's operator, and its
+        # residual bound proves the one root; certification and the Morse
+        # indices read the table, and one count per factor index at the first
+        # midpoint, through the first empty row, anchors them
+        calls, summary = self._report_calls(tmp_path, monkeypatch, 4)
+        assert [row["morse_index"] for row in summary["morse_indices"]] == [
+            0, 4, 8, 12, 20, 24, 28, 36, 44
+        ]
+        assert calls == {"robin_steklov_spectrum": 0, "count_below": 3, "_factor": 4}
 
-    def test_report_budget_on_the_shift_invert_path(self, tmp_path, monkeypatch):
+    def test_report_budget_on_the_multifrontal_path(self, tmp_path, monkeypatch):
         # disk L5 has 256 boundary dofs, above DENSE_LIMIT, yet the report
-        # still solves no slice and makes the same six counts
-        calls = self._report_calls(tmp_path, monkeypatch, 5)
-        assert calls == {"robin_steklov_spectrum": 0, "count_below": 6}
+        # still solves no slice and makes the same counts and factorizations
+        calls, _ = self._report_calls(tmp_path, monkeypatch, 5)
+        assert calls == {"robin_steklov_spectrum": 0, "count_below": 3, "_factor": 4}
 
-    def test_crossing_count_mismatch_exits_two(self, disk_model_path, tmp_path, capsys,
-                                               monkeypatch):
-        # the inertia counts bracketing each c_j* must equal the table's; one
-        # off by one is a numerical failure, not a report.  The counts at
-        # c = 0 and at the doubling shift (a power of two) stay true, so the
+    @pytest.mark.parametrize("level, H2, t_min, factorizations", [
+        (4, 4.0, 0.3, 6), (4, 7.0, 0.6, 8), (5, 7.0, 0.6, 8),
+    ])
+    def test_report_factorizations_at_double_roots(self, tmp_path, monkeypatch, level, H2,
+                                                   t_min, factorizations):
+        # Hhat = 4/3 and 7/3, where the disk has double roots: two counts at
+        # c = 0, one per shift sigma = 1, 2, 4 (and 8, 16 at 7/3) until none
+        # is above it, no bracket count, and the anchor's one count
+        calls, summary = self._report_calls(tmp_path, monkeypatch, level, H2, t_min)
+        assert all(r["certified"] for r in summary["instants"])
+        assert calls == {"robin_steklov_spectrum": 0, "count_below": 3,
+                         "_factor": factorizations}
+
+    def test_crossing_count_mismatch_exits_two(self, tmp_path, capsys, monkeypatch):
+        # the inertia counts bracketing a root group that the residual bound
+        # cannot prove must equal the table's; one off by one is a numerical
+        # failure, not a report.  Hhat 1e-7 relative above the double sigma_1
+        # of disk L2 puts a double root at rounding level, c* = 4e-7, which
+        # only the bracket counts prove; the counts at c = 0 stay true, so the
         # brackets are the first counts the fault reaches
-        import math
+        from steklovbif import assemble, generate_disk, spectral, steklov_spectrum
 
-        from steklovbif import spectral
+        sigma = steklov_spectrum(assemble(generate_disk(2)), 3).eigenvalues[1]
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(dict(DISK_TORUS_DOC, H2=3 * sigma * (1 + 1e-7),
+                                              boundary={"builtin": "disk", "level": 2})))
+        argv = ["report", "--model", str(model_path), "--t-min", "0.5",
+                "--out", str(tmp_path / "report")]
+        assert cli.main(argv) == 0
+        assert len(json.loads((tmp_path / "report" / "report.json").read_text())[
+            "instants"]) == 4
+        (tmp_path / "report" / "report.json").unlink()
 
         count_below = spectral.count_below
-
-        def off_by_one(forms, c, lam):
-            return count_below(forms, c, lam) + (c > 0 and math.frexp(c)[0] != 0.5)
-
-        monkeypatch.setattr(spectral, "count_below", off_by_one)
-        status = cli.main(["report", "--model", disk_model_path, "--t-min", "0.3",
-                           "--t-max", "2.0", "--out", str(tmp_path / "report")])
-        assert status == 2
+        monkeypatch.setattr(spectral, "count_below",
+                            lambda forms, c, lam: count_below(forms, c, lam) + (c > 0))
+        assert cli.main(argv) == 2
         payload = json.loads(capsys.readouterr().err)
-        assert payload["error"] in ("eigensolver_failure", "numerical")
+        assert payload["error"] == "eigensolver_failure"
         assert "an inertia count puts" in payload["detail"]
         assert not (tmp_path / "report" / "report.json").exists()
 
@@ -576,6 +594,22 @@ class TestConfigHandling:
         )
         assert status == 1
         assert json.loads(capsys.readouterr().err)["error"] == "bad_config"
+
+    @pytest.mark.parametrize("command", ["report", "eigencurve"])
+    @pytest.mark.parametrize("flag, value", [("--t-max", "inf"), ("--t-min", "nan"),
+                                             ("--t-max", "nan"), ("--t-min", "-inf")])
+    def test_non_finite_range_rejected(self, disk_model_path, tmp_path, capsys, command,
+                                       flag, value):
+        # inf <= t_min and a NaN's every comparison are false: the range must
+        # be checked finite before any count at c = t * rho_i
+        out = tmp_path / "out"
+        status = cli.main([command, "--model", disk_model_path, f"{flag}={value}",
+                           "--out", str(out)])
+        assert status == 1
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "bad_config"
+        assert "finite" in payload["detail"]
+        assert not out.exists()
 
     def test_numerical_failures_exit_two(self, disk_model_path, capsys, monkeypatch):
         def boom(cfg):

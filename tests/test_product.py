@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as la
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -143,7 +144,8 @@ class TestProductModel:
     @pytest.mark.parametrize("level, lam", [(3, 4.0 / 3.0), (4, 1.0 / 3.0), (4, 7.0 / 3.0)])
     def test_values_scaled_within_the_residual_check_raise(self, disk, monkeypatch, level,
                                                             lam, scale):
-        # 1e-6 relative passes the residual check; the inertia count beside
+        # 1e-6 relative passes the residual check but not the residual bound,
+        # so every group takes its bracket counts; the inertia count beside
         # the lowest (or highest) bracket window finds one group fewer (or
         # more) above it than the table
         from steklovbif import spectral
@@ -177,6 +179,83 @@ class TestProductModel:
         reference = np.array(_bisected_table(first.boundary_forms, first.Hhat))
         assert table.shape == reference.shape == ({1.0: 1, 4.0: 3, 7.0: 5}[H2],)
         np.testing.assert_allclose(table, reference, rtol=1e-9, atol=0)
+
+
+class TestTableProof:
+    """level_crossings proves each c_j* by Kahan's residual bound, and a root
+    group that the bound cannot prove by two inertia counts beside it."""
+
+    @pytest.mark.parametrize("name", ["interval", "disk3", "jittered", "delaunay"])
+    def test_mass_dominates_half_its_diagonal(self, interval, disk, fuzz_meshes, name):
+        # every P1 element mass is vol/((d+1)(d+2)) (11' + I), so M >= diag(M)/2
+        # in every dimension
+        forms = {"interval": interval(50, 1.0), "disk3": disk(3)}.get(name) or fuzz_meshes[name]
+        M = forms[1].M.toarray()
+        lowest = la.eigh(M, np.diag(np.diag(M)), eigvals_only=True, subset_by_index=[0, 0])[0]
+        assert lowest >= 0.5 * (1 - 1e-12)
+
+    @staticmethod
+    def _bounds_and_brackets(monkeypatch):
+        """Every residual bound level_crossings computes, and the c of every
+        inertia count it makes beside a root group."""
+        from steklovbif import spectral
+
+        bounds, brackets = [], []
+        kahan_bound, count_below = spectral._kahan_bound, spectral.count_below
+
+        def bound(*args):
+            bounds.append(kahan_bound(*args))
+            return bounds[-1]
+
+        def bracket(forms, c, lam):
+            brackets.append(c)
+            return count_below(forms, c, lam)
+
+        monkeypatch.setattr(spectral, "_kahan_bound", bound)
+        monkeypatch.setattr(spectral, "count_below", bracket)
+        return bounds, brackets
+
+    @pytest.mark.parametrize("H2", [1.0, 4.0, 7.0])
+    @pytest.mark.parametrize("mesh_name", ["disk2", "disk3", "disk4", "disk5", "jittered",
+                                           "delaunay"])
+    def test_bound_proves_every_root(self, disk, fuzz_meshes, square_torus, monkeypatch,
+                                     mesh_name, H2):
+        # Hhat = 1/3, 4/3 and 7/3, double roots on the symmetric disks: eta is
+        # far inside BRACKET_RTOL of the least root, so no bracket count runs
+        mesh, forms = disk(int(mesh_name[-1])) if mesh_name.startswith("disk") else (
+            fuzz_meshes[mesh_name])
+        bounds, brackets = self._bounds_and_brackets(monkeypatch)
+        table = ProductModel(square_torus(20.0), mesh, forms, m1=2, m2=2,
+                             H2=H2).critical_coefficients
+        assert len(bounds) == 1 and bounds[0] <= 1e-9 * min(table)
+        assert brackets == []
+
+    def test_root_at_rounding_level_takes_the_bracket_counts(self, disk, square_torus,
+                                                             monkeypatch):
+        # Hhat 1e-7 relative above the double sigma_1 of disk L2 puts a double
+        # root at c* = 4e-7, where eta, at rounding level, exceeds
+        # BRACKET_RTOL c*: that group alone takes two counts, and the table is
+        # the one every group's counts prove, by a third route too
+        from steklovbif import spectral
+        from steklovbif.spectral import BRACKET_RTOL
+
+        mesh, forms = disk(2)
+        sigma = steklov_spectrum(forms, 3).eigenvalues[1]
+
+        def model():
+            return ProductModel(square_torus(20.0), mesh, forms, m1=2, m2=2,
+                                H2=3.0 * sigma * (1 + 1e-7))
+
+        bounds, brackets = self._bounds_and_brackets(monkeypatch)
+        proved = model().critical_coefficients
+        assert len(proved) == 3 and proved[1] < 1e-6
+        assert BRACKET_RTOL * proved[1] < bounds[0] <= 1e-9 * proved[0]
+        assert len(brackets) == 2 and max(brackets) < 1e-6
+        monkeypatch.setattr(spectral, "_kahan_bound", lambda *args: np.inf)
+        assert model().critical_coefficients == proved
+        assert len(brackets) == 2 + 4
+        np.testing.assert_allclose(proved, _bisected_table(forms, model().Hhat),
+                                   rtol=BRACKET_RTOL, atol=0)
 
 
 class TestMeanCurvature:

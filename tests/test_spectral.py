@@ -98,7 +98,7 @@ class TestRobinSteklovSpectrum:
         gram = sl.eigenvectors.T @ B_bb @ sl.eigenvectors
         assert np.abs(gram - np.eye(5)).max() < 1e-8
 
-    def test_b_orthonormality_on_shift_invert_path(self, disk, monkeypatch):
+    def test_b_orthonormality_on_multifrontal_path(self, disk, monkeypatch):
         _, forms = disk(3)
         monkeypatch.setattr(spectral, "DENSE_LIMIT", 0)
         for c, k in [(0.0, 1), (1.0, 5), (4.0, 8)]:
@@ -129,7 +129,7 @@ class TestRobinSteklovSpectrum:
             robin_steklov_spectrum(forms, c, 2)
 
     @pytest.mark.parametrize("c", [0.0, 1.0])
-    def test_shift_invert_path_matches_dense(self, disk, c, monkeypatch):
+    def test_multifrontal_path_matches_dense(self, disk, c, monkeypatch):
         _, forms = disk(2)
         dense = robin_steklov_spectrum(forms, c, 5).eigenvalues
         monkeypatch.setattr(spectral, "DENSE_LIMIT", 0)
@@ -137,7 +137,7 @@ class TestRobinSteklovSpectrum:
         assert np.abs(dense - iterative).max() < 1e-9
 
 
-class TestShiftInvert:
+class TestMultifrontalSlice:
     """Slices above DENSE_LIMIT, which form S(c) by a multifrontal Cholesky of
     the interior block on its nested-dissection tree: S(c) is the trailing
     block, on the boundary dofs, of that partial factorization."""
@@ -259,14 +259,14 @@ class TestResidualChecks:
         monkeypatch.setattr(spectral, "_dense_gevp", lambda a, b, k: fault(*dense_gevp(a, b, k)))
         monkeypatch.setattr(spectral, "DENSE_LIMIT", 0)
 
-    def test_shift_invert_path_rejects_wrong_pairs(self, disk, monkeypatch):
+    def test_multifrontal_path_rejects_wrong_pairs(self, disk, monkeypatch):
         # DENSE_LIMIT 0: the slice takes the trailing block
         _, forms = disk(2)
         self._fault_after_eigh(monkeypatch, lambda w, v: (w, np.roll(v, 1, axis=1)))
         with pytest.raises(EigensolverError, match="dense eigenpair residual"):
             robin_steklov_spectrum(forms, 1.0, 5)
 
-    def test_shift_invert_path_rejects_shifted_values(self, disk, monkeypatch):
+    def test_multifrontal_path_rejects_shifted_values(self, disk, monkeypatch):
         _, forms = disk(2)
         self._fault_after_eigh(monkeypatch, lambda w, v: (w + 1e-6, v))
         with pytest.raises(EigensolverError, match="dense eigenpair residual"):
@@ -398,6 +398,21 @@ class TestCountBelow:
         with pytest.raises(PreconditionError):
             count_below(forms, -1.0, 1.0)
 
+    @pytest.mark.parametrize("c, lam, message", [
+        (np.nan, 1.0, "bulk coefficient"), (np.inf, 1.0, "bulk coefficient"),
+        (-1e-300, 1.0, "bulk coefficient"), (1.0, np.nan, "level"), (1.0, np.inf, "level"),
+        (1.0, -np.inf, "level"),
+    ])
+    def test_non_finite_coefficient_or_level_rejected(self, disk, c, lam, message):
+        # SuperLU and la.ldl would raise scipy's own ValueError; the table's
+        # solve checks its level too
+        _, forms = disk(2)
+        with pytest.raises(PreconditionError, match=f"{message} must be finite"):
+            count_below(forms, c, lam)
+        if message == "level":
+            with pytest.raises(PreconditionError, match="level must be finite"):
+                spectral.level_crossings(forms, lam, 1)
+
 
 class TestFactorizationBudget:
     @pytest.fixture
@@ -442,7 +457,7 @@ class TestFactorizationBudget:
         assert [n for n, _ in splu_calls] == [len(forms.interior_dofs)]
         assert isinstance(splu_calls[0][1], np.ndarray)
 
-    def test_shift_invert_slice_builds_no_band(self, splu_calls, monkeypatch):
+    def test_multifrontal_slice_builds_no_band(self, splu_calls, monkeypatch):
         # only the dense path factors the band of A_ii
         forms = assemble(generate_disk(3))
         monkeypatch.setattr(spectral, "DENSE_LIMIT", 0)
@@ -824,6 +839,13 @@ class TestHarmonicExtension:
         _, forms = disk(0)
         with pytest.raises(PreconditionError):
             harmonic_extension(forms, np.ones(3))
+
+    @pytest.mark.parametrize("c", [np.nan, np.inf, -np.inf, -1.0])
+    def test_non_finite_or_negative_coefficient_rejected(self, disk, c):
+        # the band Cholesky would return NaN values, or fail, without a word
+        _, forms = disk(2)
+        with pytest.raises(PreconditionError, match="bulk coefficient must be finite"):
+            harmonic_extension(forms, np.ones(len(forms.boundary_dofs)), c)
 
 
 class TestCsvRoundTrips:
