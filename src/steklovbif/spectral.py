@@ -380,16 +380,25 @@ def _kahan_bound(A, M, w, Z, AZ, MZ) -> float:
     """A bound, which needs no solve, on eta = ||M^-1/2 R||_2 / sigma_min(M^1/2
     Z), R = A Z - M Z diag(w), from AZ and MZ as computed.  Every P1 element
     mass is vol/((d+1)(d+2)) (11' + I), so M >= diag(M)/2, and eta <= sqrt(2)
-    ||diag(M)^-1/2 (|R| + E)||_F / sqrt(1 - ||Z' M Z - I||_2), where E bounds
-    the rounding of R entrywise (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2002, sec. 3.5); inf when Z is too far from M-orthonormal."""
-    loss = np.linalg.norm(_symmetrized(Z.T @ MZ) - np.eye(len(w)), 2)
+    ||diag(M)^-1/2 (|R| + E)||_F / sqrt(1 - ||Z' M Z - I||_2 - F), where E
+    bounds the rounding of R entrywise and F that of the Gram product Z' M Z
+    in the 2-norm (Higham, Accuracy and Stability of Numerical Algorithms,
+    2002, sec. 3.5).  The remaining steps (the 2-norm, the scaling, the sum of
+    squares and the roots) round to relative O(N n eps), and a factor
+    1 + (N n + n + 8) eps covers them; inf when Z is too far from
+    M-orthonormal."""
+    eps = np.finfo(float).eps
+    N, n = Z.shape
+    terms = np.diff(A.indptr).max() + 2  # the most products in one entry, and w and the minus
+    mass = abs(M) @ abs(Z)
+    gram = (N + terms) * eps * np.linalg.norm(abs(Z).T @ mass)  # Frobenius >= 2-norm
+    loss = np.linalg.norm(_symmetrized(Z.T @ MZ) - np.eye(n), 2) + gram
     if not loss < 1:
         return np.inf
-    terms = np.diff(A.indptr).max() + 2  # the most products in one entry, and w and the minus
-    error = terms * np.finfo(float).eps * (abs(A) @ abs(Z) + (abs(M) @ abs(Z)) * w)
+    error = terms * eps * (abs(A) @ abs(Z) + mass * w)
     scaled = (abs(AZ - MZ * w) + error) / np.sqrt(M.diagonal())[:, None]
-    return float(np.sqrt(2 * np.einsum("ij,ij->", scaled, scaled) / (1 - loss)))
+    rounding = 1 + (N * n + n + 8) * eps
+    return float(rounding * np.sqrt(2 * np.einsum("ij,ij->", scaled, scaled) / (1 - loss)))
 
 
 def steklov_spectrum(forms: AssembledForms, k: int) -> SpectrumSlice:

@@ -280,6 +280,13 @@ class TestReportCommand:
         assert summary["oracle_deltas"][0]["rel_delta"] < 0.02
         assert (out_dir / "instants.csv").exists()
 
+    # the Morse indices of disk x torus over [0.05, 10] at Hhat = 1/3
+    DISK_TORUS_MORSE_INDICES = [0, 4, 8, 12, 20, 24, 28, 36, 44]
+
+    @staticmethod
+    def _morse_indices(summary):
+        return [row["morse_index"] for row in summary["morse_indices"]]
+
     @staticmethod
     def _report_calls(tmp_path, monkeypatch, level, H2=1.0, t_min=0.05):
         """Slices, inertia counts and SuperLU factorizations of report on
@@ -313,15 +320,15 @@ class TestReportCommand:
         # indices read the table, and one count per factor index at the first
         # midpoint, through the first empty row, anchors them
         calls, summary = self._report_calls(tmp_path, monkeypatch, 4)
-        assert [row["morse_index"] for row in summary["morse_indices"]] == [
-            0, 4, 8, 12, 20, 24, 28, 36, 44
-        ]
+        assert self._morse_indices(summary) == self.DISK_TORUS_MORSE_INDICES
         assert calls == {"robin_steklov_spectrum": 0, "count_below": 3, "_factor": 4}
 
     def test_report_budget_on_the_multifrontal_path(self, tmp_path, monkeypatch):
         # disk L5 has 256 boundary dofs, above DENSE_LIMIT, yet the report
-        # still solves no slice and makes the same counts and factorizations
-        calls, _ = self._report_calls(tmp_path, monkeypatch, 5)
+        # still solves no slice, makes the same counts and factorizations and
+        # finds the same Morse indices
+        calls, summary = self._report_calls(tmp_path, monkeypatch, 5)
+        assert self._morse_indices(summary) == self.DISK_TORUS_MORSE_INDICES
         assert calls == {"robin_steklov_spectrum": 0, "count_below": 3, "_factor": 4}
 
     @pytest.mark.parametrize("level, H2, t_min, factorizations", [
