@@ -23,8 +23,6 @@ from .fem import assemble
 from .mesh import generate_disk, generate_interval, load_mesh
 from .serialize import read_json_object
 
-COMMANDS = ("steklov", "eigencurve", "instants", "certify", "report")
-
 
 @dataclass
 class RunConfig:
@@ -61,8 +59,8 @@ class RunConfig:
             if not values or min(values) < 0:
                 raise ConfigError(f"{name} must be a nonempty list of non-negative "
                                   f"indices, got {list(values)}")
-        if self.epsilon is not None and self.epsilon <= 0:
-            raise ConfigError("epsilon must be positive")
+        if self.epsilon is not None and not 0 < self.epsilon < np.inf:
+            raise ConfigError(f"epsilon must be finite and positive, got {self.epsilon}")
         for path in (self.model_path, self.instants_path):
             if path is not None and not Path(path).exists():
                 raise ConfigError(f"referenced file does not exist: {path}")
@@ -133,8 +131,10 @@ def _oracle_instants(model, records):
     return [{"t_star": t, "t_oracle": o, "rel_delta": abs(t - o) / o} for t, o in pairs]
 
 
-def _certify_all(model, records, cfg: RunConfig) -> list:
-    return [bif.certify_bifurcation(model, r, cfg.epsilon) for r in records]
+def _write_records(records, out_json, out_csv) -> list:
+    bif.records_to_json(records, out_json)
+    bif.records_to_csv(records, out_csv)
+    return [out_json, out_csv]
 
 
 def _anchor(model, t, index):
@@ -179,13 +179,10 @@ def cmd_eigencurve(cfg: RunConfig) -> list[str]:
 def cmd_instants(cfg: RunConfig) -> list[str]:
     model = _load_model(cfg, needs_disk=cfg.oracle_check)
     records = bif.enumerate_instants(model, cfg.t_min, cfg.t_max)
-    out_json = cfg.out_json or "instants.json"
-    out_csv = cfg.out_csv or "instants.csv"
-    bif.records_to_json(records, out_json)
-    bif.records_to_csv(records, out_csv)
-    emitted = [out_json, out_csv]
+    emitted = _write_records(records, cfg.out_json or "instants.json",
+                             cfg.out_csv or "instants.csv")
     if cfg.oracle_check:
-        out_oracle = out_json.removesuffix(".json") + "_oracle.json"
+        out_oracle = emitted[0].removesuffix(".json") + "_oracle.json"
         with open(out_oracle, "w") as fh:
             json.dump(_oracle_instants(model, records), fh, indent=2)
         emitted.append(out_oracle)
@@ -196,12 +193,10 @@ def cmd_certify(cfg: RunConfig) -> list[str]:
     model = _load_model(cfg)
     if cfg.instants_path is None:
         raise ConfigError("certify needs --instants <file>")
-    certified = _certify_all(model, bif.records_from_json(cfg.instants_path), cfg)
-    out_json = cfg.out_json or "certified.json"
-    out_csv = cfg.out_csv or "certified.csv"
-    bif.records_to_json(certified, out_json)
-    bif.records_to_csv(certified, out_csv)
-    return [out_json, out_csv]
+    records = bif.records_from_json(cfg.instants_path)
+    certified = [bif.certify_bifurcation(model, r, cfg.epsilon) for r in records]
+    return _write_records(certified, cfg.out_json or "certified.json",
+                          cfg.out_csv or "certified.csv")
 
 
 def cmd_report(cfg: RunConfig) -> list[str]:
@@ -209,9 +204,9 @@ def cmd_report(cfg: RunConfig) -> list[str]:
     out_dir = Path(cfg.out or "report")
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    certified = _certify_all(model, bif.enumerate_instants(model, cfg.t_min, cfg.t_max), cfg)
-    bif.records_to_json(certified, out_dir / "instants.json")
-    bif.records_to_csv(certified, out_dir / "instants.csv")
+    records = bif.enumerate_instants(model, cfg.t_min, cfg.t_max)
+    certified = [bif.certify_bifurcation(model, r, cfg.epsilon) for r in records]
+    _write_records(certified, out_dir / "instants.json", out_dir / "instants.csv")
 
     # Morse index between consecutive instants (geometric midpoints), read
     # off the c_j* table; at the first, inertia counts anchor it row by row
@@ -245,6 +240,33 @@ def cmd_report(cfg: RunConfig) -> list[str]:
     return [str(report_path)]
 
 
+# command: its help, its handler, and its flags after --config and --model
+COMMANDS = {
+    "steklov": ("Steklov spectrum of one mesh", cmd_steklov, ("--mesh", "-k", "--out")),
+    "eigencurve": ("sample branches over a t grid", cmd_eigencurve,
+                   ("--i", "--j", "--t-min", "--t-max", "--t-steps", "--out")),
+    "instants": ("enumerate degeneracy instants", cmd_instants,
+                 ("--t-min", "--t-max", "--oracle", "--out-json", "--out-csv")),
+    "certify": ("certify instants from a records file", cmd_certify,
+                ("--instants", "--epsilon", "--out-json", "--out-csv")),
+    "report": ("summary report: instants, indices, oracle deltas", cmd_report,
+               ("--t-min", "--t-max", "--epsilon", "--oracle", "--out")),
+}
+
+# flag: the RunConfig field it sets, whose annotation gives its type, and its help
+_FLAGS = {
+    "--model": ("model_path", "model description JSON"),
+    "--mesh": ("mesh_spec", "mesh file or builtin:disk:<level> / builtin:interval:<n>:<L>"),
+    "-k": ("k", "number of eigenvalues"),
+    "--i": ("i_list", "factor indices, comma separated"),
+    "--j": ("j_list", "branch positions, comma separated"),
+    "--t-min": ("t_min", None), "--t-max": ("t_max", None), "--t-steps": ("t_steps", None),
+    "--epsilon": ("epsilon", None), "--instants": ("instants_path", None),
+    "--oracle": ("oracle_check", None), "--out": ("out", None),
+    "--out-json": ("out_json", None), "--out-csv": ("out_csv", None),
+}
+
+
 def _fail(exc: SteklovBifError) -> int:
     """Print the machine-readable reason to stderr; returns the exit status."""
     json.dump(exc.payload(), sys.stderr)
@@ -254,16 +276,9 @@ def _fail(exc: SteklovBifError) -> int:
 
 def run(command: str, config: RunConfig) -> int:
     """Execute one command; returns the process exit status."""
-    handlers = {
-        "steklov": cmd_steklov,
-        "eigencurve": cmd_eigencurve,
-        "instants": cmd_instants,
-        "certify": cmd_certify,
-        "report": cmd_report,
-    }
     try:
         config.validate()
-        emitted = handlers[command](config)
+        emitted = COMMANDS[command][1](config)
     except SteklovBifError as exc:
         return _fail(exc)
     for path in emitted:
@@ -282,50 +297,15 @@ def build_parser() -> argparse.ArgumentParser:
         "of product metrics",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
+    for command, (command_help, _, flags) in COMMANDS.items():
+        p = sub.add_parser(command, help=command_help)
         p.add_argument("--config", help="JSON run config; flags override its fields")
-        p.add_argument("--model", dest="model_path", help="model description JSON")
-
-    p = sub.add_parser("steklov", help="Steklov spectrum of one mesh")
-    add_common(p)
-    p.add_argument("--mesh", dest="mesh_spec",
-                   help="mesh file or builtin:disk:<level> / builtin:interval:<n>:<L>")
-    p.add_argument("-k", type=int, dest="k", help="number of eigenvalues")
-    p.add_argument("--out")
-
-    p = sub.add_parser("eigencurve", help="sample branches over a t grid")
-    add_common(p)
-    p.add_argument("--i", dest="i_list", type=_int_list, help="factor indices, comma separated")
-    p.add_argument("--j", dest="j_list", type=_int_list, help="branch positions, comma separated")
-    p.add_argument("--t-min", dest="t_min", type=float)
-    p.add_argument("--t-max", dest="t_max", type=float)
-    p.add_argument("--t-steps", dest="t_steps", type=int)
-    p.add_argument("--out")
-
-    p = sub.add_parser("instants", help="enumerate degeneracy instants")
-    add_common(p)
-    p.add_argument("--t-min", dest="t_min", type=float)
-    p.add_argument("--t-max", dest="t_max", type=float)
-    p.add_argument("--oracle", dest="oracle_check", action="store_true", default=None)
-    p.add_argument("--out-json", dest="out_json")
-    p.add_argument("--out-csv", dest="out_csv")
-
-    p = sub.add_parser("certify", help="certify instants from a records file")
-    add_common(p)
-    p.add_argument("--instants", dest="instants_path")
-    p.add_argument("--epsilon", dest="epsilon", type=float)
-    p.add_argument("--out-json", dest="out_json")
-    p.add_argument("--out-csv", dest="out_csv")
-
-    p = sub.add_parser("report", help="summary report: instants, indices, oracle deltas")
-    add_common(p)
-    p.add_argument("--t-min", dest="t_min", type=float)
-    p.add_argument("--t-max", dest="t_max", type=float)
-    p.add_argument("--epsilon", dest="epsilon", type=float)
-    p.add_argument("--oracle", dest="oracle_check", action="store_true", default=None)
-    p.add_argument("--out")
-
+        for flag in ("--model",) + flags:
+            field, flag_help = _FLAGS[flag]
+            kind = _FIELD_TYPES[field][0]  # the annotation's type, before any "| None"
+            how = (dict(action="store_true", default=None) if kind == "bool" else
+                   dict(type={"float": float, "int": int, "str": str, "tuple": _int_list}[kind]))
+            p.add_argument(flag, dest=field, help=flag_help, **how)
     return parser
 
 
@@ -336,9 +316,8 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         for key, value in read_json_object(path, "config file").items():
             setattr(cfg, key, _config_value(key, value, path))
     for key, value in vars(args).items():
-        if key in ("command", "config") or value is None:
-            continue
-        setattr(cfg, key, value)
+        if key not in ("command", "config") and value is not None:
+            setattr(cfg, key, value)
     return cfg
 
 

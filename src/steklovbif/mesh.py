@@ -139,8 +139,8 @@ def generate_interval(n: int, L: float) -> Mesh:
     """
     if n < 1:
         raise PreconditionError(f"interval mesh needs n >= 1 cells, got {n}")
-    if L <= 0:
-        raise PreconditionError(f"interval mesh needs L > 0, got {L}")
+    if not 0 < L < math.inf:  # a NaN fails every comparison
+        raise PreconditionError(f"interval mesh needs a finite L > 0, got {L}")
     vertices = np.linspace(0.0, L, n + 1).reshape(-1, 1)
     cells = np.column_stack([np.arange(n), np.arange(1, n + 1)])
     return Mesh(dim=1, vertices=vertices, cells=cells)

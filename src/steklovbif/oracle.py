@@ -10,7 +10,6 @@ dependency) and must stay independent of the FEM path it checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 from .errors import BracketError, PreconditionError
@@ -100,31 +99,19 @@ def interval_robin_steklov(parity: str, c: float, L: float) -> float:
     return s * th if parity == "even" else s / th
 
 
-@dataclass(frozen=True)
-class OracleBranch:
-    """One eigenvalue branch c -> rho(c), strictly increasing in c."""
-
-    geometry: str
-    label: str
-    evaluator: Callable[[float], float]
-
-    def __call__(self, c: float) -> float:
-        return self.evaluator(c)
+def disk_branch(k: int) -> Callable[[float], float]:
+    """The disk's branch c -> rho(c) of Fourier mode k, strictly increasing in c."""
+    return lambda c: disk_robin_steklov(k, c)
 
 
-def disk_branch(k: int) -> OracleBranch:
-    return OracleBranch("unit_disk", f"k={k}", lambda c: disk_robin_steklov(k, c))
-
-
-def interval_branch(parity: str, L: float) -> OracleBranch:
+def interval_branch(parity: str, L: float) -> Callable[[float], float]:
+    """The interval's branch c -> rho(c) of the given parity, strictly increasing in c."""
     if parity not in ("even", "odd"):
         raise PreconditionError(f"parity must be 'even' or 'odd', got {parity!r}")
-    return OracleBranch(
-        f"interval(L={L:g})", parity, lambda c: interval_robin_steklov(parity, c, L)
-    )
+    return lambda c: interval_robin_steklov(parity, c, L)
 
 
-def solve_branch_root(branch: OracleBranch, target: float) -> float:
+def solve_branch_root(branch: Callable[[float], float], target: float) -> float:
     """The unique c* with branch(c*) = target, |branch(c*) - target| <= 1e-10*target.
 
     Requires target strictly above the branch value at c = 0; the bracket

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import sys
 
 from .errors import ConfigError, PreconditionError
 
@@ -27,11 +28,14 @@ def read_json_object(path, what: str) -> dict:
 
 def typed(value, kind, key):
     """value when its JSON type is kind: an integer passes as float, a
-    boolean only as bool; anything else raises TypeError instead of being
-    coerced."""
+    boolean only as bool, a float only when finite (JSON readers accept NaN
+    and Infinity, and read 1e400 as infinity); anything else raises TypeError
+    instead of being coerced."""
     allowed = (int, float) if kind is float else kind
-    if isinstance(value, bool) != (kind is bool) or not isinstance(value, allowed):
-        raise TypeError(f"{key} must be a JSON {kind.__name__}, got {value!r}")
+    if (isinstance(value, bool) != (kind is bool) or not isinstance(value, allowed)
+            or kind is float and not abs(value) <= sys.float_info.max):  # NaN fails too
+        finite = "finite " if kind is float else ""
+        raise TypeError(f"{key} must be a {finite}JSON {kind.__name__}, got {value!r}")
     return kind(value)
 
 

@@ -149,7 +149,7 @@ def robin_steklov_spectrum(forms: AssembledForms, c: float, k: int) -> SpectrumS
         raise PreconditionError(f"need 1 <= k <= {n_b} boundary dofs, got k={k}")
 
     fi = forms.factor_input
-    S, a_norm = _schur(fi, c, with_norm=True)
+    S, a_norm = _schur(fi, c)
     w, v = _dense_gevp(S, fi.B_bb, k)
     _check_residuals(S @ v, fi.B_bb @ v, w, v, a_norm, fi.B_bb_norm1, "dense")
     return SpectrumSlice(c=c, eigenvalues=w, eigenvectors=v)
@@ -186,22 +186,21 @@ def _schur_complement(fi, c, A_bb) -> np.ndarray:
     return _symmetrized(A_bb - W.T @ W)
 
 
-def _schur(fi, c, with_norm=False):
-    """Dense S(c): by banded Cholesky of A_ii up to DENSE_LIMIT boundary
-    dofs, by multifrontal Cholesky above; with_norm adds ||A_bb||_1."""
+def _schur(fi, c):
+    """Dense S(c) and ||A_bb||_1: by banded Cholesky of A_ii up to
+    DENSE_LIMIT boundary dofs, by multifrontal Cholesky above."""
     if len(fi.boundary_dofs) > DENSE_LIMIT:
-        return _multifrontal_schur(fi, c, with_norm)
+        return _multifrontal_schur(fi, c)
     A_bb = fi.boundary(c)
-    S = _schur_complement(fi, c, A_bb)
-    return (S, _norm1(A_bb)) if with_norm else S
+    return _schur_complement(fi, c, A_bb), _norm1(A_bb)
 
 
-def _multifrontal_schur(fi, c, with_norm=False):
-    """Dense S(c), and ||A_bb||_1 if with_norm: in postorder, each front
-    gathers A, adds its children's contributions and factors its pivot
-    block L L' (dpotrf, A_ii is positive definite for c >= 0); with W =
-    A_21 L^-T, A_22 - W W' goes to the parent on its interior columns, and
-    straight into S on the boundary block, built last in A_bb's buffer."""
+def _multifrontal_schur(fi, c):
+    """Dense S(c) and ||A_bb||_1: in postorder, each front gathers A, adds
+    its children's contributions and factors its pivot block L L' (dpotrf,
+    A_ii is positive definite for c >= 0); with W = A_21 L^-T, A_22 - W W'
+    goes to the parent on its interior columns, and straight into S on the
+    boundary block, built last in A_bb's buffer."""
     n_b = len(fi.boundary_dofs)
     lower = np.zeros(n_b * n_b)  # of S - A_bb, in Fortran order
     blocks = {}
@@ -222,10 +221,10 @@ def _multifrontal_schur(fi, c, with_norm=False):
             lower[front.boundary] -= blas.dsyrk(1.0, W[n_inner:], lower=1).ravel("F")
     lower = lower.reshape((n_b, n_b), order="F")
     S = fi.boundary(c)
-    a_norm = _norm1(S) if with_norm else None
+    a_norm = _norm1(S)
     S += lower
     S += np.tril(lower, -1).T
-    return (S, a_norm) if with_norm else S
+    return S, a_norm
 
 
 def _check_residuals(Av, Bv, w, v, a_norm, b_norm, path) -> None:
@@ -280,7 +279,7 @@ def _inertia(fi, c, lam):
         pivots = np.abs(d)
         if pivots.min() > PIVOT_RTOL * pivots.max():
             return int(np.count_nonzero(d < 0)), lu
-    S = _schur(fi, c) - lam * fi.B_bb
+    S = _schur(fi, c)[0] - lam * fi.B_bb
     _, d, _ = la.ldl(S)
     # d is block diagonal with 1x1 and 2x2 blocks, hence tridiagonal
     return int(np.count_nonzero(la.eigvalsh_tridiagonal(np.diag(d), np.diag(d, 1)) < 0)), lu

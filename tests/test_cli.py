@@ -618,11 +618,64 @@ class TestConfigHandling:
         assert "finite" in payload["detail"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
+    @pytest.mark.parametrize("field", ["H2", "cutoff", "entry", "L", "vertex", "t_star"])
+    def test_non_finite_number_in_input_file_rejected(self, disk_model_path, tmp_path, capsys,
+                                                      field, literal):
+        # the JSON reader accepts NaN and Infinity and reads 1e400 as infinity;
+        # each must fail as a mistyped value of the model, mesh or records
+        # file, not as a later precondition or a silent empty answer
+        mark = -1234.5  # stands for the literal in the written file
+        docs = {
+            "H2": dict(DISK_TORUS_DOC, H2=mark),
+            "cutoff": dict(DISK_TORUS_DOC, factor={"flat_torus": dict(
+                DISK_TORUS_DOC["factor"]["flat_torus"], cutoff=mark)}),
+            "entry": dict(DISK_TORUS_DOC, factor={"dim": 2, "entries": [[0, 1], [mark, 4]],
+                                                  "cutoff": 20}),
+            "L": dict(INTERVAL_DOC, boundary={"builtin": "interval", "n": 100, "L": mark}),
+            "vertex": {"dim": 2, "vertices": [[0, 0], [mark, 0], [0, 1]], "cells": [[0, 1, 2]]},
+            "t_star": [{"t_star": mark, "crossings": [[1, 0, 1]], "nullity": 1}],
+        }
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(docs[field]).replace(str(mark), literal))
+        out = ["--out-json", str(tmp_path / "i.json"), "--out-csv", str(tmp_path / "i.csv")]
+        argv = {"vertex": ["steklov", "--mesh", str(path), "--out", str(tmp_path / "s.csv")],
+                "t_star": ["certify", "--model", disk_model_path, "--instants", str(path)] + out}
+        assert cli.main(argv.get(field, ["instants", "--model", str(path)] + out)) == 1
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == ("invalid_mesh" if field == "vertex" else "bad_config")
+        assert "finite" in payload["detail"]
+        assert not any(tmp_path.glob("[is].*"))
+
+    @pytest.mark.parametrize("command", ["certify", "report"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_epsilon_rejected(self, disk_model_path, tmp_path, capsys, command,
+                                         value):
+        # NaN and inf pass a bare epsilon <= 0 test; refused before any solve
+        records = tmp_path / "records.json"
+        records.write_text("[]")
+        where = {"certify": ["--instants", str(records)], "report": ["--out", str(tmp_path)]}
+        status = cli.main([command, "--model", disk_model_path, f"--epsilon={value}"]
+                          + where[command])
+        assert status == 1
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "bad_config"
+        assert "epsilon must be finite" in payload["detail"]
+
+    def test_non_finite_interval_length_rejected(self, tmp_path, capsys):
+        status = cli.main(["steklov", "--mesh", "builtin:interval:10:nan", "-k", "1",
+                           "--out", str(tmp_path / "s.csv")])
+        assert status == 1
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "precondition"
+        assert "finite L" in payload["detail"]
+
     def test_numerical_failures_exit_two(self, disk_model_path, capsys, monkeypatch):
         def boom(cfg):
             raise EigensolverError("synthetic non-convergence")
 
-        monkeypatch.setattr(cli, "cmd_instants", boom)
+        command_help, _, flags = cli.COMMANDS["instants"]
+        monkeypatch.setitem(cli.COMMANDS, "instants", (command_help, boom, flags))
         status = cli.main(
             ["instants", "--model", disk_model_path, "--t-min", "0.5", "--t-max", "1.0"]
         )

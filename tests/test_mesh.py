@@ -105,7 +105,8 @@ class TestGenerateInterval:
         mesh = generate_interval(5, 2.0)
         assert mesh.boundary_measure() == 2.0
 
-    @pytest.mark.parametrize("n,L", [(0, 1.0), (3, 0.0), (3, -1.0)])
+    @pytest.mark.parametrize("n,L", [(0, 1.0), (3, 0.0), (3, -1.0), (3, float("nan")),
+                                     (3, float("inf"))])
     def test_bad_arguments_rejected(self, n, L):
         with pytest.raises(PreconditionError):
             generate_interval(n, L)

@@ -161,14 +161,14 @@ class TestMultifrontalSlice:
 
     @pytest.mark.parametrize("name", ["disk2", "disk3", "disk4", "disk5", "jittered", "delaunay"])
     @pytest.mark.parametrize("c", [0.0, 3.0, 100.0])
-    def test_trailing_block_equals_banded_schur_complement(self, disk, fuzz_meshes, name, c,
-                                                           monkeypatch):
+    def test_multifrontal_schur_equals_banded_schur_complement(self, disk, fuzz_meshes, name,
+                                                               c, monkeypatch):
         forms = disk(int(name[-1]))[1] if name.startswith("disk") else fuzz_meshes[name][1]
         fi = forms.factor_input
         monkeypatch.setattr(spectral, "DENSE_LIMIT", 10**9)
-        band = spectral._schur(fi, c)
+        band, _ = spectral._schur(fi, c)
         monkeypatch.setattr(spectral, "DENSE_LIMIT", 0)
-        multifrontal = spectral._schur(fi, c)
+        multifrontal, _ = spectral._schur(fi, c)
         assert np.abs(multifrontal - band).max() <= 1e-12 * np.abs(band).max()
 
     @pytest.mark.parametrize("name", ["disk2", "disk3", "disk4", "disk5", "jittered", "delaunay"])
@@ -181,7 +181,7 @@ class TestMultifrontalSlice:
         monkeypatch.setattr(fem, "DISSECTION_LEAF", 4)
         fi = fem.FactorInput(forms.K, forms.M, forms.B, forms.boundary_dofs)
         band = spectral._schur_complement(fi, c, fi.boundary(c))
-        multifrontal = spectral._multifrontal_schur(fi, c)
+        multifrontal, _ = spectral._multifrontal_schur(fi, c)
         assert np.abs(multifrontal - band).max() <= 1e-12 * np.abs(band).max()
         if name == "delaunay":
             assert max(len(front.children) for front in fi.fronts) == 3
@@ -190,7 +190,7 @@ class TestMultifrontalSlice:
         _, forms = interval(1, 1.0)
         fi = forms.factor_input
         assert fi.fronts == ()
-        assert np.array_equal(spectral._multifrontal_schur(fi, 2.0), fi.boundary(2.0))
+        assert np.array_equal(spectral._multifrontal_schur(fi, 2.0)[0], fi.boundary(2.0))
 
     def test_repeat_calls_are_bit_identical(self, disk):
         _, forms = disk(5)
@@ -272,14 +272,15 @@ class TestResidualChecks:
         with pytest.raises(EigensolverError, match="dense eigenpair residual"):
             robin_steklov_spectrum(forms, 1.0, 5)
 
-    def test_trailing_path_rejects_pairs_of_a_wrong_schur_complement(self, disk, monkeypatch):
+    def test_multifrontal_path_rejects_pairs_of_a_wrong_schur_complement(self, disk,
+                                                                         monkeypatch):
         # pairs of S(c) one part in 10^4 off in c, checked against S(c)
         _, forms = disk(2)
         fi = forms.factor_input
         dense_gevp = spectral._dense_gevp
         monkeypatch.setattr(spectral, "DENSE_LIMIT", 0)
-        monkeypatch.setattr(spectral, "_dense_gevp",
-                            lambda a, b, k: dense_gevp(spectral._schur(fi, 1.0 + 1e-4), b, k))
+        wrong, _ = spectral._schur(fi, 1.0 + 1e-4)
+        monkeypatch.setattr(spectral, "_dense_gevp", lambda a, b, k: dense_gevp(wrong, b, k))
         with pytest.raises(EigensolverError, match="dense eigenpair residual"):
             robin_steklov_spectrum(forms, 1.0, 5)
 
@@ -367,8 +368,8 @@ class TestCountBelow:
         for c, lam in [(0.0, 0.5), (0.0, 2.5), (3.0, 1.7), (20.0, 6.0)]:
             assert count_below(forms, c, lam) == _eigen_count(forms, c, lam)
 
-    def test_superlu_failure_above_dense_limit_reads_the_trailing_block(self, disk,
-                                                                        monkeypatch):
+    def test_superlu_failure_above_dense_limit_reads_the_multifrontal_schur(self, disk,
+                                                                            monkeypatch):
         # disk L5, n_b = 256: the fallback's S comes from the multifrontal
         # Cholesky, neither from the band of A_ii nor from a second SuperLU
         _, forms = disk(5)
@@ -433,7 +434,7 @@ class TestFactorizationBudget:
             monkeypatch.setattr(module, name, counted)
         return calls
 
-    def test_trailing_slice_factors_once(self, splu_calls, monkeypatch):
+    def test_multifrontal_slice_factors_once(self, splu_calls, monkeypatch):
         # one dpotrf per front, each interior dof a pivot once: no SuperLU,
         # no incomplete factorization, no band and no ARPACK, the tree too
         forms = assemble(generate_disk(3))
@@ -458,7 +459,7 @@ class TestFactorizationBudget:
         assert isinstance(splu_calls[0][1], np.ndarray)
 
     def test_multifrontal_slice_builds_no_band(self, splu_calls, monkeypatch):
-        # only the dense path factors the band of A_ii
+        # only the band path factors the band of A_ii
         forms = assemble(generate_disk(3))
         monkeypatch.setattr(spectral, "DENSE_LIMIT", 0)
         robin_steklov_spectrum(forms, 1.0, 4)
@@ -489,7 +490,7 @@ class TestFactorizationBudget:
         assert len(dissections) == 1
 
     @pytest.mark.parametrize("name", ["disk3", "jittered", "delaunay", "interval50"])
-    def test_boundary_last_order(self, disk, interval, fuzz_meshes, name, monkeypatch):
+    def test_dissection_tree(self, disk, interval, fuzz_meshes, name, monkeypatch):
         # the tree pivots on every interior dof once, in postorder, and on no
         # boundary dof; a node's update set holds the later dofs next to its
         # subtree, boundary ones last; no edge joins two sibling subtrees
@@ -529,7 +530,7 @@ class TestFactorizationBudget:
             children = {j for front in fronts for j in front.children}
             apart([subtree[k] for k in range(len(fronts)) if k not in children])
 
-    def test_no_boundary_last_order_at_or_below_dense_limit(self, monkeypatch):
+    def test_no_dissection_tree_at_or_below_dense_limit(self, monkeypatch):
         # slices, counts and extensions on disk L3 (n_b = 64) never build the
         # nested-dissection tree
         monkeypatch.setattr(fem, "nested_dissection", lambda g: pytest.fail("ordered"))
@@ -649,7 +650,7 @@ class TestEigenCurves:
         with pytest.raises(PreconditionError, match="branch positions"):
             trace_eigencurves(forms, 1.0, j_list, [1.0])
 
-    @pytest.mark.parametrize("dense_limit", [10**9, 0], ids=["dense", "shift-invert"])
+    @pytest.mark.parametrize("dense_limit", [10**9, 0], ids=["band", "multifrontal"])
     def test_grouped_branches_equal_single_slices(self, disk, dense_limit, monkeypatch):
         # one slice per t serves every branch; each must agree with the slice
         # sized for that branch alone
