@@ -24,7 +24,6 @@ from .spectral import (
     EigenCurve,
     SpectrumSlice,
     robin_steklov_spectrum,
-    solve_dense_gevp,
     steklov_spectrum,
     trace_eigencurves,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "refine_uniform",
     "robin_steklov_spectrum",
     "scale_metric_forms",
-    "solve_dense_gevp",
     "steklov_spectrum",
     "trace_eigencurves",
     "validate",

@@ -20,8 +20,8 @@ from . import bifurcation as bif
 from . import oracle, product, spectral
 from .errors import ConfigError, NumericalError, SteklovBifError
 from .fem import assemble
-from .mesh import generate_disk, generate_interval, load_mesh
-from .serialize import read_json_object
+from .mesh import mesh_from_dict
+from .serialize import read_json_object, typed
 
 
 @dataclass
@@ -67,43 +67,39 @@ class RunConfig:
         return self
 
 
-_FIELD_TYPES = {f.name: f.type.split(" | ") for f in fields(RunConfig)}
-_JSON_TYPES = {"str": str, "int": int, "float": (int, float), "bool": bool, "tuple": list,
-               "None": type(None)}
-
-
-def _is(value, kind):
-    # bool, an int to isinstance, passes only as bool
-    return isinstance(value, _JSON_TYPES[kind]) and (kind == "bool") == isinstance(value, bool)
+# field: the JSON type of its values (a list for a tuple) and whether it takes null
+_FIELD_TYPES = {f.name: ({"str": str, "int": int, "float": float, "bool": bool,
+                          "tuple": list}[f.type.split(" | ")[0]], f.type.endswith(" | None"))
+                for f in fields(RunConfig)}
 
 
 def _config_value(key, value, path):
-    """The value of config key, checked against the annotation of its field."""
-    if key not in _FIELD_TYPES:
-        raise ConfigError(f"unknown config key {key!r} in {path}")
-    if not any(_is(value, kind) for kind in _FIELD_TYPES[key]) or (
-        isinstance(value, list) and not all(_is(v, "int") for v in value)
-    ):
-        raise ConfigError(f"config key {key!r} in {path} must be "
-                          f"{' | '.join(_FIELD_TYPES[key])}, got {value!r}")
-    return tuple(value) if isinstance(value, list) else value
+    """The value of config key, checked by the type rule of every input file."""
+    kind, nullable = _FIELD_TYPES[key]
+    if value is None and nullable:
+        return None
+    name = f"config key {key!r} in {path}"
+    try:
+        value = typed(value, kind, name)
+        return tuple(typed(v, int, f"an entry of {name}") for v in value) if kind is list else value
+    except TypeError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _mesh_from_spec(spec: str):
-    if spec.startswith("builtin:"):
-        parts = spec.split(":")
-        try:
-            if parts[1] == "disk" and len(parts) == 3:
-                return generate_disk(int(parts[2]))
-            if parts[1] == "interval" and len(parts) == 4:
-                return generate_interval(int(parts[2]), float(parts[3]))
-        except ValueError as exc:
-            raise ConfigError(f"malformed builtin mesh {spec!r}: {exc}") from exc
-        raise ConfigError(
-            f"unrecognized builtin mesh {spec!r}; expected builtin:disk:<level> "
-            "or builtin:interval:<n>:<L>"
-        )
-    return load_mesh(spec)
+    """The mesh of --mesh: builtin:disk:<level>, builtin:interval:<n>:<L> or a mesh file."""
+    if not spec.startswith("builtin:"):
+        return mesh_from_dict({"path": spec})
+    parts = spec.split(":")
+    try:
+        if parts[1] == "disk" and len(parts) == 3:
+            return mesh_from_dict({"builtin": "disk", "level": int(parts[2])})
+        if parts[1] == "interval" and len(parts) == 4:
+            return mesh_from_dict({"builtin": "interval", "n": int(parts[2]), "L": float(parts[3])})
+    except ValueError as exc:
+        raise ConfigError(f"malformed builtin mesh {spec!r}: {exc}") from exc
+    raise ConfigError(f"unrecognized builtin mesh {spec!r}; expected builtin:disk:<level> "
+                      "or builtin:interval:<n>:<L>")
 
 
 def _load_model(cfg: RunConfig, *, needs_disk: bool = False):
@@ -240,17 +236,17 @@ def cmd_report(cfg: RunConfig) -> list[str]:
     return [str(report_path)]
 
 
-# command: its help, its handler, and its flags after --config and --model
+# command: its help, its handler, and after --config the flags of all it reads
 COMMANDS = {
     "steklov": ("Steklov spectrum of one mesh", cmd_steklov, ("--mesh", "-k", "--out")),
     "eigencurve": ("sample branches over a t grid", cmd_eigencurve,
-                   ("--i", "--j", "--t-min", "--t-max", "--t-steps", "--out")),
+                   ("--model", "--i", "--j", "--t-min", "--t-max", "--t-steps", "--out")),
     "instants": ("enumerate degeneracy instants", cmd_instants,
-                 ("--t-min", "--t-max", "--oracle", "--out-json", "--out-csv")),
+                 ("--model", "--t-min", "--t-max", "--oracle", "--out-json", "--out-csv")),
     "certify": ("certify instants from a records file", cmd_certify,
-                ("--instants", "--epsilon", "--out-json", "--out-csv")),
+                ("--model", "--instants", "--epsilon", "--out-json", "--out-csv")),
     "report": ("summary report: instants, indices, oracle deltas", cmd_report,
-               ("--t-min", "--t-max", "--epsilon", "--oracle", "--out")),
+               ("--model", "--t-min", "--t-max", "--epsilon", "--oracle", "--out")),
 }
 
 # flag: the RunConfig field it sets, whose annotation gives its type, and its help
@@ -300,11 +296,11 @@ def build_parser() -> argparse.ArgumentParser:
     for command, (command_help, _, flags) in COMMANDS.items():
         p = sub.add_parser(command, help=command_help)
         p.add_argument("--config", help="JSON run config; flags override its fields")
-        for flag in ("--model",) + flags:
+        for flag in flags:
             field, flag_help = _FLAGS[flag]
-            kind = _FIELD_TYPES[field][0]  # the annotation's type, before any "| None"
-            how = (dict(action="store_true", default=None) if kind == "bool" else
-                   dict(type={"float": float, "int": int, "str": str, "tuple": _int_list}[kind]))
+            kind = _FIELD_TYPES[field][0]
+            how = (dict(action="store_true", default=None) if kind is bool else
+                   dict(type=_int_list if kind is list else kind))
             p.add_argument(flag, dest=field, help=flag_help, **how)
     return parser
 
@@ -313,7 +309,11 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(command=args.command)
     if getattr(args, "config", None):
         path = Path(args.config)
+        read = {_FLAGS[flag][0] for flag in COMMANDS[args.command][2]}
         for key, value in read_json_object(path, "config file").items():
+            if key not in read:
+                raise ConfigError(f"unknown config key {key!r} for command {args.command!r} "
+                                  f"in {path}")
             setattr(cfg, key, _config_value(key, value, path))
     for key, value in vars(args).items():
         if key not in ("command", "config") and value is not None:

@@ -13,13 +13,15 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from .errors import InvalidMeshError, PreconditionError
+from .errors import ConfigError, InvalidMeshError, PreconditionError
 from .serialize import read_json_object, typed, typed_rows
 
 
@@ -40,28 +42,18 @@ class Mesh:
     dim: int
     vertices: np.ndarray
     cells: np.ndarray
-    boundary_facets: np.ndarray = field(default=None)
-    boundary_vertex_ids: np.ndarray = field(default=None)
 
     def __post_init__(self):
         object.__setattr__(self, "vertices", np.asarray(self.vertices, dtype=float))
         object.__setattr__(self, "cells", np.asarray(self.cells, dtype=np.int64))
-        if self.boundary_facets is None:
-            facets = extract_boundary_facets(self.cells, self.dim)
-            object.__setattr__(self, "boundary_facets", facets)
-        else:
-            object.__setattr__(
-                self, "boundary_facets", np.asarray(self.boundary_facets, dtype=np.int64)
-            )
-        if self.boundary_vertex_ids is None:
-            ids = np.unique(self.boundary_facets)
-            object.__setattr__(self, "boundary_vertex_ids", ids)
-        else:
-            object.__setattr__(
-                self,
-                "boundary_vertex_ids",
-                np.asarray(self.boundary_vertex_ids, dtype=np.int64),
-            )
+
+    @cached_property
+    def boundary_facets(self) -> np.ndarray:
+        return extract_boundary_facets(self.cells, self.dim)
+
+    @cached_property
+    def boundary_vertex_ids(self) -> np.ndarray:
+        return np.unique(self.boundary_facets)
 
     @property
     def n_vertices(self) -> int:
@@ -77,11 +69,10 @@ class Mesh:
 
     def facet_measures(self) -> np.ndarray:
         """Measures of the boundary facets; counting measure 1 in dimension 0."""
-        if self.dim == 1:
-            return np.ones(len(self.boundary_facets))
-        return np.array(
-            [simplex_measure(self.vertices[f]) for f in self.boundary_facets]
-        )
+        e = self.vertices[self.boundary_facets]
+        e = e[:, 1:] - e[:, :1]
+        gram = e @ np.swapaxes(e, 1, 2)  # empty in dimension 1, of determinant 1
+        return np.sqrt(np.maximum(np.linalg.det(gram), 0.0)) / math.factorial(self.dim - 1)
 
     def interior_measure(self) -> float:
         return float(self.cell_volumes().sum())
@@ -168,13 +159,15 @@ def generate_disk(refinement_level: int) -> Mesh:
 
 def project_boundary_to_unit_circle(mesh: Mesh) -> Mesh:
     """Radially project boundary vertices of a planar mesh onto the unit
-    circle; the topology, boundary included, is kept."""
+    circle; the cells are kept."""
     vertices = mesh.vertices.copy()
     ids = mesh.boundary_vertex_ids
     norms = np.linalg.norm(vertices[ids], axis=1)
     vertices[ids] = vertices[ids] / norms[:, None]
-    return Mesh(dim=mesh.dim, vertices=vertices, cells=mesh.cells,
-                boundary_facets=mesh.boundary_facets, boundary_vertex_ids=ids)
+    projected = Mesh(dim=mesh.dim, vertices=vertices, cells=mesh.cells)
+    # the same cells: their boundary, already derived, is not derived again
+    vars(projected).update(boundary_facets=mesh.boundary_facets, boundary_vertex_ids=ids)
+    return projected
 
 
 def refine_uniform(mesh: Mesh) -> Mesh:
@@ -234,15 +227,6 @@ def validate(mesh: Mesh) -> list[str]:
     vols = mesh.cell_volumes()
     for idx in np.nonzero(vols <= 0)[0]:
         report.append(f"degenerate cell {int(idx)}: non-positive volume {vols[idx]:.3e}")
-
-    computed = extract_boundary_facets(mesh.cells, mesh.dim)
-    if not _same_facets(mesh.boundary_facets, computed):
-        report.append(
-            "boundary mismatch: stored facets differ from facets incident to one cell"
-        )
-    ids = np.unique(mesh.boundary_facets) if len(mesh.boundary_facets) else np.array([], dtype=np.int64)
-    if not np.array_equal(np.asarray(mesh.boundary_vertex_ids), ids):
-        report.append("boundary_vertex_ids differ from union of boundary facet vertices")
 
     if mesh.n_cells and not _is_connected(mesh):
         report.append("mesh is not connected")
@@ -314,3 +298,20 @@ def load_mesh(path) -> Mesh:
     if report:
         raise InvalidMeshError(report)
     return mesh
+
+
+def mesh_from_dict(doc: dict, base_dir=".") -> Mesh:
+    """The mesh of a boundary description: ``{"path": <mesh file>}``, relative
+    to base_dir, ``{"builtin": "disk", "level": 4}`` or ``{"builtin":
+    "interval", "n": 100, "L": 1.0}``, the values shown being the defaults."""
+    try:
+        if "path" in doc:
+            return load_mesh(Path(base_dir) / doc["path"])
+        if doc.get("builtin") == "disk":
+            return generate_disk(typed(doc.get("level", 4), int, "level"))
+        if doc.get("builtin") == "interval":
+            return generate_interval(typed(doc.get("n", 100), int, "n"),
+                                     typed(doc.get("L", 1.0), float, "L"))
+    except TypeError as exc:
+        raise ConfigError(f"boundary description has a mistyped value: {exc}") from exc
+    raise ConfigError(f"unrecognized boundary description {doc}")

@@ -35,7 +35,7 @@ from .errors import (
 )
 from .factors import ClosedFactorSpectrum, flat_torus_spectrum, load_spectrum, spectrum_from_dict
 from .fem import AssembledForms, assemble
-from .mesh import Mesh, generate_disk, generate_interval, load_mesh
+from .mesh import Mesh, mesh_from_dict
 from .serialize import read_json_object, typed, typed_rows
 from .spectral import BRACKET_RTOL, count_below, level_crossings
 
@@ -270,21 +270,11 @@ def model_from_dict(doc: dict, base_dir=None) -> ProductModel:
                                          typed(ft["cutoff"], float, "cutoff"))
         else:
             factor = spectrum_from_dict(factor_doc)
-
-        if "path" in boundary_doc:
-            mesh = load_mesh(base / boundary_doc["path"])
-        elif boundary_doc.get("builtin") == "disk":
-            mesh = generate_disk(typed(boundary_doc.get("level", 4), int, "level"))
-        elif boundary_doc.get("builtin") == "interval":
-            mesh = generate_interval(typed(boundary_doc.get("n", 100), int, "n"),
-                                     typed(boundary_doc.get("L", 1.0), float, "L"))
-        else:
-            raise ConfigError(f"unrecognized boundary description {boundary_doc}")
     except KeyError as exc:
-        raise ConfigError(f"model description's factor or boundary misses key {exc}") from exc
+        raise ConfigError(f"model description's factor misses key {exc}") from exc
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"model description's factor or boundary has a mistyped value: "
-                          f"{exc}") from exc
+        raise ConfigError(f"model description's factor has a mistyped value: {exc}") from exc
+    mesh = mesh_from_dict(boundary_doc, base)
 
     return ProductModel(
         factor=factor,

@@ -44,8 +44,9 @@ order and tree built before, LAPACK called directly:
 
 So the tie sits at about 96 boundary dofs (64 while scipy's wrappers
 formed each band slice).  DENSE_LIMIT is 128, above it, so that disks up
-to level 4, the headline report's among them, keep the band and their
-answers to the last bit.  At L6 the band path holds a dense n_i x n_b
+to level 4 keep the band and their answers to the last bit.  The report
+forms no slice: at L4 only slices and the counts that fall back to S(c)
+reach the band route.  At L6 the band path holds a dense n_i x n_b
 block (63 MB) and the band of A_ii (31 MB); the tree, built once per
 forms, takes 0.16 s and 10 MB.
 """
@@ -111,27 +112,6 @@ def _dense_gevp(a: np.ndarray, b: np.ndarray, k: int) -> tuple[np.ndarray, np.nd
         raise EigensolverError(f"dense generalized eigensolver failed: LAPACK info {info}, "
                                f"{m} of {k} pairs")
     return w[:k], v
-
-
-def solve_dense_gevp(a, b, k: int):
-    """k smallest eigenpairs of a u = rho b u for symmetric square arrays a, b,
-    b positive definite on its span.
-
-    Vectors are b-orthonormal.  Residuals are verified by the rule of the
-    pencil slices (``_check_residuals``); failures raise with the norms.
-    """
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    for x in (a, b):
-        if x.ndim != 2 or x.shape != a.shape or a.shape[0] != a.shape[1]:
-            raise PreconditionError("solve_dense_gevp needs two square matrices of one size")
-        if not np.allclose(x, x.T, rtol=1e-12, atol=1e-12):
-            raise PreconditionError("solve_dense_gevp needs symmetric matrices")
-    n = a.shape[0]
-    if k < 1 or k > n:
-        raise PreconditionError(f"need 1 <= k <= {n}, got {k}")
-    w, v = _dense_gevp(a, b, k)
-    _check_residuals(a @ v, b @ v, w, v, _norm1(a), _norm1(b), "dense")
-    return w, v
 
 
 def robin_steklov_spectrum(forms: AssembledForms, c: float, k: int) -> SpectrumSlice:

@@ -81,6 +81,14 @@ class TestSteklovCommand:
         assert payload["error"] == "bad_config"
 
 
+    def test_model_flag_is_not_parsed(self, capsys):
+        # steklov reads no model
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["steklov", "--mesh", "builtin:disk:1", "--model", "model.json"])
+        assert exc.value.code == 2
+        assert "--model" in capsys.readouterr().err
+
+
 class TestEigencurveCommand:
     def test_constant_curve_for_i_zero(self, disk_model_path, tmp_path):
         out = tmp_path / "curves.csv"
@@ -474,30 +482,76 @@ class TestConfigHandling:
         assert not (tmp_path / "instants.json").exists()
 
     @pytest.mark.parametrize(
-        "config,detail",
+        "command,config,detail",
         [
-            ('{"t_min": 0.5,', "not valid JSON"),
-            ("[1]", "must hold a JSON object"),
-            ('{"t_min": "0.1"}', "'t_min'"),
-            ('{"t_steps": 2.5}', "'t_steps'"),
-            ('{"oracle_check": "no"}', "'oracle_check'"),
-            ('{"j_list": [0, "1"]}', "'j_list'"),
+            ("instants", '{"t_min": 0.5,', "not valid JSON"),
+            ("instants", "[1]", "must hold a JSON object"),
+            ("instants", '{"t_min": "0.1"}', "'t_min'"),
+            ("eigencurve", '{"t_steps": 2.5}', "'t_steps'"),
+            ("instants", '{"oracle_check": "no"}', "'oracle_check'"),
+            ("eigencurve", '{"j_list": [0, "1"]}', "'j_list'"),
         ],
         ids=["malformed-json", "not-an-object", "string-float", "float-int", "string-bool",
              "string-index"],
     )
-    def test_malformed_config_rejected(self, disk_model_path, tmp_path, capsys, config,
+    def test_malformed_config_rejected(self, disk_model_path, tmp_path, capsys, command, config,
                                        detail):
+        # each on a command that reads the key
         cfg = tmp_path / "run.json"
         cfg.write_text(config)
-        out_json = tmp_path / "instants.json"
-        status = cli.main(["instants", "--config", str(cfg), "--model", disk_model_path,
-                           "--out-json", str(out_json), "--out-csv", str(tmp_path / "i.csv")])
+        out = tmp_path / "out"
+        outs = {"instants": ["--out-json", str(out), "--out-csv", str(tmp_path / "i.csv")],
+                "eigencurve": ["--out", str(out)]}
+        status = cli.main([command, "--config", str(cfg), "--model", disk_model_path]
+                          + outs[command])
         assert status == 1
         payload = json.loads(capsys.readouterr().err)
         assert payload["error"] == "bad_config"
         assert detail in payload["detail"]
-        assert not out_json.exists()
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,key", [
+        ("steklov", "model_path"), ("eigencurve", "out_json"), ("instants", "epsilon"),
+        ("certify", "t_min"), ("report", "out_json"),
+    ] + [(command, "command") for command in cli.COMMANDS])
+    def test_config_key_the_command_does_not_read_rejected(self, disk_model_path, tmp_path,
+                                                           capsys, monkeypatch, command, key):
+        # a config holds only its command's parameters: a field of another
+        # command is refused like a misspelt key, before anything is written
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "records.json").write_text("[]")
+        value = {"model_path": disk_model_path, "out_json": "x.json", "epsilon": 0.1,
+                 "t_min": 0.5, "command": "report"}[key]
+        (tmp_path / "run.json").write_text(json.dumps({key: value}))
+        args = {"steklov": ["--mesh", "builtin:disk:1"],
+                "certify": ["--model", disk_model_path, "--instants", "records.json"]}
+        assert cli.main([command, "--config", "run.json"]
+                        + args.get(command, ["--model", disk_model_path])) == 1
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "bad_config"
+        assert f"unknown config key {key!r} for command {command!r}" in payload["detail"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json", "records.json",
+                                                               "run.json"]
+
+    def test_config_sets_what_the_flags_set(self, disk_model_path, tmp_path):
+        flags = ["--model", disk_model_path, "--i", "1,2", "--j", "0,1", "--t-min", "0.5",
+                 "--t-max", "2", "--t-steps", "3", "--out", str(tmp_path / "flags.csv")]
+        assert cli.main(["eigencurve"] + flags) == 0
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"model_path": disk_model_path, "i_list": [1, 2],
+                                   "j_list": [0, 1], "t_min": 0.5, "t_max": 2, "t_steps": 3,
+                                   "out": str(tmp_path / "config.csv")}))
+        assert cli.main(["eigencurve", "--config", str(cfg)]) == 0
+        assert (tmp_path / "config.csv").read_bytes() == (tmp_path / "flags.csv").read_bytes()
+
+    def test_null_leaves_a_field_at_its_default(self, disk_model_path, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "records.json").write_text("[]")
+        (tmp_path / "run.json").write_text(json.dumps({
+            "model_path": disk_model_path, "instants_path": "records.json", "epsilon": None,
+            "out_csv": None}))
+        assert cli.main(["certify", "--config", "run.json"]) == 0
+        assert (tmp_path / "certified.csv").exists()
 
     def test_malformed_model_rejected(self, tmp_path, capsys):
         model_path = tmp_path / "model.json"
@@ -667,8 +721,8 @@ class TestConfigHandling:
                            "--out", str(tmp_path / "s.csv")])
         assert status == 1
         payload = json.loads(capsys.readouterr().err)
-        assert payload["error"] == "precondition"
-        assert "finite L" in payload["detail"]
+        assert payload["error"] == "bad_config"
+        assert "L must be a finite JSON float" in payload["detail"]
 
     def test_numerical_failures_exit_two(self, disk_model_path, capsys, monkeypatch):
         def boom(cfg):

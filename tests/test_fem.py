@@ -64,9 +64,7 @@ class TestElementMatrices:
         )
         squashed = mesh.vertices.copy()
         squashed[3] = squashed[1]  # second triangle collapses
-        bad = Mesh(dim=2, vertices=squashed, cells=mesh.cells,
-                   boundary_facets=mesh.boundary_facets,
-                   boundary_vertex_ids=mesh.boundary_vertex_ids)
+        bad = Mesh(dim=2, vertices=squashed, cells=mesh.cells)
         with pytest.raises(AssemblyError, match="cell 1"):
             assemble(bad)
 

@@ -12,6 +12,7 @@ from steklovbif.mesh import (
     extract_boundary_facets,
     project_boundary_to_unit_circle,
     save_mesh,
+    simplex_measure,
 )
 
 
@@ -77,6 +78,17 @@ class TestBoundaryFacets:
         for c, dim in ((cells, 2), (tets, 3), (np.array([[0, 1], [1, 2]]), 1)):
             got = extract_boundary_facets(c, dim)
             assert np.array_equal(got, _row_sorted_boundary(c, dim))
+
+    def test_mesh_derives_its_boundary_from_its_cells(self):
+        # a mesh holds no boundary of its own; its facet measures are the
+        # Gram-determinant measures of each facet
+        tets = np.array([[0, 1, 2, 3], [1, 2, 3, 4]])
+        mesh = Mesh(dim=3, vertices=np.random.default_rng(3).uniform(size=(5, 3)), cells=tets)
+        facets = extract_boundary_facets(tets, 3)
+        assert np.array_equal(mesh.boundary_facets, facets)
+        assert np.array_equal(mesh.boundary_vertex_ids, np.unique(facets))
+        measures = [simplex_measure(mesh.vertices[f]) for f in facets]
+        assert np.array_equal(mesh.facet_measures(), measures)
 
     def test_key_overflow_rejected(self):
         with pytest.raises(PreconditionError, match="overflow"):
@@ -166,14 +178,6 @@ class TestValidate:
         assert any("degenerate cell" in line for line in report)
         mesh = Mesh(dim=2, vertices=[[0, 0], [1, 0], [0, 1]], cells=[[0, 1, 2], [2, 0, 2]])
         assert "degenerate cell 1: repeated vertex index" in validate(mesh)
-
-    def test_interior_facet_as_boundary_reported(self):
-        base = generate_disk(0)
-        # declare an interior edge (center to rim) as boundary
-        bogus = np.vstack([base.boundary_facets, [[0, 1]]])
-        mesh = Mesh(dim=2, vertices=base.vertices, cells=base.cells, boundary_facets=bogus)
-        report = validate(mesh)
-        assert any("boundary mismatch" in line for line in report)
 
     def test_negative_orientation_reported(self):
         mesh = Mesh(dim=2, vertices=[[0, 0], [1, 0], [0, 1]], cells=[[0, 2, 1]])
