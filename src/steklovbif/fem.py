@@ -10,13 +10,13 @@ and exact element integration,
 All three are full symmetric scipy CSR matrices (both triangles stored,
 indices canonical), built straight from batched element matrices.  Every
 factorization of the pencil K + c M - lam B starts from one c-independent
-``FactorInput`` per forms, which builds each of two orders and one tree the
-first time a solve asks for it: a fill-reducing order for the full pencil,
-a bandwidth-reducing one of the interior dofs, in which A_ii is kept in
-LAPACK band storage and A_ib as a dense Fortran-order array, both scattered
-from cached positions, and the nested-dissection tree of the interior
-dofs, whose fronts a multifrontal Cholesky fills and factors.  A run pays
-only for what its solves use, and no factorization orders its matrix again.
+``FactorInput`` per forms, which builds one order and one tree of the
+interior dofs the first time a solve asks for it: a bandwidth-reducing
+order, in which A_ii is kept in LAPACK band storage and A_ib as a dense
+Fortran-order array, both scattered from cached positions, and the
+nested-dissection tree, whose fronts a multifrontal Cholesky fills and
+factors.  A run pays only for what its solves use, and no factorization
+orders its matrix again.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components, dijkstra, reverse_cuthill_mckee
 
 from .errors import AssemblyError, PreconditionError
@@ -37,26 +36,6 @@ from .mesh import Mesh
 # largest part that nested dissection leaves whole: on the disk L6 interior,
 # leaves of 32 give 12% less fill than 128 and take 2.5 times as long
 DISSECTION_LEAF = 128
-
-
-@dataclass(frozen=True, eq=False)
-class SharedPattern:
-    """K and M (and B) values on one CSC sparsity pattern: a pencil matrix
-    built from them is one pass over the value arrays."""
-
-    shape: tuple
-    indices: np.ndarray
-    indptr: np.ndarray
-    K: np.ndarray
-    M: np.ndarray
-    B: np.ndarray
-
-    def pencil(self, c: float, lam: float = 0.0) -> sp.csc_matrix:
-        """K + c M - lam B, in CSC."""
-        data = self.K + c * self.M
-        if lam:
-            data -= lam * self.B
-        return sp.csc_matrix((data, self.indices, self.indptr), shape=self.shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,10 +83,9 @@ class Front(NamedTuple):
 class FactorInput:
     """The c-independent input of every factorization of K + c M - lam B:
     the dense blocks K_bb, M_bb and B_bb, in the order of ``boundary_dofs``,
-    and two orders and a tree, each with the pencil in it, built on first use:
+    and one order and one tree of the interior dofs, each with the pencil in
+    it, built on first use:
 
-    * ``full``: all dofs in the COLAMD order (Davis, Gilbert, Larimore & Ng,
-      ACM TOMS 30, 2004) of the common pattern of K, M and B;
     * ``interior`` (A_ii, in upper band storage) and ``coupling`` (A_ib,
       dense), each a ``DensePattern`` scattered from cached positions: rows
       are the interior dofs in the reverse Cuthill-McKee order of their
@@ -142,26 +120,6 @@ class FactorInput:
     def _total(self) -> sp.csc_matrix:
         return sp.csc_matrix((sum(self._values), (self._rows, self._cols)), shape=(self.n,) * 2)
 
-    def _renumbered(self, order) -> SharedPattern:
-        """The pencil with dof order[k] at row and column k, in CSC."""
-        position = np.empty(self.n, dtype=np.int64)
-        position[order] = np.arange(self.n)
-        rows, cols = position[self._rows], position[self._cols]
-        at = np.lexsort((rows, cols))
-        indptr = np.zeros(self.n + 1, dtype=np.int32)
-        np.cumsum(np.bincount(cols, minlength=self.n), out=indptr[1:])
-        return SharedPattern((self.n, self.n), rows[at].astype(np.int32), indptr,
-                             *(v[at] for v in self._values))
-
-    @cached_property
-    def full(self) -> SharedPattern:
-        """SuperLU orders only inside a factorization, so the COLAMD order is
-        read off an incomplete one of K + M + B that drops every entry it
-        may: the same order as a full factorization, at a fraction of its
-        cost."""
-        return self._renumbered(np.argsort(spla.spilu(self._total, drop_tol=1.0,
-                                                      fill_factor=1).perm_c))
-
     @cached_property
     def fronts(self) -> tuple:
         """The ``Front`` of each node of the nested-dissection tree of the
@@ -173,11 +131,15 @@ class FactorInput:
         graph.data[:] = 1.0
         order, start, children = nested_dissection(graph)
         n_i, n_b = len(inner), len(self.boundary_dofs)
-        # renumbered by elimination, node k pivots on columns start[k]:start[k + 1]
+        # renumbered by elimination, node k pivots on columns start[k]:start[k + 1],
+        # and the pencil's entries sorted by column, then row
         dofs = np.concatenate([inner[order], self.boundary_dofs])
-        pattern = self._renumbered(dofs)
-        rows, ptr = pattern.indices, pattern.indptr
-        cols = np.repeat(np.arange(self.n), np.diff(ptr))
+        position = np.empty(self.n, dtype=np.int64)
+        position[dofs] = np.arange(self.n)
+        rows, cols = position[self._rows], position[self._cols]
+        at = np.lexsort((rows, cols))
+        rows, cols, K, M = rows[at], cols[at], self._values[0][at], self._values[1][at]
+        ptr = np.r_[0, np.cumsum(np.bincount(cols, minlength=self.n))]
         update, fronts = [], []
         for lo, hi, kids in zip(start[:-1], start[1:], children):
             at = slice(ptr[lo], ptr[hi])
@@ -193,7 +155,7 @@ class FactorInput:
             b = upd[n_inner:] - n_i
             update.append(upd)
             fronts.append(Front(
-                dofs[lo:hi], dofs[upd], n_inner, kids, pattern.K[at][low], pattern.M[at][low],
+                dofs[lo:hi], dofs[upd], n_inner, kids, K[at][low], M[at][low],
                 flat(r[low], col[low]),
                 tuple(flat(update[j], update[j][:fronts[j].n_inner, None]) for j in kids),
                 (b + n_b * b[:, None]).ravel().astype(np.int32)))

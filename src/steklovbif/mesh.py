@@ -107,7 +107,8 @@ def extract_boundary_facets(cells: np.ndarray, dim: int) -> np.ndarray:
     """Facets (dim-subsimplices) incident to exactly one cell, canonically sorted.
 
     Each sorted facet is one int64 key, its vertex ids as digits in a base
-    above every id, so key order is lexicographic row order.
+    above every id, so key order is lexicographic row order, and the rows
+    are decoded from the keys that occur once.
     """
     facets = np.sort(
         np.concatenate([np.delete(cells, drop, axis=1) for drop in range(dim + 1)]), axis=1
@@ -119,8 +120,12 @@ def extract_boundary_facets(cells: np.ndarray, dim: int) -> np.ndarray:
     keys = np.zeros(len(facets), dtype=np.int64)
     for column in facets.T:
         keys = keys * base + column
-    _, first, counts = np.unique(keys, return_index=True, return_counts=True)
-    return facets[first[counts == 1]]
+    keys, counts = np.unique(keys, return_counts=True)
+    keys = keys[counts == 1]
+    rows = np.empty((len(keys), dim), dtype=facets.dtype)
+    for j in reversed(range(dim)):
+        keys, rows[:, j] = np.divmod(keys, base)
+    return rows
 
 
 def generate_interval(n: int, L: float) -> Mesh:

@@ -85,19 +85,19 @@ class ProductModel:
         c_j* / rho_i.  Computed once per model, on first use, and proved:
         the number of c_j* above c is certain at every c farther than
         BRACKET_RTOL (relative) from each of them.  Two inertia counts at
-        c = 0, just below and just above Hhat, size the table; when they
-        differ, Hhat is a Steklov eigenvalue, whose branches are constant in
-        t, and the operator is degenerate for every t.  The solve's residual
-        bound proves each c_j*, and inertia counts beside it any group of
-        roots the bound cannot, such as a c_j* at rounding level when Hhat
-        lies just outside the window of a Steklov eigenvalue.
+        c = 0, just below and just above Hhat and from one S(0), size the
+        table; when they differ, Hhat is a Steklov eigenvalue, whose branches
+        are constant in t, and the operator is degenerate for every t.  The
+        solve's residual bound proves each c_j*, and inertia counts beside
+        it any group of roots the bound cannot, such as a c_j* at rounding
+        level when Hhat lies just outside the window of a Steklov eigenvalue.
         """
         hhat = self.Hhat
         if hhat <= 0:
             return ()
         forms = self.boundary_forms
-        below, above = (count_below(forms, 0.0, hhat * (1 + side * BRACKET_RTOL))
-                        for side in (-1, 1))
+        below, above = count_below(forms, 0.0, [hhat * (1 - BRACKET_RTOL),
+                                                hhat * (1 + BRACKET_RTOL)])
         if below != above:
             raise HhatIsSteklovEigenvalueError(
                 f"Hhat = {hhat:.12g} lies within relative {BRACKET_RTOL:g} of "

@@ -14,15 +14,18 @@ Cholesky A_ii = U'U (dpbtrf, in the reverse Cuthill-McKee order of the
 interior) and W = U^-T A_ib give S = A_bb - W'W.  Above it, a multifrontal
 Cholesky of A_ii on the nested-dissection tree of the interior (George
 1973; Liu, SIAM Review 34, 1992) never pivots on a boundary dof, and S is
-A_bb plus the fronts' boundary blocks.  ``count_below`` reads eigenvalue
-counts off the inertia of one sparse factorization.  The pencil is linear
-in c, so ``level_crossings`` takes every c at which a branch meets lam
-from one shift-invert Lanczos solve of (lam B - K) u = c M u, whose
-operator is the factorization that counted none above the shift.  It
-proves each to relative BRACKET_RTOL by Kahan's residual bound, and a
-group of roots that the bound cannot prove (one at rounding level) by two
-inertia counts beside the group.  Every factorization takes its matrix
-from the forms' cached ``FactorInput``, already in its order or tree.
+A_bb plus the fronts' boundary blocks.  That multifrontal Cholesky is
+also the one sparse factorization behind ``count_below`` and
+``level_crossings``, at every size.  ``count_below`` reads eigenvalue counts
+off the inertia of S(c) - lam B_bb.  The pencil is linear in c, so
+``level_crossings`` takes every c at which a branch meets lam from one
+shift-invert Lanczos solve of (lam B - K) u = c M u, whose operator is a
+block solve through the fronts and the Cholesky factor of S(sigma) -
+lam B_bb that showed none below lam at the shift.  It proves each to
+relative BRACKET_RTOL by Kahan's residual bound, and a group of roots that
+the bound cannot prove (one at rounding level) by two inertia counts beside
+the group.  Every factorization takes its matrix from the forms' cached
+``FactorInput``, already in its order or tree.
 
 Median ms of one slice at c = 3, band / multifrontal, on the builtin disk
 (L) and on Delaunay disks of random points (D); one BLAS thread, 2-vCPU
@@ -44,9 +47,9 @@ order and tree built before, LAPACK called directly:
 
 So the tie sits at about 96 boundary dofs (64 while scipy's wrappers
 formed each band slice).  DENSE_LIMIT is 128, above it, so that disks up
-to level 4 keep the band and their answers to the last bit.  The report
-forms no slice: at L4 only slices and the counts that fall back to S(c)
-reach the band route.  At L6 the band path holds a dense n_i x n_b
+to level 4 keep the band and their answers to the last bit.  Counts and
+the table take the fronts at every size, so the band serves only slices
+and harmonic extensions.  At L6 the band path holds a dense n_i x n_b
 block (63 MB) and the band of A_ii (31 MB); the tree, built once per
 forms, takes 0.16 s and 10 MB.
 """
@@ -57,7 +60,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as la
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import blas, lapack
 
@@ -70,7 +72,6 @@ from .serialize import read_csv, write_csv
 DENSE_LIMIT = 128
 _SHIFT_INVERT_TOL = 1e-10
 RESIDUAL_RTOL = 1e-8
-PIVOT_RTOL = 1e-10
 # relative half-width of the window in which level_crossings proves each c_j*
 BRACKET_RTOL = 1e-8
 
@@ -135,15 +136,6 @@ def robin_steklov_spectrum(forms: AssembledForms, c: float, k: int) -> SpectrumS
     return SpectrumSlice(c=c, eigenvalues=w, eigenvectors=v)
 
 
-def _factor(A):
-    """SuperLU of a full-size symmetric matrix whose rows and columns are
-    already in a cached order of the forms: no reordering and diagonal
-    pivots only, so P A P' = L U with P = I unless a pivot vanished, and
-    diag(U) holds the pivots of an L D L' factorization."""
-    return spla.splu(A, permc_spec="NATURAL", diag_pivot_thresh=0,
-                     options={"SymmetricMode": True})
-
-
 def _interior_cholesky(fi, c) -> np.ndarray:
     """Upper band factor U of A_ii = U'U (dpbtrf), in the band storage of
     ``fi.interior``.  A_ii is positive definite for c >= 0."""
@@ -175,12 +167,13 @@ def _schur(fi, c):
     return _schur_complement(fi, c, A_bb), _norm1(A_bb)
 
 
-def _multifrontal_schur(fi, c):
+def _multifrontal_schur(fi, c, factors=None):
     """Dense S(c) and ||A_bb||_1: in postorder, each front gathers A, adds
     its children's contributions and factors its pivot block L L' (dpotrf,
     A_ii is positive definite for c >= 0); with W = A_21 L^-T, A_22 - W W'
     goes to the parent on its interior columns, and straight into S on the
-    boundary block, built last in A_bb's buffer."""
+    boundary block, built last in A_bb's buffer.  Each front's (L, W) is
+    appended to ``factors`` when a list is given, for ``_solve``."""
     n_b = len(fi.boundary_dofs)
     lower = np.zeros(n_b * n_b)  # of S - A_bb, in Fortran order
     blocks = {}
@@ -195,6 +188,8 @@ def _multifrontal_schur(fi, c):
         if info != 0:
             raise EigensolverError(f"interior factorization at c={c:.12g} failed: info {info}")
         W = blas.dtrsm(1.0, L, F[p:, :p], side=1, lower=1, trans_a=1)
+        if factors is not None:
+            factors.append((L, W))
         if n_inner:
             blocks[k] = blas.dgemm(-1.0, W, W[:n_inner], beta=1.0, c=F[p:, p:], trans_b=1)
         if n_inner < u:
@@ -235,51 +230,56 @@ def _symmetrized(x: np.ndarray) -> np.ndarray:
 
 def _check_coefficients(c, lam=0.0) -> None:
     """Raise unless the bulk coefficient c is finite and non-negative and the
-    level lam finite: LAPACK and SuperLU are called without a finiteness
-    check, and A_ii is positive definite only for c >= 0."""
+    level lam, or each of a sequence of levels, finite: LAPACK is called
+    without a finiteness check, and A_ii is positive definite only for
+    c >= 0."""
     if not 0 <= c < np.inf:
         raise PreconditionError(f"bulk coefficient must be finite and non-negative, got {c}")
-    if not -np.inf < lam < np.inf:
+    if not np.isfinite(lam).all():
         raise PreconditionError(f"level must be finite, got {lam}")
 
 
-def _inertia(fi, c, lam):
-    """(count, lu): the negative inertia of A - lam B, A = K + c M, and
-    SuperLU's factorization of it in the order of ``fi.full``, None when
-    SuperLU finds it singular.  The count is read off that factorization's
-    pivots while they stay on the diagonal and none is tiny next to the
-    largest; otherwise it comes from a Bunch-Kaufman factorization of the
-    dense block S(c) - lam B_bb."""
-    try:
-        lu = _factor(fi.full.pencil(c, lam))
-    except RuntimeError:
-        lu = None
-    if lu is not None and np.array_equal(lu.perm_r, lu.perm_c):
-        d = lu.U.diagonal()
-        pivots = np.abs(d)
-        if pivots.min() > PIVOT_RTOL * pivots.max():
-            return int(np.count_nonzero(d < 0)), lu
-    S = _schur(fi, c)[0] - lam * fi.B_bb
-    _, d, _ = la.ldl(S)
-    # d is block diagonal with 1x1 and 2x2 blocks, hence tridiagonal
-    return int(np.count_nonzero(la.eigvalsh_tridiagonal(np.diag(d), np.diag(d, 1)) < 0)), lu
+def _solve(fi, factors, boundary, x) -> np.ndarray:
+    """(A - lam B)^-1 x, A = K + c M, for a vector or the columns of x, from
+    the multifrontal Cholesky of A_ii that formed S(c), its fronts' (L, W),
+    and the Cholesky factor of S(c) - lam B_bb: forward through the fronts
+    in postorder, the boundary block (dpotrs), back in reverse order."""
+    z = np.array(x, dtype=float).reshape(len(x), -1)
+    for front, (L, W) in zip(fi.fronts, factors):
+        y = blas.dtrsm(1.0, L, z[front.pivots], lower=1)
+        z[front.pivots] = y
+        z[front.update] -= W @ y
+    bnd = fi.boundary_dofs
+    z[bnd] = lapack.dpotrs(boundary, z[bnd], lower=1)[0]
+    for front, (L, W) in zip(reversed(fi.fronts), reversed(factors)):
+        z[front.pivots] = blas.dtrsm(1.0, L, z[front.pivots] - W.T @ z[front.update],
+                                     lower=1, trans_a=1)
+    return z.reshape(np.shape(x))
 
 
-def count_below(forms: AssembledForms, c: float, lam: float) -> int:
+def count_below(forms: AssembledForms, c: float, lam):
     """Number of eigenvalues of (K + c M) u = rho B u strictly below lam,
-    counted by Sylvester inertia instead of an eigensolve.
+    counted by Sylvester inertia instead of an eigensolve; for a sequence of
+    levels lam, the list of their counts, from one S(c).
 
     For c >= 0 the interior block of A = K + c M is positive definite, so by
     Haynsworth additivity the negative inertia of A - lam B equals that of
     S(c) - lam B_bb, which by Sylvester's law (B_bb is positive definite) is
-    the count.  A - lam B is factored in the forms' COLAMD order, a
-    symmetric permutation, which keeps its inertia.  When SuperLU raises,
-    leaves the diagonal, or meets a pivot tiny next to the largest (lam at or
-    near an eigenvalue), the count comes from a Bunch-Kaufman factorization
-    of the dense block S(c) - lam B_bb instead.
+    the count.  S(c) comes from the multifrontal Cholesky at every boundary
+    size, and the inertia of S(c) - lam B_bb from its Bunch-Kaufman
+    factorization (Math. Comp. 31, 1977), whose pivoting needs no threshold,
+    even with lam on an eigenvalue.
     """
     _check_coefficients(c, lam)
-    return _inertia(forms.factor_input, c, lam)[0]
+    fi = forms.factor_input
+    S = _multifrontal_schur(fi, c)[0]
+    counts = []
+    for level in np.atleast_1d(lam):
+        _, d, _ = la.ldl(S - level * fi.B_bb)
+        # d is block diagonal with 1x1 and 2x2 blocks, hence tridiagonal
+        inertia = la.eigvalsh_tridiagonal(np.diag(d), np.diag(d, 1))
+        counts.append(int(np.count_nonzero(inertia < 0)))
+    return counts if np.ndim(lam) else counts[0]
 
 
 def level_crossings(forms: AssembledForms, lam: float, n: int) -> np.ndarray:
@@ -289,10 +289,13 @@ def level_crossings(forms: AssembledForms, lam: float, n: int) -> np.ndarray:
     They are the positive eigenvalues of (lam B - K) u = c M u, and
     count_below(forms, c, lam) of them exceed c, a count that never increases
     in c (M is positive semidefinite).  The shift sigma doubles from 1 until
-    none does, and the factorization that counted none there (doubled again
-    if SuperLU finds it singular) is the shift-invert operator; the n pairs
-    nearest sigma, refined by Rayleigh-Ritz to M-orthonormal vectors Z and
-    values theta and checked by their residuals, must all lie in (0, sigma).
+    S(sigma) - lam B_bb is positive definite (its Cholesky succeeds): no
+    branch lies below lam at sigma, and none on it.  That Cholesky and the
+    fronts that formed S(sigma) are the shift-invert operator, a block
+    solve through one factorization; the n pairs nearest sigma, refined by
+    Rayleigh-Ritz to M-orthonormal vectors Z and values theta and checked by
+    their residuals, must all lie in (0, sigma).  The Lanczos basis holds
+    2n + 4 vectors (Lehoucq, Sorensen & Yang, ARPACK Users' Guide, 1998).
 
     By Kahan's theorem (1967; Parlett, The Symmetric Eigenvalue Problem,
     Thm 11.5.2), distinct eigenvalues lie within eta = ||M^-1/2 R||_2 /
@@ -312,27 +315,30 @@ def level_crossings(forms: AssembledForms, lam: float, n: int) -> np.ndarray:
     _check_coefficients(0.0, lam)
     fi = forms.factor_input
     for e in range(120):
-        above, lu = _inertia(fi, 2.0**e, lam)
-        if above == 0 and lu is not None:  # a singular shift sits on a root: double again
+        factors = []
+        S = _multifrontal_schur(fi, 2.0**e, factors)[0]
+        boundary, info = lapack.dpotrf(S - lam * fi.B_bb, lower=1)
+        if info == 0:
             break
     else:
         raise BracketError(f"a branch stays below {lam:g} up to c={2.0**119:g}")
     sigma = 2.0**e
-    full = fi.full
-    M = sp.csc_matrix((full.M, full.indices, full.indptr), shape=full.shape)
-    A = -full.pencil(0.0, lam)
+    M = forms.M
+    A = lam * forms.B - forms.K
     # shift-invert mode needs only (A - sigma M)^-1 and M, so A gives only
     # the shape; a fixed, generic start (a component along every
     # eigenvector) makes the result reproducible
-    shape = full.shape
-    OPinv = spla.LinearOperator(shape, matvec=lambda x: -lu.solve(x), dtype=float)
+    shape = M.shape
+    OPinv = spla.LinearOperator(shape, matvec=lambda x: -_solve(fi, factors, boundary, x),
+                                dtype=float)
     v0 = np.random.default_rng(0).standard_normal(shape[0])
     try:
         v = spla.eigsh(spla.LinearOperator(shape, matvec=None, dtype=float), k=n, M=M,
-                       sigma=sigma, OPinv=OPinv, which="LM", tol=_SHIFT_INVERT_TOL, v0=v0)[1]
+                       sigma=sigma, OPinv=OPinv, which="LM", ncv=min(2 * n + 4, shape[0]),
+                       tol=_SHIFT_INVERT_TOL, v0=v0)[1]
     except spla.ArpackNoConvergence as exc:
         raise EigensolverError(f"level-crossing iteration did not converge: {exc}") from exc
-    X = lu.solve(M @ v)
+    X = _solve(fi, factors, boundary, M @ v)
     AX, MX = A @ X, M @ X
     w, y = _dense_gevp(_symmetrized(X.T @ AX), _symmetrized(X.T @ MX), n)
     Z = X @ y

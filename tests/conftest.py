@@ -3,8 +3,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
 
-from steklovbif import ProductModel, assemble, flat_torus_spectrum, generate_disk, generate_interval
+from steklovbif import (Mesh, ProductModel, assemble, flat_torus_spectrum, generate_disk,
+                        generate_interval)
+
+# every property draws the same examples in every run: no example database,
+# and no deadline for a first call that builds caches
+settings.register_profile("derandomized", derandomize=True, database=None, deadline=None)
+settings.load_profile("derandomized")
 
 
 @functools.lru_cache(maxsize=None)
@@ -72,14 +80,37 @@ def torus_interval_model():
     return _torus_interval_model
 
 
+def delaunay_mesh(points: np.ndarray) -> Mesh:
+    """The Delaunay triangulation of points in the plane, every cell turned
+    positively."""
+    from scipy.spatial import Delaunay
+
+    cells = Delaunay(points).simplices
+    e1, e2 = points[cells[:, 1]] - points[cells[:, 0]], points[cells[:, 2]] - points[cells[:, 0]]
+    flip = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0] < 0
+    cells[flip] = cells[flip][:, [0, 2, 1]]
+    return Mesh(dim=2, vertices=points, cells=cells)
+
+
+@st.composite
+def delaunay_disks(draw) -> Mesh:
+    """Delaunay disks of 20 to 150 random points, uniform in the unit disk,
+    the vertices of their hull projected to the circle before triangulating."""
+    from scipy.spatial import ConvexHull
+
+    n = draw(st.integers(20, 150))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    radius, phase = np.sqrt(rng.uniform(0.0, 1.0, n)), rng.uniform(0.0, 2.0 * math.pi, n)
+    points = np.column_stack([radius * np.cos(phase), radius * np.sin(phase)])
+    hull = ConvexHull(points).vertices
+    points[hull] /= np.hypot(*points[hull].T)[:, None]
+    return delaunay_mesh(points)
+
+
 @functools.lru_cache(maxsize=None)
 def _fuzz_meshes():
     """Two disk meshes without symmetry: disk level 2 with every vertex moved
     by the seed-7 jitter, and a Delaunay triangulation of random points."""
-    from scipy.spatial import Delaunay
-
-    from steklovbif import Mesh
-
     base = generate_disk(2)
     rng = np.random.default_rng(7)
     x, y = base.vertices.T
@@ -95,12 +126,7 @@ def _fuzz_meshes():
     radius = 0.85 * np.sqrt(rng.uniform(0.0, 1.0, 40))
     phase = rng.uniform(0.0, 2.0 * math.pi, 40)
     inner = np.column_stack([radius * np.cos(phase), radius * np.sin(phase)])
-    points = np.vstack([rim, inner])
-    cells = Delaunay(points).simplices
-    e1, e2 = points[cells[:, 1]] - points[cells[:, 0]], points[cells[:, 2]] - points[cells[:, 0]]
-    flip = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0] < 0
-    cells[flip] = cells[flip][:, [0, 2, 1]]
-    delaunay = Mesh(dim=2, vertices=points, cells=cells)
+    delaunay = delaunay_mesh(np.vstack([rim, inner]))
     return {"jittered": (jittered, assemble(jittered)), "delaunay": (delaunay, assemble(delaunay))}
 
 

@@ -384,10 +384,10 @@ class TestRecordsIO:
 class TestSliceBudget:
     def test_report_pipeline_counts_instead_of_solving(self, disk, square_torus, monkeypatch):
         # enumerate + certify + Morse indices between instants on disk L4 x
-        # torus: no slice is solved; two counts at c = 0 size the c_j* table,
-        # one factorization clears its shift and is the solve's operator, the
-        # residual bound proves its one root, and certification and the Morse
-        # indices read the table
+        # torus: no slice is solved; two counts at c = 0, from one S(0), size
+        # the c_j* table, one S(c) clears its shift and is the solve's
+        # operator, the residual bound proves its one root, and certification
+        # and the Morse indices read the table
         import math
 
         from steklovbif import morse_index, product, spectral
@@ -411,9 +411,10 @@ class TestSliceBudget:
 
         for module in (spectral, product):
             monkeypatch.setattr(module, "count_below", counted_inertia)
-        factorizations = []
-        factor = spectral._factor
-        monkeypatch.setattr(spectral, "_factor", lambda a: factorizations.append(a) or factor(a))
+        formed = []
+        schur = spectral._multifrontal_schur
+        monkeypatch.setattr(spectral, "_multifrontal_schur",
+                            lambda fi, c, *rest: formed.append(c) or schur(fi, c, *rest))
 
         records = enumerate_instants(model, 0.05, 10.0)
         t = [r.t_star for r in records]
@@ -425,14 +426,14 @@ class TestSliceBudget:
         assert all(r.certified for r in certified)
         assert indices == [0, 4, 8, 12, 20, 24, 28, 36, 44]
         assert solves == []
-        assert counts == [(0.0, model.Hhat * (1 + side * 1e-8)) for side in (-1, 1)]
-        assert len(factorizations) == 3
+        assert counts == [(0.0, [model.Hhat * (1 + side * 1e-8) for side in (-1, 1)])]
+        assert formed == [0.0, 1.0]
 
     def test_double_roots_certify_without_counting(self, disk, square_torus, monkeypatch):
         # disk L4 at Hhat = 7/3: five c_j* in three groups (two double roots).
-        # The table makes two counts at c = 0 and, as the residual bound
-        # proves every group, none beside a root; certifying its 17 instants
-        # makes none
+        # The table makes its two counts at c = 0 in one call and, as the
+        # residual bound proves every group, none beside a root; certifying
+        # its 17 instants makes none
         import sys
 
         from steklovbif import spectral
@@ -454,7 +455,7 @@ class TestSliceBudget:
         c_stars = np.sort(model.critical_coefficients)
         groups = 1 + int(np.count_nonzero(np.diff(c_stars) > 1e-6 * c_stars[1:]))
         assert (len(c_stars), groups) == (5, 3)
-        assert counts == [0.0, 0.0]
+        assert counts == [0.0]
 
         def forbidden(*args, **kwargs):
             raise AssertionError("counted after the table was built")

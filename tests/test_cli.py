@@ -297,11 +297,11 @@ class TestReportCommand:
 
     @staticmethod
     def _report_calls(tmp_path, monkeypatch, level, H2=1.0, t_min=0.05):
-        """Slices, inertia counts and SuperLU factorizations of report on
+        """Slices, inertia count calls and S(c) formations of report on
         disk L<level> x torus over [t_min, 10], and its summary."""
         from steklovbif import spectral
 
-        calls = {"robin_steklov_spectrum": 0, "count_below": 0, "_factor": 0}
+        calls = {"robin_steklov_spectrum": 0, "count_below": 0, "_multifrontal_schur": 0}
         for name in calls:
             original = getattr(spectral, name)
 
@@ -322,35 +322,60 @@ class TestReportCommand:
 
     def test_report_budget(self, tmp_path, monkeypatch):
         # disk L4 x torus on [0.05, 10]: no slice is solved.  The c_j* table
-        # is one level-crossing solve after two counts at c = 0 and one at
-        # its shift, whose factorization is the solve's operator, and its
-        # residual bound proves the one root; certification and the Morse
-        # indices read the table, and one count per factor index at the first
-        # midpoint, through the first empty row, anchors them
+        # is one level-crossing solve after two counts at c = 0, in one call
+        # from one S(0), and one S(c) at its shift, whose fronts and Cholesky
+        # factor are the solve's operator, and its residual bound proves the
+        # one root; certification and the Morse indices read the table, and
+        # one count per factor index at the first midpoint, through the first
+        # empty row, anchors them
         calls, summary = self._report_calls(tmp_path, monkeypatch, 4)
         assert self._morse_indices(summary) == self.DISK_TORUS_MORSE_INDICES
-        assert calls == {"robin_steklov_spectrum": 0, "count_below": 3, "_factor": 4}
+        assert calls == {"robin_steklov_spectrum": 0, "count_below": 2, "_multifrontal_schur": 3}
 
     def test_report_budget_on_the_multifrontal_path(self, tmp_path, monkeypatch):
         # disk L5 has 256 boundary dofs, above DENSE_LIMIT, yet the report
-        # still solves no slice, makes the same counts and factorizations and
-        # finds the same Morse indices
+        # still solves no slice, makes the same counts and S(c) and finds the
+        # same Morse indices
         calls, summary = self._report_calls(tmp_path, monkeypatch, 5)
         assert self._morse_indices(summary) == self.DISK_TORUS_MORSE_INDICES
-        assert calls == {"robin_steklov_spectrum": 0, "count_below": 3, "_factor": 4}
+        assert calls == {"robin_steklov_spectrum": 0, "count_below": 2, "_multifrontal_schur": 3}
 
     @pytest.mark.parametrize("level, H2, t_min, factorizations", [
-        (4, 4.0, 0.3, 6), (4, 7.0, 0.6, 8), (5, 7.0, 0.6, 8),
+        (4, 4.0, 0.3, 5), (4, 7.0, 0.6, 7), (5, 7.0, 0.6, 7),
     ])
     def test_report_factorizations_at_double_roots(self, tmp_path, monkeypatch, level, H2,
                                                    t_min, factorizations):
-        # Hhat = 4/3 and 7/3, where the disk has double roots: two counts at
-        # c = 0, one per shift sigma = 1, 2, 4 (and 8, 16 at 7/3) until none
-        # is above it, no bracket count, and the anchor's one count
+        # Hhat = 4/3 and 7/3, where the disk has double roots: one S(0) for
+        # both counts at c = 0, one S(c) per shift sigma = 1, 2, 4 (and 8, 16
+        # at 7/3) until none is below Hhat there, no bracket count, and the
+        # anchor's one count
         calls, summary = self._report_calls(tmp_path, monkeypatch, level, H2, t_min)
         assert all(r["certified"] for r in summary["instants"])
-        assert calls == {"robin_steklov_spectrum": 0, "count_below": 3,
-                         "_factor": factorizations}
+        assert calls == {"robin_steklov_spectrum": 0, "count_below": 2,
+                         "_multifrontal_schur": factorizations}
+
+    @pytest.mark.parametrize("level, H2, t_min, instants", [
+        (4, 1.0, 0.05, 8), (4, 4.0, 0.3, 10), (4, 7.0, 0.6, 17), (5, 1.0, 0.05, 8),
+        (5, 7.0, 0.6, 17),
+    ])
+    def test_report_makes_no_superlu_call(self, tmp_path, monkeypatch, level, H2, t_min,
+                                          instants):
+        # counts and the c_j* table factor only by the interior's Cholesky
+        import scipy.sparse.linalg as spla
+
+        def superlu(*args, **kwargs):
+            raise AssertionError("SuperLU called")
+
+        monkeypatch.setattr(spla, "splu", superlu)
+        monkeypatch.setattr(spla, "spilu", superlu)
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(dict(DISK_TORUS_DOC, H2=H2,
+                                              boundary={"builtin": "disk", "level": level})))
+        assert cli.main(["report", "--model", str(model_path), "--t-min", str(t_min),
+                         "--t-max", "10", "--out", str(tmp_path / "report")]) == 0
+        summary = json.loads((tmp_path / "report" / "report.json").read_text())
+        assert len(summary["instants"]) == instants
+        assert all(r["certified"] for r in summary["instants"])
 
     def test_crossing_count_mismatch_exits_two(self, tmp_path, capsys, monkeypatch):
         # the inertia counts bracketing a root group that the residual bound

@@ -362,7 +362,7 @@ class TestMorseIndex:
         assert morse_index(model, t) == expected
 
     @pytest.mark.parametrize("name", ["jittered", "delaunay"])
-    @settings(max_examples=30, deadline=None, database=None)
+    @settings(max_examples=30)
     @given(t=st.floats(0.25, 5.0))
     def test_table_index_equals_inertia_walk(self, fuzz_torus_model, name, t):
         # Hhat = 4/3 lies above sigma_1 and sigma_2, which the missing

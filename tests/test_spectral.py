@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg as la
 import scipy.sparse as sp
+from conftest import delaunay_disks
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import lapack
@@ -20,6 +21,7 @@ from steklovbif import (
 )
 from steklovbif.errors import EigensolverError, PreconditionError
 from steklovbif.spectral import (
+    BRACKET_RTOL,
     count_below,
     curves_to_csv,
     harmonic_extension,
@@ -295,7 +297,7 @@ def _eigen_count(forms, c, lam):
 
 class TestCountBelow:
     @pytest.mark.parametrize("name", ["jittered", "delaunay"])
-    @settings(max_examples=40, deadline=None, database=None)
+    @settings(max_examples=40)
     @given(c=st.floats(0.0, 50.0), lam=st.floats(-1.0, 20.0))
     def test_equals_eigen_count(self, fuzz_meshes, name, c, lam):
         _, forms = fuzz_meshes[name]
@@ -316,16 +318,16 @@ class TestCountBelow:
         monkeypatch.setattr(spectral.la, "ldl", lambda a: calls.append(a) or ldl(a))
         return calls
 
-    def test_zero_pivot_falls_back_to_ldl(self, interval, ldl_calls):
+    def test_zero_pivot_counted_by_ldl(self, interval, ldl_calls):
         # the endpoint is eliminated first, and lam = K_00 / B_00 makes its
-        # diagonal entry vanish: SuperLU must leave the diagonal
+        # diagonal entry vanish: the count is one pivoted LDL of S - lam B_bb
         _, forms = interval(50, 1.0)
         K, B = forms.K, forms.B
         lam = K[0, 0] / B[0, 0]
         assert count_below(forms, 0.0, lam) == _eigen_count(forms, 0.0, lam)
         assert len(ldl_calls) == 1
 
-    def test_tiny_pivot_falls_back_to_ldl(self, fuzz_meshes, ldl_calls):
+    def test_tiny_pivot_counted_by_ldl(self, fuzz_meshes, ldl_calls):
         # lam on an eigenvalue: A - lam B is singular up to rounding
         _, forms = fuzz_meshes["jittered"]
         for j in (1, 3):
@@ -333,65 +335,28 @@ class TestCountBelow:
             assert count_below(forms, 2.0, lam) in (j, j + 1)
         assert len(ldl_calls) == 2
 
-    def test_row_pivoting_falls_back_to_ldl(self, fuzz_meshes, ldl_calls, monkeypatch):
-        # a factorization that left the diagonal says nothing about inertia
-        _, forms = fuzz_meshes["jittered"]
-        forms.factor_input  # the cached order's own factorization stays intact
-        splu = spectral.spla.splu
+    @pytest.mark.parametrize("name, c, lam", [
+        ("jittered", 0.0, 0.5), ("jittered", 0.0, 2.5), ("jittered", 3.0, 1.7),
+        ("jittered", 20.0, 6.0), ("disk5", 3.0, 2.0),
+    ])
+    def test_counts_equal_eigen_counts(self, disk, fuzz_meshes, name, c, lam):
+        forms = disk(5)[1] if name == "disk5" else fuzz_meshes[name][1]
+        assert count_below(forms, c, lam) == _eigen_count(forms, c, lam)
 
-        class RowPivoted:
-            def __init__(self, lu):
-                self.U, self.perm_c, self.perm_r = lu.U, lu.perm_c, lu.perm_c[::-1]
-
-        def pivoting(a, **kwargs):
-            # only the count factors a full-size matrix; the dense fallback
-            # and the eigen count factor the interior block
-            lu = splu(a, **kwargs)
-            return RowPivoted(lu) if a.shape[0] == forms.n else lu
-
-        monkeypatch.setattr(spectral.spla, "splu", pivoting)
-        assert count_below(forms, 3.0, 1.7) == _eigen_count(forms, 3.0, 1.7)
-        assert len(ldl_calls) == 1
-
-    def test_superlu_failure_falls_back_to_ldl(self, fuzz_meshes, monkeypatch):
-        _, forms = fuzz_meshes["jittered"]
-        forms.factor_input  # the cached order's own factorization stays intact
-        splu = spectral.spla.splu
-
-        def failing(a, **kwargs):
-            if a.shape[0] == forms.n:  # the count's factorization, as above
-                raise RuntimeError("Factor is exactly singular")
-            return splu(a, **kwargs)
-
-        monkeypatch.setattr(spectral.spla, "splu", failing)
-        for c, lam in [(0.0, 0.5), (0.0, 2.5), (3.0, 1.7), (20.0, 6.0)]:
-            assert count_below(forms, c, lam) == _eigen_count(forms, c, lam)
-
-    def test_superlu_failure_above_dense_limit_reads_the_multifrontal_schur(self, disk,
-                                                                            monkeypatch):
-        # disk L5, n_b = 256: the fallback's S comes from the multifrontal
-        # Cholesky, neither from the band of A_ii nor from a second SuperLU
-        _, forms = disk(5)
-        assert len(forms.boundary_dofs) > spectral.DENSE_LIMIT
-        forms.factor_input.full  # the cached order's own factorization stays intact
-        splu, dpbtrf = spectral.spla.splu, spectral.lapack.dpbtrf
-        calls = {"splu": 0, "dpbtrf": 0}
-
-        def failing_first(a, **kwargs):
-            calls["splu"] += 1
-            if calls["splu"] == 1:  # the count's own factorization
-                raise RuntimeError("Factor is exactly singular")
-            return splu(a, **kwargs)
-
-        def banded(*args, **kwargs):
-            calls["dpbtrf"] += 1
-            return dpbtrf(*args, **kwargs)
-
-        monkeypatch.setattr(spectral.spla, "splu", failing_first)
-        monkeypatch.setattr(spectral.lapack, "dpbtrf", banded)
-        counted = count_below(forms, 3.0, 2.0)
-        assert calls == {"splu": 1, "dpbtrf": 0}
-        assert counted == _eigen_count(forms, 3.0, 2.0)
+    def test_levels_at_one_coefficient_share_one_schur_complement(self, disk, monkeypatch,
+                                                                   ldl_calls):
+        # a sequence of levels gives the list of their counts, from one S(c)
+        # and one LDL per level, on the band route's sizes too
+        _, forms = disk(3)
+        assert len(forms.boundary_dofs) <= spectral.DENSE_LIMIT
+        formed = []
+        schur = spectral._multifrontal_schur
+        monkeypatch.setattr(spectral, "_multifrontal_schur",
+                            lambda fi, c, *rest: formed.append(c) or schur(fi, c, *rest))
+        levels = (0.5, 1.5, 2.5)
+        assert count_below(forms, 0.0, levels) == [1, 3, 5]
+        assert formed == [0.0] and len(ldl_calls) == 3
+        assert [count_below(forms, 0.0, lam) for lam in levels] == [1, 3, 5]
 
     def test_negative_coefficient_rejected(self, disk):
         _, forms = disk(0)
@@ -404,38 +369,78 @@ class TestCountBelow:
         (1.0, -np.inf, "level"),
     ])
     def test_non_finite_coefficient_or_level_rejected(self, disk, c, lam, message):
-        # SuperLU and la.ldl would raise scipy's own ValueError; the table's
-        # solve checks its level too
+        # LAPACK would factor NaNs without a word and la.ldl would raise
+        # scipy's own ValueError; a sequence of levels and the table's solve
+        # check their levels too
         _, forms = disk(2)
         with pytest.raises(PreconditionError, match=f"{message} must be finite"):
             count_below(forms, c, lam)
         if message == "level":
             with pytest.raises(PreconditionError, match="level must be finite"):
+                count_below(forms, c, [0.5, lam])
+            with pytest.raises(PreconditionError, match="level must be finite"):
                 spectral.level_crossings(forms, lam, 1)
+
+
+def _dense_spectrum(forms, c):
+    """Every eigenvalue of (K + c M) u = rho B u, ascending, by a dense Schur
+    complement and a dense generalized eigensolve."""
+    A, B = (forms.K + c * forms.M).toarray(), forms.B.toarray()
+    b, i = forms.boundary_dofs, forms.interior_dofs
+    S = A[np.ix_(b, b)] - A[np.ix_(b, i)] @ la.solve(A[np.ix_(i, i)], A[np.ix_(i, b)],
+                                                    assume_a="pos")
+    return la.eigh(S, B[np.ix_(b, b)], eigvals_only=True)
+
+
+class TestDelaunayDiskProperties:
+    """Counts and the c_j* table on Delaunay disks of random points, against
+    dense generalized eigensolves."""
+
+    @settings(max_examples=25)
+    @given(mesh=delaunay_disks(), c=st.floats(0.0, 20.0))
+    def test_counts_equal_dense_eigen_counts(self, mesh, c):
+        # levels mid-gap and within relative 1e-6 and 1e-9 of an eigenvalue,
+        # each kept when no eigenvalue is nearer than half its offset
+        forms = assemble(mesh)
+        vals = _dense_spectrum(forms, c)
+        levels = [0.5 * (a + b) for a, b in zip(vals, vals[1:])]
+        levels += [v * (1 + side * rtol) for v in vals[vals > 1e-3] for rtol in (1e-6, 1e-9)
+                   for side in (-1, 1)]
+        levels = [lam for lam in levels if np.abs(vals - lam).min() >= 5e-10 * abs(lam)]
+        assert count_below(forms, c, levels) == [int(np.count_nonzero(vals < lam))
+                                                 for lam in levels]
+
+    @settings(max_examples=25)
+    @given(mesh=delaunay_disks(), j=st.integers(0, 4))
+    def test_level_crossings_equal_dense_eigenvalues(self, mesh, j):
+        # lam between the Steklov eigenvalues j and j + 1: the table holds the
+        # j + 1 positive eigenvalues of (lam B - K) u = c M u
+        forms = assemble(mesh)
+        steklov = _dense_spectrum(forms, 0.0)
+        assume(j + 1 < len(steklov) and steklov[j + 1] - steklov[j] > 1e-3 * steklov[j + 1])
+        lam = 0.5 * (steklov[j] + steklov[j + 1])
+        n = count_below(forms, 0.0, lam)
+        assert n == j + 1
+        dense = la.eigh((lam * forms.B - forms.K).toarray(), forms.M.toarray(),
+                        eigvals_only=True)[::-1][:n]
+        assert dense[-1] > 0
+        np.testing.assert_allclose(spectral.level_crossings(forms, lam, n), dense,
+                                   rtol=BRACKET_RTOL, atol=0)
 
 
 class TestFactorizationBudget:
     @pytest.fixture
-    def splu_calls(self, monkeypatch):
-        # complete and incomplete (the order's) sparse factorizations, and
-        # banded Cholesky (its size is the band's column count, and dpbtrf's
-        # factor is recorded without its info), alike
+    def band_calls(self, monkeypatch):
+        # the band's column count of every banded Cholesky
         calls = []
-        for module, name in ((spectral.spla, "splu"), (spectral.spla, "spilu"),
-                             (spectral.lapack, "dpbtrf")):
-            factor = getattr(module, name)
-
-            def counted(a, _factor=factor, **kwargs):
-                lu = _factor(a, **kwargs)
-                calls.append((a.shape[-1], lu[0] if isinstance(lu, tuple) else lu))
-                return lu
-
-            monkeypatch.setattr(module, name, counted)
+        dpbtrf = spectral.lapack.dpbtrf
+        monkeypatch.setattr(spectral.lapack, "dpbtrf",
+                            lambda a, **kw: calls.append(a.shape[-1]) or dpbtrf(a, **kw))
         return calls
 
-    def test_multifrontal_slice_factors_once(self, splu_calls, monkeypatch):
-        # one dpotrf per front, each interior dof a pivot once: no SuperLU,
-        # no incomplete factorization, no band and no ARPACK, the tree too
+    def test_multifrontal_slice_factors_once(self, band_calls, monkeypatch):
+        # one dpotrf per front, each interior dof a pivot once: no band and
+        # no ARPACK, the tree too
         forms = assemble(generate_disk(3))
         eigsh_calls, potrf_calls = [], []
         potrf = spectral.lapack.dpotrf
@@ -444,34 +449,24 @@ class TestFactorizationBudget:
                             lambda a, **kw: potrf_calls.append(a.shape[0]) or potrf(a, **kw))
         monkeypatch.setattr(spectral, "DENSE_LIMIT", 0)
         robin_steklov_spectrum(forms, 1.0, 4)
-        assert splu_calls == [] and eigsh_calls == []
+        assert band_calls == [] and eigsh_calls == []
         assert len(potrf_calls) == len(forms.factor_input.fronts)
         assert sum(potrf_calls) == len(forms.interior_dofs)
 
-    def test_dense_slice_factors_once(self, disk, splu_calls):
-        # one banded Cholesky of A_ii, and no SuperLU
+    def test_dense_slice_factors_once(self, disk, band_calls):
+        # one banded Cholesky of A_ii
         _, forms = disk(3)
-        forms.factor_input
-        splu_calls.clear()  # the order, when these forms had none yet
         robin_steklov_spectrum(forms, 1.0, 4)
-        assert [n for n, _ in splu_calls] == [len(forms.interior_dofs)]
-        assert isinstance(splu_calls[0][1], np.ndarray)
+        assert band_calls == [len(forms.interior_dofs)]
 
-    def test_multifrontal_slice_builds_no_band(self, splu_calls, monkeypatch):
+    def test_multifrontal_slice_builds_no_band(self, band_calls, monkeypatch):
         # only the band path factors the band of A_ii
         forms = assemble(generate_disk(3))
         monkeypatch.setattr(spectral, "DENSE_LIMIT", 0)
         robin_steklov_spectrum(forms, 1.0, 4)
-        assert not any(isinstance(lu, np.ndarray) for _, lu in splu_calls)
+        assert band_calls == []
 
-    def test_count_factors_once(self, disk, splu_calls):
-        _, forms = disk(3)
-        forms.factor_input.full
-        splu_calls.clear()  # the order, when these forms had none yet
-        count_below(forms, 1.0, 2.5)
-        assert [n for n, _ in splu_calls] == [forms.n]
-
-    def test_order_built_once_per_forms(self, splu_calls, monkeypatch):
+    def test_order_built_once_per_forms(self, band_calls, monkeypatch):
         forms = assemble(generate_disk(2))
         dissections = []
         dissect = fem.nested_dissection
@@ -483,9 +478,9 @@ class TestFactorizationBudget:
             for c in (0.5, 2.0):
                 robin_steklov_spectrum(forms, c, 3)
         harmonic_extension(forms, np.ones(len(forms.boundary_dofs)), 1.0)
-        # 3 counts, 2 banded slices, 1 extension, 1 COLAMD order; the two
-        # multifrontal slices factor nothing sparse and build the tree once
-        assert len(splu_calls) == 3 + 2 * 1 + 1 + 1
+        # 2 banded slices and 1 extension; the counts and the two
+        # multifrontal slices build the tree once
+        assert len(band_calls) == 2 + 1
         assert len(dissections) == 1
 
     @pytest.mark.parametrize("name", ["disk3", "jittered", "delaunay", "interval50"])
@@ -530,31 +525,27 @@ class TestFactorizationBudget:
             apart([subtree[k] for k in range(len(fronts)) if k not in children])
 
     def test_no_dissection_tree_at_or_below_dense_limit(self, monkeypatch):
-        # slices, counts and extensions on disk L3 (n_b = 64) never build the
+        # slices and extensions on disk L3 (n_b = 64) never build the
         # nested-dissection tree
         monkeypatch.setattr(fem, "nested_dissection", lambda g: pytest.fail("ordered"))
         forms = assemble(generate_disk(3))
         assert len(forms.boundary_dofs) <= spectral.DENSE_LIMIT
         trace_eigencurves(forms, 1.0, [0, 3], [0.1, 1.0, 5.0])
-        count_below(forms, 1.0, 2.5)
-        # on an eigenvalue: the count falls back to the banded S
-        count_below(forms, 1.0, robin_steklov_spectrum(forms, 1.0, 2).eigenvalues[1])
         harmonic_extension(forms, np.ones(len(forms.boundary_dofs)), 1.0)
 
     @pytest.mark.parametrize("name", ["disk2", "disk3", "disk4", "disk5", "jittered", "delaunay"])
-    def test_cached_order_counts_equal_eigen_counts(self, disk, fuzz_meshes, splu_calls, name):
-        # every count factors on the diagonal in the cached order (perm_r ==
-        # perm_c) and matches a full dense eigensolve, between and near pairs
+    def test_cached_order_counts_equal_eigen_counts(self, disk, fuzz_meshes, band_calls, name):
+        # every count reads the cached tree, never the band, and matches a
+        # full dense eigensolve, between and near pairs
         forms = disk(int(name[-1]))[1] if name.startswith("disk") else fuzz_meshes[name][1]
         n_b = len(forms.boundary_dofs)
         for c in (0.0, 2.0):
             vals = robin_steklov_spectrum(forms, c, n_b).eigenvalues
-            splu_calls.clear()
+            band_calls.clear()
             levels = [0.5 * (a + b) for a, b in zip(vals, vals[1:]) if b - a > 1e-6 * abs(b)]
             for lam in levels[:: max(1, len(levels) // 8)] + [vals[0] - 1.0, vals[-1] + 1.0]:
                 assert count_below(forms, c, lam) == np.count_nonzero(vals < lam)
-            assert all(np.array_equal(lu.perm_r, lu.perm_c) for _, lu in splu_calls)
-            assert [n for n, _ in splu_calls] == [forms.n] * len(splu_calls)
+            assert band_calls == []
 
 
 class TestSchurEquivalence:
