@@ -20,19 +20,12 @@ from .product import (
     nullity,
     yamabe_residual,
 )
-from .spectral import (
-    EigenCurve,
-    SpectrumSlice,
-    robin_steklov_spectrum,
-    steklov_spectrum,
-    trace_eigencurves,
-)
+from .spectral import SpectrumSlice, robin_steklov_spectrum, steklov_spectrum
 
 __all__ = [
     "AssembledForms",
     "ClosedFactorSpectrum",
     "DegeneracyRecord",
-    "EigenCurve",
     "Mesh",
     "ProductModel",
     "SpectrumSlice",
@@ -55,7 +48,6 @@ __all__ = [
     "robin_steklov_spectrum",
     "scale_metric_forms",
     "steklov_spectrum",
-    "trace_eigencurves",
     "validate",
     "yamabe_residual",
 ]

@@ -215,10 +215,19 @@ def _record_from_json(r) -> DegeneracyRecord:
     if not (isinstance(crossings, list)
             and all(isinstance(c, list) and len(c) == 3 for c in crossings)):
         raise TypeError(f"crossings must be a list of [i, j, multiplicity], got {crossings!r}")
+    crossings = tuple(tuple(typed(x, int, "a crossing entry") for x in c) for c in crossings)
+    # as enumerate_instants writes them: a record has crossings, each a
+    # branch (i >= 1, j >= 0) of positive multiplicity, summed by its nullity
+    if not crossings or any(i < 1 or j < 0 or mu < 1 for i, j, mu in crossings):
+        raise ValueError(f"crossings must be a nonempty list of [i >= 1, j >= 0, "
+                         f"multiplicity >= 1], got {r['crossings']!r}")
+    nullity = typed(r["nullity"], int, "nullity")
+    if nullity != sum(mu for _, _, mu in crossings):
+        raise ValueError(f"nullity {nullity} is not the sum of the crossings' multiplicities")
     return DegeneracyRecord(
         t_star=typed(r["t_star"], float, "t_star"),
-        crossings=tuple(tuple(typed(x, int, "a crossing entry") for x in c) for c in crossings),
-        nullity=typed(r["nullity"], int, "nullity"),
+        crossings=crossings,
+        nullity=nullity,
         n_minus=optional("n_minus", int),
         n_plus=optional("n_plus", int),
         epsilon=optional("epsilon", float),

@@ -21,7 +21,7 @@ from . import oracle, product, spectral
 from .errors import ConfigError, NumericalError, SteklovBifError
 from .fem import assemble
 from .mesh import mesh_from_dict
-from .serialize import read_json_object, typed
+from .serialize import read_json_object, typed, write_csv
 
 
 @dataclass
@@ -155,20 +155,23 @@ def cmd_steklov(cfg: RunConfig) -> list[str]:
     forms = assemble(mesh)
     sl = spectral.steklov_spectrum(forms, cfg.k)
     out = cfg.out or "steklov.csv"
-    spectral.slice_to_csv(sl, out)
+    write_csv(out, ["j", "rho"], enumerate(sl.eigenvalues))
     return [out]
 
 
 def cmd_eigencurve(cfg: RunConfig) -> list[str]:
     model = _load_model(cfg)
     t_grid = np.linspace(cfg.t_min, cfg.t_max, cfg.t_steps)
-    curves = []
+    k = max(cfg.j_list) + 1
+    rows = []
     for i in cfg.i_list:
-        curves += spectral.trace_eigencurves(
-            model.boundary_forms, model.factor.value(i), cfg.j_list, t_grid, factor_index=i
-        )
+        # branch (i, j) at t is rho_j at c = t * rho_i: one slice per t serves every j
+        rho_i = model.factor.value(i)
+        slices = [spectral.robin_steklov_spectrum(model.boundary_forms, t * rho_i, k).eigenvalues
+                  for t in t_grid]
+        rows += [(t, i, j, w[j]) for j in cfg.j_list for t, w in zip(t_grid, slices)]
     out = cfg.out or "eigencurves.csv"
-    spectral.curves_to_csv(curves, out)
+    write_csv(out, ["t", "i", "j", "rho"], rows)
     return [out]
 
 

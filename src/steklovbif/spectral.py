@@ -65,7 +65,6 @@ from scipy.linalg import blas, lapack
 
 from .errors import BracketError, EigensolverError, PreconditionError
 from .fem import AssembledForms
-from .serialize import read_csv, write_csv
 
 # largest boundary-dof count whose S comes from the banded Cholesky (see
 # above)
@@ -84,24 +83,6 @@ class SpectrumSlice:
     c: float
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class EigenCurve:
-    """Samples (t, rho) of one branch, t ascending."""
-
-    factor_index: int | None
-    branch_index: int
-    rho_factor: float
-    samples: tuple
-
-    @property
-    def values(self) -> np.ndarray:
-        return np.array([v for _, v in self.samples])
-
-    @property
-    def t_grid(self) -> np.ndarray:
-        return np.array([t for t, _ in self.samples])
 
 
 def _dense_gevp(a: np.ndarray, b: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -408,63 +389,3 @@ def harmonic_extension(forms: AssembledForms, trace: np.ndarray, c: float = 0.0)
         rhs = -fi.coupling.matvec(c, trace)
         phi[fi.interior_order] = lapack.dpbtrs(_interior_cholesky(fi, c), rhs)[0]
     return phi
-
-
-def trace_eigencurves(
-    forms: AssembledForms,
-    rho_i: float,
-    j_list,
-    t_grid,
-    *,
-    factor_index: int | None = None,
-) -> list[EigenCurve]:
-    """Sample the branches t -> rho_j, j in j_list, at bulk coefficient
-    c = t * rho_i; one curve per entry of j_list, in its order.
-
-    Each t costs one slice of the max(j_list) + 1 lowest eigenvalues, and
-    every branch reads its sorted position j from it.
-    """
-    j_list = tuple(j_list)
-    if not j_list or min(j_list) < 0:
-        raise PreconditionError(f"branch positions must be non-negative and nonempty, got {j_list}")
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.size == 0:
-        raise PreconditionError("t_grid must be nonempty")
-    if np.any(t_grid <= 0) or np.any(np.diff(t_grid) <= 0):
-        raise PreconditionError("t_grid must be ascending and positive")
-    if rho_i < 0:
-        raise PreconditionError("factor eigenvalue must be non-negative")
-    k = max(j_list) + 1
-    values = [robin_steklov_spectrum(forms, t * rho_i, k).eigenvalues for t in t_grid]
-    return [
-        EigenCurve(
-            factor_index=factor_index,
-            branch_index=j,
-            rho_factor=rho_i,
-            samples=tuple((float(t), float(w[j])) for t, w in zip(t_grid, values)),
-        )
-        for j in j_list
-    ]
-
-
-def slice_to_csv(spectrum: SpectrumSlice, path) -> None:
-    write_csv(path, ["j", "rho"], [(j, float(v)) for j, v in enumerate(spectrum.eigenvalues)])
-
-
-def load_slice_csv(path) -> list[tuple[int, float]]:
-    return [(int(r[0]), float(r[1])) for r in read_csv(path, ["j", "rho"])]
-
-
-def curves_to_csv(curves, path) -> None:
-    rows = []
-    for curve in curves:
-        if curve.factor_index is None:
-            raise PreconditionError("curve export needs a factor index label")
-        for t, rho in curve.samples:
-            rows.append((t, curve.factor_index, curve.branch_index, rho))
-    write_csv(path, ["t", "i", "j", "rho"], rows)
-
-
-def load_curves_csv(path) -> list[tuple[float, int, int, float]]:
-    rows = read_csv(path, ["t", "i", "j", "rho"])
-    return [(float(r[0]), int(r[1]), int(r[2]), float(r[3])) for r in rows]

@@ -1,7 +1,12 @@
 import json
+import re
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from steklovbif import (
     ProductModel,
@@ -322,6 +327,34 @@ class TestClassify:
         assert enumerate_instants(model, instants[1].t_star * 1.01, instants[0].t_star * 0.99) == []
 
 
+_FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [sys.float_info.max, -sys.float_info.max, sys.float_info.min, 5e-324, -0.0])
+_COUNT = st.integers(0, 2**53)
+
+
+@st.composite
+def _records(draw):
+    """A record as enumeration and certification write it: at least one
+    crossing, each of a branch (i >= 1, j >= 0) with multiplicity >= 1, and
+    the nullity their sum."""
+    crossings = tuple(draw(st.lists(st.tuples(st.integers(1, 2**31), _COUNT,
+                                              st.integers(1, 2**31)), min_size=1, max_size=3)))
+    return DegeneracyRecord(
+        t_star=draw(_FINITE),
+        crossings=crossings,
+        nullity=sum(mu for _, _, mu in crossings),
+        n_minus=draw(st.none() | _COUNT),
+        n_plus=draw(st.none() | _COUNT),
+        epsilon=draw(st.none() | _FINITE),
+        certified=draw(st.booleans()),
+    )
+
+
+@pytest.fixture(scope="class")
+def records_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("records")
+
+
 class TestRecordsIO:
     def test_json_round_trip(self, instants, tmp_path):
         path = tmp_path / "records.json"
@@ -335,8 +368,6 @@ class TestRecordsIO:
         records_to_csv(certified, path)
         loaded = records_from_csv(path)
         # the CSV schema carries everything except the working epsilon
-        from dataclasses import replace
-
         assert loaded == [replace(r, epsilon=None) for r in certified]
 
     def test_csv_round_trip_of_two_crossings(self, tmp_path):
@@ -368,11 +399,41 @@ class TestRecordsIO:
         # an integer t* is a number; absent optional fields take their defaults
         path = tmp_path / "records.json"
         path.write_text(json.dumps([{**self._VALID, "certified": False, "t_star": 1},
-                                    {"t_star": 0.5, "crossings": [], "nullity": 0}]))
+                                    {"t_star": 0.5, "crossings": [[2, 1, 3]], "nullity": 3}]))
         first, second = records_from_json(path)
         assert first == DegeneracyRecord(1.0, ((1, 0, 4),), 4, 4, 0, 0.01, False)
         assert isinstance(first.t_star, float) and first.certified is False
-        assert second == DegeneracyRecord(0.5, (), 0)
+        assert second == DegeneracyRecord(0.5, ((2, 1, 3),), 3)
+
+    @pytest.mark.parametrize(
+        "change,match",
+        [({"crossings": [], "nullity": 0}, "nonempty"),
+         ({"crossings": [[0, 0, 4]]}, "i >= 1"),
+         ({"crossings": [[1, -1, 4]]}, "j >= 0"),
+         ({"crossings": [[1, 0, 0]], "nullity": 0}, "multiplicity >= 1"),
+         ({"nullity": -3}, "nullity -3"),
+         ({"crossings": [[1, 0, 4], [2, 1, 8]], "nullity": 4}, "nullity 4")],
+        ids=["no-crossings", "constant-factor", "negative-branch", "zero-multiplicity",
+             "negative-nullity", "nullity-short-of-sum"],
+    )
+    def test_records_enumeration_cannot_write_rejected(self, tmp_path, change, match):
+        # a record with no crossing would be certified and vanish from the
+        # CSV, and one whose nullity is not its multiplicities' sum would be
+        # written out as is
+        path = tmp_path / "records.json"
+        path.write_text(json.dumps([self._VALID, {**self._VALID, "t_star": 0.5, **change}]))
+        with pytest.raises(ConfigError, match=re.escape(match)):
+            records_from_json(path)
+
+    @settings(max_examples=60)
+    @given(records=st.lists(_records(), max_size=4, unique_by=lambda r: r.t_star))
+    def test_round_trips_of_valid_records(self, records_dir, records):
+        # JSON keeps every field; CSV every field but the working epsilon
+        records_to_json(records, records_dir / "records.json")
+        assert records_from_json(records_dir / "records.json") == records
+        records_to_csv(records, records_dir / "records.csv")
+        assert records_from_csv(records_dir / "records.csv") == [
+            replace(r, epsilon=None) for r in records]
 
     def test_csv_header(self, instants, tmp_path):
         path = tmp_path / "records.csv"

@@ -6,11 +6,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from steklovbif import cli
+from steklovbif import assemble, cli, robin_steklov_spectrum, spectral, steklov_spectrum
 from steklovbif.bifurcation import records_from_csv, records_from_json
-from steklovbif.errors import EigensolverError
+from steklovbif.errors import EigensolverError, PreconditionError
 from steklovbif.product import load_model
-from steklovbif.spectral import load_curves_csv, load_slice_csv
+from steklovbif.serialize import format_float, read_csv
+
+SLICE_HEADER, CURVES_HEADER = ["j", "rho"], ["t", "i", "j", "rho"]
 
 DISK_TORUS_DOC = {
     "m1": 2,
@@ -31,6 +33,10 @@ INTERVAL_DOC = {
     },
     "boundary": {"builtin": "interval", "n": 100, "L": 1.0},
 }
+
+
+def _numbers(path, header):
+    return [[float(x) for x in row] for row in read_csv(path, header)]
 
 
 @pytest.fixture
@@ -54,7 +60,7 @@ class TestSteklovCommand:
             ["steklov", "--mesh", "builtin:interval:400:2.0", "-k", "2", "--out", str(out)]
         )
         assert status == 0
-        rows = load_slice_csv(out)
+        rows = _numbers(out, SLICE_HEADER)
         assert len(rows) == 2
         assert abs(rows[0][1]) < 1e-9
         assert rows[1][1] == pytest.approx(1.0, rel=1e-5)  # 2/L with L = 2
@@ -62,7 +68,7 @@ class TestSteklovCommand:
     def test_builtin_disk(self, tmp_path):
         out = tmp_path / "disk.csv"
         assert cli.main(["steklov", "--mesh", "builtin:disk:2", "-k", "3", "--out", str(out)]) == 0
-        rows = load_slice_csv(out)
+        rows = _numbers(out, SLICE_HEADER)
         assert rows[1][1] == pytest.approx(1.0, rel=0.01)
 
     def test_mesh_file(self, tmp_path):
@@ -97,7 +103,7 @@ class TestEigencurveCommand:
              "--t-min", "0.5", "--t-max", "2.0", "--t-steps", "5", "--out", str(out)]
         )
         assert status == 0
-        rows = load_curves_csv(out)
+        rows = _numbers(out, CURVES_HEADER)
         values = [rho for _, _, _, rho in rows]
         assert np.ptp(values) < 1e-12
 
@@ -108,7 +114,7 @@ class TestEigencurveCommand:
              "--t-min", "0.2", "--t-max", "1.0", "--t-steps", "4", "--out", str(out)]
         )
         assert status == 0
-        rows = load_curves_csv(out)
+        rows = _numbers(out, CURVES_HEADER)
         for i in (1, 2):
             vals = [rho for _, fi, _, rho in rows if fi == i]
             assert all(b > a for a, b in zip(vals, vals[1:]))
@@ -127,6 +133,85 @@ class TestEigencurveCommand:
         assert payload["error"] == "bad_config"
         assert flag[2:] + "_list" in payload["detail"]
         assert not out.exists()
+
+    @pytest.mark.parametrize("m2, boundary, j_list, dense_limit", [
+        (1, {"builtin": "interval", "n": 1000, "L": 2.0}, (0, 1), None),
+        (2, {"builtin": "disk", "level": 3}, (0, 2), None),
+        (2, {"builtin": "disk", "level": 3}, (0, 2), 0),
+    ], ids=["interval", "disk3-band", "disk3-multifrontal"])
+    def test_rows_are_the_slices(self, tmp_path, monkeypatch, m2, boundary, j_list,
+                                 dense_limit):
+        # each row is t, i, j and entry j of the slice of max(j) + 1 pairs at
+        # c = t * rho_i, as written by format_float, in the order i, j, t
+        if dense_limit is not None:
+            monkeypatch.setattr(spectral, "DENSE_LIMIT", dense_limit)
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(dict(DISK_TORUS_DOC, m2=m2, boundary=boundary)))
+        out = tmp_path / "curves.csv"
+        i_list, t_grid = (0, 1, 3), np.linspace(0.1, 10.0, 4)
+        assert cli.main(["eigencurve", "--model", str(model_path), "--i", "0,1,3",
+                         "--j", ",".join(map(str, j_list)), "--t-min", "0.1", "--t-max", "10",
+                         "--t-steps", "4", "--out", str(out)]) == 0
+        model = load_model(model_path)
+        want = []
+        for i in i_list:
+            slices = [robin_steklov_spectrum(model.boundary_forms, t * model.factor.value(i),
+                                             max(j_list) + 1).eigenvalues for t in t_grid]
+            want += [[format_float(t), str(i), str(j), format_float(w[j])]
+                     for j in j_list for t, w in zip(t_grid, slices)]
+        assert read_csv(out, CURVES_HEADER) == want
+
+    @pytest.mark.parametrize("model, flags, error, detail", [
+        (INTERVAL_DOC, ["--j", "0,2"], "precondition", "need 1 <= k <= 2 boundary dofs, got k=3"),
+        (DISK_TORUS_DOC, ["--i", "1,500"], "cutoff_exhausted", "factor index 500 beyond"),
+    ], ids=["j-beyond-boundary-dofs", "i-beyond-cutoff"])
+    def test_branch_beyond_the_model_writes_nothing(self, tmp_path, capsys, model, flags,
+                                                    error, detail):
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(model))
+        out = tmp_path / "curves.csv"
+        assert cli.main(["eigencurve", "--model", str(model_path), *flags, "--t-steps", "3",
+                         "--out", str(out)]) == 1
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == error and detail in payload["detail"]
+        assert not out.exists()
+
+
+class TestCsvOutput:
+    @pytest.mark.parametrize("mesh, k, dense_limit", [
+        ("builtin:interval:1000:2.0", 2, None), ("builtin:disk:3", 5, None),
+        ("builtin:disk:3", 5, 0),
+    ], ids=["interval", "disk3-band", "disk3-multifrontal"])
+    def test_steklov_rows_are_the_slice(self, tmp_path, monkeypatch, mesh, k, dense_limit):
+        if dense_limit is not None:
+            monkeypatch.setattr(spectral, "DENSE_LIMIT", dense_limit)
+        out = tmp_path / "spec.csv"
+        assert cli.main(["steklov", "--mesh", mesh, "-k", str(k), "--out", str(out)]) == 0
+        forms = assemble(cli._mesh_from_spec(mesh))
+        want = steklov_spectrum(forms, k).eigenvalues
+        assert read_csv(out, SLICE_HEADER) == [[str(j), format_float(v)]
+                                                for j, v in enumerate(want)]
+
+    def test_numbers_read_back_exactly(self, disk_model_path, tmp_path):
+        # 17 significant digits: every value reads back to the same double
+        out = tmp_path / "curves.csv"
+        assert cli.main(["eigencurve", "--model", disk_model_path, "--i", "1", "--j", "0",
+                         "--t-min", "0.5", "--t-max", "1.0", "--t-steps", "2",
+                         "--out", str(out)]) == 0
+        model = load_model(disk_model_path)
+        want = [robin_steklov_spectrum(model.boundary_forms, t * model.factor.value(1),
+                                       1).eigenvalues[0] for t in (0.5, 1.0)]
+        assert _numbers(out, CURVES_HEADER) == [[0.5, 1, 0, want[0]], [1.0, 1, 0, want[1]]]
+
+    def test_wrong_header_names_file_and_both_headers(self, tmp_path):
+        path = tmp_path / "slice.csv"
+        assert cli.main(["steklov", "--mesh", "builtin:disk:0", "-k", "2",
+                         "--out", str(path)]) == 0
+        with pytest.raises(PreconditionError) as info:
+            read_csv(path, CURVES_HEADER)
+        message = str(info.value)
+        assert "slice.csv" in message
+        assert "['j', 'rho']" in message and "['t', 'i', 'j', 'rho']" in message
 
 
 class TestInstantsCommand:
@@ -255,8 +340,9 @@ class TestCertifyCommand:
 
     @pytest.mark.parametrize(
         "content",
-        ["{", '{"t_star": 0.7, "crossings": [[1, 0, 4]], "nullity": 4}', '[{"t_star": "x"}]'],
-        ids=["malformed-json", "object", "string-t-star"],
+        ["{", '{"t_star": 0.7, "crossings": [[1, 0, 4]], "nullity": 4}', '[{"t_star": "x"}]',
+         '[{"t_star": 0.7, "crossings": [], "nullity": 0}]'],
+        ids=["malformed-json", "object", "string-t-star", "no-crossings"],
     )
     def test_malformed_instants_rejected(self, disk_model_path, tmp_path, capsys, content):
         instants = tmp_path / "instants.json"
@@ -299,8 +385,6 @@ class TestReportCommand:
     def _report_calls(tmp_path, monkeypatch, level, H2=1.0, t_min=0.05):
         """Slices, inertia count calls and S(c) formations of report on
         disk L<level> x torus over [t_min, 10], and its summary."""
-        from steklovbif import spectral
-
         calls = {"robin_steklov_spectrum": 0, "count_below": 0, "_multifrontal_schur": 0}
         for name in calls:
             original = getattr(spectral, name)
@@ -384,7 +468,7 @@ class TestReportCommand:
         # of disk L2 puts a double root at rounding level, c* = 4e-7, which
         # only the bracket counts prove; the counts at c = 0 stay true, so the
         # brackets are the first counts the fault reaches
-        from steklovbif import assemble, generate_disk, spectral, steklov_spectrum
+        from steklovbif import generate_disk
 
         sigma = steklov_spectrum(assemble(generate_disk(2)), 3).eigenvalues[1]
         model_path = tmp_path / "model.json"
@@ -410,8 +494,6 @@ class TestReportCommand:
         # disk L3 x torus on [0.05, 0.16]: the first midpoint, near 0.152, has
         # branches below Hhat at factor indices 1-3, so the anchor counts
         # indices 1 through 4, one count each, at c = t * rho_i
-        from steklovbif import spectral
-
         count_below, seen = spectral.count_below, []
 
         def recorded(forms, c, lam):
@@ -433,7 +515,7 @@ class TestReportCommand:
     def test_anchor_checks_each_row(self, disk_model_path, tmp_path, capsys, monkeypatch):
         # counts off by +1 at factor index 1 and -1 at index 2 (both of
         # multiplicity 4) keep the Morse index; the row check still fails
-        from steklovbif import product, spectral
+        from steklovbif import product
 
         count_below, shift = spectral.count_below, {}
 

@@ -17,18 +17,9 @@ from steklovbif import (
     scale_metric_forms,
     spectral,
     steklov_spectrum,
-    trace_eigencurves,
 )
 from steklovbif.errors import EigensolverError, PreconditionError
-from steklovbif.spectral import (
-    BRACKET_RTOL,
-    count_below,
-    curves_to_csv,
-    harmonic_extension,
-    load_curves_csv,
-    load_slice_csv,
-    slice_to_csv,
-)
+from steklovbif.spectral import BRACKET_RTOL, count_below, harmonic_extension
 
 
 class TestSteklovSpectrum:
@@ -223,8 +214,9 @@ class TestMultifrontalSlice:
         t_grid = np.linspace(0.1, 3.0, 7)
 
         def rows():
-            return np.array([curve.values for i in (1, 2) for curve in trace_eigencurves(
-                forms, torus.value(i), [0, 1, 2], t_grid, factor_index=i)])
+            slices = np.array([[robin_steklov_spectrum(forms, t * torus.value(i), 3).eigenvalues
+                                for t in t_grid] for i in (1, 2)])  # indexed (i, t, j)
+            return slices.transpose(0, 2, 1).reshape(6, 7)  # one row per branch (i, j)
 
         trailing = rows()
         monkeypatch.setattr(spectral, "DENSE_LIMIT", 10**9)
@@ -530,7 +522,8 @@ class TestFactorizationBudget:
         monkeypatch.setattr(fem, "nested_dissection", lambda g: pytest.fail("ordered"))
         forms = assemble(generate_disk(3))
         assert len(forms.boundary_dofs) <= spectral.DENSE_LIMIT
-        trace_eigencurves(forms, 1.0, [0, 3], [0.1, 1.0, 5.0])
+        for c in (0.1, 1.0, 5.0):
+            robin_steklov_spectrum(forms, c, 4)
         harmonic_extension(forms, np.ones(len(forms.boundary_dofs)), 1.0)
 
     @pytest.mark.parametrize("name", ["disk2", "disk3", "disk4", "disk5", "jittered", "delaunay"])
@@ -596,57 +589,41 @@ class TestDenseGevp:
 
 
 class TestEigenCurves:
+    # branch (i, j) at t is rho_j at c = t * rho_i: a branch is a function of c
     def test_zero_factor_gives_constant_curve(self, disk):
+        # rho_i = 0 puts every t at c = 0, the Steklov slice
         _, forms = disk(2)
-        curve = trace_eigencurves(forms, 0.0, [1], [0.5, 1.0, 2.0])[0]
-        vals = curve.values
+        vals = np.array([robin_steklov_spectrum(forms, t * 0.0, 2).eigenvalues[1]
+                         for t in (0.5, 1.0, 2.0)])
         assert np.abs(vals - vals[0]).max() < 1e-12
         assert vals[0] == pytest.approx(steklov_spectrum(forms, 2).eigenvalues[1])
 
     def test_disk_branch_matches_bessel_quotient(self, disk):
         _, forms = disk(4)
-        t_grid = np.linspace(0.2, 3.0, 6)
-        curve = trace_eigencurves(forms, 1.0, [0], t_grid)[0]
-        for t, got in curve.samples:
-            want = oracle.disk_robin_steklov(0, t)
+        for c in np.linspace(0.2, 3.0, 6):
+            got = robin_steklov_spectrum(forms, c, 1).eigenvalues[0]
+            want = oracle.disk_robin_steklov(0, c)
             assert abs(got - want) / want < 0.02
 
     def test_strictly_increasing_for_positive_factor(self, disk):
         _, forms = disk(2)
         for rho_i in [1.0, 2.0]:
-            curve = trace_eigencurves(forms, rho_i, [0], np.linspace(0.1, 4.0, 12))[0]
-            assert np.all(np.diff(curve.values) > 0)
-
-    def test_grid_validation(self, disk):
-        _, forms = disk(0)
-        with pytest.raises(PreconditionError):
-            trace_eigencurves(forms, 1.0, [0], [])
-        with pytest.raises(PreconditionError):
-            trace_eigencurves(forms, 1.0, [0], [1.0, 0.5])
-        with pytest.raises(PreconditionError):
-            trace_eigencurves(forms, 1.0, [0], [-1.0, 1.0])
-
-    @pytest.mark.parametrize("j_list", [[], [0, -1]])
-    def test_branch_list_validation(self, disk, j_list):
-        _, forms = disk(0)
-        with pytest.raises(PreconditionError, match="branch positions"):
-            trace_eigencurves(forms, 1.0, j_list, [1.0])
+            vals = [robin_steklov_spectrum(forms, t * rho_i, 1).eigenvalues[0]
+                    for t in np.linspace(0.1, 4.0, 12)]
+            assert np.all(np.diff(vals) > 0)
 
     @pytest.mark.parametrize("dense_limit", [10**9, 0], ids=["band", "multifrontal"])
     def test_grouped_branches_equal_single_slices(self, disk, dense_limit, monkeypatch):
-        # one slice per t serves every branch; each must agree with the slice
-        # sized for that branch alone
+        # the eigencurve command reads every branch of one t from one slice
+        # of max(j) + 1 pairs; each must agree with the slice sized for that
+        # branch alone
         _, forms = disk(3)
         monkeypatch.setattr(spectral, "DENSE_LIMIT", dense_limit)
-        t_grid = [0.2, 1.0, 4.5]
-        j_list = [3, 0, 1, 3]
-        curves = trace_eigencurves(forms, 2.0, j_list, t_grid, factor_index=1)
-        assert [c.branch_index for c in curves] == j_list
-        for curve in curves:
-            j = curve.branch_index
-            for t, got in curve.samples:
-                want = robin_steklov_spectrum(forms, t * 2.0, j + 1).eigenvalues[j]
-                assert abs(got - want) <= 1e-12 * abs(want)
+        for c in (0.4, 2.0, 9.0):
+            grouped = robin_steklov_spectrum(forms, c, 4).eigenvalues
+            for j in range(4):
+                want = robin_steklov_spectrum(forms, c, j + 1).eigenvalues[j]
+                assert abs(grouped[j] - want) <= 1e-12 * abs(want)
 
 
 def _dense_interior_solve(forms, c):
@@ -829,38 +806,3 @@ class TestHarmonicExtension:
         _, forms = disk(2)
         with pytest.raises(PreconditionError, match="bulk coefficient must be finite"):
             harmonic_extension(forms, np.ones(len(forms.boundary_dofs)), c)
-
-
-class TestCsvRoundTrips:
-    def test_slice_round_trip(self, disk, tmp_path):
-        _, forms = disk(1)
-        sl = steklov_spectrum(forms, 4)
-        path = tmp_path / "slice.csv"
-        slice_to_csv(sl, path)
-        loaded = load_slice_csv(path)
-        assert [j for j, _ in loaded] == [0, 1, 2, 3]
-        assert np.allclose([v for _, v in loaded], sl.eigenvalues)
-
-    def test_curve_round_trip(self, disk, tmp_path):
-        _, forms = disk(1)
-        curve = trace_eigencurves(forms, 1.0, [0], [0.5, 1.0], factor_index=1)[0]
-        path = tmp_path / "curves.csv"
-        curves_to_csv([curve], path)
-        rows = load_curves_csv(path)
-        assert rows == [(0.5, 1, 0, curve.values[0]), (1.0, 1, 0, curve.values[1])]
-
-    def test_unlabeled_curve_export_rejected(self, disk, tmp_path):
-        _, forms = disk(0)
-        curve = trace_eigencurves(forms, 1.0, [0], [1.0])[0]
-        with pytest.raises(PreconditionError):
-            curves_to_csv([curve], tmp_path / "c.csv")
-
-    def test_wrong_header_names_file_and_both_headers(self, disk, tmp_path):
-        _, forms = disk(0)
-        path = tmp_path / "slice.csv"
-        slice_to_csv(steklov_spectrum(forms, 2), path)
-        with pytest.raises(PreconditionError) as info:
-            load_curves_csv(path)
-        message = str(info.value)
-        assert "slice.csv" in message
-        assert "['j', 'rho']" in message and "['t', 'i', 'j', 'rho']" in message
