@@ -28,13 +28,14 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components, dijkstra, reverse_cuthill_mckee
+from scipy.sparse.csgraph import breadth_first_order, reverse_cuthill_mckee
 
 from .errors import AssemblyError, PreconditionError
 from .mesh import Mesh
 
 # largest part that nested dissection leaves whole: on the disk L6 interior,
-# leaves of 32 give 12% less fill than 128 and take 2.5 times as long
+# leaves of 32 keep half the factor entries of 128 (0.75M against 1.57M) but
+# take 1.2 times as long per S(c) and twice as long to build
 DISSECTION_LEAF = 128
 
 
@@ -61,15 +62,16 @@ class DensePattern:
 
 
 class Front(NamedTuple):
-    """A node of the nested-dissection tree of A_ii.  Its update set is the
-    later dofs adjacent to its subtree, n_inner interior ones, then boundary
-    ones.  Its front keeps the first len(pivots) + n_inner columns of A's
-    lower triangle on pivots + update, in Fortran order.  By flat positions,
-    int32 to halve their memory, ``gather`` puts the pivot columns' K and M
-    there, ``extend_add[i]`` child i's (len(update), n_inner) contribution,
-    and ``boundary`` its boundary block into S."""
+    """A node of the nested-dissection tree of A_ii.  It pivots on the slice
+    ``pivots`` of the elimination order; its update set holds the later
+    positions next to its subtree, n_inner interior ones, then boundary ones.
+    Its buffer holds the p x p pivot block, then the update rows on all
+    p + n_inner columns, each in Fortran order.  By intp flat positions,
+    ``gather`` puts the pivot columns' lower K and M there, ``extend_add[i]``
+    child i's ``lower_trapezoid``, and ``boundary`` the lower triangle of
+    its boundary block into S."""
 
-    pivots: np.ndarray
+    pivots: slice
     update: np.ndarray
     n_inner: int
     children: tuple
@@ -78,6 +80,13 @@ class Front(NamedTuple):
     gather: np.ndarray
     extend_add: tuple
     boundary: np.ndarray
+
+
+def lower_trapezoid(n_rows: int, n_cols: int) -> np.ndarray:
+    """The entries (i, j), i >= j, of an n_rows x n_cols array in Fortran
+    order, column by column: a mask of its transpose, in C order.  The
+    top-left n_cols x n_rows corner of a larger one masks the same."""
+    return np.less_equal.outer(np.arange(n_cols), np.arange(n_rows))
 
 
 class FactorInput:
@@ -92,7 +101,8 @@ class FactorInput:
       pattern (George & Liu, 1981), ``interior_order``, which keeps A_ii in
       a narrow band; the columns of A_ib follow ``boundary_dofs``;
     * ``fronts``: the nested-dissection tree of the interior dofs, one
-      ``Front`` per node, in postorder.
+      ``Front`` per node, in postorder, and ``elimination``, the dofs in the
+      order in which they pivot, the boundary dofs last.
     """
 
     def __init__(self, K: sp.csr_matrix, M: sp.csr_matrix, B: sp.csr_matrix,
@@ -116,50 +126,59 @@ class FactorInput:
         """Dense A_bb = K_bb + c M_bb."""
         return self.K_bb + c * self.M_bb
 
-    @cached_property
-    def _total(self) -> sp.csc_matrix:
-        return sp.csc_matrix((sum(self._values), (self._rows, self._cols)), shape=(self.n,) * 2)
+    def _interior_graph(self) -> sp.csr_matrix:
+        """The pattern of A_ii, on the interior dofs in ascending order."""
+        inner, local = ~self._is_b[self._rows] & ~self._is_b[self._cols], np.cumsum(~self._is_b) - 1
+        n_i = self.n - len(self.boundary_dofs)
+        return sp.csr_matrix((np.ones(np.count_nonzero(inner)), (local[self._rows[inner]],
+                              local[self._cols[inner]])), shape=(n_i, n_i))
 
     @cached_property
-    def fronts(self) -> tuple:
-        """The ``Front`` of each node of the nested-dissection tree of the
-        interior pattern, with unit weights, in postorder."""
+    def _tree(self) -> tuple:
+        """(elimination, fronts): the dofs in elimination order, and the
+        ``Front`` of each node of the nested-dissection tree of the interior
+        pattern, in postorder."""
         inner = np.flatnonzero(~self._is_b)
         if not len(inner):
-            return ()
-        graph = self._total[inner][:, inner].tocsr()
-        graph.data[:] = 1.0
-        order, start, children = nested_dissection(graph)
+            return self.boundary_dofs, ()
+        order, start, children = nested_dissection(self._interior_graph())
         n_i, n_b = len(inner), len(self.boundary_dofs)
-        # renumbered by elimination, node k pivots on columns start[k]:start[k + 1],
-        # and the pencil's entries sorted by column, then row
-        dofs = np.concatenate([inner[order], self.boundary_dofs])
-        position = np.empty(self.n, dtype=np.int64)
-        position[dofs] = np.arange(self.n)
+        elimination = np.concatenate([inner[order], self.boundary_dofs])
+        position = np.empty(self.n, dtype=np.intp)
+        position[elimination] = np.arange(self.n)
+        # the lower triangle's pivot columns, sorted by column, then row;
+        # node k's columns start[k]:start[k + 1] sit at ptr[k]:ptr[k + 1]
         rows, cols = position[self._rows], position[self._cols]
-        at = np.lexsort((rows, cols))
+        at = np.flatnonzero((rows >= cols) & (cols < n_i))
+        at = at[np.argsort(cols[at] * self.n + rows[at])]
         rows, cols, K, M = rows[at], cols[at], self._values[0][at], self._values[1][at]
-        ptr = np.r_[0, np.cumsum(np.bincount(cols, minlength=self.n))]
-        update, fronts = [], []
-        for lo, hi, kids in zip(start[:-1], start[1:], children):
-            at = slice(ptr[lo], ptr[hi])
-            r, col = rows[at], cols[at]
-            upd = np.concatenate([r] + [update[j] for j in kids])
-            upd = np.unique(upd[upd >= hi])
-            front, n_inner, low = np.r_[lo:hi, upd], int(np.searchsorted(upd, n_i)), r >= col
+        ptr = np.searchsorted(cols, start)
+        # in the front being built, entry (i, j) sits at first[i] + stride[i] * place[j]
+        place, first, stride = (np.empty(self.n, dtype=np.intp) for _ in range(3))
+        near = np.zeros(self.n, dtype=bool)  # the positions next to a subtree
 
-            def flat(i, j):  # positions of the entries (i, j) in the front
-                at_i, at_j = np.searchsorted(front, i), np.searchsorted(front, j)
-                return (at_i + len(front) * at_j).ravel().astype(np.int32)
+        def flat(offset, step, column):  # of the lower trapezoid: rows (offset, step)
+            return (offset + step * column[:, None])[lower_trapezoid(len(offset), len(column))]
 
+        fronts = []
+        for lo, hi, kids, begin, end in zip(start[:-1].tolist(), start[1:].tolist(), children,
+                                            ptr[:-1].tolist(), ptr[1:].tolist()):
+            r, later = rows[begin:end], [fronts[j].update for j in kids]
+            for x in [r] + later:
+                near[x] = True
+            upd = hi + np.flatnonzero(near[hi:])
+            near[:] = False
+            p, u, n_inner = hi - lo, len(upd), int(np.searchsorted(upd, n_i))
+            place[lo:hi], first[lo:hi], stride[lo:hi] = np.arange(p), np.arange(p), p
+            place[upd], first[upd], stride[upd] = np.arange(p, p + u), p * p + np.arange(u), u
             b = upd[n_inner:] - n_i
-            update.append(upd)
             fronts.append(Front(
-                dofs[lo:hi], dofs[upd], n_inner, kids, K[at][low], M[at][low],
-                flat(r[low], col[low]),
-                tuple(flat(update[j], update[j][:fronts[j].n_inner, None]) for j in kids),
-                (b + n_b * b[:, None]).ravel().astype(np.int32)))
-        return tuple(fronts)
+                slice(lo, hi), upd, n_inner, kids, K[begin:end], M[begin:end],
+                first[r] + stride[r] * (cols[begin:end] - lo),
+                tuple(flat(first[x], stride[x], place[x[:fronts[j].n_inner]])
+                      for j, x in zip(kids, later)),
+                flat(b, n_b, b)))
+        return elimination, tuple(fronts)
 
     @cached_property
     def _band(self) -> tuple:
@@ -168,8 +187,8 @@ class FactorInput:
         rows, cols, is_b, bnd = self._rows, self._cols, self._is_b, self.boundary_dofs
         interior_order = np.flatnonzero(~is_b)
         if len(interior_order):  # RCM rejects an empty graph
-            inner = self._total[interior_order][:, interior_order].tocsr()
-            interior_order = interior_order[reverse_cuthill_mckee(inner, symmetric_mode=True)]
+            rcm = reverse_cuthill_mckee(self._interior_graph(), symmetric_mode=True)
+            interior_order = interior_order[rcm]
         local = np.empty(self.n, dtype=np.int64)
         local[interior_order] = np.arange(len(interior_order))
         local[bnd] = np.arange(len(bnd))
@@ -183,6 +202,8 @@ class FactorInput:
                 DensePattern((bw + 1, n_i), bw + r - c + (bw + 1) * c, K[ii], M[ii]),
                 DensePattern((n_i, n_b), local[rows[ib]] + n_i * local[cols[ib]], K[ib], M[ib]))
 
+    elimination = property(lambda self: self._tree[0])
+    fronts = property(lambda self: self._tree[1])
     interior_order = property(lambda self: self._band[0])
     interior = property(lambda self: self._band[1])
     coupling = property(lambda self: self._band[2])
@@ -194,36 +215,90 @@ def nested_dissection(graph: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray, lis
     tree: a connected part of more than DISSECTION_LEAF vertices is split by
     the breadth-first level, from a pseudo-peripheral vertex, that holds its
     middle vertex, and ordered after the levels below and then those above
-    it.  Neither holds more than half the part, so the recursion depth grows
-    like log2(n).  Smaller parts keep their numbering and are leaves; the
-    parts of a disconnected graph are sibling subtrees.  Returns (order,
-    start, children): node k of the tree, in postorder, holds the vertices
+    it.  Neither holds more than half the part, so the tree is about log2(n)
+    deep.  Smaller parts keep their numbering and are leaves; the components
+    of a part that falls apart are sibling subtrees.  Returns (order, start,
+    children): node k of the tree, in postorder, holds the vertices
     order[start[k]:start[k + 1]], and children[k] is the tuple of its
-    children.  No edge joins two sibling subtrees."""
-    parts, children = [], []
+    children.  No edge joins two sibling subtrees.
 
-    def node(verts, kids):
-        parts.append(verts)
-        children.append(tuple(kids))
-        return [len(parts) - 1]
+    The tree grows a level at a time on one graph, which drops the edges of
+    each vertex a node takes.  Per level, searches from each part's smallest
+    vertex (and each further component's) find every farthest vertex, the
+    smallest at the largest distance, and one search from those every split
+    (``_distance``).  Distances do not depend on the order of a search, so
+    the tree is that of a search per part."""
+    n = graph.shape[0]
+    rows, cols = np.repeat(np.arange(n), np.diff(graph.indptr)), graph.indices
+    part = np.zeros(n, dtype=np.intp)  # node k splits into parts 2k + 1, 2k + 2
+    node, name, dist = (np.empty(n, dtype=np.intp) for _ in range(3))
+    roots, made = {}, 0  # the subtree roots of each part; the nodes so far
+    while (part >= 0).any():  # -1 once a node holds the vertex
+        live = part >= 0
+        rows, cols = rows[live[rows]], cols[live[rows]]
+        indptr = np.r_[0, np.cumsum(np.bincount(rows, minlength=n))].astype(np.int32)
+        verts = np.flatnonzero(live)
+        # a unit, named by its smallest vertex, is a part of at most
+        # DISSECTION_LEAF vertices or a component of a larger part
+        size, todo = np.bincount(part[verts], minlength=2 * made + 3), verts
+        while len(todo):
+            least = np.full(len(size), n)
+            np.minimum.at(least, part[todo], todo)
+            name[todo] = least[part[todo]]
+            todo = todo[size[part[todo]] > DISSECTION_LEAF]
+            sources = least[(least < n) & (size > DISSECTION_LEAF)]
+            dist[todo] = _distance(indptr, cols, sources)[todo]
+            todo = todo[dist[todo] < 0]
+        units, unit, size = np.unique(name[verts], return_inverse=True, return_counts=True)
+        for p, k in zip(part[units].tolist(), range(made, made + len(units))):
+            roots.setdefault(p, []).append(k)
+        node[verts], part[verts] = made + unit, -1
+        # a larger unit splits at the distance from its farthest vertex of
+        # its ceil(size / 2)-th vertex by that distance
+        big = np.flatnonzero(size > DISSECTION_LEAF)
+        verts, unit = verts[size[unit] > DISSECTION_LEAF], unit[size[unit] > DISSECTION_LEAF]
+        far = np.full(len(units), -1)
+        np.maximum.at(far, unit, dist[verts] * n + n - 1 - verts)
+        level = _distance(indptr, cols, n - 1 - far[big] % n)[verts]
+        ranked, middle = np.sort(unit * n + level), np.zeros(len(units), dtype=np.intp)
+        middle[big] = ranked[np.searchsorted(ranked, big * n) + (size[big] - 1) // 2] - big * n
+        side = np.sign(level - middle[unit])
+        part[verts[side != 0]] = 2 * (made + unit[side != 0]) + 1 + (side[side != 0] > 0)
+        made += len(units)
+    post = []
 
-    def dissect(verts):
-        if len(verts) <= DISSECTION_LEAF:
-            return node(verts, []) if len(verts) else []
-        sub = graph[verts][:, verts]
-        reach = dijkstra(sub, indices=0, unweighted=True)
-        if np.isinf(reach).any():
-            _, label = connected_components(sub, directed=False)
-            by_label = verts[np.argsort(label, kind="stable")]
-            return [root for part in np.split(by_label, np.cumsum(np.bincount(label))[:-1])
-                    for root in dissect(part)]
-        level = dijkstra(sub, indices=int(np.argmax(reach)), unweighted=True)
-        middle = np.searchsorted(np.cumsum(np.bincount(level.astype(np.int64))), len(verts) / 2)
-        return node(verts[level == middle],
-                    dissect(verts[level < middle]) + dissect(verts[level > middle]))
+    def emit(label):
+        for k in roots.get(label, ()):
+            emit(2 * k + 1)
+            emit(2 * k + 2)
+            post.append(k)
 
-    dissect(np.arange(graph.shape[0]))
-    return np.concatenate(parts), np.cumsum([0] + [len(part) for part in parts]), children
+    emit(0)
+    rank = np.empty(made, dtype=np.intp)
+    rank[post] = np.arange(made)
+    return (np.argsort(rank[node], kind="stable"),
+            np.r_[0, np.cumsum(np.bincount(rank[node], minlength=made))],
+            [tuple(int(rank[j]) for half in (2 * k + 1, 2 * k + 2) for j in roots.get(half, ()))
+             for k in post])
+
+
+def _distance(indptr: np.ndarray, cols: np.ndarray, sources: np.ndarray) -> np.ndarray:
+    """Each vertex's distance from the nearest of ``sources`` over the rows
+    (indptr, cols), -1 where none reaches: a breadth-first search from a
+    virtual vertex joined to them meets the vertices by distance, each after
+    its predecessor, so a distance ends where the predecessors pass the last."""
+    n, nnz = len(indptr) - 1, len(cols) + len(sources)
+    order, pred = breadth_first_order(sp.csr_matrix((np.ones(nnz), np.concatenate(
+        [cols, sources.astype(cols.dtype)]), np.append(indptr, nnz).astype(indptr.dtype)),
+        shape=(n + 1, n + 1)), n)
+    at = np.empty(n + 1, dtype=np.intp)
+    at[order] = np.arange(len(order))
+    parent, ends = at[pred[order[1:]]], [1]
+    while ends[-1] < len(order):
+        ends.append(1 + int(np.searchsorted(parent, ends[-1])))
+    dist = np.full(n + 1, -1)
+    dist[order] = np.repeat(np.arange(-1, len(ends) - 1), np.diff(ends, prepend=0))
+    return dist[:n]
 
 
 @dataclass(frozen=True, eq=False)

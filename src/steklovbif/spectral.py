@@ -51,7 +51,7 @@ to level 4 keep the band and their answers to the last bit.  Counts and
 the table take the fronts at every size, so the band serves only slices
 and harmonic extensions.  At L6 the band path holds a dense n_i x n_b
 block (63 MB) and the band of A_ii (31 MB); the tree, built once per
-forms, takes 0.16 s and 10 MB.
+forms, takes 0.09 s and 12 MB, and one multifrontal S alone about 60 ms.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import blas, lapack
 
 from .errors import BracketError, EigensolverError, PreconditionError
-from .fem import AssembledForms
+from .fem import AssembledForms, lower_trapezoid
 
 # largest boundary-dof count whose S comes from the banded Cholesky (see
 # above)
@@ -151,30 +151,36 @@ def _schur(fi, c):
 def _multifrontal_schur(fi, c, factors=None):
     """Dense S(c) and ||A_bb||_1: in postorder, each front gathers A, adds
     its children's contributions and factors its pivot block L L' (dpotrf,
-    A_ii is positive definite for c >= 0); with W = A_21 L^-T, A_22 - W W'
-    goes to the parent on its interior columns, and straight into S on the
-    boundary block, built last in A_bb's buffer.  Each front's (L, W) is
-    appended to ``factors`` when a list is given, for ``_solve``."""
+    A_ii is positive definite for c >= 0); with W = A_21 L^-T, the lower
+    trapezoid of A_22 - W W' goes to the parent on its interior columns,
+    and the lower triangle of its boundary block straight into S, built last
+    in A_bb's buffer.  Each front's (L, W) is appended to ``factors`` when a
+    list is given, for ``_solve``."""
     n_b = len(fi.boundary_dofs)
     lower = np.zeros(n_b * n_b)  # of S - A_bb, in Fortran order
     blocks = {}
+    width = max((len(front.update) for front in fi.fronts), default=0)
+    trapezoid = lower_trapezoid(width, width)
     for k, front in enumerate(fi.fronts):
-        p, n_inner, u = len(front.pivots), front.n_inner, len(front.update)
-        buf = np.zeros((p + u) * (p + n_inner))
+        p, n_inner, u = front.pivots.stop - front.pivots.start, front.n_inner, len(front.update)
+        buf = np.zeros(p * p + u * (p + n_inner))
         buf[front.gather] = front.K + c * front.M
         for j, at in zip(front.children, front.extend_add):
-            buf[at] += blocks.pop(j).ravel("F")
-        F = buf.reshape((p + u, p + n_inner), order="F")
-        L, info = lapack.dpotrf(F[:p, :p], lower=1, clean=0)
+            buf[at] += blocks.pop(j)
+        below = buf[p * p:].reshape((u, p + n_inner), order="F")
+        L, info = lapack.dpotrf(buf[:p * p].reshape((p, p), order="F"), lower=1, clean=0,
+                                overwrite_a=1)
         if info != 0:
             raise EigensolverError(f"interior factorization at c={c:.12g} failed: info {info}")
-        W = blas.dtrsm(1.0, L, F[p:, :p], side=1, lower=1, trans_a=1)
-        if factors is not None:
-            factors.append((L, W))
+        W = blas.dtrsm(1.0, L, below[:, :p], side=1, lower=1, trans_a=1, overwrite_b=1)
+        if factors is not None:  # copies, so that the buffer is freed
+            factors.append((L.copy("F"), W.copy("F")))
         if n_inner:
-            blocks[k] = blas.dgemm(-1.0, W, W[:n_inner], beta=1.0, c=F[p:, p:], trans_b=1)
+            blocks[k] = blas.dgemm(-1.0, W, W[:n_inner], beta=1.0, c=below[:, p:], trans_b=1,
+                                   overwrite_c=1).T[trapezoid[:n_inner, :u]]
         if n_inner < u:
-            lower[front.boundary] -= blas.dsyrk(1.0, W[n_inner:], lower=1).ravel("F")
+            m = u - n_inner
+            lower[front.boundary] -= blas.dsyrk(1.0, W[n_inner:], lower=1).T[trapezoid[:m, :m]]
     lower = lower.reshape((n_b, n_b), order="F")
     S = fi.boundary(c)
     a_norm = _norm1(S)
@@ -223,19 +229,21 @@ def _check_coefficients(c, lam=0.0) -> None:
 def _solve(fi, factors, boundary, x) -> np.ndarray:
     """(A - lam B)^-1 x, A = K + c M, for a vector or the columns of x, from
     the multifrontal Cholesky of A_ii that formed S(c), its fronts' (L, W),
-    and the Cholesky factor of S(c) - lam B_bb: forward through the fronts
-    in postorder, the boundary block (dpotrs), back in reverse order."""
-    z = np.array(x, dtype=float).reshape(len(x), -1)
+    and the Cholesky factor of S(c) - lam B_bb: in elimination order,
+    forward through the fronts in postorder, the boundary block (dpotrs),
+    back in reverse order."""
+    z = np.asarray(x, dtype=float).reshape(len(x), -1)[fi.elimination]
     for front, (L, W) in zip(fi.fronts, factors):
-        y = blas.dtrsm(1.0, L, z[front.pivots], lower=1)
-        z[front.pivots] = y
+        y = z[front.pivots] = blas.dtrsm(1.0, L, z[front.pivots], lower=1)
         z[front.update] -= W @ y
-    bnd = fi.boundary_dofs
+    bnd = slice(len(z) - len(fi.boundary_dofs), len(z))
     z[bnd] = lapack.dpotrs(boundary, z[bnd], lower=1)[0]
     for front, (L, W) in zip(reversed(fi.fronts), reversed(factors)):
         z[front.pivots] = blas.dtrsm(1.0, L, z[front.pivots] - W.T @ z[front.update],
                                      lower=1, trans_a=1)
-    return z.reshape(np.shape(x))
+    out = np.empty_like(z)
+    out[fi.elimination] = z
+    return out.reshape(np.shape(x))
 
 
 def count_below(forms: AssembledForms, c: float, lam):

@@ -1,10 +1,13 @@
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.sparse.csgraph import reverse_cuthill_mckee
+from conftest import delaunay_disks
+from hypothesis import given, settings
+from scipy.sparse.csgraph import connected_components, dijkstra, reverse_cuthill_mckee
 
 from steklovbif import (assemble, fem, generate_disk, generate_interval, scale_metric_forms,
                         steklov_spectrum)
@@ -29,6 +32,54 @@ def per_cell_forms(mesh):
         measure = 1.0 if d == 1 else simplex_measure(mesh.vertices[facet])
         B[np.ix_(facet, facet)] += measure * (np.ones((d, d)) + np.eye(d)) / (d * (d + 1))
     return K, M, B
+
+
+def recursive_dissection(graph, leaf):
+    """The nested dissection of ``fem.nested_dissection`` by a recursion over
+    the parts, with two searches and two sub-matrix slices per split: a
+    test-only oracle for its tree."""
+    parts, children = [], []
+
+    def node(verts, kids):
+        parts.append(verts)
+        children.append(tuple(kids))
+        return [len(parts) - 1]
+
+    def dissect(verts):
+        if len(verts) <= leaf:
+            return node(verts, []) if len(verts) else []
+        sub = graph[verts][:, verts]
+        reach = dijkstra(sub, indices=0, unweighted=True)
+        if np.isinf(reach).any():
+            _, label = connected_components(sub, directed=False)
+            by_label = verts[np.argsort(label, kind="stable")]
+            return [root for part in np.split(by_label, np.cumsum(np.bincount(label))[:-1])
+                    for root in dissect(part)]
+        level = dijkstra(sub, indices=int(np.argmax(reach)), unweighted=True)
+        counts = np.bincount(level.astype(np.int64))
+        middle = np.searchsorted(np.cumsum(counts), len(verts) / 2)
+        return node(verts[level == middle],
+                    dissect(verts[level < middle]) + dissect(verts[level > middle]))
+
+    dissect(np.arange(graph.shape[0]))
+    return np.concatenate(parts), np.cumsum([0] + [len(part) for part in parts]), children
+
+
+def interior_graph(forms):
+    """The pattern of A_ii with unit entries, sliced from the summed forms."""
+    inner = forms.interior_dofs
+    graph = (abs(forms.K) + abs(forms.M) + abs(forms.B)).tocsc()[inner][:, inner].tocsr()
+    graph.data[:] = 1.0
+    return graph
+
+
+def assert_tree_of_the_oracle(graph, leaf):
+    with mock.patch.object(fem, "DISSECTION_LEAF", leaf):
+        order, start, children = fem.nested_dissection(graph)
+    want_order, want_start, want_children = recursive_dissection(graph, leaf)
+    assert np.array_equal(order, want_order)
+    assert np.array_equal(start, want_start)
+    assert children == want_children
 
 
 class TestElementMatrices:
@@ -173,6 +224,47 @@ class TestFactorInput:
         assert len(roots) == 2 and start[-1] == 2 * size
         leaf = sp.csr_matrix((np.ones(3), ([0, 1, 2], [1, 2, 0])), shape=(3, 3))
         assert np.array_equal(fem.nested_dissection(leaf + leaf.T)[0], [0, 1, 2])
+
+
+class TestNestedDissection:
+    """The level-synchronous dissection builds the tree of the recursive
+    oracle, (order, start, children) identical, so that every S(c) keeps
+    its bits."""
+
+    @pytest.mark.parametrize("case,leaf", [(f"disk{level}", fem.DISSECTION_LEAF)
+                                           for level in range(7)]
+                             + [(case, leaf) for case in ("interval1000", "jittered", "delaunay")
+                                for leaf in (fem.DISSECTION_LEAF, 4)] + [("disk3", 4)])
+    def test_tree_of_the_recursive_oracle(self, case, leaf, disk, interval, fuzz_meshes):
+        forms = TestFactorInput._forms(case, disk, interval, fuzz_meshes)
+        graph = interior_graph(forms)
+        assert_tree_of_the_oracle(graph, leaf)
+        with mock.patch.object(fem, "DISSECTION_LEAF", leaf):
+            fi = FactorInput(forms.K, forms.M, forms.B, forms.boundary_dofs)
+            order = recursive_dissection(graph, leaf)[0]
+            assert np.array_equal(fi.elimination, np.r_[forms.interior_dofs[order],
+                                                        forms.boundary_dofs])
+
+    @pytest.mark.parametrize("leaf", [fem.DISSECTION_LEAF, 16, 4])
+    def test_components_as_the_recursive_oracle(self, leaf, disk):
+        # the two interleaved paths below, and two disjoint disks, in order
+        # and with their vertices shuffled together
+        size = 3 * fem.DISSECTION_LEAF
+        first, second = np.arange(0, 2 * size, 2), np.arange(1, 2 * size, 2)
+        rows = np.concatenate([first[:-1], second[:-1]])
+        cols = np.concatenate([first[1:], second[1:]])
+        paths = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(2 * size, 2 * size))
+        disks = sp.block_diag([interior_graph(disk(4)[1]), interior_graph(disk(3)[1])]).tocsr()
+        shuffle = np.random.default_rng(1).permutation(disks.shape[0])
+        for graph in (paths + paths.T, disks, disks[shuffle][:, shuffle].tocsr()):
+            assert_tree_of_the_oracle(graph, leaf)
+
+    @pytest.mark.parametrize("leaf", [4, 16])
+    @settings(max_examples=20)
+    @given(mesh=delaunay_disks())
+    def test_delaunay_trees_of_the_recursive_oracle(self, leaf, mesh):
+        # small leaves: deep trees, and parts that fall apart
+        assert_tree_of_the_oracle(interior_graph(assemble(mesh)), leaf)
 
 
 class TestScaleMetricForms:

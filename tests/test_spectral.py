@@ -498,23 +498,82 @@ class TestFactorizationBudget:
 
         for leaf in (fem.DISSECTION_LEAF, 4):
             monkeypatch.setattr(fem, "DISSECTION_LEAF", leaf)
-            fronts = fem.FactorInput(forms.K, forms.M, forms.B, forms.boundary_dofs).fronts
-            order = np.concatenate([front.pivots for front in fronts])
+            fi = fem.FactorInput(forms.K, forms.M, forms.B, forms.boundary_dofs)
+            fronts, elimination, n_i = fi.fronts, fi.elimination, len(forms.interior_dofs)
+            # the fronts pivot on consecutive slices of the elimination order,
+            # which ends with the boundary dofs
+            assert [front.pivots.start for front in fronts] == [0] + [
+                front.pivots.stop for front in fronts[:-1]]
+            assert fronts[-1].pivots.stop == n_i
+            assert all(front.pivots.stop > front.pivots.start for front in fronts)
+            assert np.array_equal(elimination[n_i:], forms.boundary_dofs)
+            order = elimination[:n_i]
             assert np.array_equal(np.sort(order), forms.interior_dofs)
             position = np.empty(forms.n, dtype=np.int64)
-            position[np.concatenate([order, forms.boundary_dofs])] = np.arange(forms.n)
+            position[elimination] = np.arange(forms.n)
             subtree = []  # the pivots of each node's subtree
             for front in fronts:
-                subtree.append(np.concatenate([front.pivots]
-                                              + [subtree[j] for j in front.children]))
+                pivots = elimination[front.pivots]
+                subtree.append(np.concatenate([pivots] + [subtree[j] for j in front.children]))
                 near = np.unique(graph[subtree[-1]].indices)
-                later = near[position[near] > position[front.pivots].max()]
-                assert np.array_equal(front.update, later[np.argsort(position[later])])
-                assert np.all(np.isin(front.update[front.n_inner:], forms.boundary_dofs))
-                assert not np.isin(front.update[:front.n_inner], forms.boundary_dofs).any()
+                later = position[near[position[near] >= front.pivots.stop]]
+                assert front.update.dtype == np.intp
+                assert np.array_equal(front.update, np.sort(later))
+                assert np.all(front.update[front.n_inner:] >= n_i)
+                assert np.all(front.update[:front.n_inner] < n_i)
                 apart([subtree[j] for j in front.children])
             children = {j for front in fronts for j in front.children}
             apart([subtree[k] for k in range(len(fronts)) if k not in children])
+
+    @pytest.mark.parametrize("name", ["disk3", "disk5", "jittered", "delaunay", "interval50"])
+    def test_fronts_hand_on_lower_trapezoids(self, disk, interval, fuzz_meshes, name):
+        # a front's buffer holds its p x p pivot block, then its u update rows
+        # on all its columns, each in Fortran order; every intp map lands on
+        # or below a diagonal, and a child hands on only the lower trapezoid
+        # of its (u, n_inner) block, u n_inner - n_inner (n_inner - 1) / 2
+        # entries, column by column
+        if name.startswith("disk"):
+            forms = disk(int(name[4:]))[1]
+        elif name.startswith("interval"):
+            forms = interval(int(name[8:]), 1.0)[1]
+        else:
+            forms = fuzz_meshes[name][1]
+        fi, n_b = forms.factor_input, len(forms.boundary_dofs)
+        A, dofs = (forms.K + 2.0 * forms.M).tocsr(), fi.elimination
+        handed = expected = 0
+        for front in fi.fronts:
+            p, u = front.pivots.stop - front.pivots.start, len(front.update)
+            held = np.r_[front.pivots.start:front.pivots.stop, front.update]
+
+            def entries(at):
+                assert at.dtype == np.intp and len(np.unique(at)) == len(at)
+                assert 0 <= at.min() and at.max() < p * p + u * (p + front.n_inner)
+                top = at < p * p
+                col, row = np.where(top, at // p, (at - p * p) // max(u, 1)), np.where(
+                    top, at % p, p + (at - p * p) % max(u, 1))
+                assert np.all(row >= col)
+                return held[row], held[col]
+
+            row, col = entries(front.gather)
+            assert np.array_equal(np.asarray(A[dofs[row], dofs[col]]).ravel(),
+                                  front.K + 2.0 * front.M)
+            for j, at in zip(front.children, front.extend_add):
+                child = fi.fronts[j]
+                # the child's entries (i, j), i >= j, column by column: the
+                # upper triangle of its (n_inner, u) transpose, row by row
+                child_j, child_i = np.triu_indices(child.n_inner, 0, len(child.update))
+                row, col = entries(at)
+                assert np.array_equal(row, child.update[child_i])
+                assert np.array_equal(col, child.update[child_j])
+                handed += len(at)
+                expected += (len(child.update) * child.n_inner
+                             - child.n_inner * (child.n_inner - 1) // 2)
+            m = u - front.n_inner
+            col, row = np.divmod(front.boundary, n_b)
+            assert front.boundary.dtype == np.intp and len(front.boundary) == m * (m + 1) // 2
+            assert np.all(row >= col)
+            assert np.array_equal(np.unique(row), front.update[front.n_inner:] - forms.n + n_b)
+        assert handed == expected
 
     def test_no_dissection_tree_at_or_below_dense_limit(self, monkeypatch):
         # slices and extensions on disk L3 (n_b = 64) never build the
