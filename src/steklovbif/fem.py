@@ -8,15 +8,16 @@ and exact element integration,
 * ``B``  -- boundary mass, supported on boundary vertices.
 
 All three are full symmetric scipy CSR matrices (both triangles stored,
-indices canonical), built straight from batched element matrices.  Every
-factorization of the pencil K + c M - lam B starts from one c-independent
-``FactorInput`` per forms, which builds one order and one tree of the
-interior dofs the first time a solve asks for it: a bandwidth-reducing
+indices canonical), built straight from batched element matrices; K and M,
+summed over the same cells, share one pattern.  Every factorization of the
+pencil K + c M - lam B starts from one c-independent ``FactorInput`` per
+forms, which reads K and M in place and builds one order and one tree of
+the interior dofs the first time a solve asks for it: a bandwidth-reducing
 order, in which A_ii is kept in LAPACK band storage and A_ib as a dense
-Fortran-order array, both scattered from cached positions, and the
-nested-dissection tree, whose fronts a multifrontal Cholesky fills and
-factors.  A run pays only for what its solves use, and no factorization
-orders its matrix again.
+Fortran-order array, and the nested-dissection tree, whose fronts a
+multifrontal Cholesky fills and factors, every dense block scattered from
+cached positions.  A run pays only for what its solves use, and no
+factorization orders its matrix again.
 """
 
 from __future__ import annotations
@@ -55,29 +56,22 @@ class DensePattern:
         out.reshape(-1, order="F")[self.positions] = self.K + c * self.M
         return out
 
-    def matvec(self, c: float, x: np.ndarray) -> np.ndarray:
-        """(K + c M) x, without the dense array."""
-        col, row = np.divmod(self.positions, self.shape[0])
-        return np.bincount(row, (self.K + c * self.M) * x[col], self.shape[0])
-
 
 class Front(NamedTuple):
     """A node of the nested-dissection tree of A_ii.  It pivots on the slice
     ``pivots`` of the elimination order; its update set holds the later
     positions next to its subtree, n_inner interior ones, then boundary ones.
-    Its buffer holds the p x p pivot block, then the update rows on all
-    p + n_inner columns, each in Fortran order.  By intp flat positions,
-    ``gather`` puts the pivot columns' lower K and M there, ``extend_add[i]``
-    child i's ``lower_trapezoid``, and ``boundary`` the lower triangle of
-    its boundary block into S."""
+    Its buffer, ``values.pencil(c)``, holds the p x p pivot block, then the
+    update rows on all p + n_inner columns, each in Fortran order, with the
+    pivot columns' lower K + c M in place.  By intp flat positions,
+    ``extend_add[i]`` adds child i's ``lower_trapezoid`` there, and
+    ``boundary`` the lower triangle of its boundary block into S."""
 
     pivots: slice
     update: np.ndarray
     n_inner: int
     children: tuple
-    K: np.ndarray
-    M: np.ndarray
-    gather: np.ndarray
+    values: DensePattern
     extend_add: tuple
     boundary: np.ndarray
 
@@ -90,57 +84,56 @@ def lower_trapezoid(n_rows: int, n_cols: int) -> np.ndarray:
 
 
 class FactorInput:
-    """The c-independent input of every factorization of K + c M - lam B:
-    the dense blocks K_bb, M_bb and B_bb, in the order of ``boundary_dofs``,
-    and one order and one tree of the interior dofs, each with the pencil in
-    it, built on first use:
+    """The c-independent input of every factorization of K + c M - lam B.
+    K and M must share one canonical CSR pattern, which it reads in place:
+    it holds views of K.data and M.data and positions in that pattern, not
+    copies.  Each dense block of K + c M is a ``DensePattern``: A_bb
+    (``boundary(c)``), in the order of ``boundary_dofs`` like B_bb, which
+    is read from B's own pattern, and, built on first use, one order and
+    one tree of the interior dofs:
 
     * ``interior`` (A_ii, in upper band storage) and ``coupling`` (A_ib,
-      dense), each a ``DensePattern`` scattered from cached positions: rows
-      are the interior dofs in the reverse Cuthill-McKee order of their
-      pattern (George & Liu, 1981), ``interior_order``, which keeps A_ii in
-      a narrow band; the columns of A_ib follow ``boundary_dofs``;
+      dense): rows are the interior dofs in the reverse Cuthill-McKee order
+      of their pattern (George & Liu, 1981), ``interior_order``, which keeps
+      A_ii in a narrow band; the columns of A_ib follow ``boundary_dofs``;
     * ``fronts``: the nested-dissection tree of the interior dofs, one
-      ``Front`` per node, in postorder, and ``elimination``, the dofs in the
-      order in which they pivot, the boundary dofs last.
+      ``Front`` per node, in postorder, ``elimination``, the dofs in the
+      order in which they pivot, the boundary dofs last, and ``trapezoid``,
+      the one ``lower_trapezoid`` whose corners mask every front's blocks.
     """
 
     def __init__(self, K: sp.csr_matrix, M: sp.csr_matrix, B: sp.csr_matrix,
                  boundary_dofs: np.ndarray):
-        self.n, self.boundary_dofs = K.shape[0], boundary_dofs
-        pattern = (abs(K) + abs(M) + abs(B)).tocoo()
-        self._rows, self._cols = pattern.row, pattern.col
-        self._values = tuple(np.asarray(X[self._rows, self._cols]).ravel() for X in (K, M, B))
+        if not (K.has_canonical_format and np.array_equal(K.indptr, M.indptr)
+                and np.array_equal(K.indices, M.indices)):
+            raise PreconditionError("K and M must share one canonical CSR pattern")
+        self.n, self.boundary_dofs, n_b = K.shape[0], boundary_dofs, len(boundary_dofs)
+        self._indptr, self._cols, self._K, self._M = K.indptr, K.indices, K.data, M.data
+        self._rows = np.repeat(np.arange(self.n), np.diff(K.indptr))
         self._is_b = np.zeros(self.n, dtype=bool)
         self._is_b[boundary_dofs] = True
-        n_b = len(boundary_dofs)
         local = np.empty(self.n, dtype=np.int64)
         local[boundary_dofs] = np.arange(n_b)
         bb = self._is_b[self._rows] & self._is_b[self._cols]
-        at = (local[self._rows[bb]], local[self._cols[bb]])
-        self.K_bb, self.M_bb, self.B_bb = (
-            sp.coo_matrix((v[bb], at), shape=(n_b, n_b)).toarray() for v in self._values)
+        at = local[self._rows[bb]] + n_b * local[self._cols[bb]]
+        self._boundary = DensePattern((n_b, n_b), at, self._K[bb], self._M[bb])
+        self.B_bb = B[boundary_dofs][:, boundary_dofs].toarray()
         self.B_bb_norm1 = float(np.abs(self.B_bb).sum(axis=0).max())
 
-    def boundary(self, c: float) -> np.ndarray:
-        """Dense A_bb = K_bb + c M_bb."""
-        return self.K_bb + c * self.M_bb
-
     def _interior_graph(self) -> sp.csr_matrix:
-        """The pattern of A_ii, on the interior dofs in ascending order."""
-        inner, local = ~self._is_b[self._rows] & ~self._is_b[self._cols], np.cumsum(~self._is_b) - 1
-        n_i = self.n - len(self.boundary_dofs)
-        return sp.csr_matrix((np.ones(np.count_nonzero(inner)), (local[self._rows[inner]],
-                              local[self._cols[inner]])), shape=(n_i, n_i))
+        """The pattern of A_ii, a slice of K's, on the interior dofs in order."""
+        inner = np.flatnonzero(~self._is_b)
+        return sp.csr_matrix((np.ones(len(self._cols)), self._cols, self._indptr),
+                             shape=(self.n, self.n))[inner][:, inner]
 
     @cached_property
     def _tree(self) -> tuple:
-        """(elimination, fronts): the dofs in elimination order, and the
-        ``Front`` of each node of the nested-dissection tree of the interior
-        pattern, in postorder."""
+        """(elimination, fronts, trapezoid): the dofs in elimination order,
+        the ``Front`` of each node of the nested-dissection tree of the
+        interior pattern, in postorder, and a mask as wide as the widest."""
         inner = np.flatnonzero(~self._is_b)
         if not len(inner):
-            return self.boundary_dofs, ()
+            return self.boundary_dofs, (), lower_trapezoid(0, 0)
         order, start, children = nested_dissection(self._interior_graph())
         n_i, n_b = len(inner), len(self.boundary_dofs)
         elimination = np.concatenate([inner[order], self.boundary_dofs])
@@ -151,34 +144,39 @@ class FactorInput:
         rows, cols = position[self._rows], position[self._cols]
         at = np.flatnonzero((rows >= cols) & (cols < n_i))
         at = at[np.argsort(cols[at] * self.n + rows[at])]
-        rows, cols, K, M = rows[at], cols[at], self._values[0][at], self._values[1][at]
+        rows, cols, K, M = rows[at], cols[at], self._K[at], self._M[at]
         ptr = np.searchsorted(cols, start)
-        # in the front being built, entry (i, j) sits at first[i] + stride[i] * place[j]
-        place, first, stride = (np.empty(self.n, dtype=np.intp) for _ in range(3))
-        near = np.zeros(self.n, dtype=bool)  # the positions next to a subtree
+        nodes = list(zip(start[:-1].tolist(), start[1:].tolist(), children,
+                         ptr[:-1].tolist(), ptr[1:].tolist()))
+        updates, near = [], np.zeros(self.n, dtype=bool)  # the positions next to a subtree
+        for lo, hi, kids, begin, end in nodes:
+            for x in [rows[begin:end]] + [updates[j] for j in kids]:
+                near[x] = True
+            updates.append(hi + np.flatnonzero(near[hi:]))
+            near[:] = False
+        width = max(map(len, updates))
+        trapezoid = lower_trapezoid(width, width)
 
         def flat(offset, step, column):  # of the lower trapezoid: rows (offset, step)
-            return (offset + step * column[:, None])[lower_trapezoid(len(offset), len(column))]
+            return (offset + step * column[:, None])[trapezoid[:len(column), :len(offset)]]
 
+        # in the front being built, entry (i, j) sits at first[i] + stride[i] * place[j]
+        place, first, stride = (np.empty(self.n, dtype=np.intp) for _ in range(3))
         fronts = []
-        for lo, hi, kids, begin, end in zip(start[:-1].tolist(), start[1:].tolist(), children,
-                                            ptr[:-1].tolist(), ptr[1:].tolist()):
-            r, later = rows[begin:end], [fronts[j].update for j in kids]
-            for x in [r] + later:
-                near[x] = True
-            upd = hi + np.flatnonzero(near[hi:])
-            near[:] = False
+        for (lo, hi, kids, begin, end), upd in zip(nodes, updates):
+            r, col = rows[begin:end], cols[begin:end] - lo
             p, u, n_inner = hi - lo, len(upd), int(np.searchsorted(upd, n_i))
             place[lo:hi], first[lo:hi], stride[lo:hi] = np.arange(p), np.arange(p), p
             place[upd], first[upd], stride[upd] = np.arange(p, p + u), p * p + np.arange(u), u
             b = upd[n_inner:] - n_i
             fronts.append(Front(
-                slice(lo, hi), upd, n_inner, kids, K[begin:end], M[begin:end],
-                first[r] + stride[r] * (cols[begin:end] - lo),
-                tuple(flat(first[x], stride[x], place[x[:fronts[j].n_inner]])
-                      for j, x in zip(kids, later)),
+                slice(lo, hi), upd, n_inner, kids,
+                DensePattern((p * p + u * (p + n_inner),), first[r] + stride[r] * col,
+                             K[begin:end], M[begin:end]),
+                tuple(flat(first[x.update], stride[x.update], place[x.update[:x.n_inner]])
+                      for x in [fronts[j] for j in kids]),
                 flat(b, n_b, b)))
-        return elimination, tuple(fronts)
+        return elimination, tuple(fronts), trapezoid
 
     @cached_property
     def _band(self) -> tuple:
@@ -197,13 +195,15 @@ class FactorInput:
         r, c = local[rows[ii]], local[cols[ii]]
         bw = int((c - r).max(initial=0))  # its bandwidth
         ib = ~is_b[rows] & is_b[cols]
-        K, M, _ = self._values
+        K, M = self._K, self._M
         return (interior_order,
                 DensePattern((bw + 1, n_i), bw + r - c + (bw + 1) * c, K[ii], M[ii]),
                 DensePattern((n_i, n_b), local[rows[ib]] + n_i * local[cols[ib]], K[ib], M[ib]))
 
+    boundary = property(lambda self: self._boundary.pencil)  # A_bb(c), in Fortran order
     elimination = property(lambda self: self._tree[0])
     fronts = property(lambda self: self._tree[1])
+    trapezoid = property(lambda self: self._tree[2])
     interior_order = property(lambda self: self._band[0])
     interior = property(lambda self: self._band[1])
     coupling = property(lambda self: self._band[2])
@@ -303,10 +303,11 @@ def _distance(indptr: np.ndarray, cols: np.ndarray, sources: np.ndarray) -> np.n
 
 @dataclass(frozen=True, eq=False)
 class AssembledForms:
-    """The three assembled bilinear forms of one mesh, as full symmetric CSR.
+    """The three assembled bilinear forms of one mesh, as full symmetric CSR,
+    K and M on one canonical pattern.
 
-    The factorization input is built on first use and shared by every solve
-    on these forms; callers must not modify any matrix in place.
+    The factorization input, built on first use and shared by every solve,
+    reads K and M in place: callers must not modify any matrix in place.
     """
 
     K: sp.csr_matrix
@@ -331,9 +332,9 @@ class AssembledForms:
         return FactorInput(self.K, self.M, self.B, self.boundary_dofs)
 
 
-def _symmetric_csr(n: int, simplices: np.ndarray, elements: np.ndarray) -> sp.csr_matrix:
-    """Sum the element matrices (s, k, k) of the simplices (s, k) into a full
-    symmetric n x n CSR matrix.
+def _symmetric_csr(n: int, simplices: np.ndarray, *elements: np.ndarray) -> tuple:
+    """Sum each stack of element matrices (s, k, k) of the simplices (s, k)
+    into a full symmetric n x n CSR matrix, all on one canonical pattern.
 
     The upper-triangle entries are summed per (row, col) in cell-major order,
     then mirrored below the diagonal, so every entry is the same float sum
@@ -341,18 +342,18 @@ def _symmetric_csr(n: int, simplices: np.ndarray, elements: np.ndarray) -> sp.cs
     """
     a, b = np.triu_indices(simplices.shape[1])
     rows, cols = simplices[:, a].ravel(), simplices[:, b].ravel()
-    values = elements[:, a, b].ravel()
-    lo, hi = np.minimum(rows, cols), np.maximum(rows, cols)
-    keys = lo * n + hi
+    keys = np.minimum(rows, cols) * n + np.maximum(rows, cols)
     order = np.argsort(keys, kind="stable")
-    keys, lo, hi, values = keys[order], lo[order], hi[order], values[order]
-    start = np.unique(keys, return_index=True)[1]
-    lo, hi, values = lo[start], hi[start], np.add.reduceat(values, start)
+    keys = keys[order]
+    start = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    lo, hi = np.divmod(keys[start], n)
     off = lo != hi
-    r = np.concatenate([lo, hi[off]])
-    c = np.concatenate([hi, lo[off]])
-    v = np.concatenate([values, values[off]])
-    return sp.csr_matrix((v, (r, c)), shape=(n, n))
+    r, c = np.concatenate([lo, hi[off]]), np.concatenate([hi, lo[off]])
+    at = np.argsort(r * n + c)  # row by row, each row's columns ascending
+    indptr = np.r_[0, np.cumsum(np.bincount(r, minlength=n))]
+    sums = [np.add.reduceat(e[:, a, b].ravel()[order], start) for e in elements]
+    return tuple(sp.csr_matrix((np.concatenate([v, v[off]])[at], c[at], indptr), shape=(n, n))
+                 for v in sums)
 
 
 def assemble(mesh: Mesh) -> AssembledForms:
@@ -384,12 +385,9 @@ def assemble(mesh: Mesh) -> AssembledForms:
     be = mesh.facet_measures()[:, None, None] * (np.ones((nf, nf)) + np.eye(nf)) / (nf * (nf + 1))
 
     n = mesh.n_vertices
-    return AssembledForms(
-        K=_symmetric_csr(n, mesh.cells, ke),
-        M=_symmetric_csr(n, mesh.cells, me),
-        B=_symmetric_csr(n, facets, be),
-        boundary_dofs=np.asarray(mesh.boundary_vertex_ids, dtype=np.int64),
-    )
+    K, M = _symmetric_csr(n, mesh.cells, ke, me)
+    (B,) = _symmetric_csr(n, facets, be)
+    return AssembledForms(K, M, B, np.asarray(mesh.boundary_vertex_ids, dtype=np.int64))
 
 
 def scale_metric_forms(forms: AssembledForms, t: float, m: int) -> AssembledForms:

@@ -28,30 +28,31 @@ the group.  Every factorization takes its matrix from the forms' cached
 ``FactorInput``, already in its order or tree.
 
 Median ms of one slice at c = 3, band / multifrontal, on the builtin disk
-(L) and on Delaunay disks of random points (D); one BLAS thread, 2-vCPU
-x86, the median of three runs of 9 interleaved repeats (5 at L6), the
-order and tree built before, LAPACK called directly:
+(L) and on Delaunay disks (D) of n_b uniform points on the unit circle and
+n_b**2 // 16 in the disk of radius 0.97, from numpy's default_rng(n_b); one
+BLAS thread, 2-vCPU x86, the median of three runs of 9 interleaved repeats
+(5 at L6), the order and tree built before, LAPACK called directly:
 
     mesh  n_b   k = 1        k = 4        k = 16
-    L3     64   0.71 / 0.84  0.79 / 0.85  1.0 / 1.1
-    D96    96   2.3 / 2.0    2.2 / 2.2    2.6 / 2.6
-    L4    128   7.9 / 4.0    7.7 / 4.3    6.3 / 4.2
-    D144  144   7.7 / 5.7    7.7 / 5.4    9.4 / 6.4
-    D160  160   10 / 5.7     13 / 6.8     14 / 7.8
-    D176  176   17 / 7.8     17 / 8.1     19 / 10
-    D192  192   24 / 10      23 / 10      19 / 9.8
-    D224  224   42 / 14      34 / 12      43 / 16
-    L5    256   68 / 16      67 / 16      65 / 17
-    D272  272   81 / 18      79 / 19      87 / 25
-    L6    512   1400 / 76    1800 / 82    1500 / 81
+    L3     64   1.0 / 0.94   1.2 / 1.1    1.2 / 1.2
+    D96    96   2.1 / 1.9    2.2 / 1.9    3.0 / 2.6
+    L4    128   6.4 / 3.3    6.1 / 3.4    6.9 / 4.5
+    D144  144   11 / 5.8     12 / 5.9     12 / 6.9
+    D160  160   12 / 5.0     12 / 5.3     16 / 8.7
+    D176  176   21 / 9.3     21 / 9.7     22 / 11
+    D192  192   37 / 11      23 / 7.8     29 / 11
+    D224  224   57 / 14      56 / 15      45 / 12
+    L5    256   71 / 13      73 / 13      100 / 21
+    D272  272   110 / 24     94 / 17      120 / 26
+    L6    512   1600 / 77    2000 / 81    2200 / 90
 
-So the tie sits at about 96 boundary dofs (64 while scipy's wrappers
-formed each band slice).  DENSE_LIMIT is 128, above it, so that disks up
-to level 4 keep the band and their answers to the last bit.  Counts and
-the table take the fronts at every size, so the band serves only slices
-and harmonic extensions.  At L6 the band path holds a dense n_i x n_b
-block (63 MB) and the band of A_ii (31 MB); the tree, built once per
-forms, takes 0.09 s and 12 MB, and one multifrontal S alone about 60 ms.
+So the tie sits at about 64 boundary dofs (96 before the fronts factored in
+place).  DENSE_LIMIT is 128, above it, so that disks up to level 4 keep the
+band and their answers to the last bit.  Counts and the table take the
+fronts at every size, so the band serves only slices and harmonic
+extensions.  At L6 the band path holds a dense n_i x n_b block (63 MB) and
+the band of A_ii (31 MB); the tree, built once per forms, takes 0.08-0.11 s
+and 12 MB, and one multifrontal S alone 60-75 ms.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import blas, lapack
 
 from .errors import BracketError, EigensolverError, PreconditionError
-from .fem import AssembledForms, lower_trapezoid
+from .fem import AssembledForms
 
 # largest boundary-dof count whose S comes from the banded Cholesky (see
 # above)
@@ -149,22 +150,19 @@ def _schur(fi, c):
 
 
 def _multifrontal_schur(fi, c, factors=None):
-    """Dense S(c) and ||A_bb||_1: in postorder, each front gathers A, adds
-    its children's contributions and factors its pivot block L L' (dpotrf,
-    A_ii is positive definite for c >= 0); with W = A_21 L^-T, the lower
-    trapezoid of A_22 - W W' goes to the parent on its interior columns,
-    and the lower triangle of its boundary block straight into S, built last
-    in A_bb's buffer.  Each front's (L, W) is appended to ``factors`` when a
-    list is given, for ``_solve``."""
+    """Dense S(c) and ||A_bb||_1: in postorder, each front scatters A into
+    its buffer, adds its children's contributions and factors its pivot
+    block L L' (dpotrf, A_ii is positive definite for c >= 0); with W = A_21
+    L^-T, the lower trapezoid of A_22 - W W' goes to the parent on its
+    interior columns, and the lower triangle of its boundary block straight
+    into S, built last in A_bb's buffer.  Each front's (L, W) is appended to
+    ``factors`` when a list is given, for ``_solve``."""
     n_b = len(fi.boundary_dofs)
     lower = np.zeros(n_b * n_b)  # of S - A_bb, in Fortran order
-    blocks = {}
-    width = max((len(front.update) for front in fi.fronts), default=0)
-    trapezoid = lower_trapezoid(width, width)
+    blocks, trapezoid = {}, fi.trapezoid
     for k, front in enumerate(fi.fronts):
         p, n_inner, u = front.pivots.stop - front.pivots.start, front.n_inner, len(front.update)
-        buf = np.zeros(p * p + u * (p + n_inner))
-        buf[front.gather] = front.K + c * front.M
+        buf = front.values.pencil(c)
         for j, at in zip(front.children, front.extend_add):
             buf[at] += blocks.pop(j)
         below = buf[p * p:].reshape((u, p + n_inner), order="F")
@@ -394,6 +392,6 @@ def harmonic_extension(forms: AssembledForms, trace: np.ndarray, c: float = 0.0)
     phi = np.zeros(forms.n)
     phi[bnd] = trace
     if len(fi.interior_order):
-        rhs = -fi.coupling.matvec(c, trace)
+        rhs = -(forms.K @ phi + c * (forms.M @ phi))[fi.interior_order]
         phi[fi.interior_order] = lapack.dpbtrs(_interior_cholesky(fi, c), rhs)[0]
     return phi

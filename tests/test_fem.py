@@ -155,6 +155,17 @@ class TestFormProperties:
             assert (mat != mat.T).nnz == 0
 
     @pytest.mark.parametrize("case", ["disk1", "interval", "jittered", "delaunay"])
+    def test_stiffness_and_mass_share_one_pattern(self, case, disk, interval, fuzz_meshes):
+        # K and M come from the same cells: one canonical pattern, kept by a
+        # homothety and by a negated K
+        _, forms = self._case(case, disk, interval, fuzz_meshes)
+        negated = fem.AssembledForms(-forms.K, forms.M, forms.B, forms.boundary_dofs)
+        for f in (forms, scale_metric_forms(forms, 2.5, 3), negated):
+            assert f.K.has_canonical_format and f.M.has_canonical_format
+            assert np.array_equal(f.K.indptr, f.M.indptr)
+            assert np.array_equal(f.K.indices, f.M.indices)
+
+    @pytest.mark.parametrize("case", ["disk1", "interval", "jittered", "delaunay"])
     def test_matches_per_cell_reference(self, case, disk, interval, fuzz_meshes):
         # the reference sums in another order, so agreement is to rounding
         mesh, forms = self._case(case, disk, interval, fuzz_meshes)
@@ -184,8 +195,8 @@ class TestFactorInput:
 
     @pytest.mark.parametrize("case", ["disk3", "interval50", "jittered", "delaunay"])
     def test_dense_blocks_hold_the_assembled_pencil(self, case, disk, interval, fuzz_meshes):
-        # A_ib and the upper band of A_ii, in Fortran order, scattered from
-        # the cached positions; matvec applies A_ib without forming it
+        # A_ib, the upper band of A_ii and A_bb, in Fortran order, scattered
+        # from the cached positions
         forms = self._forms(case, disk, interval, fuzz_meshes)
         fi, c = forms.factor_input, 2.5
         A = (forms.K + c * forms.M).tocsr()
@@ -197,8 +208,31 @@ class TestFactorInput:
         assert np.array_equal(A_ii, np.triu(A_ii, -bw)) and np.array_equal(A_ii, np.tril(A_ii, bw))
         for d in range(bw + 1):
             assert np.array_equal(band[bw - d, d:], np.diagonal(A_ii, d))
-        x = np.cos(np.arange(len(bnd)))
-        assert np.allclose(fi.coupling.matvec(c, x), A_ib @ x, rtol=1e-14, atol=1e-14)
+        A_bb = fi.boundary(c)
+        assert A_bb.flags.f_contiguous
+        assert np.array_equal(A_bb, A[bnd][:, bnd].toarray())
+
+    @pytest.mark.parametrize("case", ["disk3", "interval50", "jittered", "delaunay"])
+    def test_reads_the_values_in_place(self, case, disk, interval, fuzz_meshes):
+        forms = self._forms(case, disk, interval, fuzz_meshes)
+        fi = FactorInput(forms.K, forms.M, forms.B, forms.boundary_dofs)
+        assert np.shares_memory(fi._K, forms.K.data) and np.shares_memory(fi._M, forms.M.data)
+
+    def test_stiffness_and_mass_must_share_one_canonical_pattern(self, disk):
+        # an M with one entry fewer than K, and a K and M whose rows list
+        # their columns in descending order
+        forms = disk(2)[1]
+        K, M, B, bnd = forms.K, forms.M.copy(), forms.B, forms.boundary_dofs
+        M.data[1] = 0.0
+        M.eliminate_zeros()
+        descending = np.concatenate([np.arange(a, b)[::-1]
+                                     for a, b in zip(K.indptr[:-1], K.indptr[1:])])
+        K_desc, M_desc = (sp.csr_matrix((X.data[descending], X.indices[descending], X.indptr),
+                                        shape=X.shape) for X in (K, forms.M))
+        assert not K_desc.has_canonical_format
+        for k, m in ((K, M), (K_desc, M_desc)):
+            with pytest.raises(PreconditionError, match="one canonical CSR pattern"):
+                FactorInput(k, m, B, bnd)
 
     @pytest.mark.parametrize("case", ["disk3", "interval50", "jittered", "delaunay"])
     def test_orders_build_without_warnings(self, case, disk, interval, fuzz_meshes):

@@ -19,6 +19,7 @@ from steklovbif import (
     steklov_spectrum,
 )
 from steklovbif.errors import EigensolverError, PreconditionError
+from steklovbif.mesh import Mesh
 from steklovbif.spectral import BRACKET_RTOL, count_below, harmonic_extension
 
 
@@ -420,6 +421,36 @@ class TestDelaunayDiskProperties:
                                    rtol=BRACKET_RTOL, atol=0)
 
 
+class TestRenumbering:
+    """Relabelling a mesh's vertices moves no eigenvalue, count or c_j*: the
+    shared pattern of K and M, the tree and the band meet numberings that
+    the builtin meshes never have."""
+
+    @settings(max_examples=20)
+    @given(mesh=st.one_of(st.sampled_from([2, 3]).map(generate_disk), delaunay_disks()),
+           data=st.data())
+    def test_invariant_under_vertex_permutations(self, mesh, data):
+        perm = np.array(data.draw(st.permutations(range(mesh.n_vertices))))
+        vertices = np.empty_like(mesh.vertices)
+        vertices[perm] = mesh.vertices
+        forms = assemble(mesh)
+        other = assemble(Mesh(dim=mesh.dim, vertices=vertices, cells=perm[mesh.cells]))
+        k = len(forms.boundary_dofs)
+        vals = steklov_spectrum(forms, k).eigenvalues
+        assert np.abs(steklov_spectrum(other, k).eigenvalues - vals).max() <= 1e-12 * vals[-1]
+        for c in (2.0, 0.0):  # the levels of c = 0 serve the table
+            vals = robin_steklov_spectrum(forms, c, k).eigenvalues
+            levels = [0.5 * (a + b) for a, b in zip(vals, vals[1:]) if b - a > 1e-6 * b]
+            counts = count_below(forms, c, levels)
+            assert count_below(other, c, levels) == counts
+            assert counts == [int(np.count_nonzero(vals < lam)) for lam in levels]
+        lam = levels[min(3, len(levels) - 1)]
+        n = count_below(forms, 0.0, lam)
+        np.testing.assert_allclose(spectral.level_crossings(other, lam, n),
+                                   spectral.level_crossings(forms, lam, n),
+                                   rtol=BRACKET_RTOL, atol=0)
+
+
 class TestFactorizationBudget:
     @pytest.fixture
     def band_calls(self, monkeypatch):
@@ -554,9 +585,9 @@ class TestFactorizationBudget:
                 assert np.all(row >= col)
                 return held[row], held[col]
 
-            row, col = entries(front.gather)
+            row, col = entries(front.values.positions)
             assert np.array_equal(np.asarray(A[dofs[row], dofs[col]]).ravel(),
-                                  front.K + 2.0 * front.M)
+                                  front.values.K + 2.0 * front.values.M)
             for j, at in zip(front.children, front.extend_add):
                 child = fi.fronts[j]
                 # the child's entries (i, j), i >= j, column by column: the
