@@ -14,7 +14,8 @@ pencil K + c M - lam B starts from one c-independent ``FactorInput`` per
 forms, which reads K and M in place and builds one order and one tree of
 the interior dofs the first time a solve asks for it: a bandwidth-reducing
 order, in which A_ii is kept in LAPACK band storage and A_ib as a dense
-Fortran-order array, and the nested-dissection tree, whose fronts a
+Fortran-order array, and the nested-dissection tree, which bisects the
+interior along the coordinates of its vertices and whose fronts a
 multifrontal Cholesky fills and factors, every dense block scattered from
 cached positions.  A run pays only for what its solves use, and no
 factorization orders its matrix again.
@@ -29,14 +30,15 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import breadth_first_order, reverse_cuthill_mckee
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .errors import AssemblyError, PreconditionError
 from .mesh import Mesh
 
 # largest part that nested dissection leaves whole: on the disk L6 interior,
-# leaves of 32 keep half the factor entries of 128 (0.75M against 1.57M) but
-# take 1.2 times as long per S(c) and twice as long to build
+# leaves of 32 keep half the factor entries (L's lower triangles and W) of 128
+# (0.92M against 1.79M) at about the same time per S(c), but take 1.5-2 times
+# as long to build
 DISSECTION_LEAF = 128
 
 
@@ -87,7 +89,8 @@ class FactorInput:
     """The c-independent input of every factorization of K + c M - lam B.
     K and M must share one canonical CSR pattern, which it reads in place:
     it holds views of K.data and M.data and positions in that pattern, not
-    copies.  Each dense block of K + c M is a ``DensePattern``: A_bb
+    copies, and ``vertices`` one coordinate row per dof, which only the tree
+    reads.  Each dense block of K + c M is a ``DensePattern``: A_bb
     (``boundary(c)``), in the order of ``boundary_dofs`` like B_bb, which
     is read from B's own pattern, and, built on first use, one order and
     one tree of the interior dofs:
@@ -96,17 +99,22 @@ class FactorInput:
       dense): rows are the interior dofs in the reverse Cuthill-McKee order
       of their pattern (George & Liu, 1981), ``interior_order``, which keeps
       A_ii in a narrow band; the columns of A_ib follow ``boundary_dofs``;
-    * ``fronts``: the nested-dissection tree of the interior dofs, one
-      ``Front`` per node, in postorder, ``elimination``, the dofs in the
-      order in which they pivot, the boundary dofs last, and ``trapezoid``,
-      the one ``lower_trapezoid`` whose corners mask every front's blocks.
+    * ``fronts``: the nested-dissection tree of the interior dofs, by
+      bisection of their coordinates, one ``Front`` per node, in postorder,
+      ``elimination``, the dofs in the order in which they pivot, the
+      boundary dofs last, and ``trapezoid``, the one ``lower_trapezoid``
+      whose corners mask every front's blocks.
     """
 
     def __init__(self, K: sp.csr_matrix, M: sp.csr_matrix, B: sp.csr_matrix,
-                 boundary_dofs: np.ndarray):
+                 boundary_dofs: np.ndarray, vertices: np.ndarray):
         if not (K.has_canonical_format and np.array_equal(K.indptr, M.indptr)
                 and np.array_equal(K.indices, M.indices)):
             raise PreconditionError("K and M must share one canonical CSR pattern")
+        if np.ndim(vertices) != 2 or len(vertices) != K.shape[0]:
+            raise PreconditionError(f"need one vertex row per dof ({K.shape[0]}), "
+                                    f"got shape {np.shape(vertices)}")
+        self._vertices = vertices
         self.n, self.boundary_dofs, n_b = K.shape[0], boundary_dofs, len(boundary_dofs)
         self._indptr, self._cols, self._K, self._M = K.indptr, K.indices, K.data, M.data
         self._rows = np.repeat(np.arange(self.n), np.diff(K.indptr))
@@ -134,7 +142,8 @@ class FactorInput:
         inner = np.flatnonzero(~self._is_b)
         if not len(inner):
             return self.boundary_dofs, (), lower_trapezoid(0, 0)
-        order, start, children = nested_dissection(self._interior_graph())
+        order, start, children = nested_dissection(self._interior_graph(),
+                                                   self._vertices[inner])
         n_i, n_b = len(inner), len(self.boundary_dofs)
         elimination = np.concatenate([inner[order], self.boundary_dofs])
         position = np.empty(self.n, dtype=np.intp)
@@ -209,102 +218,76 @@ class FactorInput:
     coupling = property(lambda self: self._band[2])
 
 
-def nested_dissection(graph: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray, list]:
-    """A nested-dissection order (George, SIAM J. Numer. Anal. 10, 1973) of
-    the symmetric graph with adjacency pattern ``graph``, with its separator
-    tree: a connected part of more than DISSECTION_LEAF vertices is split by
-    the breadth-first level, from a pseudo-peripheral vertex, that holds its
-    middle vertex, and ordered after the levels below and then those above
-    it.  Neither holds more than half the part, so the tree is about log2(n)
-    deep.  Smaller parts keep their numbering and are leaves; the components
-    of a part that falls apart are sibling subtrees.  Returns (order, start,
-    children): node k of the tree, in postorder, holds the vertices
+def nested_dissection(graph: sp.csr_matrix,
+                       points: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
+    """A nested-dissection order of the symmetric graph with adjacency
+    pattern ``graph``, whose vertex i sits at ``points[i]``, with its
+    separator tree, by coordinate bisection (George, SIAM J. Numer. Anal. 10,
+    1973; Gilbert, Miller & Teng, SIAM J. Sci. Comput. 19, 1998).  A part of
+    more than DISSECTION_LEAF vertices is sorted along the widest axis of its
+    bounding box, ties by vertex number: its lower size // 2 vertices form
+    one half, and its separator is the vertices of the upper half next to
+    the lower one, or, where the halves do not touch, the upper half's first
+    vertex.  The lower half and the rest of the upper one are its children,
+    neither more than half the part, so the tree is about log2(n) deep.
+    Smaller parts keep their numbering and are leaves.  Returns (order,
+    start, children): node k of the tree, in postorder, holds the vertices
     order[start[k]:start[k + 1]], and children[k] is the tuple of its
     children.  No edge joins two sibling subtrees.
 
-    The tree grows a level at a time on one graph, which drops the edges of
-    each vertex a node takes.  Per level, searches from each part's smallest
-    vertex (and each further component's) find every farthest vertex, the
-    smallest at the largest distance, and one search from those every split
-    (``_distance``).  Distances do not depend on the order of a search, so
-    the tree is that of a search per part."""
+    The tree grows a level at a time, every part of a level split by one
+    sort of the vertices not yet in a node, by (part, coordinate)."""
     n = graph.shape[0]
     rows, cols = np.repeat(np.arange(n), np.diff(graph.indptr)), graph.indices
+    # each vertex's place along each axis, ties by vertex number
+    place = np.argsort(np.argsort(points, axis=0, kind="stable"), axis=0)
     part = np.zeros(n, dtype=np.intp)  # node k splits into parts 2k + 1, 2k + 2
-    node, name, dist = (np.empty(n, dtype=np.intp) for _ in range(3))
-    roots, made = {}, 0  # the subtree roots of each part; the nodes so far
-    while (part >= 0).any():  # -1 once a node holds the vertex
-        live = part >= 0
-        rows, cols = rows[live[rows]], cols[live[rows]]
-        indptr = np.r_[0, np.cumsum(np.bincount(rows, minlength=n))].astype(np.int32)
-        verts = np.flatnonzero(live)
-        # a unit, named by its smallest vertex, is a part of at most
-        # DISSECTION_LEAF vertices or a component of a larger part
-        size, todo = np.bincount(part[verts], minlength=2 * made + 3), verts
-        while len(todo):
-            least = np.full(len(size), n)
-            np.minimum.at(least, part[todo], todo)
-            name[todo] = least[part[todo]]
-            todo = todo[size[part[todo]] > DISSECTION_LEAF]
-            sources = least[(least < n) & (size > DISSECTION_LEAF)]
-            dist[todo] = _distance(indptr, cols, sources)[todo]
-            todo = todo[dist[todo] < 0]
-        units, unit, size = np.unique(name[verts], return_inverse=True, return_counts=True)
-        for p, k in zip(part[units].tolist(), range(made, made + len(units))):
-            roots.setdefault(p, []).append(k)
-        node[verts], part[verts] = made + unit, -1
-        # a larger unit splits at the distance from its farthest vertex of
-        # its ceil(size / 2)-th vertex by that distance
-        big = np.flatnonzero(size > DISSECTION_LEAF)
-        verts, unit = verts[size[unit] > DISSECTION_LEAF], unit[size[unit] > DISSECTION_LEAF]
-        far = np.full(len(units), -1)
-        np.maximum.at(far, unit, dist[verts] * n + n - 1 - verts)
-        level = _distance(indptr, cols, n - 1 - far[big] % n)[verts]
-        ranked, middle = np.sort(unit * n + level), np.zeros(len(units), dtype=np.intp)
-        middle[big] = ranked[np.searchsorted(ranked, big * n) + (size[big] - 1) // 2] - big * n
-        side = np.sign(level - middle[unit])
-        part[verts[side != 0]] = 2 * (made + unit[side != 0]) + 1 + (side[side != 0] > 0)
-        made += len(units)
+    node, labels = np.empty(n, dtype=np.intp), []  # the part each node was made of
+    verts = np.arange(n)  # the vertices no node holds yet, each part's together
+    while len(verts):
+        first = np.flatnonzero(np.r_[True, np.diff(part[verts]) != 0])
+        size = np.diff(np.r_[first, len(verts)])
+        unit, made = np.repeat(np.arange(len(first)), size), len(labels)
+        labels.extend(part[verts[first]].tolist())
+        x = points[verts]
+        axis = np.argmax(np.maximum.reduceat(x, first) - np.minimum.reduceat(x, first), axis=1)
+        verts = verts[np.argsort(unit * n + place[verts, axis[unit]])]
+        big = size[unit] > DISSECTION_LEAF
+        lower = big & (np.arange(len(verts)) - first[unit] < size[unit] // 2)
+        half = np.zeros(n, dtype=np.intp)  # 1 below, 2 above the middle of a big part
+        half[verts[big]] = 2 - lower[big]
+        taken = np.zeros(n, dtype=bool)
+        taken[verts[~big]] = True
+        taken[rows[(half[rows] == 2) & (half[cols] == 1)]] = True
+        apart = (size > DISSECTION_LEAF) & ~np.logical_or.reduceat(taken[verts], first)
+        taken[verts[first[apart] + size[apart] // 2]] = True
+        here = taken[verts]
+        node[verts[here]] = made + unit[here]
+        part[verts] = 2 * (made + unit) + half[verts]
+        verts = verts[~here]
+    index = dict(zip(labels, range(len(labels))))  # the node made of each part
     post = []
 
     def emit(label):
-        for k in roots.get(label, ()):
-            emit(2 * k + 1)
-            emit(2 * k + 2)
-            post.append(k)
+        if label in index:
+            emit(2 * index[label] + 1)
+            emit(2 * index[label] + 2)
+            post.append(index[label])
 
     emit(0)
-    rank = np.empty(made, dtype=np.intp)
-    rank[post] = np.arange(made)
+    rank = np.empty(len(post), dtype=np.intp)
+    rank[post] = np.arange(len(post))
     return (np.argsort(rank[node], kind="stable"),
-            np.r_[0, np.cumsum(np.bincount(rank[node], minlength=made))],
-            [tuple(int(rank[j]) for half in (2 * k + 1, 2 * k + 2) for j in roots.get(half, ()))
+            np.r_[0, np.cumsum(np.bincount(rank[node], minlength=len(post)))],
+            [tuple(int(rank[index[half]]) for half in (2 * k + 1, 2 * k + 2) if half in index)
              for k in post])
-
-
-def _distance(indptr: np.ndarray, cols: np.ndarray, sources: np.ndarray) -> np.ndarray:
-    """Each vertex's distance from the nearest of ``sources`` over the rows
-    (indptr, cols), -1 where none reaches: a breadth-first search from a
-    virtual vertex joined to them meets the vertices by distance, each after
-    its predecessor, so a distance ends where the predecessors pass the last."""
-    n, nnz = len(indptr) - 1, len(cols) + len(sources)
-    order, pred = breadth_first_order(sp.csr_matrix((np.ones(nnz), np.concatenate(
-        [cols, sources.astype(cols.dtype)]), np.append(indptr, nnz).astype(indptr.dtype)),
-        shape=(n + 1, n + 1)), n)
-    at = np.empty(n + 1, dtype=np.intp)
-    at[order] = np.arange(len(order))
-    parent, ends = at[pred[order[1:]]], [1]
-    while ends[-1] < len(order):
-        ends.append(1 + int(np.searchsorted(parent, ends[-1])))
-    dist = np.full(n + 1, -1)
-    dist[order] = np.repeat(np.arange(-1, len(ends) - 1), np.diff(ends, prepend=0))
-    return dist[:n]
 
 
 @dataclass(frozen=True, eq=False)
 class AssembledForms:
     """The three assembled bilinear forms of one mesh, as full symmetric CSR,
-    K and M on one canonical pattern.
+    K and M on one canonical pattern, with the coordinates of their dofs,
+    the mesh's ``vertices``, by which the nested-dissection tree bisects.
 
     The factorization input, built on first use and shared by every solve,
     reads K and M in place: callers must not modify any matrix in place.
@@ -314,6 +297,7 @@ class AssembledForms:
     M: sp.csr_matrix
     B: sp.csr_matrix
     boundary_dofs: np.ndarray
+    vertices: np.ndarray
 
     @property
     def n(self) -> int:
@@ -329,7 +313,7 @@ class AssembledForms:
     def factor_input(self) -> FactorInput:
         """The pencil's blocks and orders, shared by every solve on these
         forms."""
-        return FactorInput(self.K, self.M, self.B, self.boundary_dofs)
+        return FactorInput(self.K, self.M, self.B, self.boundary_dofs, self.vertices)
 
 
 def _symmetric_csr(n: int, simplices: np.ndarray, *elements: np.ndarray) -> tuple:
@@ -387,14 +371,16 @@ def assemble(mesh: Mesh) -> AssembledForms:
     n = mesh.n_vertices
     K, M = _symmetric_csr(n, mesh.cells, ke, me)
     (B,) = _symmetric_csr(n, facets, be)
-    return AssembledForms(K, M, B, np.asarray(mesh.boundary_vertex_ids, dtype=np.int64))
+    return AssembledForms(K, M, B, np.asarray(mesh.boundary_vertex_ids, dtype=np.int64),
+                          mesh.vertices)
 
 
 def scale_metric_forms(forms: AssembledForms, t: float, m: int) -> AssembledForms:
     """Forms of the homothetic metric t*g on an m-dimensional mesh.
 
     The Dirichlet form picks up t^((m-2)/2), the interior measure t^(m/2),
-    and the boundary measure t^((m-1)/2).
+    and the boundary measure t^((m-1)/2).  The vertices stay: a homothety
+    leaves the tree that they give as it is.
     """
     if t <= 0:
         raise PreconditionError(f"homothety factor must be positive, got {t}")
@@ -403,6 +389,7 @@ def scale_metric_forms(forms: AssembledForms, t: float, m: int) -> AssembledForm
         M=forms.M * t ** (m / 2.0),
         B=forms.B * t ** ((m - 1) / 2.0),
         boundary_dofs=forms.boundary_dofs,
+        vertices=forms.vertices,
     )
 
 

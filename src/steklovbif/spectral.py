@@ -46,13 +46,13 @@ BLAS thread, 2-vCPU x86, the median of three runs of 9 interleaved repeats
     D272  272   110 / 24     94 / 17      120 / 26
     L6    512   1600 / 77    2000 / 81    2200 / 90
 
-So the tie sits at about 64 boundary dofs (96 before the fronts factored in
-place).  DENSE_LIMIT is 128, above it, so that disks up to level 4 keep the
-band and their answers to the last bit.  Counts and the table take the
-fronts at every size, so the band serves only slices and harmonic
-extensions.  At L6 the band path holds a dense n_i x n_b block (63 MB) and
-the band of A_ii (31 MB); the tree, built once per forms, takes 0.08-0.11 s
-and 12 MB, and one multifrontal S alone 60-75 ms.
+So the tie sits at about 64 boundary dofs.  DENSE_LIMIT is 128, above it,
+so that disks up to level 4 keep the band and their answers to the last
+bit.  Counts and the table take the fronts at every size, so the band
+serves only slices and harmonic extensions.  At L6 the band path holds a
+dense n_i x n_b block (63 MB) and the band of A_ii (31 MB); the tree, built
+once per forms by coordinate bisection, takes 0.06-0.08 s and 11 MB, and
+one multifrontal S alone 45-65 ms.
 """
 
 from __future__ import annotations
@@ -60,7 +60,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as la
 import scipy.sparse.linalg as spla
 from scipy.linalg import blas, lapack
 
@@ -88,7 +87,7 @@ class SpectrumSlice:
 
 def _dense_gevp(a: np.ndarray, b: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The k lowest pairs of a v = rho b v by dsygvx on the lower triangles and
-    its own workspace query, as la.eigh(a, b, subset_by_index=[0, k - 1])."""
+    its own workspace query, as scipy.linalg.eigh(a, b, subset_by_index=[0, k - 1])."""
     lwork = int(lapack.dsygvx_lwork(len(a), uplo="L")[0])
     w, v, m, _, info = lapack.dsygvx(a, b, uplo="L", jobz="V", range="I", il=1, iu=k, lwork=lwork)
     if info != 0 or m != k:
@@ -254,18 +253,24 @@ def count_below(forms: AssembledForms, c: float, lam):
     S(c) - lam B_bb, which by Sylvester's law (B_bb is positive definite) is
     the count.  S(c) comes from the multifrontal Cholesky at every boundary
     size, and the inertia of S(c) - lam B_bb from its Bunch-Kaufman
-    factorization (Math. Comp. 31, 1977), whose pivoting needs no threshold,
-    even with lam on an eigenvalue.
+    factorization L D L' (dsytrf; Math. Comp. 31, 1977), whose pivoting
+    needs no threshold, even with lam on an eigenvalue.  D holds 1x1 and
+    2x2 blocks.  A 2x2 block, marked by a pair of negative pivot indices,
+    is taken only when |a_kk a_rr| < alpha^2 colmax^2 < a_rk^2, so its
+    determinant is negative and it holds one negative eigenvalue: the count
+    is the 1x1 blocks below zero plus the 2x2 blocks.  dsytrf gets the
+    workspace it asks for, so that it runs its blocked code, whose pivots
+    are those of ``scipy.linalg.ldl``.
     """
     _check_coefficients(c, lam)
     fi = forms.factor_input
     S = _multifrontal_schur(fi, c)[0]
+    lwork = int(lapack.dsytrf_lwork(len(S), lower=1)[0])
     counts = []
     for level in np.atleast_1d(lam):
-        _, d, _ = la.ldl(S - level * fi.B_bb)
-        # d is block diagonal with 1x1 and 2x2 blocks, hence tridiagonal
-        inertia = la.eigvalsh_tridiagonal(np.diag(d), np.diag(d, 1))
-        counts.append(int(np.count_nonzero(inertia < 0)))
+        ldu, ipiv, _ = lapack.dsytrf(S - level * fi.B_bb, lower=1, lwork=lwork, overwrite_a=1)
+        one_by_one = np.diagonal(ldu)[ipiv > 0]
+        counts.append(int(np.count_nonzero(one_by_one < 0)) + int(np.count_nonzero(ipiv < 0)) // 2)
     return counts if np.ndim(lam) else counts[0]
 
 

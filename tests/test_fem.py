@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse as sp
 from conftest import delaunay_disks
 from hypothesis import given, settings
-from scipy.sparse.csgraph import connected_components, dijkstra, reverse_cuthill_mckee
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from steklovbif import (assemble, fem, generate_disk, generate_interval, scale_metric_forms,
                         steklov_spectrum)
@@ -34,52 +34,12 @@ def per_cell_forms(mesh):
     return K, M, B
 
 
-def recursive_dissection(graph, leaf):
-    """The nested dissection of ``fem.nested_dissection`` by a recursion over
-    the parts, with two searches and two sub-matrix slices per split: a
-    test-only oracle for its tree."""
-    parts, children = [], []
-
-    def node(verts, kids):
-        parts.append(verts)
-        children.append(tuple(kids))
-        return [len(parts) - 1]
-
-    def dissect(verts):
-        if len(verts) <= leaf:
-            return node(verts, []) if len(verts) else []
-        sub = graph[verts][:, verts]
-        reach = dijkstra(sub, indices=0, unweighted=True)
-        if np.isinf(reach).any():
-            _, label = connected_components(sub, directed=False)
-            by_label = verts[np.argsort(label, kind="stable")]
-            return [root for part in np.split(by_label, np.cumsum(np.bincount(label))[:-1])
-                    for root in dissect(part)]
-        level = dijkstra(sub, indices=int(np.argmax(reach)), unweighted=True)
-        counts = np.bincount(level.astype(np.int64))
-        middle = np.searchsorted(np.cumsum(counts), len(verts) / 2)
-        return node(verts[level == middle],
-                    dissect(verts[level < middle]) + dissect(verts[level > middle]))
-
-    dissect(np.arange(graph.shape[0]))
-    return np.concatenate(parts), np.cumsum([0] + [len(part) for part in parts]), children
-
-
 def interior_graph(forms):
     """The pattern of A_ii with unit entries, sliced from the summed forms."""
     inner = forms.interior_dofs
     graph = (abs(forms.K) + abs(forms.M) + abs(forms.B)).tocsc()[inner][:, inner].tocsr()
     graph.data[:] = 1.0
     return graph
-
-
-def assert_tree_of_the_oracle(graph, leaf):
-    with mock.patch.object(fem, "DISSECTION_LEAF", leaf):
-        order, start, children = fem.nested_dissection(graph)
-    want_order, want_start, want_children = recursive_dissection(graph, leaf)
-    assert np.array_equal(order, want_order)
-    assert np.array_equal(start, want_start)
-    assert children == want_children
 
 
 class TestElementMatrices:
@@ -159,7 +119,8 @@ class TestFormProperties:
         # K and M come from the same cells: one canonical pattern, kept by a
         # homothety and by a negated K
         _, forms = self._case(case, disk, interval, fuzz_meshes)
-        negated = fem.AssembledForms(-forms.K, forms.M, forms.B, forms.boundary_dofs)
+        negated = fem.AssembledForms(-forms.K, forms.M, forms.B, forms.boundary_dofs,
+                                     forms.vertices)
         for f in (forms, scale_metric_forms(forms, 2.5, 3), negated):
             assert f.K.has_canonical_format and f.M.has_canonical_format
             assert np.array_equal(f.K.indptr, f.M.indptr)
@@ -215,7 +176,7 @@ class TestFactorInput:
     @pytest.mark.parametrize("case", ["disk3", "interval50", "jittered", "delaunay"])
     def test_reads_the_values_in_place(self, case, disk, interval, fuzz_meshes):
         forms = self._forms(case, disk, interval, fuzz_meshes)
-        fi = FactorInput(forms.K, forms.M, forms.B, forms.boundary_dofs)
+        fi = FactorInput(forms.K, forms.M, forms.B, forms.boundary_dofs, forms.vertices)
         assert np.shares_memory(fi._K, forms.K.data) and np.shares_memory(fi._M, forms.M.data)
 
     def test_stiffness_and_mass_must_share_one_canonical_pattern(self, disk):
@@ -232,73 +193,87 @@ class TestFactorInput:
         assert not K_desc.has_canonical_format
         for k, m in ((K, M), (K_desc, M_desc)):
             with pytest.raises(PreconditionError, match="one canonical CSR pattern"):
-                FactorInput(k, m, B, bnd)
+                FactorInput(k, m, B, bnd, forms.vertices)
+
+    def test_vertices_must_have_one_row_per_dof(self, disk):
+        # the tree bisects the interior by its coordinates
+        forms = disk(2)[1]
+        K, M, B, bnd, x = forms.K, forms.M, forms.B, forms.boundary_dofs, forms.vertices
+        for wrong in (x[:-1], x[:, 0], np.vstack([x, x[:1]])):
+            with pytest.raises(PreconditionError, match="one vertex row per dof"):
+                FactorInput(K, M, B, bnd, wrong)
 
     @pytest.mark.parametrize("case", ["disk3", "interval50", "jittered", "delaunay"])
     def test_orders_build_without_warnings(self, case, disk, interval, fuzz_meshes):
         forms = self._forms(case, disk, interval, fuzz_meshes)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            fi = FactorInput(forms.K, forms.M, forms.B, forms.boundary_dofs)
+            fi = FactorInput(forms.K, forms.M, forms.B, forms.boundary_dofs, forms.vertices)
             fi.interior, fi.fronts
 
-    def test_dissection_splits_components_and_keeps_leaves(self):
-        # two paths of 3 * DISSECTION_LEAF vertices, interleaved in the
-        # numbering: the order lists every vertex once, each component apart,
-        # in two sibling trees
-        size = 3 * fem.DISSECTION_LEAF
-        first, second = np.arange(0, 2 * size, 2), np.arange(1, 2 * size, 2)
-        rows = np.concatenate([first[:-1], second[:-1]])
-        cols = np.concatenate([first[1:], second[1:]])
-        graph = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(2 * size, 2 * size))
-        order, start, children = fem.nested_dissection(graph + graph.T)
-        assert np.array_equal(np.sort(order), np.arange(2 * size))
-        assert np.all(order[:size] % 2 == order[0] % 2)
-        roots = set(range(len(children))) - {j for kids in children for j in kids}
-        assert len(roots) == 2 and start[-1] == 2 * size
-        leaf = sp.csr_matrix((np.ones(3), ([0, 1, 2], [1, 2, 0])), shape=(3, 3))
-        assert np.array_equal(fem.nested_dissection(leaf + leaf.T)[0], [0, 1, 2])
+
+def assert_separator_tree(graph, points, leaf):
+    """The contract of ``fem.nested_dissection``: (order, start, children)
+    is a separator tree of ``graph`` in postorder whose subtrees halve, with
+    leaves of at most ``leaf`` vertices, the same for the same input."""
+    with mock.patch.object(fem, "DISSECTION_LEAF", leaf):
+        order, start, children = fem.nested_dissection(graph, points)
+        again = fem.nested_dissection(graph, points)
+    assert np.array_equal(again[0], order) and np.array_equal(again[1], start)
+    assert again[2] == children
+    n, m = graph.shape[0], len(children)
+    assert np.array_equal(np.sort(order), np.arange(n))
+    assert start[0] == 0 and start[-1] == n and np.all(np.diff(start) > 0)
+    # children come before their parent, each non-root has one parent, and
+    # every subtree is a run of the postorder that ends at its root
+    parent, lowest, size = np.full(m, -1), np.arange(m), np.diff(start)
+    for k, kids in enumerate(children):
+        for j in kids:
+            assert j < k and parent[j] == -1
+            parent[j] = k
+            lowest[k] = min(lowest[k], lowest[j])
+            size[k] += size[j]
+        if kids:
+            assert all(size[j] <= math.ceil(size[k] / 2) for j in kids)
+        else:  # a leaf, in its own numbering
+            verts = order[start[k]:start[k + 1]]
+            assert size[k] <= leaf and np.all(np.diff(verts) > 0)
+    assert np.flatnonzero(parent < 0).tolist() == [m - 1]  # one tree
+    nodes = np.ones(m, dtype=np.int64)
+    for k, kids in enumerate(children):
+        nodes[k] += sum(nodes[j] for j in kids)
+    assert np.array_equal(nodes, np.arange(m) - lowest + 1)
+    # no edge joins two sibling subtrees: one end's node is in the other's subtree
+    node = np.empty(n, dtype=np.int64)
+    node[order] = np.repeat(np.arange(m), np.diff(start))
+    edges = graph.tocoo()
+    a, b = node[edges.row], node[edges.col]
+    assert np.all(lowest[np.maximum(a, b)] <= np.minimum(a, b))
+    return order
 
 
 class TestNestedDissection:
-    """The level-synchronous dissection builds the tree of the recursive
-    oracle, (order, start, children) identical, so that every S(c) keeps
-    its bits."""
+    """Coordinate bisection builds a separator tree, in postorder, whose
+    subtrees halve: the contract that ``FactorInput``'s fronts rely on."""
 
-    @pytest.mark.parametrize("case,leaf", [(f"disk{level}", fem.DISSECTION_LEAF)
-                                           for level in range(7)]
-                             + [(case, leaf) for case in ("interval1000", "jittered", "delaunay")
-                                for leaf in (fem.DISSECTION_LEAF, 4)] + [("disk3", 4)])
-    def test_tree_of_the_recursive_oracle(self, case, leaf, disk, interval, fuzz_meshes):
+    @pytest.mark.parametrize("leaf", [4, 16, fem.DISSECTION_LEAF])
+    @pytest.mark.parametrize("case", [f"disk{level}" for level in range(7)]
+                             + ["interval1000", "jittered", "delaunay"])
+    def test_separator_tree(self, case, leaf, disk, interval, fuzz_meshes):
         forms = TestFactorInput._forms(case, disk, interval, fuzz_meshes)
-        graph = interior_graph(forms)
-        assert_tree_of_the_oracle(graph, leaf)
+        inner = forms.interior_dofs
+        order = assert_separator_tree(interior_graph(forms), forms.vertices[inner], leaf)
         with mock.patch.object(fem, "DISSECTION_LEAF", leaf):
-            fi = FactorInput(forms.K, forms.M, forms.B, forms.boundary_dofs)
-            order = recursive_dissection(graph, leaf)[0]
-            assert np.array_equal(fi.elimination, np.r_[forms.interior_dofs[order],
-                                                        forms.boundary_dofs])
-
-    @pytest.mark.parametrize("leaf", [fem.DISSECTION_LEAF, 16, 4])
-    def test_components_as_the_recursive_oracle(self, leaf, disk):
-        # the two interleaved paths below, and two disjoint disks, in order
-        # and with their vertices shuffled together
-        size = 3 * fem.DISSECTION_LEAF
-        first, second = np.arange(0, 2 * size, 2), np.arange(1, 2 * size, 2)
-        rows = np.concatenate([first[:-1], second[:-1]])
-        cols = np.concatenate([first[1:], second[1:]])
-        paths = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(2 * size, 2 * size))
-        disks = sp.block_diag([interior_graph(disk(4)[1]), interior_graph(disk(3)[1])]).tocsr()
-        shuffle = np.random.default_rng(1).permutation(disks.shape[0])
-        for graph in (paths + paths.T, disks, disks[shuffle][:, shuffle].tocsr()):
-            assert_tree_of_the_oracle(graph, leaf)
+            fi = FactorInput(forms.K, forms.M, forms.B, forms.boundary_dofs, forms.vertices)
+            assert np.array_equal(fi.elimination, np.r_[inner[order], forms.boundary_dofs])
 
     @pytest.mark.parametrize("leaf", [4, 16])
     @settings(max_examples=20)
     @given(mesh=delaunay_disks())
-    def test_delaunay_trees_of_the_recursive_oracle(self, leaf, mesh):
-        # small leaves: deep trees, and parts that fall apart
-        assert_tree_of_the_oracle(interior_graph(assemble(mesh)), leaf)
+    def test_delaunay_separator_trees(self, leaf, mesh):
+        # small leaves: deep trees on meshes without symmetry
+        forms = assemble(mesh)
+        assert_separator_tree(interior_graph(forms), mesh.vertices[forms.interior_dofs], leaf)
 
 
 class TestScaleMetricForms:

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.linalg as la
@@ -168,16 +170,13 @@ class TestMultifrontalSlice:
     @pytest.mark.parametrize("c", [0.0, 3.0, 100.0])
     def test_deep_trees_equal_banded_schur_complement(self, disk, fuzz_meshes, name, c,
                                                       monkeypatch):
-        # leaves of 4 dofs: deep trees, and on the Delaunay disk a separator
-        # whose parts fall apart into three sibling subtrees
+        # leaves of 4 dofs: deep trees
         forms = disk(int(name[-1]))[1] if name.startswith("disk") else fuzz_meshes[name][1]
         monkeypatch.setattr(fem, "DISSECTION_LEAF", 4)
-        fi = fem.FactorInput(forms.K, forms.M, forms.B, forms.boundary_dofs)
+        fi = fem.FactorInput(forms.K, forms.M, forms.B, forms.boundary_dofs, forms.vertices)
         band = spectral._schur_complement(fi, c, fi.boundary(c))
         multifrontal, _ = spectral._multifrontal_schur(fi, c)
         assert np.abs(multifrontal - band).max() <= 1e-12 * np.abs(band).max()
-        if name == "delaunay":
-            assert max(len(front.children) for front in fi.fronts) == 3
 
     def test_no_interior_dof_leaves_the_boundary_block(self, interval):
         _, forms = interval(1, 1.0)
@@ -228,7 +227,8 @@ class TestMultifrontalSlice:
     def test_indefinite_interior_block_raises(self, disk, monkeypatch):
         # K negated: A_ii = -K_ii + c M_ii is not positive definite
         _, forms = disk(3)
-        negated = fem.AssembledForms(-forms.K, forms.M, forms.B, forms.boundary_dofs)
+        negated = fem.AssembledForms(-forms.K, forms.M, forms.B, forms.boundary_dofs,
+                                     forms.vertices)
         monkeypatch.setattr(spectral, "DENSE_LIMIT", 0)
         with pytest.raises(EigensolverError, match=r"factorization at c=1\.5 failed"):
             robin_steklov_spectrum(negated, 1.5, 4)
@@ -306,19 +306,23 @@ class TestCountBelow:
 
     @pytest.fixture
     def ldl_calls(self, monkeypatch):
+        # the (ldu, ipiv, info) of every Bunch-Kaufman factorization
         calls = []
-        ldl = spectral.la.ldl
-        monkeypatch.setattr(spectral.la, "ldl", lambda a: calls.append(a) or ldl(a))
+        dsytrf = spectral.lapack.dsytrf
+        monkeypatch.setattr(spectral.lapack, "dsytrf",
+                            lambda a, **kw: calls.append(dsytrf(a, **kw)) or calls[-1])
         return calls
 
     def test_zero_pivot_counted_by_ldl(self, interval, ldl_calls):
-        # the endpoint is eliminated first, and lam = K_00 / B_00 makes its
-        # diagonal entry vanish: the count is one pivoted LDL of S - lam B_bb
+        # lam = S_00 / B_00 makes the first diagonal entry of S - lam B_bb
+        # vanish: the count is one pivoted LDL of it, which pivots on a 2x2
+        # block
         _, forms = interval(50, 1.0)
-        K, B = forms.K, forms.B
-        lam = K[0, 0] / B[0, 0]
+        fi = forms.factor_input
+        lam = spectral._multifrontal_schur(fi, 0.0)[0][0, 0] / fi.B_bb[0, 0]
         assert count_below(forms, 0.0, lam) == _eigen_count(forms, 0.0, lam)
         assert len(ldl_calls) == 1
+        assert np.count_nonzero(ldl_calls[0][1] < 0) == 2
 
     def test_tiny_pivot_counted_by_ldl(self, fuzz_meshes, ldl_calls):
         # lam on an eigenvalue: A - lam B is singular up to rounding
@@ -422,33 +426,41 @@ class TestDelaunayDiskProperties:
 
 
 class TestRenumbering:
-    """Relabelling a mesh's vertices moves no eigenvalue, count or c_j*: the
-    shared pattern of K and M, the tree and the band meet numberings that
-    the builtin meshes never have."""
+    """Relabelling a mesh's vertices and moving it rigidly moves no
+    eigenvalue, count or c_j*: the shared pattern of K and M, the tree and
+    the band meet numberings and coordinates that the builtin meshes never
+    have."""
 
     @settings(max_examples=20)
     @given(mesh=st.one_of(st.sampled_from([2, 3]).map(generate_disk), delaunay_disks()),
            data=st.data())
     def test_invariant_under_vertex_permutations(self, mesh, data):
+        # the permuted mesh is also rotated and translated; leaves of 4 dofs
+        # give deep trees, bisected along other coordinates
         perm = np.array(data.draw(st.permutations(range(mesh.n_vertices))))
+        angle = data.draw(st.floats(0.0, 2.0 * np.pi))
+        shift = np.array(data.draw(st.tuples(*[st.floats(-10.0, 10.0)] * 2)))
+        rotation = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
         vertices = np.empty_like(mesh.vertices)
-        vertices[perm] = mesh.vertices
-        forms = assemble(mesh)
-        other = assemble(Mesh(dim=mesh.dim, vertices=vertices, cells=perm[mesh.cells]))
-        k = len(forms.boundary_dofs)
-        vals = steklov_spectrum(forms, k).eigenvalues
-        assert np.abs(steklov_spectrum(other, k).eigenvalues - vals).max() <= 1e-12 * vals[-1]
-        for c in (2.0, 0.0):  # the levels of c = 0 serve the table
-            vals = robin_steklov_spectrum(forms, c, k).eigenvalues
-            levels = [0.5 * (a + b) for a, b in zip(vals, vals[1:]) if b - a > 1e-6 * b]
-            counts = count_below(forms, c, levels)
-            assert count_below(other, c, levels) == counts
-            assert counts == [int(np.count_nonzero(vals < lam)) for lam in levels]
-        lam = levels[min(3, len(levels) - 1)]
-        n = count_below(forms, 0.0, lam)
-        np.testing.assert_allclose(spectral.level_crossings(other, lam, n),
-                                   spectral.level_crossings(forms, lam, n),
-                                   rtol=BRACKET_RTOL, atol=0)
+        vertices[perm] = mesh.vertices @ rotation.T + shift
+        with mock.patch.object(fem, "DISSECTION_LEAF", 4):
+            forms = assemble(mesh)
+            other = assemble(Mesh(dim=mesh.dim, vertices=vertices, cells=perm[mesh.cells]))
+            k = len(forms.boundary_dofs)
+            vals = steklov_spectrum(forms, k).eigenvalues
+            moved = steklov_spectrum(other, k).eigenvalues
+            assert np.abs(moved - vals).max() <= 1e-12 * vals[-1]
+            for c in (2.0, 0.0):  # the levels of c = 0 serve the table
+                vals = robin_steklov_spectrum(forms, c, k).eigenvalues
+                levels = [0.5 * (a + b) for a, b in zip(vals, vals[1:]) if b - a > 1e-6 * b]
+                counts = count_below(forms, c, levels)
+                assert count_below(other, c, levels) == counts
+                assert counts == [int(np.count_nonzero(vals < lam)) for lam in levels]
+            lam = levels[min(3, len(levels) - 1)]
+            n = count_below(forms, 0.0, lam)
+            np.testing.assert_allclose(spectral.level_crossings(other, lam, n),
+                                       spectral.level_crossings(forms, lam, n),
+                                       rtol=BRACKET_RTOL, atol=0)
 
 
 class TestFactorizationBudget:
@@ -493,7 +505,8 @@ class TestFactorizationBudget:
         forms = assemble(generate_disk(2))
         dissections = []
         dissect = fem.nested_dissection
-        monkeypatch.setattr(fem, "nested_dissection", lambda g: dissections.append(g) or dissect(g))
+        monkeypatch.setattr(fem, "nested_dissection",
+                            lambda g, x: dissections.append(g) or dissect(g, x))
         for c, lam in [(0.0, 0.5), (1.0, 2.5), (3.0, 1.7)]:
             count_below(forms, c, lam)
         for limit in (10**9, 0):
@@ -529,7 +542,7 @@ class TestFactorizationBudget:
 
         for leaf in (fem.DISSECTION_LEAF, 4):
             monkeypatch.setattr(fem, "DISSECTION_LEAF", leaf)
-            fi = fem.FactorInput(forms.K, forms.M, forms.B, forms.boundary_dofs)
+            fi = fem.FactorInput(forms.K, forms.M, forms.B, forms.boundary_dofs, forms.vertices)
             fronts, elimination, n_i = fi.fronts, fi.elimination, len(forms.interior_dofs)
             # the fronts pivot on consecutive slices of the elimination order,
             # which ends with the boundary dofs
@@ -609,7 +622,7 @@ class TestFactorizationBudget:
     def test_no_dissection_tree_at_or_below_dense_limit(self, monkeypatch):
         # slices and extensions on disk L3 (n_b = 64) never build the
         # nested-dissection tree
-        monkeypatch.setattr(fem, "nested_dissection", lambda g: pytest.fail("ordered"))
+        monkeypatch.setattr(fem, "nested_dissection", lambda g, x: pytest.fail("ordered"))
         forms = assemble(generate_disk(3))
         assert len(forms.boundary_dofs) <= spectral.DENSE_LIMIT
         for c in (0.1, 1.0, 5.0):
@@ -843,7 +856,7 @@ class TestDirectLapackSlice:
         base = next(cls for cls in sp.csc_matrix.__mro__ if cls.__name__ == "_spbase")
         monkeypatch.setattr(base, "__init__", lambda *a, **kw: pytest.fail("sparse matrix"))
         for wrapper in ("eigh", "cholesky_banded"):
-            monkeypatch.setattr(spectral.la, wrapper,
+            monkeypatch.setattr(la, wrapper,
                                 lambda *a, _w=wrapper, **kw: pytest.fail(f"la.{_w}"))
         calls = []
         for routine in ("dpbtrf", "dtbtrs", "dsygvx"):
