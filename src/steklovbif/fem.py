@@ -104,6 +104,9 @@ class FactorInput:
       ``elimination``, the dofs in the order in which they pivot, the
       boundary dofs last, and ``trapezoid``, the one ``lower_trapezoid``
       whose corners mask every front's blocks.
+
+    ``banded`` picks the route of S(c) by flop count; the band's needs only
+    the order, so forms whose slices take the fronts build no band.
     """
 
     def __init__(self, K: sp.csr_matrix, M: sp.csr_matrix, B: sp.csr_matrix,
@@ -188,34 +191,54 @@ class FactorInput:
         return elimination, tuple(fronts), trapezoid
 
     @cached_property
+    def _order(self) -> tuple:
+        """(interior_order, bw): the interior dofs in the reverse
+        Cuthill-McKee order of their pattern, and the bandwidth of A_ii in
+        it."""
+        interior_order = np.flatnonzero(~self._is_b)
+        if not len(interior_order):  # RCM rejects an empty graph
+            return interior_order, 0
+        graph = self._interior_graph()
+        rcm = reverse_cuthill_mckee(graph, symmetric_mode=True)
+        rank = np.argsort(rcm)  # each dof's place in the order
+        rows = np.repeat(rank, np.diff(graph.indptr))
+        return interior_order[rcm], int(np.abs(rows - rank[graph.indices]).max())
+
+    @cached_property
     def _band(self) -> tuple:
-        """(interior_order, interior, coupling); A_ii's entry (i, j), i <= j,
-        sits at row bw + i - j, column j of its band, bw the bandwidth."""
+        """(interior, coupling) in ``interior_order``; A_ii's entry (i, j),
+        i <= j, sits at row bw + i - j, column j of its band."""
         rows, cols, is_b, bnd = self._rows, self._cols, self._is_b, self.boundary_dofs
-        interior_order = np.flatnonzero(~is_b)
-        if len(interior_order):  # RCM rejects an empty graph
-            rcm = reverse_cuthill_mckee(self._interior_graph(), symmetric_mode=True)
-            interior_order = interior_order[rcm]
+        interior_order, bw = self._order
         local = np.empty(self.n, dtype=np.int64)
         local[interior_order] = np.arange(len(interior_order))
         local[bnd] = np.arange(len(bnd))
         n_i, n_b = len(interior_order), len(bnd)
         ii = ~is_b[rows] & ~is_b[cols] & (local[rows] <= local[cols])  # A_ii's upper triangle
         r, c = local[rows[ii]], local[cols[ii]]
-        bw = int((c - r).max(initial=0))  # its bandwidth
         ib = ~is_b[rows] & is_b[cols]
         K, M = self._K, self._M
-        return (interior_order,
-                DensePattern((bw + 1, n_i), bw + r - c + (bw + 1) * c, K[ii], M[ii]),
+        return (DensePattern((bw + 1, n_i), bw + r - c + (bw + 1) * c, K[ii], M[ii]),
                 DensePattern((n_i, n_b), local[rows[ib]] + n_i * local[cols[ib]], K[ib], M[ib]))
+
+    @cached_property
+    def banded(self) -> bool:
+        """Whether S(c) comes from the banded Cholesky: true when its flop
+        count, n_i bw^2 + 2 n_i bw n_b + n_i n_b^2 = n_i (bw + n_b)^2, is at
+        most the fronts', the sum of p^3/3 + p^2 u + p u^2 over fronts of p
+        pivots and u update dofs.  Both are compared exactly, as integers
+        times 3, and a tie goes to the band."""
+        n_i, n_b, bw = len(self.interior_order), len(self.boundary_dofs), self._order[1]
+        sizes = [(f.pivots.stop - f.pivots.start, len(f.update)) for f in self.fronts]
+        return 3 * n_i * (bw + n_b) ** 2 <= sum(p**3 + 3 * p * u * (p + u) for p, u in sizes)
 
     boundary = property(lambda self: self._boundary.pencil)  # A_bb(c), in Fortran order
     elimination = property(lambda self: self._tree[0])
     fronts = property(lambda self: self._tree[1])
     trapezoid = property(lambda self: self._tree[2])
-    interior_order = property(lambda self: self._band[0])
-    interior = property(lambda self: self._band[1])
-    coupling = property(lambda self: self._band[2])
+    interior_order = property(lambda self: self._order[0])
+    interior = property(lambda self: self._band[0])
+    coupling = property(lambda self: self._band[1])
 
 
 def nested_dissection(graph: sp.csr_matrix,
@@ -392,12 +415,3 @@ def scale_metric_forms(forms: AssembledForms, t: float, m: int) -> AssembledForm
         vertices=forms.vertices,
     )
 
-
-def dump_matrix(matrix: sp.csr_matrix, path) -> None:
-    """Write the upper-triangular entries of a symmetric matrix as
-    ``row col value`` text lines, row by row."""
-    coo = matrix.tocoo()
-    upper = coo.row <= coo.col
-    with open(path, "w") as fh:
-        for r, c, v in zip(coo.row[upper], coo.col[upper], coo.data[upper]):
-            fh.write(f"{r} {c} {v:.17g}\n")

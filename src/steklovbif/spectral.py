@@ -9,50 +9,37 @@ traces of discrete (modified-)harmonic extensions.
 A slice takes the k lowest pairs of S v = rho B_bb v from LAPACK's subset
 eigensolver, which selects by index and so returns both copies of a double
 eigenvalue, and checks every pair's residual.  Only how S is formed
-depends on the size.  Up to ``DENSE_LIMIT`` boundary dofs, the banded
-Cholesky A_ii = U'U (dpbtrf, in the reverse Cuthill-McKee order of the
-interior) and W = U^-T A_ib give S = A_bb - W'W.  Above it, a multifrontal
-Cholesky of A_ii on the nested-dissection tree of the interior (George
-1973; Liu, SIAM Review 34, 1992) never pivots on a boundary dof, and S is
-A_bb plus the fronts' boundary blocks.  That multifrontal Cholesky is
-also the one sparse factorization behind ``count_below`` and
-``level_crossings``, at every size.  ``count_below`` reads eigenvalue counts
-off the inertia of S(c) - lam B_bb.  The pencil is linear in c, so
-``level_crossings`` takes every c at which a branch meets lam from one
-shift-invert Lanczos solve of (lam B - K) u = c M u, whose operator is a
-block solve through the fronts and the Cholesky factor of S(sigma) -
-lam B_bb that showed none below lam at the shift.  It proves each to
-relative BRACKET_RTOL by Kahan's residual bound, and a group of roots that
-the bound cannot prove (one at rounding level) by two inertia counts beside
-the group.  Every factorization takes its matrix from the forms' cached
-``FactorInput``, already in its order or tree.
+depends on the mesh.  The banded Cholesky A_ii = U'U (dpbtrf, in the
+reverse Cuthill-McKee order of the interior) and W = U^-T A_ib give
+S = A_bb - W'W.  A multifrontal Cholesky of A_ii on the nested-dissection
+tree of the interior (George 1973; Liu, SIAM Review 34, 1992) never pivots
+on a boundary dof, and S is A_bb plus the fronts' boundary blocks.  A slice
+takes the route with fewer flops, ``FactorInput.banded``: n_i bw^2 +
+2 n_i bw n_b + n_i n_b^2 for n_i interior and n_b boundary dofs and a band
+of half-width bw, against the sum of p^3/3 + p^2 u + p u^2 over fronts of
+p pivots and u update dofs; a tie goes to the band.  The counts, exact,
+and the routes they pick:
 
-Median ms of one slice at c = 3, band / multifrontal, on the builtin disk
-(L) and on Delaunay disks (D) of n_b uniform points on the unit circle and
-n_b**2 // 16 in the disk of radius 0.97, from numpy's default_rng(n_b); one
-BLAS thread, 2-vCPU x86, the median of three runs of 9 interleaved repeats
-(5 at L6), the order and tree built before, LAPACK called directly:
+    mesh                 band flops   front flops   route
+    interval, n = 1000   0.009M       5.3M          band
+    disk L0, L2, L3      <= 1.95M     <= 2.35M      band
+    disk L1              3969         3843          fronts
+    disk L4              34.3M        10.3M         fronts
+    disk L6              9439M        263M          fronts
 
-    mesh  n_b   k = 1        k = 4        k = 16
-    L3     64   1.0 / 0.94   1.2 / 1.1    1.2 / 1.2
-    D96    96   2.1 / 1.9    2.2 / 1.9    3.0 / 2.6
-    L4    128   6.4 / 3.3    6.1 / 3.4    6.9 / 4.5
-    D144  144   11 / 5.8     12 / 5.9     12 / 6.9
-    D160  160   12 / 5.0     12 / 5.3     16 / 8.7
-    D176  176   21 / 9.3     21 / 9.7     22 / 11
-    D192  192   37 / 11      23 / 7.8     29 / 11
-    D224  224   57 / 14      56 / 15      45 / 12
-    L5    256   71 / 13      73 / 13      100 / 21
-    D272  272   110 / 24     94 / 17      120 / 26
-    L6    512   1600 / 77    2000 / 81    2200 / 90
-
-So the tie sits at about 64 boundary dofs.  DENSE_LIMIT is 128, above it,
-so that disks up to level 4 keep the band and their answers to the last
-bit.  Counts and the table take the fronts at every size, so the band
-serves only slices and harmonic extensions.  At L6 the band path holds a
-dense n_i x n_b block (63 MB) and the band of A_ii (31 MB); the tree, built
-once per forms by coordinate bisection, takes 0.06-0.08 s and 11 MB, and
-one multifrontal S alone 45-65 ms.
+At disk L4, k = 4 and c = 3, a band slice takes about twice as long as
+one through the fronts (5.6 against 3.0 ms, one BLAS thread, 2-vCPU x86).
+That multifrontal Cholesky is also the one sparse factorization behind
+``count_below`` and ``level_crossings``, at every size.  ``count_below``
+reads eigenvalue counts off the inertia of S(c) - lam B_bb.  The pencil is
+linear in c, so ``level_crossings`` takes every c at which a branch meets
+lam from one shift-invert Lanczos solve of (lam B - K) u = c M u, whose
+operator is a block solve through the fronts and the Cholesky factor of
+S(sigma) - lam B_bb that showed none below lam at the shift.  It proves
+each to relative BRACKET_RTOL by Kahan's residual bound, and a group of
+roots that the bound cannot prove (one at rounding level) by two inertia
+counts beside the group.  Every factorization takes its matrix from the
+forms' cached ``FactorInput``, already in its order or tree.
 """
 
 from __future__ import annotations
@@ -66,9 +53,6 @@ from scipy.linalg import blas, lapack
 from .errors import BracketError, EigensolverError, PreconditionError
 from .fem import AssembledForms
 
-# largest boundary-dof count whose S comes from the banded Cholesky (see
-# above)
-DENSE_LIMIT = 128
 _SHIFT_INVERT_TOL = 1e-10
 RESIDUAL_RTOL = 1e-8
 # relative half-width of the window in which level_crossings proves each c_j*
@@ -140,9 +124,8 @@ def _schur_complement(fi, c, A_bb) -> np.ndarray:
 
 
 def _schur(fi, c):
-    """Dense S(c) and ||A_bb||_1: by banded Cholesky of A_ii up to
-    DENSE_LIMIT boundary dofs, by multifrontal Cholesky above."""
-    if len(fi.boundary_dofs) > DENSE_LIMIT:
+    """Dense S(c) and ||A_bb||_1, by the route ``fi.banded`` picks."""
+    if not fi.banded:
         return _multifrontal_schur(fi, c)
     A_bb = fi.boundary(c)
     return _schur_complement(fi, c, A_bb), _norm1(A_bb)

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from steklovbif import assemble, cli, robin_steklov_spectrum, spectral, steklov_spectrum
+from steklovbif import assemble, cli, fem, robin_steklov_spectrum, spectral, steklov_spectrum
 from steklovbif.bifurcation import records_from_csv, records_from_json
 from steklovbif.errors import EigensolverError, PreconditionError
 from steklovbif.product import load_model
@@ -134,17 +134,19 @@ class TestEigencurveCommand:
         assert flag[2:] + "_list" in payload["detail"]
         assert not out.exists()
 
-    @pytest.mark.parametrize("m2, boundary, j_list, dense_limit", [
+    @pytest.mark.parametrize("m2, boundary, j_list, banded", [
         (1, {"builtin": "interval", "n": 1000, "L": 2.0}, (0, 1), None),
         (2, {"builtin": "disk", "level": 3}, (0, 2), None),
-        (2, {"builtin": "disk", "level": 3}, (0, 2), 0),
-    ], ids=["interval", "disk3-band", "disk3-multifrontal"])
-    def test_rows_are_the_slices(self, tmp_path, monkeypatch, m2, boundary, j_list,
-                                 dense_limit):
+        (2, {"builtin": "disk", "level": 3}, (0, 2), False),
+        (2, {"builtin": "disk", "level": 4}, (0, 2), None),
+        (2, {"builtin": "disk", "level": 4}, (0, 2), True),
+    ], ids=["interval", "disk3-band", "disk3-multifrontal", "disk4-multifrontal", "disk4-band"])
+    def test_rows_are_the_slices(self, tmp_path, monkeypatch, m2, boundary, j_list, banded):
         # each row is t, i, j and entry j of the slice of max(j) + 1 pairs at
-        # c = t * rho_i, as written by format_float, in the order i, j, t
-        if dense_limit is not None:
-            monkeypatch.setattr(spectral, "DENSE_LIMIT", dense_limit)
+        # c = t * rho_i, as written by format_float, in the order i, j, t;
+        # banded forces the route of every forms, None leaves it to the flops
+        if banded is not None:
+            monkeypatch.setattr(fem.FactorInput, "banded", banded)
         model_path = tmp_path / "model.json"
         model_path.write_text(json.dumps(dict(DISK_TORUS_DOC, m2=m2, boundary=boundary)))
         out = tmp_path / "curves.csv"
@@ -178,13 +180,13 @@ class TestEigencurveCommand:
 
 
 class TestCsvOutput:
-    @pytest.mark.parametrize("mesh, k, dense_limit", [
+    @pytest.mark.parametrize("mesh, k, banded", [
         ("builtin:interval:1000:2.0", 2, None), ("builtin:disk:3", 5, None),
-        ("builtin:disk:3", 5, 0),
-    ], ids=["interval", "disk3-band", "disk3-multifrontal"])
-    def test_steklov_rows_are_the_slice(self, tmp_path, monkeypatch, mesh, k, dense_limit):
-        if dense_limit is not None:
-            monkeypatch.setattr(spectral, "DENSE_LIMIT", dense_limit)
+        ("builtin:disk:3", 5, False), ("builtin:disk:4", 5, None), ("builtin:disk:4", 5, True),
+    ], ids=["interval", "disk3-band", "disk3-multifrontal", "disk4-multifrontal", "disk4-band"])
+    def test_steklov_rows_are_the_slice(self, tmp_path, monkeypatch, mesh, k, banded):
+        if banded is not None:
+            monkeypatch.setattr(fem.FactorInput, "banded", banded)
         out = tmp_path / "spec.csv"
         assert cli.main(["steklov", "--mesh", mesh, "-k", str(k), "--out", str(out)]) == 0
         forms = assemble(cli._mesh_from_spec(mesh))
@@ -417,8 +419,8 @@ class TestReportCommand:
         assert calls == {"robin_steklov_spectrum": 0, "count_below": 2, "_multifrontal_schur": 3}
 
     def test_report_budget_on_the_multifrontal_path(self, tmp_path, monkeypatch):
-        # disk L5 has 256 boundary dofs, above DENSE_LIMIT, yet the report
-        # still solves no slice, makes the same counts and S(c) and finds the
+        # disk L5 has 256 boundary dofs, twice L4's, yet the report still
+        # solves no slice, makes the same counts and S(c) and finds the
         # same Morse indices
         calls, summary = self._report_calls(tmp_path, monkeypatch, 5)
         assert self._morse_indices(summary) == self.DISK_TORUS_MORSE_INDICES

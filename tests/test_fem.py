@@ -12,7 +12,7 @@ from scipy.sparse.csgraph import reverse_cuthill_mckee
 from steklovbif import (assemble, fem, generate_disk, generate_interval, scale_metric_forms,
                         steklov_spectrum)
 from steklovbif.errors import AssemblyError, PreconditionError
-from steklovbif.fem import FactorInput, dump_matrix
+from steklovbif.fem import FactorInput
 from steklovbif.mesh import Mesh, simplex_measure
 
 
@@ -303,13 +303,3 @@ class TestScaleMetricForms:
         with pytest.raises(PreconditionError):
             scale_metric_forms(forms, 0.0, 2)
 
-
-class TestDumpMatrix:
-    def test_dump_format(self, tmp_path):
-        mat = sp.csr_matrix([[2.0, -1.0], [-1.0, 2.0]])
-        path = tmp_path / "mat.txt"
-        dump_matrix(mat, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0].split() == ["0", "0", "2"]
-        parsed = [line.split() for line in lines]
-        assert [(int(r), int(c)) for r, c, _ in parsed] == [(0, 0), (0, 1), (1, 1)]

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -95,7 +96,7 @@ class TestRobinSteklovSpectrum:
 
     def test_b_orthonormality_on_multifrontal_path(self, disk, monkeypatch):
         _, forms = disk(3)
-        monkeypatch.setattr(spectral, "DENSE_LIMIT", 0)
+        monkeypatch.setattr(forms.factor_input, "banded", False)
         for c, k in [(0.0, 1), (1.0, 5), (4.0, 8)]:
             v = robin_steklov_spectrum(forms, c, k).eigenvectors
             gram = v.T @ forms.factor_input.B_bb @ v
@@ -126,15 +127,16 @@ class TestRobinSteklovSpectrum:
     @pytest.mark.parametrize("c", [0.0, 1.0])
     def test_multifrontal_path_matches_dense(self, disk, c, monkeypatch):
         _, forms = disk(2)
+        assert forms.factor_input.banded
         dense = robin_steklov_spectrum(forms, c, 5).eigenvalues
-        monkeypatch.setattr(spectral, "DENSE_LIMIT", 0)
+        monkeypatch.setattr(forms.factor_input, "banded", False)
         iterative = robin_steklov_spectrum(forms, c, 5).eigenvalues
         assert np.abs(dense - iterative).max() < 1e-9
 
 
 class TestMultifrontalSlice:
-    """Slices above DENSE_LIMIT, which form S(c) by a multifrontal Cholesky of
-    the interior block on its nested-dissection tree: S(c) is the trailing
+    """Slices through the fronts, which form S(c) by a multifrontal Cholesky
+    of the interior block on its nested-dissection tree: S(c) is the trailing
     block, on the boundary dofs, of that partial factorization."""
 
     @pytest.fixture(params=["disk5", "jittered", "delaunay"])
@@ -147,9 +149,9 @@ class TestMultifrontalSlice:
     def test_matches_dense(self, forms, c, monkeypatch):
         # the disk's values come in exact pairs (1, 2), (3, 4), ...: k = 2, 4
         # and 8 end inside a pair, k = 1 and 3 after one
-        monkeypatch.setattr(spectral, "DENSE_LIMIT", 10**9)
+        monkeypatch.setattr(forms.factor_input, "banded", True)
         dense = robin_steklov_spectrum(forms, c, 8).eigenvalues
-        monkeypatch.setattr(spectral, "DENSE_LIMIT", 0)
+        monkeypatch.setattr(forms.factor_input, "banded", False)
         for k in (1, 2, 3, 4, 8):
             got = robin_steklov_spectrum(forms, c, k).eigenvalues
             assert np.all(np.abs(got - dense[:k]) <= 1e-10 * np.abs(dense[:k]))
@@ -160,9 +162,9 @@ class TestMultifrontalSlice:
                                                                c, monkeypatch):
         forms = disk(int(name[-1]))[1] if name.startswith("disk") else fuzz_meshes[name][1]
         fi = forms.factor_input
-        monkeypatch.setattr(spectral, "DENSE_LIMIT", 10**9)
+        monkeypatch.setattr(fi, "banded", True)
         band, _ = spectral._schur(fi, c)
-        monkeypatch.setattr(spectral, "DENSE_LIMIT", 0)
+        monkeypatch.setattr(fi, "banded", False)
         multifrontal, _ = spectral._schur(fi, c)
         assert np.abs(multifrontal - band).max() <= 1e-12 * np.abs(band).max()
 
@@ -186,7 +188,7 @@ class TestMultifrontalSlice:
 
     def test_repeat_calls_are_bit_identical(self, disk):
         _, forms = disk(5)
-        assert len(forms.boundary_dofs) > spectral.DENSE_LIMIT
+        assert not forms.factor_input.banded
         first = robin_steklov_spectrum(forms, 3.0, 4).eigenvalues
         second = robin_steklov_spectrum(forms, 3.0, 4).eigenvalues
         assert first.tobytes() == second.tobytes()
@@ -198,9 +200,9 @@ class TestMultifrontalSlice:
         # rho_1 = rho_2; a dense subset solve returns both
         _, forms = disk(5)
         c = t * 2.0
-        assert len(forms.boundary_dofs) > spectral.DENSE_LIMIT
+        assert not forms.factor_input.banded
         got = robin_steklov_spectrum(forms, c, 3).eigenvalues
-        monkeypatch.setattr(spectral, "DENSE_LIMIT", 10**9)
+        monkeypatch.setattr(forms.factor_input, "banded", True)
         dense = robin_steklov_spectrum(forms, c, 3).eigenvalues
         assert np.all(np.abs(got - dense) <= 1e-10 * np.abs(dense))
 
@@ -219,19 +221,32 @@ class TestMultifrontalSlice:
             return slices.transpose(0, 2, 1).reshape(6, 7)  # one row per branch (i, j)
 
         trailing = rows()
-        monkeypatch.setattr(spectral, "DENSE_LIMIT", 10**9)
+        monkeypatch.setattr(forms.factor_input, "banded", True)
         band = rows()
         assert trailing.shape == band.shape == (6, 7)
         assert np.all(np.abs(trailing - band) <= 1e-10 * np.abs(band))
 
-    def test_indefinite_interior_block_raises(self, disk, monkeypatch):
+    def test_indefinite_interior_block_raises(self, disk):
         # K negated: A_ii = -K_ii + c M_ii is not positive definite
         _, forms = disk(3)
         negated = fem.AssembledForms(-forms.K, forms.M, forms.B, forms.boundary_dofs,
                                      forms.vertices)
-        monkeypatch.setattr(spectral, "DENSE_LIMIT", 0)
+        negated.factor_input.banded = False
         with pytest.raises(EigensolverError, match=r"factorization at c=1\.5 failed"):
             robin_steklov_spectrum(negated, 1.5, 4)
+
+
+class TestRoute:
+    """Each forms' slices take the route of S(c) with fewer flops,
+    ``FactorInput.banded``, a tie to the band."""
+
+    @pytest.mark.parametrize("name, banded", [
+        ("interval1000", True), ("disk0", True), ("disk1", False), ("disk2", True),
+        ("disk3", True), ("disk4", False), ("disk5", False), ("disk6", False),
+    ])
+    def test_routes(self, disk, interval, name, banded):
+        forms = interval(1000, 2.0)[1] if name == "interval1000" else disk(int(name[4:]))[1]
+        assert forms.factor_input.banded == banded
 
 
 class TestResidualChecks:
@@ -248,21 +263,21 @@ class TestResidualChecks:
             robin_steklov_spectrum(forms, 1.0, 5)
 
     @staticmethod
-    def _fault_after_eigh(monkeypatch, fault):
+    def _fault_after_eigh(monkeypatch, forms, fault):
+        # the slice takes the fronts
         dense_gevp = spectral._dense_gevp
         monkeypatch.setattr(spectral, "_dense_gevp", lambda a, b, k: fault(*dense_gevp(a, b, k)))
-        monkeypatch.setattr(spectral, "DENSE_LIMIT", 0)
+        monkeypatch.setattr(forms.factor_input, "banded", False)
 
     def test_multifrontal_path_rejects_wrong_pairs(self, disk, monkeypatch):
-        # DENSE_LIMIT 0: the slice takes the trailing block
         _, forms = disk(2)
-        self._fault_after_eigh(monkeypatch, lambda w, v: (w, np.roll(v, 1, axis=1)))
+        self._fault_after_eigh(monkeypatch, forms, lambda w, v: (w, np.roll(v, 1, axis=1)))
         with pytest.raises(EigensolverError, match="dense eigenpair residual"):
             robin_steklov_spectrum(forms, 1.0, 5)
 
     def test_multifrontal_path_rejects_shifted_values(self, disk, monkeypatch):
         _, forms = disk(2)
-        self._fault_after_eigh(monkeypatch, lambda w, v: (w + 1e-6, v))
+        self._fault_after_eigh(monkeypatch, forms, lambda w, v: (w + 1e-6, v))
         with pytest.raises(EigensolverError, match="dense eigenpair residual"):
             robin_steklov_spectrum(forms, 1.0, 5)
 
@@ -272,7 +287,7 @@ class TestResidualChecks:
         _, forms = disk(2)
         fi = forms.factor_input
         dense_gevp = spectral._dense_gevp
-        monkeypatch.setattr(spectral, "DENSE_LIMIT", 0)
+        monkeypatch.setattr(fi, "banded", False)
         wrong, _ = spectral._schur(fi, 1.0 + 1e-4)
         monkeypatch.setattr(spectral, "_dense_gevp", lambda a, b, k: dense_gevp(wrong, b, k))
         with pytest.raises(EigensolverError, match="dense eigenpair residual"):
@@ -345,7 +360,7 @@ class TestCountBelow:
         # a sequence of levels gives the list of their counts, from one S(c)
         # and one LDL per level, on the band route's sizes too
         _, forms = disk(3)
-        assert len(forms.boundary_dofs) <= spectral.DENSE_LIMIT
+        assert forms.factor_input.banded
         formed = []
         schur = spectral._multifrontal_schur
         monkeypatch.setattr(spectral, "_multifrontal_schur",
@@ -390,8 +405,33 @@ def _dense_spectrum(forms, c):
 
 
 class TestDelaunayDiskProperties:
-    """Counts and the c_j* table on Delaunay disks of random points, against
-    dense generalized eigensolves."""
+    """Counts, the c_j* table and S(c) on Delaunay disks of random points,
+    against dense solves."""
+
+    @settings(max_examples=25)
+    @given(mesh=delaunay_disks(), c=st.floats(0.0, 20.0))
+    def test_routes_equal_the_dense_schur_complement(self, mesh, c):
+        # leaves of 4 dofs: a drawn disk gets a real tree.  The route is the
+        # one with fewer flops, bw read off the interior pattern in its
+        # order, p and u off the fronts; a slice through the fronts builds
+        # no band
+        with mock.patch.object(fem, "DISSECTION_LEAF", 4):
+            forms = assemble(mesh)
+            fi = forms.factor_input
+            n_i, n_b = len(forms.interior_dofs), len(forms.boundary_dofs)
+            A_ii = forms.K[fi.interior_order][:, fi.interior_order].tocoo()
+            bw = int(np.abs(A_ii.row - A_ii.col).max(initial=0))
+            sizes = [(f.pivots.stop - f.pivots.start, len(f.update)) for f in fi.fronts]
+            fronts = sum(Fraction(p**3, 3) + p * p * u + p * u * u for p, u in sizes)
+            assert fi.banded == (n_i * (bw * bw + 2 * bw * n_b + n_b * n_b) <= fronts)
+            robin_steklov_spectrum(forms, c, min(4, n_b))
+            assert fi.banded or "_band" not in vars(fi)
+            multifrontal, _ = spectral._multifrontal_schur(fi, c)
+        band = spectral._schur_complement(fi, c, fi.boundary(c))
+        dense, _ = _dense_interior_solve(forms, c)
+        scale = np.abs(dense).max()
+        assert np.abs(band - dense).max() <= 1e-12 * scale
+        assert np.abs(multifrontal - dense).max() <= 1e-12 * scale
 
     @settings(max_examples=25)
     @given(mesh=delaunay_disks(), c=st.floats(0.0, 20.0))
@@ -482,7 +522,7 @@ class TestFactorizationBudget:
         monkeypatch.setattr(spectral.spla, "eigsh", lambda *a, **kw: eigsh_calls.append(a))
         monkeypatch.setattr(spectral.lapack, "dpotrf",
                             lambda a, **kw: potrf_calls.append(a.shape[0]) or potrf(a, **kw))
-        monkeypatch.setattr(spectral, "DENSE_LIMIT", 0)
+        forms.factor_input.banded = False
         robin_steklov_spectrum(forms, 1.0, 4)
         assert band_calls == [] and eigsh_calls == []
         assert len(potrf_calls) == len(forms.factor_input.fronts)
@@ -494,12 +534,12 @@ class TestFactorizationBudget:
         robin_steklov_spectrum(forms, 1.0, 4)
         assert band_calls == [len(forms.interior_dofs)]
 
-    def test_multifrontal_slice_builds_no_band(self, band_calls, monkeypatch):
-        # only the band path factors the band of A_ii
+    def test_multifrontal_slice_builds_no_band(self, band_calls):
+        # only the band path builds and factors the band of A_ii
         forms = assemble(generate_disk(3))
-        monkeypatch.setattr(spectral, "DENSE_LIMIT", 0)
+        forms.factor_input.banded = False
         robin_steklov_spectrum(forms, 1.0, 4)
-        assert band_calls == []
+        assert band_calls == [] and "_band" not in vars(forms.factor_input)
 
     def test_order_built_once_per_forms(self, band_calls, monkeypatch):
         forms = assemble(generate_disk(2))
@@ -509,8 +549,8 @@ class TestFactorizationBudget:
                             lambda g, x: dissections.append(g) or dissect(g, x))
         for c, lam in [(0.0, 0.5), (1.0, 2.5), (3.0, 1.7)]:
             count_below(forms, c, lam)
-        for limit in (10**9, 0):
-            monkeypatch.setattr(spectral, "DENSE_LIMIT", limit)
+        for banded in (True, False):
+            forms.factor_input.banded = banded
             for c in (0.5, 2.0):
                 robin_steklov_spectrum(forms, c, 3)
         harmonic_extension(forms, np.ones(len(forms.boundary_dofs)), 1.0)
@@ -619,15 +659,20 @@ class TestFactorizationBudget:
             assert np.array_equal(np.unique(row), front.update[front.n_inner:] - forms.n + n_b)
         assert handed == expected
 
-    def test_no_dissection_tree_at_or_below_dense_limit(self, monkeypatch):
-        # slices and extensions on disk L3 (n_b = 64) never build the
-        # nested-dissection tree
-        monkeypatch.setattr(fem, "nested_dissection", lambda g, x: pytest.fail("ordered"))
+    def test_band_route_builds_the_tree_once_and_factors_no_front(self, monkeypatch):
+        # slices and extensions on disk L3 (n_b = 64) take the band: the
+        # route builds the nested-dissection tree for its flop count, once,
+        # and no front is factored
+        dissections = []
+        dissect = fem.nested_dissection
+        monkeypatch.setattr(fem, "nested_dissection",
+                            lambda g, x: dissections.append(g) or dissect(g, x))
+        monkeypatch.setattr(spectral.lapack, "dpotrf", lambda *a, **kw: pytest.fail("front"))
         forms = assemble(generate_disk(3))
-        assert len(forms.boundary_dofs) <= spectral.DENSE_LIMIT
         for c in (0.1, 1.0, 5.0):
             robin_steklov_spectrum(forms, c, 4)
         harmonic_extension(forms, np.ones(len(forms.boundary_dofs)), 1.0)
+        assert forms.factor_input.banded and len(dissections) == 1
 
     @pytest.mark.parametrize("name", ["disk2", "disk3", "disk4", "disk5", "jittered", "delaunay"])
     def test_cached_order_counts_equal_eigen_counts(self, disk, fuzz_meshes, band_calls, name):
@@ -715,13 +760,13 @@ class TestEigenCurves:
                     for t in np.linspace(0.1, 4.0, 12)]
             assert np.all(np.diff(vals) > 0)
 
-    @pytest.mark.parametrize("dense_limit", [10**9, 0], ids=["band", "multifrontal"])
-    def test_grouped_branches_equal_single_slices(self, disk, dense_limit, monkeypatch):
+    @pytest.mark.parametrize("banded", [True, False], ids=["band", "multifrontal"])
+    def test_grouped_branches_equal_single_slices(self, disk, banded, monkeypatch):
         # the eigencurve command reads every branch of one t from one slice
         # of max(j) + 1 pairs; each must agree with the slice sized for that
         # branch alone
         _, forms = disk(3)
-        monkeypatch.setattr(spectral, "DENSE_LIMIT", dense_limit)
+        monkeypatch.setattr(forms.factor_input, "banded", banded)
         for c in (0.4, 2.0, 9.0):
             grouped = robin_steklov_spectrum(forms, c, 4).eigenvalues
             for j in range(4):
@@ -827,9 +872,10 @@ class TestDirectLapackSlice:
         return fuzz_meshes[name][1]
 
     @pytest.mark.parametrize("c", [0.0, 3.0, 100.0])
-    def test_band_slice_equals_the_scipy_wrappers_bit_for_bit(self, forms, c):
+    def test_band_slice_equals_the_scipy_wrappers_bit_for_bit(self, forms, c, monkeypatch):
+        # disk L4 takes the fronts unless the band is forced
+        monkeypatch.setattr(forms.factor_input, "banded", True)
         n_b = len(forms.boundary_dofs)
-        assert n_b <= spectral.DENSE_LIMIT
         for k in sorted({1, min(4, n_b), n_b}):
             got = robin_steklov_spectrum(forms, c, k)
             w, v = _wrapper_slice(forms, c, k)
@@ -852,7 +898,7 @@ class TestDirectLapackSlice:
         # scipy wrapper and makes one call of each LAPACK routine
         forms = interval(1000, 1.0)[1] if name == "interval" else disk(3)[1]
         fi = forms.factor_input
-        fi.interior, fi.coupling
+        fi.interior, fi.coupling, fi.banded
         base = next(cls for cls in sp.csc_matrix.__mro__ if cls.__name__ == "_spbase")
         monkeypatch.setattr(base, "__init__", lambda *a, **kw: pytest.fail("sparse matrix"))
         for wrapper in ("eigh", "cholesky_banded"):
