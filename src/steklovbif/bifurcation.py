@@ -70,15 +70,12 @@ def find_degeneracy_instant(model: ProductModel, i: int) -> float:
 def _instants(model, t_min, t_max):
     """(t_star, crossings) of the c_j* / rho_i in [t_min, t_max], descending,
     coincident roots merged at their mean; no eigensolve beyond the model's
-    table, and none at all for Hhat <= 0, where no instants exist.  A group is
-    anchored on its first root, so no chain of close roots drifts past
-    MERGE_RTOL from it.
+    table, which is empty for Hhat <= 0.  A group is anchored on its first
+    root, so no chain of close roots drifts past MERGE_RTOL from it.
 
     Truncation: every root at or above t_min is listed once the last factor
     index has no branch below Hhat at t_min, which ``branch_rows`` checks.
     """
-    if model.Hhat <= 0:
-        return []
     branch_rows(model, t_min)
     c_stars = model.critical_coefficients
     factor = model.factor
@@ -120,33 +117,25 @@ def enumerate_instants(
     ]
 
 
-def certify_bifurcation(
-    model: ProductModel,
-    record: DegeneracyRecord,
-    epsilon: float | None = None,
-) -> DegeneracyRecord:
+def certify_bifurcation(model: ProductModel, record: DegeneracyRecord) -> DegeneracyRecord:
     """Check the index-jump criterion across record.t_star.
 
-    Starts from epsilon (default EPSILON_CAP * t_star) and halves it while
-    some other c_j* / rho_i, read from the model's table, lies in the window
+    Starts from epsilon = EPSILON_CAP * t_star and halves it while some
+    other c_j* / rho_i, read from the model's table, lies in the window
     widened by BRACKET_RTOL (relative) on each side.  Then neither endpoint
     lies in the window of any c_j*, so both are nondegenerate; reads the
     Morse index on both sides off the table, which is proved there, and
-    certifies when the indices differ.  Gives up after 12 halvings, or once
-    epsilon no longer clears the windows of the record's own crossings.
-    Counts and solves nothing once the table is built.
+    certifies when the indices differ.  The index is constant between the
+    table's windows, so every isolating epsilon gives the same indices.
+    Gives up after 12 halvings; counts and solves nothing once the table is
+    built.
     """
     t_star = record.t_star
-    epsilon = EPSILON_CAP * t_star if epsilon is None else epsilon
-    if not (0 < epsilon < t_star):
-        raise PreconditionError(f"epsilon must lie in (0, t_star), got {epsilon}")
-
-    # the record's own crossings lie within MERGE_RTOL of t_star: below this
-    # floor, t_star -/+ epsilon falls in their windows
-    floor = (MERGE_RTOL + 2 * BRACKET_RTOL) * t_star
+    epsilon = EPSILON_CAP * t_star
+    if not epsilon > 0:  # a record read from a file; 5e-324 leaves epsilon 0
+        raise PreconditionError(f"t_star must leave a positive radius {EPSILON_CAP:g} * t_star, "
+                                f"got t_star = {t_star}")
     for _ in range(12):
-        if epsilon <= floor:
-            break
         # c = x * rho_i lies in the window [c_j* (1 - BRACKET_RTOL), c_j* (1 + BRACKET_RTOL)]
         # exactly when c_j* / rho_i lies in [x / (1 + BRACKET_RTOL), x / (1 - BRACKET_RTOL)]
         lo, hi = (t_star - epsilon) / (1 + BRACKET_RTOL), (t_star + epsilon) / (1 - BRACKET_RTOL)
@@ -170,13 +159,8 @@ def certify_bifurcation(
 
 def classify(model: ProductModel, t: float) -> str:
     """'degenerate' when the Jacobi operator may have kernel at t -- some
-    t * rho_i within relative BRACKET_RTOL of a c_j* -- else 'rigid'.
-
-    Nonpositive Hhat short-circuits to rigid (the whole family is)."""
-    if t <= 0:
-        raise PreconditionError(f"metric parameter t must be positive, got {t}")
-    if model.Hhat <= 0:
-        return "rigid"
+    t * rho_i within relative BRACKET_RTOL of a c_j* -- else 'rigid', as the
+    whole family is for nonpositive Hhat, whose table is empty."""
     return "degenerate" if nullity(model, t) > 0 else "rigid"
 
 

@@ -37,7 +37,6 @@ class RunConfig:
     t_min: float = 0.1
     t_max: float = 10.0
     t_steps: int = 30
-    epsilon: float | None = None
     instants_path: str | None = None
     oracle_check: bool = False
     out: str | None = None
@@ -59,8 +58,6 @@ class RunConfig:
             if not values or min(values) < 0:
                 raise ConfigError(f"{name} must be a nonempty list of non-negative "
                                   f"indices, got {list(values)}")
-        if self.epsilon is not None and not 0 < self.epsilon < np.inf:
-            raise ConfigError(f"epsilon must be finite and positive, got {self.epsilon}")
         for path in (self.model_path, self.instants_path):
             if path is not None and not Path(path).exists():
                 raise ConfigError(f"referenced file does not exist: {path}")
@@ -193,7 +190,7 @@ def cmd_certify(cfg: RunConfig) -> list[str]:
     if cfg.instants_path is None:
         raise ConfigError("certify needs --instants <file>")
     records = bif.records_from_json(cfg.instants_path)
-    certified = [bif.certify_bifurcation(model, r, cfg.epsilon) for r in records]
+    certified = [bif.certify_bifurcation(model, r) for r in records]
     return _write_records(certified, cfg.out_json or "certified.json",
                           cfg.out_csv or "certified.csv")
 
@@ -204,7 +201,7 @@ def cmd_report(cfg: RunConfig) -> list[str]:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     records = bif.enumerate_instants(model, cfg.t_min, cfg.t_max)
-    certified = [bif.certify_bifurcation(model, r, cfg.epsilon) for r in records]
+    certified = [bif.certify_bifurcation(model, r) for r in records]
     _write_records(certified, out_dir / "instants.json", out_dir / "instants.csv")
 
     # Morse index between consecutive instants (geometric midpoints), read
@@ -247,9 +244,9 @@ COMMANDS = {
     "instants": ("enumerate degeneracy instants", cmd_instants,
                  ("--model", "--t-min", "--t-max", "--oracle", "--out-json", "--out-csv")),
     "certify": ("certify instants from a records file", cmd_certify,
-                ("--model", "--instants", "--epsilon", "--out-json", "--out-csv")),
+                ("--model", "--instants", "--out-json", "--out-csv")),
     "report": ("summary report: instants, indices, oracle deltas", cmd_report,
-               ("--model", "--t-min", "--t-max", "--epsilon", "--oracle", "--out")),
+               ("--model", "--t-min", "--t-max", "--oracle", "--out")),
 }
 
 # flag: the RunConfig field it sets, whose annotation gives its type, and its help
@@ -260,9 +257,8 @@ _FLAGS = {
     "--i": ("i_list", "factor indices, comma separated"),
     "--j": ("j_list", "branch positions, comma separated"),
     "--t-min": ("t_min", None), "--t-max": ("t_max", None), "--t-steps": ("t_steps", None),
-    "--epsilon": ("epsilon", None), "--instants": ("instants_path", None),
-    "--oracle": ("oracle_check", None), "--out": ("out", None),
-    "--out-json": ("out_json", None), "--out-csv": ("out_csv", None),
+    "--instants": ("instants_path", None), "--oracle": ("oracle_check", None),
+    "--out": ("out", None), "--out-json": ("out_json", None), "--out-csv": ("out_csv", None),
 }
 
 

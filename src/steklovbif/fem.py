@@ -105,8 +105,11 @@ class FactorInput:
       boundary dofs last, and ``trapezoid``, the one ``lower_trapezoid``
       whose corners mask every front's blocks.
 
-    ``banded`` picks the route of S(c) by flop count; the band's needs only
-    the order, so forms whose slices take the fronts build no band.
+    Both are built from one interior pattern.  ``banded`` picks the route
+    of S(c) by flop count, read off the order's bandwidth and each node's
+    pivots and update set, so forms whose slices take the fronts build no
+    band, and forms whose slices take the band build fronts only for a
+    count.
     """
 
     def __init__(self, K: sp.csr_matrix, M: sp.csr_matrix, B: sp.csr_matrix,
@@ -131,6 +134,7 @@ class FactorInput:
         self.B_bb = B[boundary_dofs][:, boundary_dofs].toarray()
         self.B_bb_norm1 = float(np.abs(self.B_bb).sum(axis=0).max())
 
+    @cached_property
     def _interior_graph(self) -> sp.csr_matrix:
         """The pattern of A_ii, a slice of K's, on the interior dofs in order."""
         inner = np.flatnonzero(~self._is_b)
@@ -138,35 +142,46 @@ class FactorInput:
                              shape=(self.n, self.n))[inner][:, inner]
 
     @cached_property
-    def _tree(self) -> tuple:
-        """(elimination, fronts, trapezoid): the dofs in elimination order,
-        the ``Front`` of each node of the nested-dissection tree of the
-        interior pattern, in postorder, and a mask as wide as the widest."""
+    def _dissection(self) -> tuple:
+        """(elimination, at, nodes, updates): the dofs in the elimination
+        order of the nested-dissection tree of the interior pattern, the
+        boundary dofs last; the pattern's entries on or below the diagonal in
+        the pivot columns, sorted by column, then row; and per node, in
+        postorder, (lo, hi, children, begin, end), which pivots on positions
+        lo:hi and whose columns' entries are at[begin:end], and its update
+        set."""
         inner = np.flatnonzero(~self._is_b)
-        if not len(inner):
-            return self.boundary_dofs, (), lower_trapezoid(0, 0)
-        order, start, children = nested_dissection(self._interior_graph(),
-                                                   self._vertices[inner])
-        n_i, n_b = len(inner), len(self.boundary_dofs)
+        order, start, children = nested_dissection(self._interior_graph, self._vertices[inner])
+        n_i = len(inner)
         elimination = np.concatenate([inner[order], self.boundary_dofs])
         position = np.empty(self.n, dtype=np.intp)
         position[elimination] = np.arange(self.n)
-        # the lower triangle's pivot columns, sorted by column, then row;
-        # node k's columns start[k]:start[k + 1] sit at ptr[k]:ptr[k + 1]
         rows, cols = position[self._rows], position[self._cols]
         at = np.flatnonzero((rows >= cols) & (cols < n_i))
         at = at[np.argsort(cols[at] * self.n + rows[at])]
-        rows, cols, K, M = rows[at], cols[at], self._K[at], self._M[at]
-        ptr = np.searchsorted(cols, start)
+        ptr = np.searchsorted(cols[at], start)
         nodes = list(zip(start[:-1].tolist(), start[1:].tolist(), children,
                          ptr[:-1].tolist(), ptr[1:].tolist()))
+        rows = rows[at]
         updates, near = [], np.zeros(self.n, dtype=bool)  # the positions next to a subtree
         for lo, hi, kids, begin, end in nodes:
             for x in [rows[begin:end]] + [updates[j] for j in kids]:
                 near[x] = True
             updates.append(hi + np.flatnonzero(near[hi:]))
             near[:] = False
-        width = max(map(len, updates))
+        return elimination, at, nodes, updates
+
+    @cached_property
+    def _tree(self) -> tuple:
+        """(fronts, trapezoid): the ``Front`` of each node of the dissection,
+        in postorder, and a mask as wide as the widest."""
+        elimination, at, nodes, updates = self._dissection
+        n_i, n_b = self.n - len(self.boundary_dofs), len(self.boundary_dofs)
+        position = np.empty(self.n, dtype=np.intp)
+        position[elimination] = np.arange(self.n)
+        rows, cols = position[self._rows[at]], position[self._cols[at]]
+        K, M = self._K[at], self._M[at]
+        width = max(map(len, updates), default=0)
         trapezoid = lower_trapezoid(width, width)
 
         def flat(offset, step, column):  # of the lower trapezoid: rows (offset, step)
@@ -188,7 +203,7 @@ class FactorInput:
                 tuple(flat(first[x.update], stride[x.update], place[x.update[:x.n_inner]])
                       for x in [fronts[j] for j in kids]),
                 flat(b, n_b, b)))
-        return elimination, tuple(fronts), trapezoid
+        return tuple(fronts), trapezoid
 
     @cached_property
     def _order(self) -> tuple:
@@ -198,7 +213,7 @@ class FactorInput:
         interior_order = np.flatnonzero(~self._is_b)
         if not len(interior_order):  # RCM rejects an empty graph
             return interior_order, 0
-        graph = self._interior_graph()
+        graph = self._interior_graph
         rcm = reverse_cuthill_mckee(graph, symmetric_mode=True)
         rank = np.argsort(rcm)  # each dof's place in the order
         rows = np.repeat(rank, np.diff(graph.indptr))
@@ -229,13 +244,13 @@ class FactorInput:
         pivots and u update dofs.  Both are compared exactly, as integers
         times 3, and a tie goes to the band."""
         n_i, n_b, bw = len(self.interior_order), len(self.boundary_dofs), self._order[1]
-        sizes = [(f.pivots.stop - f.pivots.start, len(f.update)) for f in self.fronts]
+        sizes = [(hi - lo, len(u)) for (lo, hi, *_), u in zip(*self._dissection[2:])]
         return 3 * n_i * (bw + n_b) ** 2 <= sum(p**3 + 3 * p * u * (p + u) for p, u in sizes)
 
     boundary = property(lambda self: self._boundary.pencil)  # A_bb(c), in Fortran order
-    elimination = property(lambda self: self._tree[0])
-    fronts = property(lambda self: self._tree[1])
-    trapezoid = property(lambda self: self._tree[2])
+    elimination = property(lambda self: self._dissection[0])
+    fronts = property(lambda self: self._tree[0])
+    trapezoid = property(lambda self: self._tree[1])
     interior_order = property(lambda self: self._order[0])
     interior = property(lambda self: self._band[0])
     coupling = property(lambda self: self._band[1])

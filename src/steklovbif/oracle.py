@@ -20,16 +20,6 @@ _SERIES_STOP = 1e-17
 _ROOT_RTOL = 1e-10
 
 
-def bessel_series_coefficients(k: int, count: int) -> list[float]:
-    """First ``count`` coefficients a_m of I_k(s) = sum a_m s^(2m+k)."""
-    coeffs = []
-    a = 1.0 / (2.0**k * math.factorial(k))
-    for m in range(count):
-        coeffs.append(a)
-        a /= 4.0 * (m + 1) * (m + k + 1)
-    return coeffs
-
-
 def bessel_i(k: int, s: float) -> float:
     """Modified Bessel function I_k by power series, relative error <= 1e-12
     on 0 <= s <= 50."""

@@ -295,23 +295,6 @@ class TestCertifyBifurcation:
         c = np.outer(read, rho)
         assert np.all(np.abs(c[:, :, None] / c_stars - 1.0) > BRACKET_RTOL)
 
-    def test_epsilon_inside_own_windows_exhausts(self, model, instants, monkeypatch):
-        # t* -/+ epsilon within BRACKET_RTOL of the instant's own root: no
-        # halving leaves the window, so nothing is read and isolation fails
-        from steklovbif import bifurcation
-
-        def forbidden(*args, **kwargs):
-            raise AssertionError("read the table inside a bracket window")
-
-        monkeypatch.setattr(bifurcation, "morse_index", forbidden)
-        rec = instants[0]
-        with pytest.raises(EpsilonExhaustedError):
-            certify_bifurcation(model, rec, epsilon=5e-9 * rec.t_star)
-
-    def test_bad_epsilon_rejected(self, model, instants):
-        with pytest.raises(PreconditionError):
-            certify_bifurcation(model, instants[0], epsilon=instants[0].t_star * 2)
-
 
 class TestClassify:
     def test_flat_boundary_always_rigid(self, flat_model):
@@ -325,6 +308,13 @@ class TestClassify:
         t_mid = np.sqrt(instants[0].t_star * instants[1].t_star)
         assert classify(model, t_mid) == "rigid"
         assert enumerate_instants(model, instants[1].t_star * 1.01, instants[0].t_star * 0.99) == []
+
+    @pytest.mark.parametrize("t", [0.0, -1.0])
+    def test_nonpositive_t_rejected(self, model, flat_model, t):
+        # by the table's own rows, also where Hhat <= 0 leaves the table empty
+        for m in (model, flat_model):
+            with pytest.raises(PreconditionError, match="metric parameter t must be positive"):
+                classify(m, t)
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(

@@ -2,9 +2,12 @@ import json
 import math
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from steklovbif import assemble, cli, fem, robin_steklov_spectrum, spectral, steklov_spectrum
 from steklovbif.bifurcation import records_from_csv, records_from_json
@@ -358,6 +361,22 @@ class TestCertifyCommand:
         assert str(instants) in payload["detail"]
         assert not out_json.exists()
 
+    @pytest.mark.parametrize("t_star", [0, -1, 5e-324])
+    def test_nonpositive_t_star_rejected(self, disk_model_path, tmp_path, capsys, t_star):
+        # a well-typed record from outside the program, with no radius around
+        # it: 0.05 * 5e-324 rounds to 0
+        instants = tmp_path / "instants.json"
+        instants.write_text(json.dumps([{"t_star": t_star, "crossings": [[1, 0, 4]],
+                                         "nullity": 4}]))
+        out_json, out_csv = tmp_path / "c.json", tmp_path / "c.csv"
+        status = cli.main(["certify", "--model", disk_model_path, "--instants", str(instants),
+                           "--out-json", str(out_json), "--out-csv", str(out_csv)])
+        assert status == 1
+        payload = json.loads(capsys.readouterr().err)
+        assert payload == {"error": "precondition", "detail": "t_star must leave a positive "
+                           f"radius 0.05 * t_star, got t_star = {float(t_star)}"}
+        assert not out_json.exists() and not out_csv.exists()
+
 
 class TestReportCommand:
     def test_report_summary(self, disk_model_path, tmp_path):
@@ -621,7 +640,8 @@ class TestConfigHandling:
 
     @pytest.mark.parametrize("command,key", [
         ("steklov", "model_path"), ("eigencurve", "out_json"), ("instants", "epsilon"),
-        ("certify", "t_min"), ("report", "out_json"),
+        ("certify", "t_min"), ("report", "out_json"), ("certify", "epsilon"),
+        ("report", "epsilon"),
     ] + [(command, "command") for command in cli.COMMANDS])
     def test_config_key_the_command_does_not_read_rejected(self, disk_model_path, tmp_path,
                                                            capsys, monkeypatch, command, key):
@@ -657,7 +677,7 @@ class TestConfigHandling:
         monkeypatch.chdir(tmp_path)
         (tmp_path / "records.json").write_text("[]")
         (tmp_path / "run.json").write_text(json.dumps({
-            "model_path": disk_model_path, "instants_path": "records.json", "epsilon": None,
+            "model_path": disk_model_path, "instants_path": "records.json", "out_json": None,
             "out_csv": None}))
         assert cli.main(["certify", "--config", "run.json"]) == 0
         assert (tmp_path / "certified.csv").exists()
@@ -811,19 +831,13 @@ class TestConfigHandling:
         assert not any(tmp_path.glob("[is].*"))
 
     @pytest.mark.parametrize("command", ["certify", "report"])
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-    def test_non_finite_epsilon_rejected(self, disk_model_path, tmp_path, capsys, command,
-                                         value):
-        # NaN and inf pass a bare epsilon <= 0 test; refused before any solve
-        records = tmp_path / "records.json"
-        records.write_text("[]")
-        where = {"certify": ["--instants", str(records)], "report": ["--out", str(tmp_path)]}
-        status = cli.main([command, "--model", disk_model_path, f"--epsilon={value}"]
-                          + where[command])
-        assert status == 1
-        payload = json.loads(capsys.readouterr().err)
-        assert payload["error"] == "bad_config"
-        assert "epsilon must be finite" in payload["detail"]
+    def test_epsilon_flag_is_gone(self, disk_model_path, capsys, command):
+        # the proved c_j* table decides the indices at every isolating radius:
+        # none is tunable, and the flag is no longer parsed
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--model", disk_model_path, "--epsilon", "0.1"])
+        assert exc.value.code == 2
+        assert "--epsilon" in capsys.readouterr().err
 
     def test_non_finite_interval_length_rejected(self, tmp_path, capsys):
         status = cli.main(["steklov", "--mesh", "builtin:interval:10:nan", "-k", "1",
@@ -862,3 +876,107 @@ class TestConfigHandling:
             cli.main([command, "--model", disk_model_path, "--degeneracy-rtol", "1e-6"])
         assert exc.value.code == 2
         assert "--degeneracy-rtol" in capsys.readouterr().err
+
+
+# values of every JSON kind that a valid input's field may lack; NaN and
+# Infinity, which the JSON reader accepts, replace a value of any kind
+_SWAPS = ("x", True, None, [1], math.nan, math.inf)
+_SMALL_MODEL = dict(DISK_TORUS_DOC, boundary={"builtin": "disk", "level": 1})
+_RECORDS = [{"t_star": 0.7, "crossings": [[1, 0, 4]], "nullity": 4}]
+_OUT = ["--out-json", "out.json", "--out-csv", "out.csv"]
+# input: (file, valid document, keys with a default, argv), run in the
+# folder that holds model.json and records.json
+_INPUTS = {
+    "model": ("model.json", _SMALL_MODEL, {("boundary", "level")},
+              ["instants", "--model", "model.json", "--t-min", "0.5", "--t-max", "2"] + _OUT),
+    "mesh": ("mesh.json", {"dim": 2, "vertices": [[0, 0], [1, 0], [1, 1], [0, 1], [0.5, 0.5]],
+                           "cells": [[0, 1, 4], [1, 2, 4], [2, 3, 4], [3, 0, 4]]}, set(),
+             ["steklov", "--mesh", "mesh.json", "-k", "2", "--out", "out.csv"]),
+    "records": ("records.json", _RECORDS, set(),
+                ["certify", "--model", "model.json", "--instants", "records.json"] + _OUT),
+    "steklov-config": ("run.json", {"mesh_spec": "builtin:disk:1", "k": 3}, {("k",)},
+                       ["steklov", "--config", "run.json", "--out", "out.csv"]),
+    "eigencurve-config": ("run.json", {"model_path": "model.json", "i_list": [1, 2],
+                                       "j_list": [0, 1], "t_min": 0.5, "t_max": 2.0,
+                                       "t_steps": 3},
+                          {("i_list",), ("j_list",), ("t_min",), ("t_max",), ("t_steps",)},
+                          ["eigencurve", "--config", "run.json", "--out", "out.csv"]),
+    "instants-config": ("run.json", {"model_path": "model.json", "t_min": 0.5, "t_max": 2.0,
+                                     "oracle_check": True},
+                        {("t_min",), ("t_max",), ("oracle_check",)},
+                        ["instants", "--config", "run.json"] + _OUT),
+    "certify-config": ("run.json", {"model_path": "model.json", "instants_path": "records.json"},
+                       set(), ["certify", "--config", "run.json"] + _OUT),
+    "report-config": ("run.json", {"model_path": "model.json", "t_min": 0.5, "t_max": 2.0,
+                                   "oracle_check": True},
+                      {("t_min",), ("t_max",), ("oracle_check",)},
+                      ["report", "--config", "run.json", "--out", "out"]),
+}
+
+
+def _kind(value) -> str:
+    """The JSON kind of a value, a non-finite number apart from the finite."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return "number" if math.isfinite(value) else "non-finite"
+    return type(value).__name__
+
+
+def _mutations(doc, defaulted) -> list:
+    """Every type-breaking mutation of a JSON document but truncation: a
+    value swapped for one of another kind, (path, value), and a key without
+    a default dropped, (path,)."""
+    found = []
+
+    def walk(value, path):
+        found.extend((path, swap) for swap in _SWAPS if _kind(swap) != _kind(value))
+        items = value.items() if isinstance(value, dict) else enumerate(
+            value if isinstance(value, list) else [])
+        for key, item in items:
+            if isinstance(value, dict) and path + (key,) not in defaulted:
+                found.append((path + (key,),))
+            walk(item, path + (key,))
+
+    walk(doc, ())
+    return found
+
+
+def _mutated(doc, mutation) -> str:
+    """The text of doc with a mutation applied; an int cuts the text there."""
+    if isinstance(mutation, int):
+        return json.dumps(doc)[:mutation]
+    path, *swap = mutation
+    if not path:
+        return json.dumps(swap[0])
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if swap:
+        parent[path[-1]] = swap[0]
+    else:
+        del parent[path[-1]]
+    return json.dumps(doc)
+
+
+class TestMutatedInputs:
+    """A valid model, mesh, records file or run config with one value of the
+    wrong JSON kind, NaN or Infinity, a required key dropped, or its text
+    cut short: every command refuses it with exit status 1 and a
+    machine-readable reason, writes nothing, and never raises."""
+
+    @pytest.mark.parametrize("name", list(_INPUTS))
+    @settings(max_examples=40, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_refused(self, tmp_path, monkeypatch, capsys, name, data):
+        monkeypatch.chdir(tmp_path)
+        file, doc, defaulted, argv = _INPUTS[name]
+        Path("model.json").write_text(json.dumps(_SMALL_MODEL))
+        Path("records.json").write_text(json.dumps(_RECORDS))
+        mutation = data.draw(st.sampled_from(_mutations(doc, defaulted))
+                             | st.integers(0, len(json.dumps(doc)) - 1))
+        Path(file).write_text(_mutated(doc, mutation))
+        capsys.readouterr()
+        assert cli.main(argv) == 1
+        assert set(json.loads(capsys.readouterr().err)) == {"error", "detail"}
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            {"model.json", "records.json", file})

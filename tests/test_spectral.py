@@ -434,6 +434,22 @@ class TestDelaunayDiskProperties:
         assert np.abs(multifrontal - dense).max() <= 1e-12 * scale
 
     @settings(max_examples=25)
+    @given(mesh=delaunay_disks(), c=st.floats(0.0, 20.0), dc=st.floats(1e-3, 20.0),
+           t=st.floats(0.1, 10.0))
+    def test_branches_increase_and_obey_the_homothety_law(self, mesh, c, dc, t):
+        # every branch: rho_j(c + dc) >= rho_j(c), and on the metric t g,
+        # rho_j(c) = t^(-1/2) rho_j(t c) of g, each within 1e-12 of the
+        # largest value
+        forms = assemble(mesh)
+        k = len(forms.boundary_dofs)
+        lo = robin_steklov_spectrum(forms, c, k).eigenvalues
+        hi = robin_steklov_spectrum(forms, c + dc, k).eigenvalues
+        assert np.all(hi >= lo - 1e-12 * hi[-1])
+        scaled = robin_steklov_spectrum(scale_metric_forms(forms, t, 2), c, k).eigenvalues
+        want = robin_steklov_spectrum(forms, t * c, k).eigenvalues / np.sqrt(t)
+        assert np.abs(scaled - want).max() <= 1e-12 * want[-1]
+
+    @settings(max_examples=25)
     @given(mesh=delaunay_disks(), c=st.floats(0.0, 20.0))
     def test_counts_equal_dense_eigen_counts(self, mesh, c):
         # levels mid-gap and within relative 1e-6 and 1e-9 of an eigenvalue,
@@ -660,19 +676,22 @@ class TestFactorizationBudget:
         assert handed == expected
 
     def test_band_route_builds_the_tree_once_and_factors_no_front(self, monkeypatch):
-        # slices and extensions on disk L3 (n_b = 64) take the band: the
-        # route builds the nested-dissection tree for its flop count, once,
-        # and no front is factored
-        dissections = []
-        dissect = fem.nested_dissection
-        monkeypatch.setattr(fem, "nested_dissection",
-                            lambda g, x: dissections.append(g) or dissect(g, x))
+        # slices and extensions on disk L3 (n_b = 64) and the interval
+        # (n = 1000) take the band: the route reads the nested-dissection
+        # tree's pivots and update sets for its flop count, dissecting once,
+        # and no front is built or factored
         monkeypatch.setattr(spectral.lapack, "dpotrf", lambda *a, **kw: pytest.fail("front"))
-        forms = assemble(generate_disk(3))
-        for c in (0.1, 1.0, 5.0):
-            robin_steklov_spectrum(forms, c, 4)
-        harmonic_extension(forms, np.ones(len(forms.boundary_dofs)), 1.0)
-        assert forms.factor_input.banded and len(dissections) == 1
+        dissect = fem.nested_dissection
+        for mesh in (generate_disk(3), generate_interval(1000, 2.0)):
+            dissections = []
+            monkeypatch.setattr(fem, "nested_dissection",
+                                lambda g, x: dissections.append(g) or dissect(g, x))
+            forms = assemble(mesh)
+            for c in (0.1, 1.0, 5.0):
+                robin_steklov_spectrum(forms, c, min(4, len(forms.boundary_dofs)))
+            harmonic_extension(forms, np.ones(len(forms.boundary_dofs)), 1.0)
+            assert forms.factor_input.banded and len(dissections) == 1
+            assert "_tree" not in vars(forms.factor_input)
 
     @pytest.mark.parametrize("name", ["disk2", "disk3", "disk4", "disk5", "jittered", "delaunay"])
     def test_cached_order_counts_equal_eigen_counts(self, disk, fuzz_meshes, band_calls, name):
