@@ -4,16 +4,16 @@ A degeneracy instant is a parameter t where some branch rho_(i,j)(t) meets
 the rescaled mean curvature Hhat.  Branch (i, j) at t is rho_j(c) at the
 bulk coefficient c = t * rho_i, and each rho_j increases strictly in c, so
 it meets Hhat at exactly one critical coefficient c_j*.  Every instant is
-therefore some c_j* / rho_i: the model's table of c_j*, the positive
-eigenvalues of one linear pencil, is solved and proved once, and
-enumeration, isolation and Morse indices are arithmetic on it.  The Morse
-index jump across an isolated instant equals the multiplicity that crossed
--- which is the certification criterion: unequal indices at both ends.
-A residual bound on the solve, and inertia counts where the bound cannot
-tell, prove the table at every c farther than BRACKET_RTOL (relative) from
-each c_j* (``ProductModel.critical_coefficients``), and isolation keeps
-every c that certification reads that far away, so both ends are
-nondegenerate by construction.
+therefore some c_j* / rho_i, listed once per model (``ProductModel.instants``)
+from the c_j*, the positive eigenvalues of one linear pencil, solved and
+proved once.  Enumeration, isolation and Morse indices are arithmetic on
+that list.  The Morse index jump across an isolated instant equals the
+multiplicity that crossed -- which is the certification criterion: unequal
+indices at both ends.  The table is proved at every c farther than
+BRACKET_RTOL (relative) from each c_j*, and isolation keeps every c that
+certification reads that far away and above the table's edge, so both ends
+are nondegenerate by construction.  BRACKET_RTOL is the only tolerance of
+that decision; MERGE_RTOL only merges coincident instants into one record.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .errors import (
     NoDegeneracyError,
     PreconditionError,
 )
-from .product import BRACKET_RTOL, ProductModel, branch_rows, morse_index, nullity
+from .product import BRACKET_RTOL, ProductModel, check_edge, morse_index, nullity
 from .serialize import read_csv, typed, write_csv
 
 MERGE_RTOL = 1e-6
@@ -59,102 +59,73 @@ def find_degeneracy_instant(model: ProductModel, i: int) -> float:
     c_0* / rho_i.  Positive Hhat is required -- otherwise no instants exist.
     """
     if model.Hhat <= 0:
-        raise NoDegeneracyError(
-            f"no degeneracy instants exist: Hhat = {model.Hhat:g} <= 0"
-        )
+        raise NoDegeneracyError(f"no degeneracy instants exist: Hhat = {model.Hhat:g} <= 0")
     if i < 1:
         raise PreconditionError("factor index must be >= 1 (constants never cross)")
-    return model.critical_coefficients[0] / model.factor.value(i)
+    model.factor.value(i)  # an index beyond the cutoff raises
+    table = model.instants
+    return float(table.t[(table.i == i) & (table.j == 0)][0])
 
 
-def _instants(model, t_min, t_max):
-    """(t_star, crossings) of the c_j* / rho_i in [t_min, t_max], descending,
-    coincident roots merged at their mean; no eigensolve beyond the model's
-    table, which is empty for Hhat <= 0.  A group is anchored on its first
-    root, so no chain of close roots drifts past MERGE_RTOL from it.
-
-    Truncation: every root at or above t_min is listed once the last factor
-    index has no branch below Hhat at t_min, which ``branch_rows`` checks.
-    """
-    branch_rows(model, t_min)
-    c_stars = model.critical_coefficients
-    factor = model.factor
-    roots = [
-        (c / factor.value(i), i, j, factor.multiplicity(i))
-        for i in range(1, len(factor))
-        for j, c in enumerate(c_stars)
-    ]
-    roots = sorted((r for r in roots if t_min <= r[0] <= t_max), key=lambda r: -r[0])
-    groups = []
-    for t_root, i, j, mu in roots:
-        if groups and abs(groups[-1][0][0] - t_root) <= MERGE_RTOL * groups[-1][0][0]:
-            groups[-1][0].append(t_root)
-            groups[-1][1].append((i, j, mu))
-        else:
-            groups.append(([t_root], [(i, j, mu)]))
-    return [(float(np.mean(ts)), crossings) for ts, crossings in groups]
-
-
-def enumerate_instants(
-    model: ProductModel, t_min: float, t_max: float
-) -> list[DegeneracyRecord]:
-    """All degeneracy instants in [t_min, t_max], descending in t.
-
-    Instants are the c_j* / rho_i inside the window; coincident ones merge
-    into one record with summed multiplicity.  Nothing is solved: at
-    c = t_star * rho_i each crossing sits on its tabled c_j*, up to
-    rounding alone, or up to MERGE_RTOL (relative) when merged.
+def enumerate_instants(model: ProductModel, t_min: float,
+                       t_max: float) -> list[DegeneracyRecord]:
+    """All degeneracy instants in [t_min, t_max], descending in t: the
+    model's instants in the window, coincident ones merged into one record
+    with summed multiplicity, at their mean.  A group is anchored on its
+    first instant, so none drifts past MERGE_RTOL from it.  t_min must lie
+    above the table's edge, so that none is missing.  Nothing is solved.
     """
     if not (0 < t_min < t_max):
         raise PreconditionError(f"need 0 < t_min < t_max, got [{t_min}, {t_max}]")
+    check_edge(model, t_min)
+    table = model.instants
+    inside = (t_min <= table.t) & (table.t <= t_max)
+    groups = []  # (instants, crossings)
+    for t, *crossing in zip(*(a[inside].tolist() for a in (table.t, table.i, table.j, table.mu))):
+        if not groups or abs(groups[-1][0][0] - t) > MERGE_RTOL * groups[-1][0][0]:
+            groups.append(([], []))
+        groups[-1][0].append(t)
+        groups[-1][1].append(tuple(crossing))
     return [
-        DegeneracyRecord(
-            t_star=t_star,
-            crossings=tuple(crossings),
-            nullity=sum(mu for _, _, mu in crossings),
-        )
-        for t_star, crossings in _instants(model, t_min, t_max)
+        DegeneracyRecord(t_star=float(np.mean(ts)), crossings=tuple(crossings),
+                         nullity=sum(mu for _, _, mu in crossings))
+        for ts, crossings in groups
     ]
 
 
 def certify_bifurcation(model: ProductModel, record: DegeneracyRecord) -> DegeneracyRecord:
     """Check the index-jump criterion across record.t_star.
 
-    Starts from epsilon = EPSILON_CAP * t_star and halves it while some
-    other c_j* / rho_i, read from the model's table, lies in the window
-    widened by BRACKET_RTOL (relative) on each side.  Then neither endpoint
-    lies in the window of any c_j*, so both are nondegenerate; reads the
-    Morse index on both sides off the table, which is proved there, and
-    certifies when the indices differ.  The index is constant between the
-    table's windows, so every isolating epsilon gives the same indices.
-    Gives up after 12 halvings; counts and solves nothing once the table is
-    built.
+    Starts from epsilon = EPSILON_CAP * t_star and halves it while the
+    window t_star -/+ epsilon, widened by BRACKET_RTOL (relative) on each
+    side, holds another of the model's instants (one farther than
+    MERGE_RTOL from t_star) or reaches the table's edge.  Then neither end
+    lies in any c_j*'s window, so both are nondegenerate; reads the Morse
+    index on both sides off the table, which is proved there, and certifies
+    when the indices differ, which every isolating epsilon gives alike.  A
+    t_star at or below the edge raises; gives up after 12 halvings.
     """
     t_star = record.t_star
     epsilon = EPSILON_CAP * t_star
     if not epsilon > 0:  # a record read from a file; 5e-324 leaves epsilon 0
         raise PreconditionError(f"t_star must leave a positive radius {EPSILON_CAP:g} * t_star, "
                                 f"got t_star = {t_star}")
+    check_edge(model, t_star)
+    table = model.instants
     for _ in range(12):
         # c = x * rho_i lies in the window [c_j* (1 - BRACKET_RTOL), c_j* (1 + BRACKET_RTOL)]
         # exactly when c_j* / rho_i lies in [x / (1 + BRACKET_RTOL), x / (1 - BRACKET_RTOL)]
         lo, hi = (t_star - epsilon) / (1 + BRACKET_RTOL), (t_star + epsilon) / (1 - BRACKET_RTOL)
-        if any(abs(t - t_star) > MERGE_RTOL * max(t, t_star) for t, _ in _instants(model, lo, hi)):
+        t = table.t[(lo <= table.t) & (table.t <= hi)]
+        if table.truncated(lo) or np.any(np.abs(t - t_star) > MERGE_RTOL * np.maximum(t, t_star)):
             epsilon *= 0.5
             continue
         n_minus = morse_index(model, t_star - epsilon)
         n_plus = morse_index(model, t_star + epsilon)
-        return replace(
-            record,
-            n_minus=n_minus,
-            n_plus=n_plus,
-            epsilon=epsilon,
-            certified=n_minus != n_plus,
-        )
-    raise EpsilonExhaustedError(
-        f"could not isolate t*={t_star:.12g}: neighboring instants closer than "
-        "the working tolerance"
-    )
+        return replace(record, n_minus=n_minus, n_plus=n_plus, epsilon=epsilon,
+                       certified=n_minus != n_plus)
+    raise EpsilonExhaustedError(f"could not isolate t*={t_star:.12g}: neighboring instants "
+                                "closer than the working tolerance")
 
 
 def classify(model: ProductModel, t: float) -> str:

@@ -132,17 +132,18 @@ def _write_records(records, out_json, out_csv) -> list:
 
 def _anchor(model, t, index):
     """Count by inertia the branches below Hhat of each factor index from 1
-    through the first whose table row is empty; raise unless every count
-    equals its row and, with the Steklov row, they sum to index."""
-    mu, rows, _ = product.branch_rows(model, t)
+    through the first whose row of the instant table is empty; raise unless
+    every count equals its row and, with the Steklov row, they sum to index."""
+    table, factor = model.instants, model.factor
+    rows = np.bincount(table.i[product.branch_sides(model, t)[0]], minlength=len(factor)).tolist()
     last = next((i for i in range(1, len(rows)) if rows[i] == 0), 0)  # 0: no index i >= 1
-    counts = [spectral.count_below(model.boundary_forms, t * model.factor.value(i), model.Hhat)
+    counts = [spectral.count_below(model.boundary_forms, t * factor.value(i), model.Hhat)
               for i in range(1, last + 1)]
-    summed = int(rows[0] + mu[1:last + 1] @ counts)
-    if counts != rows[1:last + 1].tolist() or summed != index:
+    summed = table.steklov + sum(factor.multiplicity(i) * n for i, n in enumerate(counts, 1))
+    if counts != rows[1:last + 1] or summed != index:
         raise NumericalError(f"anchor at t={t:.12g}: inertia counts {counts} and Morse index "
                              f"{summed} for factor indices 1..{last}, the c_j* table "
-                             f"{rows[1:last + 1].tolist()} and {index}")
+                             f"{rows[1:last + 1]} and {index}")
 
 
 def cmd_steklov(cfg: RunConfig) -> list[str]:

@@ -126,7 +126,10 @@ class FactorInput:
         self._rows = np.repeat(np.arange(self.n), np.diff(K.indptr))
         self._is_b = np.zeros(self.n, dtype=bool)
         self._is_b[boundary_dofs] = True
-        local = np.empty(self.n, dtype=np.int64)
+        self._inner = np.flatnonzero(~self._is_b)  # the interior dofs, ascending
+        # each boundary dof's place in boundary_dofs, and, once the band is
+        # built, each interior dof's in interior_order
+        self._local = local = np.empty(self.n, dtype=np.int64)
         local[boundary_dofs] = np.arange(n_b)
         bb = self._is_b[self._rows] & self._is_b[self._cols]
         at = local[self._rows[bb]] + n_b * local[self._cols[bb]]
@@ -137,20 +140,19 @@ class FactorInput:
     @cached_property
     def _interior_graph(self) -> sp.csr_matrix:
         """The pattern of A_ii, a slice of K's, on the interior dofs in order."""
-        inner = np.flatnonzero(~self._is_b)
         return sp.csr_matrix((np.ones(len(self._cols)), self._cols, self._indptr),
-                             shape=(self.n, self.n))[inner][:, inner]
+                             shape=(self.n, self.n))[self._inner][:, self._inner]
 
     @cached_property
     def _dissection(self) -> tuple:
-        """(elimination, at, nodes, updates): the dofs in the elimination
-        order of the nested-dissection tree of the interior pattern, the
-        boundary dofs last; the pattern's entries on or below the diagonal in
-        the pivot columns, sorted by column, then row; and per node, in
-        postorder, (lo, hi, children, begin, end), which pivots on positions
-        lo:hi and whose columns' entries are at[begin:end], and its update
-        set."""
-        inner = np.flatnonzero(~self._is_b)
+        """(elimination, position, at, nodes, updates): the dofs in the
+        elimination order of the nested-dissection tree of the interior
+        pattern, the boundary dofs last, and each dof's place in it; the
+        pattern's entries on or below the diagonal in the pivot columns,
+        sorted by column, then row; and per node, in postorder, (lo, hi,
+        children, begin, end), which pivots on positions lo:hi and whose
+        columns' entries are at[begin:end], and its update set."""
+        inner = self._inner
         order, start, children = nested_dissection(self._interior_graph, self._vertices[inner])
         n_i = len(inner)
         elimination = np.concatenate([inner[order], self.boundary_dofs])
@@ -169,16 +171,14 @@ class FactorInput:
                 near[x] = True
             updates.append(hi + np.flatnonzero(near[hi:]))
             near[:] = False
-        return elimination, at, nodes, updates
+        return elimination, position, at, nodes, updates
 
     @cached_property
     def _tree(self) -> tuple:
         """(fronts, trapezoid): the ``Front`` of each node of the dissection,
         in postorder, and a mask as wide as the widest."""
-        elimination, at, nodes, updates = self._dissection
+        _, position, at, nodes, updates = self._dissection
         n_i, n_b = self.n - len(self.boundary_dofs), len(self.boundary_dofs)
-        position = np.empty(self.n, dtype=np.intp)
-        position[elimination] = np.arange(self.n)
         rows, cols = position[self._rows[at]], position[self._cols[at]]
         K, M = self._K[at], self._M[at]
         width = max(map(len, updates), default=0)
@@ -210,7 +210,7 @@ class FactorInput:
         """(interior_order, bw): the interior dofs in the reverse
         Cuthill-McKee order of their pattern, and the bandwidth of A_ii in
         it."""
-        interior_order = np.flatnonzero(~self._is_b)
+        interior_order = self._inner
         if not len(interior_order):  # RCM rejects an empty graph
             return interior_order, 0
         graph = self._interior_graph
@@ -223,12 +223,10 @@ class FactorInput:
     def _band(self) -> tuple:
         """(interior, coupling) in ``interior_order``; A_ii's entry (i, j),
         i <= j, sits at row bw + i - j, column j of its band."""
-        rows, cols, is_b, bnd = self._rows, self._cols, self._is_b, self.boundary_dofs
+        rows, cols, is_b, local = self._rows, self._cols, self._is_b, self._local
         interior_order, bw = self._order
-        local = np.empty(self.n, dtype=np.int64)
         local[interior_order] = np.arange(len(interior_order))
-        local[bnd] = np.arange(len(bnd))
-        n_i, n_b = len(interior_order), len(bnd)
+        n_i, n_b = len(interior_order), len(self.boundary_dofs)
         ii = ~is_b[rows] & ~is_b[cols] & (local[rows] <= local[cols])  # A_ii's upper triangle
         r, c = local[rows[ii]], local[cols[ii]]
         ib = ~is_b[rows] & is_b[cols]
@@ -244,7 +242,7 @@ class FactorInput:
         pivots and u update dofs.  Both are compared exactly, as integers
         times 3, and a tie goes to the band."""
         n_i, n_b, bw = len(self.interior_order), len(self.boundary_dofs), self._order[1]
-        sizes = [(hi - lo, len(u)) for (lo, hi, *_), u in zip(*self._dissection[2:])]
+        sizes = [(hi - lo, len(u)) for (lo, hi, *_), u in zip(*self._dissection[3:])]
         return 3 * n_i * (bw + n_b) ** 2 <= sum(p**3 + 3 * p * u * (p + u) for p, u in sizes)
 
     boundary = property(lambda self: self._boundary.pencil)  # A_bb(c), in Fortran order

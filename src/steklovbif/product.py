@@ -10,10 +10,8 @@ meets Hhat, so Morse indices and nullities are arithmetic on the table of
 c_j*: one linear eigensolve per model, proved to relative BRACKET_RTOL by
 a residual bound, or by inertia counts where the bound cannot tell
 (``spectral.level_crossings``), the one tolerance of this layer.
-``branch_rows`` lists, per factor index i, the number of branches of c =
-t * rho_i certainly and possibly below Hhat; the last listed index must
-have none -- every later factor eigenvalue is larger, and so are its
-branches.  The Steklov row i = 0 is the table's length less the constant.
+``InstantTable`` lists every instant c_j* / rho_i, i >= 1, once per model,
+the one place where t, rho_i and c_j* meet; its edge is the one cutoff rule.
 """
 
 from __future__ import annotations
@@ -22,6 +20,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,6 +40,39 @@ from .spectral import BRACKET_RTOL, count_below, level_crossings
 # conformal_mean_curvature's checks of harmonicity and of the boundary normalization
 HARMONIC_TOL = 1e-8
 NORM_TOL = 1e-8
+
+
+class InstantTable(NamedTuple):
+    """Every degeneracy instant t = c_j* / rho_i, i >= 1, of a model,
+    descending, ties by i, then j, with i, j, mu_i, rho_i and the window
+    [low, high] = c_j* (1 -/+ BRACKET_RTOL) of each, indexed alike.  Branch
+    (i, j) at t is certainly below Hhat when t * rho_i < low, and possibly
+    when t * rho_i <= high.  ``steklov`` is the row i = 0: the c_j* less
+    the constant's.  ``edge`` is (rho_i, high) of the last factor index's
+    highest instant, j = 0, the top of its window; with no c_j* nothing,
+    and with the constant alone listed (rho_i = 0) everything, lies at or
+    below it."""
+
+    t: np.ndarray
+    i: np.ndarray
+    j: np.ndarray
+    mu: np.ndarray
+    rho: np.ndarray
+    low: np.ndarray
+    high: np.ndarray
+    steklov: int
+    edge: tuple
+
+    def truncated(self, t: float) -> bool:
+        """Whether t lies at or below the edge: t * rho_i <= high."""
+        return bool(t * self.edge[0] <= self.edge[1])
+
+    def sides(self, t: float) -> tuple:
+        """(below, near): masks of the entries whose branch at t is certainly
+        below Hhat, and of those whose window holds t * rho_i."""
+        c = t * self.rho
+        below = c < self.low
+        return below, ~below & (c <= self.high)
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,17 +111,15 @@ class ProductModel:
         """The c_j* with rho_j(c_j*) = Hhat, one per Steklov eigenvalue
         sigma_j < Hhat, descending in j; empty for Hhat <= 0.
 
-        Branch (i, j) at parameter t is rho_j(t * rho_i) and each rho_j
-        increases strictly in c, so every degeneracy instant is some
-        c_j* / rho_i.  Computed once per model, on first use, and proved:
-        the number of c_j* above c is certain at every c farther than
-        BRACKET_RTOL (relative) from each of them.  Two inertia counts at
-        c = 0, just below and just above Hhat and from one S(0), size the
-        table; when they differ, Hhat is a Steklov eigenvalue, whose branches
-        are constant in t, and the operator is degenerate for every t.  The
-        solve's residual bound proves each c_j*, and inertia counts beside
-        it any group of roots the bound cannot, such as a c_j* at rounding
-        level when Hhat lies just outside the window of a Steklov eigenvalue.
+        Computed once per model, on first use, and proved: the number of
+        c_j* above c is certain at every c farther than BRACKET_RTOL
+        (relative) from each of them.  Two inertia counts at c = 0, just
+        below and just above Hhat, size the table; when they differ, Hhat is
+        a Steklov eigenvalue and the operator is degenerate for every t.  The
+        solve's residual bound proves each c_j*.  A group it cannot, such as
+        a c_j* at rounding level, takes inertia counts beside it, which prove
+        it only when the solved root is accurate to its window (on disk level
+        2, not 4); otherwise the solve raises EigensolverError.
         """
         hhat = self.Hhat
         if hhat <= 0:
@@ -109,6 +139,19 @@ class ProductModel:
             )
         return tuple(level_crossings(forms, hhat, below).tolist())
 
+    @cached_property
+    def instants(self) -> InstantTable:
+        """The ``InstantTable`` of the c_j*, built once, on first use."""
+        c_star = np.array(self.critical_coefficients)
+        rho, mu = map(np.array, zip(*self.factor.entries))
+        i, j = np.indices((len(rho), len(c_star)))[:, 1:].reshape(2, -1)  # i >= 1, then j
+        t = c_star[j] / rho[i]
+        order = np.argsort(-t, kind="stable")  # ties keep i, then j
+        i, j = i[order], j[order]
+        low, high = c_star * (1 - BRACKET_RTOL), c_star * (1 + BRACKET_RTOL)
+        return InstantTable(t[order], i, j, mu[i], rho[i], low[j], high[j],
+                            max(len(c_star) - 1, 0), (rho[-1], high[0] if len(c_star) else -np.inf))
+
 
 def mean_curvature_gt(model: ProductModel, t: float) -> float:
     """Constant boundary mean curvature of the product metric at parameter t."""
@@ -117,33 +160,20 @@ def mean_curvature_gt(model: ProductModel, t: float) -> float:
     return model.Hhat / math.sqrt(t)
 
 
-def branch_rows(model: ProductModel, t: float) -> tuple:
-    """(mu, lo, hi): per factor index i, its multiplicity and the numbers of
-    branches of c = t * rho_i certainly and possibly below Hhat.
+def check_edge(model: ProductModel, t: float) -> None:
+    """Raise CutoffExhaustedError when t lies at or below the instant table's edge."""
+    if model.instants.truncated(t):
+        raise CutoffExhaustedError(f"factor spectrum cutoff {model.factor.cutoff:g} exhausted at "
+                                   f"t={t:g} before the lowest branch cleared Hhat={model.Hhat:g}")
 
-    Arithmetic on the c_j* table, which is proved to relative BRACKET_RTOL:
-    branch (i, j) is certainly below when t * rho_i < c_j* (1 - BRACKET_RTOL)
-    and possibly below when t * rho_i <= c_j* (1 + BRACKET_RTOL).  Row 0, at
-    c = 0, counts every c_j* > 0, less the constant's.  The rows shrink as i
-    grows, since the factor spectrum ascends; the last listed one must be
-    empty, else every later index may hold a branch below Hhat and the
-    counts would be truncated.  Nothing is counted or solved once the table
-    is built.
-    """
+
+def branch_sides(model: ProductModel, t: float) -> tuple:
+    """``InstantTable.sides`` of the model at t, which must be positive and
+    above the edge; nothing is counted or solved."""
     if t <= 0:
         raise PreconditionError(f"metric parameter t must be positive, got {t}")
-    c_star = np.array(model.critical_coefficients)
-    rho, mu = map(np.array, zip(*model.factor.entries))
-    c = t * rho[:, None]
-    lo = np.count_nonzero(c < c_star * (1 - BRACKET_RTOL), axis=1)
-    hi = np.count_nonzero(c <= c_star * (1 + BRACKET_RTOL), axis=1)
-    if hi[-1]:
-        raise CutoffExhaustedError(
-            f"factor spectrum cutoff {model.factor.cutoff:g} exhausted at t={t:g} "
-            f"before the lowest branch cleared Hhat={model.Hhat:g}"
-        )
-    lo[0] = hi[0] = max(len(c_star) - 1, 0)
-    return mu, lo, hi
+    check_edge(model, t)
+    return model.instants.sides(t)
 
 
 def morse_index(model: ProductModel, t: float) -> int:
@@ -152,22 +182,20 @@ def morse_index(model: ProductModel, t: float) -> int:
     Ill-defined within relative BRACKET_RTOL of an instant, where the table
     cannot tell; that raises rather than returning a coin flip.
     """
-    mu, lo, hi = branch_rows(model, t)
-    split = np.flatnonzero(lo != hi)
-    if len(split):
-        i = split[0]
-        raise DegenerateInstantError(
-            f"degenerate at t={t:.12g}: {hi[i] - lo[i]} branch(es) of factor index "
-            f"i={i} meet Hhat={model.Hhat:.12g} within relative {BRACKET_RTOL:g} of c"
-        )
-    return int(mu @ lo)
+    below, near = branch_sides(model, t)
+    table = model.instants
+    if near.any():
+        i = table.i[near].min()
+        raise DegenerateInstantError(f"degenerate at t={t:.12g}: {np.sum(table.i[near] == i)} "
+                                     f"branch(es) of factor index i={i} meet Hhat="
+                                     f"{model.Hhat:.12g} within relative {BRACKET_RTOL:g} of c")
+    return int(table.steklov + table.mu @ below)
 
 
 def nullity(model: ProductModel, t: float) -> int:
     """Multiplicity-weighted count of branches that may meet Hhat at t: those
     whose c_j* lies within relative BRACKET_RTOL of t * rho_i."""
-    mu, lo, hi = branch_rows(model, t)
-    return int(mu @ (hi - lo))
+    return int(model.instants.mu @ branch_sides(model, t)[1])
 
 
 def boundary_weights(forms: AssembledForms) -> np.ndarray:

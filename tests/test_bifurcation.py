@@ -268,6 +268,26 @@ class TestCertifyBifurcation:
         with pytest.raises(EpsilonExhaustedError):
             certify_bifurcation(model, recs[0])
 
+    def test_isolation_stays_above_the_edge(self, disk):
+        # factor eigenvalues 1 (double) and 1.02, the cutoff: the edge, the
+        # top of the window of c_0* / 1.02, lies 2% below t* = c_0*, so the
+        # radii 0.05 t* and 0.025 t* reach below it, though the window asked
+        # for starts above it; 0.0125 t* isolates t* above the edge
+        mesh, forms = disk(2)
+        model = ProductModel(from_list([(0.0, 1), (1.0, 2), (1.02, 1)], m1=2), mesh, forms,
+                             m1=2, m2=2, H2=1.0)
+        (record,) = enumerate_instants(model, 0.7137, 10.0)
+        assert record.crossings == ((1, 0, 2),)
+        out = certify_bifurcation(model, record)
+        assert (out.n_minus, out.n_plus, out.certified) == (2, 0, True)
+        assert out.epsilon == pytest.approx(0.0125 * out.t_star, rel=1e-12)
+        # a record from a file at the edge (the instant c_0* / 1.02, inside
+        # its own window) or below it lies where the factor spectrum is cut
+        table = model.instants
+        for t_star in (float(table.t[table.i == 2][0]), 0.5):
+            with pytest.raises(CutoffExhaustedError, match=f"exhausted at t={t_star:g} "):
+                certify_bifurcation(model, DegeneracyRecord(t_star, ((2, 0, 1),), 1))
+
     def test_isolation_clears_the_bracket_windows(self, disk, monkeypatch):
         # the instant c_0* / 1 sits at (t* + epsilon)(1 + BRACKET_RTOL / 2) for
         # t* = c_0* / rho_2 and the default epsilon = 0.05 t*: outside the

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -36,6 +37,13 @@ INTERVAL_DOC = {
     },
     "boundary": {"builtin": "interval", "n": 100, "L": 1.0},
 }
+
+# disk L2 cut off at factor eigenvalue 1.02: the edge, the top of the window
+# of c_0* / 1.02, lies 2% below the instant t* = c_0* / 1, inside the default
+# radius 0.05 t* but below EDGE_T_MIN
+EDGE_DOC = dict(DISK_TORUS_DOC, boundary={"builtin": "disk", "level": 2},
+                factor={"dim": 2, "entries": [[0, 1], [1, 2], [1.02, 1]], "cutoff": 1.02})
+EDGE_T_MIN = "0.7137"
 
 
 def _numbers(path, header):
@@ -378,6 +386,35 @@ class TestCertifyCommand:
         assert not out_json.exists() and not out_csv.exists()
 
 
+    def test_certify_above_the_edge(self, tmp_path):
+        model_path, out_json = tmp_path / "model.json", tmp_path / "instants.json"
+        model_path.write_text(json.dumps(EDGE_DOC))
+        assert cli.main(["instants", "--model", str(model_path), "--t-min", EDGE_T_MIN,
+                         "--out-json", str(out_json), "--out-csv", str(tmp_path / "i.csv")]) == 0
+        (record,) = records_from_json(out_json)
+        assert record.crossings == ((1, 0, 2),)
+        cert_json = tmp_path / "certified.json"
+        assert cli.main(["certify", "--model", str(model_path), "--instants", str(out_json),
+                         "--out-json", str(cert_json), "--out-csv", str(tmp_path / "c.csv")]) == 0
+        (out,) = records_from_json(cert_json)
+        assert (out.n_minus, out.n_plus, out.certified) == (2, 0, True)
+        assert out.epsilon == pytest.approx(0.0125 * out.t_star, rel=1e-12)
+
+    def test_record_at_or_below_the_edge_exhausts_the_cutoff(self, tmp_path, capsys):
+        model_path, instants = tmp_path / "model.json", tmp_path / "instants.json"
+        model_path.write_text(json.dumps(EDGE_DOC))
+        instants.write_text(json.dumps([{"t_star": 0.7, "crossings": [[2, 0, 1]],
+                                         "nullity": 1}]))
+        out_json = tmp_path / "c.json"
+        status = cli.main(["certify", "--model", str(model_path), "--instants", str(instants),
+                           "--out-json", str(out_json), "--out-csv", str(tmp_path / "c.csv")])
+        assert status == 1
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "cutoff_exhausted"
+        assert "exhausted at t=0.7 " in payload["detail"]
+        assert not out_json.exists()
+
+
 class TestReportCommand:
     def test_report_summary(self, disk_model_path, tmp_path):
         out_dir = tmp_path / "report"
@@ -511,6 +548,38 @@ class TestReportCommand:
         assert "an inertia count puts" in payload["detail"]
         assert not (tmp_path / "report" / "report.json").exists()
 
+    def test_root_beyond_the_residual_bound_exits_two(self, tmp_path, capsys):
+        # disk L4 at Hhat 1e-7 relative above the double sigma_1: a double root
+        # at rounding level, c* = 4e-7, whose windows are 4e-15 wide, while
+        # Kahan's eta is about 2e-11; the bracket counts then disagree with the
+        # solve, a numerical failure, not a report (disk L2 passes, see above)
+        from steklovbif import generate_disk
+
+        sigma = steklov_spectrum(assemble(generate_disk(4)), 3).eigenvalues[1]
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(dict(DISK_TORUS_DOC, H2=3 * sigma * (1 + 1e-7),
+                                              boundary={"builtin": "disk", "level": 4})))
+        assert cli.main(["report", "--model", str(model_path), "--t-min", "0.5",
+                         "--out", str(tmp_path / "report")]) == 2
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "eigensolver_failure"
+        # which bracket side disagrees, and by how much, rests on the last bits
+        # of sigma_1 and of the solve
+        assert re.search(r"an inertia count puts \d above c=4\.0016\d*e-07, the solve \d",
+                         payload["detail"])
+        assert not (tmp_path / "report" / "report.json").exists()
+
+    def test_report_above_the_edge(self, tmp_path):
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(EDGE_DOC))
+        assert cli.main(["report", "--model", str(model_path), "--t-min", EDGE_T_MIN,
+                         "--out", str(tmp_path / "report")]) == 0
+        summary = json.loads((tmp_path / "report" / "report.json").read_text())
+        (record,) = summary["instants"]
+        assert (record["n_minus"], record["n_plus"], record["certified"]) == (2, 0, True)
+        assert record["epsilon"] == pytest.approx(0.0125 * record["t_star"], rel=1e-12)
+        assert self._morse_indices(summary) == [0, 2]
+
     def test_anchor_counts_rows_through_first_empty(self, tmp_path, monkeypatch):
         # disk L3 x torus on [0.05, 0.16]: the first midpoint, near 0.152, has
         # branches below Hhat at factor indices 1-3, so the anchor counts
@@ -543,14 +612,14 @@ class TestReportCommand:
         def shifted(forms, c, lam):
             return count_below(forms, c, lam) + shift.get(c, 0)
 
-        branch_rows = product.branch_rows
+        branch_sides = product.branch_sides
 
-        def rows_then_shift(model, t):
+        def sides_then_shift(model, t):
             shift.update({t * model.factor.value(1): 1, t * model.factor.value(2): -1})
-            return branch_rows(model, t)
+            return branch_sides(model, t)
 
         monkeypatch.setattr(spectral, "count_below", shifted)
-        monkeypatch.setattr(product, "branch_rows", rows_then_shift)
+        monkeypatch.setattr(product, "branch_sides", sides_then_shift)
         status = cli.main(["report", "--model", disk_model_path, "--t-min", "0.05",
                            "--t-max", "0.16", "--out", str(tmp_path / "report")])
         assert status == 2

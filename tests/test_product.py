@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg as la
+from conftest import delaunay_disks
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -379,6 +380,17 @@ class TestMorseIndex:
         assert len(c_stars) == 3
         assert morse_index(model, t) == _inertia_count(model, t, model.Hhat)
 
+    @settings(max_examples=50)
+    @given(mesh=delaunay_disks(), t=st.floats(0.50, 5.0))
+    def test_table_index_equals_inertia_walk_on_drawn_disks(self, square_torus, mesh, t):
+        # on a drawn disk x torus at Hhat = 4/3, at t outside every window
+        # and above the edge
+        model = ProductModel(square_torus(20.0), mesh, assemble(mesh), m1=2, m2=2, H2=4.0)
+        table = model.instants
+        assume(not table.truncated(t))
+        assume(np.all((t * table.rho < table.low) | (t * table.rho > table.high)))
+        assert morse_index(model, t) == _inertia_count(model, t, model.Hhat)
+
     def test_table_built_then_nothing_counted_or_solved(self, disk_torus_model, monkeypatch):
         from steklovbif import classify, product, spectral
 
@@ -395,6 +407,41 @@ class TestMorseIndex:
         assert [morse_index(model, t) for t in (0.1, 0.5, 2.0)] == [20, 4, 0]
         assert nullity(model, t1) == 4
         assert [classify(model, t) for t in (0.5, t1)] == ["rigid", "degenerate"]
+
+
+class TestInstantTable:
+    def test_order_ties_and_edge(self, disk):
+        # c_j* = 4, 2, 1 over factor eigenvalues 1, 2, 4: ties at t = 2, 1 and
+        # 0.5 go by i, then j; the edge is the top of the window of 4 / 4
+        from steklovbif.spectral import BRACKET_RTOL
+
+        mesh, forms = disk(1)
+        factor = from_list([(0.0, 1), (1.0, 3), (2.0, 1), (4.0, 2)], m1=2)
+        model = ProductModel(factor, mesh, forms, m1=2, m2=2, H2=1.0)
+        model.__dict__["critical_coefficients"] = (4.0, 2.0, 1.0)  # set, not solved
+        table = model.instants
+        assert list(zip(table.t.tolist(), table.i.tolist(), table.j.tolist())) == [
+            (4.0, 1, 0), (2.0, 1, 1), (2.0, 2, 0), (1.0, 1, 2), (1.0, 2, 1), (1.0, 3, 0),
+            (0.5, 2, 2), (0.5, 3, 1), (0.25, 3, 2)]
+        assert table.mu.tolist() == [3, 3, 1, 3, 1, 2, 1, 2, 2]
+        assert np.array_equal(table.low, table.t * table.rho * (1 - BRACKET_RTOL))
+        assert table.steklov == 2
+        assert table.edge == (4.0, 4.0 * (1 + BRACKET_RTOL))
+        assert table.truncated(1.0) and not table.truncated(1.0 + 2 * BRACKET_RTOL)
+        with pytest.raises(CutoffExhaustedError, match="exhausted at t=1 "):
+            morse_index(model, 1.0)
+        assert morse_index(model, 1.5) == 2 + 3 * 2 + 1  # steklov, (1, 0), (1, 1), (2, 0)
+        with pytest.raises(DegenerateInstantError, match="1 branch.* i=1 "):
+            morse_index(model, 2.0)
+        assert nullity(model, 2.0) == 3 + 1
+
+    def test_no_roots_no_edge_and_constant_alone_all_edge(self, disk):
+        mesh, forms = disk(1)
+        flat = ProductModel(from_list([(0.0, 1), (1.0, 4)], m1=2), mesh, forms,
+                            m1=2, m2=2, H2=0.0)
+        assert len(flat.instants.t) == 0 and not flat.instants.truncated(1e-300)
+        constant = ProductModel(from_list([(0.0, 1)], m1=2), mesh, forms, m1=2, m2=2, H2=1.0)
+        assert len(constant.instants.t) == 0 and constant.instants.truncated(1e300)
 
 
 class TestNullity:
