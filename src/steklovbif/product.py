@@ -7,9 +7,10 @@ bulk coefficients c = t * rho_i.  Morse index and nullity count branches
 below / at the rescaled mean curvature Hhat = (m2-1)/(m-1) * H2.  Branch
 (i, j) lies below Hhat at t exactly when t * rho_i < c_j*, where branch j
 meets Hhat, so Morse indices and nullities are arithmetic on the table of
-c_j*: one linear eigensolve per model, proved to relative BRACKET_RTOL by
-a residual bound, or by inertia counts where the bound cannot tell
-(``spectral.level_crossings``), the one tolerance of this layer.
+c_j*: one linear eigensolve per model (``spectral.level_crossings``), on
+one S(0) that also counts the c_j* and refuses an Hhat on a Steklov
+eigenvalue, proved to relative BRACKET_RTOL, the one tolerance of this
+layer, by a residual bound, or by inertia counts where the bound cannot tell.
 ``InstantTable`` lists every instant c_j* / rho_i, i >= 1, once per model,
 the one place where t, rho_i and c_j* meet; its edge is the one cutoff rule.
 """
@@ -24,18 +25,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    CutoffExhaustedError,
-    DegenerateInstantError,
-    HhatIsSteklovEigenvalueError,
-    PreconditionError,
-)
+from .errors import ConfigError, CutoffExhaustedError, DegenerateInstantError, PreconditionError
 from .factors import ClosedFactorSpectrum, flat_torus_spectrum, load_spectrum, spectrum_from_dict
 from .fem import AssembledForms, assemble
 from .mesh import Mesh, mesh_from_dict
 from .serialize import read_json_object, typed, typed_rows
-from .spectral import BRACKET_RTOL, count_below, level_crossings
+from .spectral import BRACKET_RTOL, level_crossings
 
 # conformal_mean_curvature's checks of harmonicity and of the boundary normalization
 HARMONIC_TOL = 1e-8
@@ -111,33 +106,21 @@ class ProductModel:
         """The c_j* with rho_j(c_j*) = Hhat, one per Steklov eigenvalue
         sigma_j < Hhat, descending in j; empty for Hhat <= 0.
 
-        Computed once per model, on first use, and proved: the number of
-        c_j* above c is certain at every c farther than BRACKET_RTOL
-        (relative) from each of them.  Two inertia counts at c = 0, just
-        below and just above Hhat, size the table; when they differ, Hhat is
-        a Steklov eigenvalue and the operator is degenerate for every t.  The
-        solve's residual bound proves each c_j*.  A group it cannot, such as
-        a c_j* at rounding level, takes inertia counts beside it, which prove
-        it only when the solved root is accurate to its window (on disk level
-        2, not 4); otherwise the solve raises EigensolverError.
+        Computed once per model, on first use, by ``level_crossings`` from
+        one S(0), and proved: the number of c_j* above c is certain at every
+        c farther than BRACKET_RTOL (relative) from each of them.  The
+        inertia of S(0) - Hhat B_bb sizes the table; when the inertias just
+        below and just above Hhat differ, Hhat is a Steklov eigenvalue and
+        the operator is degenerate for every t.  The solve's residual bound
+        proves each c_j*.  A group it cannot, such as a c_j* at rounding
+        level, takes inertia counts beside it, which prove it only when the
+        solved root is accurate to its window (on disk level 2, not 4);
+        otherwise the solve raises EigensolverError.
         """
         hhat = self.Hhat
         if hhat <= 0:
             return ()
-        forms = self.boundary_forms
-        below, above = count_below(forms, 0.0, [hhat * (1 - BRACKET_RTOL),
-                                                hhat * (1 + BRACKET_RTOL)])
-        if below != above:
-            raise HhatIsSteklovEigenvalueError(
-                f"Hhat = {hhat:.12g} lies within relative {BRACKET_RTOL:g} of "
-                f"{above - below} Steklov eigenvalue(s); the Jacobi operator is degenerate "
-                "for all t and no bifurcation conclusion is drawn"
-            )
-        if below >= len(forms.boundary_dofs):
-            raise CutoffExhaustedError(
-                f"boundary spectrum exhausted below {hhat:.12g}; refine the mesh"
-            )
-        return tuple(level_crossings(forms, hhat, below).tolist())
+        return tuple(level_crossings(self.boundary_forms, hhat).tolist())
 
     @cached_property
     def instants(self) -> InstantTable:

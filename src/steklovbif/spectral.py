@@ -33,13 +33,14 @@ That multifrontal Cholesky is also the one sparse factorization behind
 ``count_below`` and ``level_crossings``, at every size.  ``count_below``
 reads eigenvalue counts off the inertia of S(c) - lam B_bb.  The pencil is
 linear in c, so ``level_crossings`` takes every c at which a branch meets
-lam from one shift-invert Lanczos solve of (lam B - K) u = c M u, whose
-operator is a block solve through the fronts and the Cholesky factor of
-S(sigma) - lam B_bb that showed none below lam at the shift.  It proves
-each to relative BRACKET_RTOL by Kahan's residual bound, and a group of
-roots that the bound cannot prove (one at rounding level) by two inertia
-counts beside the group.  Every factorization takes its matrix from the
-forms' cached ``FactorInput``, already in its order or tree.
+lam from one shift-invert Lanczos solve of (lam B - K) u = c M u at
+sigma = 0.  One S(0) serves it whole: the inertia of S(0) - lam B_bb counts
+the roots, two more beside lam refuse a lam on a Steklov eigenvalue, and
+the fronts with that Bunch-Kaufman factor are the Lanczos operator.  It
+proves each root to relative BRACKET_RTOL by Kahan's residual bound, and a
+group of roots that the bound cannot prove (one at rounding level) by two
+inertia counts beside the group.  Every factorization takes its matrix from
+the forms' cached ``FactorInput``, already in its order or tree.
 """
 
 from __future__ import annotations
@@ -50,7 +51,8 @@ import numpy as np
 import scipy.sparse.linalg as spla
 from scipy.linalg import blas, lapack
 
-from .errors import BracketError, EigensolverError, PreconditionError
+from .errors import (CutoffExhaustedError, EigensolverError, HhatIsSteklovEigenvalueError,
+                     PreconditionError)
 from .fem import AssembledForms
 
 _SHIFT_INVERT_TOL = 1e-10
@@ -209,21 +211,37 @@ def _check_coefficients(c, lam=0.0) -> None:
 def _solve(fi, factors, boundary, x) -> np.ndarray:
     """(A - lam B)^-1 x, A = K + c M, for a vector or the columns of x, from
     the multifrontal Cholesky of A_ii that formed S(c), its fronts' (L, W),
-    and the Cholesky factor of S(c) - lam B_bb: in elimination order,
-    forward through the fronts in postorder, the boundary block (dpotrs),
-    back in reverse order."""
+    and the Bunch-Kaufman factor (ldu, ipiv) of S(c) - lam B_bb: in
+    elimination order, forward through the fronts in postorder, the boundary
+    block (dsytrs), back in reverse order."""
     z = np.asarray(x, dtype=float).reshape(len(x), -1)[fi.elimination]
     for front, (L, W) in zip(fi.fronts, factors):
         y = z[front.pivots] = blas.dtrsm(1.0, L, z[front.pivots], lower=1)
         z[front.update] -= W @ y
     bnd = slice(len(z) - len(fi.boundary_dofs), len(z))
-    z[bnd] = lapack.dpotrs(boundary, z[bnd], lower=1)[0]
+    z[bnd] = lapack.dsytrs(*boundary, z[bnd], lower=1)[0]
     for front, (L, W) in zip(reversed(fi.fronts), reversed(factors)):
         z[front.pivots] = blas.dtrsm(1.0, L, z[front.pivots] - W.T @ z[front.update],
                                      lower=1, trans_a=1)
     out = np.empty_like(z)
     out[fi.elimination] = z
     return out.reshape(np.shape(x))
+
+
+def _bunch_kaufman(S, B_bb, lam):
+    """The Bunch-Kaufman factor (ldu, ipiv) of S - lam B_bb, L D L' (dsytrf;
+    Math. Comp. 31, 1977), and its negative inertia.  The pivoting needs no
+    threshold, even with lam on an eigenvalue.  D holds 1x1 and 2x2 blocks.
+    A 2x2 block, marked by a pair of negative pivot indices, is taken only
+    when |a_kk a_rr| < alpha^2 colmax^2 < a_rk^2, so its determinant is
+    negative and it holds one negative eigenvalue: the inertia is the 1x1
+    blocks below zero plus the 2x2 blocks.  dsytrf gets the workspace it
+    asks for, so that it runs its blocked code, whose pivots are those of
+    ``scipy.linalg.ldl``."""
+    lwork = int(lapack.dsytrf_lwork(len(S), lower=1)[0])
+    ldu, ipiv, _ = lapack.dsytrf(S - lam * B_bb, lower=1, lwork=lwork, overwrite_a=1)
+    one_by_one = np.diagonal(ldu)[ipiv > 0]
+    return (ldu, ipiv), int(np.count_nonzero(one_by_one < 0)) + int(np.count_nonzero(ipiv < 0)) // 2
 
 
 def count_below(forms: AssembledForms, c: float, lam):
@@ -235,69 +253,62 @@ def count_below(forms: AssembledForms, c: float, lam):
     Haynsworth additivity the negative inertia of A - lam B equals that of
     S(c) - lam B_bb, which by Sylvester's law (B_bb is positive definite) is
     the count.  S(c) comes from the multifrontal Cholesky at every boundary
-    size, and the inertia of S(c) - lam B_bb from its Bunch-Kaufman
-    factorization L D L' (dsytrf; Math. Comp. 31, 1977), whose pivoting
-    needs no threshold, even with lam on an eigenvalue.  D holds 1x1 and
-    2x2 blocks.  A 2x2 block, marked by a pair of negative pivot indices,
-    is taken only when |a_kk a_rr| < alpha^2 colmax^2 < a_rk^2, so its
-    determinant is negative and it holds one negative eigenvalue: the count
-    is the 1x1 blocks below zero plus the 2x2 blocks.  dsytrf gets the
-    workspace it asks for, so that it runs its blocked code, whose pivots
-    are those of ``scipy.linalg.ldl``.
+    size, and the inertia of S(c) - lam B_bb from ``_bunch_kaufman``.
     """
     _check_coefficients(c, lam)
     fi = forms.factor_input
     S = _multifrontal_schur(fi, c)[0]
-    lwork = int(lapack.dsytrf_lwork(len(S), lower=1)[0])
-    counts = []
-    for level in np.atleast_1d(lam):
-        ldu, ipiv, _ = lapack.dsytrf(S - level * fi.B_bb, lower=1, lwork=lwork, overwrite_a=1)
-        one_by_one = np.diagonal(ldu)[ipiv > 0]
-        counts.append(int(np.count_nonzero(one_by_one < 0)) + int(np.count_nonzero(ipiv < 0)) // 2)
+    counts = [_bunch_kaufman(S, fi.B_bb, level)[1] for level in np.atleast_1d(lam)]
     return counts if np.ndim(lam) else counts[0]
 
 
-def level_crossings(forms: AssembledForms, lam: float, n: int) -> np.ndarray:
-    """The n coefficients c_j* > 0 at which a branch rho_j(c) meets lam,
-    descending, with n = count_below(forms, 0, lam).
+def level_crossings(forms: AssembledForms, lam: float) -> np.ndarray:
+    """The coefficients c_j* > 0 at which a branch rho_j(c) meets lam,
+    descending: one per Steklov eigenvalue below lam.
 
     They are the positive eigenvalues of (lam B - K) u = c M u, and
     count_below(forms, c, lam) of them exceed c, a count that never increases
-    in c (M is positive semidefinite).  The shift sigma doubles from 1 until
-    S(sigma) - lam B_bb is positive definite (its Cholesky succeeds): no
-    branch lies below lam at sigma, and none on it.  That Cholesky and the
-    fronts that formed S(sigma) are the shift-invert operator, a block
-    solve through one factorization; the n pairs nearest sigma, refined by
-    Rayleigh-Ritz to M-orthonormal vectors Z and values theta and checked by
-    their residuals, must all lie in (0, sigma).  The Lanczos basis holds
-    2n + 4 vectors (Lehoucq, Sorensen & Yang, ARPACK Users' Guide, 1998).
+    in c (M is positive semidefinite).  One S(0), fronts kept, serves it all.
+    The inertias of S(0) - lam B_bb at lam (1 -/+ BRACKET_RTOL) differ when
+    lam lies that near a Steklov eigenvalue (HhatIsSteklovEigenvalueError);
+    the inertia n at lam is the number of roots, below n_b or
+    CutoffExhaustedError.  The fronts and the factor at lam are the
+    shift-invert operator at sigma = 0 (Ericsson & Ruhe, Math. Comp. 35,
+    1980), which maps each c to 1/c: the n largest are the n positive c.
+    Rayleigh-Ritz on ARPACK's M-orthonormal Ritz vectors gives vectors Z and
+    values theta, checked by their residuals, which must all be positive.
+    The Lanczos basis holds 2n + 4 vectors (Lehoucq, Sorensen & Yang, ARPACK
+    Users' Guide, 1998).
 
     By Kahan's theorem (1967; Parlett, The Symmetric Eigenvalue Problem,
-    Thm 11.5.2), distinct eigenvalues lie within eta = ||M^-1/2 R||_2 /
+    Thm 11.5.2), n distinct eigenvalues lie within eta = ||M^-1/2 R||_2 /
     sigma_min(M^1/2 Z) of the theta_j, R = A Z - M Z diag(theta), and
     ``_kahan_bound`` bounds eta without a solve.  Roots whose windows
     c_j* (1 -/+ BRACKET_RTOL) overlap form a group.  A group is proved when
     eta <= BRACKET_RTOL c_j* for each member, and any other (a root at
     rounding level, or a wrong value) when the counts just below and just
-    above it equal the table's.  As exactly n eigenvalues exceed 0 and none
-    exceeds sigma, the windows then hold all of them, each group's as many as
-    it has members.  That proves the table at every c outside the windows,
-    and each c_j* to relative BRACKET_RTOL; a skipped copy of a double root
-    raises EigensolverError.
+    above it equal the table's.  As exactly n eigenvalues are positive, the
+    inertia of the factor in use, the n positive windows then hold all of
+    them, each group's as many as it has members.  That proves the table at
+    every c outside the windows, and each c_j* to relative BRACKET_RTOL; a
+    skipped copy of a double root raises EigensolverError.
     """
-    if n == 0:
-        return np.empty(0)
     _check_coefficients(0.0, lam)
     fi = forms.factor_input
-    for e in range(120):
-        factors = []
-        S = _multifrontal_schur(fi, 2.0**e, factors)[0]
-        boundary, info = lapack.dpotrf(S - lam * fi.B_bb, lower=1)
-        if info == 0:
-            break
-    else:
-        raise BracketError(f"a branch stays below {lam:g} up to c={2.0**119:g}")
-    sigma = 2.0**e
+    factors = []
+    S = _multifrontal_schur(fi, 0.0, factors)[0]
+    below, above = (_bunch_kaufman(S, fi.B_bb, lam * (1 + side * BRACKET_RTOL))[1]
+                    for side in (-1, 1))
+    if below != above:
+        raise HhatIsSteklovEigenvalueError(
+            f"Hhat = {lam:.12g} lies within relative {BRACKET_RTOL:g} of {above - below} Steklov "
+            "eigenvalue(s); the Jacobi operator is degenerate for all t and no bifurcation "
+            "conclusion is drawn")
+    boundary, n = _bunch_kaufman(S, fi.B_bb, lam)
+    if n >= len(fi.boundary_dofs):
+        raise CutoffExhaustedError(f"boundary spectrum exhausted below {lam:.12g}; refine the mesh")
+    if n == 0:
+        return np.empty(0)
     M = forms.M
     A = lam * forms.B - forms.K
     # shift-invert mode needs only (A - sigma M)^-1 and M, so A gives only
@@ -308,19 +319,17 @@ def level_crossings(forms: AssembledForms, lam: float, n: int) -> np.ndarray:
                                 dtype=float)
     v0 = np.random.default_rng(0).standard_normal(shape[0])
     try:
-        v = spla.eigsh(spla.LinearOperator(shape, matvec=None, dtype=float), k=n, M=M,
-                       sigma=sigma, OPinv=OPinv, which="LM", ncv=min(2 * n + 4, shape[0]),
+        X = spla.eigsh(spla.LinearOperator(shape, matvec=None, dtype=float), k=n, M=M,
+                       sigma=0.0, OPinv=OPinv, which="LA", ncv=min(2 * n + 4, shape[0]),
                        tol=_SHIFT_INVERT_TOL, v0=v0)[1]
     except spla.ArpackNoConvergence as exc:
         raise EigensolverError(f"level-crossing iteration did not converge: {exc}") from exc
-    X = _solve(fi, factors, boundary, M @ v)
-    AX, MX = A @ X, M @ X
-    w, y = _dense_gevp(_symmetrized(X.T @ AX), _symmetrized(X.T @ MX), n)
+    w, y = _dense_gevp(_symmetrized(X.T @ (A @ X)), _symmetrized(X.T @ (M @ X)), n)
     Z = X @ y
     AZ, MZ = A @ Z, M @ Z
     _check_residuals(AZ, MZ, w, Z, _norm1(A), _norm1(M), "level-crossing")
-    if not (w[0] > 0 and w[-1] < sigma):
-        raise EigensolverError(f"level crossings at {lam:.12g}: {n} lie in (0, {sigma:g}), "
+    if not w[0] > 0:
+        raise EigensolverError(f"level crossings at {lam:.12g}: {n} are positive, "
                                f"the solve returned {', '.join(f'{x:.12g}' for x in w)}")
     lo, hi = w * (1 - BRACKET_RTOL), w * (1 + BRACKET_RTOL)
     starts = np.flatnonzero(np.r_[True, lo[1:] > hi[:-1]])

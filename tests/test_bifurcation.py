@@ -455,13 +455,13 @@ class TestRecordsIO:
 class TestSliceBudget:
     def test_report_pipeline_counts_instead_of_solving(self, disk, square_torus, monkeypatch):
         # enumerate + certify + Morse indices between instants on disk L4 x
-        # torus: no slice is solved; two counts at c = 0, from one S(0), size
-        # the c_j* table, one S(c) clears its shift and is the solve's
-        # operator, the residual bound proves its one root, and certification
-        # and the Morse indices read the table
+        # torus: no slice is solved and nothing is counted; one S(0) sizes
+        # the c_j* table and is the solve's operator, the residual bound
+        # proves its one root, and certification and the Morse indices read
+        # the table
         import math
 
-        from steklovbif import morse_index, product, spectral
+        from steklovbif import morse_index, spectral
 
         mesh, forms = disk(4)
         model = ProductModel(square_torus(20.0), mesh, forms, m1=2, m2=2, H2=1.0)
@@ -480,8 +480,7 @@ class TestSliceBudget:
             counts.append(args[1:])
             return count_below(*args)
 
-        for module in (spectral, product):
-            monkeypatch.setattr(module, "count_below", counted_inertia)
+        monkeypatch.setattr(spectral, "count_below", counted_inertia)
         formed = []
         schur = spectral._multifrontal_schur
         monkeypatch.setattr(spectral, "_multifrontal_schur",
@@ -497,14 +496,14 @@ class TestSliceBudget:
         assert all(r.certified for r in certified)
         assert indices == [0, 4, 8, 12, 20, 24, 28, 36, 44]
         assert solves == []
-        assert counts == [(0.0, [model.Hhat * (1 + side * 1e-8) for side in (-1, 1)])]
-        assert formed == [0.0, 1.0]
+        assert counts == []
+        assert formed == [0.0]
 
     def test_double_roots_certify_without_counting(self, disk, square_torus, monkeypatch):
         # disk L4 at Hhat = 7/3: five c_j* in three groups (two double roots).
-        # The table makes its two counts at c = 0 in one call and, as the
-        # residual bound proves every group, none beside a root; certifying
-        # its 17 instants makes none
+        # The table reads its size off S(0) without a count and, as the
+        # residual bound proves every group, makes none beside a root;
+        # certifying its 17 instants makes none
         import sys
 
         from steklovbif import spectral
@@ -526,7 +525,7 @@ class TestSliceBudget:
         c_stars = np.sort(model.critical_coefficients)
         groups = 1 + int(np.count_nonzero(np.diff(c_stars) > 1e-6 * c_stars[1:]))
         assert (len(c_stars), groups) == (5, 3)
-        assert counts == [0.0]
+        assert counts == []
 
         def forbidden(*args, **kwargs):
             raise AssertionError("counted after the table was built")

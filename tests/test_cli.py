@@ -464,15 +464,14 @@ class TestReportCommand:
 
     def test_report_budget(self, tmp_path, monkeypatch):
         # disk L4 x torus on [0.05, 10]: no slice is solved.  The c_j* table
-        # is one level-crossing solve after two counts at c = 0, in one call
-        # from one S(0), and one S(c) at its shift, whose fronts and Cholesky
-        # factor are the solve's operator, and its residual bound proves the
-        # one root; certification and the Morse indices read the table, and
-        # one count per factor index at the first midpoint, through the first
-        # empty row, anchors them
+        # is one level-crossing solve on one S(0), whose inertia sizes it and
+        # whose fronts and Bunch-Kaufman factor are the solve's operator, and
+        # its residual bound proves the one root; certification and the Morse
+        # indices read the table, and one count per factor index at the first
+        # midpoint, through the first empty row, anchors them
         calls, summary = self._report_calls(tmp_path, monkeypatch, 4)
         assert self._morse_indices(summary) == self.DISK_TORUS_MORSE_INDICES
-        assert calls == {"robin_steklov_spectrum": 0, "count_below": 2, "_multifrontal_schur": 3}
+        assert calls == {"robin_steklov_spectrum": 0, "count_below": 1, "_multifrontal_schur": 2}
 
     def test_report_budget_on_the_multifrontal_path(self, tmp_path, monkeypatch):
         # disk L5 has 256 boundary dofs, twice L4's, yet the report still
@@ -480,21 +479,16 @@ class TestReportCommand:
         # same Morse indices
         calls, summary = self._report_calls(tmp_path, monkeypatch, 5)
         assert self._morse_indices(summary) == self.DISK_TORUS_MORSE_INDICES
-        assert calls == {"robin_steklov_spectrum": 0, "count_below": 2, "_multifrontal_schur": 3}
+        assert calls == {"robin_steklov_spectrum": 0, "count_below": 1, "_multifrontal_schur": 2}
 
-    @pytest.mark.parametrize("level, H2, t_min, factorizations", [
-        (4, 4.0, 0.3, 5), (4, 7.0, 0.6, 7), (5, 7.0, 0.6, 7),
-    ])
+    @pytest.mark.parametrize("level, H2, t_min", [(4, 4.0, 0.3), (4, 7.0, 0.6), (5, 7.0, 0.6)])
     def test_report_factorizations_at_double_roots(self, tmp_path, monkeypatch, level, H2,
-                                                   t_min, factorizations):
-        # Hhat = 4/3 and 7/3, where the disk has double roots: one S(0) for
-        # both counts at c = 0, one S(c) per shift sigma = 1, 2, 4 (and 8, 16
-        # at 7/3) until none is below Hhat there, no bracket count, and the
-        # anchor's one count
+                                                   t_min):
+        # Hhat = 4/3 and 7/3, where the disk has double roots: the table's one
+        # S(0), no bracket count, and the anchor's one count, as at 1/3
         calls, summary = self._report_calls(tmp_path, monkeypatch, level, H2, t_min)
         assert all(r["certified"] for r in summary["instants"])
-        assert calls == {"robin_steklov_spectrum": 0, "count_below": 2,
-                         "_multifrontal_schur": factorizations}
+        assert calls == {"robin_steklov_spectrum": 0, "count_below": 1, "_multifrontal_schur": 2}
 
     @pytest.mark.parametrize("level, H2, t_min, instants", [
         (4, 1.0, 0.05, 8), (4, 4.0, 0.3, 10), (4, 7.0, 0.6, 17), (5, 1.0, 0.05, 8),

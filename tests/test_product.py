@@ -107,23 +107,26 @@ class TestProductModel:
 
     def test_dropped_copy_of_a_double_root_raises(self, disk, square_torus, monkeypatch):
         # Lanczos returning one copy of the disk's double root c_1* = c_2* at
-        # Hhat = 4/3, and the next pair nearest the shift in its place: the
-        # refined values leave (0, sigma), where two counts put all three
+        # Hhat = 4/3, and in place of the other an eigenvector of the negative
+        # c nearest zero: a refined value is not positive, where the inertia
+        # of S(0) - Hhat B_bb puts all three
         from steklovbif import spectral
         from steklovbif.errors import EigensolverError
 
         mesh, forms = disk(3)
         model = ProductModel(square_torus(20.0), mesh, forms, m1=2, m2=2, H2=4.0)
+        c, u = la.eigh((model.Hhat * forms.B - forms.K).toarray(), forms.M.toarray())
+        negative = u[:, np.flatnonzero(c < 0)[-1]]  # M-normalized, as ARPACK's vectors
         eigsh = spectral.spla.eigsh
 
-        def dropping(*args, k, **kwargs):
-            w, v = eigsh(*args, k=k + 1, **kwargs)
-            copy = 1 + int(np.argmin(np.diff(w)))  # the second copy of the double root
-            return np.delete(w, copy), np.delete(v, copy, axis=1)
+        def dropping(*args, **kwargs):
+            w, v = eigsh(*args, **kwargs)
+            v[:, 1 + int(np.argmin(np.diff(w)))] = negative  # the second copy of the double root
+            return w, v
 
         monkeypatch.setattr(spectral.spla, "eigsh", dropping)
         with pytest.raises(EigensolverError,
-                           match=r"at 1\.33333333333: 3 lie in \(0, 4\), .* returned -3\.72"):
+                           match=r"at 1\.33333333333: 3 are positive, .* returned -3\.72"):
             model.critical_coefficients
 
     def test_values_shifted_after_rayleigh_ritz_raise(self, disk, monkeypatch):
@@ -139,7 +142,7 @@ class TestProductModel:
 
         monkeypatch.setattr(spectral, "_dense_gevp", shifted)
         with pytest.raises(EigensolverError, match="level-crossing eigenpair residual"):
-            spectral.level_crossings(disk(3)[1], 4.0 / 3.0, 3)
+            spectral.level_crossings(disk(3)[1], 4.0 / 3.0)
 
     @pytest.mark.parametrize("scale", [1 + 1e-6, 1 - 1e-6])
     @pytest.mark.parametrize("level, lam", [(3, 4.0 / 3.0), (4, 1.0 / 3.0), (4, 7.0 / 3.0)])
@@ -153,7 +156,6 @@ class TestProductModel:
         from steklovbif.errors import EigensolverError
 
         forms = disk(level)[1]
-        n = count_below(forms, 0.0, lam)
         dense_gevp = spectral._dense_gevp
 
         def scaled(a, b, k):
@@ -162,7 +164,7 @@ class TestProductModel:
 
         monkeypatch.setattr(spectral, "_dense_gevp", scaled)
         with pytest.raises(EigensolverError, match="an inertia count puts"):
-            spectral.level_crossings(forms, lam, n)
+            spectral.level_crossings(forms, lam)
 
     @pytest.mark.parametrize("H2", [1.0, 4.0, 7.0])
     @pytest.mark.parametrize("mesh_name", ["disk3", "disk4", "jittered", "delaunay"])
@@ -392,7 +394,7 @@ class TestMorseIndex:
         assert morse_index(model, t) == _inertia_count(model, t, model.Hhat)
 
     def test_table_built_then_nothing_counted_or_solved(self, disk_torus_model, monkeypatch):
-        from steklovbif import classify, product, spectral
+        from steklovbif import classify, spectral
 
         model = disk_torus_model(3, 20.0)
         model.critical_coefficients
@@ -400,9 +402,8 @@ class TestMorseIndex:
         def forbidden(*args, **kwargs):
             raise AssertionError("counted or solved after the table was built")
 
-        for module in (product, spectral):
-            monkeypatch.setattr(module, "count_below", forbidden)
-        monkeypatch.setattr(spectral, "robin_steklov_spectrum", forbidden)
+        for name in ("count_below", "robin_steklov_spectrum", "_multifrontal_schur"):
+            monkeypatch.setattr(spectral, name, forbidden)
         t1 = model.critical_coefficients[0]
         assert [morse_index(model, t) for t in (0.1, 0.5, 2.0)] == [20, 4, 0]
         assert nullity(model, t1) == 4

@@ -21,7 +21,12 @@ from steklovbif import (
     spectral,
     steklov_spectrum,
 )
-from steklovbif.errors import EigensolverError, PreconditionError
+from steklovbif.errors import (
+    CutoffExhaustedError,
+    EigensolverError,
+    HhatIsSteklovEigenvalueError,
+    PreconditionError,
+)
 from steklovbif.mesh import Mesh
 from steklovbif.spectral import BRACKET_RTOL, count_below, harmonic_extension
 
@@ -391,7 +396,58 @@ class TestCountBelow:
             with pytest.raises(PreconditionError, match="level must be finite"):
                 count_below(forms, c, [0.5, lam])
             with pytest.raises(PreconditionError, match="level must be finite"):
-                spectral.level_crossings(forms, lam, 1)
+                spectral.level_crossings(forms, lam)
+
+
+class TestLevelCrossings:
+    """The c_j* table from one S(0): the Bunch-Kaufman factor of S(0) -
+    lam B_bb counts the roots, refuses a level on a Steklov eigenvalue and,
+    through the fronts, is the shift-invert operator."""
+
+    @pytest.mark.parametrize("name", ["disk3", "delaunay"])
+    def test_solve_equals_dense_solve(self, disk, fuzz_meshes, name):
+        # at lam = 7/3, S(0) - lam B_bb is indefinite; a vector and a block
+        forms = disk(3)[1] if name == "disk3" else fuzz_meshes[name][1]
+        fi, lam, factors = forms.factor_input, 7.0 / 3.0, []
+        S = spectral._multifrontal_schur(fi, 0.0, factors)[0]
+        boundary, negative = spectral._bunch_kaufman(S, fi.B_bb, lam)
+        assert 0 < negative < len(fi.boundary_dofs)
+        b = np.random.default_rng(1).standard_normal((forms.n, 3))
+        dense = la.solve((forms.K - lam * forms.B).toarray(), b)
+        for x, want in ((b[:, 0], dense[:, 0]), (b, dense)):
+            got = spectral._solve(fi, factors, boundary, x)
+            assert got.shape == want.shape
+            assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("lam, roots", [(1.0 / 3.0, 1), (4.0 / 3.0, 3), (7.0 / 3.0, 5)])
+    def test_table_forms_one_schur_complement(self, disk, monkeypatch, lam, roots):
+        # disk L4: S(0) alone, one dpotrf per front and no other Cholesky,
+        # however many roots the table holds
+        forms = disk(4)[1]
+        formed, potrf_calls = [], []
+        schur, potrf = spectral._multifrontal_schur, spectral.lapack.dpotrf
+        monkeypatch.setattr(spectral, "_multifrontal_schur",
+                            lambda fi, c, *rest: formed.append(c) or schur(fi, c, *rest))
+        monkeypatch.setattr(spectral.lapack, "dpotrf",
+                            lambda a, **kw: potrf_calls.append(a.shape[0]) or potrf(a, **kw))
+        assert len(spectral.level_crossings(forms, lam)) == roots
+        assert formed == [0.0]
+        assert len(potrf_calls) == len(forms.factor_input.fronts)
+
+    def test_refusals_come_before_lanczos(self, disk, monkeypatch):
+        # a level within BRACKET_RTOL of the double sigma_1 of disk L2, and
+        # one above every Steklov eigenvalue
+        forms = disk(2)[1]
+        sigma = steklov_spectrum(forms, len(forms.boundary_dofs)).eigenvalues
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("eigsh called")
+
+        monkeypatch.setattr(spectral.spla, "eigsh", forbidden)
+        with pytest.raises(HhatIsSteklovEigenvalueError, match="of 2 Steklov eigenvalue"):
+            spectral.level_crossings(forms, sigma[1] * (1 + 0.1 * BRACKET_RTOL))
+        with pytest.raises(CutoffExhaustedError, match="boundary spectrum exhausted"):
+            spectral.level_crossings(forms, 2.0 * sigma[-1])
 
 
 def _dense_spectrum(forms, c):
@@ -464,20 +520,21 @@ class TestDelaunayDiskProperties:
                                                  for lam in levels]
 
     @settings(max_examples=25)
-    @given(mesh=delaunay_disks(), j=st.integers(0, 4))
-    def test_level_crossings_equal_dense_eigenvalues(self, mesh, j):
-        # lam between the Steklov eigenvalues j and j + 1: the table holds the
-        # j + 1 positive eigenvalues of (lam B - K) u = c M u
+    @given(mesh=delaunay_disks(), data=st.data())
+    def test_level_crossings_equal_dense_eigenvalues(self, mesh, data):
+        # lam between the Steklov eigenvalues j and j + 1, at any gap of the
+        # drawn disk: the table holds the j + 1 positive eigenvalues of
+        # (lam B - K) u = c M u, c_0* >> 1 at the high gaps
         forms = assemble(mesh)
         steklov = _dense_spectrum(forms, 0.0)
-        assume(j + 1 < len(steklov) and steklov[j + 1] - steklov[j] > 1e-3 * steklov[j + 1])
+        j = data.draw(st.integers(0, len(steklov) - 2))
+        assume(steklov[j + 1] - steklov[j] > 1e-3 * steklov[j + 1])
         lam = 0.5 * (steklov[j] + steklov[j + 1])
-        n = count_below(forms, 0.0, lam)
-        assert n == j + 1
+        assert count_below(forms, 0.0, lam) == j + 1
         dense = la.eigh((lam * forms.B - forms.K).toarray(), forms.M.toarray(),
-                        eigvals_only=True)[::-1][:n]
+                        eigvals_only=True)[::-1][:j + 1]
         assert dense[-1] > 0
-        np.testing.assert_allclose(spectral.level_crossings(forms, lam, n), dense,
+        np.testing.assert_allclose(spectral.level_crossings(forms, lam), dense,
                                    rtol=BRACKET_RTOL, atol=0)
 
 
@@ -513,9 +570,8 @@ class TestRenumbering:
                 assert count_below(other, c, levels) == counts
                 assert counts == [int(np.count_nonzero(vals < lam)) for lam in levels]
             lam = levels[min(3, len(levels) - 1)]
-            n = count_below(forms, 0.0, lam)
-            np.testing.assert_allclose(spectral.level_crossings(other, lam, n),
-                                       spectral.level_crossings(forms, lam, n),
+            np.testing.assert_allclose(spectral.level_crossings(other, lam),
+                                       spectral.level_crossings(forms, lam),
                                        rtol=BRACKET_RTOL, atol=0)
 
 
