@@ -107,9 +107,9 @@ class FactorInput:
 
     Both are built from one interior pattern.  ``banded`` picks the route
     of S(c) by flop count, read off the order's bandwidth and each node's
-    pivots and update set, so forms whose slices take the fronts build no
-    band, and forms whose slices take the band build fronts only for a
-    count.
+    pivots and update set, so a slice or a count through the fronts builds
+    no band, and forms whose slices and counts take the band build fronts
+    only for the table.
     """
 
     def __init__(self, K: sp.csr_matrix, M: sp.csr_matrix, B: sp.csr_matrix,

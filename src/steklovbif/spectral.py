@@ -13,8 +13,8 @@ depends on the mesh.  The banded Cholesky A_ii = U'U (dpbtrf, in the
 reverse Cuthill-McKee order of the interior) and W = U^-T A_ib give
 S = A_bb - W'W.  A multifrontal Cholesky of A_ii on the nested-dissection
 tree of the interior (George 1973; Liu, SIAM Review 34, 1992) never pivots
-on a boundary dof, and S is A_bb plus the fronts' boundary blocks.  A slice
-takes the route with fewer flops, ``FactorInput.banded``: n_i bw^2 +
+on a boundary dof, and S is A_bb plus the fronts' boundary blocks.  Slices
+and counts take the route with fewer flops, ``FactorInput.banded``: n_i bw^2 +
 2 n_i bw n_b + n_i n_b^2 for n_i interior and n_b boundary dofs and a band
 of half-width bw, against the sum of p^3/3 + p^2 u + p u^2 over fronts of
 p pivots and u update dofs; a tie goes to the band.  The counts, exact,
@@ -29,9 +29,9 @@ and the routes they pick:
 
 At disk L4, k = 4 and c = 3, a band slice takes about twice as long as
 one through the fronts (5.6 against 3.0 ms, one BLAS thread, 2-vCPU x86).
-That multifrontal Cholesky is also the one sparse factorization behind
-``count_below`` and ``level_crossings``, at every size.  ``count_below``
-reads eigenvalue counts off the inertia of S(c) - lam B_bb.  The pencil is
+``_schur`` forms every S(c), and takes the fronts on every mesh only for
+``level_crossings``, which keeps them.  ``count_below`` reads eigenvalue
+counts off the inertia of S(c) - lam B_bb.  The pencil is
 linear in c, so ``level_crossings`` takes every c at which a branch meets
 lam from one shift-invert Lanczos solve of (lam B - K) u = c M u at
 sigma = 0.  One S(0) serves it whole: the inertia of S(0) - lam B_bb counts
@@ -125,10 +125,12 @@ def _schur_complement(fi, c, A_bb) -> np.ndarray:
     return _symmetrized(A_bb - W.T @ W)
 
 
-def _schur(fi, c):
-    """Dense S(c) and ||A_bb||_1, by the route ``fi.banded`` picks."""
-    if not fi.banded:
-        return _multifrontal_schur(fi, c)
+def _schur(fi, c, factors=None):
+    """Dense S(c) and ||A_bb||_1: through the fronts when a list ``factors``
+    is given to keep their (L, W) for ``_solve``, else by the route
+    ``fi.banded`` picks."""
+    if factors is not None or not fi.banded:
+        return _multifrontal_schur(fi, c, factors)
     A_bb = fi.boundary(c)
     return _schur_complement(fi, c, A_bb), _norm1(A_bb)
 
@@ -199,12 +201,13 @@ def _symmetrized(x: np.ndarray) -> np.ndarray:
 
 def _check_coefficients(c, lam=0.0) -> None:
     """Raise unless the bulk coefficient c is finite and non-negative and the
-    level lam, or each of a sequence of levels, finite: LAPACK is called
-    without a finiteness check, and A_ii is positive definite only for
-    c >= 0."""
+    level lam one finite number: LAPACK is called without a finiteness
+    check, and A_ii is positive definite only for c >= 0."""
     if not 0 <= c < np.inf:
         raise PreconditionError(f"bulk coefficient must be finite and non-negative, got {c}")
-    if not np.isfinite(lam).all():
+    if np.ndim(lam):
+        raise PreconditionError(f"level must be one number, got {lam}")
+    if not np.isfinite(lam):
         raise PreconditionError(f"level must be finite, got {lam}")
 
 
@@ -244,22 +247,19 @@ def _bunch_kaufman(S, B_bb, lam):
     return (ldu, ipiv), int(np.count_nonzero(one_by_one < 0)) + int(np.count_nonzero(ipiv < 0)) // 2
 
 
-def count_below(forms: AssembledForms, c: float, lam):
+def count_below(forms: AssembledForms, c: float, lam: float) -> int:
     """Number of eigenvalues of (K + c M) u = rho B u strictly below lam,
-    counted by Sylvester inertia instead of an eigensolve; for a sequence of
-    levels lam, the list of their counts, from one S(c).
+    counted by Sylvester inertia instead of an eigensolve.
 
     For c >= 0 the interior block of A = K + c M is positive definite, so by
     Haynsworth additivity the negative inertia of A - lam B equals that of
     S(c) - lam B_bb, which by Sylvester's law (B_bb is positive definite) is
-    the count.  S(c) comes from the multifrontal Cholesky at every boundary
-    size, and the inertia of S(c) - lam B_bb from ``_bunch_kaufman``.
+    the count.  S(c) comes by the route of a slice, and the inertia of
+    S(c) - lam B_bb from ``_bunch_kaufman``.
     """
     _check_coefficients(c, lam)
     fi = forms.factor_input
-    S = _multifrontal_schur(fi, c)[0]
-    counts = [_bunch_kaufman(S, fi.B_bb, level)[1] for level in np.atleast_1d(lam)]
-    return counts if np.ndim(lam) else counts[0]
+    return _bunch_kaufman(_schur(fi, c)[0], fi.B_bb, lam)[1]
 
 
 def level_crossings(forms: AssembledForms, lam: float) -> np.ndarray:
@@ -296,7 +296,7 @@ def level_crossings(forms: AssembledForms, lam: float) -> np.ndarray:
     _check_coefficients(0.0, lam)
     fi = forms.factor_input
     factors = []
-    S = _multifrontal_schur(fi, 0.0, factors)[0]
+    S = _schur(fi, 0.0, factors)[0]
     below, above = (_bunch_kaufman(S, fi.B_bb, lam * (1 + side * BRACKET_RTOL))[1]
                     for side in (-1, 1))
     if below != above:
@@ -311,17 +311,15 @@ def level_crossings(forms: AssembledForms, lam: float) -> np.ndarray:
         return np.empty(0)
     M = forms.M
     A = lam * forms.B - forms.K
-    # shift-invert mode needs only (A - sigma M)^-1 and M, so A gives only
-    # the shape; a fixed, generic start (a component along every
-    # eigenvector) makes the result reproducible
+    # a fixed, generic start (a component along every eigenvector) makes the
+    # result reproducible
     shape = M.shape
     OPinv = spla.LinearOperator(shape, matvec=lambda x: -_solve(fi, factors, boundary, x),
                                 dtype=float)
     v0 = np.random.default_rng(0).standard_normal(shape[0])
     try:
-        X = spla.eigsh(spla.LinearOperator(shape, matvec=None, dtype=float), k=n, M=M,
-                       sigma=0.0, OPinv=OPinv, which="LA", ncv=min(2 * n + 4, shape[0]),
-                       tol=_SHIFT_INVERT_TOL, v0=v0)[1]
+        X = spla.eigsh(A, k=n, M=M, sigma=0.0, OPinv=OPinv, which="LA",
+                       ncv=min(2 * n + 4, shape[0]), tol=_SHIFT_INVERT_TOL, v0=v0)[1]
     except spla.ArpackNoConvergence as exc:
         raise EigensolverError(f"level-crossing iteration did not converge: {exc}") from exc
     w, y = _dense_gevp(_symmetrized(X.T @ (A @ X)), _symmetrized(X.T @ (M @ X)), n)

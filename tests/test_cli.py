@@ -542,6 +542,22 @@ class TestReportCommand:
         assert "an inertia count puts" in payload["detail"]
         assert not (tmp_path / "report" / "report.json").exists()
 
+    def test_lanczos_non_convergence_exits_two(self, tmp_path, capsys, monkeypatch):
+        # the table's ARPACK solve stalls: a numerical failure, not a report
+        def stalled(*args, **kwargs):
+            raise spectral.spla.ArpackNoConvergence("ARPACK error -1: No convergence",
+                                                    np.empty(0), np.empty((0, 0)))
+
+        monkeypatch.setattr(spectral.spla, "eigsh", stalled)
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(DISK_TORUS_DOC))
+        assert cli.main(["report", "--model", str(model_path), "--t-min", "0.5",
+                         "--out", str(tmp_path / "report")]) == 2
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "eigensolver_failure"
+        assert "level-crossing iteration did not converge" in payload["detail"]
+        assert not (tmp_path / "report" / "report.json").exists()
+
     def test_root_beyond_the_residual_bound_exits_two(self, tmp_path, capsys):
         # disk L4 at Hhat 1e-7 relative above the double sigma_1: a double root
         # at rounding level, c* = 4e-7, whose windows are 4e-15 wide, while

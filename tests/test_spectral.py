@@ -339,7 +339,7 @@ class TestCountBelow:
         # block
         _, forms = interval(50, 1.0)
         fi = forms.factor_input
-        lam = spectral._multifrontal_schur(fi, 0.0)[0][0, 0] / fi.B_bb[0, 0]
+        lam = spectral._schur(fi, 0.0)[0][0, 0] / fi.B_bb[0, 0]
         assert count_below(forms, 0.0, lam) == _eigen_count(forms, 0.0, lam)
         assert len(ldl_calls) == 1
         assert np.count_nonzero(ldl_calls[0][1] < 0) == 2
@@ -360,20 +360,17 @@ class TestCountBelow:
         forms = disk(5)[1] if name == "disk5" else fuzz_meshes[name][1]
         assert count_below(forms, c, lam) == _eigen_count(forms, c, lam)
 
-    def test_levels_at_one_coefficient_share_one_schur_complement(self, disk, monkeypatch,
-                                                                   ldl_calls):
-        # a sequence of levels gives the list of their counts, from one S(c)
-        # and one LDL per level, on the band route's sizes too
+    def test_each_count_forms_one_schur_complement(self, disk, monkeypatch, ldl_calls):
+        # one level per count: one S(c) and one LDL, on the band route's
+        # sizes too
         _, forms = disk(3)
         assert forms.factor_input.banded
         formed = []
-        schur = spectral._multifrontal_schur
-        monkeypatch.setattr(spectral, "_multifrontal_schur",
+        schur = spectral._schur
+        monkeypatch.setattr(spectral, "_schur",
                             lambda fi, c, *rest: formed.append(c) or schur(fi, c, *rest))
-        levels = (0.5, 1.5, 2.5)
-        assert count_below(forms, 0.0, levels) == [1, 3, 5]
-        assert formed == [0.0] and len(ldl_calls) == 3
-        assert [count_below(forms, 0.0, lam) for lam in levels] == [1, 3, 5]
+        assert [count_below(forms, 0.0, lam) for lam in (0.5, 1.5, 2.5)] == [1, 3, 5]
+        assert formed == [0.0] * 3 and len(ldl_calls) == 3
 
     def test_negative_coefficient_rejected(self, disk):
         _, forms = disk(0)
@@ -387,16 +384,22 @@ class TestCountBelow:
     ])
     def test_non_finite_coefficient_or_level_rejected(self, disk, c, lam, message):
         # LAPACK would factor NaNs without a word and la.ldl would raise
-        # scipy's own ValueError; a sequence of levels and the table's solve
-        # check their levels too
+        # scipy's own ValueError; the table's solve checks its level too
         _, forms = disk(2)
         with pytest.raises(PreconditionError, match=f"{message} must be finite"):
             count_below(forms, c, lam)
         if message == "level":
             with pytest.raises(PreconditionError, match="level must be finite"):
-                count_below(forms, c, [0.5, lam])
-            with pytest.raises(PreconditionError, match="level must be finite"):
                 spectral.level_crossings(forms, lam)
+
+    @pytest.mark.parametrize("lam", [[0.5, 1.5], np.array([1.5]), [[1.5]]])
+    def test_level_that_is_not_one_number_rejected(self, disk, lam):
+        # not left to a NumPy broadcast error inside the inertia count
+        _, forms = disk(2)
+        with pytest.raises(PreconditionError, match="level must be one number"):
+            count_below(forms, 1.0, lam)
+        with pytest.raises(PreconditionError, match="level must be one number"):
+            spectral.level_crossings(forms, lam)
 
 
 class TestLevelCrossings:
@@ -448,6 +451,39 @@ class TestLevelCrossings:
             spectral.level_crossings(forms, sigma[1] * (1 + 0.1 * BRACKET_RTOL))
         with pytest.raises(CutoffExhaustedError, match="boundary spectrum exhausted"):
             spectral.level_crossings(forms, 2.0 * sigma[-1])
+
+    def test_lanczos_non_convergence_is_an_eigensolver_error(self, disk, monkeypatch):
+        forms = disk(2)[1]
+
+        def stalled(*args, **kwargs):
+            raise spectral.spla.ArpackNoConvergence("ARPACK error -1: No convergence",
+                                                    np.empty(0), np.empty((0, 0)))
+
+        monkeypatch.setattr(spectral.spla, "eigsh", stalled)
+        with pytest.raises(EigensolverError, match="level-crossing iteration did not converge"):
+            spectral.level_crossings(forms, 4.0 / 3.0)
+
+    def test_bound_off_m_orthonormal_vectors_is_inf(self, disk, monkeypatch):
+        # disk L3 at lam = 7/3: 2 Z is far from M-orthonormal, so the bound
+        # refuses it; a bound forced to inf leaves each root group to its two
+        # bracket counts, which take the band and prove the same table
+        forms = disk(3)[1]
+        args, brackets = [], []
+        kahan_bound, count = spectral._kahan_bound, spectral.count_below
+        monkeypatch.setattr(spectral, "_kahan_bound",
+                            lambda *a: args.append(a) or kahan_bound(*a))
+        table = spectral.level_crossings(forms, 7.0 / 3.0)
+        A, M, w, Z, AZ, MZ = args[0]
+        assert kahan_bound(A, M, w, Z, AZ, MZ) <= BRACKET_RTOL * w[0]
+        assert kahan_bound(A, M, w, 2 * Z, 2 * AZ, 2 * MZ) == np.inf
+        monkeypatch.setattr(spectral, "_kahan_bound", lambda *a: np.inf)
+        monkeypatch.setattr(spectral, "count_below",
+                            lambda forms, c, lam: brackets.append(c) or count(forms, c, lam))
+        assert np.array_equal(spectral.level_crossings(forms, 7.0 / 3.0), table)
+        w = table[::-1]
+        groups = 1 + np.count_nonzero(w[1:] * (1 - BRACKET_RTOL) > w[:-1] * (1 + BRACKET_RTOL))
+        assert forms.factor_input.banded and len(table) == 5
+        assert len(brackets) == 2 * groups < 2 * len(table)
 
 
 def _dense_spectrum(forms, c):
@@ -509,15 +545,26 @@ class TestDelaunayDiskProperties:
     @given(mesh=delaunay_disks(), c=st.floats(0.0, 20.0))
     def test_counts_equal_dense_eigen_counts(self, mesh, c):
         # levels mid-gap and within relative 1e-6 and 1e-9 of an eigenvalue,
-        # each kept when no eigenvalue is nearer than half its offset
+        # each kept when no eigenvalue is nearer than half its offset; the
+        # mid-gap ones on both routes, forced, too
         forms = assemble(mesh)
         vals = _dense_spectrum(forms, c)
-        levels = [0.5 * (a + b) for a, b in zip(vals, vals[1:])]
-        levels += [v * (1 + side * rtol) for v in vals[vals > 1e-3] for rtol in (1e-6, 1e-9)
-                   for side in (-1, 1)]
-        levels = [lam for lam in levels if np.abs(vals - lam).min() >= 5e-10 * abs(lam)]
-        assert count_below(forms, c, levels) == [int(np.count_nonzero(vals < lam))
-                                                 for lam in levels]
+
+        def kept(levels):
+            return [lam for lam in levels if np.abs(vals - lam).min() >= 5e-10 * abs(lam)]
+
+        def counts(levels):
+            return [count_below(forms, c, lam) for lam in levels]
+
+        mid = kept([0.5 * (a + b) for a, b in zip(vals, vals[1:])])
+        levels = mid + kept([v * (1 + side * rtol) for v in vals[vals > 1e-3]
+                             for rtol in (1e-6, 1e-9) for side in (-1, 1)])
+        assert counts(levels) == [int(np.count_nonzero(vals < lam)) for lam in levels]
+        routes = []
+        for banded in (True, False):
+            forms.factor_input.banded = banded
+            routes.append(counts(mid))
+        assert routes[0] == routes[1] == [int(np.count_nonzero(vals < lam)) for lam in mid]
 
     @settings(max_examples=25)
     @given(mesh=delaunay_disks(), data=st.data())
@@ -566,8 +613,8 @@ class TestRenumbering:
             for c in (2.0, 0.0):  # the levels of c = 0 serve the table
                 vals = robin_steklov_spectrum(forms, c, k).eigenvalues
                 levels = [0.5 * (a + b) for a, b in zip(vals, vals[1:]) if b - a > 1e-6 * b]
-                counts = count_below(forms, c, levels)
-                assert count_below(other, c, levels) == counts
+                counts = [count_below(forms, c, lam) for lam in levels]
+                assert [count_below(other, c, lam) for lam in levels] == counts
                 assert counts == [int(np.count_nonzero(vals < lam)) for lam in levels]
             lam = levels[min(3, len(levels) - 1)]
             np.testing.assert_allclose(spectral.level_crossings(other, lam),
@@ -614,21 +661,28 @@ class TestFactorizationBudget:
         assert band_calls == [] and "_band" not in vars(forms.factor_input)
 
     def test_order_built_once_per_forms(self, band_calls, monkeypatch):
+        # disk L2 takes the band: its counts, slices and extension build no
+        # fronts, the table builds them, and the tree is dissected once
         forms = assemble(generate_disk(2))
+        fi = forms.factor_input
         dissections = []
         dissect = fem.nested_dissection
         monkeypatch.setattr(fem, "nested_dissection",
                             lambda g, x: dissections.append(g) or dissect(g, x))
         for c, lam in [(0.0, 0.5), (1.0, 2.5), (3.0, 1.7)]:
             count_below(forms, c, lam)
-        for banded in (True, False):
-            forms.factor_input.banded = banded
-            for c in (0.5, 2.0):
-                robin_steklov_spectrum(forms, c, 3)
+        for c in (0.5, 2.0):
+            robin_steklov_spectrum(forms, c, 3)
         harmonic_extension(forms, np.ones(len(forms.boundary_dofs)), 1.0)
-        # 2 banded slices and 1 extension; the counts and the two
-        # multifrontal slices build the tree once
-        assert len(band_calls) == 2 + 1
+        # 3 counts, 2 slices and 1 extension
+        assert fi.banded and len(band_calls) == 3 + 2 + 1
+        assert "_tree" not in vars(fi)
+        assert len(spectral.level_crossings(forms, 1.5)) == 3
+        assert "_tree" in vars(fi)
+        fi.banded = False
+        for c in (0.5, 2.0):
+            robin_steklov_spectrum(forms, c, 3)
+        assert len(band_calls) == 3 + 2 + 1
         assert len(dissections) == 1
 
     @pytest.mark.parametrize("name", ["disk3", "jittered", "delaunay", "interval50"])
@@ -732,36 +786,51 @@ class TestFactorizationBudget:
         assert handed == expected
 
     def test_band_route_builds_the_tree_once_and_factors_no_front(self, monkeypatch):
-        # slices and extensions on disk L3 (n_b = 64) and the interval
-        # (n = 1000) take the band: the route reads the nested-dissection
-        # tree's pivots and update sets for its flop count, dissecting once,
-        # and no front is built or factored
-        monkeypatch.setattr(spectral.lapack, "dpotrf", lambda *a, **kw: pytest.fail("front"))
+        # slices, counts and extensions on disk L3 (n_b = 64) and the
+        # interval (n = 1000) take the band: the route reads the
+        # nested-dissection tree's pivots and update sets for its flop count,
+        # dissecting once, and no front is built or factored until the table
+        # needs them
+        potrf_calls = []
+        potrf = spectral.lapack.dpotrf
+        monkeypatch.setattr(spectral.lapack, "dpotrf",
+                            lambda a, **kw: potrf_calls.append(a.shape[0]) or potrf(a, **kw))
         dissect = fem.nested_dissection
         for mesh in (generate_disk(3), generate_interval(1000, 2.0)):
             dissections = []
             monkeypatch.setattr(fem, "nested_dissection",
                                 lambda g, x: dissections.append(g) or dissect(g, x))
             forms = assemble(mesh)
+            fi = forms.factor_input
             for c in (0.1, 1.0, 5.0):
                 robin_steklov_spectrum(forms, c, min(4, len(forms.boundary_dofs)))
+                count_below(forms, c, 0.5)
             harmonic_extension(forms, np.ones(len(forms.boundary_dofs)), 1.0)
-            assert forms.factor_input.banded and len(dissections) == 1
-            assert "_tree" not in vars(forms.factor_input)
+            assert fi.banded and len(dissections) == 1
+            assert "_tree" not in vars(fi) and potrf_calls == []
+            assert len(spectral.level_crossings(forms, 0.5)) == 1
+            assert len(potrf_calls) == len(fi.fronts) and len(dissections) == 1
+            potrf_calls.clear()
 
     @pytest.mark.parametrize("name", ["disk2", "disk3", "disk4", "disk5", "jittered", "delaunay"])
     def test_cached_order_counts_equal_eigen_counts(self, disk, fuzz_meshes, band_calls, name):
-        # every count reads the cached tree, never the band, and matches a
-        # full dense eigensolve, between and near pairs
-        forms = disk(int(name[-1]))[1] if name.startswith("disk") else fuzz_meshes[name][1]
-        n_b = len(forms.boundary_dofs)
+        # every count takes the route of a slice, one banded Cholesky each on
+        # the band (disk L2, L3 and both fuzz meshes) and none through the
+        # fronts, which only a fronts route builds; each matches a full dense
+        # eigensolve, between and near pairs
+        mesh = disk(int(name[-1]))[0] if name.startswith("disk") else fuzz_meshes[name][0]
+        forms = assemble(mesh)
+        fi, n_b = forms.factor_input, len(forms.boundary_dofs)
         for c in (0.0, 2.0):
             vals = robin_steklov_spectrum(forms, c, n_b).eigenvalues
             band_calls.clear()
             levels = [0.5 * (a + b) for a, b in zip(vals, vals[1:]) if b - a > 1e-6 * abs(b)]
-            for lam in levels[:: max(1, len(levels) // 8)] + [vals[0] - 1.0, vals[-1] + 1.0]:
+            levels = levels[:: max(1, len(levels) // 8)] + [vals[0] - 1.0, vals[-1] + 1.0]
+            for lam in levels:
                 assert count_below(forms, c, lam) == np.count_nonzero(vals < lam)
-            assert band_calls == []
+            assert band_calls == ([len(forms.interior_dofs)] * len(levels) if fi.banded else [])
+        assert fi.banded == (name in ("disk2", "disk3", "jittered", "delaunay"))
+        assert ("_tree" in vars(fi)) != fi.banded
 
 
 class TestSchurEquivalence:
