@@ -9,11 +9,11 @@ from the c_j*, the positive eigenvalues of one linear pencil, solved and
 proved once.  Enumeration, isolation and Morse indices are arithmetic on
 that list.  The Morse index jump across an isolated instant equals the
 multiplicity that crossed -- which is the certification criterion: unequal
-indices at both ends.  The table is proved at every c farther than
-BRACKET_RTOL (relative) from each c_j*, and isolation keeps every c that
-certification reads that far away and above the table's edge, so both ends
-are nondegenerate by construction.  BRACKET_RTOL is the only tolerance of
-that decision; MERGE_RTOL only merges coincident instants into one record.
+indices at both ends.  The table is proved at every c outside the windows
+that ``level_crossings`` proved the c_j* in, and isolation keeps every c
+that certification reads outside them and above the table's edge, by the
+table's own comparisons, so both ends are nondegenerate by construction.
+MERGE_RTOL only merges coincident instants into one record.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .errors import (
     NoDegeneracyError,
     PreconditionError,
 )
-from .product import BRACKET_RTOL, ProductModel, check_edge, morse_index, nullity
+from .product import ProductModel, check_edge, morse_index, nullity
 from .serialize import read_csv, typed, write_csv
 
 MERGE_RTOL = 1e-6
@@ -96,14 +96,15 @@ def enumerate_instants(model: ProductModel, t_min: float,
 def certify_bifurcation(model: ProductModel, record: DegeneracyRecord) -> DegeneracyRecord:
     """Check the index-jump criterion across record.t_star.
 
-    Starts from epsilon = EPSILON_CAP * t_star and halves it while the
-    window t_star -/+ epsilon, widened by BRACKET_RTOL (relative) on each
-    side, holds another of the model's instants (one farther than
-    MERGE_RTOL from t_star) or reaches the table's edge.  Then neither end
-    lies in any c_j*'s window, so both are nondegenerate; reads the Morse
-    index on both sides off the table, which is proved there, and certifies
-    when the indices differ, which every isolating epsilon gives alike.  A
-    t_star at or below the edge raises; gives up after 12 halvings.
+    Starts from epsilon = EPSILON_CAP * t_star and halves it while
+    t_star - epsilon lies at or below the table's edge, or [t_star -/+
+    epsilon] rho_i meets the window of another of the model's instants (one
+    farther than MERGE_RTOL from t_star), as ``InstantTable.sides`` tells.
+    Then neither end lies in any c_j*'s window, so both are nondegenerate;
+    reads the Morse index on both sides off the table, which is proved
+    there, and certifies when the indices differ, which every isolating
+    epsilon gives alike.  A t_star at or below the edge raises; gives up
+    after 12 halvings.
     """
     t_star = record.t_star
     epsilon = EPSILON_CAP * t_star
@@ -113,15 +114,12 @@ def certify_bifurcation(model: ProductModel, record: DegeneracyRecord) -> Degene
     check_edge(model, t_star)
     table = model.instants
     for _ in range(12):
-        # c = x * rho_i lies in the window [c_j* (1 - BRACKET_RTOL), c_j* (1 + BRACKET_RTOL)]
-        # exactly when c_j* / rho_i lies in [x / (1 + BRACKET_RTOL), x / (1 - BRACKET_RTOL)]
-        lo, hi = (t_star - epsilon) / (1 + BRACKET_RTOL), (t_star + epsilon) / (1 - BRACKET_RTOL)
-        t = table.t[(lo <= table.t) & (table.t <= hi)]
+        lo, hi = t_star - epsilon, t_star + epsilon
+        t = table.t[np.logical_or(*table.sides(lo)) & ~table.sides(hi)[0]]  # windows met
         if table.truncated(lo) or np.any(np.abs(t - t_star) > MERGE_RTOL * np.maximum(t, t_star)):
             epsilon *= 0.5
             continue
-        n_minus = morse_index(model, t_star - epsilon)
-        n_plus = morse_index(model, t_star + epsilon)
+        n_minus, n_plus = morse_index(model, lo), morse_index(model, hi)
         return replace(record, n_minus=n_minus, n_plus=n_plus, epsilon=epsilon,
                        certified=n_minus != n_plus)
     raise EpsilonExhaustedError(f"could not isolate t*={t_star:.12g}: neighboring instants "
@@ -130,8 +128,8 @@ def certify_bifurcation(model: ProductModel, record: DegeneracyRecord) -> Degene
 
 def classify(model: ProductModel, t: float) -> str:
     """'degenerate' when the Jacobi operator may have kernel at t -- some
-    t * rho_i within relative BRACKET_RTOL of a c_j* -- else 'rigid', as the
-    whole family is for nonpositive Hhat, whose table is empty."""
+    t * rho_i in the window of a c_j* -- else 'rigid', as the whole family
+    is for nonpositive Hhat, whose table is empty."""
     return "degenerate" if nullity(model, t) > 0 else "rigid"
 
 

@@ -9,10 +9,11 @@ below / at the rescaled mean curvature Hhat = (m2-1)/(m-1) * H2.  Branch
 meets Hhat, so Morse indices and nullities are arithmetic on the table of
 c_j*: one linear eigensolve per model (``spectral.level_crossings``), on
 one S(0) that also counts the c_j* and refuses an Hhat on a Steklov
-eigenvalue, proved to relative BRACKET_RTOL, the one tolerance of this
-layer, by a residual bound, or by inertia counts where the bound cannot tell.
-``InstantTable`` lists every instant c_j* / rho_i, i >= 1, once per model,
-the one place where t, rho_i and c_j* meet; its edge is the one cutoff rule.
+eigenvalue.  It returns each c_j* with the window [low, high] in which it
+is proved, by a residual bound or by inertia counts where the bound cannot
+tell; this layer reads the windows and forms none.  ``InstantTable`` lists
+every instant c_j* / rho_i, i >= 1, once per model, the one place where t,
+rho_i and c_j* meet; its edge is the one cutoff rule.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .factors import ClosedFactorSpectrum, flat_torus_spectrum, load_spectrum, s
 from .fem import AssembledForms, assemble
 from .mesh import Mesh, mesh_from_dict
 from .serialize import read_json_object, typed, typed_rows
-from .spectral import BRACKET_RTOL, level_crossings
+from .spectral import level_crossings
 
 # conformal_mean_curvature's checks of harmonicity and of the boundary normalization
 HARMONIC_TOL = 1e-8
@@ -40,7 +41,7 @@ NORM_TOL = 1e-8
 class InstantTable(NamedTuple):
     """Every degeneracy instant t = c_j* / rho_i, i >= 1, of a model,
     descending, ties by i, then j, with i, j, mu_i, rho_i and the window
-    [low, high] = c_j* (1 -/+ BRACKET_RTOL) of each, indexed alike.  Branch
+    [low, high] that ``level_crossings`` proved c_j* in, indexed alike.  Branch
     (i, j) at t is certainly below Hhat when t * rho_i < low, and possibly
     when t * rho_i <= high.  ``steklov`` is the row i = 0: the c_j* less
     the constant's.  ``edge`` is (rho_i, high) of the last factor index's
@@ -102,36 +103,36 @@ class ProductModel:
         return (self.m2 - 1) / (self.m - 1) * self.H2
 
     @cached_property
-    def critical_coefficients(self) -> tuple:
-        """The c_j* with rho_j(c_j*) = Hhat, one per Steklov eigenvalue
-        sigma_j < Hhat, descending in j; empty for Hhat <= 0.
-
-        Computed once per model, on first use, by ``level_crossings`` from
-        one S(0), and proved: the number of c_j* above c is certain at every
-        c farther than BRACKET_RTOL (relative) from each of them.  The
-        inertia of S(0) - Hhat B_bb sizes the table; when the inertias just
-        below and just above Hhat differ, Hhat is a Steklov eigenvalue and
-        the operator is degenerate for every t.  The solve's residual bound
-        proves each c_j*.  A group it cannot, such as a c_j* at rounding
-        level, takes inertia counts beside it, which prove it only when the
-        solved root is accurate to its window (on disk level 2, not 4);
-        otherwise the solve raises EigensolverError.
+    def critical_windows(self) -> np.ndarray:
+        """The rows (c_j*, low, high) of ``level_crossings``: each c_j* with
+        rho_j(c_j*) = Hhat, one per Steklov eigenvalue sigma_j < Hhat,
+        descending in j, and the window [low, high] it is proved in; none
+        for Hhat <= 0.  Solved once per model, on first use, from one S(0):
+        the number of c_j* above c is certain at every c outside the
+        windows.  When the inertias of S(0) - Hhat B_bb just below and just
+        above Hhat differ, Hhat is a Steklov eigenvalue and the operator is
+        degenerate for every t.  A group of c_j* that the residual bound
+        cannot prove, such as one at rounding level, takes inertia counts
+        beside it, which prove it only when the solved root is accurate to
+        its window (on disk level 2, not 4); otherwise EigensolverError.
         """
         hhat = self.Hhat
-        if hhat <= 0:
-            return ()
-        return tuple(level_crossings(self.boundary_forms, hhat).tolist())
+        return level_crossings(self.boundary_forms, hhat) if hhat > 0 else np.empty((0, 3))
+
+    @property
+    def critical_coefficients(self) -> tuple:
+        """The c_j* of ``critical_windows``, descending in j."""
+        return tuple(self.critical_windows[:, 0].tolist())
 
     @cached_property
     def instants(self) -> InstantTable:
         """The ``InstantTable`` of the c_j*, built once, on first use."""
-        c_star = np.array(self.critical_coefficients)
+        c_star, low, high = self.critical_windows.T
         rho, mu = map(np.array, zip(*self.factor.entries))
         i, j = np.indices((len(rho), len(c_star)))[:, 1:].reshape(2, -1)  # i >= 1, then j
         t = c_star[j] / rho[i]
         order = np.argsort(-t, kind="stable")  # ties keep i, then j
         i, j = i[order], j[order]
-        low, high = c_star * (1 - BRACKET_RTOL), c_star * (1 + BRACKET_RTOL)
         return InstantTable(t[order], i, j, mu[i], rho[i], low[j], high[j],
                             max(len(c_star) - 1, 0), (rho[-1], high[0] if len(c_star) else -np.inf))
 
@@ -162,8 +163,8 @@ def branch_sides(model: ProductModel, t: float) -> tuple:
 def morse_index(model: ProductModel, t: float) -> int:
     """Multiplicity-weighted count of Jacobi branches strictly below Hhat.
 
-    Ill-defined within relative BRACKET_RTOL of an instant, where the table
-    cannot tell; that raises rather than returning a coin flip.
+    Ill-defined where some t * rho_i lies in the window of a c_j*, where the
+    table cannot tell; that raises rather than returning a coin flip.
     """
     below, near = branch_sides(model, t)
     table = model.instants
@@ -171,13 +172,13 @@ def morse_index(model: ProductModel, t: float) -> int:
         i = table.i[near].min()
         raise DegenerateInstantError(f"degenerate at t={t:.12g}: {np.sum(table.i[near] == i)} "
                                      f"branch(es) of factor index i={i} meet Hhat="
-                                     f"{model.Hhat:.12g} within relative {BRACKET_RTOL:g} of c")
+                                     f"{model.Hhat:.12g} within the proved window of c_j*")
     return int(table.steklov + table.mu @ below)
 
 
 def nullity(model: ProductModel, t: float) -> int:
     """Multiplicity-weighted count of branches that may meet Hhat at t: those
-    whose c_j* lies within relative BRACKET_RTOL of t * rho_i."""
+    whose c_j*'s window holds t * rho_i."""
     return int(model.instants.mu @ branch_sides(model, t)[1])
 
 

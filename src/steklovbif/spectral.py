@@ -27,8 +27,6 @@ and the routes they pick:
     disk L4              34.3M        10.3M         fronts
     disk L6              9439M        263M          fronts
 
-At disk L4, k = 4 and c = 3, a band slice takes about twice as long as
-one through the fronts (5.6 against 3.0 ms, one BLAS thread, 2-vCPU x86).
 ``_schur`` forms every S(c), and takes the fronts on every mesh only for
 ``level_crossings``, which keeps them.  ``count_below`` reads eigenvalue
 counts off the inertia of S(c) - lam B_bb.  The pencil is
@@ -39,8 +37,9 @@ the roots, two more beside lam refuse a lam on a Steklov eigenvalue, and
 the fronts with that Bunch-Kaufman factor are the Lanczos operator.  It
 proves each root to relative BRACKET_RTOL by Kahan's residual bound, and a
 group of roots that the bound cannot prove (one at rounding level) by two
-inertia counts beside the group.  Every factorization takes its matrix from
-the forms' cached ``FactorInput``, already in its order or tree.
+inertia counts beside the group, and returns each root with that window.
+Every factorization takes its matrix from the forms' cached
+``FactorInput``, already in its order or tree.
 """
 
 from __future__ import annotations
@@ -263,8 +262,9 @@ def count_below(forms: AssembledForms, c: float, lam: float) -> int:
 
 
 def level_crossings(forms: AssembledForms, lam: float) -> np.ndarray:
-    """The coefficients c_j* > 0 at which a branch rho_j(c) meets lam,
-    descending: one per Steklov eigenvalue below lam.
+    """Rows (c_j*, low, high), descending, one per Steklov eigenvalue below
+    lam: the c_j* > 0 at which a branch rho_j(c) meets lam, each with the
+    window [low, high] = c_j* (1 -/+ BRACKET_RTOL) in which it is proved.
 
     They are the positive eigenvalues of (lam B - K) u = c M u, and
     count_below(forms, c, lam) of them exceed c, a count that never increases
@@ -308,7 +308,7 @@ def level_crossings(forms: AssembledForms, lam: float) -> np.ndarray:
     if n >= len(fi.boundary_dofs):
         raise CutoffExhaustedError(f"boundary spectrum exhausted below {lam:.12g}; refine the mesh")
     if n == 0:
-        return np.empty(0)
+        return np.empty((0, 3))
     M = forms.M
     A = lam * forms.B - forms.K
     # a fixed, generic start (a component along every eigenvector) makes the
@@ -340,7 +340,7 @@ def level_crossings(forms: AssembledForms, lam: float) -> np.ndarray:
             if counted != above:
                 raise EigensolverError(f"level crossings at {lam:.12g}: an inertia count puts "
                                        f"{counted} above c={c:.12g}, the solve {above}")
-    return w[::-1]
+    return np.column_stack((w, lo, hi))[::-1]
 
 
 def _kahan_bound(A, M, w, Z, AZ, MZ) -> float:

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from steklovbif import (
@@ -287,6 +287,61 @@ class TestCertifyBifurcation:
         for t_star in (float(table.t[table.i == 2][0]), 0.5):
             with pytest.raises(CutoffExhaustedError, match=f"exhausted at t={t_star:g} "):
                 certify_bifurcation(model, DegeneracyRecord(t_star, ((2, 0, 1),), 1))
+
+    def test_isolation_widens_the_edge_once(self, disk):
+        # the cutoff rho = (1 + d)(1 + d / 2) / 0.95, d = BRACKET_RTOL: the
+        # default radius puts t* - epsilon = 0.95 c_0* where (t* - epsilon) rho
+        # = c_0* (1 + d)(1 + d / 2) clears the edge c_0* (1 + d), the top of
+        # the window of c_0* / rho, so morse_index reads t* - epsilon and no
+        # halving is due; a second widening by 1 + d would halve it
+        from steklovbif.spectral import BRACKET_RTOL
+
+        mesh, forms = disk(2)
+        rho = (1 + BRACKET_RTOL) * (1 + BRACKET_RTOL / 2) / 0.95
+        model = ProductModel(from_list([(0.0, 1), (1.0, 2), (rho, 1)], m1=2), mesh, forms,
+                             m1=2, m2=2, H2=1.0)
+        (record,) = enumerate_instants(model, 0.7, 10.0)
+        assert record.crossings == ((1, 0, 2),)
+        assert record.t_star == model.critical_coefficients[0]
+        out = certify_bifurcation(model, record)
+        assert (out.n_minus, out.n_plus, out.certified) == (2, 0, True)
+        assert out.epsilon == 0.05 * out.t_star
+
+    @settings(max_examples=100)
+    @given(values=st.lists(st.floats(0.5, 3.0, exclude_min=True, exclude_max=True),
+                           min_size=2, max_size=4, unique=True),
+           mus=st.lists(st.integers(1, 4), min_size=4, max_size=4),
+           H2=st.sampled_from([1.0, 4.0]))
+    def test_isolation_on_drawn_factor_spectra(self, disk, values, mus, H2):
+        # the windows c_j* (1 -/+ BRACKET_RTOL) formed here, not read from the
+        # instant table: every certified radius keeps [t* -/+ epsilon] rho_i
+        # off the window of each instant farther than MERGE_RTOL from t*, and
+        # t* - epsilon above the edge; H2 = 4 gives the double c_1* = c_2*
+        from steklovbif.bifurcation import MERGE_RTOL
+        from steklovbif.spectral import BRACKET_RTOL
+
+        mesh, forms = disk(2)
+        rho = np.sort(values)
+        model = ProductModel(from_list([(0.0, 1)] + list(zip(rho, mus)), m1=2), mesh, forms,
+                             m1=2, m2=2, H2=H2)
+        c_star = np.array(model.critical_coefficients)
+        t = c_star / rho[:, None]  # the instant of branch (i, j) at [i - 1, j]
+        ordered = np.sort(t.ravel())
+        gaps = np.diff(ordered) / ordered[1:]
+        assume(not np.any((MERGE_RTOL < gaps) & (gaps < 1e-3)))
+        low, high = c_star * (1 - BRACKET_RTOL), c_star * (1 + BRACKET_RTOL)
+        t_min = high[0] / rho[-1] * (1 + 1e-12)
+        records = enumerate_instants(model, t_min, 2 * t.max())
+        assert sum(r.nullity for r in records) == sum(
+            mu * np.count_nonzero(row >= t_min) for row, mu in zip(t, mus))
+        for record in records:
+            out = certify_bifurcation(model, record)
+            t_star, epsilon = out.t_star, out.epsilon
+            assert out.certified and out.n_minus - out.n_plus == out.nullity
+            lo, hi = (t_star - epsilon) * rho[:, None], (t_star + epsilon) * rho[:, None]
+            far = np.abs(t - t_star) > MERGE_RTOL * np.maximum(t, t_star)
+            assert not np.any(far & (lo <= high) & (hi >= low))
+            assert (t_star - epsilon) * rho[-1] > high[0]
 
     def test_isolation_clears_the_bracket_windows(self, disk, monkeypatch):
         # the instant c_0* / 1 sits at (t* + epsilon)(1 + BRACKET_RTOL / 2) for

@@ -413,14 +413,19 @@ class TestMorseIndex:
 class TestInstantTable:
     def test_order_ties_and_edge(self, disk):
         # c_j* = 4, 2, 1 over factor eigenvalues 1, 2, 4: ties at t = 2, 1 and
-        # 0.5 go by i, then j; the edge is the top of the window of 4 / 4
+        # 0.5 go by i, then j; the edge is the top of the window of 4 / 4, and
+        # every window is the row's, as level_crossings returns it
         from steklovbif.spectral import BRACKET_RTOL
 
         mesh, forms = disk(1)
         factor = from_list([(0.0, 1), (1.0, 3), (2.0, 1), (4.0, 2)], m1=2)
         model = ProductModel(factor, mesh, forms, m1=2, m2=2, H2=1.0)
-        model.__dict__["critical_coefficients"] = (4.0, 2.0, 1.0)  # set, not solved
+        c_star = np.array([4.0, 2.0, 1.0])
+        windows = np.column_stack((c_star, c_star * (1 - BRACKET_RTOL), c_star * (1 + BRACKET_RTOL)))
+        model.__dict__["critical_windows"] = windows  # set, not solved
+        assert model.critical_coefficients == (4.0, 2.0, 1.0)
         table = model.instants
+        assert np.array_equal(table.high, windows[table.j, 2])
         assert list(zip(table.t.tolist(), table.i.tolist(), table.j.tolist())) == [
             (4.0, 1, 0), (2.0, 1, 1), (2.0, 2, 0), (1.0, 1, 2), (1.0, 2, 1), (1.0, 3, 0),
             (0.5, 2, 2), (0.5, 3, 1), (0.25, 3, 2)]

@@ -480,7 +480,7 @@ class TestLevelCrossings:
         monkeypatch.setattr(spectral, "count_below",
                             lambda forms, c, lam: brackets.append(c) or count(forms, c, lam))
         assert np.array_equal(spectral.level_crossings(forms, 7.0 / 3.0), table)
-        w = table[::-1]
+        w = table[::-1, 0]
         groups = 1 + np.count_nonzero(w[1:] * (1 - BRACKET_RTOL) > w[:-1] * (1 + BRACKET_RTOL))
         assert forms.factor_input.banded and len(table) == 5
         assert len(brackets) == 2 * groups < 2 * len(table)
@@ -581,8 +581,9 @@ class TestDelaunayDiskProperties:
         dense = la.eigh((lam * forms.B - forms.K).toarray(), forms.M.toarray(),
                         eigvals_only=True)[::-1][:j + 1]
         assert dense[-1] > 0
-        np.testing.assert_allclose(spectral.level_crossings(forms, lam), dense,
-                                   rtol=BRACKET_RTOL, atol=0)
+        c_star, low, high = spectral.level_crossings(forms, lam).T
+        np.testing.assert_allclose(c_star, dense, rtol=BRACKET_RTOL, atol=0)
+        assert np.all((low <= dense) & (dense <= high))  # each in the window it was proved in
 
 
 class TestRenumbering:
