@@ -13,22 +13,18 @@ indices at both ends.  The table is proved at every c outside the windows
 that ``level_crossings`` proved the c_j* in, and isolation keeps every c
 that certification reads outside them and above the table's edge, by the
 table's own comparisons, so both ends are nondegenerate by construction.
-MERGE_RTOL only merges coincident instants into one record.
+MERGE_RTOL says which instants are one (``same_instant``): it merges them
+into one record, and keeps the report's index points off every record.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    EpsilonExhaustedError,
-    NoDegeneracyError,
-    PreconditionError,
-)
+from .errors import ConfigError, EpsilonExhaustedError, NoDegeneracyError, PreconditionError
 from .product import ProductModel, check_edge, morse_index, nullity
 from .serialize import read_csv, typed, write_csv
 
@@ -54,6 +50,11 @@ class DegeneracyRecord:
     certified: bool = False
 
 
+def same_instant(a, b):
+    """Whether instants a and b, elementwise, are one: |a - b| <= MERGE_RTOL * max(a, b)."""
+    return np.abs(a - b) <= MERGE_RTOL * np.maximum(a, b)
+
+
 def find_degeneracy_instant(model: ProductModel, i: int) -> float:
     """The unique t_i with rho_(i,0)(t_i) = Hhat, for factor index i >= 1:
     c_0* / rho_i.  Positive Hhat is required -- otherwise no instants exist.
@@ -72,17 +73,17 @@ def enumerate_instants(model: ProductModel, t_min: float,
     """All degeneracy instants in [t_min, t_max], descending in t: the
     model's instants in the window, coincident ones merged into one record
     with summed multiplicity, at their mean.  A group is anchored on its
-    first instant, so none drifts past MERGE_RTOL from it.  t_min must lie
-    above the table's edge, so that none is missing.  Nothing is solved.
+    first, largest instant: each member is ``same_instant`` as it.  t_min
+    must pass ``check_edge``, so that none is missing.  Nothing is solved.
     """
-    if not (0 < t_min < t_max):
-        raise PreconditionError(f"need 0 < t_min < t_max, got [{t_min}, {t_max}]")
+    if not t_min < t_max:
+        raise PreconditionError(f"need t_min < t_max, got [{t_min}, {t_max}]")
     check_edge(model, t_min)
     table = model.instants
     inside = (t_min <= table.t) & (table.t <= t_max)
     groups = []  # (instants, crossings)
     for t, *crossing in zip(*(a[inside].tolist() for a in (table.t, table.i, table.j, table.mu))):
-        if not groups or abs(groups[-1][0][0] - t) > MERGE_RTOL * groups[-1][0][0]:
+        if not groups or not same_instant(groups[-1][0][0], t):
             groups.append(([], []))
         groups[-1][0].append(t)
         groups[-1][1].append(tuple(crossing))
@@ -99,7 +100,7 @@ def certify_bifurcation(model: ProductModel, record: DegeneracyRecord) -> Degene
     Starts from epsilon = EPSILON_CAP * t_star and halves it while
     t_star - epsilon lies at or below the table's edge, or [t_star -/+
     epsilon] rho_i meets the window of another of the model's instants (one
-    farther than MERGE_RTOL from t_star), as ``InstantTable.sides`` tells.
+    not ``same_instant`` as t_star), as ``InstantTable.sides`` tells.
     Then neither end lies in any c_j*'s window, so both are nondegenerate;
     reads the Morse index on both sides off the table, which is proved
     there, and certifies when the indices differ, which every isolating
@@ -116,7 +117,7 @@ def certify_bifurcation(model: ProductModel, record: DegeneracyRecord) -> Degene
     for _ in range(12):
         lo, hi = t_star - epsilon, t_star + epsilon
         t = table.t[np.logical_or(*table.sides(lo)) & ~table.sides(hi)[0]]  # windows met
-        if table.truncated(lo) or np.any(np.abs(t - t_star) > MERGE_RTOL * np.maximum(t, t_star)):
+        if table.truncated(lo) or not np.all(same_instant(t, t_star)):
             epsilon *= 0.5
             continue
         n_minus, n_plus = morse_index(model, lo), morse_index(model, hi)
@@ -124,6 +125,15 @@ def certify_bifurcation(model: ProductModel, record: DegeneracyRecord) -> Degene
                        certified=n_minus != n_plus)
     raise EpsilonExhaustedError(f"could not isolate t*={t_star:.12g}: neighboring instants "
                                 "closer than the working tolerance")
+
+
+def index_points(records, t_min: float, t_max: float) -> list[float]:
+    """Where a report reads the Morse index: the geometric midpoint of each gap
+    between t_max, the records' t_star (descending) and t_min whose ratio is
+    at least 1 + 10 MERGE_RTOL, which keeps it off every merged group's span."""
+    cuts = [t_max] + [r.t_star for r in records] + [t_min]
+    return [float(np.sqrt(lo * hi)) for hi, lo in zip(cuts, cuts[1:])
+            if hi / lo >= 1.0 + 10 * MERGE_RTOL]
 
 
 def classify(model: ProductModel, t: float) -> str:
@@ -137,19 +147,9 @@ def classify(model: ProductModel, t: float) -> str:
 # export / import
 
 def records_document(records) -> list:
-    """The JSON document of records: one object per record."""
-    return [
-        {
-            "t_star": r.t_star,
-            "crossings": [list(c) for c in r.crossings],
-            "nullity": r.nullity,
-            "n_minus": r.n_minus,
-            "n_plus": r.n_plus,
-            "epsilon": r.epsilon,
-            "certified": r.certified,
-        }
-        for r in records
-    ]
+    """The JSON document of records: one object per record, its fields in
+    the order ``DegeneracyRecord`` lists them."""
+    return [asdict(r) for r in records]
 
 
 def records_to_json(records, path) -> None:

@@ -3,7 +3,8 @@
 One self-describing JSON config per run; command line flags override config
 fields so every reported number is reproducible from the emitted files.
 Exit status: 0 success, 1 precondition violation, 2 numerical failure;
-failures print a machine-readable reason to stderr.
+failures print a machine-readable reason to stderr.  It reads inputs, calls
+``product`` and ``bifurcation`` and writes files; it owns no rule of theirs.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import bifurcation as bif
 from . import oracle, product, spectral
-from .errors import ConfigError, NumericalError, SteklovBifError
+from .errors import ConfigError, SteklovBifError
 from .fem import assemble
 from .mesh import mesh_from_dict
 from .serialize import read_json_object, typed, write_csv
@@ -130,22 +131,6 @@ def _write_records(records, out_json, out_csv) -> list:
     return [out_json, out_csv]
 
 
-def _anchor(model, t, index):
-    """Count by inertia the branches below Hhat of each factor index from 1
-    through the first whose row of the instant table is empty; raise unless
-    every count equals its row and, with the Steklov row, they sum to index."""
-    table, factor = model.instants, model.factor
-    rows = np.bincount(table.i[product.branch_sides(model, t)[0]], minlength=len(factor)).tolist()
-    last = next((i for i in range(1, len(rows)) if rows[i] == 0), 0)  # 0: no index i >= 1
-    counts = [spectral.count_below(model.boundary_forms, t * factor.value(i), model.Hhat)
-              for i in range(1, last + 1)]
-    summed = table.steklov + sum(factor.multiplicity(i) * n for i, n in enumerate(counts, 1))
-    if counts != rows[1:last + 1] or summed != index:
-        raise NumericalError(f"anchor at t={t:.12g}: inertia counts {counts} and Morse index "
-                             f"{summed} for factor indices 1..{last}, the c_j* table "
-                             f"{rows[1:last + 1]} and {index}")
-
-
 def cmd_steklov(cfg: RunConfig) -> list[str]:
     if cfg.mesh_spec is None:
         raise ConfigError("steklov needs --mesh")
@@ -205,26 +190,18 @@ def cmd_report(cfg: RunConfig) -> list[str]:
     certified = [bif.certify_bifurcation(model, r) for r in records]
     _write_records(certified, out_dir / "instants.json", out_dir / "instants.csv")
 
-    # Morse index between consecutive instants (geometric midpoints), read
-    # off the c_j* table; at the first, inertia counts anchor it row by row
-    cuts = [cfg.t_max] + [r.t_star for r in certified] + [cfg.t_min]
-    mids = [float(np.sqrt(lo * hi)) for hi, lo in zip(cuts, cuts[1:])
-            if hi / lo >= 1.0 + 10 * bif.MERGE_RTOL]
-    indices = [{"t": t, "morse_index": product.morse_index(model, t)} for t in mids]
-    if mids:
-        _anchor(model, mids[0], indices[0]["morse_index"])
+    # Morse index between consecutive instants, read off the c_j* table; at
+    # the first point, inertia counts anchor it row by row
+    points = bif.index_points(certified, cfg.t_min, cfg.t_max)
+    indices = [{"t": t, "morse_index": product.morse_index(model, t)} for t in points]
+    if points:
+        product.anchor_index(model, points[0], indices[0]["morse_index"])
 
     summary = {
-        "model": {
-            "m1": model.m1,
-            "m2": model.m2,
-            "H2": model.H2,
-            "Hhat": model.Hhat,
-            "factor_cutoff": model.factor.cutoff,
-            "factor_entries": len(model.factor),
-            "boundary_vertices": model.boundary_mesh.n_vertices,
-            "boundary_dofs": len(model.boundary_forms.boundary_dofs),
-        },
+        "model": {"m1": model.m1, "m2": model.m2, "H2": model.H2, "Hhat": model.Hhat,
+                  "factor_cutoff": model.factor.cutoff, "factor_entries": len(model.factor),
+                  "boundary_vertices": model.boundary_mesh.n_vertices,
+                  "boundary_dofs": len(model.boundary_forms.boundary_dofs)},
         "t_range": [cfg.t_min, cfg.t_max],
         "instants": bif.records_document(certified),
         "morse_indices": indices,

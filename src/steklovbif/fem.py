@@ -418,8 +418,8 @@ def scale_metric_forms(forms: AssembledForms, t: float, m: int) -> AssembledForm
     and the boundary measure t^((m-1)/2).  The vertices stay: a homothety
     leaves the tree that they give as it is.
     """
-    if t <= 0:
-        raise PreconditionError(f"homothety factor must be positive, got {t}")
+    if not 0 < t < math.inf:  # a NaN fails every comparison
+        raise PreconditionError(f"homothety factor must be positive and finite, got {t}")
     return AssembledForms(
         K=forms.K * t ** ((m - 2) / 2.0),
         M=forms.M * t ** (m / 2.0),

@@ -13,7 +13,8 @@ eigenvalue.  It returns each c_j* with the window [low, high] in which it
 is proved, by a residual bound or by inertia counts where the bound cannot
 tell; this layer reads the windows and forms none.  ``InstantTable`` lists
 every instant c_j* / rho_i, i >= 1, once per model, the one place where t,
-rho_i and c_j* meet; its edge is the one cutoff rule.
+rho_i and c_j* meet; its edge is the one cutoff rule.  ``check_edge`` tests
+every t, positive and finite; ``anchor_index`` checks the table by inertia.
 """
 
 from __future__ import annotations
@@ -26,12 +27,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, CutoffExhaustedError, DegenerateInstantError, PreconditionError
+from . import spectral
+from .errors import (ConfigError, CutoffExhaustedError, DegenerateInstantError, NumericalError,
+                     PreconditionError)
 from .factors import ClosedFactorSpectrum, flat_torus_spectrum, load_spectrum, spectrum_from_dict
 from .fem import AssembledForms, assemble
 from .mesh import Mesh, mesh_from_dict
 from .serialize import read_json_object, typed, typed_rows
-from .spectral import level_crossings
 
 # conformal_mean_curvature's checks of harmonicity and of the boundary normalization
 HARMONIC_TOL = 1e-8
@@ -117,7 +119,7 @@ class ProductModel:
         its window (on disk level 2, not 4); otherwise EigensolverError.
         """
         hhat = self.Hhat
-        return level_crossings(self.boundary_forms, hhat) if hhat > 0 else np.empty((0, 3))
+        return spectral.level_crossings(self.boundary_forms, hhat) if hhat > 0 else np.empty((0, 3))
 
     @property
     def critical_coefficients(self) -> tuple:
@@ -137,25 +139,30 @@ class ProductModel:
                             max(len(c_star) - 1, 0), (rho[-1], high[0] if len(c_star) else -np.inf))
 
 
+def _check_t(t: float) -> None:
+    """Raise PreconditionError unless t, a metric scale, is positive and finite."""
+    if not 0 < t < math.inf:  # a NaN fails every comparison
+        raise PreconditionError(f"metric parameter t must be positive and finite, got {t}")
+
+
 def mean_curvature_gt(model: ProductModel, t: float) -> float:
     """Constant boundary mean curvature of the product metric at parameter t."""
-    if t <= 0:
-        raise PreconditionError(f"metric parameter t must be positive, got {t}")
+    _check_t(t)
     return model.Hhat / math.sqrt(t)
 
 
 def check_edge(model: ProductModel, t: float) -> None:
-    """Raise CutoffExhaustedError when t lies at or below the instant table's edge."""
+    """Raise PreconditionError unless t is positive and finite, and
+    CutoffExhaustedError when it lies at or below the instant table's edge."""
+    _check_t(t)
     if model.instants.truncated(t):
         raise CutoffExhaustedError(f"factor spectrum cutoff {model.factor.cutoff:g} exhausted at "
                                    f"t={t:g} before the lowest branch cleared Hhat={model.Hhat:g}")
 
 
 def branch_sides(model: ProductModel, t: float) -> tuple:
-    """``InstantTable.sides`` of the model at t, which must be positive and
-    above the edge; nothing is counted or solved."""
-    if t <= 0:
-        raise PreconditionError(f"metric parameter t must be positive, got {t}")
+    """``InstantTable.sides`` of the model at t, which ``check_edge`` must
+    pass; nothing is counted or solved."""
     check_edge(model, t)
     return model.instants.sides(t)
 
@@ -180,6 +187,22 @@ def nullity(model: ProductModel, t: float) -> int:
     """Multiplicity-weighted count of branches that may meet Hhat at t: those
     whose c_j*'s window holds t * rho_i."""
     return int(model.instants.mu @ branch_sides(model, t)[1])
+
+
+def anchor_index(model: ProductModel, t: float, index: int) -> None:
+    """Count by inertia the branches below Hhat of each factor index from 1
+    through the first whose row of the instant table is empty; raise unless
+    every count equals its row and, with the Steklov row, they sum to index."""
+    table, factor = model.instants, model.factor
+    rows = np.bincount(table.i[branch_sides(model, t)[0]], minlength=len(factor)).tolist()
+    last = next((i for i in range(1, len(rows)) if rows[i] == 0), 0)  # 0: no index i >= 1
+    counts = [spectral.count_below(model.boundary_forms, t * factor.value(i), model.Hhat)
+              for i in range(1, last + 1)]
+    summed = table.steklov + sum(factor.multiplicity(i) * n for i, n in enumerate(counts, 1))
+    if counts != rows[1:last + 1] or summed != index:
+        raise NumericalError(f"anchor at t={t:.12g}: inertia counts {counts} and Morse index "
+                             f"{summed} for factor indices 1..{last}, the c_j* table "
+                             f"{rows[1:last + 1]} and {index}")
 
 
 def boundary_weights(forms: AssembledForms) -> np.ndarray:

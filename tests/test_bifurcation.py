@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import sys
 from dataclasses import replace
@@ -15,6 +16,8 @@ from steklovbif import (
     enumerate_instants,
     find_degeneracy_instant,
     from_list,
+    morse_index,
+    nullity,
     oracle,
 )
 from steklovbif.bifurcation import (
@@ -262,6 +265,13 @@ class TestCertifyBifurcation:
         assert out.epsilon == pytest.approx(0.025 * out.t_star, rel=1e-12)
         assert (out.n_minus, out.n_plus, out.certified) == (2, 0, True)
 
+    def test_infinite_t_star_rejected(self, model):
+        # no file carries inf, so only a caller can hand it in; its radius
+        # 0.05 * inf is positive, and the t test of check_edge refuses it
+        record = DegeneracyRecord(t_star=math.inf, crossings=((1, 0, 4),), nullity=4)
+        with pytest.raises(PreconditionError, match="must be positive and finite, got inf"):
+            certify_bifurcation(model, record)
+
     def test_unisolable_instant_exhausts_epsilon(self, disk):
         model = _near_pair_model(disk, 1.0 + 3e-6)
         recs = enumerate_instants(model, 0.5, 1.0)
@@ -384,12 +394,15 @@ class TestClassify:
         assert classify(model, t_mid) == "rigid"
         assert enumerate_instants(model, instants[1].t_star * 1.01, instants[0].t_star * 0.99) == []
 
-    @pytest.mark.parametrize("t", [0.0, -1.0])
+    @pytest.mark.parametrize("t", [0.0, -1.0, math.nan, math.inf, -math.inf])
     def test_nonpositive_t_rejected(self, model, flat_model, t):
-        # by the table's own rows, also where Hhat <= 0 leaves the table empty
+        # by the table's own rows, also where Hhat <= 0 leaves the table
+        # empty; a NaN or an infinite t fails every comparison of the table
+        # as a branch below Hhat, so would read index 0 and 'rigid'
         for m in (model, flat_model):
-            with pytest.raises(PreconditionError, match="metric parameter t must be positive"):
-                classify(m, t)
+            for query in (classify, morse_index, nullity):
+                with pytest.raises(PreconditionError, match="metric parameter t must be positive"):
+                    query(m, t)
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(

@@ -429,6 +429,7 @@ class TestReportCommand:
         assert all(r["certified"] for r in summary["instants"])
         indices = [row["morse_index"] for row in summary["morse_indices"]]
         assert indices == sorted(indices)  # descending t order: index grows downward
+        self._check_indices_against_certification(summary)
         assert summary["oracle_deltas"][0]["rel_delta"] < 0.02
         assert (out_dir / "instants.csv").exists()
 
@@ -438,6 +439,23 @@ class TestReportCommand:
     @staticmethod
     def _morse_indices(summary):
         return [row["morse_index"] for row in summary["morse_indices"]]
+
+    @staticmethod
+    def _check_indices_against_certification(summary):
+        """Each reported Morse index is n_minus of the record above its point
+        and n_plus of the record below it, and consecutive records agree."""
+        records = summary["instants"]
+        for above, below in zip(records, records[1:]):
+            assert above["n_minus"] == below["n_plus"]
+        assert summary["morse_indices"]
+        for row in summary["morse_indices"]:
+            above = [r for r in records if r["t_star"] > row["t"]]
+            below = [r for r in records if r["t_star"] < row["t"]]
+            assert len(above) + len(below) == len(records)
+            if above:
+                assert row["morse_index"] == above[-1]["n_minus"]
+            if below:
+                assert row["morse_index"] == below[0]["n_plus"]
 
     @staticmethod
     def _report_calls(tmp_path, monkeypatch, level, H2=1.0, t_min=0.05):
@@ -460,7 +478,9 @@ class TestReportCommand:
         status = cli.main(["report", "--model", str(model_path), "--t-min", str(t_min),
                            "--t-max", "10", "--out", str(tmp_path / "report")])
         assert status == 0
-        return calls, json.loads((tmp_path / "report" / "report.json").read_text())
+        summary = json.loads((tmp_path / "report" / "report.json").read_text())
+        TestReportCommand._check_indices_against_certification(summary)
+        return calls, summary
 
     def test_report_budget(self, tmp_path, monkeypatch):
         # disk L4 x torus on [0.05, 10]: no slice is solved.  The c_j* table
@@ -512,6 +532,7 @@ class TestReportCommand:
         summary = json.loads((tmp_path / "report" / "report.json").read_text())
         assert len(summary["instants"]) == instants
         assert all(r["certified"] for r in summary["instants"])
+        self._check_indices_against_certification(summary)
 
     def test_crossing_count_mismatch_exits_two(self, tmp_path, capsys, monkeypatch):
         # the inertia counts bracketing a root group that the residual bound
@@ -589,6 +610,7 @@ class TestReportCommand:
         assert (record["n_minus"], record["n_plus"], record["certified"]) == (2, 0, True)
         assert record["epsilon"] == pytest.approx(0.0125 * record["t_star"], rel=1e-12)
         assert self._morse_indices(summary) == [0, 2]
+        self._check_indices_against_certification(summary)
 
     def test_anchor_counts_rows_through_first_empty(self, tmp_path, monkeypatch):
         # disk L3 x torus on [0.05, 0.16]: the first midpoint, near 0.152, has

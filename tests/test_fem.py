@@ -298,8 +298,10 @@ class TestScaleMetricForms:
         scaled = steklov_spectrum(scale_metric_forms(forms, t, 2), 5).eigenvalues
         assert np.abs(scaled - base / np.sqrt(t)).max() < 1e-10
 
-    def test_nonpositive_t_rejected(self, disk):
+    @pytest.mark.parametrize("t", [0.0, math.nan, math.inf])
+    def test_nonpositive_t_rejected(self, disk, t):
+        # a NaN factor would give forms of NaNs, an infinite one infinite forms
         _, forms = disk(0)
         with pytest.raises(PreconditionError):
-            scale_metric_forms(forms, 0.0, 2)
+            scale_metric_forms(forms, t, 2)
 

@@ -276,9 +276,10 @@ class TestMeanCurvature:
         for t in [0.1, 1.0, 7.0]:
             assert mean_curvature_gt(model, t) == 0.0
 
-    def test_nonpositive_t_rejected(self, disk_torus_model):
+    @pytest.mark.parametrize("t", [0.0, math.nan, math.inf])
+    def test_nonpositive_t_rejected(self, disk_torus_model, t):
         with pytest.raises(PreconditionError):
-            mean_curvature_gt(disk_torus_model(1, 20.0), 0.0)
+            mean_curvature_gt(disk_torus_model(1, 20.0), t)
 
 
 class TestMorseIndex:
