@@ -8,8 +8,9 @@ and exact element integration,
 * ``B``  -- boundary mass, supported on boundary vertices.
 
 All three are full symmetric scipy CSR matrices (both triangles stored,
-indices canonical), built straight from batched element matrices; K and M,
-summed over the same cells, share one pattern.  Every factorization of the
+indices canonical), built straight from the upper triangles of the element
+matrices, whose Jacobians are inverted in closed form; K and M, summed over
+the same cells by one sort, share one pattern.  Every factorization of the
 pencil K + c M - lam B starts from one c-independent ``FactorInput`` per
 forms, which reads K and M in place and builds one order and one tree of
 the interior dofs the first time a solve asks for it: a bandwidth-reducing
@@ -33,7 +34,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 from .errors import AssemblyError, PreconditionError
-from .mesh import Mesh
+from .mesh import Mesh, jacobians
 
 # largest part that nested dissection leaves whole: on the disk L6 interior,
 # leaves of 32 keep half the factor entries (L's lower triangles and W) of 128
@@ -106,10 +107,11 @@ class FactorInput:
       whose corners mask every front's blocks.
 
     Both are built from one interior pattern.  ``banded`` picks the route
-    of S(c) by flop count, read off the order's bandwidth and each node's
-    pivots and update set, so a slice or a count through the fronts builds
-    no band, and forms whose slices and counts take the band build fronts
-    only for the table.
+    of S(c) by flop count, read off each node's pivots and update set and,
+    only when the fronts do not beat the band's floor n_i n_b^2, the
+    order's bandwidth, so a slice or a count through the fronts builds no
+    band, and forms whose slices and counts take the band build fronts only
+    for the table.
     """
 
     def __init__(self, K: sp.csr_matrix, M: sp.csr_matrix, B: sp.csr_matrix,
@@ -240,10 +242,12 @@ class FactorInput:
         count, n_i bw^2 + 2 n_i bw n_b + n_i n_b^2 = n_i (bw + n_b)^2, is at
         most the fronts', the sum of p^3/3 + p^2 u + p u^2 over fronts of p
         pivots and u update dofs.  Both are compared exactly, as integers
-        times 3, and a tie goes to the band."""
-        n_i, n_b, bw = len(self.interior_order), len(self.boundary_dofs), self._order[1]
+        times 3, and a tie goes to the band.  The band's count is never below
+        n_i n_b^2, so fronts of fewer flops win before the order is built."""
+        n_i, n_b = len(self._inner), len(self.boundary_dofs)
         sizes = [(hi - lo, len(u)) for (lo, hi, *_), u in zip(*self._dissection[3:])]
-        return 3 * n_i * (bw + n_b) ** 2 <= sum(p**3 + 3 * p * u * (p + u) for p, u in sizes)
+        fronts = sum(p**3 + 3 * p * u * (p + u) for p, u in sizes)
+        return 3 * n_i * n_b**2 <= fronts and 3 * n_i * (self._order[1] + n_b) ** 2 <= fronts
 
     boundary = property(lambda self: self._boundary.pencil)  # A_bb(c), in Fortran order
     elimination = property(lambda self: self._dissection[0])
@@ -352,13 +356,16 @@ class AssembledForms:
         return FactorInput(self.K, self.M, self.B, self.boundary_dofs, self.vertices)
 
 
-def _symmetric_csr(n: int, simplices: np.ndarray, *elements: np.ndarray) -> tuple:
-    """Sum each stack of element matrices (s, k, k) of the simplices (s, k)
-    into a full symmetric n x n CSR matrix, all on one canonical pattern.
+def _symmetric_csr(n: int, simplices: np.ndarray, *upper_entries: np.ndarray) -> tuple:
+    """Sum each array (s, k(k+1)/2) of the simplices' (s, k) upper-triangle
+    element entries, in ``np.triu_indices(k)`` order, into a full symmetric
+    n x n CSR matrix, all on one canonical pattern.
 
-    The upper-triangle entries are summed per (row, col) in cell-major order,
-    then mirrored below the diagonal, so every entry is the same float sum
-    however the matrix is later sliced.
+    One stable sort of the keys row * n + col lists the upper triangle row
+    by row, each entry's terms in cell-major order, and sums them.  That
+    upper CSR plus its transpose, no second sort, places every entry and
+    its mirror, so each is the same float sum however the matrix is later
+    sliced.
     """
     a, b = np.triu_indices(simplices.shape[1])
     rows, cols = simplices[:, a].ravel(), simplices[:, b].ravel()
@@ -367,13 +374,13 @@ def _symmetric_csr(n: int, simplices: np.ndarray, *elements: np.ndarray) -> tupl
     keys = keys[order]
     start = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
     lo, hi = np.divmod(keys[start], n)
-    off = lo != hi
-    r, c = np.concatenate([lo, hi[off]]), np.concatenate([hi, lo[off]])
-    at = np.argsort(r * n + c)  # row by row, each row's columns ascending
-    indptr = np.r_[0, np.cumsum(np.bincount(r, minlength=n))]
-    sums = [np.add.reduceat(e[:, a, b].ravel()[order], start) for e in elements]
-    return tuple(sp.csr_matrix((np.concatenate([v, v[off]])[at], c[at], indptr), shape=(n, n))
-                 for v in sums)
+    upper = sp.csr_matrix((np.arange(1, len(lo) + 1), hi, np.searchsorted(lo, np.arange(n + 1))),
+                          shape=(n, n))
+    full = upper + upper.T  # entry k of the upper triangle as k + 1, doubled on the diagonal
+    diagonal = full.indices == np.repeat(np.arange(n), np.diff(full.indptr))
+    take = full.data // (1 + diagonal) - 1
+    sums = [np.add.reduceat(v.ravel()[order], start) for v in upper_entries]
+    return tuple(sp.csr_matrix((v[take], full.indices, full.indptr), shape=(n, n)) for v in sums)
 
 
 def assemble(mesh: Mesh) -> AssembledForms:
@@ -383,26 +390,21 @@ def assemble(mesh: Mesh) -> AssembledForms:
     aborts assembly naming the cell.
     """
     d = mesh.dim
-    nv = d + 1
-    # columns of T are the edge vectors x_k - x_0 of each cell
-    x = mesh.vertices[mesh.cells]
-    T = np.swapaxes(x[:, 1:] - x[:, :1], 1, 2)
-    det = T[:, 0, 0] if d == 1 else np.linalg.det(T)
+    det, adj = jacobians(mesh.vertices, mesh.cells)
     vol = det / math.factorial(d)
     bad = np.flatnonzero(~(vol > 0))
     if len(bad):
         idx = int(bad[0])
         raise AssemblyError(f"degenerate cell {idx}: signed volume {vol[idx]:.3e}")
     # gradients of the barycentric coordinates, one row per cell vertex
-    grads = np.empty((mesh.n_cells, nv, d))
-    grads[:, 1:] = np.linalg.inv(T)
-    grads[:, 0] = -grads[:, 1:].sum(axis=1)
-    ke = vol[:, None, None] * (grads @ np.swapaxes(grads, 1, 2))
-    me = vol[:, None, None] * ((np.ones((nv, nv)) + np.eye(nv)) / (nv * (nv + 1)))
-
+    grads = adj / det
+    grads = np.concatenate([-grads.sum(axis=0, keepdims=True), grads])
+    a, b = np.triu_indices(d + 1)
+    ke = (vol * (grads[a] * grads[b]).sum(axis=1)).T
+    me = vol[:, None] * ((1.0 + (a == b)) / ((d + 1) * (d + 2)))
     facets = mesh.boundary_facets
-    nf = facets.shape[1]
-    be = mesh.facet_measures()[:, None, None] * (np.ones((nf, nf)) + np.eye(nf)) / (nf * (nf + 1))
+    a, b = np.triu_indices(d)
+    be = mesh.facet_measures()[:, None] * (1.0 + (a == b)) / (d * (d + 1))
 
     n = mesh.n_vertices
     K, M = _symmetric_csr(n, mesh.cells, ke, me)

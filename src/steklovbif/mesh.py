@@ -6,7 +6,10 @@ boundary is the set of facets incident to exactly one cell.  Interval
 endpoints (0-dimensional facets) carry counting measure 1.
 
 Meshes are immutable after construction; generators and refinement are
-pure functions.
+pure functions.  Refinement numbers the edges by integer keys, one sort per
+level, and hands the child mesh its boundary, the halves of the parent's
+boundary edges, so a generated disk never extracts one.  Cell volumes and
+Jacobians come in closed form from one helper, ``jacobians``.
 """
 
 from __future__ import annotations
@@ -81,16 +84,28 @@ class Mesh:
         return float(self.facet_measures().sum())
 
 
+def jacobians(vertices: np.ndarray, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(det, adj) of each cell's Jacobian T = [x_1-x_0, ..., x_d-x_0] in closed
+    form, cells along the last axis: adj[k] is row k of det * T^-1, det times
+    the gradient of barycentric coordinate k + 1 (in 2-D an edge turned by a
+    right angle, in 3-D a cross product of two edges)."""
+    d = cells.shape[1] - 1
+    x = np.array([vertices[:, j][cells.T] for j in range(vertices.shape[1])])
+    e = x[:, 1:] - x[:, :1]  # e[j, k]: coordinate j of the edge x_{k+1} - x_0
+    if d == 1:
+        adj = np.ones_like(e)
+    elif d == 2:
+        adj = np.array([[e[1, 1], -e[0, 1]], [-e[1, 0], e[0, 0]]])
+    elif d == 3:
+        adj = np.array([np.cross(e[:, k - 2], e[:, k - 1], axis=0) for k in range(3)])
+    else:
+        raise PreconditionError(f"cell Jacobians are implemented for dim 1 to 3, not {d}")
+    return np.einsum("js,js->s", e[:, 0], adj[0]), adj
+
+
 def signed_volumes(vertices: np.ndarray, cells: np.ndarray) -> np.ndarray:
     """Signed simplex volumes det([x_1-x_0, ..., x_d-x_0]) / d!."""
-    x = vertices[cells]
-    edges = x[:, 1:, :] - x[:, :1, :]
-    d = cells.shape[1] - 1
-    if d == 1:
-        dets = edges[:, 0, 0]
-    else:
-        dets = np.linalg.det(edges)
-    return dets / math.factorial(d)
+    return jacobians(vertices, cells)[0] / math.factorial(cells.shape[1] - 1)
 
 
 def simplex_measure(points: np.ndarray) -> float:
@@ -177,39 +192,39 @@ def project_boundary_to_unit_circle(mesh: Mesh) -> Mesh:
 
 def refine_uniform(mesh: Mesh) -> Mesh:
     """Uniform midpoint refinement: each cell splits into 2^dim children."""
+    c, n, x = mesh.cells, mesh.n_vertices, mesh.vertices
     if mesh.dim == 1:
-        mids = 0.5 * (mesh.vertices[mesh.cells[:, 0]] + mesh.vertices[mesh.cells[:, 1]])
-        n = mesh.n_vertices
-        vertices = np.vstack([mesh.vertices, mids])
-        mid_ids = n + np.arange(mesh.n_cells)
-        cells = np.vstack(
-            [
-                np.column_stack([mesh.cells[:, 0], mid_ids]),
-                np.column_stack([mid_ids, mesh.cells[:, 1]]),
-            ]
-        )
+        mids = n + np.arange(mesh.n_cells)
+        vertices = np.vstack([x, 0.5 * (x[c[:, 0]] + x[c[:, 1]])])
+        cells = np.vstack([np.column_stack([c[:, 0], mids]), np.column_stack([mids, c[:, 1]])])
         return Mesh(dim=1, vertices=vertices, cells=cells)
     if mesh.dim != 2:
         raise PreconditionError("uniform refinement implemented for dim <= 2")
 
     # One new vertex per edge, numbered in order of first occurrence over the
-    # cell-major (m01, m12, m02) edge sequence; then each triangle splits in four.
-    c = mesh.cells
-    edges = np.sort(np.stack([c[:, [0, 1]], c[:, [1, 2]], c[:, [0, 2]]], axis=1), axis=2)
-    unique, first, inverse = np.unique(
-        edges.reshape(-1, 2), axis=0, return_index=True, return_inverse=True
-    )
-    by_first = np.argsort(first)
-    rank = np.empty_like(by_first)
-    rank[by_first] = np.arange(len(by_first))
-    m01, m12, m02 = (mesh.n_vertices + rank[inverse.reshape(-1)]).reshape(-1, 3).T
-    a, b = unique[by_first].T
-    vertices = np.vstack([mesh.vertices, 0.5 * (mesh.vertices[a] + mesh.vertices[b])])
+    # cell-major (m01, m12, m02) edge sequence; then each triangle splits in
+    # four.  Edge (lo, hi) is the key lo * n + hi, and one stable sort of the
+    # keys lists each edge's occurrences together, the first one first.
+    a, b = c[:, [0, 1, 1, 2, 0, 2]].reshape(-1, 2).T
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    order = np.argsort(lo * n + hi, kind="stable")
+    keys = (lo * n + hi)[order]
+    new = np.r_[True, keys[1:] != keys[:-1]]  # where each edge starts in key order
+    first = np.zeros(len(keys), dtype=bool)
+    first[order[new]] = True
+    mid = np.empty_like(keys)  # the new vertex of each occurrence
+    mid[order] = (n - 1 + np.cumsum(first))[order[new]][np.cumsum(new) - 1]
+    m01, m12, m02 = mid.reshape(-1, 3).T
+    vertices = np.vstack([x, 0.5 * (x[lo[first]] + x[hi[first]])])
     v0, v1, v2 = c.T
-    cells = np.stack(
-        [[v0, m01, m02], [m01, v1, m12], [m02, m12, v2], [m01, m12, m02]], axis=0
-    ).transpose(2, 0, 1).reshape(-1, 3)
-    return Mesh(dim=2, vertices=vertices, cells=cells)
+    children = [v0, m01, m02, m01, v1, m12, m02, m12, v2, m01, m12, m02]
+    cells = np.column_stack(children).reshape(-1, 3)
+    # its boundary: the halves (lo, m), (hi, m) of each edge of one cell
+    once = order[new & np.r_[new[1:], True]]
+    facets = np.unique(np.column_stack([np.r_[lo[once], hi[once]], np.tile(mid[once], 2)]), axis=0)
+    fine = Mesh(dim=2, vertices=vertices, cells=cells)
+    vars(fine).update(boundary_facets=facets, boundary_vertex_ids=np.unique(facets))
+    return fine
 
 
 def validate(mesh: Mesh) -> list[str]:

@@ -1,3 +1,5 @@
+import functools
+import itertools
 import math
 import warnings
 from unittest import mock
@@ -32,6 +34,30 @@ def per_cell_forms(mesh):
         measure = 1.0 if d == 1 else simplex_measure(mesh.vertices[facet])
         B[np.ix_(facet, facet)] += measure * (np.ones((d, d)) + np.eye(d)) / (d * (d + 1))
     return K, M, B
+
+
+@functools.lru_cache(maxsize=None)
+def jittered_cube():
+    """(mesh, forms) of the unit cube cut into 27 cubes, each into the 6
+    tetrahedra of its Kuhn triangulation, every vertex moved by up to 0.15
+    of a cube's side and every cell turned positively.  The cells are well
+    shaped: a sliver's entries carry rounding of its condition number times
+    eps, whichever formula forms them."""
+    n = 3
+    g = np.arange(n + 1)
+    grid = np.stack(np.meshgrid(g, g, g, indexing="ij"), axis=-1).reshape(-1, 3)
+    corners = grid[(grid < n).all(axis=1)]
+    cells = []
+    for axes in itertools.permutations(range(3)):  # a path of edges to the far corner
+        steps = np.vstack([np.zeros(3, dtype=int), np.eye(3, dtype=int)[list(axes)]])
+        path = np.cumsum(steps, axis=0)
+        cells.append((corners[:, None] + path) @ [(n + 1) ** 2, n + 1, 1])  # the vertex ids
+    cells = np.vstack(cells)
+    points = (grid + np.random.default_rng(0).uniform(-0.15, 0.15, grid.shape)) / n
+    flip = np.linalg.det(points[cells[:, 1:]] - points[cells[:, :1]]) < 0
+    cells[flip] = cells[flip][:, [0, 2, 1, 3]]
+    mesh = Mesh(dim=3, vertices=points, cells=cells)
+    return mesh, assemble(mesh)
 
 
 def interior_graph(forms):
@@ -104,17 +130,18 @@ class TestFormProperties:
 
     @staticmethod
     def _case(case, disk, interval, fuzz_meshes):
-        builders = {"disk1": lambda: disk(1), "interval": lambda: interval(37, 2.5)}
+        builders = {"disk1": lambda: disk(1), "interval": lambda: interval(37, 2.5),
+                    "tetrahedra": jittered_cube}
         return builders[case]() if case in builders else fuzz_meshes[case]
 
-    @pytest.mark.parametrize("case", ["disk1", "interval", "jittered", "delaunay"])
+    @pytest.mark.parametrize("case", ["disk1", "interval", "jittered", "delaunay", "tetrahedra"])
     def test_canonical_and_exactly_symmetric(self, case, disk, interval, fuzz_meshes):
         _, forms = self._case(case, disk, interval, fuzz_meshes)
         for mat in (forms.K, forms.M, forms.B):
             assert mat.has_canonical_format
             assert (mat != mat.T).nnz == 0
 
-    @pytest.mark.parametrize("case", ["disk1", "interval", "jittered", "delaunay"])
+    @pytest.mark.parametrize("case", ["disk1", "interval", "jittered", "delaunay", "tetrahedra"])
     def test_stiffness_and_mass_share_one_pattern(self, case, disk, interval, fuzz_meshes):
         # K and M come from the same cells: one canonical pattern, kept by a
         # homothety and by a negated K
@@ -126,7 +153,7 @@ class TestFormProperties:
             assert np.array_equal(f.K.indptr, f.M.indptr)
             assert np.array_equal(f.K.indices, f.M.indices)
 
-    @pytest.mark.parametrize("case", ["disk1", "interval", "jittered", "delaunay"])
+    @pytest.mark.parametrize("case", ["disk1", "interval", "jittered", "delaunay", "tetrahedra"])
     def test_matches_per_cell_reference(self, case, disk, interval, fuzz_meshes):
         # the reference sums in another order, so agreement is to rounding
         mesh, forms = self._case(case, disk, interval, fuzz_meshes)
@@ -153,6 +180,25 @@ class TestFactorInput:
         inner = forms.interior_dofs
         rcm = reverse_cuthill_mckee(total[inner][:, inner].tocsr(), symmetric_mode=True)
         assert np.array_equal(fi.interior_order, inner[rcm])
+
+    @pytest.mark.parametrize("case", [f"disk{level}" for level in range(7)]
+                             + ["interval1000", "jittered", "delaunay"])
+    def test_route_is_the_full_flop_comparison(self, case, disk, interval, fuzz_meshes):
+        # the band's floor n_i n_b^2 decides only where the fronts win anyway
+        forms = self._forms(case, disk, interval, fuzz_meshes)
+        fi = FactorInput(forms.K, forms.M, forms.B, forms.boundary_dofs, forms.vertices)
+        n_i, n_b, bw = len(forms.interior_dofs), len(forms.boundary_dofs), fi._order[1]
+        sizes = [(f.pivots.stop - f.pivots.start, len(f.update)) for f in fi.fronts]
+        fronts = sum(p**3 + 3 * p * u * (p + u) for p, u in sizes)
+        assert fi.banded == (3 * n_i * (bw + n_b) ** 2 <= fronts)
+
+    @pytest.mark.parametrize("level", [4, 5, 6])
+    def test_slices_through_the_fronts_build_no_order(self, level, disk):
+        forms = disk(level)[1]
+        fresh = fem.AssembledForms(forms.K, forms.M, forms.B, forms.boundary_dofs, forms.vertices)
+        steklov_spectrum(fresh, 3)
+        assert not fresh.factor_input.banded
+        assert "_order" not in vars(fresh.factor_input)
 
     @pytest.mark.parametrize("case", ["disk3", "interval50", "jittered", "delaunay"])
     def test_dense_blocks_hold_the_assembled_pencil(self, case, disk, interval, fuzz_meshes):

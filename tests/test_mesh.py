@@ -1,3 +1,4 @@
+import functools
 import math
 from itertools import combinations
 
@@ -59,8 +60,60 @@ def _row_sorted_boundary(cells, dim):
     return unique[counts == 1]
 
 
+def _unique_rows_refinement(mesh):
+    """Uniform midpoint refinement that numbers the edges by a row-wise
+    unique over the sorted edges and holds no boundary of its own: the
+    reference for the keyed refinement."""
+    c, n = mesh.cells, mesh.n_vertices
+    if mesh.dim == 1:
+        mids = 0.5 * (mesh.vertices[c[:, 0]] + mesh.vertices[c[:, 1]])
+        mid_ids = n + np.arange(mesh.n_cells)
+        cells = np.vstack([np.column_stack([c[:, 0], mid_ids]),
+                           np.column_stack([mid_ids, c[:, 1]])])
+        return Mesh(dim=1, vertices=np.vstack([mesh.vertices, mids]), cells=cells)
+    edges = np.sort(np.stack([c[:, [0, 1]], c[:, [1, 2]], c[:, [0, 2]]], axis=1), axis=2)
+    unique, first, inverse = np.unique(
+        edges.reshape(-1, 2), axis=0, return_index=True, return_inverse=True
+    )
+    by_first = np.argsort(first)
+    rank = np.empty_like(by_first)
+    rank[by_first] = np.arange(len(by_first))
+    m01, m12, m02 = (n + rank[inverse.reshape(-1)]).reshape(-1, 3).T
+    a, b = unique[by_first].T
+    vertices = np.vstack([mesh.vertices, 0.5 * (mesh.vertices[a] + mesh.vertices[b])])
+    v0, v1, v2 = c.T
+    cells = np.stack(
+        [[v0, m01, m02], [m01, v1, m12], [m02, m12, v2], [m01, m12, m02]], axis=0
+    ).transpose(2, 0, 1).reshape(-1, 3)
+    return Mesh(dim=2, vertices=vertices, cells=cells)
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_disk(level):
+    """The disk of that level by the reference refinement, each level's
+    boundary vertices, from the row-sorted extraction, moved to the circle."""
+    if level == 0:
+        return generate_disk(0)
+    fine = _unique_rows_refinement(_reference_disk(level - 1))
+    ids = np.unique(_row_sorted_boundary(fine.cells, 2))
+    vertices = fine.vertices.copy()
+    vertices[ids] = vertices[ids] / np.linalg.norm(vertices[ids], axis=1)[:, None]
+    return Mesh(dim=2, vertices=vertices, cells=fine.cells)
+
+
+def assert_same_mesh(mesh, reference):
+    """Vertices, cells and boundary bit for bit, the reference's boundary
+    from the row-sorted extraction."""
+    facets = _row_sorted_boundary(reference.cells, reference.dim)
+    for got, want in ((mesh.vertices, reference.vertices), (mesh.cells, reference.cells),
+                      (mesh.boundary_facets, facets),
+                      (mesh.boundary_vertex_ids, np.unique(facets))):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 class TestBoundaryFacets:
-    @pytest.mark.parametrize("level", range(7))
+    @pytest.mark.parametrize("level", range(8))
     def test_disk_boundary_equals_row_sorted_reference(self, level):
         # projection passes the refined mesh's boundary through; both must be
         # the row-sorted extraction of the final cells, bit for bit
@@ -155,6 +208,16 @@ class TestRefineUniform:
         assert refined.interior_measure() == pytest.approx(
             target.interior_measure(), abs=1e-12
         )
+
+    @pytest.mark.parametrize("level", range(8))
+    def test_disk_is_the_unique_rows_refinement(self, level):
+        # the keyed numbering and the boundary handed to each child
+        assert_same_mesh(generate_disk(level), _reference_disk(level))
+
+    @pytest.mark.parametrize("name", ["jittered", "delaunay", "interval"])
+    def test_refinement_is_the_unique_rows_refinement(self, fuzz_meshes, name):
+        mesh = generate_interval(7, 1.5) if name == "interval" else fuzz_meshes[name][0]
+        assert_same_mesh(refine_uniform(mesh), _unique_rows_refinement(mesh))
 
     def test_refinement_preserves_interior_measure(self):
         mesh = generate_disk(2)
