@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ConfigError, EpsilonExhaustedError, NoDegeneracyError, PreconditionError
 from .product import ProductModel, check_edge, morse_index, nullity
-from .serialize import read_csv, typed, write_csv
+from .serialize import typed, write_csv
 
 MERGE_RTOL = 1e-6
 EPSILON_CAP = 0.05
@@ -206,24 +206,3 @@ def records_to_csv(records, path) -> None:
             for r in records for i, j, mu in r.crossings]
     write_csv(path, CSV_HEADER, rows)
 
-
-def records_from_csv(path) -> list[DegeneracyRecord]:
-    records = []
-    for row in read_csv(path, CSV_HEADER):
-        t_star = float(row[0])
-        crossing = (int(row[1]), int(row[2]), int(row[3]))
-        fields = {
-            "nullity": int(row[4]),
-            "n_minus": int(row[5]) if row[5] else None,
-            "n_plus": int(row[6]) if row[6] else None,
-            "certified": row[7] == "true",
-        }
-        if records and records[-1].t_star == t_star:
-            records[-1] = replace(
-                records[-1], crossings=records[-1].crossings + (crossing,)
-            )
-        else:
-            records.append(
-                DegeneracyRecord(t_star=t_star, crossings=(crossing,), **fields)
-            )
-    return records

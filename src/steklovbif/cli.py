@@ -100,14 +100,14 @@ def _mesh_from_spec(spec: str):
                       "or builtin:interval:<n>:<L>")
 
 
-def _load_model(cfg: RunConfig, *, needs_disk: bool = False):
-    """The model of --model, its description read once; with needs_disk the
+def _load_model(cfg: RunConfig):
+    """The model of --model, its description read once; with --oracle the
     boundary must be the builtin unit disk, checked before any computation."""
     if cfg.model_path is None:
         raise ConfigError(f"command {cfg.command!r} needs --model")
     doc = read_json_object(cfg.model_path, "model description")
     boundary = doc.get("boundary")
-    if needs_disk and not (isinstance(boundary, dict) and boundary.get("builtin") == "disk"):
+    if cfg.oracle_check and not (isinstance(boundary, dict) and boundary.get("builtin") == "disk"):
         raise ConfigError("--oracle requires a builtin disk boundary factor")
     return product.load_model(cfg.model_path, doc=doc)
 
@@ -159,7 +159,7 @@ def cmd_eigencurve(cfg: RunConfig) -> list[str]:
 
 
 def cmd_instants(cfg: RunConfig) -> list[str]:
-    model = _load_model(cfg, needs_disk=cfg.oracle_check)
+    model = _load_model(cfg)
     records = bif.enumerate_instants(model, cfg.t_min, cfg.t_max)
     emitted = _write_records(records, cfg.out_json or "instants.json",
                              cfg.out_csv or "instants.csv")
@@ -182,7 +182,7 @@ def cmd_certify(cfg: RunConfig) -> list[str]:
 
 
 def cmd_report(cfg: RunConfig) -> list[str]:
-    model = _load_model(cfg, needs_disk=cfg.oracle_check)
+    model = _load_model(cfg)
     out_dir = Path(cfg.out or "report")
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -247,11 +247,11 @@ def _fail(exc: SteklovBifError) -> int:
     return exc.exit_code
 
 
-def run(command: str, config: RunConfig) -> int:
-    """Execute one command; returns the process exit status."""
+def run(config: RunConfig) -> int:
+    """Execute config's command; returns the process exit status."""
     try:
         config.validate()
-        emitted = COMMANDS[command][1](config)
+        emitted = COMMANDS[config.command][1](config)
     except SteklovBifError as exc:
         return _fail(exc)
     for path in emitted:
@@ -304,7 +304,7 @@ def main(argv=None) -> int:
         cfg = config_from_args(args)
     except SteklovBifError as exc:
         return _fail(exc)
-    return run(args.command, cfg)
+    return run(cfg)
 
 
 if __name__ == "__main__":

@@ -34,25 +34,30 @@ class Mesh:
 
     Attributes
     ----------
-    dim : int
-        Intrinsic dimension; vertices live in R^dim (flat metric).
     vertices : (n, dim) float array
     cells : (m, dim+1) int array, positively oriented simplices
+    dim : int, cells.shape[1] - 1
+        Intrinsic dimension; vertices live in R^dim (flat metric).
     boundary_facets : (b, dim) int array, facets incident to one cell
     boundary_vertex_ids : sorted int array of vertices on the boundary
     """
 
-    dim: int
     vertices: np.ndarray
     cells: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "vertices", np.asarray(self.vertices, dtype=float))
         object.__setattr__(self, "cells", np.asarray(self.cells, dtype=np.int64))
+        if self.cells.ndim != 2:
+            raise InvalidMeshError([f"cells must be a 2-D array, got shape {self.cells.shape}"])
+
+    @property
+    def dim(self) -> int:
+        return self.cells.shape[1] - 1
 
     @cached_property
     def boundary_facets(self) -> np.ndarray:
-        return extract_boundary_facets(self.cells, self.dim)
+        return extract_boundary_facets(self.cells)
 
     @cached_property
     def boundary_vertex_ids(self) -> np.ndarray:
@@ -67,8 +72,9 @@ class Mesh:
         return self.cells.shape[0]
 
     def cell_volumes(self) -> np.ndarray:
-        """Signed volumes of all cells (positive for valid meshes)."""
-        return signed_volumes(self.vertices, self.cells)
+        """Signed volumes det([x_1-x_0, ..., x_d-x_0]) / d! of all cells
+        (positive for valid meshes)."""
+        return jacobians(self.vertices, self.cells)[0] / math.factorial(self.dim)
 
     def facet_measures(self) -> np.ndarray:
         """Measures of the boundary facets; counting measure 1 in dimension 0."""
@@ -103,11 +109,6 @@ def jacobians(vertices: np.ndarray, cells: np.ndarray) -> tuple[np.ndarray, np.n
     return np.einsum("js,js->s", e[:, 0], adj[0]), adj
 
 
-def signed_volumes(vertices: np.ndarray, cells: np.ndarray) -> np.ndarray:
-    """Signed simplex volumes det([x_1-x_0, ..., x_d-x_0]) / d!."""
-    return jacobians(vertices, cells)[0] / math.factorial(cells.shape[1] - 1)
-
-
 def simplex_measure(points: np.ndarray) -> float:
     """Unsigned measure of a simplex from its vertex coordinates (Gram determinant)."""
     e = points[1:] - points[0]
@@ -118,13 +119,15 @@ def simplex_measure(points: np.ndarray) -> float:
     return math.sqrt(max(np.linalg.det(gram), 0.0)) / math.factorial(k)
 
 
-def extract_boundary_facets(cells: np.ndarray, dim: int) -> np.ndarray:
-    """Facets (dim-subsimplices) incident to exactly one cell, canonically sorted.
+def extract_boundary_facets(cells: np.ndarray) -> np.ndarray:
+    """Facets (dim-subsimplices, dim = cells.shape[1] - 1) incident to exactly
+    one cell, canonically sorted.
 
     Each sorted facet is one int64 key, its vertex ids as digits in a base
     above every id, so key order is lexicographic row order, and the rows
     are decoded from the keys that occur once.
     """
+    dim = cells.shape[1] - 1
     facets = np.sort(
         np.concatenate([np.delete(cells, drop, axis=1) for drop in range(dim + 1)]), axis=1
     ).reshape(-1, dim)
@@ -154,7 +157,7 @@ def generate_interval(n: int, L: float) -> Mesh:
         raise PreconditionError(f"interval mesh needs a finite L > 0, got {L}")
     vertices = np.linspace(0.0, L, n + 1).reshape(-1, 1)
     cells = np.column_stack([np.arange(n), np.arange(1, n + 1)])
-    return Mesh(dim=1, vertices=vertices, cells=cells)
+    return Mesh(vertices, cells)
 
 
 def generate_disk(refinement_level: int) -> Mesh:
@@ -171,7 +174,7 @@ def generate_disk(refinement_level: int) -> Mesh:
         [np.zeros((1, 2)), np.column_stack([np.cos(angles), np.sin(angles)])]
     )
     cells = np.array([[0, k + 1, (k + 1) % 8 + 1] for k in range(8)])
-    mesh = Mesh(dim=2, vertices=vertices, cells=cells)
+    mesh = Mesh(vertices, cells)
     for _ in range(refinement_level):
         mesh = project_boundary_to_unit_circle(refine_uniform(mesh))
     return mesh
@@ -184,7 +187,7 @@ def project_boundary_to_unit_circle(mesh: Mesh) -> Mesh:
     ids = mesh.boundary_vertex_ids
     norms = np.linalg.norm(vertices[ids], axis=1)
     vertices[ids] = vertices[ids] / norms[:, None]
-    projected = Mesh(dim=mesh.dim, vertices=vertices, cells=mesh.cells)
+    projected = Mesh(vertices, mesh.cells)
     # the same cells: their boundary, already derived, is not derived again
     vars(projected).update(boundary_facets=mesh.boundary_facets, boundary_vertex_ids=ids)
     return projected
@@ -197,7 +200,7 @@ def refine_uniform(mesh: Mesh) -> Mesh:
         mids = n + np.arange(mesh.n_cells)
         vertices = np.vstack([x, 0.5 * (x[c[:, 0]] + x[c[:, 1]])])
         cells = np.vstack([np.column_stack([c[:, 0], mids]), np.column_stack([mids, c[:, 1]])])
-        return Mesh(dim=1, vertices=vertices, cells=cells)
+        return Mesh(vertices, cells)
     if mesh.dim != 2:
         raise PreconditionError("uniform refinement implemented for dim <= 2")
 
@@ -222,7 +225,7 @@ def refine_uniform(mesh: Mesh) -> Mesh:
     # its boundary: the halves (lo, m), (hi, m) of each edge of one cell
     once = order[new & np.r_[new[1:], True]]
     facets = np.unique(np.column_stack([np.r_[lo[once], hi[once]], np.tile(mid[once], 2)]), axis=0)
-    fine = Mesh(dim=2, vertices=vertices, cells=cells)
+    fine = Mesh(vertices, cells)
     vars(fine).update(boundary_facets=facets, boundary_vertex_ids=np.unique(facets))
     return fine
 
@@ -233,9 +236,6 @@ def validate(mesh: Mesh) -> list[str]:
     n = mesh.n_vertices
     if mesh.vertices.ndim != 2 or mesh.vertices.shape[1] != mesh.dim:
         report.append(f"vertex coordinates must have length dim={mesh.dim}")
-        return report
-    if mesh.cells.ndim != 2 or mesh.cells.shape[1] != mesh.dim + 1:
-        report.append(f"cells must be ({mesh.dim + 1})-tuples")
         return report
     if mesh.n_cells and (mesh.cells.min() < 0 or mesh.cells.max() >= n):
         report.append("cell vertex index out of range")
@@ -304,7 +304,7 @@ def load_mesh(path) -> Mesh:
         if cells.ndim != 2 or cells.shape[1] != dim + 1:
             raise ValueError(f"cells must be lists of {dim + 1} integer vertex ids, "
                              f"got {doc['cells']!r:.80}")
-        mesh = Mesh(dim=dim, vertices=vertices, cells=cells)
+        mesh = Mesh(vertices, cells)
     except KeyError as exc:
         raise InvalidMeshError([f"mesh document missing key {exc}"]) from exc
     except (TypeError, ValueError) as exc:

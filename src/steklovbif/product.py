@@ -80,21 +80,19 @@ class ProductModel:
     factor: ClosedFactorSpectrum
     boundary_mesh: Mesh
     boundary_forms: AssembledForms
-    m1: int
-    m2: int
     H2: float
 
     def __post_init__(self):
-        if self.m1 != self.factor.dim:
-            raise PreconditionError(
-                f"m1={self.m1} does not match factor dimension {self.factor.dim}"
-            )
-        if self.m2 != self.boundary_mesh.dim:
-            raise PreconditionError(
-                f"m2={self.m2} does not match boundary mesh dimension {self.boundary_mesh.dim}"
-            )
         if self.m < 3:
             raise PreconditionError(f"product dimension m = m1+m2 = {self.m} must be >= 3")
+
+    @property
+    def m1(self) -> int:
+        return self.factor.dim
+
+    @property
+    def m2(self) -> int:
+        return self.boundary_mesh.dim
 
     @property
     def m(self) -> int:
@@ -120,11 +118,6 @@ class ProductModel:
         """
         hhat = self.Hhat
         return spectral.level_crossings(self.boundary_forms, hhat) if hhat > 0 else np.empty((0, 3))
-
-    @property
-    def critical_coefficients(self) -> tuple:
-        """The c_j* of ``critical_windows``, descending in j."""
-        return tuple(self.critical_windows[:, 0].tolist())
 
     @cached_property
     def instants(self) -> InstantTable:
@@ -205,19 +198,16 @@ def anchor_index(model: ProductModel, t: float, index: int) -> None:
                              f"{rows[1:last + 1]} and {index}")
 
 
-def boundary_weights(forms: AssembledForms) -> np.ndarray:
-    """Lumped boundary measure: row sums of B at the boundary dofs."""
-    return np.asarray(forms.B.sum(axis=1)).ravel()[forms.boundary_dofs]
-
-
 def _boundary_power_integral(forms: AssembledForms, phi: np.ndarray, m: int) -> tuple:
-    """(p, lumped boundary integral of phi^p) with p = 2(m-1)/(m-2); phi must
-    be positive on the boundary."""
+    """(p, lumped boundary integral of phi^p) with p = 2(m-1)/(m-2): the
+    boundary measure is lumped to the row sums of B; phi must be positive on
+    the boundary."""
     p = 2.0 * (m - 1) / (m - 2)
     phi_b = phi[forms.boundary_dofs]
     if np.any(phi_b <= 0):
         raise PreconditionError("conformal factor must be positive on the boundary")
-    return p, float(boundary_weights(forms) @ phi_b**p)
+    weights = np.asarray(forms.B.sum(axis=1)).ravel()[forms.boundary_dofs]
+    return p, float(weights @ phi_b**p)
 
 
 def normalize_boundary_power(forms: AssembledForms, phi: np.ndarray, m: int) -> np.ndarray:
@@ -284,7 +274,9 @@ def yamabe_residual(
 # model description files
 
 def model_from_dict(doc: dict, base_dir=None) -> ProductModel:
-    """Build a model from its JSON description (factor + boundary + dimensions)."""
+    """Build a model from its JSON description (factor + boundary +
+    dimensions); the stated m1 and m2 must be the factor's and the boundary
+    mesh's dimensions."""
     base = Path(base_dir) if base_dir is not None else Path(".")
     try:
         m1, m2 = typed(doc["m1"], int, "m1"), typed(doc["m2"], int, "m2")
@@ -311,15 +303,11 @@ def model_from_dict(doc: dict, base_dir=None) -> ProductModel:
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"model description's factor has a mistyped value: {exc}") from exc
     mesh = mesh_from_dict(boundary_doc, base)
-
-    return ProductModel(
-        factor=factor,
-        boundary_mesh=mesh,
-        boundary_forms=assemble(mesh),
-        m1=m1,
-        m2=m2,
-        H2=H2,
-    )
+    if m1 != factor.dim:
+        raise PreconditionError(f"m1={m1} does not match factor dimension {factor.dim}")
+    if m2 != mesh.dim:
+        raise PreconditionError(f"m2={m2} does not match boundary mesh dimension {mesh.dim}")
+    return ProductModel(factor=factor, boundary_mesh=mesh, boundary_forms=assemble(mesh), H2=H2)
 
 
 def load_model(path, doc: dict | None = None) -> ProductModel:

@@ -1,8 +1,9 @@
 """CSV and float formatting shared by the export paths, and the one reader
 of JSON input files with the one type rule for their values.
 
-All emitted numbers use 17 significant digits so identical runs produce
-byte-identical files.
+CSV numbers use 17 significant digits (``format_float``); JSON files are
+written by ``json.dump``, whose floats are the shortest repr that reads back
+to the same value.  Either way identical runs produce byte-identical files.
 """
 
 from __future__ import annotations

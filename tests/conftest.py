@@ -37,7 +37,7 @@ def _disk_torus_model(level, cutoff):
     mesh, forms = _disk(level)
     return ProductModel(
         factor=_torus(cutoff), boundary_mesh=mesh, boundary_forms=forms,
-        m1=2, m2=2, H2=1.0,
+        H2=1.0,
     )
 
 
@@ -46,7 +46,7 @@ def _torus_interval_model(n):
     mesh, forms = _interval(n, 1.0)
     return ProductModel(
         factor=_torus(20.0), boundary_mesh=mesh, boundary_forms=forms,
-        m1=2, m2=1, H2=0.0,
+        H2=0.0,
     )
 
 
@@ -89,7 +89,7 @@ def delaunay_mesh(points: np.ndarray) -> Mesh:
     e1, e2 = points[cells[:, 1]] - points[cells[:, 0]], points[cells[:, 2]] - points[cells[:, 0]]
     flip = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0] < 0
     cells[flip] = cells[flip][:, [0, 2, 1]]
-    return Mesh(dim=2, vertices=points, cells=cells)
+    return Mesh(vertices=points, cells=cells)
 
 
 @st.composite
@@ -117,7 +117,7 @@ def _fuzz_meshes():
     n = base.n_vertices
     theta = np.arctan2(y, x) + rng.uniform(-0.05, 0.05, n)
     r = np.hypot(x, y) * (1 + rng.uniform(-0.04, 0.04, n))
-    jittered = Mesh(dim=2, vertices=np.column_stack([r * np.cos(theta), r * np.sin(theta)]),
+    jittered = Mesh(vertices=np.column_stack([r * np.cos(theta), r * np.sin(theta)]),
                     cells=base.cells)
 
     rng = np.random.default_rng(11)
@@ -139,8 +139,7 @@ def fuzz_meshes():
 @functools.lru_cache(maxsize=None)
 def _fuzz_torus_model(name, H2):
     mesh, forms = _fuzz_meshes()[name]
-    return ProductModel(factor=_torus(20.0), boundary_mesh=mesh, boundary_forms=forms,
-                        m1=2, m2=2, H2=H2)
+    return ProductModel(factor=_torus(20.0), boundary_mesh=mesh, boundary_forms=forms, H2=H2)
 
 
 @pytest.fixture(scope="session")

@@ -2,7 +2,6 @@ import json
 import math
 import re
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from steklovbif import assemble, cli, fem, robin_steklov_spectrum, spectral, steklov_spectrum
-from steklovbif.bifurcation import records_from_csv, records_from_json
+from steklovbif.bifurcation import CSV_HEADER, records_from_json
 from steklovbif.errors import EigensolverError, PreconditionError
 from steklovbif.product import load_model
 from steklovbif.serialize import format_float, read_csv
@@ -109,7 +108,7 @@ class TestSteklovCommand:
 
         disk, c, s = generate_disk(level), np.cos(angle), np.sin(angle)
         moved = disk.vertices[::-1] @ np.array([[c, s], [-s, c]]) + shift
-        save_mesh(Mesh(dim=2, vertices=moved, cells=disk.n_vertices - 1 - disk.cells),
+        save_mesh(Mesh(vertices=moved, cells=disk.n_vertices - 1 - disk.cells),
                   tmp_path / "mesh.json")
         outs = [tmp_path / name for name in ("1.csv", "2.csv", "builtin.csv")]
         for mesh, out in zip([str(tmp_path / "mesh.json")] * 2 + [f"builtin:disk:{level}"], outs):
@@ -287,8 +286,9 @@ class TestInstantsCommand:
         assert len(records) == 2  # torus eigenvalues 1 and 2 cross in [0.3, 2]
         t = [r.t_star for r in records]
         assert all(b < a for a, b in zip(t, t[1:]))
-        csv_records = records_from_csv(out_csv)
-        assert [r.t_star for r in csv_records] == t
+        # one row per crossing
+        assert ([float(row[0]) for row in read_csv(out_csv, CSV_HEADER)]
+                == [r.t_star for r in records for _ in r.crossings])
 
     def test_deterministic_output(self, disk_model_path, tmp_path):
         outs = []
@@ -896,6 +896,23 @@ class TestConfigHandling:
         assert json.loads(capsys.readouterr().err)["error"] == "bad_config"
         assert not out_json.exists()
 
+    @pytest.mark.parametrize(
+        "change,detail",
+        [({"m1": 3}, "m1=3 does not match factor dimension 2"),
+         ({"m2": 3}, "m2=3 does not match boundary mesh dimension 2"),
+         ({"m2": 1}, "m2=1 does not match boundary mesh dimension 2")],
+        ids=["m1-3", "m2-3", "m2-1"],
+    )
+    def test_dimension_mismatch_refused(self, tmp_path, capsys, change, detail):
+        # a model file's m1 and m2 must be its factor's and its mesh's dimensions
+        doc = dict(DISK_TORUS_DOC, boundary={"builtin": "disk", "level": 1}, **change)
+        out = tmp_path / "report"
+        assert cli.main(["report", "--model", str(write_model(tmp_path, doc)),
+                         "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == json.dumps({"error": "precondition", "detail": detail}) + "\n"
+        assert captured.out == "" and not out.exists()
+
     _TORUS = DISK_TORUS_DOC["factor"]["flat_torus"]
     _TRIANGLE = {"dim": 2, "vertices": [[0, 0], [1, 0], [0, 1]]}
 
@@ -924,12 +941,14 @@ class TestConfigHandling:
             (None, json.dumps({"dim": 2, "vertices": [[0, 0], [True, 0], [0, 1]],
                                "cells": [[0, 1, 2]]}), "invalid_mesh"),
             (None, json.dumps(dict(_TRIANGLE, cells=[[0, True, 2]])), "invalid_mesh"),
+            (None, json.dumps({"dim": 2, "vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0]],
+                               "cells": [[0, 1, 2]]}), "invalid_mesh"),
         ],
         ids=["torus-without-cutoff", "string-factor-dim", "one-number-entry",
              "fractional-multiplicity", "string-disk-level", "missing-factor-path",
              "missing-boundary-path", "malformed-mesh-json", "string-cell", "fractional-cell",
              "two-vertex-cell", "string-mesh-dim", "string-basis-entry", "string-vertex",
-             "boolean-vertex", "boolean-cell"],
+             "boolean-vertex", "boolean-cell", "three-wide-vertex"],
     )
     def test_bad_input_file_fails_structured(self, tmp_path, capsys, model, mesh, reason):
         # a model through instants --model, a mesh through steklov --mesh

@@ -56,7 +56,7 @@ def jittered_cube():
     points = (grid + np.random.default_rng(0).uniform(-0.15, 0.15, grid.shape)) / n
     flip = np.linalg.det(points[cells[:, 1:]] - points[cells[:, :1]]) < 0
     cells[flip] = cells[flip][:, [0, 2, 1, 3]]
-    mesh = Mesh(dim=3, vertices=points, cells=cells)
+    mesh = Mesh(vertices=points, cells=cells)
     return mesh, assemble(mesh)
 
 
@@ -70,7 +70,7 @@ def interior_graph(forms):
 
 class TestElementMatrices:
     def test_unit_right_triangle_stiffness(self):
-        mesh = Mesh(dim=2, vertices=[[0, 0], [1, 0], [0, 1]], cells=[[0, 1, 2]])
+        mesh = Mesh(vertices=[[0, 0], [1, 0], [0, 1]], cells=[[0, 1, 2]])
         K = assemble(mesh).K.toarray()
         expected = 0.5 * np.array([[2, -1, -1], [-1, 1, 0], [-1, 0, 1]])
         assert np.allclose(K, expected, atol=1e-14)
@@ -94,13 +94,12 @@ class TestElementMatrices:
 
     def test_degenerate_cell_aborts_naming_cell(self):
         mesh = Mesh(
-            dim=2,
             vertices=[[0, 0], [1, 0], [0, 1], [1, 1]],
             cells=np.array([[0, 1, 2], [1, 3, 2]]),
         )
         squashed = mesh.vertices.copy()
         squashed[3] = squashed[1]  # second triangle collapses
-        bad = Mesh(dim=2, vertices=squashed, cells=mesh.cells)
+        bad = Mesh(vertices=squashed, cells=mesh.cells)
         with pytest.raises(AssemblyError, match="cell 1"):
             assemble(bad)
 

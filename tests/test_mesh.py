@@ -70,7 +70,7 @@ def _unique_rows_refinement(mesh):
         mid_ids = n + np.arange(mesh.n_cells)
         cells = np.vstack([np.column_stack([c[:, 0], mid_ids]),
                            np.column_stack([mid_ids, c[:, 1]])])
-        return Mesh(dim=1, vertices=np.vstack([mesh.vertices, mids]), cells=cells)
+        return Mesh(vertices=np.vstack([mesh.vertices, mids]), cells=cells)
     edges = np.sort(np.stack([c[:, [0, 1]], c[:, [1, 2]], c[:, [0, 2]]], axis=1), axis=2)
     unique, first, inverse = np.unique(
         edges.reshape(-1, 2), axis=0, return_index=True, return_inverse=True
@@ -85,7 +85,7 @@ def _unique_rows_refinement(mesh):
     cells = np.stack(
         [[v0, m01, m02], [m01, v1, m12], [m02, m12, v2], [m01, m12, m02]], axis=0
     ).transpose(2, 0, 1).reshape(-1, 3)
-    return Mesh(dim=2, vertices=vertices, cells=cells)
+    return Mesh(vertices=vertices, cells=cells)
 
 
 @functools.lru_cache(maxsize=None)
@@ -98,7 +98,7 @@ def _reference_disk(level):
     ids = np.unique(_row_sorted_boundary(fine.cells, 2))
     vertices = fine.vertices.copy()
     vertices[ids] = vertices[ids] / np.linalg.norm(vertices[ids], axis=1)[:, None]
-    return Mesh(dim=2, vertices=vertices, cells=fine.cells)
+    return Mesh(vertices=vertices, cells=fine.cells)
 
 
 def assert_same_mesh(mesh, reference):
@@ -129,15 +129,15 @@ class TestBoundaryFacets:
         cells = rng.permutation(Delaunay(points).simplices, axis=1)
         tets = np.array([[0, 1, 2, 3], [1, 2, 3, 4]])
         for c, dim in ((cells, 2), (tets, 3), (np.array([[0, 1], [1, 2]]), 1)):
-            got = extract_boundary_facets(c, dim)
+            got = extract_boundary_facets(c)
             assert np.array_equal(got, _row_sorted_boundary(c, dim))
 
     def test_mesh_derives_its_boundary_from_its_cells(self):
         # a mesh holds no boundary of its own; its facet measures are the
         # Gram-determinant measures of each facet
         tets = np.array([[0, 1, 2, 3], [1, 2, 3, 4]])
-        mesh = Mesh(dim=3, vertices=np.random.default_rng(3).uniform(size=(5, 3)), cells=tets)
-        facets = extract_boundary_facets(tets, 3)
+        mesh = Mesh(vertices=np.random.default_rng(3).uniform(size=(5, 3)), cells=tets)
+        facets = extract_boundary_facets(tets)
         assert np.array_equal(mesh.boundary_facets, facets)
         assert np.array_equal(mesh.boundary_vertex_ids, np.unique(facets))
         measures = [simplex_measure(mesh.vertices[f]) for f in facets]
@@ -145,7 +145,7 @@ class TestBoundaryFacets:
 
     def test_key_overflow_rejected(self):
         with pytest.raises(PreconditionError, match="overflow"):
-            extract_boundary_facets(np.array([[0, 1, 2, 3_000_000]]), 3)
+            extract_boundary_facets(np.array([[0, 1, 2, 3_000_000]]))
 
 
 class TestGenerateInterval:
@@ -179,7 +179,7 @@ class TestGenerateInterval:
 
 class TestRefineUniform:
     def test_triangle_splits_in_four(self):
-        mesh = Mesh(dim=2, vertices=[[0, 0], [1, 0], [0, 1]], cells=[[0, 1, 2]])
+        mesh = Mesh(vertices=[[0, 0], [1, 0], [0, 1]], cells=[[0, 1, 2]])
         fine = refine_uniform(mesh)
         assert fine.n_cells == 4
         assert validate(fine) == []
@@ -187,7 +187,7 @@ class TestRefineUniform:
 
     def test_midpoints_numbered_by_first_occurrence(self):
         # new vertices follow the cell-major (m01, m12, m02) edge order
-        mesh = Mesh(dim=2, vertices=[[0, 0], [2, 0], [0, 2]], cells=[[0, 1, 2]])
+        mesh = Mesh(vertices=[[0, 0], [2, 0], [0, 2]], cells=[[0, 1, 2]])
         fine = refine_uniform(mesh)
         assert fine.vertices[3:].tolist() == [[1, 0], [1, 1], [0, 1]]
         assert fine.cells.tolist() == [[0, 3, 5], [3, 1, 4], [5, 4, 2], [3, 4, 5]]
@@ -235,21 +235,29 @@ class TestValidate:
     def test_valid_disk_empty_report(self):
         assert validate(generate_disk(1)) == []
 
+    def test_dimension_is_read_off_the_cells(self):
+        # a mesh states no dim: a cell of d + 1 vertices makes it d-dimensional,
+        # and cells that are not a 2-D array make no mesh
+        assert Mesh(vertices=[[0.0], [1.0]], cells=[[0, 1]]).dim == 1
+        assert generate_disk(0).dim == 2
+        for cells in ([0, 1], [[[0, 1]]]):
+            with pytest.raises(InvalidMeshError, match="2-D"):
+                Mesh(vertices=[[0.0], [1.0]], cells=cells)
+
     def test_repeated_vertex_reported(self):
-        mesh = Mesh(dim=2, vertices=[[0, 0], [1, 0], [0, 1]], cells=[[0, 1, 1]])
+        mesh = Mesh(vertices=[[0, 0], [1, 0], [0, 1]], cells=[[0, 1, 1]])
         report = validate(mesh)
         assert any("degenerate cell" in line for line in report)
-        mesh = Mesh(dim=2, vertices=[[0, 0], [1, 0], [0, 1]], cells=[[0, 1, 2], [2, 0, 2]])
+        mesh = Mesh(vertices=[[0, 0], [1, 0], [0, 1]], cells=[[0, 1, 2], [2, 0, 2]])
         assert "degenerate cell 1: repeated vertex index" in validate(mesh)
 
     def test_negative_orientation_reported(self):
-        mesh = Mesh(dim=2, vertices=[[0, 0], [1, 0], [0, 1]], cells=[[0, 2, 1]])
+        mesh = Mesh(vertices=[[0, 0], [1, 0], [0, 1]], cells=[[0, 2, 1]])
         report = validate(mesh)
         assert any("non-positive volume" in line for line in report)
 
     def test_disconnected_reported(self):
         mesh = Mesh(
-            dim=1,
             vertices=[[0.0], [1.0], [2.0], [3.0]],
             cells=[[0, 1], [2, 3]],
         )
@@ -279,7 +287,7 @@ class TestFuzzTopology:
         assert fine.interior_measure() == pytest.approx(mesh.interior_measure(), rel=1e-14)
 
     def test_unused_vertex_does_not_disconnect(self):
-        mesh = Mesh(dim=2, vertices=[[0, 0], [1, 0], [0, 1], [5, 5]], cells=[[0, 1, 2]])
+        mesh = Mesh(vertices=[[0, 0], [1, 0], [0, 1], [5, 5]], cells=[[0, 1, 2]])
         assert validate(mesh) == []
 
 

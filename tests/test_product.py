@@ -18,6 +18,7 @@ from steklovbif import (
     mean_curvature_gt,
     morse_index,
     nullity,
+    product,
     scale_metric_forms,
     steklov_spectrum,
     yamabe_residual,
@@ -76,21 +77,14 @@ def unit_boundary_disk_forms(level=3):
 class TestProductModel:
     def test_hhat_formula(self, disk_torus_model):
         model = disk_torus_model(2, 20.0)
-        assert model.m == 4
+        assert (model.m1, model.m2, model.m) == (2, 2, 4)
         assert model.Hhat == pytest.approx(1.0 / 3.0, abs=1e-15)
-
-    def test_dimension_consistency_enforced(self, disk, square_torus):
-        mesh, forms = disk(0)
-        with pytest.raises(PreconditionError, match="m1"):
-            ProductModel(square_torus(5.0), mesh, forms, m1=3, m2=2, H2=1.0)
-        with pytest.raises(PreconditionError, match="m2"):
-            ProductModel(square_torus(5.0), mesh, forms, m1=2, m2=1, H2=1.0)
 
     def test_minimum_dimension_enforced(self, interval):
         mesh, forms = interval(4, 1.0)
         one_dim = from_list([(0.0, 1), (1.0, 2)], m1=1)
         with pytest.raises(PreconditionError, match=">= 3"):
-            ProductModel(one_dim, mesh, forms, m1=1, m2=1, H2=0.0)
+            ProductModel(one_dim, mesh, forms, H2=0.0)
 
     def test_boundary_spectrum_exhaustion_is_loud(self, disk, square_torus):
         # disk L0 has 4 boundary dofs, so 4 discrete Steklov eigenvalues; an
@@ -99,11 +93,10 @@ class TestProductModel:
         mesh, forms = disk(0)
         n_b = len(forms.boundary_dofs)
         sigma_max = steklov_spectrum(forms, n_b).eigenvalues[-1]
-        model = ProductModel(square_torus(20.0), mesh, forms, m1=2, m2=2,
-                             H2=3.0 * 2.0 * sigma_max)
+        model = ProductModel(square_torus(20.0), mesh, forms, H2=3.0 * 2.0 * sigma_max)
         assert count_below(forms, 0.0, model.Hhat) == n_b
         with pytest.raises(CutoffExhaustedError, match="boundary spectrum exhausted"):
-            model.critical_coefficients
+            model.critical_windows
 
     def test_dropped_copy_of_a_double_root_raises(self, disk, square_torus, monkeypatch):
         # Lanczos returning one copy of the disk's double root c_1* = c_2* at
@@ -114,7 +107,7 @@ class TestProductModel:
         from steklovbif.errors import EigensolverError
 
         mesh, forms = disk(3)
-        model = ProductModel(square_torus(20.0), mesh, forms, m1=2, m2=2, H2=4.0)
+        model = ProductModel(square_torus(20.0), mesh, forms, H2=4.0)
         c, u = la.eigh((model.Hhat * forms.B - forms.K).toarray(), forms.M.toarray())
         negative = u[:, np.flatnonzero(c < 0)[-1]]  # M-normalized, as ARPACK's vectors
         eigsh = spectral.spla.eigsh
@@ -127,7 +120,7 @@ class TestProductModel:
         monkeypatch.setattr(spectral.spla, "eigsh", dropping)
         with pytest.raises(EigensolverError,
                            match=r"at 1\.33333333333: 3 are positive, .* returned -3\.72"):
-            model.critical_coefficients
+            model.critical_windows
 
     def test_values_shifted_after_rayleigh_ritz_raise(self, disk, monkeypatch):
         # every refined c_j* moved by 1e-5 relative: the pairs' residuals show it
@@ -174,11 +167,11 @@ class TestProductModel:
         mesh = disk(int(mesh_name[-1]))[0] if mesh_name.startswith("disk") else (
             fuzz_meshes[mesh_name][0])
         first, second = (
-            ProductModel(square_torus(20.0), mesh, assemble(mesh), m1=2, m2=2, H2=H2)
+            ProductModel(square_torus(20.0), mesh, assemble(mesh), H2=H2)
             for _ in range(2)
         )
-        table = np.array(first.critical_coefficients)
-        assert first.critical_coefficients == second.critical_coefficients  # bit for bit
+        table = first.critical_windows[:, 0]
+        assert np.array_equal(first.critical_windows, second.critical_windows)  # bit for bit
         reference = np.array(_bisected_table(first.boundary_forms, first.Hhat))
         assert table.shape == reference.shape == ({1.0: 1, 4.0: 3, 7.0: 5}[H2],)
         np.testing.assert_allclose(table, reference, rtol=1e-9, atol=0)
@@ -232,8 +225,7 @@ class TestTableProof:
         mesh, forms = disk(int(mesh_name[-1])) if mesh_name.startswith("disk") else (
             fuzz_meshes[mesh_name])
         bounds, brackets = self._bounds_and_brackets(monkeypatch)
-        table = ProductModel(square_torus(20.0), mesh, forms, m1=2, m2=2,
-                             H2=H2).critical_coefficients
+        table = ProductModel(square_torus(20.0), mesh, forms, H2=H2).critical_windows[:, 0]
         assert len(bounds) == 1 and bounds[0] <= 1e-9 * min(table)
         assert brackets == []
 
@@ -250,16 +242,15 @@ class TestTableProof:
         sigma = steklov_spectrum(forms, 3).eigenvalues[1]
 
         def model():
-            return ProductModel(square_torus(20.0), mesh, forms, m1=2, m2=2,
-                                H2=3.0 * sigma * (1 + 1e-7))
+            return ProductModel(square_torus(20.0), mesh, forms, H2=3.0 * sigma * (1 + 1e-7))
 
         bounds, brackets = self._bounds_and_brackets(monkeypatch)
-        proved = model().critical_coefficients
+        proved = model().critical_windows[:, 0]
         assert len(proved) == 3 and proved[1] < 1e-6
         assert BRACKET_RTOL * proved[1] < bounds[0] <= 1e-9 * proved[0]
         assert len(brackets) == 2 and max(brackets) < 1e-6
         monkeypatch.setattr(spectral, "_kahan_bound", lambda *args: np.inf)
-        assert model().critical_coefficients == proved
+        assert np.array_equal(model().critical_windows[:, 0], proved)
         assert len(brackets) == 2 + 4
         np.testing.assert_allclose(proved, _bisected_table(forms, model().Hhat),
                                    rtol=BRACKET_RTOL, atol=0)
@@ -301,7 +292,7 @@ class TestMorseIndex:
         # below Hhat: the last listed row is not empty
         mesh, forms = disk(1)
         short = from_list([(0.0, 1), (1.0, 4)], m1=2)
-        model = ProductModel(short, mesh, forms, m1=2, m2=2, H2=1.0)
+        model = ProductModel(short, mesh, forms, H2=1.0)
         with pytest.raises(CutoffExhaustedError, match="factor spectrum cutoff"):
             morse_index(model, 0.05)
 
@@ -311,7 +302,7 @@ class TestMorseIndex:
         from steklovbif import enumerate_instants
 
         model = disk_torus_model(3, 20.0)
-        edge = model.critical_coefficients[0] / model.factor.value(len(model.factor) - 1)
+        edge = model.critical_windows[0, 0] / model.factor.value(len(model.factor) - 1)
         short = edge * (1 - 1e-3)
         with pytest.raises(CutoffExhaustedError, match="factor spectrum cutoff"):
             enumerate_instants(model, short, 10.0)
@@ -325,15 +316,15 @@ class TestMorseIndex:
         # degenerate and the last listed one
         mesh, forms = disk(1)
         short = from_list([(0.0, 1), (1.0, 4)], m1=2)
-        model = ProductModel(short, mesh, forms, m1=2, m2=2, H2=1.0)
+        model = ProductModel(short, mesh, forms, H2=1.0)
         with pytest.raises(CutoffExhaustedError, match="factor spectrum cutoff"):
-            morse_index(model, model.critical_coefficients[0])
+            morse_index(model, model.critical_windows[0, 0])
 
     @pytest.mark.parametrize("H2", [0.0, -1.0])
     def test_zero_only_factor_gives_steklov_row(self, disk, H2):
         # Hhat <= 0 empties the table, so no factor index i >= 1 is needed
         mesh, forms = disk(1)
-        model = ProductModel(from_list([(0.0, 1)], m1=2), mesh, forms, m1=2, m2=2, H2=H2)
+        model = ProductModel(from_list([(0.0, 1)], m1=2), mesh, forms, H2=H2)
         assert morse_index(model, 1.0) == 0
         assert nullity(model, 1.0) == 0
 
@@ -376,7 +367,7 @@ class TestMorseIndex:
         # Hhat = 4/3 lies above sigma_1 and sigma_2, which the missing
         # symmetry splits: three distinct c_j*
         model = fuzz_torus_model(name, 4.0)
-        c_stars = np.array(model.critical_coefficients)
+        c_stars = model.critical_windows[:, 0]
         rho = np.array([v for v, _ in model.factor.entries[1:]])
         # away from every instant c_j* / rho_i
         assume(np.min(np.abs(np.outer(rho, 1.0 / c_stars) * t - 1.0)) > 1e-3)
@@ -388,7 +379,7 @@ class TestMorseIndex:
     def test_table_index_equals_inertia_walk_on_drawn_disks(self, square_torus, mesh, t):
         # on a drawn disk x torus at Hhat = 4/3, at t outside every window
         # and above the edge
-        model = ProductModel(square_torus(20.0), mesh, assemble(mesh), m1=2, m2=2, H2=4.0)
+        model = ProductModel(square_torus(20.0), mesh, assemble(mesh), H2=4.0)
         table = model.instants
         assume(not table.truncated(t))
         assume(np.all((t * table.rho < table.low) | (t * table.rho > table.high)))
@@ -398,14 +389,14 @@ class TestMorseIndex:
         from steklovbif import classify, spectral
 
         model = disk_torus_model(3, 20.0)
-        model.critical_coefficients
+        model.critical_windows
 
         def forbidden(*args, **kwargs):
             raise AssertionError("counted or solved after the table was built")
 
         for name in ("count_below", "robin_steklov_spectrum", "_multifrontal_schur"):
             monkeypatch.setattr(spectral, name, forbidden)
-        t1 = model.critical_coefficients[0]
+        t1 = model.critical_windows[0, 0]
         assert [morse_index(model, t) for t in (0.1, 0.5, 2.0)] == [20, 4, 0]
         assert nullity(model, t1) == 4
         assert [classify(model, t) for t in (0.5, t1)] == ["rigid", "degenerate"]
@@ -420,11 +411,10 @@ class TestInstantTable:
 
         mesh, forms = disk(1)
         factor = from_list([(0.0, 1), (1.0, 3), (2.0, 1), (4.0, 2)], m1=2)
-        model = ProductModel(factor, mesh, forms, m1=2, m2=2, H2=1.0)
+        model = ProductModel(factor, mesh, forms, H2=1.0)
         c_star = np.array([4.0, 2.0, 1.0])
         windows = np.column_stack((c_star, c_star * (1 - BRACKET_RTOL), c_star * (1 + BRACKET_RTOL)))
         model.__dict__["critical_windows"] = windows  # set, not solved
-        assert model.critical_coefficients == (4.0, 2.0, 1.0)
         table = model.instants
         assert np.array_equal(table.high, windows[table.j, 2])
         assert list(zip(table.t.tolist(), table.i.tolist(), table.j.tolist())) == [
@@ -444,10 +434,9 @@ class TestInstantTable:
 
     def test_no_roots_no_edge_and_constant_alone_all_edge(self, disk):
         mesh, forms = disk(1)
-        flat = ProductModel(from_list([(0.0, 1), (1.0, 4)], m1=2), mesh, forms,
-                            m1=2, m2=2, H2=0.0)
+        flat = ProductModel(from_list([(0.0, 1), (1.0, 4)], m1=2), mesh, forms, H2=0.0)
         assert len(flat.instants.t) == 0 and not flat.instants.truncated(1e-300)
-        constant = ProductModel(from_list([(0.0, 1)], m1=2), mesh, forms, m1=2, m2=2, H2=1.0)
+        constant = ProductModel(from_list([(0.0, 1)], m1=2), mesh, forms, H2=1.0)
         assert len(constant.instants.t) == 0 and constant.instants.truncated(1e300)
 
 
@@ -478,8 +467,7 @@ class TestNullity:
         assert sigma[2] - sigma[1] < 1e-12 * sigma[1]
 
         def model(offset):
-            return ProductModel(square_torus(20.0), mesh, forms, m1=2, m2=2,
-                                H2=3.0 * sigma[1] * (1 + offset))
+            return ProductModel(square_torus(20.0), mesh, forms, H2=3.0 * sigma[1] * (1 + offset))
 
         with pytest.raises(HhatIsSteklovEigenvalueError, match="Hhat"):
             morse_index(model(1e-9), 5.0)
@@ -499,7 +487,7 @@ class TestNullity:
 
         model = fuzz_torus_model(name, 4.0)
         rho_1, mu_1 = model.factor.value(1), model.factor.multiplicity(1)
-        c_stars = model.critical_coefficients
+        c_stars = model.critical_windows[:, 0]
         assert len(c_stars) == 3
         for c_star in c_stars:
             t = c_star * (1 + side * 2 * BRACKET_RTOL) / rho_1
@@ -647,6 +635,22 @@ class TestModelIO:
         doc = dict(self.MODEL_DOC, factor={"path": "f.json"})
         model = model_from_dict(doc, base_dir=tmp_path)
         assert len(model.factor) == 5
+
+    @pytest.mark.parametrize("key,value,detail", [
+        ("m1", 3, "m1=3 does not match factor dimension 2"),
+        ("m2", 3, "m2=3 does not match boundary mesh dimension 2"),
+        ("m2", 1, "m2=1 does not match boundary mesh dimension 2"),
+    ], ids=["m1-3", "m2-3", "m2-1"])
+    def test_dimension_consistency_enforced(self, monkeypatch, key, value, detail):
+        # a model file states m1 and m2; they must be the factor's and the
+        # mesh's dimensions, checked before anything is assembled
+        def forbidden(mesh):
+            raise AssertionError("assembled a model whose dimensions do not match")
+
+        monkeypatch.setattr(product, "assemble", forbidden)
+        with pytest.raises(PreconditionError) as info:
+            model_from_dict(dict(self.MODEL_DOC, **{key: value}))
+        assert str(info.value) == detail
 
     def test_missing_key_rejected(self):
         with pytest.raises(ConfigError, match="missing key"):

@@ -606,7 +606,7 @@ class TestRenumbering:
         vertices[perm] = mesh.vertices @ rotation.T + shift
         with mock.patch.object(fem, "DISSECTION_LEAF", 4):
             forms = assemble(mesh)
-            other = assemble(Mesh(dim=mesh.dim, vertices=vertices, cells=perm[mesh.cells]))
+            other = assemble(Mesh(vertices=vertices, cells=perm[mesh.cells]))
             k = len(forms.boundary_dofs)
             vals = steklov_spectrum(forms, k).eigenvalues
             moved = steklov_spectrum(other, k).eigenvalues
