@@ -39,6 +39,8 @@ class ClosedFactorSpectrum:
             self, "entries", tuple((float(v), int(m)) for v, m in self.entries)
         )
         _validate_entries(self.entries)
+        if not math.isfinite(self.cutoff):
+            raise PreconditionError(f"cutoff must be finite, got {self.cutoff}")
 
     def value(self, i: int) -> float:
         return self._entry(i)[0]
@@ -69,6 +71,8 @@ def _validate_entries(entries) -> None:
     if m0 != 1:
         raise PreconditionError("connected manifold requires mu(0) = 1")
     values = [v for v, _ in entries]
+    if not all(map(math.isfinite, values)):
+        raise PreconditionError("eigenvalues must be finite")
     if any(b <= a for a, b in zip(values, values[1:])):
         raise PreconditionError("eigenvalues must be strictly ascending and distinct")
     if any(m < 1 for _, m in entries):
@@ -92,8 +96,10 @@ def flat_torus_spectrum(lattice_basis, cutoff: float) -> ClosedFactorSpectrum:
     basis = np.asarray(lattice_basis, dtype=float)
     if basis.ndim != 2 or basis.shape[0] != basis.shape[1]:
         raise PreconditionError("lattice basis must be a square matrix")
-    if cutoff <= 0:
-        raise PreconditionError("cutoff must be positive")
+    if not np.isfinite(basis).all():
+        raise PreconditionError("lattice basis must be finite")
+    if not 0 < cutoff < math.inf:  # a NaN fails every comparison
+        raise PreconditionError(f"cutoff must be positive and finite, got {cutoff}")
     m1 = basis.shape[0]
     det = np.linalg.det(basis)
     if abs(det) < 1e-12 * np.linalg.norm(basis) ** m1:

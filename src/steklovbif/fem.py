@@ -18,8 +18,10 @@ order, in which A_ii is kept in LAPACK band storage and A_ib as a dense
 Fortran-order array, and the nested-dissection tree, which bisects the
 interior along the coordinates of its vertices and whose fronts a
 multifrontal Cholesky fills and factors, every dense block scattered from
-cached positions.  A run pays only for what its solves use, and no
-factorization orders its matrix again.
+cached positions.  Slices and counts on a 1-D mesh, whose interior block
+is tridiagonal, take the order, and on any other mesh the tree.  A run
+pays only for what its solves use, and no factorization orders its matrix
+again.
 """
 
 from __future__ import annotations
@@ -87,14 +89,14 @@ def lower_trapezoid(n_rows: int, n_cols: int) -> np.ndarray:
 
 
 class FactorInput:
-    """The c-independent input of every factorization of K + c M - lam B.
-    K and M must share one canonical CSR pattern, which it reads in place:
-    it holds views of K.data and M.data and positions in that pattern, not
-    copies, and ``vertices`` one coordinate row per dof, which only the tree
-    reads.  Each dense block of K + c M is a ``DensePattern``: A_bb
-    (``boundary(c)``), in the order of ``boundary_dofs`` like B_bb, which
-    is read from B's own pattern, and, built on first use, one order and
-    one tree of the interior dofs:
+    """The c-independent input of every factorization of K + c M - lam B,
+    read from one ``AssembledForms``.  K and M must share one canonical CSR
+    pattern, which it reads in place: it holds views of K.data and M.data
+    and positions in that pattern, not copies, and the forms' ``vertices``
+    one coordinate row per dof, which only the tree reads.  Each dense block
+    of K + c M is a ``DensePattern``: A_bb (``boundary(c)``), in the order
+    of ``boundary_dofs`` like B_bb, which is read from B's own pattern, and,
+    built on first use, one order and one tree of the interior dofs:
 
     * ``interior`` (A_ii, in upper band storage) and ``coupling`` (A_ib,
       dense): rows are the interior dofs in the reverse Cuthill-McKee order
@@ -106,29 +108,24 @@ class FactorInput:
       boundary dofs last, and ``trapezoid``, the one ``lower_trapezoid``
       whose corners mask every front's blocks.
 
-    Both are built from one interior pattern.  ``banded`` picks the route
-    of S(c) by flop count, read off each node's pivots and update set and,
-    only when the fronts do not beat the band's floor n_i n_b^2, the
-    order's bandwidth, so a slice or a count through the fronts builds no
-    band, and forms whose slices and counts take the band build fronts only
-    for the table.
+    Both are built from one interior pattern, each only when ``banded``,
+    the route of S(c), or the table asks for it.
     """
 
-    def __init__(self, K: sp.csr_matrix, M: sp.csr_matrix, B: sp.csr_matrix,
-                 boundary_dofs: np.ndarray, vertices: np.ndarray):
+    def __init__(self, forms: AssembledForms):
+        K, M, boundary_dofs, vertices = forms.K, forms.M, forms.boundary_dofs, forms.vertices
         if not (K.has_canonical_format and np.array_equal(K.indptr, M.indptr)
                 and np.array_equal(K.indices, M.indices)):
             raise PreconditionError("K and M must share one canonical CSR pattern")
         if np.ndim(vertices) != 2 or len(vertices) != K.shape[0]:
             raise PreconditionError(f"need one vertex row per dof ({K.shape[0]}), "
                                     f"got shape {np.shape(vertices)}")
-        self._vertices = vertices
+        self._vertices, self._inner = vertices, forms.interior_dofs
         self.n, self.boundary_dofs, n_b = K.shape[0], boundary_dofs, len(boundary_dofs)
         self._indptr, self._cols, self._K, self._M = K.indptr, K.indices, K.data, M.data
         self._rows = np.repeat(np.arange(self.n), np.diff(K.indptr))
         self._is_b = np.zeros(self.n, dtype=bool)
         self._is_b[boundary_dofs] = True
-        self._inner = np.flatnonzero(~self._is_b)  # the interior dofs, ascending
         # each boundary dof's place in boundary_dofs, and, once the band is
         # built, each interior dof's in interior_order
         self._local = local = np.empty(self.n, dtype=np.int64)
@@ -136,7 +133,7 @@ class FactorInput:
         bb = self._is_b[self._rows] & self._is_b[self._cols]
         at = local[self._rows[bb]] + n_b * local[self._cols[bb]]
         self._boundary = DensePattern((n_b, n_b), at, self._K[bb], self._M[bb])
-        self.B_bb = B[boundary_dofs][:, boundary_dofs].toarray()
+        self.B_bb = forms.B[boundary_dofs][:, boundary_dofs].toarray()
         self.B_bb_norm1 = float(np.abs(self.B_bb).sum(axis=0).max())
 
     @cached_property
@@ -146,54 +143,41 @@ class FactorInput:
                              shape=(self.n, self.n))[self._inner][:, self._inner]
 
     @cached_property
-    def _dissection(self) -> tuple:
-        """(elimination, position, at, nodes, updates): the dofs in the
-        elimination order of the nested-dissection tree of the interior
-        pattern, the boundary dofs last, and each dof's place in it; the
-        pattern's entries on or below the diagonal in the pivot columns,
-        sorted by column, then row; and per node, in postorder, (lo, hi,
-        children, begin, end), which pivots on positions lo:hi and whose
-        columns' entries are at[begin:end], and its update set."""
-        inner = self._inner
+    def _tree(self) -> tuple:
+        """(elimination, fronts, trapezoid): the dofs in the elimination order
+        of the nested-dissection tree of the interior pattern, the boundary
+        dofs last; the ``Front`` of each node, in postorder, whose update set
+        holds the later positions next to its subtree; and a mask as wide as
+        the widest."""
+        inner, n, n_b = self._inner, self.n, len(self.boundary_dofs)
         order, start, children = nested_dissection(self._interior_graph, self._vertices[inner])
         n_i = len(inner)
         elimination = np.concatenate([inner[order], self.boundary_dofs])
-        position = np.empty(self.n, dtype=np.intp)
-        position[elimination] = np.arange(self.n)
+        position = np.empty(n, dtype=np.intp)
+        position[elimination] = np.arange(n)
         rows, cols = position[self._rows], position[self._cols]
+        # the pattern's entries on or below the diagonal in the pivot columns,
+        # sorted by column, then row, node k's columns' from ptr[k] to ptr[k + 1]
         at = np.flatnonzero((rows >= cols) & (cols < n_i))
-        at = at[np.argsort(cols[at] * self.n + rows[at])]
-        ptr = np.searchsorted(cols[at], start)
-        nodes = list(zip(start[:-1].tolist(), start[1:].tolist(), children,
-                         ptr[:-1].tolist(), ptr[1:].tolist()))
-        rows = rows[at]
-        updates, near = [], np.zeros(self.n, dtype=bool)  # the positions next to a subtree
-        for lo, hi, kids, begin, end in nodes:
-            for x in [rows[begin:end]] + [updates[j] for j in kids]:
-                near[x] = True
-            updates.append(hi + np.flatnonzero(near[hi:]))
-            near[:] = False
-        return elimination, position, at, nodes, updates
-
-    @cached_property
-    def _tree(self) -> tuple:
-        """(fronts, trapezoid): the ``Front`` of each node of the dissection,
-        in postorder, and a mask as wide as the widest."""
-        _, position, at, nodes, updates = self._dissection
-        n_i, n_b = self.n - len(self.boundary_dofs), len(self.boundary_dofs)
-        rows, cols = position[self._rows[at]], position[self._cols[at]]
-        K, M = self._K[at], self._M[at]
-        width = max(map(len, updates), default=0)
-        trapezoid = lower_trapezoid(width, width)
+        at = at[np.argsort(cols[at] * n + rows[at])]
+        rows, cols, K, M = rows[at], cols[at], self._K[at], self._M[at]
+        ptr = np.searchsorted(cols, start)
 
         def flat(offset, step, column):  # of the lower trapezoid: rows (offset, step)
-            return (offset + step * column[:, None])[trapezoid[:len(column), :len(offset)]]
+            return (offset + step * column[:, None])[lower_trapezoid(len(offset), len(column))]
 
-        # in the front being built, entry (i, j) sits at first[i] + stride[i] * place[j]
-        place, first, stride = (np.empty(self.n, dtype=np.intp) for _ in range(3))
+        # the positions next to a subtree; in the front being built, entry
+        # (i, j) sits at first[i] + stride[i] * place[j]
+        near = np.zeros(n, dtype=bool)
+        place, first, stride = (np.empty(n, dtype=np.intp) for _ in range(3))
         fronts = []
-        for (lo, hi, kids, begin, end), upd in zip(nodes, updates):
+        for lo, hi, kids, begin, end in zip(start[:-1].tolist(), start[1:].tolist(), children,
+                                            ptr[:-1].tolist(), ptr[1:].tolist()):
             r, col = rows[begin:end], cols[begin:end] - lo
+            for x in [r] + [fronts[j].update for j in kids]:
+                near[x] = True
+            upd = hi + np.flatnonzero(near[hi:])
+            near[:] = False
             p, u, n_inner = hi - lo, len(upd), int(np.searchsorted(upd, n_i))
             place[lo:hi], first[lo:hi], stride[lo:hi] = np.arange(p), np.arange(p), p
             place[upd], first[upd], stride[upd] = np.arange(p, p + u), p * p + np.arange(u), u
@@ -205,7 +189,8 @@ class FactorInput:
                 tuple(flat(first[x.update], stride[x.update], place[x.update[:x.n_inner]])
                       for x in [fronts[j] for j in kids]),
                 flat(b, n_b, b)))
-        return tuple(fronts), trapezoid
+        width = max((len(f.update) for f in fronts), default=0)
+        return elimination, tuple(fronts), lower_trapezoid(width, width)
 
     @cached_property
     def _order(self) -> tuple:
@@ -238,21 +223,15 @@ class FactorInput:
 
     @cached_property
     def banded(self) -> bool:
-        """Whether S(c) comes from the banded Cholesky: true when its flop
-        count, n_i bw^2 + 2 n_i bw n_b + n_i n_b^2 = n_i (bw + n_b)^2, is at
-        most the fronts', the sum of p^3/3 + p^2 u + p u^2 over fronts of p
-        pivots and u update dofs.  Both are compared exactly, as integers
-        times 3, and a tie goes to the band.  The band's count is never below
-        n_i n_b^2, so fronts of fewer flops win before the order is built."""
-        n_i, n_b = len(self._inner), len(self.boundary_dofs)
-        sizes = [(hi - lo, len(u)) for (lo, hi, *_), u in zip(*self._dissection[3:])]
-        fronts = sum(p**3 + 3 * p * u * (p + u) for p, u in sizes)
-        return 3 * n_i * n_b**2 <= fronts and 3 * n_i * (self._order[1] + n_b) ** 2 <= fronts
+        """Whether S(c) comes from the banded Cholesky: on a 1-D mesh, whose
+        interior is a path and A_ii tridiagonal; every other mesh takes the
+        fronts."""
+        return self._vertices.shape[1] == 1
 
     boundary = property(lambda self: self._boundary.pencil)  # A_bb(c), in Fortran order
-    elimination = property(lambda self: self._dissection[0])
-    fronts = property(lambda self: self._tree[0])
-    trapezoid = property(lambda self: self._tree[1])
+    elimination = property(lambda self: self._tree[0])
+    fronts = property(lambda self: self._tree[1])
+    trapezoid = property(lambda self: self._tree[2])
     interior_order = property(lambda self: self._order[0])
     interior = property(lambda self: self._band[0])
     coupling = property(lambda self: self._band[1])
@@ -353,7 +332,7 @@ class AssembledForms:
     def factor_input(self) -> FactorInput:
         """The pencil's blocks and orders, shared by every solve on these
         forms."""
-        return FactorInput(self.K, self.M, self.B, self.boundary_dofs, self.vertices)
+        return FactorInput(self)
 
 
 def _symmetric_csr(n: int, simplices: np.ndarray, *upper_entries: np.ndarray) -> tuple:

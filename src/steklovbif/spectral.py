@@ -13,23 +13,17 @@ depends on the mesh.  The banded Cholesky A_ii = U'U (dpbtrf, in the
 reverse Cuthill-McKee order of the interior) and W = U^-T A_ib give
 S = A_bb - W'W.  A multifrontal Cholesky of A_ii on the nested-dissection
 tree of the interior (George 1973; Liu, SIAM Review 34, 1992) never pivots
-on a boundary dof, and S is A_bb plus the fronts' boundary blocks.  Slices
-and counts take the route with fewer flops, ``FactorInput.banded``: n_i bw^2 +
-2 n_i bw n_b + n_i n_b^2 for n_i interior and n_b boundary dofs and a band
-of half-width bw, against the sum of p^3/3 + p^2 u + p u^2 over fronts of
-p pivots and u update dofs; a tie goes to the band.  The counts, exact,
-and the routes they pick:
+on a boundary dof, and S is A_bb plus the fronts' boundary blocks.
+Slices and counts take the band on a 1-D mesh, whose interior is a path
+and A_ii tridiagonal, and the fronts on every other mesh
+(``FactorInput.banded``).  Medians of 7 counts, band against fronts, in
+ms (2 vCPUs, one OpenBLAS thread): the interval n = 1000 0.09 against
+0.68; disk L0-L2 0.03-0.07 against 0.04-0.08, L3 0.55 against 0.48, L4
+7.3 against 2.2, L5 56 against 10.
 
-    mesh                 band flops   front flops   route
-    interval, n = 1000   0.009M       5.3M          band
-    disk L0, L2, L3      <= 1.95M     <= 2.35M      band
-    disk L1              3969         3843          fronts
-    disk L4              34.3M        10.3M         fronts
-    disk L6              9439M        263M          fronts
-
-``_schur`` forms every S(c), and takes the fronts on every mesh only for
-``level_crossings``, which keeps them.  ``count_below`` reads eigenvalue
-counts off the inertia of S(c) - lam B_bb.  The pencil is
+``_schur`` forms every S(c) by that route, and ``level_crossings`` takes
+the fronts on every mesh and keeps them.  ``count_below`` reads
+eigenvalue counts off the inertia of S(c) - lam B_bb.  The pencil is
 linear in c, so ``level_crossings`` takes every c at which a branch meets
 lam from one shift-invert Lanczos solve of (lam B - K) u = c M u at
 sigma = 0.  One S(0) serves it whole: the inertia of S(0) - lam B_bb counts
@@ -124,12 +118,10 @@ def _schur_complement(fi, c, A_bb) -> np.ndarray:
     return _symmetrized(A_bb - W.T @ W)
 
 
-def _schur(fi, c, factors=None):
-    """Dense S(c) and ||A_bb||_1: through the fronts when a list ``factors``
-    is given to keep their (L, W) for ``_solve``, else by the route
-    ``fi.banded`` picks."""
-    if factors is not None or not fi.banded:
-        return _multifrontal_schur(fi, c, factors)
+def _schur(fi, c):
+    """Dense S(c) and ||A_bb||_1 by the route ``fi.banded`` picks."""
+    if not fi.banded:
+        return _multifrontal_schur(fi, c)
     A_bb = fi.boundary(c)
     return _schur_complement(fi, c, A_bb), _norm1(A_bb)
 
@@ -296,7 +288,7 @@ def level_crossings(forms: AssembledForms, lam: float) -> np.ndarray:
     _check_coefficients(0.0, lam)
     fi = forms.factor_input
     factors = []
-    S = _schur(fi, 0.0, factors)[0]
+    S = _multifrontal_schur(fi, 0.0, factors)[0]
     below, above = (_bunch_kaufman(S, fi.B_bb, lam * (1 + side * BRACKET_RTOL))[1]
                     for side in (-1, 1))
     if below != above:

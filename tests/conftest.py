@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -105,6 +106,29 @@ def delaunay_disks(draw) -> Mesh:
     hull = ConvexHull(points).vertices
     points[hull] /= np.hypot(*points[hull].T)[:, None]
     return delaunay_mesh(points)
+
+
+@functools.lru_cache(maxsize=None)
+def jittered_cube(n):
+    """(mesh, forms) of the unit cube cut into n^3 cubes, each into the 6
+    tetrahedra of its Kuhn triangulation, every vertex moved by up to 0.15
+    of a cube's side and every cell turned positively.  The cells are well
+    shaped: a sliver's entries carry rounding of its condition number times
+    eps, whichever formula forms them."""
+    g = np.arange(n + 1)
+    grid = np.stack(np.meshgrid(g, g, g, indexing="ij"), axis=-1).reshape(-1, 3)
+    corners = grid[(grid < n).all(axis=1)]
+    cells = []
+    for axes in itertools.permutations(range(3)):  # a path of edges to the far corner
+        steps = np.vstack([np.zeros(3, dtype=int), np.eye(3, dtype=int)[list(axes)]])
+        path = np.cumsum(steps, axis=0)
+        cells.append((corners[:, None] + path) @ [(n + 1) ** 2, n + 1, 1])  # the vertex ids
+    cells = np.vstack(cells)
+    points = (grid + np.random.default_rng(0).uniform(-0.15, 0.15, grid.shape)) / n
+    flip = np.linalg.det(points[cells[:, 1:]] - points[cells[:, :1]]) < 0
+    cells[flip] = cells[flip][:, [0, 2, 1, 3]]
+    mesh = Mesh(vertices=points, cells=cells)
+    return mesh, assemble(mesh)
 
 
 @functools.lru_cache(maxsize=None)

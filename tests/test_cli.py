@@ -174,15 +174,16 @@ class TestEigencurveCommand:
 
     @pytest.mark.parametrize("m2, boundary, j_list, banded", [
         (1, {"builtin": "interval", "n": 1000, "L": 2.0}, (0, 1), None),
+        (2, {"builtin": "disk", "level": 3}, (0, 2), True),
         (2, {"builtin": "disk", "level": 3}, (0, 2), None),
-        (2, {"builtin": "disk", "level": 3}, (0, 2), False),
         (2, {"builtin": "disk", "level": 4}, (0, 2), None),
         (2, {"builtin": "disk", "level": 4}, (0, 2), True),
     ], ids=["interval", "disk3-band", "disk3-multifrontal", "disk4-multifrontal", "disk4-band"])
     def test_rows_are_the_slices(self, tmp_path, monkeypatch, m2, boundary, j_list, banded):
         # each row is t, i, j and entry j of the slice of max(j) + 1 pairs at
         # c = t * rho_i, as written by format_float, in the order i, j, t;
-        # banded forces the route of every forms, None leaves it to the flops
+        # banded forces the route of every forms, None leaves it to the mesh's
+        # dimension
         if banded is not None:
             monkeypatch.setattr(fem.FactorInput, "banded", banded)
         model_path = write_model(tmp_path, dict(DISK_TORUS_DOC, m2=m2, boundary=boundary))
@@ -207,7 +208,7 @@ class TestEigencurveCommand:
          "--i 1,2 --j 0,1,2 --t-min 0.1 --t-max 3 --t-steps 7", 43),
         (1, {"builtin": "interval", "n": 1000, "L": 2},
          "--i 1,2 --j 0,1 --t-min 0.1 --t-max 10 --t-steps 50", 201),
-    ], ids=["disk3-band", "disk4-multifrontal", "disk5-double-eigenvalue", "interval-k-is-n_b"])
+    ], ids=["disk3", "disk4-multifrontal", "disk5-double-eigenvalue", "interval-k-is-n_b"])
     def test_repeats_write_every_row_and_the_same_bytes(self, tmp_path, m2, boundary, flags,
                                                         lines):
         # a header and one row per (i, j, t); disk L5's slices meet a double
@@ -238,8 +239,8 @@ class TestEigencurveCommand:
 
 class TestCsvOutput:
     @pytest.mark.parametrize("mesh, k, banded", [
-        ("builtin:interval:1000:2.0", 2, None), ("builtin:disk:3", 5, None),
-        ("builtin:disk:3", 5, False), ("builtin:disk:4", 5, None), ("builtin:disk:4", 5, True),
+        ("builtin:interval:1000:2.0", 2, None), ("builtin:disk:3", 5, True),
+        ("builtin:disk:3", 5, None), ("builtin:disk:4", 5, None), ("builtin:disk:4", 5, True),
     ], ids=["interval", "disk3-band", "disk3-multifrontal", "disk4-multifrontal", "disk4-band"])
     def test_steklov_rows_are_the_slice(self, tmp_path, monkeypatch, mesh, k, banded):
         if banded is not None:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from steklovbif import flat_torus_spectrum, from_list
+from steklovbif import ClosedFactorSpectrum, flat_torus_spectrum, from_list
 from steklovbif.errors import CutoffExhaustedError, PreconditionError
 from steklovbif.factors import load_spectrum, save_spectrum, spectrum_from_dict
 
@@ -60,6 +60,14 @@ class TestFlatTorusSpectrum:
         with pytest.raises(PreconditionError):
             flat_torus_spectrum(np.eye(2), 0.0)
 
+    @pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf])
+    def test_non_finite_cutoff_or_basis_rejected(self, x):
+        # not left to a ValueError or OverflowError from the search box
+        with pytest.raises(PreconditionError, match="cutoff must be positive and finite"):
+            flat_torus_spectrum(np.eye(2), x)
+        with pytest.raises(PreconditionError, match="lattice basis must be finite"):
+            flat_torus_spectrum([[1.0, 0.0], [x, 1.0]], 5.0)
+
 
 class TestFromList:
     def test_trivial_spectrum(self):
@@ -87,6 +95,19 @@ class TestFromList:
     def test_multiplicity_enforced(self):
         with pytest.raises(PreconditionError, match="multiplicities"):
             from_list([(0.0, 1), (1.0, 0)], m1=2)
+
+    @pytest.mark.parametrize("x", [np.nan, np.inf])
+    def test_non_finite_value_rejected(self, x):
+        # a NaN fails every comparison, so the order check alone lets it in
+        with pytest.raises(PreconditionError, match="eigenvalues must be finite"):
+            from_list([(0.0, 1), (1.0, 2), (x, 4), (4.0, 4)], m1=2)
+        with pytest.raises(PreconditionError, match="eigenvalues must be finite"):
+            from_list([(0.0, 1), (1.0, 2), (x, 4)], m1=2)
+
+    @pytest.mark.parametrize("x", [np.nan, np.inf])
+    def test_non_finite_cutoff_rejected(self, x):
+        with pytest.raises(PreconditionError, match="cutoff must be finite"):
+            ClosedFactorSpectrum(2, ((0.0, 1), (1.0, 2)), x)
 
     def test_index_beyond_cutoff_fails_loudly(self):
         spec = from_list([(0.0, 1), (1.0, 4)], m1=2)

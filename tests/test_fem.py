@@ -1,5 +1,4 @@
 import functools
-import itertools
 import math
 import warnings
 from unittest import mock
@@ -7,7 +6,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from conftest import delaunay_disks
+from conftest import delaunay_disks, jittered_cube
 from hypothesis import given, settings
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
@@ -34,30 +33,6 @@ def per_cell_forms(mesh):
         measure = 1.0 if d == 1 else simplex_measure(mesh.vertices[facet])
         B[np.ix_(facet, facet)] += measure * (np.ones((d, d)) + np.eye(d)) / (d * (d + 1))
     return K, M, B
-
-
-@functools.lru_cache(maxsize=None)
-def jittered_cube():
-    """(mesh, forms) of the unit cube cut into 27 cubes, each into the 6
-    tetrahedra of its Kuhn triangulation, every vertex moved by up to 0.15
-    of a cube's side and every cell turned positively.  The cells are well
-    shaped: a sliver's entries carry rounding of its condition number times
-    eps, whichever formula forms them."""
-    n = 3
-    g = np.arange(n + 1)
-    grid = np.stack(np.meshgrid(g, g, g, indexing="ij"), axis=-1).reshape(-1, 3)
-    corners = grid[(grid < n).all(axis=1)]
-    cells = []
-    for axes in itertools.permutations(range(3)):  # a path of edges to the far corner
-        steps = np.vstack([np.zeros(3, dtype=int), np.eye(3, dtype=int)[list(axes)]])
-        path = np.cumsum(steps, axis=0)
-        cells.append((corners[:, None] + path) @ [(n + 1) ** 2, n + 1, 1])  # the vertex ids
-    cells = np.vstack(cells)
-    points = (grid + np.random.default_rng(0).uniform(-0.15, 0.15, grid.shape)) / n
-    flip = np.linalg.det(points[cells[:, 1:]] - points[cells[:, :1]]) < 0
-    cells[flip] = cells[flip][:, [0, 2, 1, 3]]
-    mesh = Mesh(vertices=points, cells=cells)
-    return mesh, assemble(mesh)
 
 
 def interior_graph(forms):
@@ -130,7 +105,7 @@ class TestFormProperties:
     @staticmethod
     def _case(case, disk, interval, fuzz_meshes):
         builders = {"disk1": lambda: disk(1), "interval": lambda: interval(37, 2.5),
-                    "tetrahedra": jittered_cube}
+                    "tetrahedra": lambda: jittered_cube(3)}
         return builders[case]() if case in builders else fuzz_meshes[case]
 
     @pytest.mark.parametrize("case", ["disk1", "interval", "jittered", "delaunay", "tetrahedra"])
@@ -180,17 +155,6 @@ class TestFactorInput:
         rcm = reverse_cuthill_mckee(total[inner][:, inner].tocsr(), symmetric_mode=True)
         assert np.array_equal(fi.interior_order, inner[rcm])
 
-    @pytest.mark.parametrize("case", [f"disk{level}" for level in range(7)]
-                             + ["interval1000", "jittered", "delaunay"])
-    def test_route_is_the_full_flop_comparison(self, case, disk, interval, fuzz_meshes):
-        # the band's floor n_i n_b^2 decides only where the fronts win anyway
-        forms = self._forms(case, disk, interval, fuzz_meshes)
-        fi = FactorInput(forms.K, forms.M, forms.B, forms.boundary_dofs, forms.vertices)
-        n_i, n_b, bw = len(forms.interior_dofs), len(forms.boundary_dofs), fi._order[1]
-        sizes = [(f.pivots.stop - f.pivots.start, len(f.update)) for f in fi.fronts]
-        fronts = sum(p**3 + 3 * p * u * (p + u) for p, u in sizes)
-        assert fi.banded == (3 * n_i * (bw + n_b) ** 2 <= fronts)
-
     @pytest.mark.parametrize("level", [4, 5, 6])
     def test_slices_through_the_fronts_build_no_order(self, level, disk):
         forms = disk(level)[1]
@@ -221,7 +185,7 @@ class TestFactorInput:
     @pytest.mark.parametrize("case", ["disk3", "interval50", "jittered", "delaunay"])
     def test_reads_the_values_in_place(self, case, disk, interval, fuzz_meshes):
         forms = self._forms(case, disk, interval, fuzz_meshes)
-        fi = FactorInput(forms.K, forms.M, forms.B, forms.boundary_dofs, forms.vertices)
+        fi = FactorInput(forms)
         assert np.shares_memory(fi._K, forms.K.data) and np.shares_memory(fi._M, forms.M.data)
 
     def test_stiffness_and_mass_must_share_one_canonical_pattern(self, disk):
@@ -238,7 +202,7 @@ class TestFactorInput:
         assert not K_desc.has_canonical_format
         for k, m in ((K, M), (K_desc, M_desc)):
             with pytest.raises(PreconditionError, match="one canonical CSR pattern"):
-                FactorInput(k, m, B, bnd, forms.vertices)
+                FactorInput(fem.AssembledForms(k, m, B, bnd, forms.vertices))
 
     def test_vertices_must_have_one_row_per_dof(self, disk):
         # the tree bisects the interior by its coordinates
@@ -246,14 +210,14 @@ class TestFactorInput:
         K, M, B, bnd, x = forms.K, forms.M, forms.B, forms.boundary_dofs, forms.vertices
         for wrong in (x[:-1], x[:, 0], np.vstack([x, x[:1]])):
             with pytest.raises(PreconditionError, match="one vertex row per dof"):
-                FactorInput(K, M, B, bnd, wrong)
+                FactorInput(fem.AssembledForms(K, M, B, bnd, wrong))
 
     @pytest.mark.parametrize("case", ["disk3", "interval50", "jittered", "delaunay"])
     def test_orders_build_without_warnings(self, case, disk, interval, fuzz_meshes):
         forms = self._forms(case, disk, interval, fuzz_meshes)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            fi = FactorInput(forms.K, forms.M, forms.B, forms.boundary_dofs, forms.vertices)
+            fi = FactorInput(forms)
             fi.interior, fi.fronts
 
 
@@ -309,7 +273,7 @@ class TestNestedDissection:
         inner = forms.interior_dofs
         order = assert_separator_tree(interior_graph(forms), forms.vertices[inner], leaf)
         with mock.patch.object(fem, "DISSECTION_LEAF", leaf):
-            fi = FactorInput(forms.K, forms.M, forms.B, forms.boundary_dofs, forms.vertices)
+            fi = FactorInput(forms)
             assert np.array_equal(fi.elimination, np.r_[inner[order], forms.boundary_dofs])
 
     @pytest.mark.parametrize("leaf", [4, 16])

@@ -1,11 +1,10 @@
-from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.linalg as la
 import scipy.sparse as sp
-from conftest import delaunay_disks
+from conftest import delaunay_disks, jittered_cube
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import lapack
@@ -132,10 +131,10 @@ class TestRobinSteklovSpectrum:
     @pytest.mark.parametrize("c", [0.0, 1.0])
     def test_multifrontal_path_matches_dense(self, disk, c, monkeypatch):
         _, forms = disk(2)
-        assert forms.factor_input.banded
-        dense = robin_steklov_spectrum(forms, c, 5).eigenvalues
-        monkeypatch.setattr(forms.factor_input, "banded", False)
+        assert not forms.factor_input.banded
         iterative = robin_steklov_spectrum(forms, c, 5).eigenvalues
+        monkeypatch.setattr(forms.factor_input, "banded", True)
+        dense = robin_steklov_spectrum(forms, c, 5).eigenvalues
         assert np.abs(dense - iterative).max() < 1e-9
 
 
@@ -180,7 +179,7 @@ class TestMultifrontalSlice:
         # leaves of 4 dofs: deep trees
         forms = disk(int(name[-1]))[1] if name.startswith("disk") else fuzz_meshes[name][1]
         monkeypatch.setattr(fem, "DISSECTION_LEAF", 4)
-        fi = fem.FactorInput(forms.K, forms.M, forms.B, forms.boundary_dofs, forms.vertices)
+        fi = fem.FactorInput(forms)
         band = spectral._schur_complement(fi, c, fi.boundary(c))
         multifrontal, _ = spectral._multifrontal_schur(fi, c)
         assert np.abs(multifrontal - band).max() <= 1e-12 * np.abs(band).max()
@@ -241,17 +240,67 @@ class TestMultifrontalSlice:
             robin_steklov_spectrum(negated, 1.5, 4)
 
 
+class TestFrontsOffTheDisk:
+    """The fronts on a tetrahedral mesh, against dense solves, and on a mesh
+    without an interior dof, against the band."""
+
+    def test_cube_slices_counts_and_table(self):
+        # the jittered Kuhn cube of 7 cells a side: 216 interior dofs, more
+        # than DISSECTION_LEAF, bisected once into 3 fronts
+        _, forms = jittered_cube(7)
+        fi, n_b = forms.factor_input, len(forms.boundary_dofs)
+        assert not fi.banded and len(forms.interior_dofs) == 216 and len(fi.fronts) == 3
+        for c in (0.0, 2.0):
+            vals = _dense_spectrum(forms, c)
+            got = robin_steklov_spectrum(forms, c, n_b).eigenvalues
+            assert np.abs(got - vals).max() <= 1e-12 * vals[-1]
+            levels = [0.5 * (a + b) for a, b in zip(vals, vals[1:]) if b - a > 1e-6 * b]
+            levels = levels[::8] + [vals[-1] + 1.0]
+            assert [count_below(forms, c, lam) for lam in levels] == [
+                np.count_nonzero(vals < lam) for lam in levels]
+        lam = 2.5
+        dense = la.eigh((lam * forms.B - forms.K).toarray(), forms.M.toarray(),
+                        eigvals_only=True)[::-1]
+        assert dense[7] > 0 > dense[8]
+        table = spectral.level_crossings(forms, lam)
+        np.testing.assert_allclose(table[:, 0], dense[:8], rtol=BRACKET_RTOL, atol=0)
+
+    def test_interior_free_triangle_equals_the_band(self):
+        # every vertex on the boundary: no front, S(c) = A_bb on both routes
+        forms = assemble(Mesh(vertices=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+                              cells=np.array([[0, 1, 2]])))
+        fi = forms.factor_input
+        assert fi.fronts == ()
+        routes = []
+        for banded in (False, True):
+            fi.banded = banded
+            slices = [robin_steklov_spectrum(forms, c, 3) for c in (0.0, 2.0)]
+            counts = [count_below(forms, c, lam) for c in (0.0, 2.0) for lam in (0.5, 2.0, 9.0)]
+            routes.append(([(x.eigenvalues.tobytes(), x.eigenvectors.tobytes()) for x in slices],
+                           counts))
+        assert routes[0] == routes[1]
+
+
 class TestRoute:
-    """Each forms' slices take the route of S(c) with fewer flops,
-    ``FactorInput.banded``, a tie to the band."""
+    """Slices and counts take the band on a 1-D mesh, whose interior block
+    is tridiagonal, and the fronts on every other, ``FactorInput.banded``;
+    the decision builds neither."""
 
     @pytest.mark.parametrize("name, banded", [
-        ("interval1000", True), ("disk0", True), ("disk1", False), ("disk2", True),
-        ("disk3", True), ("disk4", False), ("disk5", False), ("disk6", False),
+        ("interval1000", True), ("interval1", True), ("disk0", False), ("disk1", False),
+        ("disk2", False), ("disk3", False), ("disk4", False), ("disk5", False), ("disk6", False),
+        ("jittered", False), ("delaunay", False), ("cube", False),
     ])
-    def test_routes(self, disk, interval, name, banded):
-        forms = interval(1000, 2.0)[1] if name == "interval1000" else disk(int(name[4:]))[1]
-        assert forms.factor_input.banded == banded
+    def test_routes(self, disk, interval, fuzz_meshes, name, banded):
+        if name.startswith("interval"):
+            forms = interval(int(name[8:]), 2.0)[1]
+        elif name.startswith("disk"):
+            forms = disk(int(name[4:]))[1]
+        else:
+            forms = jittered_cube(7)[1] if name == "cube" else fuzz_meshes[name][1]
+        fi = fem.FactorInput(forms)
+        assert fi.banded == banded
+        assert "_order" not in vars(fi) and "_tree" not in vars(fi)
 
 
 class TestResidualChecks:
@@ -364,11 +413,10 @@ class TestCountBelow:
         # one level per count: one S(c) and one LDL, on the band route's
         # sizes too
         _, forms = disk(3)
-        assert forms.factor_input.banded
+        monkeypatch.setattr(forms.factor_input, "banded", True)
         formed = []
         schur = spectral._schur
-        monkeypatch.setattr(spectral, "_schur",
-                            lambda fi, c, *rest: formed.append(c) or schur(fi, c, *rest))
+        monkeypatch.setattr(spectral, "_schur", lambda fi, c: formed.append(c) or schur(fi, c))
         assert [count_below(forms, 0.0, lam) for lam in (0.5, 1.5, 2.5)] == [1, 3, 5]
         assert formed == [0.0] * 3 and len(ldl_calls) == 3
 
@@ -466,8 +514,9 @@ class TestLevelCrossings:
     def test_bound_off_m_orthonormal_vectors_is_inf(self, disk, monkeypatch):
         # disk L3 at lam = 7/3: 2 Z is far from M-orthonormal, so the bound
         # refuses it; a bound forced to inf leaves each root group to its two
-        # bracket counts, which take the band and prove the same table
+        # bracket counts, which take the band here and prove the same table
         forms = disk(3)[1]
+        monkeypatch.setattr(forms.factor_input, "banded", True)
         args, brackets = [], []
         kahan_bound, count = spectral._kahan_bound, spectral.count_below
         monkeypatch.setattr(spectral, "_kahan_bound",
@@ -482,7 +531,7 @@ class TestLevelCrossings:
         assert np.array_equal(spectral.level_crossings(forms, 7.0 / 3.0), table)
         w = table[::-1, 0]
         groups = 1 + np.count_nonzero(w[1:] * (1 - BRACKET_RTOL) > w[:-1] * (1 + BRACKET_RTOL))
-        assert forms.factor_input.banded and len(table) == 5
+        assert len(table) == 5
         assert len(brackets) == 2 * groups < 2 * len(table)
 
 
@@ -503,21 +552,13 @@ class TestDelaunayDiskProperties:
     @settings(max_examples=25)
     @given(mesh=delaunay_disks(), c=st.floats(0.0, 20.0))
     def test_routes_equal_the_dense_schur_complement(self, mesh, c):
-        # leaves of 4 dofs: a drawn disk gets a real tree.  The route is the
-        # one with fewer flops, bw read off the interior pattern in its
-        # order, p and u off the fronts; a slice through the fronts builds
-        # no band
+        # leaves of 4 dofs: a drawn disk gets a real tree.  A slice, through
+        # the fronts, builds no band
         with mock.patch.object(fem, "DISSECTION_LEAF", 4):
             forms = assemble(mesh)
             fi = forms.factor_input
-            n_i, n_b = len(forms.interior_dofs), len(forms.boundary_dofs)
-            A_ii = forms.K[fi.interior_order][:, fi.interior_order].tocoo()
-            bw = int(np.abs(A_ii.row - A_ii.col).max(initial=0))
-            sizes = [(f.pivots.stop - f.pivots.start, len(f.update)) for f in fi.fronts]
-            fronts = sum(Fraction(p**3, 3) + p * p * u + p * u * u for p, u in sizes)
-            assert fi.banded == (n_i * (bw * bw + 2 * bw * n_b + n_b * n_b) <= fronts)
-            robin_steklov_spectrum(forms, c, min(4, n_b))
-            assert fi.banded or "_band" not in vars(fi)
+            robin_steklov_spectrum(forms, c, min(4, len(forms.boundary_dofs)))
+            assert not fi.banded and "_band" not in vars(fi)
             multifrontal, _ = spectral._multifrontal_schur(fi, c)
         band = spectral._schur_complement(fi, c, fi.boundary(c))
         dense, _ = _dense_interior_solve(forms, c)
@@ -648,9 +689,10 @@ class TestFactorizationBudget:
         assert len(potrf_calls) == len(forms.factor_input.fronts)
         assert sum(potrf_calls) == len(forms.interior_dofs)
 
-    def test_dense_slice_factors_once(self, disk, band_calls):
+    def test_dense_slice_factors_once(self, disk, band_calls, monkeypatch):
         # one banded Cholesky of A_ii
         _, forms = disk(3)
+        monkeypatch.setattr(forms.factor_input, "banded", True)
         robin_steklov_spectrum(forms, 1.0, 4)
         assert band_calls == [len(forms.interior_dofs)]
 
@@ -662,10 +704,12 @@ class TestFactorizationBudget:
         assert band_calls == [] and "_band" not in vars(forms.factor_input)
 
     def test_order_built_once_per_forms(self, band_calls, monkeypatch):
-        # disk L2 takes the band: its counts, slices and extension build no
-        # fronts, the table builds them, and the tree is dissected once
+        # disk L2 forced onto the band: its counts, slices and extension
+        # build no fronts, the table builds them, and the tree is dissected
+        # once
         forms = assemble(generate_disk(2))
         fi = forms.factor_input
+        fi.banded = True
         dissections = []
         dissect = fem.nested_dissection
         monkeypatch.setattr(fem, "nested_dissection",
@@ -676,8 +720,8 @@ class TestFactorizationBudget:
             robin_steklov_spectrum(forms, c, 3)
         harmonic_extension(forms, np.ones(len(forms.boundary_dofs)), 1.0)
         # 3 counts, 2 slices and 1 extension
-        assert fi.banded and len(band_calls) == 3 + 2 + 1
-        assert "_tree" not in vars(fi)
+        assert len(band_calls) == 3 + 2 + 1
+        assert "_tree" not in vars(fi) and dissections == []
         assert len(spectral.level_crossings(forms, 1.5)) == 3
         assert "_tree" in vars(fi)
         fi.banded = False
@@ -709,7 +753,7 @@ class TestFactorizationBudget:
 
         for leaf in (fem.DISSECTION_LEAF, 4):
             monkeypatch.setattr(fem, "DISSECTION_LEAF", leaf)
-            fi = fem.FactorInput(forms.K, forms.M, forms.B, forms.boundary_dofs, forms.vertices)
+            fi = fem.FactorInput(forms)
             fronts, elimination, n_i = fi.fronts, fi.elimination, len(forms.interior_dofs)
             # the fronts pivot on consecutive slices of the elimination order,
             # which ends with the boundary dofs
@@ -787,11 +831,9 @@ class TestFactorizationBudget:
         assert handed == expected
 
     def test_band_route_builds_the_tree_once_and_factors_no_front(self, monkeypatch):
-        # slices, counts and extensions on disk L3 (n_b = 64) and the
-        # interval (n = 1000) take the band: the route reads the
-        # nested-dissection tree's pivots and update sets for its flop count,
-        # dissecting once, and no front is built or factored until the table
-        # needs them
+        # slices, counts and extensions on disk L3 (n_b = 64), forced onto
+        # the band, and the interval (n = 1000): no tree is dissected and no
+        # front built or factored until the table needs them
         potrf_calls = []
         potrf = spectral.lapack.dpotrf
         monkeypatch.setattr(spectral.lapack, "dpotrf",
@@ -803,25 +845,34 @@ class TestFactorizationBudget:
                                 lambda g, x: dissections.append(g) or dissect(g, x))
             forms = assemble(mesh)
             fi = forms.factor_input
+            if mesh.dim == 2:
+                fi.banded = True
             for c in (0.1, 1.0, 5.0):
                 robin_steklov_spectrum(forms, c, min(4, len(forms.boundary_dofs)))
                 count_below(forms, c, 0.5)
             harmonic_extension(forms, np.ones(len(forms.boundary_dofs)), 1.0)
-            assert fi.banded and len(dissections) == 1
-            assert "_tree" not in vars(fi) and potrf_calls == []
+            assert fi.banded and dissections == [] and potrf_calls == []
+            assert "_tree" not in vars(fi)
             assert len(spectral.level_crossings(forms, 0.5)) == 1
             assert len(potrf_calls) == len(fi.fronts) and len(dissections) == 1
             potrf_calls.clear()
 
-    @pytest.mark.parametrize("name", ["disk2", "disk3", "disk4", "disk5", "jittered", "delaunay"])
-    def test_cached_order_counts_equal_eigen_counts(self, disk, fuzz_meshes, band_calls, name):
+    @pytest.mark.parametrize("name", ["disk2", "disk3", "disk4", "disk5", "jittered", "delaunay",
+                                      "interval50"])
+    def test_cached_order_counts_equal_eigen_counts(self, disk, interval, fuzz_meshes,
+                                                    band_calls, name):
         # every count takes the route of a slice, one banded Cholesky each on
-        # the band (disk L2, L3 and both fuzz meshes) and none through the
-        # fronts, which only a fronts route builds; each matches a full dense
-        # eigensolve, between and near pairs
-        mesh = disk(int(name[-1]))[0] if name.startswith("disk") else fuzz_meshes[name][0]
+        # the band (the interval, and disk L2, L3 and both fuzz meshes
+        # forced) and none through the fronts, which only a fronts route
+        # builds; each matches a full dense eigensolve, between and near pairs
+        if name.startswith("interval"):
+            mesh = interval(50, 1.0)[0]
+        else:
+            mesh = disk(int(name[-1]))[0] if name.startswith("disk") else fuzz_meshes[name][0]
         forms = assemble(mesh)
         fi, n_b = forms.factor_input, len(forms.boundary_dofs)
+        if name in ("disk2", "disk3", "jittered", "delaunay"):
+            fi.banded = True
         for c in (0.0, 2.0):
             vals = robin_steklov_spectrum(forms, c, n_b).eigenvalues
             band_calls.clear()
@@ -830,7 +881,6 @@ class TestFactorizationBudget:
             for lam in levels:
                 assert count_below(forms, c, lam) == np.count_nonzero(vals < lam)
             assert band_calls == ([len(forms.interior_dofs)] * len(levels) if fi.banded else [])
-        assert fi.banded == (name in ("disk2", "disk3", "jittered", "delaunay"))
         assert ("_tree" in vars(fi)) != fi.banded
 
 
@@ -1018,7 +1068,7 @@ class TestDirectLapackSlice:
 
     @pytest.mark.parametrize("c", [0.0, 3.0, 100.0])
     def test_band_slice_equals_the_scipy_wrappers_bit_for_bit(self, forms, c, monkeypatch):
-        # disk L4 takes the fronts unless the band is forced
+        # a disk takes the fronts unless the band is forced
         monkeypatch.setattr(forms.factor_input, "banded", True)
         n_b = len(forms.boundary_dofs)
         for k in sorted({1, min(4, n_b), n_b}):
@@ -1043,7 +1093,8 @@ class TestDirectLapackSlice:
         # scipy wrapper and makes one call of each LAPACK routine
         forms = interval(1000, 1.0)[1] if name == "interval" else disk(3)[1]
         fi = forms.factor_input
-        fi.interior, fi.coupling, fi.banded
+        monkeypatch.setattr(fi, "banded", True)
+        fi.interior, fi.coupling
         base = next(cls for cls in sp.csc_matrix.__mro__ if cls.__name__ == "_spbase")
         monkeypatch.setattr(base, "__init__", lambda *a, **kw: pytest.fail("sparse matrix"))
         for wrapper in ("eigh", "cholesky_banded"):
